@@ -19,6 +19,7 @@ from .dirichlet import (
     monotone_iteration,
     quadratic_subsolution,
     solve_frozen,
+    solve_nonlinear,
     solve_quasimonotone,
     solve_regularized,
 )
@@ -107,7 +108,7 @@ __all__ = [
     "ma_det", "is_psh", "require_psh", "gaveau_value", "laplacian_matrix",
     "random_psh_field",
     # Dirichlet solvers
-    "RhsSpec", "SolveReport", "solve_frozen", "apply_T",
+    "RhsSpec", "SolveReport", "solve_frozen", "solve_nonlinear", "apply_T",
     "quadratic_subsolution", "check_subsolution", "check_supersolution",
     "monotone_iteration", "solve_regularized", "solve_quasimonotone",
     # eigenvalue routes

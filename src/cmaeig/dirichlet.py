@@ -2,10 +2,13 @@
 
 Layering:
 
-* solve_frozen      -- psi fixed in u.  For n = 1 this is one linear solve of
-  the one-sided-difference Laplacian (Delta u = 4 psi); for n >= 2 a damped
-  Newton iteration on F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a
-  vanishing eigenvalue floor mu and a plurisubharmonicity safeguard.
+* solve_nonlinear   -- damped Newton from a start, in one loop with a halving
+  line search: on (1/4) Delta u = psi(., u) for n = 1; for n >= 2 on
+  F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
+  floor mu and a plurisubharmonicity safeguard.
+* solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
+  LU of the one-sided-difference Laplacian (Delta u = 4 psi); for n >= 2
+  the log-det Newton.
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
@@ -18,7 +21,8 @@ Layering:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,9 +41,10 @@ from .hessian import (
     HermitianField,
     ScalarField,
     complex_hessian,
+    hessian_operators,
     laplacian_matrix,
     random_psh_field,
-    second_difference_matrix,
+    trace_operator,
 )
 
 log = logging.getLogger(__name__)
@@ -289,135 +294,50 @@ def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
 
 
 # ---------------------------------------------------------------------------
-# Frozen solver
+# Damped Newton
 # ---------------------------------------------------------------------------
 
 
-def _mixed_ops(grid, j, k):
-    """Sparse Re/Im operators of the (j,k) Hessian entry, j < k (cached)."""
-    key = ("mixed_ops", j, k)
-    if key in grid._cache:
-        return grid._cache[key]
-    d = 2 * grid.n
+class _NewtonState(NamedTuple):
+    """A Newton form evaluated at u (hess, M, eig: log-det form only)."""
 
-    def vec(a, b, sign):
-        v = [0] * d
-        v[a] = 1
-        v[b] = sign
-        return tuple(v)
-
-    def mix(a, b):
-        return 0.25 * (
-            second_difference_matrix(grid, vec(a, b, +1))
-            - second_difference_matrix(grid, vec(a, b, -1))
-        )
-
-    re_op = mix(2 * j, 2 * k) + mix(2 * j + 1, 2 * k + 1)
-    im_op = mix(2 * j, 2 * k + 1) - mix(2 * j + 1, 2 * k)
-    grid._cache[key] = (re_op.tocsr(), im_op.tocsr())
-    return grid._cache[key]
+    F: np.ndarray  # residual
+    error: float  # stops the iteration once <= tol
+    psi: np.ndarray
+    hess: HermitianField | None = None
+    M: np.ndarray | None = None
+    eig: np.ndarray | None = None  # eigenvalues of M + mu I
 
 
-def _diag_ops(grid):
-    key = ("diag_ops",)
-    if key not in grid._cache:
-        d = 2 * grid.n
-        ops = []
-        for j in range(grid.n):
-            va = [0] * d
-            va[2 * j] = 1
-            vb = [0] * d
-            vb[2 * j + 1] = 1
-            ops.append(
-                (
-                    second_difference_matrix(grid, tuple(va))
-                    + second_difference_matrix(grid, tuple(vb))
-                ).tocsr()
-            )
-        grid._cache[key] = ops
-    return grid._cache[key]
+def _damped_newton(grid, ui, tol, evaluate, jacobian, admissible, max_iter,
+                   restart=None, max_backtracks=30):
+    """Damped Newton on a residual over interior values; returns (u, report).
 
-
-def _cached_laplacian_lu(grid):
-    if "lap_lu" not in grid._cache:
-        grid._cache["lap_lu"] = splu(laplacian_matrix(grid).tocsc())
-    return grid._cache["lap_lu"]
-
-
-def _logdet_jacobian(grid, W):
-    """J = sum_j diag(W_jj)/4 D_j + sum_{j<k} [diag(Re W_kj)/2 ReOp - diag(Im W_kj)/2 ImOp]."""
-    n = grid.n
-    ops = _diag_ops(grid)
-    J = sparse.diags(0.25 * W[:, 0, 0].real) @ ops[0]
-    for j in range(1, n):
-        J = J + sparse.diags(0.25 * W[:, j, j].real) @ ops[j]
-    for m, (j, k) in enumerate(HermitianField.pairs(n)):
-        re_op, im_op = _mixed_ops(grid, j, k)
-        wkj = W[:, k, j]
-        J = J + sparse.diags(0.5 * wkj.real) @ re_op
-        J = J - sparse.diags(0.5 * wkj.imag) @ im_op
-    return J.tocsc()
-
-
-def _hermitian_from_interior(grid, ui):
-    return complex_hessian(ScalarField.from_interior(grid, ui))
-
-
-def _psh_floor(grid):
-    return -10.0 * grid.h ** 2
-
-
-def _newton_logdet(grid, rhs, u0, tol, max_iter=80, max_backtracks=30):
-    """Damped Newton for det(M(u)) = psi(., u) in dimension n >= 2."""
-    n = grid.n
-    mu = min(1e-8, tol * 1e-3)
-    shrinks = 0
-    ui = u0.copy()
-    floor = _psh_floor(grid)
-
-    def state(vec):
-        hess = _hermitian_from_interior(grid, vec)
-        M = hess.matrices()
-        eig = np.linalg.eigvalsh(M + mu * np.eye(n))
-        psi = rhs.psi(np.minimum(vec, 0.0))
-        return hess, M, eig, psi
-
-    hess, M, eig, psi = state(ui)
-    if np.min(eig) <= 0:
+    evaluate(u) -> _NewtonState; jacobian(u, state) -> sparse dF/du;
+    admissible(u, state) tests the start and every line-search trial, which
+    must also lower max|F|; restart(u, state, fnorm, it) may return a fresh
+    state in place of a step.
+    """
+    state = evaluate(ui)
+    if not admissible(ui, state):
         raise PreconditionViolated("initial guess is not in the solver's cone")
-    F = np.sum(np.log(eig), axis=1) - np.log(psi + mu ** n)
-    last_true = np.inf
     for it in range(1, max_iter + 1):
-        true_res = float(np.max(np.abs(hess.det() - psi)))
-        if true_res <= tol:
-            return ui, _make_report(grid, ui, hess, psi, it - 1, True)
-        fnorm = float(np.max(np.abs(F)))
-        stalled = fnorm <= tol * 1e-2 or (
-            it > 3 and true_res > 0.95 * last_true and fnorm < tol
-        )
-        if stalled and true_res > tol and shrinks < 3:
-            mu *= 0.01
-            shrinks += 1
-            hess, M, eig, psi = state(ui)
-            F = np.sum(np.log(eig), axis=1) - np.log(psi + mu ** n)
-            last_true = np.inf
+        if state.error <= tol:
+            hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
+            return ui, _make_report(grid, ui, hess, state.psi, it - 1, True)
+        fnorm = float(np.max(np.abs(state.F)))
+        fresh = restart(ui, state, fnorm, it) if restart else None
+        if fresh is not None:
+            state = fresh
             continue
-        last_true = true_res
-        W = np.linalg.inv(M + mu * np.eye(n))
-        J = _logdet_jacobian(grid, W)
-        if rhs.kind != "frozen":
-            dpsi = rhs.psi_t(np.minimum(ui, 0.0))
-            J = (J - sparse.diags(dpsi / (psi + mu ** n))).tocsc()
-        delta = spsolve(J, -F)
+        delta = spsolve(jacobian(ui, state), -state.F)
         s = 1.0
         for _ in range(max_backtracks):
             trial = ui + s * delta
-            t_hess, t_M, t_eig, t_psi = state(trial)
-            if np.min(t_eig) > 0 and np.min(t_hess.min_eigenvalue()) >= floor:
-                trial_F = np.sum(np.log(t_eig), axis=1) - np.log(t_psi + mu ** n)
-                if np.max(np.abs(trial_F)) < fnorm:
-                    ui, hess, M, eig, psi, F = trial, t_hess, t_M, t_eig, t_psi, trial_F
-                    break
+            t_state = evaluate(trial)
+            if admissible(trial, t_state) and np.max(np.abs(t_state.F)) < fnorm:
+                ui, state = trial, t_state
+                break
             s *= 0.5
         else:
             raise NewtonStalled(
@@ -426,8 +346,116 @@ def _newton_logdet(grid, rhs, u0, tol, max_iter=80, max_backtracks=30):
     raise NotConverged(f"Newton did not reach tol={tol} in {max_iter} iterations")
 
 
+def _hermitian_from_interior(grid, ui):
+    return complex_hessian(ScalarField.from_interior(grid, ui))
+
+
+def _logdet_form(grid, rhs, tol):
+    """n >= 2: F(u) = log det(M(u) + mu I) - log(psi + mu^n), stopping on the
+    true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
+    definite and the Hessian above the PSH floor.  When Newton stalls on F
+    while the true residual does not fall, the eigenvalue floor mu shrinks
+    a hundredfold (at most three times) and the iteration restarts."""
+    n = grid.n
+    eye = np.eye(n)
+    mu = min(1e-8, tol * 1e-3)
+    floor = -10.0 * grid.h ** 2  # PSH safeguard for trials
+    shrinks = 0
+    last_error = np.inf
+
+    def evaluate(ui):
+        hess = _hermitian_from_interior(grid, ui)
+        M = hess.matrices()
+        eig = np.linalg.eigvalsh(M + mu * eye)
+        psi = rhs.psi(np.minimum(ui, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):  # eig <= 0: inadmissible
+            F = np.sum(np.log(eig), axis=1) - np.log(psi + mu ** n)
+        error = float(np.max(np.abs(hess.det() - psi)))
+        return _NewtonState(F, error, psi, hess, M, eig)
+
+    def jacobian(ui, state):
+        J = trace_operator(grid, np.linalg.inv(state.M + mu * eye))
+        if rhs.kind != "frozen":
+            dpsi = rhs.psi_t(np.minimum(ui, 0.0))
+            J = J - sparse.diags(dpsi / (state.psi + mu ** n))
+        return J.tocsc()
+
+    def admissible(ui, state):
+        return np.min(state.eig) > 0 and np.min(state.hess.min_eigenvalue()) >= floor
+
+    def restart(ui, state, fnorm, it):
+        nonlocal mu, shrinks, last_error
+        stalled = fnorm <= tol * 1e-2 or (
+            it > 3 and state.error > 0.95 * last_error and fnorm < tol
+        )
+        if stalled and shrinks < 3:
+            mu *= 0.01
+            shrinks += 1
+            last_error = np.inf
+            return evaluate(ui)
+        last_error = state.error
+        return None
+
+    return evaluate, jacobian, admissible, 80, restart
+
+
+def _semilinear_form(grid, rhs):
+    """n = 1: F(u) = (1/4) Delta u - psi(., u), stopping on max|F|; the
+    linearization (1/4) L - diag(psi_t) is nonsingular whenever
+    psi_t > -lambda_1.  Trials must stay <= 0."""
+    quarter_laplacian = hessian_operators(grid)[0][0]
+
+    def evaluate(ui):
+        psi = rhs.psi(np.minimum(ui, 0.0))
+        F = quarter_laplacian @ ui - psi
+        return _NewtonState(F, float(np.max(np.abs(F))), psi)
+
+    def jacobian(ui, state):
+        return (quarter_laplacian - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))).tocsc()
+
+    def admissible(ui, state):
+        return np.max(ui) <= _T_POSITIVE_SLACK
+
+    return evaluate, jacobian, admissible, 60
+
+
+def _newton_solution(grid, start, tol, form):
+    ui, report = _damped_newton(grid, start, tol, *form)
+    return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
+
+
+def solve_nonlinear(rhs, start, tol=1e-8):
+    """Solve det(u_jk) = psi(., u) with zero boundary values by damped Newton
+    from `start` (a ScalarField or interior values); returns (u, report).
+
+    n = 1 solves the semilinear equation (1/4) Delta u = psi(., u); n >= 2
+    first blends the start into the log-det form's cone (_feasible_start).
+    """
+    grid = rhs.grid
+    ui = start.interior if isinstance(start, ScalarField) else np.asarray(start, float)
+    if grid.n == 1:
+        return _newton_solution(grid, ui, tol, _semilinear_form(grid, rhs))
+    ui = _feasible_start(grid, rhs, ui)
+    return _newton_solution(grid, ui, tol, _logdet_form(grid, rhs, tol))
+
+
+# ---------------------------------------------------------------------------
+# Frozen solver
+# ---------------------------------------------------------------------------
+
+
+def _cached_laplacian_lu(grid):
+    if "lap_lu" not in grid._cache:
+        grid._cache["lap_lu"] = splu(laplacian_matrix(grid).tocsc())
+    return grid._cache["lap_lu"]
+
+
 def solve_frozen(h, grid=None, tol=1e-8, initial=None):
-    """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report)."""
+    """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
+
+    n = 1 is one solve with the cached Laplacian LU; n >= 2 runs the log-det
+    Newton from `initial` or, without one, from the quadratic subsolution.
+    """
     if isinstance(h, ScalarField):
         grid = h.grid if grid is None else grid
         h_int = h.interior
@@ -443,21 +471,16 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
         ui = np.minimum(lu.solve(4.0 * h_int), 0.0)
         hess = _hermitian_from_interior(grid, ui)
         report = _make_report(grid, ui, hess, h_int, 1, True)
-        report.converged = report.final_residual <= max(tol, report.final_residual)
         if report.final_residual > tol:
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)
             report.converged = report.final_residual <= 10 * tol
         return ScalarField.from_interior(grid, ui), report
     rhs = RhsSpec.frozen(grid, h_int)
-    if initial is None:
-        u0, _ = quadratic_subsolution(grid, rhs)
-        start = u0.interior
-    else:
-        start = initial.interior if isinstance(initial, ScalarField) else np.asarray(initial, float)
-        start = _feasible_start(grid, rhs, start)
-    ui, report = _newton_logdet(grid, rhs, start, tol)
-    return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
+    if initial is not None:
+        return solve_nonlinear(rhs, initial, tol)
+    u0, _ = quadratic_subsolution(grid, rhs)  # inside the cone already
+    return _newton_solution(grid, u0.interior, tol, _logdet_form(grid, rhs, tol))
 
 
 def _feasible_start(grid, rhs, start):
@@ -608,37 +631,6 @@ def solve_regularized(rhs, eps_schedule=None, grid=None, tol=1e-8, max_outer=200
 # ---------------------------------------------------------------------------
 
 
-def _semilinear_newton_n1(grid, rhs, u0, tol, max_iter=60, max_backtracks=30):
-    """n = 1: Newton on (1/4) Delta u - psi(., u) = 0; the linearization
-    (1/4) L - diag(psi_t) is nonsingular whenever psi_t > -lambda_1."""
-    L = laplacian_matrix(grid).tocsc()
-    ui = u0.copy()
-
-    def residual(vec):
-        return 0.25 * (L @ vec) - rhs.psi(np.minimum(vec, 0.0))
-
-    F = residual(ui)
-    for it in range(1, max_iter + 1):
-        fnorm = float(np.max(np.abs(F)))
-        if fnorm <= tol:
-            hess = _hermitian_from_interior(grid, ui)
-            return ui, _make_report(grid, ui, hess, rhs.psi(np.minimum(ui, 0.0)), it - 1, True)
-        J = (0.25 * L - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))).tocsc()
-        delta = spsolve(J, -F)
-        s = 1.0
-        for _ in range(max_backtracks):
-            trial = ui + s * delta
-            if np.max(trial) <= _T_POSITIVE_SLACK:
-                trial_F = residual(trial)
-                if np.max(np.abs(trial_F)) < fnorm:
-                    ui, F = trial, trial_F
-                    break
-            s *= 0.5
-        else:
-            raise NewtonStalled("semilinear line search exhausted")
-    raise NotConverged(f"semilinear Newton did not reach tol={tol}")
-
-
 def solve_quasimonotone(rhs, lambda1_estimate, grid=None, tol=1e-8):
     """Solve det = H^n(., u) for dH/dt >= -lambda_0 with lambda_0 < lambda_1.
 
@@ -680,11 +672,8 @@ def solve_quasimonotone(rhs, lambda1_estimate, grid=None, tol=1e-8):
     solutions = []
     report = None
     for name, start in starts:
-        if grid.n == 1:
-            ui, rep = _semilinear_newton_n1(grid, rhs, start, tol)
-        else:
-            ui, rep = _newton_logdet(grid, rhs, _feasible_start(grid, rhs, start), tol)
-        solutions.append((name, np.minimum(ui, 0.0)))
+        u, rep = solve_nonlinear(rhs, start, tol)
+        solutions.append((name, u.interior))
         if report is None:
             report = rep
     worst = 0.0

@@ -144,14 +144,20 @@ def eval_rho(spec, points):
         w = np.repeat(1.0 / np.asarray(spec.axes) ** 2, 2)
         vals = pts ** 2 @ w - 1.0
     else:
-        vals = np.zeros(pts.shape[0])
-        for expo, c in spec.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for ax, e in enumerate(expo):
-                if e:
-                    term *= pts[:, ax] ** e
-            vals += term
+        vals = _eval_polynomial(spec.coeffs, pts)
     return vals[0] if single else vals
+
+
+def _eval_polynomial(coeffs, pts):
+    """sum of c * prod_ax x_ax^e_ax over {exponents: c} at a batch (m, d)."""
+    vals = np.zeros(pts.shape[0])
+    for expo, c in coeffs.items():
+        term = np.full(pts.shape[0], c)
+        for ax, e in enumerate(expo):
+            if e:
+                term *= pts[:, ax] ** e
+        vals += term
+    return vals
 
 
 def quadratic_defining(spec):
@@ -247,13 +253,7 @@ def eval_density(d, points):
         c = np.asarray(d.center)
         vals = 1.0 + d.amplitude * np.exp(-np.sum((pts - c) ** 2, axis=1) / d.width ** 2)
     else:
-        vals = np.zeros(pts.shape[0])
-        for expo, c in d.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for ax, e in enumerate(expo):
-                if e:
-                    term *= pts[:, ax] ** e
-            vals += term
+        vals = _eval_polynomial(d.coeffs, pts)
     return vals[0] if single else vals
 
 
@@ -306,12 +306,9 @@ class GridDomain:
     def num_interior(self):
         return self.interior_flat.size
 
-    @property
-    def boundary_offsets(self):
-        """Per-axis fractional boundary distances, NaN where the neighbour is interior."""
-        out = self.theta_axis.copy()
-        out[self.nbr_ipos >= 0] = np.nan
-        return out
+    def offset(self, v):
+        """Flat-index offset of the lattice vector v."""
+        return int(np.dot(v, _lattice_strides(self.shape)))
 
     def node_coords(self, flat):
         idx = np.unravel_index(np.asarray(flat), self.shape)
@@ -342,6 +339,34 @@ def _crossing_fraction(spec, start, direction, h):
         return 1.0
     theta = brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     return max(float(theta), _THETA_FLOOR)
+
+
+def direction_thetas(grid, v):
+    """(N, 2) crossing fractions along +v and -v from every interior node, 1.0
+    where that lattice neighbour is interior; cached on the grid."""
+    v = tuple(v)
+    if sum(abs(c) for c in v) == 1:
+        a = int(np.flatnonzero(v)[0])
+        return grid.theta_axis[:, a, :] if v[a] > 0 else grid.theta_axis[:, a, ::-1]
+    key = ("theta", v)
+    if key in grid._cache:
+        return grid._cache[key]
+    dv = grid.offset(v)
+    theta = np.ones((grid.num_interior, 2))
+    vv = np.asarray(v, dtype=float)
+    for s, sgn in ((0, 1), (1, -1)):
+        nbr = grid.interior_flat + sgn * dv
+        cut = np.flatnonzero(grid.interior_pos[nbr] < 0)
+        for i in cut:
+            theta[i, s] = _crossing_fraction(
+                grid.spec, grid.interior_coords[i], sgn * vv, grid.h
+            )
+    grid._cache[key] = theta
+    return theta
+
+
+def _lattice_strides(shape):
+    return tuple(int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(len(shape)))
 
 
 def build_grid(spec, h):
@@ -411,9 +436,7 @@ def build_grid(spec, h):
     interior_pos = np.full(flat_class.size, -1, dtype=np.int64)
     interior_pos[interior_flat] = np.arange(N)
 
-    strides = np.array(
-        [int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(d)], dtype=np.int64
-    )
+    strides = np.array(_lattice_strides(shape), dtype=np.int64)
     coords = pts[interior_flat]
     rho_int = rho_all[interior_flat]
 

@@ -28,11 +28,9 @@ import numpy as np
 from .dirichlet import (
     RhsSpec,
     SolveReport,
-    _feasible_start,
-    _newton_logdet,
-    _semilinear_newton_n1,
     quadratic_subsolution,
     solve_frozen,
+    solve_nonlinear,
 )
 from .domain import Constant, density_vector
 from .errors import (
@@ -148,7 +146,7 @@ def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
     return 1.0 / s
 
 
-def _converge_at(lam, rhs, u_start, grid, tol):
+def _converge_at(lam, rhs, u_start, tol):
     """Converge the branch problem at one value of lam; package a BranchPoint.
 
     The warm start is a nodewise subsolution, which places Newton's method
@@ -157,12 +155,7 @@ def _converge_at(lam, rhs, u_start, grid, tol):
     otherwise, so damped Newton converges superlinearly where the monotone
     sweep would need O(1/gap) passes near the blow-up.
     """
-    if grid.n == 1:
-        ui, report = _semilinear_newton_n1(grid, rhs, u_start.interior, tol)
-    else:
-        start = _feasible_start(grid, rhs, u_start.interior)
-        ui, report = _newton_logdet(grid, rhs, start, tol)
-    u = ScalarField.from_interior(grid, np.minimum(ui, 0.0))
+    u, report = solve_nonlinear(rhs, u_start, tol)
     return BranchPoint(
         lam=lam,
         sup_norm=u.sup_norm(),
@@ -172,7 +165,7 @@ def _converge_at(lam, rhs, u_start, grid, tol):
     )
 
 
-def _branch_step(lam_new, f, grid, tol, prev):
+def _branch_step(lam_new, f, tol, prev):
     """Advance the branch from `prev` using the scaled warm start.
 
     For d = lam_new - prev.lam with d * sup_norm < 1, the scaling
@@ -192,7 +185,7 @@ def _branch_step(lam_new, f, grid, tol, prev):
     C = (1.0 + 100.0 * tol) / (1.0 - shrink)
     u_start = ScalarField.from_interior(prev.u.grid, C * prev.u.interior)
     rhs = RhsSpec.branch(prev.u.grid, lam_new, f)
-    return _converge_at(lam_new, rhs, u_start, grid, tol)
+    return _converge_at(lam_new, rhs, u_start, tol)
 
 
 def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
@@ -208,12 +201,12 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
     if lam < 0:
         raise ValueError("branch parameter must be nonnegative")
     if start is not None:
-        return _branch_step(lam, f, grid, tol, start)
+        return _branch_step(lam, f, tol, start)
 
     rhs = RhsSpec.branch(grid, lam, f)
     try:
         u_quad, _ = quadratic_subsolution(grid, rhs)
-        return _converge_at(lam, rhs, u_quad, grid, tol)
+        return _converge_at(lam, rhs, u_quad, tol)
     except BranchInfeasible:
         if lam == 0.0:
             raise
@@ -233,7 +226,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
                 f"ramp stalled at lam={current.lam:.6g} approaching the "
                 "critical value"
             )
-        current = _branch_step(current.lam + d, f, grid, tol, current)
+        current = _branch_step(current.lam + d, f, tol, current)
     raise BranchInfeasible(
         f"ramp did not reach lam={lam:.6g} in {max_ramp} steps"
     )
@@ -307,7 +300,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
                 lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
             )
         try:
-            point = _branch_step(prev.lam + d, f, grid, tol, prev)
+            point = _branch_step(prev.lam + d, f, tol, prev)
         except _STEP_FAILURES:
             step = d / 2.0
             easy_streak = 0

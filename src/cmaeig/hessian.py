@@ -11,13 +11,17 @@ the diagonal identity u_ab = 1/4 (D^2_{a+b} - D^2_{a-b}), where D^2_v is the
 second difference along the direction e_a +- e_b.  All of these are exact on
 quadratics.
 
-Two differencing modes, selected by ScalarField.zero_boundary:
+The combination is written once (_hessian_terms) over a "second difference
+along v" primitive, of which ScalarField.zero_boundary selects one:
 
-* zero_boundary=True  -- the field represents a candidate solution vanishing
-  on the curved boundary; one-sided Shortley-Weller differences place the
-  value 0 at the exact crossing of {rho = 0} (fractions from the grid).
-* zero_boundary=False -- the field is a sample of an ambient function; plain
-  centered differences use the stored values at all lattice neighbours.
+* zero_boundary=True  -- second_difference_matrix (interior -> interior):
+  one-sided Shortley-Weller differences place the value 0 at the exact
+  crossing of {rho = 0} (fractions from the grid).
+* zero_boundary=False -- _centered_difference_matrix (full lattice ->
+  interior): plain centered differences of a sampled ambient function.
+
+complex_hessian evaluates the combination; hessian_operators caches it as
+sparse operators, from which trace_operator assembles the log-det Jacobian.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .domain import GridDomain, _crossing_fraction
+from .domain import GridDomain, direction_thetas
 from .errors import NotPositiveSemiDefinite, NotPSH, PreconditionViolated
 
 
@@ -192,27 +196,6 @@ class DualMatrixSet:
 # ---------------------------------------------------------------------------
 
 
-def _direction_thetas(grid, v):
-    """(N, 2) crossing fractions along +-v for zero-boundary differencing."""
-    key = ("theta", tuple(v))
-    if key in grid._cache:
-        return grid._cache[key]
-    d = 2 * grid.n
-    dv = int(np.dot(v, [int(np.prod(grid.shape[a + 1 :])) for a in range(d)]))
-    N = grid.num_interior
-    theta = np.ones((N, 2))
-    vv = np.asarray(v, dtype=float)
-    for s, sgn in ((0, 1), (1, -1)):
-        nbr = grid.interior_flat + sgn * dv
-        cut = np.flatnonzero(grid.interior_pos[nbr] < 0)
-        for i in cut:
-            theta[i, s] = _crossing_fraction(
-                grid.spec, grid.interior_coords[i], sgn * vv, grid.h
-            )
-    grid._cache[key] = theta
-    return theta
-
-
 def second_difference_matrix(grid, v):
     """Sparse operator for u -> D^2_v u on zero-boundary fields (interior -> interior).
 
@@ -223,15 +206,9 @@ def second_difference_matrix(grid, v):
     key = ("sw", tuple(v))
     if key in grid._cache:
         return grid._cache[key]
-    d = 2 * grid.n
-    strides = [int(np.prod(grid.shape[a + 1 :])) for a in range(d)]
-    dv = int(np.dot(v, strides))
+    dv = grid.offset(v)
     N = grid.num_interior
-    if all(abs(c) in (0, 1) for c in v) and sum(abs(c) for c in v) == 1:
-        a = int(np.flatnonzero(v)[0])
-        theta = grid.theta_axis[:, a, :] if v[a] > 0 else grid.theta_axis[:, a, ::-1]
-    else:
-        theta = _direction_thetas(grid, v)
+    theta = direction_thetas(grid, v)
     tp, tm = theta[:, 0], theta[:, 1]
     pos_p = grid.interior_pos[grid.interior_flat + dv]
     pos_m = grid.interior_pos[grid.interior_flat - dv]
@@ -255,17 +232,17 @@ def second_difference_matrix(grid, v):
     return mat
 
 
-def _second_difference_values(u, v):
-    """D^2_v u at interior nodes for either differencing mode."""
-    grid = u.grid
-    if u.zero_boundary:
-        return second_difference_matrix(grid, v) @ u.values[grid.interior_flat]
-    d = 2 * grid.n
-    strides = [int(np.prod(grid.shape[a + 1 :])) for a in range(d)]
-    dv = int(np.dot(v, strides))
-    f = u.values
-    i = grid.interior_flat
-    return (f[i + dv] - 2.0 * f[i] + f[i - dv]) / grid.h ** 2
+def _centered_difference_matrix(grid, v):
+    """f -> D^2_v f on sampled fields (full lattice -> interior), plain centered."""
+    key = ("centered", tuple(v))
+    if key not in grid._cache:
+        i, dv = grid.interior_flat, grid.offset(v)
+        rows = np.repeat(np.arange(i.size), 3)
+        cols = np.stack([i - dv, i, i + dv], axis=1).ravel()
+        data = np.tile([1.0, -2.0, 1.0], i.size) / grid.h ** 2
+        shape = (i.size, int(np.prod(grid.shape)))
+        grid._cache[key] = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    return grid._cache[key]
 
 
 def _axis_vec(d, a, b=None, sign=1):
@@ -293,27 +270,67 @@ def laplacian_matrix(grid):
 # ---------------------------------------------------------------------------
 
 
+def _hessian_terms(n, D):
+    """The complex Hessian from second differences D(v) along lattice vectors v.
+
+    Returns (diag, mixed): diag[j] is u_jj and mixed[m] the pair (Re, Im) of
+    u_jk for the m-th pair j < k of HermitianField.pairs(n).  D may return
+    sparse operators or interior values; the terms are of the same kind.
+    """
+    d = 2 * n
+
+    def second(a, b):  # u_{ab} for a != b, through the diagonal identity
+        return 0.25 * (D(_axis_vec(d, a, b, +1)) - D(_axis_vec(d, a, b, -1)))
+
+    diag = [0.25 * (D(_axis_vec(d, 2 * j)) + D(_axis_vec(d, 2 * j + 1))) for j in range(n)]
+    mixed = [
+        (
+            0.25 * (second(2 * j, 2 * k) + second(2 * j + 1, 2 * k + 1)),
+            0.25 * (second(2 * j, 2 * k + 1) - second(2 * j + 1, 2 * k)),
+        )
+        for j, k in HermitianField.pairs(n)
+    ]
+    return diag, mixed
+
+
+def hessian_operators(grid):
+    """Cached sparse operators of the complex Hessian on zero-boundary fields
+    (interior -> interior), as (diag, mixed) of _hessian_terms.  For n = 1 the
+    single diagonal operator is a quarter of laplacian_matrix(grid)."""
+    key = ("hessian_ops",)
+    if key not in grid._cache:
+        grid._cache[key] = _hessian_terms(
+            grid.n, lambda v: second_difference_matrix(grid, v)
+        )
+    return grid._cache[key]
+
+
+def trace_operator(grid, W):
+    """Sparse operator u -> Re tr(W M(u)) for per-node Hermitian W, shape (N, n, n).
+
+    At W = (M(u) + mu I)^-1 this is the Jacobian of sum log eig(M(u) + mu I).
+    """
+    diag, mixed = hessian_operators(grid)
+    J = sparse.diags(W[:, 0, 0].real) @ diag[0]
+    for j in range(1, grid.n):
+        J = J + sparse.diags(W[:, j, j].real) @ diag[j]
+    # W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk) for Hermitian W and M
+    for (j, k), (re_op, im_op) in zip(HermitianField.pairs(grid.n), mixed):
+        wkj = W[:, k, j]
+        J = J + sparse.diags(2.0 * wkj.real) @ re_op
+        J = J - sparse.diags(2.0 * wkj.imag) @ im_op
+    return J
+
+
 def complex_hessian(u):
     grid = u.grid
-    n = grid.n
-    d = 2 * n
-    diag = np.empty((grid.num_interior, n))
-    pure = [_second_difference_values(u, _axis_vec(d, a)) for a in range(d)]
-    for j in range(n):
-        diag[:, j] = 0.25 * (pure[2 * j] + pure[2 * j + 1])
-    pairs = HermitianField.pairs(n)
-    tri = np.zeros((grid.num_interior, len(pairs)), dtype=complex)
-
-    def mixed(a, b):
-        plus = _second_difference_values(u, _axis_vec(d, a, b, +1))
-        minus = _second_difference_values(u, _axis_vec(d, a, b, -1))
-        return 0.25 * (plus - minus)
-
-    for m, (j, k) in enumerate(pairs):
-        re = mixed(2 * j, 2 * k) + mixed(2 * j + 1, 2 * k + 1)
-        im = mixed(2 * j, 2 * k + 1) - mixed(2 * j + 1, 2 * k)
-        tri[:, m] = 0.25 * (re + 1j * im)
-    return HermitianField(grid, diag, tri)
+    if u.zero_boundary:
+        vals, stencil = u.values[grid.interior_flat], second_difference_matrix
+    else:
+        vals, stencil = u.values, _centered_difference_matrix
+    diag, mixed = _hessian_terms(grid.n, lambda v: stencil(grid, v) @ vals)
+    tri = np.array([re + 1j * im for re, im in mixed])
+    return HermitianField(grid, np.array(diag).T, tri.T)
 
 
 def ma_det(u):
@@ -375,15 +392,6 @@ def gaveau_value(M, duals, tol=1e-10):
         det_root = float(np.prod(np.maximum(w, 0.0))) ** (1.0 / n)
         candidates.append(det_root * np.linalg.inv(M))
     return min(float(np.trace(a @ M).real) / n for a in candidates)
-
-
-def apply_La(a, u):
-    """(1/n) sum_jk a_jk u_jk: the linear operator of the dual representation
-    (1/4 Laplacian when a = I and n = 1)."""
-    a = np.asarray(a, dtype=complex)
-    M = complex_hessian(u).matrices()
-    vals = np.einsum("jk,xkj->x", a, M).real / u.grid.n
-    return ScalarField.from_interior(u.grid, vals)
 
 
 def check_comparison(u, v, tol):

@@ -49,8 +49,6 @@ __all__ = [
     "field_to_csv",
     "profile_to_csv",
     "read_field",
-    "report_to_dict",
-    "report_to_text",
     "spec_from_dict",
     "spec_to_dict",
     "write_field",
@@ -303,28 +301,3 @@ def profile_to_csv(profile, path):
     for t, phi, dphi in zip(profile.t, profile.phi, profile.dphi):
         lines.append(",".join([_fmt(t), _fmt(phi), _fmt(dphi)]))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Solve reports
-# ---------------------------------------------------------------------------
-
-
-def report_to_dict(report):
-    return {
-        "iterations": int(report.iterations),
-        "final_residual": float(report.final_residual),
-        "psh_margin": float(report.psh_margin),
-        "sup_norm": float(report.sup_norm),
-        "grad_sup": float(report.grad_sup),
-        "laplacian_sup": float(report.laplacian_sup),
-        "converged": bool(report.converged),
-        "flags": list(report.flags),
-    }
-
-
-def report_to_text(report):
-    """key=value lines, one per report field, in a fixed order."""
-    d = report_to_dict(report)
-    d["flags"] = ";".join(str(f) for f in d["flags"])
-    return "\n".join(f"{k}={v}" for k, v in d.items()) + "\n"

@@ -3,6 +3,7 @@ import pytest
 
 from cmaeig.dirichlet import (
     RhsSpec,
+    _logdet_form,
     apply_T,
     check_subsolution,
     check_supersolution,
@@ -20,6 +21,7 @@ from cmaeig.errors import (
     NotConverged,
     PreconditionViolated,
 )
+from cmaeig.domain import Constant, Ellipsoid, GaussianBump, build_grid
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 
 from oracles import (
@@ -89,6 +91,30 @@ def test_frozen_comparison_consistency(disc_grid_32):
     u1, _ = solve_frozen(psi1, g, tol)
     u2, _ = solve_frozen(psi2, g, tol)
     assert np.all(u1.interior >= u2.interior - 10 * tol)
+
+
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_logdet_jacobian_matches_central_difference(which, ball4_grid):
+    """The assembled Newton Jacobian of F(u) = sum log eig(M(u) + mu I)
+    - log(psi(u) + mu^n) against a central difference along a random direction."""
+    if which == "ball4":
+        grid, density = ball4_grid, Constant(1.0)
+    else:
+        with pytest.warns(UserWarning, match="quarter"):
+            grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+        density = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+    rhs = RhsSpec.branch(grid, 0.5, density)
+    rng = np.random.default_rng(0)
+    u0, _ = quadratic_subsolution(grid, rhs)
+    u = u0.interior * (1.0 + 0.01 * rng.uniform(size=grid.num_interior))
+    evaluate, jacobian, admissible, *_ = _logdet_form(grid, rhs, 1e-8)
+    state = evaluate(u)
+    assert admissible(u, state)
+    d = rng.normal(size=grid.num_interior)
+    jd = jacobian(u, state) @ d
+    eps = 1e-6
+    fd = (evaluate(u + eps * d).F - evaluate(u - eps * d).F) / (2 * eps)
+    assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
 
 
 # ---------------------------------------------------------------------------

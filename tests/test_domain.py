@@ -101,14 +101,6 @@ def test_crossing_fraction_exact_on_disc():
     assert g.theta_axis[i, 0, 1] == 1.0  # -x neighbour (0, 0.5) is interior
 
 
-def test_boundary_offsets_nan_exactly_where_regular(disc_grid):
-    off = disc_grid.boundary_offsets
-    regular = disc_grid.nbr_ipos >= 0
-    assert np.isnan(off[regular]).all()
-    cut = off[~regular]
-    assert np.isfinite(cut).all() and (cut > 0).all() and (cut <= 1).all()
-
-
 def test_one_axis_ellipsoid_is_the_disc():
     ge = build_grid(Ellipsoid(axes=(1.0,)), 1 / 16)
     gb = build_grid(Ball(n=1), 1 / 16)

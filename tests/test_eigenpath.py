@@ -143,6 +143,12 @@ def test_continuation_branch_history_invariants(disc_result):
     assert disc_result.lambda1 >= branch[-1].lam
 
 
+def test_continuation_disc_pinned_branch(disc_result):
+    # recorded before the Newton loops and Hessian stencils were merged
+    assert [p.report.iterations for p in disc_result.branch] == [1] * 9 + [2] * 4
+    assert disc_result.lambda1 == pytest.approx(1.4455193332030762, abs=1e-12)
+
+
 def test_continuation_residual_contract(disc_result):
     assert disc_result.residual <= disc_result.residual_tol
     assert disc_result.fit_residual < 1e-3

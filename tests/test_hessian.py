@@ -8,10 +8,10 @@ from cmaeig.errors import NotPositiveSemiDefinite, PreconditionViolated
 from cmaeig.hessian import (
     DualMatrixSet,
     ScalarField,
-    apply_La,
     check_comparison,
     complex_hessian,
     gaveau_value,
+    hessian_operators,
     is_psh,
     laplacian_matrix,
     ma_det,
@@ -115,6 +115,21 @@ def test_n1_det_is_quarter_laplacian(disc_grid_32):
     assert np.allclose(ma_det(u).interior, 0.25 * (laplacian_matrix(g) @ ui), atol=1e-9)
 
 
+def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid):
+    rng = np.random.default_rng(4)
+    for g in (disc_grid_32, ball4_grid):
+        ui = rng.normal(size=g.num_interior)
+        H = complex_hessian(ScalarField.from_interior(g, ui))
+        diag, mixed = hessian_operators(g)
+        scale = np.max(np.abs(H.diag))
+        for j, op in enumerate(diag):
+            assert np.max(np.abs(op @ ui - H.diag[:, j])) <= 1e-13 * scale
+        for m, (re_op, im_op) in enumerate(mixed):
+            assert np.max(np.abs(re_op @ ui + 1j * (im_op @ ui) - H.tri[:, m])) <= 1e-13 * scale
+    (quarter_laplacian,), _ = hessian_operators(disc_grid_32)
+    assert (quarter_laplacian != 0.25 * laplacian_matrix(disc_grid_32)).nnz == 0
+
+
 def test_is_psh_trivials(disc_grid_32):
     g = disc_grid_32
     ok, _ = is_psh(ScalarField.from_interior(g, g.rho_interior), 0.0)
@@ -160,28 +175,6 @@ def test_gaveau_upper_bound_random_psd(seed):
     root = float(np.prod(np.linalg.eigvalsh(M))) ** (1.0 / n)
     assert val >= root - 1e-10
     assert val <= root + 1e-10  # analytic minimizer was added: equality
-
-
-def test_apply_La_trivials(disc_grid_32):
-    g = disc_grid_32
-    u = ScalarField.sample(g, lambda p: abs2(p, 0))
-    assert np.max(np.abs(apply_La(np.eye(1), u).interior - 1.0)) == 0.0
-    rng = np.random.default_rng(5)
-    w = ScalarField.from_interior(g, rng.normal(size=g.num_interior))
-    quarter_lap = 0.25 * (laplacian_matrix(g) @ w.interior)
-    assert np.allclose(apply_La(np.eye(1), w).interior, quarter_lap, atol=1e-9)
-
-
-def test_apply_La_dominates_det_root(ball4_grid):
-    # AM-GM: (1/n) tr(a M) >= det(a)^{1/n} det(M)^{1/n} >= det(M)^{1/n}
-    g = ball4_grid
-    u = ScalarField.sample(
-        g, lambda p: abs2(p, 0) + abs2(p, 1) + 0.5 * (p[:, 0] * p[:, 2] + p[:, 1] * p[:, 3])
-    )
-    duals = DualMatrixSet.sample(2, count=16, seed=11)
-    root = np.sqrt(np.maximum(ma_det(u).interior, 0.0))
-    best = np.min([apply_La(a, u).interior for a in duals.matrices], axis=0)
-    assert np.all(best >= root - 1e-10)
 
 
 def test_check_comparison_trivials(disc_grid_32):

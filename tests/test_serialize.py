@@ -16,8 +16,6 @@ from cmaeig.serialize import (
     field_to_csv,
     profile_to_csv,
     read_field,
-    report_to_dict,
-    report_to_text,
     spec_from_dict,
     spec_to_dict,
     write_field,
@@ -167,21 +165,6 @@ def test_profile_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 0], prof.t)
     assert np.array_equal(data[:, 1], prof.phi)
     assert np.array_equal(data[:, 2], prof.dphi)
-
-
-# --------------------------------------------------------------------- reports
-
-
-def test_report_text_and_dict(tmp_path, disc):
-    u, report = solve_frozen(np.ones(disc.num_interior), disc, 1e-10)
-    d = report_to_dict(report)
-    assert d["converged"] is True
-    assert set(d) == {"iterations", "final_residual", "psh_margin", "sup_norm",
-                      "grad_sup", "laplacian_sup", "converged", "flags"}
-    text = report_to_text(report)
-    lines = dict(line.split("=", 1) for line in text.strip().split("\n"))
-    assert lines["converged"] == "True"
-    assert int(lines["iterations"]) == report.iterations
 
 
 # ------------------------------------------------------------------- atomicity

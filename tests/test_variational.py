@@ -288,6 +288,13 @@ def test_inverse_power_four_ball(ball4):
     assert abs(res.lambda1 - 1.686593625402) / 1.686593625402 < 5e-2
 
 
+def test_inverse_power_four_ball_pinned_iterations(ball4):
+    # recorded before the Newton loops and Hessian stencils were merged
+    res = inverse_power(grid=ball4, tol=1e-8)
+    assert [p.report.iterations for p in res.branch] == [0, 7, 5, 3, 3, 2, 2, 2, 2] + [1] * 7
+    assert res.lambda1 == pytest.approx(1.661450533101816, abs=1e-12)
+
+
 def test_inverse_power_degenerate_start(disc32):
     zero = ScalarField.from_interior(disc32, np.zeros(disc32.num_interior))
     with pytest.raises(DegenerateIterate):
