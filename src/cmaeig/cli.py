@@ -490,6 +490,7 @@ def _run_continuation(config):
         "diagnostics": {
             "method": result.method,
             "branch_points": len(result.branch),
+            "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,

@@ -5,7 +5,10 @@ Layering:
 * solve_nonlinear   -- damped Newton from a start, in one loop with a halving
   line search: on (1/4) Delta u = psi(., u) for n = 1; for n >= 2 on
   F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
-  floor mu and a plurisubharmonicity safeguard.
+  floor mu and a plurisubharmonicity safeguard.  Each equation supplies its
+  own Newton step: for n = 1 GMRES on (1/4) L - diag(psi_t), preconditioned
+  by the grid's cached Laplacian LU, so a grid is factored once however many
+  solves run on it; for n >= 2 one sparse direct solve.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference Laplacian (Delta u = 4 psi); for n >= 2
   the log-det Newton.
@@ -16,6 +19,9 @@ Layering:
   decreasing eps schedule with warm starts (psi degenerate at u = 0).
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
+
+The module is the package's linear-solver seam: spsolve, splu and gmres are
+called here and nowhere else.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 
 from .domain import Constant, eval_density, eval_quadratic, quadratic_defining
 from .errors import (
@@ -204,6 +210,7 @@ class SolveReport:
     laplacian_sup: float
     converged: bool
     flags: tuple = ()
+    krylov_iterations: int = 0  # GMRES iterations over the Newton steps
 
 
 def _grad_sup(grid, ui):
@@ -220,7 +227,8 @@ def _grad_sup(grid, ui):
     return worst
 
 
-def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=()):
+def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
+                 krylov_iterations=0):
     det = hess.det()
     res = float(np.max(np.abs(det - psi_vals)))
     return SolveReport(
@@ -232,6 +240,7 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=()):
         laplacian_sup=float(np.max(np.abs(laplacian_matrix(grid) @ ui))),
         converged=converged,
         flags=tuple(flags),
+        krylov_iterations=krylov_iterations,
     )
 
 
@@ -298,6 +307,19 @@ def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
 # ---------------------------------------------------------------------------
 
 
+# GMRES for the n = 1 Newton step stops on the true residual
+# ||J delta + F|| <= _KRYLOV_RTOL ||F|| within _KRYLOV_CYCLES cycles of at
+# most _KRYLOV_RESTART iterations.  The residual a step can reach is set by
+# rounding and grows like h^-2: along the unit-disc branch at most 1.2e-11,
+# 4.3e-11 and 1.9e-10 at h = 1/64, 1/128, 1/256 (a direct solve: up to
+# 2.3e-10 at 1/256), so 1e-10 is out of reach at 1/256; 1e-9 changes a
+# branch point's Newton count there.  Steps take at most 11 iterations on
+# the branch and 19 on the steep H = exp(20 t).
+_KRYLOV_RTOL = 5e-10
+_KRYLOV_RESTART = 50
+_KRYLOV_CYCLES = 2
+
+
 class _NewtonState(NamedTuple):
     """A Newton form evaluated at u (hess, M, eig: log-det form only)."""
 
@@ -309,33 +331,50 @@ class _NewtonState(NamedTuple):
     eig: np.ndarray | None = None  # eigenvalues of M + mu I
 
 
-def _damped_newton(grid, ui, tol, evaluate, jacobian, admissible, max_iter,
-                   restart=None, max_backtracks=30):
-    """Damped Newton on a residual over interior values; returns (u, report).
+class _NewtonForm(NamedTuple):
+    """One equation for _damped_newton.
 
     evaluate(u) -> _NewtonState; jacobian(u, state) -> sparse dF/du;
     admissible(u, state) tests the start and every line-search trial, which
-    must also lower max|F|; restart(u, state, fnorm, it) may return a fresh
-    state in place of a step.
+    must also lower max|F|; step(u, state) -> (delta, Krylov iterations)
+    solves jacobian(u, state) delta = -F; restart(u, state, fnorm, it) may
+    return a fresh state in place of a step.
     """
-    state = evaluate(ui)
-    if not admissible(ui, state):
+
+    evaluate: object
+    jacobian: object
+    admissible: object
+    step: object
+    max_iter: int
+    restart: object = None
+
+
+def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
+    """Damped Newton on a residual over interior values; returns (u, report).
+
+    `state`, if given, is form.evaluate(ui) computed by the caller.
+    """
+    state = form.evaluate(ui) if state is None else state
+    if not form.admissible(ui, state):
         raise PreconditionViolated("initial guess is not in the solver's cone")
-    for it in range(1, max_iter + 1):
+    krylov = 0
+    for it in range(1, form.max_iter + 1):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
-            return ui, _make_report(grid, ui, hess, state.psi, it - 1, True)
+            return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
+                                    krylov_iterations=krylov)
         fnorm = float(np.max(np.abs(state.F)))
-        fresh = restart(ui, state, fnorm, it) if restart else None
+        fresh = form.restart(ui, state, fnorm, it) if form.restart else None
         if fresh is not None:
             state = fresh
             continue
-        delta = spsolve(jacobian(ui, state), -state.F)
+        delta, iterations = form.step(ui, state)
+        krylov += iterations
         s = 1.0
         for _ in range(max_backtracks):
             trial = ui + s * delta
-            t_state = evaluate(trial)
-            if admissible(trial, t_state) and np.max(np.abs(t_state.F)) < fnorm:
+            t_state = form.evaluate(trial)
+            if form.admissible(trial, t_state) and np.max(np.abs(t_state.F)) < fnorm:
                 ui, state = trial, t_state
                 break
             s *= 0.5
@@ -343,7 +382,7 @@ def _damped_newton(grid, ui, tol, evaluate, jacobian, admissible, max_iter,
             raise NewtonStalled(
                 f"line search exhausted {max_backtracks} halvings at iteration {it}"
             )
-    raise NotConverged(f"Newton did not reach tol={tol} in {max_iter} iterations")
+    raise NotConverged(f"Newton did not reach tol={tol} in {form.max_iter} iterations")
 
 
 def _hermitian_from_interior(grid, ui):
@@ -363,8 +402,8 @@ def _logdet_form(grid, rhs, tol):
     shrinks = 0
     last_error = np.inf
 
-    def evaluate(ui):
-        hess = _hermitian_from_interior(grid, ui)
+    def evaluate(ui, hess=None):
+        hess = _hermitian_from_interior(grid, ui) if hess is None else hess
         M = hess.matrices()
         eig = np.linalg.eigvalsh(M + mu * eye)
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -379,6 +418,9 @@ def _logdet_form(grid, rhs, tol):
             dpsi = rhs.psi_t(np.minimum(ui, 0.0))
             J = J - sparse.diags(dpsi / (state.psi + mu ** n))
         return J.tocsc()
+
+    def step(ui, state):
+        return spsolve(jacobian(ui, state), -state.F), 0
 
     def admissible(ui, state):
         return np.min(state.eig) > 0 and np.min(state.hess.min_eigenvalue()) >= floor
@@ -396,14 +438,23 @@ def _logdet_form(grid, rhs, tol):
         last_error = state.error
         return None
 
-    return evaluate, jacobian, admissible, 80, restart
+    return _NewtonForm(evaluate, jacobian, admissible, step, 80, restart)
 
 
 def _semilinear_form(grid, rhs):
     """n = 1: F(u) = (1/4) Delta u - psi(., u), stopping on max|F|; the
-    linearization (1/4) L - diag(psi_t) is nonsingular whenever
-    psi_t > -lambda_1.  Trials must stay <= 0."""
+    linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
+    psi_t > -lambda_1.  Trials must stay <= 0.
+
+    Each step solves J delta = -F by GMRES, right-preconditioned with the
+    grid's cached Laplacian LU (r -> 4 L^-1 r), so a solve factors nothing; a
+    step that misses _KRYLOV_RTOL within the budget raises NotConverged."""
     quarter_laplacian = hessian_operators(grid)[0][0]
+    lu = _cached_laplacian_lu(grid)
+    size = (grid.num_interior, grid.num_interior)
+
+    def precondition(r):
+        return 4.0 * lu.solve(r)
 
     def evaluate(ui):
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -411,16 +462,38 @@ def _semilinear_form(grid, rhs):
         return _NewtonState(F, float(np.max(np.abs(F))), psi)
 
     def jacobian(ui, state):
-        return (quarter_laplacian - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))).tocsc()
+        return quarter_laplacian - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))
+
+    def step(ui, state):
+        J = jacobian(ui, state)
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        # right preconditioning: GMRES minimizes the true residual of
+        # delta = precondition(y), the quantity its stopping test measures
+        y, info = gmres(LinearOperator(size, matvec=lambda v: J @ precondition(v), dtype=float),
+                        -state.F, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
+                        maxiter=_KRYLOV_CYCLES, callback=count, callback_type="pr_norm")
+        delta = precondition(y)
+        if info != 0:
+            reached = np.linalg.norm(J @ delta + state.F) / np.linalg.norm(state.F)
+            raise NotConverged(
+                f"GMRES reached relative residual {reached:.3e} (target "
+                f"{_KRYLOV_RTOL:g}) after {iterations} iterations"
+            )
+        return delta, iterations
 
     def admissible(ui, state):
         return np.max(ui) <= _T_POSITIVE_SLACK
 
-    return evaluate, jacobian, admissible, 60
+    return _NewtonForm(evaluate, jacobian, admissible, step, 60)
 
 
-def _newton_solution(grid, start, tol, form):
-    ui, report = _damped_newton(grid, start, tol, *form)
+def _newton_solution(grid, start, tol, form, state=None):
+    ui, report = _damped_newton(grid, start, tol, form, state)
     return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
 
 
@@ -435,8 +508,12 @@ def solve_nonlinear(rhs, start, tol=1e-8):
     ui = start.interior if isinstance(start, ScalarField) else np.asarray(start, float)
     if grid.n == 1:
         return _newton_solution(grid, ui, tol, _semilinear_form(grid, rhs))
-    ui = _feasible_start(grid, rhs, ui)
-    return _newton_solution(grid, ui, tol, _logdet_form(grid, rhs, tol))
+    ui, hess, flags = _feasible_start(grid, rhs, ui)
+    form = _logdet_form(grid, rhs, tol)
+    state = None if hess is None else form.evaluate(ui, hess)
+    u, report = _newton_solution(grid, ui, tol, form, state)
+    report.flags += flags
+    return u, report
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +523,9 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 def _cached_laplacian_lu(grid):
     if "lap_lu" not in grid._cache:
-        grid._cache["lap_lu"] = splu(laplacian_matrix(grid).tocsc())
+        # minimum degree on A^T + A: about half the fill of the default COLAMD
+        grid._cache["lap_lu"] = splu(laplacian_matrix(grid).tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A")
     return grid._cache["lap_lu"]
 
 
@@ -485,7 +564,9 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
 
 def _feasible_start(grid, rhs, start):
     """Blend a warm start toward a strongly PSH quadratic until the Newton
-    state is strictly inside the cone."""
+    state is strictly inside the cone; returns (u, complex Hessian of u,
+    flags).  After 12 failed blends it gives up and returns the anchor
+    quadratic with no Hessian and the flag "feasible_start_anchor"."""
     mu = 1e-10
     w, c, off = quadratic_defining(grid.spec)
     q = eval_quadratic(w, c, off, grid.interior_coords)
@@ -494,15 +575,13 @@ def _feasible_start(grid, rhs, start):
     beta = 0.0
     for _ in range(12):
         trial = (1 - beta) * start + beta * anchor
-        eigmin = np.min(
-            np.linalg.eigvalsh(
-                _hermitian_from_interior(grid, trial).matrices() + mu * np.eye(grid.n)
-            )
-        )
+        hess = _hermitian_from_interior(grid, trial)
+        eigmin = np.min(np.linalg.eigvalsh(hess.matrices() + mu * np.eye(grid.n)))
         if eigmin > 0:
-            return trial
+            return trial, hess, ()
         beta = 0.05 if beta == 0.0 else min(1.0, beta * 2)
-    return anchor
+    log.warning("no blend of the start is inside the cone; starting from the anchor")
+    return anchor, None, ("feasible_start_anchor",)
 
 
 def apply_T(v, rhs, grid=None, tol=1e-8, initial=None):

@@ -210,6 +210,15 @@ def test_continuation_run_within_two_percent(tmp_path):
     assert len(lines) - 1 == record.diagnostics["branch_points"]
 
 
+def test_continuation_summary_counts_krylov_iterations(tmp_path):
+    config = build_config({"command": "eigen-continuation", "n": "1",
+                           "h": "0.03125", "emit": "summary", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    assert code == 0 and record.diagnostics["krylov_iterations"] > 0
+    text = (tmp_path / "out" / "summary.txt").read_text()
+    assert f"krylov_iterations={record.diagnostics['krylov_iterations']}\n" in text
+
+
 def test_solve_run_emits_recoverable_field(tmp_path):
     out = tmp_path / "out"
     config = build_config({"command": "solve", "n": "1", "h": "0.0625",

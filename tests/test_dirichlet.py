@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import cmaeig.dirichlet as dirichlet
 from cmaeig.dirichlet import (
     RhsSpec,
     _logdet_form,
+    _semilinear_form,
     apply_T,
     check_subsolution,
     check_supersolution,
@@ -11,6 +13,7 @@ from cmaeig.dirichlet import (
     monotone_iteration,
     quadratic_subsolution,
     solve_frozen,
+    solve_nonlinear,
     solve_quasimonotone,
     solve_regularized,
 )
@@ -23,6 +26,7 @@ from cmaeig.errors import (
 )
 from cmaeig.domain import Constant, Ellipsoid, GaussianBump, build_grid
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
+from scipy.sparse.linalg import spsolve
 
 from oracles import (
     LAMBDA1_UNIT_DISC,
@@ -115,6 +119,90 @@ def test_logdet_jacobian_matches_central_difference(which, ball4_grid):
     eps = 1e-6
     fd = (evaluate(u + eps * d).F - evaluate(u - eps * d).F) / (2 * eps)
     assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
+
+
+# ---------------------------------------------------------------------------
+# solve_nonlinear: Newton steps and starts
+# ---------------------------------------------------------------------------
+
+
+def steep_rhs(grid):
+    """H = exp(20 t): increasing in t, where the Laplacian preconditioner of
+    the n = 1 Krylov step is weakest (psi_t up to 20 against lambda_1 ~ 1.45)."""
+    return RhsSpec.general(grid, lambda pts, t: np.exp(20.0 * t), lambda0=0.0)
+
+
+@pytest.mark.parametrize("case", ["branch_1.40", "branch_1.44", "steep"])
+def test_krylov_step_matches_direct_solve(case, disc_grid):
+    """The n = 1 GMRES step against spsolve on the same Jacobian, on branch
+    problems near blow-up (lambda_1 = 1.44552 on this grid) and on a steep
+    increasing right-hand side."""
+    g = disc_grid
+    rhs = steep_rhs(g) if case == "steep" else RhsSpec.branch(g, float(case[7:]))
+    u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
+    form = _semilinear_form(g, rhs)
+    state = form.evaluate(u)
+    delta, iterations = form.step(u, state)
+    reference = spsolve(form.jacobian(u, state).tocsc(), -state.F)
+    assert 0 < iterations <= dirichlet._KRYLOV_RESTART
+    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def test_n1_solve_counts_krylov_iterations(disc_grid_32):
+    g = disc_grid_32
+    u, rep = solve_nonlinear(steep_rhs(g), np.zeros(g.num_interior), tol=1e-10)
+    assert rep.converged and rep.final_residual <= 1e-10
+    assert rep.krylov_iterations >= rep.iterations > 0
+    _, frozen = solve_frozen(np.ones(g.num_interior), g)
+    assert frozen.krylov_iterations == 0
+
+
+def test_failed_krylov_step_raises_without_direct_fallback(disc_grid_32, monkeypatch):
+    def no_convergence(A, b, **kwargs):
+        for _ in range(3):
+            kwargs["callback"](1.0)
+        return np.zeros_like(b), 3
+
+    def direct(*args, **kwargs):
+        raise AssertionError("direct solve ran")
+
+    monkeypatch.setattr(dirichlet, "gmres", no_convergence)
+    monkeypatch.setattr(dirichlet, "spsolve", direct)
+    rhs = RhsSpec.branch(disc_grid_32, 0.5)
+    with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
+        solve_nonlinear(rhs, np.zeros(disc_grid_32.num_interior))
+
+
+def test_logdet_start_hessian_is_not_recomputed(ball4_grid, monkeypatch):
+    """The feasible start's complex Hessian is the Newton loop's first."""
+    fields = []
+
+    def recording(u):
+        fields.append(u.interior.copy())
+        return complex_hessian(u)
+
+    monkeypatch.setattr(dirichlet, "complex_hessian", recording)
+    rhs = RhsSpec.branch(ball4_grid, 0.5)
+    u0, _ = quadratic_subsolution(ball4_grid, rhs)
+    fields.clear()
+    _, rep = solve_nonlinear(rhs, u0)
+    assert rep.converged and rep.flags == ()
+    assert len(fields) > 2
+    assert not any(np.array_equal(a, b) for a, b in zip(fields, fields[1:]))
+
+
+def test_feasible_start_fallback_is_flagged(ball4_grid):
+    """No blend of a start with a NaN node enters the cone, so the solve
+    starts from the anchor quadratic and says so."""
+    g = ball4_grid
+    rhs = RhsSpec.frozen(g, np.ones(g.num_interior))
+    start = r2_of(g) - 1.0
+    start[0] = np.nan
+    u, rep = solve_nonlinear(rhs, start, tol=1e-8)
+    assert rep.converged and rep.flags == ("feasible_start_anchor",)
+    assert np.max(np.abs(u.interior - (r2_of(g) - 1.0))) < 1e-6
+    _, clean = solve_nonlinear(rhs, r2_of(g) - 1.0, tol=1e-8)
+    assert clean.flags == ()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import cmaeig.dirichlet as dirichlet
+
 from cmaeig.domain import Ball, Constant, build_grid, density_vector
 from cmaeig.eigenpath import (
     CONTINUATION,
@@ -147,6 +149,25 @@ def test_continuation_disc_pinned_branch(disc_result):
     # recorded before the Newton loops and Hessian stencils were merged
     assert [p.report.iterations for p in disc_result.branch] == [1] * 9 + [2] * 4
     assert disc_result.lambda1 == pytest.approx(1.4455193332030762, abs=1e-12)
+
+
+def test_continuation_n1_factors_once(monkeypatch):
+    """An n = 1 continuation factors the grid's Laplacian once and runs every
+    Newton step by Krylov iterations on that factorization."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(dirichlet, name, counted(name, getattr(dirichlet, name)))
+    result = continuation(grid=build_grid(Ball(1, 1.0), 1.0 / 64), tol=1e-8)
+    assert calls == ["splu"]
+    assert all(p.report.krylov_iterations > 0 for p in result.branch[1:])
+    assert result.branch[0].report.krylov_iterations == 0  # the frozen lam = 0 solve
 
 
 def test_continuation_residual_contract(disc_result):

@@ -1,4 +1,5 @@
-"""Modules of the package use each other only through public names."""
+"""Modules of the package use each other only through public names, and the
+sparse linear solvers are called from one module, dirichlet.py."""
 
 import ast
 import pathlib
@@ -20,6 +21,22 @@ def private_imports(path):
     return found
 
 
+LINEAR_SOLVERS = ("spsolve", "splu", "gmres")
+
+
+def linear_solver_calls(path):
+    """(line, name) for every call of a name in LINEAR_SOLVERS, bare or as an
+    attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in LINEAR_SOLVERS:
+                found.append((node.lineno, name))
+    return found
+
+
 def test_no_private_cross_module_imports():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
@@ -35,3 +52,20 @@ def test_detector_sees_private_imports(tmp_path):
                      "from numpy import _NoValue\n")
     assert [name for _, _, name in private_imports(probe)] == [
         "_crossing_fraction", "_feasible_start"]
+
+
+def test_linear_solvers_are_called_only_in_dirichlet():
+    calls = {p.name: [name for _, name in linear_solver_calls(p)]
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found and name != "dirichlet.py"} == {}
+    # one direct solve (log-det form), one factorization (the cached
+    # Laplacian LU), one Krylov solve (semilinear form)
+    assert sorted(calls["dirichlet.py"]) == ["gmres", "splu", "spsolve"]
+
+
+def test_detector_sees_linear_solver_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.sparse.linalg as sla\n"
+                     "from scipy.sparse.linalg import spsolve\n"
+                     "x = spsolve(A, b)\ny = sla.gmres(A, b)\nlu = sla.splu(A).solve(b)\n")
+    assert [name for _, name in linear_solver_calls(probe)] == ["spsolve", "gmres", "splu"]
