@@ -456,6 +456,12 @@ def _single_point_branch(u, report):
                         outer_steps=max(report.iterations, 1))]
 
 
+def _branch_flags(branch):
+    """Sorted union of the branch points' SolveReport flags, comma-separated
+    (empty when no solve substituted a default)."""
+    return ",".join(sorted({flag for p in branch for flag in p.report.flags}))
+
+
 def _run_solve(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
@@ -491,6 +497,7 @@ def _run_continuation(config):
             "method": result.method,
             "branch_points": len(result.branch),
             "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
+            "flags": _branch_flags(result.branch),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,
@@ -511,6 +518,7 @@ def _run_inverse_power(config):
         "diagnostics": {
             "method": result.method,
             "iterations": len(result.branch) - 1,
+            "flags": _branch_flags(result.branch),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,

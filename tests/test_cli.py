@@ -219,6 +219,42 @@ def test_continuation_summary_counts_krylov_iterations(tmp_path):
     assert f"krylov_iterations={record.diagnostics['krylov_iterations']}\n" in text
 
 
+@pytest.mark.parametrize("command,module,solver", [
+    ("eigen-continuation", "cmaeig.eigenpath", "solve_nonlinear"),
+    ("eigen-inverse-power", "cmaeig.variational", "solve_frozen"),
+])
+def test_eigen_summary_reports_union_of_solve_flags(tmp_path, monkeypatch,
+                                                     command, module, solver):
+    def run_summary(name):
+        config = build_config({"command": command, "n": "1", "h": "0.0625",
+                               "emit": "summary", "out": str(tmp_path / name)})
+        code, record = run(config)
+        assert code == 0
+        return record, (tmp_path / name / "summary.txt").read_text()
+
+    record, text = run_summary("clean")
+    assert record.diagnostics["flags"] == "" and "\nflags=\n" in text
+
+    # the first patched solve falls back to its anchor, every later one
+    # also misses its residual tolerance
+    real = getattr(sys.modules[module], solver)
+    calls = []
+
+    def flagged(*args, **kwargs):
+        u, report = real(*args, **kwargs)
+        report.flags += ("feasible_start_anchor",) if not calls else (
+            "linear_residual_above_tol", "feasible_start_anchor")
+        calls.append(solver)
+        return u, report
+
+    monkeypatch.setattr(sys.modules[module], solver, flagged)
+    record, text = run_summary("flagged")
+    assert len(calls) > 2
+    union = "feasible_start_anchor,linear_residual_above_tol"
+    assert record.diagnostics["flags"] == union
+    assert f"\nflags={union}\n" in text
+
+
 def test_solve_run_emits_recoverable_field(tmp_path):
     out = tmp_path / "out"
     config = build_config({"command": "solve", "n": "1", "h": "0.0625",

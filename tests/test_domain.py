@@ -1,11 +1,15 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import cmaeig.domain
 from cmaeig.domain import (
+    _cell_volumes,
     Ball,
     Constant,
     CustomRho,
@@ -14,6 +18,7 @@ from cmaeig.domain import (
     PolynomialDensity,
     build_grid,
     density_vector,
+    direction_thetas,
     eval_density,
     eval_rho,
     quadratic_defining,
@@ -108,13 +113,16 @@ def test_one_axis_ellipsoid_is_the_disc():
     assert np.allclose(ge.theta_axis, gb.theta_axis, atol=1e-12)
 
 
+UNIT_DISC_RHO = CustomRho(
+    n=1,
+    coeffs={(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+    seed_point=(0.0, 0.0),
+    box=((-1.0, 1.0), (-1.0, 1.0)),
+)
+
+
 def test_custom_rho_polynomial_matches_ball():
-    cr = CustomRho(
-        n=1,
-        coeffs={(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
-        seed_point=(0.0, 0.0),
-        box=((-1.0, 1.0), (-1.0, 1.0)),
-    )
+    cr = UNIT_DISC_RHO
     gc = build_grid(cr, 1 / 16)
     gb = build_grid(Ball(n=1), 1 / 16)
     assert np.array_equal(gc.interior_flat, gb.interior_flat)
@@ -219,3 +227,101 @@ def test_grid_invariants_random_discs(radius, cx, cy):
     assert (rho_b >= 0).all()
     assert (g.cell_volume >= 0).all()
     assert (g.cell_volume <= (2.5 * g.h) ** 2).all()  # slivers only inflate a cell mildly
+
+
+# ---------------------------------------------------------------------------
+# Crossing fractions against a scalar root-finder
+# ---------------------------------------------------------------------------
+
+
+def brentq_theta(spec, start, direction, h):
+    """Scalar reference for one cut edge: theta = 1 when rho(start + h*direction)
+    <= 0, else brentq on [0, 1] at the tolerances the grids were built with."""
+
+    def g(s):
+        return eval_rho(spec, start + (s * h) * direction)
+
+    if g(1.0) <= 0.0:
+        return 1.0
+    return max(brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16), 1e-9)
+
+
+def lattice_directions(d):
+    """Every axis vector e_a and every diagonal e_a +/- e_b (a < b)."""
+    axes = [tuple(int(i == a) for i in range(d)) for a in range(d)]
+    diagonals = [tuple(int(i == a) + sign * int(i == b) for i in range(d))
+                 for a, b in itertools.combinations(range(d), 2) for sign in (1, -1)]
+    return axes + diagonals
+
+
+def thetas_and_reference(g):
+    """direction_thetas on every cut edge of every lattice direction, beside the
+    scalar reference; regular edges are checked to be exactly 1 on the way."""
+    got, ref = [], []
+    for v in lattice_directions(2 * g.n):
+        theta = direction_thetas(g, v)
+        for side, sign in ((0, 1), (1, -1)):
+            cut = g.interior_pos[g.interior_flat + sign * g.offset(v)] < 0
+            assert np.all(theta[~cut, side] == 1.0)
+            direction = sign * np.asarray(v, dtype=float)
+            got.append(theta[cut, side])
+            ref.append([brentq_theta(g.spec, x, direction, g.h)
+                        for x in g.interior_coords[cut]])
+    return np.concatenate(got), np.concatenate(ref)
+
+
+@pytest.mark.parametrize(
+    "spec,h",
+    [(Ball(n=1), 1 / 64), (Ellipsoid(axes=(1.0, 0.7)), 0.25), (UNIT_DISC_RHO, 1 / 16)],
+    ids=["disc", "ellipsoid", "custom"],
+)
+def test_crossing_fractions_match_scalar_brentq(spec, h):
+    got, ref = thetas_and_reference(build_grid(spec, h))
+    assert got.size > 0
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_theta_is_one_exactly_where_the_neighbour_is_on_the_zero_set():
+    """On Ball(2), h = 0.2, rounding puts start + h*direction on {rho <= 0} for
+    1 988 of the 20 224 cut edges; those and only those get theta == 1, as
+    with the scalar reference."""
+    got, ref = thetas_and_reference(build_grid(Ball(n=2), 0.2))
+    assert got.size == 20224
+    assert np.count_nonzero(got == 1.0) == 1988
+    assert np.array_equal(got == 1.0, ref == 1.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_crossings_make_no_scalar_root_finder_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar root-finder called")
+
+    # the binding stays in cmaeig.domain (setattr would fail without it)
+    monkeypatch.setattr(cmaeig.domain, "brentq", refuse)
+    for spec, h in [(Ball(n=2), 0.25), (Ellipsoid(axes=(1.0, 0.7)), 0.25),
+                    (UNIT_DISC_RHO, 1 / 16)]:
+        g = build_grid(spec, h)
+        for v in lattice_directions(2 * g.n):
+            assert np.all(direction_thetas(g, v) > 0)
+
+
+@pytest.mark.parametrize(
+    "spec,h", [(Ball(n=1), 1 / 64), (Ellipsoid(axes=(1.0, 0.7)), 0.25)],
+    ids=["disc", "ellipsoid"],
+)
+def test_boundary_slivers_match_owner_loop(spec, h):
+    """The interior weights equal, bit for bit, a loop that hands each boundary
+    sliver in equal shares to its interior face neighbours in node order."""
+    g = build_grid(spec, h)
+    d = 2 * g.n
+    strides = np.array([g.offset(v) for v in lattice_directions(d)[:d]])
+    expect = _cell_volumes(spec, g.interior_coords, h, d)
+    bvols = _cell_volumes(spec, g.node_coords(g.boundary_flat), h, d, assume_clipped=True)
+    for b, vol in zip(g.boundary_flat, bvols):
+        if vol == 0.0:
+            continue
+        owners = np.concatenate([g.interior_pos[b + strides], g.interior_pos[b - strides]])
+        owners = owners[owners >= 0]
+        expect[owners] += vol / owners.size
+    assert np.count_nonzero(bvols) > 0
+    assert np.array_equal(g.cell_volume, expect)
