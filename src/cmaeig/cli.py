@@ -456,10 +456,12 @@ def _single_point_branch(u, report):
                         outer_steps=max(report.iterations, 1))]
 
 
-def _branch_flags(branch):
-    """Sorted union of the branch points' SolveReport flags, comma-separated
-    (empty when no solve substituted a default)."""
-    return ",".join(sorted({flag for p in branch for flag in p.report.flags}))
+def _result_flags(result):
+    """Sorted union of the EigenResult's flags and its branch points'
+    SolveReport flags, comma-separated (empty when nothing substituted a
+    default)."""
+    flags = set(result.flags).union(*(p.report.flags for p in result.branch))
+    return ",".join(sorted(flags))
 
 
 def _run_solve(config):
@@ -497,7 +499,8 @@ def _run_continuation(config):
             "method": result.method,
             "branch_points": len(result.branch),
             "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
-            "flags": _branch_flags(result.branch),
+            "factorizations": sum(p.report.factorizations for p in result.branch),
+            "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,
@@ -518,7 +521,8 @@ def _run_inverse_power(config):
         "diagnostics": {
             "method": result.method,
             "iterations": len(result.branch) - 1,
-            "flags": _branch_flags(result.branch),
+            "factorizations": sum(p.report.factorizations for p in result.branch),
+            "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,

@@ -6,9 +6,11 @@ Layering:
   line search: on (1/4) Delta u = psi(., u) for n = 1; for n >= 2 on
   F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
   floor mu and a plurisubharmonicity safeguard.  Each equation supplies its
-  own Newton step: for n = 1 GMRES on (1/4) L - diag(psi_t), preconditioned
-  by the grid's cached Laplacian LU, so a grid is factored once however many
-  solves run on it; for n >= 2 one sparse direct solve.
+  own Newton step, both by right-preconditioned GMRES: for n = 1 on
+  (1/4) L - diag(psi_t) with the grid's cached Laplacian LU, so a grid is
+  factored once however many solves run on it; for n >= 2 on the log-det
+  Jacobian with the LU of the last Jacobian factored on the grid, refreshed
+  (factored anew) only when one short GMRES cycle misses the tolerance.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference Laplacian (Delta u = 4 psi); for n >= 2
   the log-det Newton.
@@ -20,8 +22,8 @@ Layering:
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
 
-The module is the package's linear-solver seam: spsolve, splu and gmres are
-called here and nowhere else.
+The module is the package's linear-solver seam: splu and gmres are called
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, splu
+# Not called: spsolve stays bound here because the benchmark's span table
+# (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .domain import Constant, eval_density, eval_quadratic, quadratic_defining
 from .errors import (
@@ -84,9 +89,9 @@ _T_POSITIVE_SLACK = 1e-12
 class RhsSpec:
     """psi(z, t) >= 0 for t <= 0, with declared monotonicity metadata.
 
-    kinds: "frozen" (psi = h(z)), "separable" (psi = f^n(z) g(t)) and
-    "general" (psi = H(z, t)^n from a closure).  `shift` carries the eps^n
-    regularization additively.
+    kinds: "frozen" (psi = h(z)), "separable" (psi = f^n(z) g(t), with the
+    derivative dg = g') and "general" (psi = H(z, t)^n from a closure).
+    `shift` carries the eps^n regularization additively.
     """
 
     grid: object
@@ -96,6 +101,7 @@ class RhsSpec:
     frozen_values: np.ndarray | None = None
     weight: np.ndarray | None = None  # f^n at interior nodes
     g: object | None = None  # scalar factor g(t), vectorized
+    dg: object | None = None  # g'(t), vectorized
     H: object | None = None  # H(points, t), vectorized over nodes
     shift: float = 0.0
 
@@ -120,7 +126,8 @@ class RhsSpec:
 
         fn = density_vector(density, grid, power=n)
         spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=fn, g=lambda t: (1.0 - lam * t) ** n)
+                   weight=fn, g=lambda t: (1.0 - lam * t) ** n,
+                   dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1))
         spec._spot_check()
         return spec
 
@@ -134,7 +141,8 @@ class RhsSpec:
 
         fn = density_vector(density, grid, power=n)
         spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=fn, g=lambda t: (-lam * t) ** n)
+                   weight=fn, g=lambda t: (-lam * t) ** n,
+                   dg=lambda t: -n * lam * (-lam * t) ** (n - 1))
         spec._spot_check()
         return spec
 
@@ -166,10 +174,13 @@ class RhsSpec:
         return base + self.shift
 
     def psi_t(self, t, delta=1e-6):
-        """d psi / dt by central differences (0 for frozen)."""
+        """d psi / dt: 0 for frozen, f^n g'(t) for separable, by central
+        differences of width delta for general."""
         if self.kind == "frozen":
             return np.zeros(self.grid.num_interior)
         t = self._clamp(t)
+        if self.kind == "separable":
+            return self.weight * self.dg(t)
         lo = self.psi(t - delta)
         hi = self.psi(np.minimum(t + delta, 0.0))
         width = np.minimum(t + delta, 0.0) - (t - delta)
@@ -211,6 +222,7 @@ class SolveReport:
     converged: bool
     flags: tuple = ()
     krylov_iterations: int = 0  # GMRES iterations over the Newton steps
+    factorizations: int = 0  # Newton Jacobians factored (n >= 2 refreshes)
 
 
 def _grad_sup(grid, ui):
@@ -228,7 +240,7 @@ def _grad_sup(grid, ui):
 
 
 def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
-                 krylov_iterations=0):
+                 krylov_iterations=0, factorizations=0):
     det = hess.det()
     res = float(np.max(np.abs(det - psi_vals)))
     return SolveReport(
@@ -241,6 +253,7 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
         converged=converged,
         flags=tuple(flags),
         krylov_iterations=krylov_iterations,
+        factorizations=factorizations,
     )
 
 
@@ -307,17 +320,45 @@ def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
 # ---------------------------------------------------------------------------
 
 
-# GMRES for the n = 1 Newton step stops on the true residual
-# ||J delta + F|| <= _KRYLOV_RTOL ||F|| within _KRYLOV_CYCLES cycles of at
-# most _KRYLOV_RESTART iterations.  The residual a step can reach is set by
-# rounding and grows like h^-2: along the unit-disc branch at most 1.2e-11,
-# 4.3e-11 and 1.9e-10 at h = 1/64, 1/128, 1/256 (a direct solve: up to
-# 2.3e-10 at 1/256), so 1e-10 is out of reach at 1/256; 1e-9 changes a
-# branch point's Newton count there.  Steps take at most 11 iterations on
-# the branch and 19 on the steep H = exp(20 t).
+# GMRES stops on the true residual ||J delta + F|| <= _KRYLOV_RTOL ||F||.
+# The residual a step can reach is set by rounding and grows like h^-2:
+# along the unit-disc branch at most 1.2e-11, 4.3e-11 and 1.9e-10 at
+# h = 1/64, 1/128, 1/256 (a direct solve: up to 2.3e-10 at 1/256), so 1e-10
+# is out of reach at 1/256; 1e-9 changes a branch point's Newton count there.
+# n = 1 runs at most _KRYLOV_CYCLES cycles of _KRYLOV_RESTART iterations on
+# the Laplacian LU (steps take at most 11 iterations on the branch and 19 on
+# the steep H = exp(20 t)).  n >= 2 runs one cycle of _REFRESH_RESTART on the
+# grid's last Jacobian LU and factors the current Jacobian when that misses:
+# on the ellipsoid-n2-bump problem (a frozen solve, a continuation and an
+# inverse power, each on a fresh grid) cycles of 6/10/20/30 iterations gave
+# 44/25/10/7 factorizations and 1.58/1.49/1.53/1.77 s, the same Newton counts.
 _KRYLOV_RTOL = 5e-10
 _KRYLOV_RESTART = 50
 _KRYLOV_CYCLES = 2
+_REFRESH_RESTART = 10
+
+
+def _factor(A):
+    """Sparse LU with minimum degree ordering on A^T + A: less fill than
+    the default COLAMD (about half on the Laplacian; on an ellipsoid-n2-bump
+    log-det Jacobian 91k against 138k nonzeros, 6.7 against 8.7 ms)."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _krylov(J, b, precondition, restart, cycles):
+    """Right-preconditioned GMRES on J delta = b: GMRES minimizes the true
+    residual of delta = precondition(y), the quantity its stopping test
+    measures.  Returns (delta, iterations, converged)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, info = gmres(LinearOperator(J.shape, matvec=lambda v: J @ precondition(v), dtype=float),
+                    b, rtol=_KRYLOV_RTOL, atol=0.0, restart=restart,
+                    maxiter=cycles, callback=count, callback_type="pr_norm")
+    return precondition(y), iterations, info == 0
 
 
 class _NewtonState(NamedTuple):
@@ -338,7 +379,8 @@ class _NewtonForm(NamedTuple):
     admissible(u, state) tests the start and every line-search trial, which
     must also lower max|F|; step(u, state) -> (delta, Krylov iterations)
     solves jacobian(u, state) delta = -F; restart(u, state, fnorm, it) may
-    return a fresh state in place of a step.
+    return a fresh state in place of a step; factorizations() counts the
+    Jacobians the form's steps have factored so far.
     """
 
     evaluate: object
@@ -347,6 +389,7 @@ class _NewtonForm(NamedTuple):
     step: object
     max_iter: int
     restart: object = None
+    factorizations: object = lambda: 0
 
 
 def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
@@ -362,7 +405,8 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
             return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
-                                    krylov_iterations=krylov)
+                                    krylov_iterations=krylov,
+                                    factorizations=form.factorizations())
         fnorm = float(np.max(np.abs(state.F)))
         fresh = form.restart(ui, state, fnorm, it) if form.restart else None
         if fresh is not None:
@@ -394,13 +438,20 @@ def _logdet_form(grid, rhs, tol):
     true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
     definite and the Hessian above the PSH floor.  When Newton stalls on F
     while the true residual does not fall, the eigenvalue floor mu shrinks
-    a hundredfold (at most three times) and the iteration restarts."""
+    a hundredfold (at most three times) and the iteration restarts.
+
+    Each step solves J delta = -F by GMRES, right-preconditioned with the LU
+    of the last Jacobian factored on this grid (grid._cache["newton_lu"],
+    left by any earlier step, solve or branch point).  When there is none,
+    or one cycle of _REFRESH_RESTART iterations misses _KRYLOV_RTOL, the
+    step factors the current Jacobian, caches that LU and solves with it."""
     n = grid.n
     eye = np.eye(n)
     mu = min(1e-8, tol * 1e-3)
     floor = -10.0 * grid.h ** 2  # PSH safeguard for trials
     shrinks = 0
     last_error = np.inf
+    refreshes = 0
 
     def evaluate(ui, hess=None):
         hess = _hermitian_from_interior(grid, ui) if hess is None else hess
@@ -420,7 +471,17 @@ def _logdet_form(grid, rhs, tol):
         return J.tocsc()
 
     def step(ui, state):
-        return spsolve(jacobian(ui, state), -state.F), 0
+        nonlocal refreshes
+        J = jacobian(ui, state)
+        lu = grid._cache.get("newton_lu")
+        iterations = 0
+        if lu is not None:
+            delta, iterations, converged = _krylov(J, -state.F, lu.solve, _REFRESH_RESTART, 1)
+            if converged:
+                return delta, iterations
+        lu = grid._cache["newton_lu"] = _factor(J)
+        refreshes += 1
+        return lu.solve(-state.F), iterations
 
     def admissible(ui, state):
         return np.min(state.eig) > 0 and np.min(state.hess.min_eigenvalue()) >= floor
@@ -438,7 +499,8 @@ def _logdet_form(grid, rhs, tol):
         last_error = state.error
         return None
 
-    return _NewtonForm(evaluate, jacobian, admissible, step, 80, restart)
+    return _NewtonForm(evaluate, jacobian, admissible, step, 80, restart,
+                       lambda: refreshes)
 
 
 def _semilinear_form(grid, rhs):
@@ -451,7 +513,6 @@ def _semilinear_form(grid, rhs):
     step that misses _KRYLOV_RTOL within the budget raises NotConverged."""
     quarter_laplacian = hessian_operators(grid)[0][0]
     lu = _cached_laplacian_lu(grid)
-    size = (grid.num_interior, grid.num_interior)
 
     def precondition(r):
         return 4.0 * lu.solve(r)
@@ -466,19 +527,9 @@ def _semilinear_form(grid, rhs):
 
     def step(ui, state):
         J = jacobian(ui, state)
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        # right preconditioning: GMRES minimizes the true residual of
-        # delta = precondition(y), the quantity its stopping test measures
-        y, info = gmres(LinearOperator(size, matvec=lambda v: J @ precondition(v), dtype=float),
-                        -state.F, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
-                        maxiter=_KRYLOV_CYCLES, callback=count, callback_type="pr_norm")
-        delta = precondition(y)
-        if info != 0:
+        delta, iterations, converged = _krylov(J, -state.F, precondition,
+                                               _KRYLOV_RESTART, _KRYLOV_CYCLES)
+        if not converged:
             reached = np.linalg.norm(J @ delta + state.F) / np.linalg.norm(state.F)
             raise NotConverged(
                 f"GMRES reached relative residual {reached:.3e} (target "
@@ -523,9 +574,7 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 def _cached_laplacian_lu(grid):
     if "lap_lu" not in grid._cache:
-        # minimum degree on A^T + A: about half the fill of the default COLAMD
-        grid._cache["lap_lu"] = splu(laplacian_matrix(grid).tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A")
+        grid._cache["lap_lu"] = _factor(laplacian_matrix(grid))
     return grid._cache["lap_lu"]
 
 

@@ -291,9 +291,16 @@ def density_vector(d, grid, power=1):
 class GridDomain:
     """Immutable discretization of a domain (see module docstring).
 
-    classification, interior data and cell volumes are fixed at construction;
-    the private _cache only memoizes derived stencil operators, so sharing a
-    grid across threads after construction is safe for reads.
+    classification, interior data and cell volumes are fixed at construction.
+    The private _cache memoizes derived stencil operators and the Laplacian
+    LU, and it also holds the grid's latest Newton preconditioner: the LU of
+    the last log-det Jacobian factored on it, which every later n >= 2 Newton
+    step reuses until GMRES misses its tolerance.  Which LU that is depends on
+    the solves run before, and it moves each step only within the Krylov
+    tolerance (relative residual 5e-10), not its Newton count.  Sharing a
+    grid across threads is safe for reads; concurrent n >= 2 solves may
+    replace each other's preconditioner, which costs factorizations, not
+    accuracy.
     """
 
     spec: DomainSpec

@@ -90,7 +90,9 @@ class EigenResult:
     residual is the sup-norm of ma_det(u1) - (lambda1 * (-u1))^n * f^n;
     residual_tol is the bound it was accepted against (solver tolerance plus,
     for continuation, the finite-branch bias).  rayleigh_value estimates
-    lambda1**n.
+    lambda1**n.  flags names every default the route substituted for a
+    failed computation ("extrapolation_slope_nonnegative": the 1/sup_norm
+    fit did not decrease, so lambda1 is the last branch lam).
     """
 
     lambda1: float
@@ -101,6 +103,7 @@ class EigenResult:
     residual_tol: float
     rayleigh_value: float
     fit_residual: float = 0.0
+    flags: tuple = ()
 
     def __post_init__(self):
         if self.method not in (CONTINUATION, INVERSE_POWER):
@@ -233,16 +236,20 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
 
 
 def _extrapolate(branch, fit_points):
-    """Root of the least-squares line through (lam, 1/sup_norm) tail points."""
+    """Root of the least-squares line through (lam, 1/sup_norm) tail points;
+    returns (root, fit residual, flags).  A line that does not decrease has
+    no root past the branch: the last lam is returned instead, flagged
+    "extrapolation_slope_nonnegative"."""
     pts = branch[-fit_points:]
     lams = np.array([p.lam for p in pts])
     inv = np.array([1.0 / p.sup_norm for p in pts])
     slope, intercept = np.polyfit(lams, inv, 1)
     if slope >= 0.0:
-        return float(pts[-1].lam), float(np.max(np.abs(inv - np.mean(inv))))
+        return (float(pts[-1].lam), float(np.max(np.abs(inv - np.mean(inv)))),
+                ("extrapolation_slope_nonnegative",))
     root = -intercept / slope
     fit_residual = float(np.max(np.abs(slope * lams + intercept - inv)))
-    return float(root), fit_residual
+    return float(root), fit_residual, ()
 
 
 def _eigen_residual(v, lam, fn, grid):
@@ -325,7 +332,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
             easy_streak = 0
 
     last = branch[-1]
-    lam1, fit_residual = _extrapolate(branch, policy.fit_points)
+    lam1, fit_residual, flags = _extrapolate(branch, policy.fit_points)
     lam1 = max(lam1, last.lam)
     s = last.sup_norm
     v = ScalarField.from_interior(grid, last.u.interior / s)
@@ -347,6 +354,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         residual_tol=residual_tol,
         rayleigh_value=rayleigh(v, fn, grid),
         fit_residual=fit_residual,
+        flags=flags,
     )
 
 

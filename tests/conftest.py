@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from cmaeig.domain import Ball, build_grid
+# One BLAS thread, as the benchmark runs: GMRES's many short vector
+# operations slow down badly on a thread pool that shares busy cores.  This
+# has to happen before anything imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from cmaeig.domain import Ball, build_grid  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+import cmaeig.eigenpath as eigenpath
+
 from cmaeig.cli import (
     RunConfig,
     SummaryRecord,
@@ -253,6 +255,32 @@ def test_eigen_summary_reports_union_of_solve_flags(tmp_path, monkeypatch,
     union = "feasible_start_anchor,linear_residual_above_tol"
     assert record.diagnostics["flags"] == union
     assert f"\nflags={union}\n" in text
+
+
+def test_continuation_summary_reports_extrapolation_flag(tmp_path, monkeypatch):
+    real = eigenpath._extrapolate
+
+    def flagged(*args):
+        lam1, fit_residual, _ = real(*args)
+        return lam1, fit_residual, ("extrapolation_slope_nonnegative",)
+
+    monkeypatch.setattr(eigenpath, "_extrapolate", flagged)
+    config = build_config({"command": "eigen-continuation", "n": "1", "h": "0.0625",
+                           "emit": "summary", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    assert code == 0 and record.diagnostics["flags"] == "extrapolation_slope_nonnegative"
+    text = (tmp_path / "out" / "summary.txt").read_text()
+    assert "\nflags=extrapolation_slope_nonnegative\n" in text
+
+
+@pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
+def test_eigen_summary_counts_factorizations(tmp_path, command):
+    config = build_config({"command": command, "n": "2", "h": "0.25",
+                           "emit": "summary", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    count = record.diagnostics["factorizations"]
+    assert code == 0 and count > 0
+    assert f"\nfactorizations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_solve_run_emits_recoverable_field(tmp_path):

@@ -26,6 +26,7 @@ from cmaeig.errors import (
 )
 from cmaeig.domain import Constant, Ellipsoid, GaussianBump, build_grid
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from oracles import (
@@ -205,6 +206,83 @@ def test_feasible_start_fallback_is_flagged(ball4_grid):
     assert clean.flags == ()
 
 
+@pytest.fixture(scope="module")
+def ellipsoid_bump():
+    """The ellipsoid-n2-bump problem: Ellipsoid((1.0, 0.7)), h = 0.25, with a
+    unit Gaussian bump 0.3 off-centre."""
+    with pytest.warns(UserWarning, match="quarter"):
+        grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+    return grid, GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+
+
+def logdet_problem(grid, density, lam, wobble, seed=0):
+    """(form, u, state) of the branch problem at lam from its quadratic
+    subsolution, scaled nodewise by 1 + wobble * uniform noise."""
+    rhs = RhsSpec.branch(grid, lam, density)
+    u0, _ = quadratic_subsolution(grid, rhs)
+    noise = np.random.default_rng(seed).uniform(size=grid.num_interior)
+    u = u0.interior * (1.0 + wobble * noise)
+    form = _logdet_form(grid, rhs, 1e-8)
+    return form, u, form.evaluate(u)
+
+
+def counting_splu(monkeypatch):
+    calls = []
+    real = dirichlet.splu
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "splu", counted)
+    return calls
+
+
+def problem_grid(which, ball4_grid, ellipsoid_bump):
+    return (ball4_grid, Constant(1.0)) if which == "ball4" else ellipsoid_bump
+
+
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_stale_lu_step_matches_direct_solve(which, ball4_grid, ellipsoid_bump, monkeypatch):
+    """A log-det Newton step preconditioned by the LU of another Jacobian
+    (lam = 0.3 at its quadratic subsolution) solves the Jacobian at lam = 0.5
+    and a perturbed field by GMRES alone, as accurately as spsolve."""
+    grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
+    old_form, old_u, old_state = logdet_problem(grid, density, 0.3, 0.0)
+    stale = dirichlet._factor(old_form.jacobian(old_u, old_state))
+    monkeypatch.setitem(grid._cache, "newton_lu", stale)
+    calls = counting_splu(monkeypatch)
+    form, u, state = logdet_problem(grid, density, 0.5, 0.02)
+    delta, iterations = form.step(u, state)
+    reference = spsolve(form.jacobian(u, state), -state.F)
+    assert calls == [] and form.factorizations() == 0
+    assert grid._cache["newton_lu"] is stale
+    assert 0 < iterations <= dirichlet._REFRESH_RESTART
+    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_bump,
+                                                  monkeypatch):
+    """With the identity as the cached LU one GMRES cycle misses the
+    tolerance: the step factors the current Jacobian once, caches it and
+    returns its solution; the next step needs no factorization."""
+    grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
+    useless = dirichlet._factor(sparse.identity(grid.num_interior))
+    monkeypatch.setitem(grid._cache, "newton_lu", useless)
+    calls = counting_splu(monkeypatch)
+    form, u, state = logdet_problem(grid, density, 0.5, 0.02)
+    delta, iterations = form.step(u, state)
+    reference = spsolve(form.jacobian(u, state), -state.F)
+    assert calls == ["MMD_AT_PLUS_A"] and form.factorizations() == 1
+    assert iterations == dirichlet._REFRESH_RESTART  # the missed cycle
+    assert grid._cache["newton_lu"] is not useless
+    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
+    again, iterations = form.step(u, state)
+    assert len(calls) == 1 and form.factorizations() == 1 and iterations <= 2
+    assert np.linalg.norm(again - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
 # ---------------------------------------------------------------------------
 # apply_T
 # ---------------------------------------------------------------------------
@@ -255,6 +333,22 @@ def test_rhs_rejects_positive_t(disc_grid_32):
     rhs = RhsSpec.branch(disc_grid_32, 0.5)
     with pytest.raises(PreconditionViolated):
         rhs.psi(np.full(disc_grid_32.num_interior, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["branch", "eigen"])
+def test_separable_psi_t_is_exact(kind, disc_grid_32, ball4_grid):
+    """psi_t of the separable kinds is f^n g'(t) in closed form; the central
+    difference of psi agrees with it only to its truncation error."""
+    for grid in (disc_grid_32, ball4_grid):
+        n, lam = grid.n, 0.8
+        rhs = getattr(RhsSpec, kind)(grid, lam)
+        t = -np.linspace(0.0, 2.0, grid.num_interior)
+        base = 1.0 - lam * t if kind == "branch" else -lam * t
+        assert np.allclose(rhs.psi_t(t), -n * lam * base ** (n - 1), rtol=1e-14, atol=0.0)
+        inner = t < -1e-3
+        delta = 1e-6
+        fd = (rhs.psi(np.minimum(t + delta, 0.0)) - rhs.psi(t - delta)) / (2 * delta)
+        assert np.allclose(fd[inner], rhs.psi_t(t)[inner], rtol=1e-6, atol=1e-8)
 
 
 def test_rhs_monotonicity_spot_check(disc_grid_32):

@@ -5,6 +5,7 @@ import pytest
 
 import cmaeig.dirichlet as dirichlet
 
+from cmaeig.dirichlet import SolveReport
 from cmaeig.domain import Ball, Constant, build_grid, density_vector
 from cmaeig.eigenpath import (
     CONTINUATION,
@@ -13,6 +14,7 @@ from cmaeig.eigenpath import (
     EigenResult,
     SchedulePolicy,
     _eigen_residual,
+    _extrapolate,
     continuation,
     lower_bound,
     solve_branch,
@@ -146,8 +148,9 @@ def test_continuation_branch_history_invariants(disc_result):
 
 
 def test_continuation_disc_pinned_branch(disc_result):
-    # recorded before the Newton loops and Hessian stencils were merged
-    assert [p.report.iterations for p in disc_result.branch] == [1] * 9 + [2] * 4
+    # lambda_1 recorded before the Newton loops and Hessian stencils were
+    # merged; one Newton step per point since psi_t is exact (psi is linear in u)
+    assert [p.report.iterations for p in disc_result.branch] == [1] * 13
     assert disc_result.lambda1 == pytest.approx(1.4455193332030762, abs=1e-12)
 
 
@@ -168,6 +171,27 @@ def test_continuation_n1_factors_once(monkeypatch):
     assert calls == ["splu"]
     assert all(p.report.krylov_iterations > 0 for p in result.branch[1:])
     assert result.branch[0].report.krylov_iterations == 0  # the frozen lam = 0 solve
+
+
+def test_continuation_n2_reuses_newton_lu(monkeypatch):
+    """An n = 2 continuation factors fewer Jacobians than it takes Newton
+    steps, and its per-point Newton counts and lambda_1 are those of the
+    one-direct-solve-per-step code."""
+    calls = []
+    real = dirichlet.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "splu", counted)
+    result = continuation(grid=build_grid(Ball(2, 1.0), 0.25), tol=1e-8)
+    iterations = [p.report.iterations for p in result.branch]
+    # recorded with one spsolve per Newton step
+    assert iterations == [0, 4, 4, 5, 6] + [5] * 10
+    assert result.lambda1 == pytest.approx(1.6613293062431576, abs=1e-12)
+    assert len(calls) == sum(p.report.factorizations for p in result.branch)
+    assert 0 < len(calls) < sum(iterations)
 
 
 def test_continuation_residual_contract(disc_result):
@@ -262,6 +286,31 @@ def test_eigen_result_rejects_unknown_method(disc_result):
             residual_tol=1.0,
             rayleigh_value=1.0,
         )
+
+
+def synthetic_branch(lams, sups):
+    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, sup_norm=0.0,
+                         grad_sup=0.0, laplacian_sup=0.0, converged=True)
+    return [BranchPoint(lam=lam, sup_norm=sup, u=None, report=report)
+            for lam, sup in zip(lams, sups)]
+
+
+def test_extrapolation_root_of_decreasing_fit():
+    # 1/sup = 1 - lam/1.5 exactly: root 1.5, no flag
+    lams = [0.0, 0.5, 1.0, 1.2, 1.4]
+    lam1, fit_residual, flags = _extrapolate(
+        synthetic_branch(lams, [1.0 / (1.0 - lam / 1.5) for lam in lams]), 4)
+    assert lam1 == pytest.approx(1.5, rel=1e-12) and fit_residual < 1e-12
+    assert flags == ()
+
+
+def test_extrapolation_fallback_is_flagged():
+    """A 1/sup_norm tail that does not decrease has no root past the branch:
+    the last lam comes back, flagged."""
+    lams = [0.0, 0.5, 1.0, 1.2, 1.4]
+    lam1, _, flags = _extrapolate(synthetic_branch(lams, [4.0, 3.0, 2.0, 2.0, 1.9]), 4)
+    assert lam1 == 1.4
+    assert flags == ("extrapolation_slope_nonnegative",)
 
 
 # ----------------------------------------------------------- verify_eigenpair

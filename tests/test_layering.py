@@ -58,9 +58,9 @@ def test_linear_solvers_are_called_only_in_dirichlet():
     calls = {p.name: [name for _, name in linear_solver_calls(p)]
              for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found and name != "dirichlet.py"} == {}
-    # one direct solve (log-det form), one factorization (the cached
-    # Laplacian LU), one Krylov solve (semilinear form)
-    assert sorted(calls["dirichlet.py"]) == ["gmres", "splu", "spsolve"]
+    # one factorization (the Laplacian and Newton-Jacobian LUs), one Krylov
+    # solve (the Newton steps of both forms), no direct solve
+    assert sorted(calls["dirichlet.py"]) == ["gmres", "splu"]
 
 
 def test_detector_sees_linear_solver_calls(tmp_path):
