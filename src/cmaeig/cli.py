@@ -521,6 +521,7 @@ def _run_inverse_power(config):
         "diagnostics": {
             "method": result.method,
             "iterations": len(result.branch) - 1,
+            "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
             "factorizations": sum(p.report.factorizations for p in result.branch),
             "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,

@@ -7,13 +7,13 @@ Layering:
   F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
   floor mu and a plurisubharmonicity safeguard.  Each equation supplies its
   own Newton step, both by right-preconditioned GMRES: for n = 1 on
-  (1/4) L - diag(psi_t) with the grid's cached Laplacian LU, so a grid is
-  factored once however many solves run on it; for n >= 2 on the log-det
-  Jacobian with the LU of the last Jacobian factored on the grid, refreshed
+  (1/4) L - diag(psi_t) with the grid's cached quarter-Laplacian LU, so a
+  grid is factored once however many solves run on it; for n >= 2 on the
+  log-det Jacobian with the LU of the last Jacobian factored on the grid, refreshed
   (factored anew) only when one short GMRES cycle misses the tolerance.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
-  LU of the one-sided-difference Laplacian (Delta u = 4 psi); for n >= 2
-  the log-det Newton.
+  LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
+  for n >= 2 the log-det Newton.
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
@@ -53,7 +53,6 @@ from .hessian import (
     ScalarField,
     complex_hessian,
     hessian_operators,
-    laplacian_matrix,
     random_psh_field,
     trace_operator,
 )
@@ -191,9 +190,8 @@ class RhsSpec:
 
         return dataclasses.replace(self, shift=self.shift + eps ** self.grid.n)
 
-    def _spot_check(self, samples=5):
+    def _spot_check(self):
         """Validate psi >= 0 and (when declared) monotonicity on a (z, t) sample."""
-        rng = np.random.default_rng(0)
         ts = [0.0, -0.25, -1.0, -3.0, -10.0]
         prev = None
         for t0 in reversed(ts):  # increasing t
@@ -249,7 +247,7 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
         psh_margin=float(np.min(hess.min_eigenvalue())),
         sup_norm=float(np.max(np.abs(ui))),
         grad_sup=_grad_sup(grid, ui),
-        laplacian_sup=float(np.max(np.abs(laplacian_matrix(grid) @ ui))),
+        laplacian_sup=float(np.max(np.abs(4.0 * np.sum(hess.diag, axis=1)))),
         converged=converged,
         flags=tuple(flags),
         krylov_iterations=krylov_iterations,
@@ -362,14 +360,13 @@ def _krylov(J, b, precondition, restart, cycles):
 
 
 class _NewtonState(NamedTuple):
-    """A Newton form evaluated at u (hess, M, eig: log-det form only)."""
+    """A Newton form evaluated at u (hess, eig: log-det form only)."""
 
     F: np.ndarray  # residual
     error: float  # stops the iteration once <= tol
     psi: np.ndarray
     hess: HermitianField | None = None
-    M: np.ndarray | None = None
-    eig: np.ndarray | None = None  # eigenvalues of M + mu I
+    eig: np.ndarray | None = None  # hess.eigenvalues()
 
 
 class _NewtonForm(NamedTuple):
@@ -446,7 +443,6 @@ def _logdet_form(grid, rhs, tol):
     or one cycle of _REFRESH_RESTART iterations misses _KRYLOV_RTOL, the
     step factors the current Jacobian, caches that LU and solves with it."""
     n = grid.n
-    eye = np.eye(n)
     mu = min(1e-8, tol * 1e-3)
     floor = -10.0 * grid.h ** 2  # PSH safeguard for trials
     shrinks = 0
@@ -455,16 +451,15 @@ def _logdet_form(grid, rhs, tol):
 
     def evaluate(ui, hess=None):
         hess = _hermitian_from_interior(grid, ui) if hess is None else hess
-        M = hess.matrices()
-        eig = np.linalg.eigvalsh(M + mu * eye)
+        eig = hess.eigenvalues()
         psi = rhs.psi(np.minimum(ui, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):  # eig <= 0: inadmissible
-            F = np.sum(np.log(eig), axis=1) - np.log(psi + mu ** n)
+        with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
+            F = np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n)
         error = float(np.max(np.abs(hess.det() - psi)))
-        return _NewtonState(F, error, psi, hess, M, eig)
+        return _NewtonState(F, error, psi, hess, eig)
 
     def jacobian(ui, state):
-        J = trace_operator(grid, np.linalg.inv(state.M + mu * eye))
+        J = trace_operator(grid, np.linalg.inv(state.hess.matrices() + mu * np.eye(n)))
         if rhs.kind != "frozen":
             dpsi = rhs.psi_t(np.minimum(ui, 0.0))
             J = J - sparse.diags(dpsi / (state.psi + mu ** n))
@@ -484,7 +479,8 @@ def _logdet_form(grid, rhs, tol):
         return lu.solve(-state.F), iterations
 
     def admissible(ui, state):
-        return np.min(state.eig) > 0 and np.min(state.hess.min_eigenvalue()) >= floor
+        lowest = np.min(state.eig[:, 0])
+        return lowest + mu > 0 and lowest >= floor
 
     def restart(ui, state, fnorm, it):
         nonlocal mu, shrinks, last_error
@@ -509,13 +505,10 @@ def _semilinear_form(grid, rhs):
     psi_t > -lambda_1.  Trials must stay <= 0.
 
     Each step solves J delta = -F by GMRES, right-preconditioned with the
-    grid's cached Laplacian LU (r -> 4 L^-1 r), so a solve factors nothing; a
-    step that misses _KRYLOV_RTOL within the budget raises NotConverged."""
+    grid's cached quarter-Laplacian LU, so a solve factors nothing; a step
+    that misses _KRYLOV_RTOL within the budget raises NotConverged."""
     quarter_laplacian = hessian_operators(grid)[0][0]
     lu = _cached_laplacian_lu(grid)
-
-    def precondition(r):
-        return 4.0 * lu.solve(r)
 
     def evaluate(ui):
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -527,7 +520,7 @@ def _semilinear_form(grid, rhs):
 
     def step(ui, state):
         J = jacobian(ui, state)
-        delta, iterations, converged = _krylov(J, -state.F, precondition,
+        delta, iterations, converged = _krylov(J, -state.F, lu.solve,
                                                _KRYLOV_RESTART, _KRYLOV_CYCLES)
         if not converged:
             reached = np.linalg.norm(J @ delta + state.F) / np.linalg.norm(state.F)
@@ -573,16 +566,17 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 
 def _cached_laplacian_lu(grid):
+    """LU of the n = 1 quarter Laplacian (1/4) L, factored once per grid."""
     if "lap_lu" not in grid._cache:
-        grid._cache["lap_lu"] = _factor(laplacian_matrix(grid))
+        grid._cache["lap_lu"] = _factor(hessian_operators(grid)[0][0])
     return grid._cache["lap_lu"]
 
 
 def solve_frozen(h, grid=None, tol=1e-8, initial=None):
     """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
 
-    n = 1 is one solve with the cached Laplacian LU; n >= 2 runs the log-det
-    Newton from `initial` or, without one, from the quadratic subsolution.
+    n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 runs the
+    log-det Newton from `initial` or, without one, from the quadratic subsolution.
     """
     if isinstance(h, ScalarField):
         grid = h.grid if grid is None else grid
@@ -596,7 +590,7 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
     h_int = np.maximum(h_int, 0.0)
     if grid.n == 1:
         lu = _cached_laplacian_lu(grid)
-        ui = np.minimum(lu.solve(4.0 * h_int), 0.0)
+        ui = np.minimum(lu.solve(h_int), 0.0)
         hess = _hermitian_from_interior(grid, ui)
         report = _make_report(grid, ui, hess, h_int, 1, True)
         if report.final_residual > tol:
@@ -625,8 +619,7 @@ def _feasible_start(grid, rhs, start):
     for _ in range(12):
         trial = (1 - beta) * start + beta * anchor
         hess = _hermitian_from_interior(grid, trial)
-        eigmin = np.min(np.linalg.eigvalsh(hess.matrices() + mu * np.eye(grid.n)))
-        if eigmin > 0:
+        if np.min(hess.min_eigenvalue()) + mu > 0:
             return trial, hess, ()
         beta = 0.05 if beta == 0.0 else min(1.0, beta * 2)
     log.warning("no blend of the start is inside the cone; starting from the anchor")

@@ -292,7 +292,8 @@ class GridDomain:
     """Immutable discretization of a domain (see module docstring).
 
     classification, interior data and cell volumes are fixed at construction.
-    The private _cache memoizes derived stencil operators and the Laplacian
+    The private _cache memoizes derived stencil operators, the complex-Hessian
+    operators that complex_hessian applies, and the n = 1 quarter-Laplacian
     LU, and it also holds the grid's latest Newton preconditioner: the LU of
     the last log-det Jacobian factored on it, which every later n >= 2 Newton
     step reuses until GMRES misses its tolerance.  Which LU that is depends on

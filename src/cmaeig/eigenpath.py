@@ -92,7 +92,8 @@ class EigenResult:
     for continuation, the finite-branch bias).  rayleigh_value estimates
     lambda1**n.  flags names every default the route substituted for a
     failed computation ("extrapolation_slope_nonnegative": the 1/sup_norm
-    fit did not decrease, so lambda1 is the last branch lam).
+    fit did not decrease, or "extrapolation_root_below_branch": its root lay
+    below the last branch lam; either way lambda1 is that lam).
     """
 
     lambda1: float
@@ -239,7 +240,8 @@ def _extrapolate(branch, fit_points):
     """Root of the least-squares line through (lam, 1/sup_norm) tail points;
     returns (root, fit residual, flags).  A line that does not decrease has
     no root past the branch: the last lam is returned instead, flagged
-    "extrapolation_slope_nonnegative"."""
+    "extrapolation_slope_nonnegative"; a root below it, where the branch
+    still has solutions, is too, flagged "extrapolation_root_below_branch"."""
     pts = branch[-fit_points:]
     lams = np.array([p.lam for p in pts])
     inv = np.array([1.0 / p.sup_norm for p in pts])
@@ -249,6 +251,8 @@ def _extrapolate(branch, fit_points):
                 ("extrapolation_slope_nonnegative",))
     root = -intercept / slope
     fit_residual = float(np.max(np.abs(slope * lams + intercept - inv)))
+    if root < pts[-1].lam:
+        return float(pts[-1].lam), fit_residual, ("extrapolation_root_below_branch",)
     return float(root), fit_residual, ()
 
 
@@ -333,7 +337,6 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
 
     last = branch[-1]
     lam1, fit_residual, flags = _extrapolate(branch, policy.fit_points)
-    lam1 = max(lam1, last.lam)
     s = last.sup_norm
     v = ScalarField.from_interior(grid, last.u.interior / s)
     residual = _eigen_residual(v, lam1, fn, grid)

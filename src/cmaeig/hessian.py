@@ -20,8 +20,9 @@ along v" primitive, of which ScalarField.zero_boundary selects one:
 * zero_boundary=False -- _centered_difference_matrix (full lattice ->
   interior): plain centered differences of a sampled ambient function.
 
-complex_hessian evaluates the combination; hessian_operators caches it as
-sparse operators, from which trace_operator assembles the log-det Jacobian.
+hessian_operators caches it as sparse operators per stencil kind (at n = 1
+the quarter Laplacian); complex_hessian applies them, trace_operator builds
+the log-det Jacobian, and every eigenvalue, det and trace is HermitianField's.
 """
 
 from __future__ import annotations
@@ -271,11 +272,11 @@ def laplacian_matrix(grid):
 
 
 def _hessian_terms(n, D):
-    """The complex Hessian from second differences D(v) along lattice vectors v.
+    """The complex Hessian as sparse operators, from the second-difference
+    operators D(v) along lattice vectors v.
 
-    Returns (diag, mixed): diag[j] is u_jj and mixed[m] the pair (Re, Im) of
-    u_jk for the m-th pair j < k of HermitianField.pairs(n).  D may return
-    sparse operators or interior values; the terms are of the same kind.
+    Returns (diag, mixed): diag[j] maps a field to u_jj and mixed[m] is the
+    pair (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
     """
     d = 2 * n
 
@@ -293,15 +294,15 @@ def _hessian_terms(n, D):
     return diag, mixed
 
 
-def hessian_operators(grid):
-    """Cached sparse operators of the complex Hessian on zero-boundary fields
-    (interior -> interior), as (diag, mixed) of _hessian_terms.  For n = 1 the
-    single diagonal operator is a quarter of laplacian_matrix(grid)."""
-    key = ("hessian_ops",)
+def hessian_operators(grid, zero_boundary=True):
+    """Cached sparse operators of the complex Hessian, as (diag, mixed) of
+    _hessian_terms, for zero-boundary fields or (zero_boundary=False) sampled
+    ones.  For n = 1 the single zero-boundary diagonal operator is the
+    quarter Laplacian, a quarter of laplacian_matrix(grid)."""
+    key = ("hessian_ops", zero_boundary)
     if key not in grid._cache:
-        grid._cache[key] = _hessian_terms(
-            grid.n, lambda v: second_difference_matrix(grid, v)
-        )
+        stencil = second_difference_matrix if zero_boundary else _centered_difference_matrix
+        grid._cache[key] = _hessian_terms(grid.n, lambda v: stencil(grid, v))
     return grid._cache[key]
 
 
@@ -323,14 +324,12 @@ def trace_operator(grid, W):
 
 
 def complex_hessian(u):
+    """The complex Hessian of u by the cached operators of its stencil kind."""
     grid = u.grid
-    if u.zero_boundary:
-        vals, stencil = u.values[grid.interior_flat], second_difference_matrix
-    else:
-        vals, stencil = u.values, _centered_difference_matrix
-    diag, mixed = _hessian_terms(grid.n, lambda v: stencil(grid, v) @ vals)
-    tri = np.array([re + 1j * im for re, im in mixed])
-    return HermitianField(grid, np.array(diag).T, tri.T)
+    vals = u.values[grid.interior_flat] if u.zero_boundary else u.values
+    diag, mixed = hessian_operators(grid, u.zero_boundary)
+    tri = np.array([re @ vals + 1j * (im @ vals) for re, im in mixed])
+    return HermitianField(grid, np.array([op @ vals for op in diag]).T, tri.T)
 
 
 def ma_det(u):

@@ -212,13 +212,14 @@ def test_continuation_run_within_two_percent(tmp_path):
     assert len(lines) - 1 == record.diagnostics["branch_points"]
 
 
-def test_continuation_summary_counts_krylov_iterations(tmp_path):
-    config = build_config({"command": "eigen-continuation", "n": "1",
-                           "h": "0.03125", "emit": "summary", "out": str(tmp_path / "out")})
+@pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
+def test_eigen_summary_counts_krylov_iterations(tmp_path, command):
+    config = build_config({"command": command, "n": "2", "h": "0.25",
+                           "emit": "summary", "out": str(tmp_path / "out")})
     code, record = run(config)
-    assert code == 0 and record.diagnostics["krylov_iterations"] > 0
-    text = (tmp_path / "out" / "summary.txt").read_text()
-    assert f"krylov_iterations={record.diagnostics['krylov_iterations']}\n" in text
+    count = record.diagnostics["krylov_iterations"]
+    assert code == 0 and count > 0
+    assert f"\nkrylov_iterations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("command,module,solver", [

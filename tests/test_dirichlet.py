@@ -283,6 +283,31 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     assert np.linalg.norm(again - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_logdet_state_matches_dense_eigen_reference(which, ball4_grid, ellipsoid_bump):
+    """The log-det form's F and admissibility verdict, read from the Hessian's
+    closed-form eigenvalues, against a dense eigvalsh(M + mu I): at a field
+    inside the cone and at one kicked up at its innermost node, which leaves
+    the cone there."""
+    grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
+    form, u, _ = logdet_problem(grid, density, 0.5, 0.02)
+    mu = 1e-11  # the form's eigenvalue floor at tol = 1e-8
+    kicked = u.copy()
+    kicked[grid.min_rho_position()] += 1.0
+    verdicts = []
+    for field in (u, kicked):
+        state = form.evaluate(field)
+        M = state.hess.matrices()
+        eig = np.linalg.eigvalsh(M + mu * np.eye(grid.n))
+        with np.errstate(invalid="ignore"):
+            F = np.sum(np.log(eig), axis=1) - np.log(state.psi + mu ** grid.n)
+        np.testing.assert_allclose(state.F, F, rtol=0.0, atol=1e-12)
+        verdict = np.min(eig) > 0 and np.min(np.linalg.eigvalsh(M)) >= -10.0 * grid.h ** 2
+        assert form.admissible(field, state) == verdict
+        verdicts.append(verdict)
+    assert verdicts == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # apply_T
 # ---------------------------------------------------------------------------

@@ -313,6 +313,17 @@ def test_extrapolation_fallback_is_flagged():
     assert flags == ("extrapolation_slope_nonnegative",)
 
 
+def test_extrapolation_root_below_branch_is_flagged():
+    """A tail that falls steeply and then flattens fits a line whose root
+    (about 1.34) lies below the last branch lam: that lam comes back,
+    flagged."""
+    lams = [0.0, 0.5, 1.0, 1.2, 1.4]
+    lam1, fit_residual, flags = _extrapolate(
+        synthetic_branch(lams, [1.0, 1.25, 4.0, 20.0, 25.0]), 4)
+    assert lam1 == 1.4 and fit_residual > 0.0
+    assert flags == ("extrapolation_root_below_branch",)
+
+
 # ----------------------------------------------------------- verify_eigenpair
 
 

@@ -7,6 +7,7 @@ from cmaeig.domain import Ball, build_grid
 from cmaeig.errors import NotPositiveSemiDefinite, PreconditionViolated
 from cmaeig.hessian import (
     DualMatrixSet,
+    _centered_difference_matrix,
     ScalarField,
     check_comparison,
     complex_hessian,
@@ -110,22 +111,53 @@ def test_n1_det_is_quarter_laplacian(disc_grid_32):
     u = ScalarField.from_interior(g, ui)
     sx = second_difference_matrix(g, (1, 0))
     sy = second_difference_matrix(g, (0, 1))
-    expect = 0.25 * (sx @ ui + sy @ ui)
-    assert np.array_equal(ma_det(u).interior, expect)
-    assert np.allclose(ma_det(u).interior, 0.25 * (laplacian_matrix(g) @ ui), atol=1e-9)
+    assert np.array_equal(ma_det(u).interior, 0.25 * (laplacian_matrix(g) @ ui))
+    assert np.allclose(ma_det(u).interior, 0.25 * (sx @ ui + sy @ ui), atol=1e-9)
 
 
-def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid):
+def per_direction_hessian(u):
+    """Reference complex Hessian: every second difference applied to the
+    field first, then u_jj = 1/4 (D2_xj + D2_yj) and u_jk = 1/4 [(u_xjxk +
+    u_yjyk) + i (u_xjyk - u_yjxk)] with u_ab = 1/4 (D2_(a+b) - D2_(a-b))."""
+    g = u.grid
+    d = 2 * g.n
+    if u.zero_boundary:
+        vals, stencil = u.interior, second_difference_matrix
+    else:
+        vals, stencil = u.values, _centered_difference_matrix
+
+    def D(a, b=None, sign=1):
+        v = [0] * d
+        v[a] = 1
+        if b is not None:
+            v[b] = sign
+        return stencil(g, tuple(v)) @ vals
+
+    def mixed(a, b):
+        return 0.25 * (D(a, b, +1) - D(a, b, -1))
+
+    diag = np.stack([0.25 * (D(2 * j) + D(2 * j + 1)) for j in range(g.n)], axis=1)
+    tri = [0.25 * (mixed(2 * j, 2 * k) + mixed(2 * j + 1, 2 * k + 1))
+           + 0.25j * (mixed(2 * j, 2 * k + 1) - mixed(2 * j + 1, 2 * k))
+           for j in range(g.n) for k in range(j + 1, g.n)]
+    return diag, np.array(tri).reshape(-1, g.num_interior).T
+
+
+def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid, wide_ball4):
+    """complex_hessian (the cached summed operators) against the
+    per-direction reference, on zero-boundary fields (Shortley-Weller rows)
+    and on a sampled one (centered rows)."""
     rng = np.random.default_rng(4)
-    for g in (disc_grid_32, ball4_grid):
-        ui = rng.normal(size=g.num_interior)
-        H = complex_hessian(ScalarField.from_interior(g, ui))
-        diag, mixed = hessian_operators(g)
-        scale = np.max(np.abs(H.diag))
-        for j, op in enumerate(diag):
-            assert np.max(np.abs(op @ ui - H.diag[:, j])) <= 1e-13 * scale
-        for m, (re_op, im_op) in enumerate(mixed):
-            assert np.max(np.abs(re_op @ ui + 1j * (im_op @ ui) - H.tri[:, m])) <= 1e-13 * scale
+    fields = [ScalarField.from_interior(g, rng.normal(size=g.num_interior))
+              for g in (disc_grid_32, ball4_grid)]
+    size = int(np.prod(wide_ball4.shape))
+    fields.append(ScalarField(wide_ball4, rng.normal(size=size), zero_boundary=False))
+    for u in fields:
+        H = complex_hessian(u)
+        diag, tri = per_direction_hessian(u)
+        scale = np.max(np.abs(diag))
+        assert np.max(np.abs(H.diag - diag)) <= 1e-13 * scale
+        assert tri.size == 0 or np.max(np.abs(H.tri - tri)) <= 1e-13 * scale
     (quarter_laplacian,), _ = hessian_operators(disc_grid_32)
     assert (quarter_laplacian != 0.25 * laplacian_matrix(disc_grid_32)).nnz == 0
 

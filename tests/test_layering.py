@@ -1,5 +1,6 @@
-"""Modules of the package use each other only through public names, and the
-sparse linear solvers are called from one module, dirichlet.py."""
+"""Modules of the package use each other only through public names, the
+sparse linear solvers are called from one module, dirichlet.py, and dense
+Hermitian eigenvalues are computed in one module, hessian.py."""
 
 import ast
 import pathlib
@@ -24,17 +25,21 @@ def private_imports(path):
 LINEAR_SOLVERS = ("spsolve", "splu", "gmres")
 
 
-def linear_solver_calls(path):
-    """(line, name) for every call of a name in LINEAR_SOLVERS, bare or as an
+def calls_of(path, names):
+    """(line, name) for every call of a name in `names`, bare or as an
     attribute."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in LINEAR_SOLVERS:
+            if name in names:
                 found.append((node.lineno, name))
     return found
+
+
+def linear_solver_calls(path):
+    return calls_of(path, LINEAR_SOLVERS)
 
 
 def test_no_private_cross_module_imports():
@@ -58,7 +63,7 @@ def test_linear_solvers_are_called_only_in_dirichlet():
     calls = {p.name: [name for _, name in linear_solver_calls(p)]
              for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found and name != "dirichlet.py"} == {}
-    # one factorization (the Laplacian and Newton-Jacobian LUs), one Krylov
+    # one factorization (the quarter-Laplacian and Newton-Jacobian LUs), one Krylov
     # solve (the Newton steps of both forms), no direct solve
     assert sorted(calls["dirichlet.py"]) == ["gmres", "splu"]
 
@@ -69,3 +74,18 @@ def test_detector_sees_linear_solver_calls(tmp_path):
                      "from scipy.sparse.linalg import spsolve\n"
                      "x = spsolve(A, b)\ny = sla.gmres(A, b)\nlu = sla.splu(A).solve(b)\n")
     assert [name for _, name in linear_solver_calls(probe)] == ["spsolve", "gmres", "splu"]
+
+
+def test_dense_eigenvalues_are_computed_only_in_hessian():
+    """Solvers read eigenvalues from HermitianField, never from a dense
+    decomposition of their own."""
+    calls = {p.name: calls_of(p, ("eigvalsh",)) for p in sorted(SRC.glob("*.py"))}
+    assert calls["hessian.py"] != []
+    assert {name: found for name, found in calls.items() if found and name != "hessian.py"} == {}
+
+
+def test_detector_sees_eigvalsh_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+                     "w = np.linalg.eigvalsh(M)\nv = eigvalsh(M)\nx = np.linalg.eigh(M)\n")
+    assert calls_of(probe, ("eigvalsh",)) == [(3, "eigvalsh"), (4, "eigvalsh")]
