@@ -464,6 +464,15 @@ def _result_flags(result):
     return ",".join(sorted(flags))
 
 
+def _newton_counters(result):
+    """Line-search backtracks and eigenvalue-floor shrinks, summed over the
+    branch's solves."""
+    return {
+        "backtracks": sum(p.report.backtracks for p in result.branch),
+        "mu_shrinks": sum(p.report.mu_shrinks for p in result.branch),
+    }
+
+
 def _run_solve(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
@@ -500,6 +509,10 @@ def _run_continuation(config):
             "branch_points": len(result.branch),
             "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
             "factorizations": sum(p.report.factorizations for p in result.branch),
+            **_newton_counters(result),
+            # failed steps by exception class, "NewtonStalled:2,NotConverged:1"
+            "rejected_steps": ",".join(f"{name}:{count}"
+                                       for name, count in result.rejected_steps),
             "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
         },
@@ -523,6 +536,7 @@ def _run_inverse_power(config):
             "iterations": len(result.branch) - 1,
             "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
             "factorizations": sum(p.report.factorizations for p in result.branch),
+            **_newton_counters(result),
             "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
         },

@@ -221,6 +221,8 @@ class SolveReport:
     flags: tuple = ()
     krylov_iterations: int = 0  # GMRES iterations over the Newton steps
     factorizations: int = 0  # Newton Jacobians factored (n >= 2 refreshes)
+    backtracks: int = 0  # line-search trials rejected (step halvings)
+    mu_shrinks: int = 0  # n >= 2 eigenvalue-floor shrinks (Newton restarts)
 
 
 def _grad_sup(grid, ui):
@@ -238,7 +240,7 @@ def _grad_sup(grid, ui):
 
 
 def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
-                 krylov_iterations=0, factorizations=0):
+                 krylov_iterations=0, factorizations=0, backtracks=0, mu_shrinks=0):
     det = hess.det()
     res = float(np.max(np.abs(det - psi_vals)))
     return SolveReport(
@@ -252,6 +254,8 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
         flags=tuple(flags),
         krylov_iterations=krylov_iterations,
         factorizations=factorizations,
+        backtracks=backtracks,
+        mu_shrinks=mu_shrinks,
     )
 
 
@@ -376,7 +380,8 @@ class _NewtonForm(NamedTuple):
     admissible(u, state) tests the start and every line-search trial, which
     must also lower max|F|; step(u, state) -> (delta, Krylov iterations)
     solves jacobian(u, state) delta = -F; restart(u, state, fnorm, it) may
-    return a fresh state in place of a step; factorizations() counts the
+    return a fresh state in place of a step (the log-det form's mu shrink,
+    counted as SolveReport.mu_shrinks); factorizations() counts the
     Jacobians the form's steps have factored so far.
     """
 
@@ -397,17 +402,19 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
     state = form.evaluate(ui) if state is None else state
     if not form.admissible(ui, state):
         raise PreconditionViolated("initial guess is not in the solver's cone")
-    krylov = 0
+    krylov = backtracks = restarts = 0
     for it in range(1, form.max_iter + 1):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
             return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
                                     krylov_iterations=krylov,
-                                    factorizations=form.factorizations())
+                                    factorizations=form.factorizations(),
+                                    backtracks=backtracks, mu_shrinks=restarts)
         fnorm = float(np.max(np.abs(state.F)))
         fresh = form.restart(ui, state, fnorm, it) if form.restart else None
         if fresh is not None:
             state = fresh
+            restarts += 1
             continue
         delta, iterations = form.step(ui, state)
         krylov += iterations
@@ -419,6 +426,7 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
                 ui, state = trial, t_state
                 break
             s *= 0.5
+            backtracks += 1
         else:
             raise NewtonStalled(
                 f"line search exhausted {max_backtracks} halvings at iteration {it}"
@@ -433,18 +441,22 @@ def _hermitian_from_interior(grid, ui):
 def _logdet_form(grid, rhs, tol):
     """n >= 2: F(u) = log det(M(u) + mu I) - log(psi + mu^n), stopping on the
     true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
-    definite and the Hessian above the PSH floor.  When Newton stalls on F
+    definite.  That also keeps the Hessian above the PSH floor -10 h^2
+    (default_psh_tol), since mu <= 1e-8 < 10 h^2 on every grid with
+    h > 3.2e-5, so no separate floor test is made.  When Newton stalls on F
     while the true residual does not fall, the eigenvalue floor mu shrinks
     a hundredfold (at most three times) and the iteration restarts.
 
-    Each step solves J delta = -F by GMRES, right-preconditioned with the LU
-    of the last Jacobian factored on this grid (grid._cache["newton_lu"],
-    left by any earlier step, solve or branch point).  When there is none,
-    or one cycle of _REFRESH_RESTART iterations misses _KRYLOV_RTOL, the
-    step factors the current Jacobian, caches that LU and solves with it."""
+    The Jacobian is trace_operator at W = (M + mu I)^-1 (HermitianField.inverse)
+    with the diagonal shift -psi_t / (psi + mu^n): one matvec on the grid's
+    cached assembly plan.  Each step solves J delta = -F by GMRES,
+    right-preconditioned with the LU of the last Jacobian factored on this
+    grid (grid._cache["newton_lu"], left by any earlier step, solve or branch
+    point).  When there is none, or one cycle of _REFRESH_RESTART iterations
+    misses _KRYLOV_RTOL, the step factors the current Jacobian, caches that LU
+    and solves with it."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
-    floor = -10.0 * grid.h ** 2  # PSH safeguard for trials
     shrinks = 0
     last_error = np.inf
     refreshes = 0
@@ -459,11 +471,10 @@ def _logdet_form(grid, rhs, tol):
         return _NewtonState(F, error, psi, hess, eig)
 
     def jacobian(ui, state):
-        J = trace_operator(grid, np.linalg.inv(state.hess.matrices() + mu * np.eye(n)))
+        shift = None
         if rhs.kind != "frozen":
-            dpsi = rhs.psi_t(np.minimum(ui, 0.0))
-            J = J - sparse.diags(dpsi / (state.psi + mu ** n))
-        return J.tocsc()
+            shift = -rhs.psi_t(np.minimum(ui, 0.0)) / (state.psi + mu ** n)
+        return trace_operator(grid, state.hess.inverse(mu), shift)
 
     def step(ui, state):
         nonlocal refreshes
@@ -479,8 +490,7 @@ def _logdet_form(grid, rhs, tol):
         return lu.solve(-state.F), iterations
 
     def admissible(ui, state):
-        lowest = np.min(state.eig[:, 0])
-        return lowest + mu > 0 and lowest >= floor
+        return np.min(state.eig[:, 0]) + mu > 0
 
     def restart(ui, state, fnorm, it):
         nonlocal mu, shrinks, last_error

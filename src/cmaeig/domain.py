@@ -293,10 +293,12 @@ class GridDomain:
 
     classification, interior data and cell volumes are fixed at construction.
     The private _cache memoizes derived stencil operators, the complex-Hessian
-    operators that complex_hessian applies, and the n = 1 quarter-Laplacian
-    LU, and it also holds the grid's latest Newton preconditioner: the LU of
-    the last log-det Jacobian factored on it, which every later n >= 2 Newton
-    step reuses until GMRES misses its tolerance.  Which LU that is depends on
+    operators that complex_hessian applies, the assembly plan through which
+    trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
+    the map from per-node weights to its values), and the n = 1
+    quarter-Laplacian LU, and it also holds the grid's latest Newton
+    preconditioner: the LU of the last log-det Jacobian factored on it, which
+    every later n >= 2 Newton step reuses until GMRES misses its tolerance.  Which LU that is depends on
     the solves run before, and it moves each step only within the Krylov
     tolerance (relative residual 5e-10), not its Newton count.  Sharing a
     grid across threads is safe for reads; concurrent n >= 2 solves may

@@ -20,6 +20,7 @@ records the matching tolerance rather than hiding it.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +95,9 @@ class EigenResult:
     failed computation ("extrapolation_slope_nonnegative": the 1/sup_norm
     fit did not decrease, or "extrapolation_root_below_branch": its root lay
     below the last branch lam; either way lambda1 is that lam).
+    rejected_steps holds (exception class name, count) pairs, sorted by
+    name, of the continuation steps that failed and were retried with half
+    the step.
     """
 
     lambda1: float
@@ -105,6 +109,7 @@ class EigenResult:
     rayleigh_value: float
     fit_residual: float = 0.0
     flags: tuple = ()
+    rejected_steps: tuple = ()
 
     def __post_init__(self):
         if self.method not in (CONTINUATION, INVERSE_POWER):
@@ -265,7 +270,8 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     """Ground eigenpair by branch continuation with blow-up extrapolation.
 
     Walks lam upward with adaptive steps (halved when a solve needs more
-    than twice the median outer iterations or fails, doubled after three
+    than twice the median outer iterations or fails, each failure counted
+    by exception class in EigenResult.rejected_steps, doubled after three
     consecutive easy solves, always capped by kappa/sup_norm), stops once
     the sup-norm passes the blow-up threshold, and estimates lambda1 as the
     root of a linear fit to 1/sup_norm over the trailing branch points.  The
@@ -295,6 +301,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     step = policy.initial_step if policy.initial_step is not None else 0.25 * lb
     outer_counts = []
     easy_streak = 0
+    rejected = Counter()
 
     while branch[-1].sup_norm <= policy.blowup_threshold:
         prev = branch[-1]
@@ -312,7 +319,8 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
             )
         try:
             point = _branch_step(prev.lam + d, f, tol, prev)
-        except _STEP_FAILURES:
+        except _STEP_FAILURES as exc:
+            rejected[type(exc).__name__] += 1
             step = d / 2.0
             easy_streak = 0
             if step <= 1e-12 * max(lam_cap, 1.0):
@@ -358,6 +366,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         rayleigh_value=rayleigh(v, fn, grid),
         fit_residual=fit_residual,
         flags=flags,
+        rejected_steps=tuple(sorted(rejected.items())),
     )
 
 

@@ -21,8 +21,10 @@ along v" primitive, of which ScalarField.zero_boundary selects one:
   interior): plain centered differences of a sampled ambient function.
 
 hessian_operators caches it as sparse operators per stencil kind (at n = 1
-the quarter Laplacian); complex_hessian applies them, trace_operator builds
-the log-det Jacobian, and every eigenvalue, det and trace is HermitianField's.
+the quarter Laplacian); complex_hessian applies them.  trace_operator fills
+the log-det Jacobian from the grid's cached assembly plan (_trace_plan, built
+once from those operators) with one sparse matvec, and every eigenvalue,
+det, trace and inverse is HermitianField's.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ class HermitianField:
             )
             return np.stack([mean - rad, mean + rad], axis=1)
         return np.linalg.eigvalsh(self.matrices())
+
+    def inverse(self, shift=0.0):
+        """(M + shift I)^-1 per node: adjugate over determinant at n <= 2,
+        np.linalg.inv (upper triangle kept) for n >= 3."""
+        n = self.grid.n
+        if n == 1:
+            return HermitianField(self.grid, 1.0 / (self.diag + shift), self.tri)
+        if n == 2:
+            a = self.diag[:, 0] + shift
+            c = self.diag[:, 1] + shift
+            b = self.tri[:, 0]
+            det = a * c - np.abs(b) ** 2
+            return HermitianField(self.grid, np.stack([c / det, a / det], axis=1), -b / det)
+        W = np.linalg.inv(self.matrices() + shift * np.eye(n))
+        j, k = np.triu_indices(n, 1)  # the pairs of self.pairs(n), in order
+        return HermitianField(self.grid, np.diagonal(W, axis1=1, axis2=2).real, W[:, j, k])
 
     def min_eigenvalue(self):
         return self.eigenvalues()[:, 0]
@@ -306,21 +324,58 @@ def hessian_operators(grid, zero_boundary=True):
     return grid._cache[key]
 
 
-def trace_operator(grid, W):
-    """Sparse operator u -> Re tr(W M(u)) for per-node Hermitian W, shape (N, n, n).
+def _trace_plan(grid):
+    """trace_operator's assembly on a grid, cached and built from
+    hessian_operators(grid): (B, indices, indptr), where (indices, indptr) is
+    a CSC pattern and the values on it are B @ x, with x stacking the
+    per-node weights slot by slot: W_jj for each j, then 2 Re W_jk and
+    2 Im W_jk for each pair j < k, then the diagonal shift.
+
+    The pattern is the union of the operators' patterns and the diagonal; it
+    keeps the entries whose weighted sum cancels as explicit zeros.  Each row
+    of B lists one pattern entry's operator values in slot order, so the
+    matvec sums every entry in the order of the per-slot loop
+    sum_s diag(x_s) @ op_s."""
+    key = ("trace_plan",)
+    if key not in grid._cache:
+        N = grid.num_interior
+        diag, mixed = hessian_operators(grid)
+        ops = [*diag, *(op for pair in mixed for op in pair), sparse.identity(N)]
+        coo = [op.tocoo() for op in ops]
+        rows = np.concatenate([c.row for c in coo]).astype(np.int64)
+        cols = np.concatenate([c.col for c in coo]).astype(np.int64)
+        slots = np.concatenate([np.full(c.nnz, s, dtype=np.int64) for s, c in enumerate(coo)])
+        # column-major keys: np.unique's sorted order is the CSC order
+        pattern, position = np.unique(cols * N + rows, return_inverse=True)
+        indptr = np.searchsorted(pattern // N, np.arange(N + 1)).astype(np.int32)
+        indices = (pattern % N).astype(np.int32)
+        B = sparse.csr_matrix(
+            (np.concatenate([c.data for c in coo]), (position, slots * N + rows)),
+            shape=(pattern.size, len(ops) * N),
+        )
+        for shared in (indices, indptr):  # every Jacobian of the grid views them
+            shared.flags.writeable = False
+        grid._cache[key] = (B, indices, indptr)
+    return grid._cache[key]
+
+
+def trace_operator(grid, W, shift=None):
+    """CSC operator u -> Re tr(W M(u)) + shift * u for a HermitianField W
+    and an optional per-node shift.
 
     At W = (M(u) + mu I)^-1 this is the Jacobian of sum log eig(M(u) + mu I).
+    W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk) = 2 Re W_jk Re u_jk
+    + 2 Im W_jk Im u_jk for Hermitian W and M, so the values are one matvec
+    of the grid's _trace_plan.
     """
-    diag, mixed = hessian_operators(grid)
-    J = sparse.diags(W[:, 0, 0].real) @ diag[0]
-    for j in range(1, grid.n):
-        J = J + sparse.diags(W[:, j, j].real) @ diag[j]
-    # W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk) for Hermitian W and M
-    for (j, k), (re_op, im_op) in zip(HermitianField.pairs(grid.n), mixed):
-        wkj = W[:, k, j]
-        J = J + sparse.diags(2.0 * wkj.real) @ re_op
-        J = J - sparse.diags(2.0 * wkj.imag) @ im_op
-    return J
+    B, indices, indptr = _trace_plan(grid)
+    N = grid.num_interior
+    x = np.empty((B.shape[1] // N, N))
+    x[:grid.n] = W.diag.T
+    x[grid.n:-1:2] = 2.0 * W.tri.real.T
+    x[grid.n + 1:-1:2] = 2.0 * W.tri.imag.T
+    x[-1] = 0.0 if shift is None else shift
+    return sparse.csc_matrix((B @ x.ravel(), indices, indptr), shape=(N, N))
 
 
 def complex_hessian(u):

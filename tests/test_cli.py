@@ -21,7 +21,7 @@ from cmaeig.cli import (
     run,
 )
 from cmaeig.domain import Ball, Constant, CustomRho, Ellipsoid, GaussianBump
-from cmaeig.errors import ConfigError
+from cmaeig.errors import ConfigError, NewtonStalled
 from cmaeig.serialize import read_field
 from cmaeig.verify import InvariantRow, VerifyReport
 
@@ -282,6 +282,35 @@ def test_eigen_summary_counts_factorizations(tmp_path, command):
     count = record.diagnostics["factorizations"]
     assert code == 0 and count > 0
     assert f"\nfactorizations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
+def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
+    """The summary sums the branch's line-search backtracks and mu shrinks;
+    a continuation also lists its rejected steps by exception class."""
+    real = eigenpath._branch_step
+    calls = []
+
+    def fails_once(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NewtonStalled("probe")
+        return real(*args)
+
+    monkeypatch.setattr(eigenpath, "_branch_step", fails_once)
+    config = build_config({"command": command, "n": "2", "h": "0.25",
+                           "emit": "summary", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    text = (tmp_path / "out" / "summary.txt").read_text()
+    assert code == 0
+    for name in ("backtracks", "mu_shrinks"):
+        count = record.diagnostics[name]
+        assert isinstance(count, int) and f"\n{name}={count}\n" in text
+    assert record.diagnostics["backtracks"] > 0
+    if command == "eigen-continuation":
+        assert "\nrejected_steps=NewtonStalled:1\n" in text
+    else:
+        assert "rejected_steps" not in record.diagnostics and calls == []
 
 
 def test_solve_run_emits_recoverable_field(tmp_path):

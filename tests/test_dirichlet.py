@@ -308,6 +308,56 @@ def test_logdet_state_matches_dense_eigen_reference(which, ball4_grid, ellipsoid
     assert verdicts == [True, False]
 
 
+@pytest.mark.parametrize("kind", ["branch", "frozen"])
+def test_logdet_jacobian_taylor_remainder_is_second_order(kind, ellipsoid_bump):
+    """At the ellipsoid-bump branch solution for lam = 0.5, along random
+    relative directions d: F(u + eps d) - F(u) - eps J d shrinks fourfold per
+    halving of eps, and central differences of F match J d.  "frozen" freezes
+    psi at the solution (a Jacobian with no psi_t shift)."""
+    grid, density = ellipsoid_bump
+    rhs = RhsSpec.branch(grid, 0.5, density)
+    u0, _ = quadratic_subsolution(grid, rhs)
+    u = solve_nonlinear(rhs, u0, 1e-8)[0].interior
+    if kind == "frozen":
+        rhs = RhsSpec.frozen(grid, rhs.psi(u))
+    form = _logdet_form(grid, rhs, 1e-8)
+    state = form.evaluate(u)
+    J = form.jacobian(u, state)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        d = rng.normal(size=grid.num_interior) * u
+        jd = J @ d
+        remainders = [np.linalg.norm(form.evaluate(u + eps * d).F - state.F - eps * jd)
+                      for eps in (5e-3, 2.5e-3, 1.25e-3)]
+        ratios = np.array(remainders[:-1]) / np.array(remainders[1:])
+        assert np.all(np.abs(ratios - 4.0) <= 0.2), ratios
+        eps = 1e-5
+        central = (form.evaluate(u + eps * d).F - form.evaluate(u - eps * d).F) / (2 * eps)
+        assert np.linalg.norm(central - jd) <= 1e-7 * np.linalg.norm(jd)
+
+
+def test_newton_report_counts_backtracks_and_restarts(disc_grid_32):
+    """A first step five times too long on a linear F is halved twice before
+    the line search accepts it (F shrinks to a quarter), later exact steps
+    are not halved, and a restart returned once counts as one mu shrink."""
+    g = disc_grid_32
+    form = _semilinear_form(g, RhsSpec.frozen(g, np.full(g.num_interior, 2.0)))
+    steps = []
+
+    def long_first_step(ui, state):
+        delta, iterations = form.step(ui, state)
+        steps.append(len(steps))
+        return (5.0 if len(steps) == 1 else 1.0) * delta, iterations
+
+    def restart_once(ui, state, fnorm, it):
+        return form.evaluate(ui) if it == 1 else None
+
+    probe = form._replace(step=long_first_step, restart=restart_once)
+    _, report = dirichlet._damped_newton(g, np.zeros(g.num_interior), 1e-9, probe)
+    assert report.converged and len(steps) >= 2
+    assert report.backtracks == 2 and report.mu_shrinks == 1
+
+
 # ---------------------------------------------------------------------------
 # apply_T
 # ---------------------------------------------------------------------------

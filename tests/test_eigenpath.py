@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cmaeig.dirichlet as dirichlet
+import cmaeig.eigenpath as eigenpath
 
 from cmaeig.dirichlet import SolveReport
 from cmaeig.domain import Ball, Constant, build_grid, density_vector
@@ -20,7 +21,7 @@ from cmaeig.eigenpath import (
     solve_branch,
     verify_eigenpair,
 )
-from cmaeig.errors import BranchInfeasible, ScheduleExhausted
+from cmaeig.errors import BranchInfeasible, NewtonStalled, NotConverged, ScheduleExhausted
 from cmaeig.hessian import ScalarField
 
 from oracles import (
@@ -192,6 +193,27 @@ def test_continuation_n2_reuses_newton_lu(monkeypatch):
     assert result.lambda1 == pytest.approx(1.6613293062431576, abs=1e-12)
     assert len(calls) == sum(p.report.factorizations for p in result.branch)
     assert 0 < len(calls) < sum(iterations)
+
+
+def test_continuation_counts_rejected_steps_by_class(disc32, monkeypatch):
+    """Each failed continuation step is counted under its exception class;
+    a run without failures records none."""
+    assert continuation(grid=disc32, tol=1e-8).rejected_steps == ()
+    real = eigenpath._branch_step
+    failures = {2: NewtonStalled("probe"), 3: NotConverged("probe"), 5: NewtonStalled("probe")}
+    calls = []
+
+    def flaky(*args):
+        calls.append(args[0])
+        if len(calls) in failures:
+            raise failures[len(calls)]
+        return real(*args)
+
+    monkeypatch.setattr(eigenpath, "_branch_step", flaky)
+    result = continuation(grid=disc32, tol=1e-8)
+    assert result.rejected_steps == (("NewtonStalled", 2), ("NotConverged", 1))
+    assert len(calls) == len(result.branch) - 1 + 3
+    assert calls[2] < calls[1]  # the step after a failure is half as long
 
 
 def test_continuation_residual_contract(disc_result):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from cmaeig.domain import Ball, build_grid
+import cmaeig.hessian as hessian
+from cmaeig.domain import Ball, Ellipsoid, build_grid
 from cmaeig.errors import NotPositiveSemiDefinite, PreconditionViolated
 from cmaeig.hessian import (
     DualMatrixSet,
+    HermitianField,
     _centered_difference_matrix,
     ScalarField,
     check_comparison,
@@ -18,6 +21,7 @@ from cmaeig.hessian import (
     ma_det,
     random_psh_field,
     second_difference_matrix,
+    trace_operator,
 )
 
 
@@ -286,3 +290,106 @@ def test_hermitian_storage_is_structural(ball4_grid):
     )
     M = H.matrices()
     assert np.max(np.abs(M - np.conj(np.transpose(M, (0, 2, 1))))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The log-det Jacobian's assembly
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def assembly_grids(disc_grid_32, ball4_grid):
+    """One grid per dimension the assembly is checked on: the disc, the unit
+    4-ball and the ellipsoid (1, 0.7) at h = 0.25, and the unit 6-ball at
+    h = 0.5."""
+    with pytest.warns(UserWarning, match="quarter"):
+        ellipsoid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+    with pytest.warns(UserWarning, match="quarter"):
+        ball3 = build_grid(Ball(n=3), 0.5)
+    return {"disc": disc_grid_32, "ball4": ball4_grid, "ellipsoid": ellipsoid, "ball3": ball3}
+
+
+def random_hermitian_field(grid, rng):
+    N, n = grid.num_interior, grid.n
+    m = n * (n - 1) // 2
+    return HermitianField(grid, rng.normal(size=(N, n)),
+                          rng.normal(size=(N, m)) + 1j * rng.normal(size=(N, m)))
+
+
+def weighted_operator_sum(grid, W, shift):
+    """Reference assembly, one sparse product per operator: sum_j diag(W_jj)
+    u_jj + sum_{j<k} diag(2 Re W_kj) Re u_jk - diag(2 Im W_kj) Im u_jk, plus
+    diag(shift)."""
+    M = W.matrices()
+    diag, mixed = hessian_operators(grid)
+    J = sparse.diags(M[:, 0, 0].real) @ diag[0]
+    for j in range(1, grid.n):
+        J = J + sparse.diags(M[:, j, j].real) @ diag[j]
+    for (j, k), (re_op, im_op) in zip(HermitianField.pairs(grid.n), mixed):
+        J = J + sparse.diags(2.0 * M[:, k, j].real) @ re_op
+        J = J - sparse.diags(2.0 * M[:, k, j].imag) @ im_op
+    return J if shift is None else J + sparse.diags(shift)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("which", ["disc", "ball4", "ellipsoid", "ball3"])
+def test_trace_operator_matches_weighted_operator_sum(which, shifted, assembly_grids):
+    """trace_operator against the per-operator sparse sum, and its action
+    against Re tr(W M(u)) + shift u evaluated through complex_hessian."""
+    grid = assembly_grids[which]
+    rng = np.random.default_rng(11)
+    W = random_hermitian_field(grid, rng)
+    shift = rng.normal(size=grid.num_interior) if shifted else None
+    J = trace_operator(grid, W, shift)
+    reference = weighted_operator_sum(grid, W, shift)
+    assert J.format == "csc" and J.shape == reference.shape
+    assert abs(J - reference).max() <= 1e-15 * abs(reference).max()
+    u = rng.normal(size=grid.num_interior)
+    M = complex_hessian(ScalarField.from_interior(grid, u)).matrices()
+    action = np.einsum("ijk,ikj->i", W.matrices(), M).real
+    if shifted:
+        action += shift * u
+    assert np.max(np.abs(J @ u - action)) <= 1e-12 * np.max(np.abs(action))
+
+
+@pytest.mark.parametrize("which", ["disc", "ball4", "ball3"])
+def test_hermitian_inverse_matches_dense_inverse(which, assembly_grids):
+    grid = assembly_grids[which]
+    rng = np.random.default_rng(5)
+    N, n = grid.num_interior, grid.n
+    Z = rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n))
+    A = Z @ np.conj(np.transpose(Z, (0, 2, 1))) + 0.1 * np.eye(n)
+    upper = np.triu_indices(n, 1)  # the pairs j < k in HermitianField order
+    H = HermitianField(grid, np.diagonal(A, axis1=1, axis2=2).real, A[:, upper[0], upper[1]])
+    for shift in (0.0, 1e-3):
+        dense = np.linalg.inv(A + shift * np.eye(n))
+        W = H.inverse(shift)
+        assert isinstance(W, HermitianField)
+        assert np.max(np.abs(W.matrices() - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_trace_operator_reuses_the_cached_plan(monkeypatch):
+    """The assembly plan is built from the grid's cached Hessian operators,
+    once: later Jacobians build no stencil, no plan and no sparse.diags."""
+    grid = build_grid(Ball(n=2), 0.25)
+    hessian_operators(grid)
+    stencils = []
+
+    def counted(*args):
+        stencils.append(args[1])
+        return second_difference_matrix(*args)
+
+    monkeypatch.setattr(hessian, "second_difference_matrix", counted)
+    rng = np.random.default_rng(2)
+    first = trace_operator(grid, random_hermitian_field(grid, rng))
+    plan = grid._cache[("trace_plan",)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparse.diags called after the plan was built")
+
+    monkeypatch.setattr(sparse, "diags", forbidden)
+    W = random_hermitian_field(grid, rng)
+    second = trace_operator(grid, W, rng.normal(size=grid.num_interior))
+    assert stencils == [] and grid._cache[("trace_plan",)] is plan
+    assert np.array_equal(first.indptr, second.indptr)
+    assert np.array_equal(first.indices, second.indices)

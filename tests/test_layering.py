@@ -1,6 +1,6 @@
 """Modules of the package use each other only through public names, the
 sparse linear solvers are called from one module, dirichlet.py, and dense
-Hermitian eigenvalues are computed in one module, hessian.py."""
+Hermitian eigenvalues and inverses are computed in one module, hessian.py."""
 
 import ast
 import pathlib
@@ -89,3 +89,19 @@ def test_detector_sees_eigvalsh_calls(tmp_path):
     probe.write_text("import numpy as np\nfrom numpy.linalg import eigvalsh\n"
                      "w = np.linalg.eigvalsh(M)\nv = eigvalsh(M)\nx = np.linalg.eigh(M)\n")
     assert calls_of(probe, ("eigvalsh",)) == [(3, "eigvalsh"), (4, "eigvalsh")]
+
+
+def test_dense_inverses_are_computed_only_in_hessian():
+    """Solvers take per-node inverses from HermitianField.inverse and form no
+    dense per-node matrices of their own."""
+    calls = {p.name: calls_of(p, ("inv", "matrices")) for p in sorted(SRC.glob("*.py"))}
+    assert [name for _, name in calls["hessian.py"]].count("inv") > 0
+    assert {name: found for name, found in calls.items() if found and name != "hessian.py"} == {}
+
+
+def test_detector_sees_inv_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.linalg import inv\n"
+                     "A = np.linalg.inv(M)\nB = inv(M)\nC = np.linalg.pinv(M)\n"
+                     "D = hess.matrices()\n")
+    assert calls_of(probe, ("inv", "matrices")) == [(3, "inv"), (4, "inv"), (6, "matrices")]
