@@ -6,11 +6,12 @@ Layering:
   line search: on (1/4) Delta u = psi(., u) for n = 1; for n >= 2 on
   F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
   floor mu and a plurisubharmonicity safeguard.  Each equation supplies its
-  own Newton step, both by right-preconditioned GMRES: for n = 1 on
-  (1/4) L - diag(psi_t) with the grid's cached quarter-Laplacian LU, so a
-  grid is factored once however many solves run on it; for n >= 2 on the
-  log-det Jacobian with the LU of the last Jacobian factored on the grid, refreshed
-  (factored anew) only when one short GMRES cycle misses the tolerance.
+  residual and Jacobian; every step of both goes through one linear solve
+  (_newton_step): one short right-preconditioned GMRES cycle on the grid's
+  cached preconditioner, the LU of the last Jacobian factored on the grid
+  (seeded at n = 1 with the quarter-Laplacian LU), refreshed (the current
+  Jacobian factored anew) only when that cycle misses the tolerance, and
+  NotConverged when a cycle on the fresh LU misses too.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
   for n >= 2 the log-det Newton.
@@ -220,7 +221,7 @@ class SolveReport:
     converged: bool
     flags: tuple = ()
     krylov_iterations: int = 0  # GMRES iterations over the Newton steps
-    factorizations: int = 0  # Newton Jacobians factored (n >= 2 refreshes)
+    factorizations: int = 0  # Jacobians factored by preconditioner refreshes
     backtracks: int = 0  # line-search trials rejected (step halvings)
     mu_shrinks: int = 0  # n >= 2 eigenvalue-floor shrinks (Newton restarts)
 
@@ -327,17 +328,18 @@ def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
 # along the unit-disc branch at most 1.2e-11, 4.3e-11 and 1.9e-10 at
 # h = 1/64, 1/128, 1/256 (a direct solve: up to 2.3e-10 at 1/256), so 1e-10
 # is out of reach at 1/256; 1e-9 changes a branch point's Newton count there.
-# n = 1 runs at most _KRYLOV_CYCLES cycles of _KRYLOV_RESTART iterations on
-# the Laplacian LU (steps take at most 11 iterations on the branch and 19 on
-# the steep H = exp(20 t)).  n >= 2 runs one cycle of _REFRESH_RESTART on the
-# grid's last Jacobian LU and factors the current Jacobian when that misses:
-# on the ellipsoid-n2-bump problem (a frozen solve, a continuation and an
-# inverse power, each on a fresh grid) cycles of 6/10/20/30 iterations gave
-# 44/25/10/7 factorizations and 1.58/1.49/1.53/1.77 s, the same Newton counts.
+# Each GMRES run is one cycle of _KRYLOV_RESTART iterations.  A Newton step
+# runs one on the grid's cached preconditioner and, when that misses, factors
+# the current Jacobian and runs one more on that LU (one iteration).  At
+# n >= 2, on the ellipsoid-n2-bump problem (a frozen solve, a continuation
+# and an inverse power, each on a fresh grid), cycles of 6/10/20/30
+# iterations gave 44/25/10/7 factorizations and 1.58/1.49/1.53/1.77 s, the
+# same Newton counts.  At n = 1 the quarter-Laplacian LU needs at most 8
+# iterations per step along the unit-disc branch at h = 1/128; from a
+# perturbed start on discs of h = 1/32 and 1/64 it needs 10 near blow-up
+# (lam = 1.40, 1.44) and 9 on the steep H = exp(20 t): 10 is the edge there.
 _KRYLOV_RTOL = 5e-10
-_KRYLOV_RESTART = 50
-_KRYLOV_CYCLES = 2
-_REFRESH_RESTART = 10
+_KRYLOV_RESTART = 10
 
 
 def _factor(A):
@@ -347,10 +349,10 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _krylov(J, b, precondition, restart, cycles):
-    """Right-preconditioned GMRES on J delta = b: GMRES minimizes the true
-    residual of delta = precondition(y), the quantity its stopping test
-    measures.  Returns (delta, iterations, converged)."""
+def _krylov(J, b, precondition):
+    """One cycle of right-preconditioned GMRES on J delta = b: GMRES minimizes
+    the true residual of delta = precondition(y), the quantity its stopping
+    test measures.  Returns (delta, iterations, converged)."""
     iterations = 0
 
     def count(_):
@@ -358,9 +360,35 @@ def _krylov(J, b, precondition, restart, cycles):
         iterations += 1
 
     y, info = gmres(LinearOperator(J.shape, matvec=lambda v: J @ precondition(v), dtype=float),
-                    b, rtol=_KRYLOV_RTOL, atol=0.0, restart=restart,
-                    maxiter=cycles, callback=count, callback_type="pr_norm")
+                    b, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
+                    maxiter=1, callback=count, callback_type="pr_norm")
     return precondition(y), iterations, info == 0
+
+
+def _newton_step(grid, J, F):
+    """Solve J delta = -F for one Newton step; returns (delta, Krylov
+    iterations, factorizations).
+
+    One GMRES cycle runs on the grid's cached preconditioner
+    grid._cache["newton_lu"], the LU of the last Jacobian factored on the
+    grid (left by any earlier step, solve or branch point).  When there is
+    none or the cycle misses _KRYLOV_RTOL, J is factored, its LU cached, and
+    one more cycle runs on it; NotConverged is raised if that misses too."""
+    lu = grid._cache.get("newton_lu")
+    stale = 0
+    if lu is not None:
+        delta, stale, converged = _krylov(J, -F, lu.solve)
+        if converged:
+            return delta, stale, 0
+    lu = grid._cache["newton_lu"] = _factor(J)
+    delta, iterations, converged = _krylov(J, -F, lu.solve)
+    if not converged:
+        reached = np.linalg.norm(J @ delta + F) / np.linalg.norm(F)
+        raise NotConverged(
+            f"GMRES reached relative residual {reached:.3e} (target "
+            f"{_KRYLOV_RTOL:g}) after {iterations} iterations on a fresh LU"
+        )
+    return delta, stale + iterations, 1
 
 
 class _NewtonState(NamedTuple):
@@ -376,22 +404,19 @@ class _NewtonState(NamedTuple):
 class _NewtonForm(NamedTuple):
     """One equation for _damped_newton.
 
-    evaluate(u) -> _NewtonState; jacobian(u, state) -> sparse dF/du;
+    evaluate(u) -> _NewtonState; jacobian(u, state) -> sparse dF/du, whose
+    system J delta = -F each step solves by _newton_step;
     admissible(u, state) tests the start and every line-search trial, which
-    must also lower max|F|; step(u, state) -> (delta, Krylov iterations)
-    solves jacobian(u, state) delta = -F; restart(u, state, fnorm, it) may
-    return a fresh state in place of a step (the log-det form's mu shrink,
-    counted as SolveReport.mu_shrinks); factorizations() counts the
-    Jacobians the form's steps have factored so far.
+    must also lower max|F|; restart(u, state, fnorm, it) may return a fresh
+    state in place of a step (the log-det form's mu shrink, counted as
+    SolveReport.mu_shrinks).
     """
 
     evaluate: object
     jacobian: object
     admissible: object
-    step: object
     max_iter: int
     restart: object = None
-    factorizations: object = lambda: 0
 
 
 def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
@@ -402,13 +427,13 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
     state = form.evaluate(ui) if state is None else state
     if not form.admissible(ui, state):
         raise PreconditionViolated("initial guess is not in the solver's cone")
-    krylov = backtracks = restarts = 0
+    krylov = factorizations = backtracks = restarts = 0
     for it in range(1, form.max_iter + 1):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
             return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
                                     krylov_iterations=krylov,
-                                    factorizations=form.factorizations(),
+                                    factorizations=factorizations,
                                     backtracks=backtracks, mu_shrinks=restarts)
         fnorm = float(np.max(np.abs(state.F)))
         fresh = form.restart(ui, state, fnorm, it) if form.restart else None
@@ -416,8 +441,9 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
             state = fresh
             restarts += 1
             continue
-        delta, iterations = form.step(ui, state)
+        delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state), state.F)
         krylov += iterations
+        factorizations += factored
         s = 1.0
         for _ in range(max_backtracks):
             trial = ui + s * delta
@@ -449,17 +475,13 @@ def _logdet_form(grid, rhs, tol):
 
     The Jacobian is trace_operator at W = (M + mu I)^-1 (HermitianField.inverse)
     with the diagonal shift -psi_t / (psi + mu^n): one matvec on the grid's
-    cached assembly plan.  Each step solves J delta = -F by GMRES,
-    right-preconditioned with the LU of the last Jacobian factored on this
-    grid (grid._cache["newton_lu"], left by any earlier step, solve or branch
-    point).  When there is none, or one cycle of _REFRESH_RESTART iterations
-    misses _KRYLOV_RTOL, the step factors the current Jacobian, caches that LU
-    and solves with it."""
+    cached assembly plan.  A grid's first Newton step factors its Jacobian;
+    later steps reuse the grid's last Jacobian LU as their GMRES
+    preconditioner until a cycle misses (_newton_step)."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
     shrinks = 0
     last_error = np.inf
-    refreshes = 0
 
     def evaluate(ui, hess=None):
         hess = _hermitian_from_interior(grid, ui) if hess is None else hess
@@ -475,19 +497,6 @@ def _logdet_form(grid, rhs, tol):
         if rhs.kind != "frozen":
             shift = -rhs.psi_t(np.minimum(ui, 0.0)) / (state.psi + mu ** n)
         return trace_operator(grid, state.hess.inverse(mu), shift)
-
-    def step(ui, state):
-        nonlocal refreshes
-        J = jacobian(ui, state)
-        lu = grid._cache.get("newton_lu")
-        iterations = 0
-        if lu is not None:
-            delta, iterations, converged = _krylov(J, -state.F, lu.solve, _REFRESH_RESTART, 1)
-            if converged:
-                return delta, iterations
-        lu = grid._cache["newton_lu"] = _factor(J)
-        refreshes += 1
-        return lu.solve(-state.F), iterations
 
     def admissible(ui, state):
         return np.min(state.eig[:, 0]) + mu > 0
@@ -505,8 +514,7 @@ def _logdet_form(grid, rhs, tol):
         last_error = state.error
         return None
 
-    return _NewtonForm(evaluate, jacobian, admissible, step, 80, restart,
-                       lambda: refreshes)
+    return _NewtonForm(evaluate, jacobian, admissible, 80, restart)
 
 
 def _semilinear_form(grid, rhs):
@@ -514,11 +522,11 @@ def _semilinear_form(grid, rhs):
     linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
     psi_t > -lambda_1.  Trials must stay <= 0.
 
-    Each step solves J delta = -F by GMRES, right-preconditioned with the
-    grid's cached quarter-Laplacian LU, so a solve factors nothing; a step
-    that misses _KRYLOV_RTOL within the budget raises NotConverged."""
+    A grid without a Newton preconditioner gets the cached quarter-Laplacian
+    LU as one, so the branch steps (_newton_step) factor nothing."""
     quarter_laplacian = hessian_operators(grid)[0][0]
-    lu = _cached_laplacian_lu(grid)
+    if "newton_lu" not in grid._cache:
+        grid._cache["newton_lu"] = _cached_laplacian_lu(grid)
 
     def evaluate(ui):
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -528,22 +536,10 @@ def _semilinear_form(grid, rhs):
     def jacobian(ui, state):
         return quarter_laplacian - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))
 
-    def step(ui, state):
-        J = jacobian(ui, state)
-        delta, iterations, converged = _krylov(J, -state.F, lu.solve,
-                                               _KRYLOV_RESTART, _KRYLOV_CYCLES)
-        if not converged:
-            reached = np.linalg.norm(J @ delta + state.F) / np.linalg.norm(state.F)
-            raise NotConverged(
-                f"GMRES reached relative residual {reached:.3e} (target "
-                f"{_KRYLOV_RTOL:g}) after {iterations} iterations"
-            )
-        return delta, iterations
-
     def admissible(ui, state):
         return np.max(ui) <= _T_POSITIVE_SLACK
 
-    return _NewtonForm(evaluate, jacobian, admissible, step, 60)
+    return _NewtonForm(evaluate, jacobian, admissible, 60)
 
 
 def _newton_solution(grid, start, tol, form, state=None):

@@ -296,14 +296,15 @@ class GridDomain:
     operators that complex_hessian applies, the assembly plan through which
     trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
     the map from per-node weights to its values), and the n = 1
-    quarter-Laplacian LU, and it also holds the grid's latest Newton
-    preconditioner: the LU of the last log-det Jacobian factored on it, which
-    every later n >= 2 Newton step reuses until GMRES misses its tolerance.  Which LU that is depends on
-    the solves run before, and it moves each step only within the Krylov
-    tolerance (relative residual 5e-10), not its Newton count.  Sharing a
-    grid across threads is safe for reads; concurrent n >= 2 solves may
-    replace each other's preconditioner, which costs factorizations, not
-    accuracy.
+    quarter-Laplacian LU.  It also holds the grid's latest Newton
+    preconditioner "newton_lu": the LU of the last Newton Jacobian factored
+    on the grid or, on an n = 1 grid where none has been, the
+    quarter-Laplacian LU.  Every Newton step reuses it until GMRES misses its
+    tolerance.  Which LU that is depends on the solves run before, and it
+    moves each step only within the Krylov tolerance (relative residual
+    5e-10), not its Newton count.  Sharing a grid across threads is safe for
+    reads; concurrent Newton solves may replace each other's preconditioner,
+    which costs factorizations, not accuracy.
     """
 
     spec: DomainSpec
@@ -317,8 +318,7 @@ class GridDomain:
     interior_pos: np.ndarray  # full lattice -> position in interior_flat, or -1
     interior_coords: np.ndarray  # (N, 2n)
     rho_interior: np.ndarray  # (N,)
-    nbr_flat: np.ndarray  # (N, 2n, 2) flat index of the +/- axis neighbour
-    nbr_ipos: np.ndarray  # (N, 2n, 2) interior position of that neighbour or -1
+    nbr_ipos: np.ndarray  # (N, 2n, 2) interior position of the +/- axis neighbour or -1
     theta_axis: np.ndarray  # (N, 2n, 2) crossing fraction, 1.0 when regular
     cell_volume: np.ndarray  # (N,)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -447,19 +447,8 @@ def build_grid(spec, h):
 
     classification = np.full(shape, EXTERIOR, dtype=np.int8)
     classification[interior_mask] = INTERIOR
-    for a in range(d):
-        for sgn in (1, -1):
-            shifted = np.zeros_like(interior_mask)
-            src = [slice(None)] * d
-            dst = [slice(None)] * d
-            if sgn == 1:
-                src[a] = slice(1, None)
-                dst[a] = slice(None, -1)
-            else:
-                src[a] = slice(None, -1)
-                dst[a] = slice(1, None)
-            shifted[tuple(dst)] = interior_mask[tuple(src)]
-            classification[shifted & ~interior_mask] = BOUNDARY
+    # boundary: the non-interior axis neighbours of interior nodes
+    classification[ndimage.binary_dilation(interior_mask, structure) & ~interior_mask] = BOUNDARY
 
     flat_class = classification.ravel()
     interior_flat = np.flatnonzero(flat_class == INTERIOR).astype(np.int64)
@@ -472,11 +461,8 @@ def build_grid(spec, h):
     coords = pts[interior_flat]
     rho_int = rho_all[interior_flat]
 
-    nbr_flat = np.empty((N, d, 2), dtype=np.int64)
-    for a in range(d):
-        nbr_flat[:, a, 0] = interior_flat + strides[a]
-        nbr_flat[:, a, 1] = interior_flat - strides[a]
-    nbr_ipos = interior_pos[nbr_flat]
+    offsets = np.stack([strides, -strides], axis=1)  # (2n, 2): +/- each axis
+    nbr_ipos = interior_pos[interior_flat[:, None, None] + offsets]
 
     theta = np.ones((N, d, 2))
     i, a, s = np.nonzero(nbr_ipos < 0)
@@ -509,7 +495,6 @@ def build_grid(spec, h):
         interior_pos=interior_pos,
         interior_coords=coords,
         rho_interior=rho_int,
-        nbr_flat=nbr_flat,
         nbr_ipos=nbr_ipos,
         theta_axis=theta,
         cell_volume=cell_volume,

@@ -89,9 +89,6 @@ class ScalarField:
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
 
-    def with_interior(self, interior_values):
-        return ScalarField.from_interior(self.grid, interior_values)
-
 
 @dataclass
 class HermitianField:

@@ -143,9 +143,31 @@ def test_krylov_step_matches_direct_solve(case, disc_grid):
     u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
     form = _semilinear_form(g, rhs)
     state = form.evaluate(u)
-    delta, iterations = form.step(u, state)
-    reference = spsolve(form.jacobian(u, state).tocsc(), -state.F)
-    assert 0 < iterations <= dirichlet._KRYLOV_RESTART
+    J = form.jacobian(u, state)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F)
+    reference = spsolve(J.tocsc(), -state.F)
+    assert 0 < iterations <= dirichlet._KRYLOV_RESTART and factored == 0
+    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def test_n1_useless_preconditioner_is_refreshed(disc_grid_32, monkeypatch):
+    """At n = 1 a step follows the same refresh rule as at n >= 2: with the
+    identity seeded as the grid's Newton preconditioner the GMRES cycle
+    misses, so the step factors the Jacobian once, caches that LU in place of
+    the seed and converges on it."""
+    g = disc_grid_32
+    useless = dirichlet._factor(sparse.identity(g.num_interior))
+    monkeypatch.setitem(g._cache, "newton_lu", useless)
+    calls = counting_splu(monkeypatch)
+    form = _semilinear_form(g, RhsSpec.branch(g, 1.0))
+    u = 0.3 * (r2_of(g) - 1.0)
+    state = form.evaluate(u)
+    J = form.jacobian(u, state)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F)
+    reference = spsolve(J.tocsc(), -state.F)
+    assert calls == ["MMD_AT_PLUS_A"] and factored == 1
+    assert iterations == dirichlet._KRYLOV_RESTART + 1
+    assert g._cache["newton_lu"] is not useless
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
@@ -253,11 +275,12 @@ def test_stale_lu_step_matches_direct_solve(which, ball4_grid, ellipsoid_bump, m
     monkeypatch.setitem(grid._cache, "newton_lu", stale)
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
-    delta, iterations = form.step(u, state)
-    reference = spsolve(form.jacobian(u, state), -state.F)
-    assert calls == [] and form.factorizations() == 0
+    J = form.jacobian(u, state)
+    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    reference = spsolve(J, -state.F)
+    assert calls == [] and factored == 0
     assert grid._cache["newton_lu"] is stale
-    assert 0 < iterations <= dirichlet._REFRESH_RESTART
+    assert 0 < iterations <= dirichlet._KRYLOV_RESTART
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
@@ -266,21 +289,43 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
                                                   monkeypatch):
     """With the identity as the cached LU one GMRES cycle misses the
     tolerance: the step factors the current Jacobian once, caches it and
-    returns its solution; the next step needs no factorization."""
+    solves with one more GMRES iteration on it; the next step needs no
+    factorization."""
     grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
     useless = dirichlet._factor(sparse.identity(grid.num_interior))
     monkeypatch.setitem(grid._cache, "newton_lu", useless)
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
-    delta, iterations = form.step(u, state)
-    reference = spsolve(form.jacobian(u, state), -state.F)
-    assert calls == ["MMD_AT_PLUS_A"] and form.factorizations() == 1
-    assert iterations == dirichlet._REFRESH_RESTART  # the missed cycle
+    J = form.jacobian(u, state)
+    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    reference = spsolve(J, -state.F)
+    assert calls == ["MMD_AT_PLUS_A"] and factored == 1
+    # the missed cycle, then one iteration on the fresh LU
+    assert iterations == dirichlet._KRYLOV_RESTART + 1
     assert grid._cache["newton_lu"] is not useless
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
-    again, iterations = form.step(u, state)
-    assert len(calls) == 1 and form.factorizations() == 1 and iterations <= 2
+    again, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    assert len(calls) == 1 and factored == 0 and iterations <= 2
     assert np.linalg.norm(again - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def test_n2_failed_refresh_raises_after_one_factorization(ball4_grid, monkeypatch):
+    """When GMRES misses on the fresh LU too, the log-det step raises
+    NotConverged after one factorization instead of returning the LU's
+    solve unchecked."""
+    def no_convergence(A, b, **kwargs):
+        for _ in range(3):
+            kwargs["callback"](1.0)
+        return np.zeros_like(b), 3
+
+    monkeypatch.delitem(ball4_grid._cache, "newton_lu", raising=False)
+    calls = counting_splu(monkeypatch)
+    monkeypatch.setattr(dirichlet, "gmres", no_convergence)
+    rhs = RhsSpec.branch(ball4_grid, 0.5)
+    u0, _ = quadratic_subsolution(ball4_grid, rhs)
+    with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
+        solve_nonlinear(rhs, u0)
+    assert calls == ["MMD_AT_PLUS_A"]
 
 
 @pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
@@ -336,23 +381,25 @@ def test_logdet_jacobian_taylor_remainder_is_second_order(kind, ellipsoid_bump):
         assert np.linalg.norm(central - jd) <= 1e-7 * np.linalg.norm(jd)
 
 
-def test_newton_report_counts_backtracks_and_restarts(disc_grid_32):
+def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch):
     """A first step five times too long on a linear F is halved twice before
     the line search accepts it (F shrinks to a quarter), later exact steps
     are not halved, and a restart returned once counts as one mu shrink."""
     g = disc_grid_32
     form = _semilinear_form(g, RhsSpec.frozen(g, np.full(g.num_interior, 2.0)))
     steps = []
+    newton_step = dirichlet._newton_step
 
-    def long_first_step(ui, state):
-        delta, iterations = form.step(ui, state)
+    def long_first_step(grid, J, F):
+        delta, iterations, factored = newton_step(grid, J, F)
         steps.append(len(steps))
-        return (5.0 if len(steps) == 1 else 1.0) * delta, iterations
+        return (5.0 if len(steps) == 1 else 1.0) * delta, iterations, factored
 
     def restart_once(ui, state, fnorm, it):
         return form.evaluate(ui) if it == 1 else None
 
-    probe = form._replace(step=long_first_step, restart=restart_once)
+    monkeypatch.setattr(dirichlet, "_newton_step", long_first_step)
+    probe = form._replace(restart=restart_once)
     _, report = dirichlet._damped_newton(g, np.zeros(g.num_interior), 1e-9, probe)
     assert report.converged and len(steps) >= 2
     assert report.backtracks == 2 and report.mu_shrinks == 1

@@ -86,6 +86,35 @@ def test_refinement_keeps_strictly_inner_nodes():
     assert (vals < 0).all()  # still interior on the refined lattice
 
 
+def boundary_reference(g):
+    """Flat indices of the non-interior lattice nodes with an interior axis
+    neighbour, from one shifted copy of the interior mask per direction."""
+    interior = (g.classification == 2).reshape(g.shape)
+    near = np.zeros_like(interior)
+    for a in range(interior.ndim):
+        for dst_a, src_a in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+            dst = [slice(None)] * interior.ndim
+            src = list(dst)
+            dst[a], src[a] = dst_a, src_a
+            near[tuple(dst)] |= interior[tuple(src)]
+    return np.flatnonzero(near & ~interior)
+
+
+@pytest.mark.parametrize("spec,h", [
+    (Ball(n=1), 1 / 16),
+    (Ball(n=1, radius=0.9, center=(0.13, -0.07)), 1 / 32),
+    (Ball(n=2), 0.25),
+    (Ellipsoid((1.0, 0.7)), 0.25),
+    (Ball(n=3), 0.5),
+])
+def test_boundary_is_the_interior_neighbourhood(spec, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_grid(spec, h)
+    assert np.array_equal(g.boundary_flat, boundary_reference(g))
+    assert np.array_equal(np.flatnonzero(g.classification == 1), g.boundary_flat)
+
+
 def test_boundary_nodes_near_zero_set(disc_grid):
     pts = disc_grid.node_coords(disc_grid.boundary_flat)
     dist = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)

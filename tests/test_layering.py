@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names, the
-sparse linear solvers are called from one module, dirichlet.py, and dense
-Hermitian eigenvalues and inverses are computed in one module, hessian.py."""
+sparse linear solvers are called from one module, dirichlet.py, and there
+through one Newton step, and dense Hermitian eigenvalues and inverses are
+computed in one module, hessian.py."""
 
 import ast
 import pathlib
@@ -25,17 +26,34 @@ def private_imports(path):
 LINEAR_SOLVERS = ("spsolve", "splu", "gmres")
 
 
+def called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def calls_of(path, names):
     """(line, name) for every call of a name in `names`, bare or as an
     attribute."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in names:
-                found.append((node.lineno, name))
-    return found
+    return [(node.lineno, called_name(node))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and called_name(node) in names]
+
+
+def callers_of(path, names):
+    """{name: sorted names of the innermost functions that call it} for the
+    names in `names` that are called; a call outside any function counts as
+    "<module>"."""
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and called_name(child) in names:
+                found.setdefault(called_name(child), set()).add(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return {name: sorted(owners) for name, owners in found.items()}
 
 
 def linear_solver_calls(path):
@@ -74,6 +92,30 @@ def test_detector_sees_linear_solver_calls(tmp_path):
                      "from scipy.sparse.linalg import spsolve\n"
                      "x = spsolve(A, b)\ny = sla.gmres(A, b)\nlu = sla.splu(A).solve(b)\n")
     assert [name for _, name in linear_solver_calls(probe)] == ["spsolve", "gmres", "splu"]
+
+
+def test_newton_linear_solves_go_through_one_step():
+    """In dirichlet.py GMRES runs only in _krylov, _krylov only in the Newton
+    step, and LUs are factored only by the Newton step's refresh and for the
+    cached quarter Laplacian (the n = 1 direct frozen solve)."""
+    assert callers_of(SRC / "dirichlet.py", ("gmres", "_krylov", "_factor", "splu")) == {
+        "gmres": ["_krylov"],
+        "_krylov": ["_newton_step"],
+        "_factor": ["_cached_laplacian_lu", "_newton_step"],
+        "splu": ["_factor"],
+    }
+
+
+def test_detector_sees_callers(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.sparse.linalg as sla\n"
+                     "def _krylov(J, b):\n    return sla.gmres(J, b)\n"
+                     "def solve(J, b):\n"
+                     "    def step():\n        return _krylov(J, b)\n"
+                     "    return step(), gmres(J, b)\n"
+                     "x = _krylov(A, b)\n")
+    assert callers_of(probe, ("gmres", "_krylov", "splu")) == {
+        "gmres": ["_krylov", "solve"], "_krylov": ["<module>", "step"]}
 
 
 def test_dense_eigenvalues_are_computed_only_in_hessian():
