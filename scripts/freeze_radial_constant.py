@@ -15,7 +15,12 @@ from cmaeig.radial import radial_lambda1, shoot
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    ap.add_argument(
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="root-finding tolerance passed to radial_lambda1",
+    )
     ap.add_argument(
         "--out",
         default="src/cmaeig/_data/radial_constants.txt",
@@ -25,7 +30,7 @@ def main():
 
     lines = [
         "# Shooting eigenvalues of the unit ball, frozen as regression",
-        f"# constants (bisection tolerance {args.tol:g}, RK4 step 1e-4).",
+        f"# constants (root-finding tolerance {args.tol:g}, RK4 step 1e-4).",
         "# columns: n  R  lambda1",
     ]
     for n in (1, 2, 3):

@@ -12,10 +12,13 @@ the normalization phi(0) = -1:
 The origin is a regular singular point; a two-term series start removes the
 0/0.  `shoot` integrates the ODE with classical fixed-step RK4 and reports
 the terminal value phi(R^2), which increases through zero as lam crosses the
-ground eigenvalue; `radial_lambda1` finds that crossing by bisection.  A
-gradient collapse (phi' -> 0) before the boundary means the profile has
-passed its first hump, which only happens when lam is too high, so
-VanishingGradient is classified as an overshoot.
+ground eigenvalue; `radial_lambda1` brackets that crossing and finds it with
+Brent's method (Brent, Algorithms for Minimization without Derivatives,
+1973).  A gradient collapse (phi' -> 0) before the boundary means the
+profile has passed its first hump, which only happens when lam is too high,
+so VanishingGradient is classified as an overshoot; the bracket is bisected
+until its upper end is a finite overshoot, since Brent's interpolation needs
+finite values.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from scipy import optimize
 
 from .errors import BracketFailed, VanishingGradient
 
@@ -40,6 +44,10 @@ __all__ = [
 GRADIENT_FLOOR = 1e-14
 
 
+def _collapse(dphi, t):
+    return VanishingGradient(f"radial gradient {dphi:.3e} at squared radius {t:.6g}")
+
+
 def radial_rhs(n, lam, t, phi, dphi):
     """Second derivative phi'' at squared radius t from the determinant ODE.
 
@@ -49,9 +57,7 @@ def radial_rhs(n, lam, t, phi, dphi):
     phi'^(1-n) factor is meaningless.
     """
     if dphi <= GRADIENT_FLOOR:
-        raise VanishingGradient(
-            f"radial gradient {dphi:.3e} at squared radius {t:.6g}"
-        )
+        raise _collapse(dphi, t)
     if t <= 0.0:
         return -n * lam * lam * (-phi) / (n + 1)
     return (lam ** n * (-phi) ** n / dphi ** (n - 1) - dphi) / t
@@ -115,15 +121,29 @@ def shoot(n, R, lam, step=None, record=True):
         ts[0], ps[0], ds[0] = 0.0, -1.0, lam
         ts[1], ps[1], ds[1] = t, phi, dphi
 
+    # RK4 with radial_rhs inlined term for term (the same floating-point
+    # operations in the same order, so the trajectory is bit-identical); t > 0
+    # at every stage, so its t = 0 limit is never needed here.
+    lam_n = lam ** n
+    half = 0.5 * h
     for i in range(m):
+        if dphi <= GRADIENT_FLOOR:
+            raise _collapse(dphi, t)
         k1p = dphi
-        k1d = radial_rhs(n, lam, t, phi, dphi)
-        k2p = dphi + 0.5 * h * k1d
-        k2d = radial_rhs(n, lam, t + 0.5 * h, phi + 0.5 * h * k1p, k2p)
-        k3p = dphi + 0.5 * h * k2d
-        k3d = radial_rhs(n, lam, t + 0.5 * h, phi + 0.5 * h * k2p, k3p)
+        k1d = (lam_n * (-phi) ** n / dphi ** (n - 1) - dphi) / t
+        t_mid = t + half
+        k2p = dphi + half * k1d
+        if k2p <= GRADIENT_FLOOR:
+            raise _collapse(k2p, t_mid)
+        k2d = (lam_n * (-(phi + half * k1p)) ** n / k2p ** (n - 1) - k2p) / t_mid
+        k3p = dphi + half * k2d
+        if k3p <= GRADIENT_FLOOR:
+            raise _collapse(k3p, t_mid)
+        k3d = (lam_n * (-(phi + half * k2p)) ** n / k3p ** (n - 1) - k3p) / t_mid
         k4p = dphi + h * k3d
-        k4d = radial_rhs(n, lam, t + h, phi + h * k3p, k4p)
+        if k4p <= GRADIENT_FLOOR:
+            raise _collapse(k4p, t + h)
+        k4d = (lam_n * (-(phi + h * k3p)) ** n / k4p ** (n - 1) - k4p) / (t + h)
         phi += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
         dphi += h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
         t = delta + (i + 1) * h
@@ -145,15 +165,20 @@ def shoot(n, R, lam, step=None, record=True):
 
 
 def radial_lambda1(n, R, tol=1e-8, hi_factor=20.0):
-    """Ground eigenvalue of the ball B(0, R) in C^n by shooting + bisection.
+    """Ground eigenvalue of the ball B(0, R) in C^n by shooting + Brent.
 
     The terminal value phi(R^2) is negative for lam below the eigenvalue and
     climbs through zero at it; a gradient collapse during integration counts
-    as an overshoot.  Bisection runs on [R^-2, hi_factor * R^-2] until the
-    bracket width falls below tol * R^-2; if the upper end still undershoots
-    it is doubled up to three times before BracketFailed.  All terminal
-    values sampled during the run are audited for monotonicity in lam, which
-    is what makes the bracket logic sound.
+    as an overshoot.  The bracket starts as [R^-2, hi_factor * R^-2]; if its
+    upper end still undershoots it is doubled up to three times before
+    BracketFailed.  While the upper end is a collapse (terminal value inf)
+    the bracket is bisected; once it is a finite overshoot, Brent's method
+    finishes with xtol = tol * R^-2 / 4, so the result lies within
+    tol * R^-2 of the sign change (if the bracket narrows to tol * R^-2
+    while its upper end is still a collapse, its midpoint is returned).
+    Terminal values are memoized by lam, so Brent's re-evaluation of the
+    bracket ends costs no shoot, and all of them are audited for
+    monotonicity in lam, which is what makes the bracket logic sound.
     """
     if n < 1:
         raise ValueError("complex dimension must be >= 1")
@@ -162,15 +187,16 @@ def radial_lambda1(n, R, tol=1e-8, hi_factor=20.0):
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     scale = 1.0 / (R * R)
-    samples = []
+    samples = {}
 
     def terminal(lam):
-        try:
-            value, _ = shoot(n, R, lam, record=False)
-        except VanishingGradient:
-            value = math.inf
-        samples.append((lam, value))
-        return value
+        # memoized: brentq evaluates both bracket ends again
+        if lam not in samples:
+            try:
+                samples[lam], _ = shoot(n, R, lam, record=False)
+            except VanishingGradient:
+                samples[lam] = math.inf
+        return samples[lam]
 
     lo = scale
     hi = hi_factor * scale
@@ -190,25 +216,32 @@ def radial_lambda1(n, R, tol=1e-8, hi_factor=20.0):
             f"terminal value does not change sign on [{lo:.6g}, {hi:.6g}]"
         )
 
-    while hi - lo > tol * scale:
+    # Bisect while the upper end is a gradient collapse, then let Brent
+    # finish on the finite sign change.
+    while math.isinf(s_hi) and hi - lo > tol * scale:
         mid = 0.5 * (lo + hi)
-        if terminal(mid) >= 0.0:
-            hi = mid
+        s_mid = terminal(mid)
+        if s_mid >= 0.0:
+            hi, s_hi = mid, s_mid
         else:
             lo = mid
+    if math.isinf(s_hi):
+        lam = 0.5 * (lo + hi)
+    else:
+        lam = optimize.brentq(terminal, lo, hi, xtol=0.25 * tol * scale)
 
-    samples.sort()
-    for (_, a), (_, b) in zip(samples, samples[1:]):
+    values = [value for _, value in sorted(samples.items())]
+    for a, b in zip(values, values[1:]):
         if b < a - 1e-10 * (1.0 + abs(a)):
             raise BracketFailed(
                 "terminal value is not monotone in lambda across the "
-                "bisection samples"
+                "root-finding samples"
             )
-    return 0.5 * (lo + hi)
+    return lam
 
 
 def radial_profile(n, R, tol=1e-8):
-    """Eigenpair profile: shoot once more at the bisected eigenvalue."""
+    """Eigenpair profile: shoot once more at the root-found eigenvalue."""
     lam = radial_lambda1(n, R, tol)
     _, profile = shoot(n, R, lam)
     return profile

@@ -426,7 +426,7 @@ def _radial_lower_bound(fx, rng):
 
 
 def _radial_scaling_law(fx, rng):
-    bound = 10.0 * 1e-8  # 10x the bisection tolerance used by fx.radial
+    bound = 10.0 * 1e-8  # 10x the root-finding tolerance used by fx.radial
     rows = []
     for n in (1, 2):
         base = fx.radial(n, 1.0)

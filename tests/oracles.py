@@ -5,7 +5,9 @@ library only: a Bessel J0 power series with bisection for its first zero,
 closed-form integrals on the unit disc/ball, and closed-form solutions of the
 n=1 radial problems used to cross-check the grid solvers.  Nothing here imports
 the package under test, and nothing uses scipy.special, so agreement between
-the library and these numbers is a genuine two-route check.
+the library and these numbers is a genuine two-route check.  The one
+reference that needs a library function, the plain RK4 shooting loop, takes
+it as an argument.
 
 Conventions used throughout the oracles:
 
@@ -153,3 +155,49 @@ def disc_eigenmode(r):
 def quartic_det_disc(r):
     """det of the complex Hessian of u = |z|^4 on the disc: u_{z zbar} = 4 r^2."""
     return 4.0 * r * r
+
+
+# ---------------------------------------------------------------------------
+# Reference radial shooting loop.
+# ---------------------------------------------------------------------------
+
+
+def reference_shoot(rhs, n, R, lam, step=None, record=True):
+    """The radial shooting integration written plainly: classical RK4 that
+    calls rhs(n, lam, t, phi, dphi) (the library's radial_rhs) at each of its
+    four stages, from the same series start and with the same fixed step as
+    cmaeig.radial.shoot.
+
+    Returns (terminal phi(R^2), t, phi, dphi); with record=False the arrays
+    hold only the endpoint.  Exceptions raised by rhs propagate.
+    """
+    T = R * R
+    if step is None:
+        step = 1e-4 * T
+    delta = 1e-6 * T
+    c2 = -n * lam * lam / (n + 1)
+    t = delta
+    phi = -1.0 + lam * delta + 0.5 * c2 * delta * delta
+    dphi = lam + c2 * delta
+    m = max(1, math.ceil((T - delta) / step))
+    h = (T - delta) / m
+    ts, ps, ds = [0.0, t], [-1.0, phi], [lam, dphi]
+    for i in range(m):
+        k1p = dphi
+        k1d = rhs(n, lam, t, phi, dphi)
+        k2p = dphi + 0.5 * h * k1d
+        k2d = rhs(n, lam, t + 0.5 * h, phi + 0.5 * h * k1p, k2p)
+        k3p = dphi + 0.5 * h * k2d
+        k3d = rhs(n, lam, t + 0.5 * h, phi + 0.5 * h * k2p, k3p)
+        k4p = dphi + h * k3d
+        k4d = rhs(n, lam, t + h, phi + h * k3p, k4p)
+        phi += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        dphi += h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+        t = delta + (i + 1) * h
+        if record:
+            ts.append(t)
+            ps.append(phi)
+            ds.append(dphi)
+    if not record:
+        ts, ps, ds = [t], [phi], [dphi]
+    return phi, ts, ps, ds

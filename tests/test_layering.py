@@ -1,7 +1,8 @@
 """Modules of the package use each other only through public names, the
 sparse linear solvers are called from one module, dirichlet.py, and there
-through one Newton step, and dense Hermitian eigenvalues and inverses are
-computed in one module, hessian.py."""
+through one Newton step, dense Hermitian eigenvalues and inverses are
+computed in one module, hessian.py, and one module, domain.py, binds the
+name brentq."""
 
 import ast
 import pathlib
@@ -147,3 +148,50 @@ def test_detector_sees_inv_calls(tmp_path):
                      "A = np.linalg.inv(M)\nB = inv(M)\nC = np.linalg.pinv(M)\n"
                      "D = hess.matrices()\n")
     assert calls_of(probe, ("inv", "matrices")) == [(3, "inv"), (4, "inv"), (6, "matrices")]
+
+
+def module_bindings(path):
+    """Names bound at module level by imports, assignments, defs and classes,
+    including those inside module-level if/try/with blocks but not inside
+    function or class bodies."""
+    names = set()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                continue
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body)
+    return names
+
+
+def test_only_domain_binds_brentq():
+    """The benchmark spans wrap every cmaeig module attribute named brentq as
+    the boundary-crossing root-find, so any other module that bound the name
+    would have its root-finds counted as crossings.  radial.py reaches the
+    function as optimize.brentq."""
+    bound = [p.name for p in sorted(SRC.glob("*.py")) if "brentq" in module_bindings(p)]
+    assert bound == ["domain.py"]
+    assert [name for _, name in calls_of(SRC / "radial.py", ("brentq",))] == ["brentq"]
+
+
+def test_detector_sees_module_bindings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.optimize\nfrom scipy import optimize as opt\n"
+                     "try:\n    from scipy.optimize import brentq\n"
+                     "except ImportError:\n    bisect = None\n"
+                     "x, (y, z) = 1, (2, 3)\n"
+                     "def f():\n    from scipy.optimize import ridder\n    local = 1\n"
+                     "class C:\n    attr = 1\n"
+                     "root = opt.brentq(f, 0, 1)\n")
+    assert module_bindings(probe) == {"scipy", "opt", "brentq", "bisect",
+                                      "x", "y", "z", "f", "C", "root"}

@@ -13,7 +13,7 @@ from cmaeig.radial import (
     radial_rhs,
     shoot,
 )
-from oracles import J0_FIRST_ZERO, LAMBDA1_UNIT_DISC, disc_eigenmode
+from oracles import J0_FIRST_ZERO, LAMBDA1_UNIT_DISC, disc_eigenmode, reference_shoot
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,44 @@ def test_shoot_gradient_collapse_far_above():
         shoot(1, 1.0, 30.0, record=False)
 
 
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except VanishingGradient as exc:
+        return type(exc), str(exc)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, math.sqrt(0.7), 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shoot_is_bit_identical_to_reference_loop(n, R):
+    # shoot inlines radial_rhs; the reference calls it at every RK4 stage.
+    # The spread of lam runs from undershoot past the eigenvalue into
+    # gradient collapse (n = 1 and n = 3 from lam * R^2 ~ 3.7 up); the five
+    # collapsing values stop the integration at each of the four RK4 stages
+    # for n = 3, and at stages 2 and 4 for n = 1.
+    collapses = 0
+    for lam in (0.3, 1.6, 3.7555, 4.0, 4.555, 7.353, 25.0):
+        lam /= R * R
+        ref = _outcome(reference_shoot, radial_rhs, n, R, lam)
+        got = _outcome(shoot, n, R, lam)
+        bare = _outcome(shoot, n, R, lam, record=False)
+        if ref[0] is VanishingGradient:
+            collapses += 1
+            assert got == bare == ref
+            continue
+        value, *arrays = ref
+        assert got[0].hex() == bare[0].hex() == value.hex()
+        for full, end, expected in zip((got[1].t, got[1].phi, got[1].dphi),
+                                       (bare[1].t, bare[1].phi, bare[1].dphi), arrays):
+            assert _bits(full) == _bits(expected)
+            assert _bits(end) == _bits(expected[-1:])
+    assert collapses == (0 if n == 2 else 5)
+
+
 def test_shoot_rejects_bad_parameters():
     with pytest.raises(ValueError):
         shoot(0, 1.0, 1.0)
@@ -139,17 +177,45 @@ def test_shoot_rejects_bad_parameters():
 
 
 @pytest.fixture(scope="module")
-def ball_eigenvalues():
-    values = {}
-    for n in (1, 2):
-        for R in (0.5, 1.0, 2.0):
-            values[n, R] = radial_lambda1(n, R)
-    return values
+def ball_runs():
+    """(radial_lambda1(n, R), number of shoot calls it made) per (n, R); the
+    calls are counted by wrapping cmaeig.radial.shoot."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for n in (1, 2, 3):
+            for R in (0.5, 1.0, 2.0):
+                calls = []
+
+                def counted(*args, **kwargs):
+                    calls.append(args)
+                    return shoot(*args, **kwargs)
+
+                mp.setattr("cmaeig.radial.shoot", counted)
+                runs[n, R] = radial_lambda1(n, R), len(calls)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def ball_eigenvalues(ball_runs):
+    return {(n, R): lam for (n, R), (lam, _) in ball_runs.items() if n in (1, 2)}
 
 
 def test_lambda1_disc_matches_bessel_oracle(ball_eigenvalues):
-    assert abs(ball_eigenvalues[1, 1.0] - LAMBDA1_UNIT_DISC) <= 1e-5
-    assert abs(ball_eigenvalues[1, 1.0] - LAMBDA1_UNIT_DISC) <= 1e-6
+    assert abs(ball_eigenvalues[1, 1.0] - LAMBDA1_UNIT_DISC) <= 1e-10
+
+
+def test_lambda1_takes_few_shoots(ball_runs):
+    # bracket ends, bisection while the upper end collapses, then Brent
+    # (bisection to tol = 1e-8 alone takes 33)
+    assert {key: shoots for key, (_, shoots) in ball_runs.items() if shoots > 13} == {}
+
+
+def test_lambda1_brackets_the_sign_change_within_tol(ball_runs):
+    tol = 1e-8
+    for (n, R), (lam, _) in ball_runs.items():
+        below, _ = shoot(n, R, lam - tol / (R * R), record=False)
+        above, _ = shoot(n, R, lam + tol / (R * R), record=False)
+        assert below < 0.0 < above, (n, R)
 
 
 def test_lambda1_radius_two_disc(ball_eigenvalues):
