@@ -14,7 +14,7 @@ Layering:
   NotConverged when a cycle on the fresh LU misses too.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
-  for n >= 2 the log-det Newton.
+  for n >= 2 solve_nonlinear.
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
@@ -23,14 +23,16 @@ Layering:
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
 
-The module is the package's linear-solver seam: splu and gmres are called
-here and nowhere else.
+The module builds its subsolutions and starts from multiples of the grid's
+defining function rho (_anchor), which vanishes at the boundary crossings
+and is strictly PSH.  The module is the package's linear-solver seam: splu
+and gmres are called here and nowhere else.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 # (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .domain import Constant, eval_density, eval_quadratic, quadratic_defining
+from .domain import Constant, density_vector
 from .errors import (
     BranchInfeasible,
     EigenvalueBoundViolated,
@@ -84,6 +86,9 @@ QUASI = "derivative_bounded_below"
 
 _T_POSITIVE_SLACK = 1e-12
 
+# Central-difference width of psi_t for "general" right-hand sides.
+_PSI_T_DELTA = 1e-6
+
 
 @dataclass
 class RhsSpec:
@@ -112,7 +117,9 @@ class RhsSpec:
         vals = values.interior if isinstance(values, ScalarField) else np.asarray(values, float)
         vals = np.broadcast_to(vals, (grid.num_interior,)).astype(float)
         if np.min(vals) < -1e-12:
-            raise PreconditionViolated("frozen right-hand side must be >= 0")
+            raise PreconditionViolated(
+                f"frozen right-hand side must be >= 0 (min {np.min(vals):.3e})"
+            )
         return cls(grid, "frozen", monotonicity=NONINCREASING,
                    frozen_values=np.maximum(vals, 0.0))
 
@@ -122,8 +129,6 @@ class RhsSpec:
         if lam < 0:
             raise ValueError("branch parameter must be nonnegative")
         n = grid.n
-        from .domain import density_vector
-
         fn = density_vector(density, grid, power=n)
         spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (1.0 - lam * t) ** n,
@@ -137,8 +142,6 @@ class RhsSpec:
         if lam < 0:
             raise ValueError("eigenvalue parameter must be nonnegative")
         n = grid.n
-        from .domain import density_vector
-
         fn = density_vector(density, grid, power=n)
         spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (-lam * t) ** n,
@@ -173,23 +176,21 @@ class RhsSpec:
             base = self.H(self.grid.interior_coords, t) ** self.grid.n
         return base + self.shift
 
-    def psi_t(self, t, delta=1e-6):
+    def psi_t(self, t):
         """d psi / dt: 0 for frozen, f^n g'(t) for separable, by central
-        differences of width delta for general."""
+        differences of width _PSI_T_DELTA for general."""
         if self.kind == "frozen":
             return np.zeros(self.grid.num_interior)
         t = self._clamp(t)
         if self.kind == "separable":
             return self.weight * self.dg(t)
-        lo = self.psi(t - delta)
-        hi = self.psi(np.minimum(t + delta, 0.0))
-        width = np.minimum(t + delta, 0.0) - (t - delta)
+        lo = self.psi(t - _PSI_T_DELTA)
+        hi = self.psi(np.minimum(t + _PSI_T_DELTA, 0.0))
+        width = np.minimum(t + _PSI_T_DELTA, 0.0) - (t - _PSI_T_DELTA)
         return (hi - lo) / width
 
     def shifted(self, eps):
-        import dataclasses
-
-        return dataclasses.replace(self, shift=self.shift + eps ** self.grid.n)
+        return replace(self, shift=self.shift + eps ** self.grid.n)
 
     def _spot_check(self):
         """Validate psi >= 0 and (when declared) monotonicity on a (z, t) sample."""
@@ -265,30 +266,53 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
 # ---------------------------------------------------------------------------
 
 
-def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
-    """Scaled defining quadratic t*q with det >= psi(., t*q) + extra nodewise.
+def _anchor(grid):
+    """(rho at the interior nodes, min det of its discrete complex Hessian).
 
-    The amplitude is a fixed point of t -> ((max psi(., t q) + extra)
-    / det A)^(1/n), found by iterating from below with a geometric-tail
-    extrapolation (exact in one cycle when the map is affine in t, as for
-    the continuation family).  Right-hand sides growing superlinearly past
-    the domain's quadratic threshold make the map non-contractive; no fixed
-    point exists and BranchInfeasible is raised.
+    rho vanishes at every crossing, so it is a zero-boundary field whose
+    one-sided rows see no jump.  A strongly pseudoconvex domain's rho is
+    strictly PSH: PreconditionViolated names the node where its discrete
+    Hessian has an eigenvalue <= 0."""
+    rho = grid.rho_interior
+    hess = complex_hessian(ScalarField.from_interior(grid, rho))
+    lam = hess.min_eigenvalue()
+    worst = int(np.argmin(lam))
+    if lam[worst] <= 0:
+        raise PreconditionViolated(
+            f"defining function is not strictly PSH: smallest Hessian "
+            f"eigenvalue {lam[worst]:.3e} at node {grid.interior_point(worst)}"
+        )
+    return rho, float(np.min(hess.det()))
+
+
+# Amplitude iterations of quadratic_subsolution before it gives up.
+_AMPLITUDE_ITERATIONS = 80
+
+
+def quadratic_subsolution(grid, rhs, extra=0.0):
+    """Scaled defining function t*rho with det >= psi(., t*rho) + extra
+    nodewise; returns (field, t).
+
+    Since det(t rho) >= t^n min det(rho), the amplitude is a fixed point of
+    t -> ((max psi(., t rho) + extra) / min det(rho))^(1/n), found by
+    iterating from below with a geometric-tail extrapolation (exact in one
+    cycle when the map is affine in t, as for the continuation family).
+    Right-hand sides growing superlinearly past the domain's threshold make
+    the map non-contractive; no fixed point exists and BranchInfeasible is
+    raised.  The result is then certified nodewise.
     """
     n = grid.n
-    w, c, off = quadratic_defining(grid.spec)
-    detA = float(np.prod(w))
-    q = eval_quadratic(w, c, off, grid.interior_coords)
+    rho, det_rho = _anchor(grid)
 
     def amp(s):
-        return ((float(np.max(rhs.psi(s * q))) + max(extra, 0.0)) / detA) ** (1.0 / n)
+        return ((float(np.max(rhs.psi(s * rho))) + max(extra, 0.0)) / det_rho) ** (1.0 / n)
 
     t = max(amp(0.0), 1e-12)
-    for _ in range(max_iter):
+    for _ in range(_AMPLITUDE_ITERATIONS):
         t1 = amp(t)
         if t1 > 1e8:
             raise BranchInfeasible(
-                "no scaled quadratic dominates this right-hand side"
+                "no multiple of rho dominates this right-hand side"
             )
         if t1 <= t * (1 + 1e-9):
             t = max(t, t1)
@@ -296,23 +320,22 @@ def quadratic_subsolution(grid, rhs, extra=0.0, max_iter=80):
         t2 = amp(t1)
         if t2 > 1e8:
             raise BranchInfeasible(
-                "no scaled quadratic dominates this right-hand side"
+                "no multiple of rho dominates this right-hand side"
             )
         ratio = (t2 - t1) / (t1 - t)
         if ratio >= 1.0 - 1e-9:
             raise BranchInfeasible(
-                "quadratic amplitude iteration is non-contractive"
+                "subsolution amplitude iteration is non-contractive"
             )
         t = t2 + (t2 - t1) * ratio / (1.0 - ratio)
     else:
-        raise BranchInfeasible("quadratic amplitude iteration did not settle")
-    # One-sided rows only raise the discrete determinant of t*q when q < 0 on
-    # the true boundary (jump case); still, verify and bump if a corner node
-    # disagrees.
+        raise BranchInfeasible("subsolution amplitude iteration did not settle")
+    # The amplitude bounds det(t rho) from below by t^n min det(rho), so it
+    # holds at every node up to rounding; verify, and bump if a node disagrees.
     for _ in range(4):
-        u = ScalarField.from_interior(grid, t * q)
+        u = ScalarField.from_interior(grid, t * rho)
         det = complex_hessian(u).det()
-        if np.all(det >= rhs.psi(t * q) + extra - 1e-12):
+        if np.all(det >= rhs.psi(t * rho) + extra - 1e-12):
             return u, t
         t *= 1.5
     raise BranchInfeasible("could not certify the quadratic subsolution")
@@ -419,7 +442,11 @@ class _NewtonForm(NamedTuple):
     restart: object = None
 
 
-def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
+# Step halvings a line search tries before NewtonStalled.
+_MAX_BACKTRACKS = 30
+
+
+def _damped_newton(grid, ui, tol, form, state=None):
     """Damped Newton on a residual over interior values; returns (u, report).
 
     `state`, if given, is form.evaluate(ui) computed by the caller.
@@ -445,7 +472,7 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
         krylov += iterations
         factorizations += factored
         s = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = ui + s * delta
             t_state = form.evaluate(trial)
             if form.admissible(trial, t_state) and np.max(np.abs(t_state.F)) < fnorm:
@@ -455,7 +482,7 @@ def _damped_newton(grid, ui, tol, form, state=None, max_backtracks=30):
             backtracks += 1
         else:
             raise NewtonStalled(
-                f"line search exhausted {max_backtracks} halvings at iteration {it}"
+                f"line search exhausted {_MAX_BACKTRACKS} halvings at iteration {it}"
             )
     raise NotConverged(f"Newton did not reach tol={tol} in {form.max_iter} iterations")
 
@@ -542,11 +569,6 @@ def _semilinear_form(grid, rhs):
     return _NewtonForm(evaluate, jacobian, admissible, 60)
 
 
-def _newton_solution(grid, start, tol, form, state=None):
-    ui, report = _damped_newton(grid, start, tol, form, state)
-    return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
-
-
 def solve_nonlinear(rhs, start, tol=1e-8):
     """Solve det(u_jk) = psi(., u) with zero boundary values by damped Newton
     from `start` (a ScalarField or interior values); returns (u, report).
@@ -557,13 +579,14 @@ def solve_nonlinear(rhs, start, tol=1e-8):
     grid = rhs.grid
     ui = start.interior if isinstance(start, ScalarField) else np.asarray(start, float)
     if grid.n == 1:
-        return _newton_solution(grid, ui, tol, _semilinear_form(grid, rhs))
-    ui, hess, flags = _feasible_start(grid, rhs, ui)
-    form = _logdet_form(grid, rhs, tol)
-    state = None if hess is None else form.evaluate(ui, hess)
-    u, report = _newton_solution(grid, ui, tol, form, state)
+        form, state, flags = _semilinear_form(grid, rhs), None, ()
+    else:
+        ui, hess, flags = _feasible_start(grid, rhs, ui)
+        form = _logdet_form(grid, rhs, tol)
+        state = None if hess is None else form.evaluate(ui, hess)
+    ui, report = _damped_newton(grid, ui, tol, form, state)
     report.flags += flags
-    return u, report
+    return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +604,15 @@ def _cached_laplacian_lu(grid):
 def solve_frozen(h, grid=None, tol=1e-8, initial=None):
     """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
 
-    n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 runs the
-    log-det Newton from `initial` or, without one, from the quadratic subsolution.
+    n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 is
+    solve_nonlinear from `initial` or, without one, from the scaled defining
+    function of quadratic_subsolution.
     """
-    if isinstance(h, ScalarField):
-        grid = h.grid if grid is None else grid
-        h_int = h.interior
-    else:
-        h_int = np.broadcast_to(np.asarray(h, float), (grid.num_interior,)).astype(float)
-    if np.min(h_int) < -1e-12:
-        raise PreconditionViolated(
-            f"frozen right-hand side must be >= 0 (min {np.min(h_int):.3e})"
-        )
-    h_int = np.maximum(h_int, 0.0)
+    grid = h.grid if grid is None else grid
+    rhs = RhsSpec.frozen(grid, h)
     if grid.n == 1:
-        lu = _cached_laplacian_lu(grid)
-        ui = np.minimum(lu.solve(h_int), 0.0)
+        h_int = rhs.frozen_values
+        ui = np.minimum(_cached_laplacian_lu(grid).solve(h_int), 0.0)
         hess = _hermitian_from_interior(grid, ui)
         report = _make_report(grid, ui, hess, h_int, 1, True)
         if report.final_residual > tol:
@@ -604,30 +620,31 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
             report.flags = report.flags + ("linear_residual_above_tol",)
             report.converged = report.final_residual <= 10 * tol
         return ScalarField.from_interior(grid, ui), report
-    rhs = RhsSpec.frozen(grid, h_int)
-    if initial is not None:
-        return solve_nonlinear(rhs, initial, tol)
-    u0, _ = quadratic_subsolution(grid, rhs)  # inside the cone already
-    return _newton_solution(grid, u0.interior, tol, _logdet_form(grid, rhs, tol))
+    if initial is None:
+        initial, _ = quadratic_subsolution(grid, rhs)
+    return solve_nonlinear(rhs, initial, tol)
 
 
 def _feasible_start(grid, rhs, start):
-    """Blend a warm start toward a strongly PSH quadratic until the Newton
-    state is strictly inside the cone; returns (u, complex Hessian of u,
-    flags).  After 12 failed blends it gives up and returns the anchor
-    quadratic with no Hessian and the flag "feasible_start_anchor"."""
+    """Blend a warm start toward a multiple of the strictly PSH defining
+    function rho until the Newton state is strictly inside the cone; returns
+    (u, complex Hessian of u, flags).  A start already inside costs one
+    Hessian; only a blend evaluates rho's (_anchor).  The anchor itself is
+    strictly inside, so every blend fails only for a start with a non-finite
+    value: the anchor is then returned with no Hessian and the flag
+    "feasible_start_anchor"."""
     mu = 1e-10
-    w, c, off = quadratic_defining(grid.spec)
-    q = eval_quadratic(w, c, off, grid.interior_coords)
-    t_anchor = max(1.0, (float(np.max(rhs.psi(np.minimum(start, 0.0)))) / float(np.prod(w))) ** (1.0 / grid.n))
-    anchor = t_anchor * q
-    beta = 0.0
-    for _ in range(12):
+    hess = _hermitian_from_interior(grid, start)
+    if np.min(hess.min_eigenvalue()) + mu > 0:
+        return start, hess, ()
+    rho, det_rho = _anchor(grid)
+    t_anchor = max(1.0, (float(np.max(rhs.psi(np.minimum(start, 0.0)))) / det_rho) ** (1.0 / grid.n))
+    anchor = t_anchor * rho
+    for beta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
         trial = (1 - beta) * start + beta * anchor
         hess = _hermitian_from_interior(grid, trial)
         if np.min(hess.min_eigenvalue()) + mu > 0:
             return trial, hess, ()
-        beta = 0.05 if beta == 0.0 else min(1.0, beta * 2)
     log.warning("no blend of the start is inside the cone; starting from the anchor")
     return anchor, None, ("feasible_start_anchor",)
 
@@ -788,11 +805,8 @@ def solve_quasimonotone(rhs, lambda1_estimate, grid=None, tol=1e-8):
     if grid.n == 1:
         rand = random_psh_field(grid, rng).interior
     else:
-        w, c, off = quadratic_defining(grid.spec)
-        q = eval_quadratic(w, c, off, grid.interior_coords)
-        rand = float(rng.uniform(0.5, 2.0)) * q + rng.normal(size=grid.num_interior) * (
-            1e-2 * grid.h ** 2
-        )
+        rand = float(rng.uniform(0.5, 2.0)) * grid.rho_interior + rng.normal(
+            size=grid.num_interior) * (1e-2 * grid.h ** 2)
         rand = np.minimum(rand, 0.0)
     starts.append(("random_psh", rand))
 

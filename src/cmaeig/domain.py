@@ -19,7 +19,7 @@ axis 2j+1 is Im z_j.
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -95,8 +95,11 @@ class CustomRho:
 
     coeffs maps exponent multi-indices (length 2n) to coefficients.  The caller
     declares an interior seed point (rho(seed) < 0 is validated) and an
-    explicit bounding box; strict plurisubharmonicity of rho is the caller's
-    responsibility and is spot-checked numerically at grid nodes by build_grid.
+    explicit bounding box.  Strict plurisubharmonicity of rho is the caller's
+    responsibility.  The solvers check it wherever they scale rho into a
+    subsolution or a blended start (dirichlet._anchor): PreconditionViolated
+    names a node where rho's discrete complex Hessian is not positive
+    definite.
     """
 
     n: int
@@ -169,40 +172,6 @@ def _eval_polynomial(coeffs, pts):
                 term *= pts[:, ax] ** e
         vals += term
     return vals
-
-
-def quadratic_defining(spec):
-    """A plurisubharmonic quadratic q <= 0 on the closed domain, with known Hessian.
-
-    Returns (weights, center, offset) describing
-        q(z) = sum_j weights_j |z_j - center_j|^2 + offset,
-    whose complex Hessian is diag(weights) (so det = prod weights).  For balls
-    and ellipsoids q is rho itself; for custom domains it is an enclosing
-    ellipsoid derived from the bounding box.  Solvers use scaled multiples of q
-    as certified subsolutions and initial guesses.
-    """
-    if isinstance(spec, Ball):
-        n = spec.n
-        return np.ones(n), np.asarray(spec.center), -spec.radius ** 2
-    if isinstance(spec, Ellipsoid):
-        a = np.asarray(spec.axes)
-        return 1.0 / a ** 2, np.zeros(2 * len(a)), -1.0
-    box = np.asarray(spec.box)
-    center = 0.5 * (box[:, 0] + box[:, 1])
-    half = 0.5 * (box[:, 1] - box[:, 0])
-    n = spec.n
-    w = np.array([1.0 / (half[2 * j] ** 2 + half[2 * j + 1] ** 2) for j in range(n)])
-    return w, center, -float(n)
-
-
-def eval_quadratic(weights, center, offset, points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d2 = (pts - center) ** 2
-    n = len(weights)
-    acc = np.zeros(pts.shape[0])
-    for j in range(n):
-        acc += weights[j] * (d2[:, 2 * j] + d2[:, 2 * j + 1])
-    return acc + offset
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +307,10 @@ class GridDomain:
     def unravel(self, flat):
         return tuple(int(v) for v in np.unravel_index(int(flat), self.shape))
 
+    def interior_point(self, pos):
+        """Coordinates of the interior node at position pos, as plain floats."""
+        return tuple(float(v) for v in self.interior_coords[pos])
+
     def total_volume(self):
         return float(np.sum(self.cell_volume))
 
@@ -418,8 +391,6 @@ def build_grid(spec, h):
     n = d // 2
     half = 0.5 * (box[:, 1] - box[:, 0])
     if h > 0.25 * float(np.min(half)):
-        import warnings
-
         warnings.warn(
             f"h={h} exceeds a quarter of the smallest domain half-extent; "
             "boundary resolution will be crude",

@@ -8,8 +8,8 @@ solution is an exact subsolution for the next lam, provided the step times
 the sup-norm stays below 1), detects blow-up of the sup-norm, extrapolates
 the near-linear decay of 1/sup_norm to its root, and returns the normalized
 last branch solution as the eigenfunction.  `solve_branch` exposes a single
-branch point; called cold at a lam with no quadratic subsolution it ramps
-lam internally from 0.
+branch point; called cold at a lam where no multiple of the defining
+function rho is a subsolution it ramps lam internally from 0.
 
 The normalized field v = u/s at the last branch point satisfies the
 perturbed equation det(v) = (1/s - lam*v)^n f^n, so the reported residual
@@ -202,8 +202,9 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
     """Solve det(u_jk) = (1 - lam*u)^n f^n with zero boundary values.
 
     With `start` (a BranchPoint at a smaller lam) a single warm-started step
-    is taken.  Cold, the scaled defining quadratic is used when it dominates;
-    otherwise lam is ramped from 0 with warm starts.  A ramp whose sup-norm
+    is taken.  Cold, a multiple of the defining function rho
+    (quadratic_subsolution) is used when one dominates; otherwise lam is
+    ramped from 0 with warm starts.  A ramp whose sup-norm
     passes sup_norm_cap, or whose steps shrink to nothing, signals that lam
     sits at or beyond the branch's critical value: BranchInfeasible.
     """
@@ -214,8 +215,8 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
 
     rhs = RhsSpec.branch(grid, lam, f)
     try:
-        u_quad, _ = quadratic_subsolution(grid, rhs)
-        return _converge_at(lam, rhs, u_quad, tol)
+        u_sub, _ = quadratic_subsolution(grid, rhs)
+        return _converge_at(lam, rhs, u_sub, tol)
     except BranchInfeasible:
         if lam == 0.0:
             raise

@@ -394,7 +394,7 @@ class PshReport:
     ok: bool
     min_eigenvalue: float
     node_flat: int
-    coords: tuple
+    coords: tuple  # plain floats
 
 
 def is_psh(u, tol=None):
@@ -408,7 +408,7 @@ def is_psh(u, tol=None):
         ok=bool(lam[worst] >= -tol),
         min_eigenvalue=float(lam[worst]),
         node_flat=flat,
-        coords=tuple(u.grid.interior_coords[worst]),
+        coords=u.grid.interior_point(worst),
     )
     return report.ok, report
 
@@ -462,7 +462,7 @@ def check_comparison(u, v, tol):
     if gap[worst] > tol:
         raise PreconditionViolated(
             f"ma_det(u) exceeds ma_det(v) by {gap[worst]:.3e} at node "
-            f"{tuple(u.grid.interior_coords[worst])}"
+            f"{u.grid.interior_point(worst)}"
         )
     layer = u.grid.boundary_flat
     bgap = v.values[layer] - u.values[layer]
@@ -486,21 +486,16 @@ def check_comparison(u, v, tol):
 def random_psh_field(grid, rng, scale=1.0):
     """Random discretely-PSH zero-boundary field on a one-dimensional domain.
 
-    Takes the max of a scaled copy of the domain's defining quadratic with a
-    few random PSH quadratics, each shifted to lie strictly below that copy on
-    the cut layer.  Because every one-sided row then sees the defining
-    quadratic (which vanishes at the crossings) and max preserves discrete
-    subharmonicity at rows with nonnegative off-center coefficients, the
-    result is PSH at tolerance 0.
+    Takes the max of a scaled copy of the domain's defining function rho
+    with a few random PSH quadratics, each shifted to lie strictly below that
+    copy on the cut layer.  Because every one-sided row then sees rho (which
+    vanishes at the crossings) and max preserves discrete subharmonicity at
+    rows with nonnegative off-center coefficients, the result is PSH at
+    tolerance 0 whenever rho is discretely subharmonic.
     """
     if grid.n != 1:
         raise ValueError("random quadratic-max fields are one-dimensional only")
-    from .domain import quadratic_defining, eval_quadratic
-
-    w0, c0, off0 = quadratic_defining(grid.spec)
-    base = float(rng.uniform(0.5, 2.0)) * scale * eval_quadratic(
-        w0, c0, off0, grid.interior_coords
-    )
+    base = float(rng.uniform(0.5, 2.0)) * scale * grid.rho_interior
     layer = np.flatnonzero((grid.nbr_ipos < 0).any(axis=(1, 2)))
     fields = [base]
     for _ in range(int(rng.integers(2, 5))):

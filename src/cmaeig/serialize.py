@@ -38,7 +38,7 @@ import tempfile
 
 import numpy as np
 
-from .domain import Ball, CustomRho, Ellipsoid, GridDomain, build_grid
+from .domain import Ball, CustomRho, Ellipsoid, build_grid
 from .errors import SerializationError
 from .hessian import HermitianField, ScalarField
 

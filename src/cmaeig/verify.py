@@ -34,7 +34,7 @@ from .domain import (
     density_vector,
     eval_rho,
 )
-from .eigenpath import continuation, lower_bound
+from .eigenpath import continuation, lower_bound, solve_branch
 from .errors import VanishingGradient
 from .hessian import (
     DualMatrixSet,
@@ -45,7 +45,7 @@ from .hessian import (
     random_psh_field,
 )
 from .radial import radial_lambda1, radial_profile, shoot
-from .serialize import read_field, write_field
+from .serialize import branch_to_csv, field_to_csv, read_field, write_field
 from .variational import energy, inverse_power, mass, rayleigh
 
 __all__ = [
@@ -463,9 +463,6 @@ def _radial_profile_convexity(fx, rng):
 
 
 def _csv_determinism(fx, rng):
-    from .serialize import branch_to_csv, field_to_csv
-    from .eigenpath import solve_branch
-
     grid = fx.disc16
 
     def render():

@@ -212,6 +212,23 @@ def test_continuation_run_within_two_percent(tmp_path):
     assert len(lines) - 1 == record.diagnostics["branch_points"]
 
 
+def test_continuation_on_custom_n2_domain(tmp_path):
+    """The unit 4-ball spelled as a custom rho runs like Ball(2): a custom
+    domain's starts are multiples of its own rho, with no jump at the
+    boundary."""
+    config = build_config({
+        "command": "eigen-continuation", "n": "2", "h": "0.25", "emit": "summary",
+        "domain.kind": "custom",
+        "domain.coeffs": "2,0,0,0: 1; 0,2,0,0: 1; 0,0,2,0: 1; 0,0,0,2: 1; 0,0,0,0: -1",
+        "domain.seed_point": "0, 0, 0, 0",
+        "domain.box": "-1, 1; -1, 1; -1, 1; -1, 1",
+        "out": str(tmp_path / "out"),
+    })
+    code, record = run(config)
+    assert code == 0, record.diagnostics.get("error")
+    assert record.lambda1 == pytest.approx(1.66133, abs=1e-5)
+
+
 @pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
 def test_eigen_summary_counts_krylov_iterations(tmp_path, command):
     config = build_config({"command": command, "n": "2", "h": "0.25",

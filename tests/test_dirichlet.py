@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from cmaeig.errors import (
     NotConverged,
     PreconditionViolated,
 )
-from cmaeig.domain import Constant, Ellipsoid, GaussianBump, build_grid
+from cmaeig.domain import Ball, Constant, CustomRho, Ellipsoid, GaussianBump, build_grid
+from cmaeig.eigenpath import continuation, verify_eigenpair
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
+from cmaeig.variational import inverse_power
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
@@ -216,7 +220,7 @@ def test_logdet_start_hessian_is_not_recomputed(ball4_grid, monkeypatch):
 
 def test_feasible_start_fallback_is_flagged(ball4_grid):
     """No blend of a start with a NaN node enters the cone, so the solve
-    starts from the anchor quadratic and says so."""
+    starts from the anchor, a multiple of rho, and says so."""
     g = ball4_grid
     rhs = RhsSpec.frozen(g, np.ones(g.num_interior))
     start = r2_of(g) - 1.0
@@ -637,6 +641,95 @@ def test_quadratic_subsolution_infeasible_branch(disc_grid_32):
     # eigenvalue parameter stays below the quadratic domination threshold.
     with pytest.raises(BranchInfeasible):
         quadratic_subsolution(disc_grid_32, RhsSpec.branch(disc_grid_32, 1.0))
+
+
+def unit_ball_rho(n):
+    """The unit ball in C^n spelled as a custom defining polynomial."""
+    coeffs = {tuple(2 * (i == a) for i in range(2 * n)): 1.0 for a in range(2 * n)}
+    coeffs[(0,) * (2 * n)] = -1.0
+    return CustomRho(n, coeffs, (0.0,) * (2 * n), ((-1.0, 1.0),) * (2 * n))
+
+
+QUARTIC_N2 = CustomRho(  # |z1|^2 + 1.5 |z2|^2 + 0.3 x1^4 - 1
+    2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.5, (0, 0, 0, 2): 1.5,
+        (4, 0, 0, 0): 0.3, (0, 0, 0, 0): -1.0},
+    (0.0,) * 4, ((-1.0, 1.0), (-1.0, 1.0), (-0.85, 0.85), (-0.85, 0.85)))
+
+
+@pytest.mark.parametrize("spec,h", [
+    (Ball(1), 1 / 16),
+    (Ball(1, 1.5, (0.25, -0.5)), 1 / 16),
+    (Ellipsoid((1.0,)), 1 / 16),
+    (CustomRho(1, {(2, 0): 1.0, (0, 2): 2.0, (0, 0): -1.0}, (0.0, 0.0),
+               ((-1.0, 1.0), (-0.8, 0.8))), 1 / 16),
+    (Ball(2), 0.25),
+    (Ball(2, 1.0, (0.25, 0.0, -0.5, 0.0)), 0.25),
+    (Ellipsoid((1.0, 0.7)), 0.25),
+    (QUARTIC_N2, 0.25),
+], ids=["disc", "offcentre-disc", "ellipse", "custom-n1",
+        "ball4", "offcentre-ball4", "ellipsoid", "quartic-n2"])
+def test_quadratic_subsolution_on_every_domain_kind(spec, h):
+    """A multiple of the domain's own rho is a nodewise subsolution on every
+    kind of domain, custom ones included, where a bounding quadratic that
+    does not vanish on the boundary fails at n = 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # h = 0.25 is a coarse 4-ball grid
+        g = build_grid(spec, h)
+    rhs = RhsSpec.branch(g, 0.1, GaussianBump((0.1,) + (0.0,) * (2 * g.n - 1), 1.0, 0.5))
+    u, t = quadratic_subsolution(g, rhs)
+    assert t > 0 and np.max(u.interior) <= 0.0
+    assert np.all(complex_hessian(u).det() >= rhs.psi(u.interior) - 1e-12)
+
+
+def test_quadratic_subsolution_on_custom_disc_matches_ball():
+    """psi = 1 - u/2 on the unit disc: t rho dominates from t = 2 on, whether
+    the disc is a Ball or a custom rho."""
+    amplitudes = []
+    for spec in (Ball(1), unit_ball_rho(1)):
+        g = build_grid(spec, 1 / 32)
+        amplitudes.append(quadratic_subsolution(g, RhsSpec.branch(g, 0.5))[1])
+    assert amplitudes[0] == pytest.approx(2.0, abs=1e-9)
+    assert amplitudes[1] == pytest.approx(amplitudes[0], abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ball4_both_spellings():
+    """solve_frozen, continuation and inverse_power, in that order on one
+    fresh grid, for Ball(2) and for the same ball as a custom rho."""
+    runs = []
+    for spec in (Ball(2), unit_ball_rho(2)):
+        g = build_grid(spec, 0.25)
+        u, _ = solve_frozen(np.ones(g.num_interior), g)
+        runs.append((u, continuation(grid=g), inverse_power(grid=g)))
+    return runs
+
+
+def test_custom_ball4_solves_like_ball(ball4_both_spellings):
+    (u_ball, cont_ball, ip_ball), (u_custom, cont_custom, ip_custom) = ball4_both_spellings
+    assert np.max(np.abs(u_custom.values - u_ball.values)) <= 1e-12
+    assert cont_custom.lambda1 == pytest.approx(cont_ball.lambda1, abs=1e-12)
+    assert ip_custom.lambda1 == pytest.approx(ip_ball.lambda1, abs=1e-12)
+    assert cont_ball.lambda1 == pytest.approx(1.66133, abs=1e-5)
+
+
+def test_quartic_custom_domain_routes_agree():
+    with pytest.warns(UserWarning, match="quarter"):
+        grids = [build_grid(QUARTIC_N2, 0.25) for _ in range(2)]
+    cont = continuation(grid=grids[0])
+    ip = inverse_power(grid=grids[1])
+    assert abs(cont.lambda1 - ip.lambda1) <= 0.03 * ip.lambda1
+    assert verify_eigenpair(cont).ok and verify_eigenpair(ip).ok
+
+
+def test_non_psh_rho_is_refused_at_its_node():
+    """rho = x^4 + y^4 - (x^2 + y^2)/2 - 1/2 bounds a domain but has a
+    negative Laplacian near the origin; the anchor names that node."""
+    spec = CustomRho(1, {(4, 0): 1.0, (0, 4): 1.0, (2, 0): -0.5, (0, 2): -0.5,
+                         (0, 0): -0.5}, (0.0, 0.0), ((-1.2, 1.2), (-1.2, 1.2)))
+    g = build_grid(spec, 1 / 16)
+    with pytest.raises(PreconditionViolated,
+                       match=r"not strictly PSH: .* at node \(0\.0, 0\.0\)$"):
+        quadratic_subsolution(g, RhsSpec.branch(g, 0.5))
 
 
 # ---------------------------------------------------------------------------

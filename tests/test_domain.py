@@ -21,8 +21,6 @@ from cmaeig.domain import (
     direction_thetas,
     eval_density,
     eval_rho,
-    quadratic_defining,
-    eval_quadratic,
 )
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
 
@@ -201,26 +199,6 @@ def test_disconnected_interior_raises():
     )
     with pytest.raises(ResolutionTooCoarse):
         build_grid(spec, 0.1)
-
-
-def test_quadratic_defining_encloses_domain():
-    for spec in [
-        Ball(n=1, radius=1.5, center=(0.25, -0.5)),
-        Ellipsoid(axes=(1.0, 0.5)),
-        CustomRho(
-            n=1,
-            coeffs={(2, 0): 1.0, (0, 2): 2.0, (0, 0): -1.0},
-            seed_point=(0.0, 0.0),
-            box=((-1.0, 1.0), (-0.8, 0.8)),
-        ),
-    ]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = build_grid(spec, 0.1) if not isinstance(spec, Ellipsoid) else build_grid(spec, 0.2)
-        w, c, off = quadratic_defining(spec)
-        q = eval_quadratic(w, c, off, g.interior_coords)
-        assert (q < 0).all()
-        assert (w > 0).all()
 
 
 def test_gaussian_bump_center_value():

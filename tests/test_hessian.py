@@ -6,7 +6,7 @@ from scipy import sparse
 
 import cmaeig.hessian as hessian
 from cmaeig.domain import Ball, Ellipsoid, build_grid
-from cmaeig.errors import NotPositiveSemiDefinite, PreconditionViolated
+from cmaeig.errors import NotPositiveSemiDefinite, NotPSH, PreconditionViolated
 from cmaeig.hessian import (
     DualMatrixSet,
     HermitianField,
@@ -20,6 +20,7 @@ from cmaeig.hessian import (
     laplacian_matrix,
     ma_det,
     random_psh_field,
+    require_psh,
     second_difference_matrix,
     trace_operator,
 )
@@ -174,6 +175,21 @@ def test_is_psh_trivials(disc_grid_32):
     assert not ok and rep.min_eigenvalue == pytest.approx(-1.0)
     ok, _ = is_psh(ScalarField.sample(g, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2), g.h)
     assert ok
+
+
+def test_messages_print_node_coordinates_as_plain_floats(disc_grid_32):
+    """A unit bump on rho at the centre node is the least PSH node; the
+    messages print its coordinates as floats, not as numpy scalar reprs."""
+    g = disc_grid_32
+    vals = g.rho_interior.copy()
+    vals[g.min_rho_position()] += 1.0
+    bump = ScalarField.from_interior(g, vals)
+    with pytest.raises(NotPSH, match=r"at node \(0\.0, 0\.0\)$"):
+        require_psh(bump, name="bump")
+    u = ScalarField.from_interior(g, g.rho_interior)
+    v_small = ScalarField.from_interior(g, 0.5 * g.rho_interior)
+    with pytest.raises(PreconditionViolated, match=r"at node \(-?[\d.]+, -?[\d.]+\)$"):
+        check_comparison(u, v_small, 1e-8)
 
 
 def test_gaveau_identity_and_closed_form_minimizer():

@@ -1,8 +1,8 @@
 """Modules of the package use each other only through public names, the
 sparse linear solvers are called from one module, dirichlet.py, and there
 through one Newton step, dense Hermitian eigenvalues and inverses are
-computed in one module, hessian.py, and one module, domain.py, binds the
-name brentq."""
+computed in one module, hessian.py, one module, domain.py, binds the name
+brentq, and every module-level import is used."""
 
 import ast
 import pathlib
@@ -195,3 +195,68 @@ def test_detector_sees_module_bindings(tmp_path):
                      "root = opt.brentq(f, 0, 1)\n")
     assert module_bindings(probe) == {"scipy", "opt", "brentq", "bisect",
                                       "x", "y", "z", "f", "C", "root"}
+
+
+def import_sites(path):
+    """(line, bound name, local) for every name an import binds, where local
+    means inside a function or class body; `from __future__` binds none."""
+    found = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and (
+                    getattr(child, "module", None) != "__future__"):
+                found.extend((child.lineno, (a.asname or a.name).split(".")[0], local)
+                             for a in child.names)
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, local or scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    return found
+
+
+def unused_imports(path):
+    """(line, name) for every module-level import the module never reads:
+    no load of the name anywhere and, in a package __init__, no entry in
+    __all__."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [(line, name) for line, name, local in import_sites(path)
+            if not local and name not in read]
+
+
+def test_module_imports_are_used():
+    """The two unread imports stay bound for the benchmark's span table
+    (perfbench/spans.py), which looks cmaeig.dirichlet.spsolve and
+    cmaeig.domain.brentq up by name."""
+    unused = [f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
+              for _, name in unused_imports(p)]
+    assert unused == ["dirichlet.py:spsolve", "domain.py:brentq"]
+
+
+def test_only_local_import_breaks_the_eigenpath_cycle():
+    """Modules import at the top; the one function-local import, eigenpath's
+    rayleigh, breaks the eigenpath <-> variational import cycle."""
+    local = [(p.name, name) for p in sorted(SRC.glob("*.py"))
+             for _, name, is_local in import_sites(p) if is_local]
+    assert local == [("eigenpath.py", "rayleigh")]
+
+
+def test_detector_sees_unused_and_local_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os\nimport numpy as np\nimport scipy.sparse\n"
+                     "from math import pi, tau\nfrom .domain import Ball\n"
+                     "__all__ = ['Ball']\n"
+                     "try:\n    import json\nexcept ImportError:\n    json = None\n"
+                     "def f():\n    from .variational import rayleigh\n"
+                     "    return np.pi + pi + rayleigh\n"
+                     "class C:\n    import re\n")
+    assert unused_imports(probe) == [(2, "os"), (4, "scipy"), (5, "tau"), (9, "json")]
+    assert [(line, name) for line, name, local in import_sites(probe) if local] == [
+        (13, "rayleigh"), (16, "re")]
