@@ -2,10 +2,13 @@
 """Watch the solution branch blow up and the eigenvalue emerge.
 
 Walks the family det(u_jk) = (1 - lam*u)^n lam from 0 upward on a ball,
-printing sup|u_lam| and its reciprocal at every accepted branch point.  The
-reciprocal decays linearly in lam near the critical value; the final rows
-show the linear-fit root (the eigenvalue estimate) next to the shooting
-value.  Optionally dumps the branch history as CSV.
+printing sup|u_lam|, its reciprocal and the solve's cost (Newton steps,
+GMRES iterations, Jacobian factorizations, line-search backtracks; points
+whose secant predictor fell back to the scaled subsolution are marked) at
+every accepted branch point.  The reciprocal decays linearly in lam near the
+critical value; the final rows show the linear-fit root (the eigenvalue
+estimate) next to the shooting value.  Optionally dumps the branch history
+as CSV.
 """
 
 import argparse
@@ -36,10 +39,15 @@ def main():
     policy = SchedulePolicy(blowup_threshold=args.blowup)
     result = continuation(grid=grid, tol=args.tol, schedule_policy=policy)
 
-    print(f"{'lam':>12} {'sup|u|':>12} {'1/sup':>12} {'newton steps':>13}")
+    print(f"{'lam':>12} {'sup|u|':>12} {'1/sup':>12} {'newton':>7} "
+          f"{'gmres':>6} {'lu':>3} {'backtracks':>10}")
     for point in result.branch:
+        report = point.report
+        fallback = "  (predictor fallback)" if point.predictor_fallback else ""
         print(f"{point.lam:>12.6f} {point.sup_norm:>12.4f} "
-              f"{1.0 / point.sup_norm:>12.6f} {point.report.iterations:>13d}")
+              f"{1.0 / point.sup_norm:>12.6f} {report.iterations:>7d} "
+              f"{report.krylov_iterations:>6d} {report.factorizations:>3d} "
+              f"{report.backtracks:>10d}{fallback}")
 
     print(f"\nextrapolated eigenvalue : {result.lambda1:.8f} "
           f"(fit residual {result.fit_residual:.2e})")

@@ -513,6 +513,8 @@ def _run_continuation(config):
             # failed steps by exception class, "NewtonStalled:2,NotConverged:1"
             "rejected_steps": ",".join(f"{name}:{count}"
                                        for name, count in result.rejected_steps),
+            # points solved from the scaled subsolution in place of the predictor
+            "predictor_fallbacks": result.predictor_fallbacks,
             "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
         },

@@ -267,7 +267,7 @@ def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
 
 
 def _anchor(grid):
-    """(rho at the interior nodes, min det of its discrete complex Hessian).
+    """(rho at the interior nodes, det of its discrete complex Hessian there).
 
     rho vanishes at every crossing, so it is a zero-boundary field whose
     one-sided rows see no jump.  A strongly pseudoconvex domain's rho is
@@ -282,7 +282,7 @@ def _anchor(grid):
             f"defining function is not strictly PSH: smallest Hessian "
             f"eigenvalue {lam[worst]:.3e} at node {grid.interior_point(worst)}"
         )
-    return rho, float(np.min(hess.det()))
+    return rho, hess.det()
 
 
 # Amplitude iterations of quadratic_subsolution before it gives up.
@@ -299,10 +299,12 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
     cycle when the map is affine in t, as for the continuation family).
     Right-hand sides growing superlinearly past the domain's threshold make
     the map non-contractive; no fixed point exists and BranchInfeasible is
-    raised.  The result is then certified nodewise.
+    raised.  The result is then certified nodewise against t^n det(rho),
+    the det of t rho by linearity of the Hessian, with no second Hessian.
     """
     n = grid.n
-    rho, det_rho = _anchor(grid)
+    rho, det_rho_nodes = _anchor(grid)
+    det_rho = float(np.min(det_rho_nodes))
 
     def amp(s):
         return ((float(np.max(rhs.psi(s * rho))) + max(extra, 0.0)) / det_rho) ** (1.0 / n)
@@ -330,13 +332,12 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
         t = t2 + (t2 - t1) * ratio / (1.0 - ratio)
     else:
         raise BranchInfeasible("subsolution amplitude iteration did not settle")
-    # The amplitude bounds det(t rho) from below by t^n min det(rho), so it
-    # holds at every node up to rounding; verify, and bump if a node disagrees.
+    # The amplitude bounds det(t rho) = t^n det(rho) from below by
+    # t^n min det(rho), so it holds at every node up to rounding; verify,
+    # and bump if a node disagrees.
     for _ in range(4):
-        u = ScalarField.from_interior(grid, t * rho)
-        det = complex_hessian(u).det()
-        if np.all(det >= rhs.psi(t * rho) + extra - 1e-12):
-            return u, t
+        if np.all(t ** n * det_rho_nodes >= rhs.psi(t * rho) + extra - 1e-12):
+            return ScalarField.from_interior(grid, t * rho), t
         t *= 1.5
     raise BranchInfeasible("could not certify the quadratic subsolution")
 
@@ -638,7 +639,8 @@ def _feasible_start(grid, rhs, start):
     if np.min(hess.min_eigenvalue()) + mu > 0:
         return start, hess, ()
     rho, det_rho = _anchor(grid)
-    t_anchor = max(1.0, (float(np.max(rhs.psi(np.minimum(start, 0.0)))) / det_rho) ** (1.0 / grid.n))
+    t_anchor = max(1.0, (float(np.max(rhs.psi(np.minimum(start, 0.0))))
+                         / float(np.min(det_rho))) ** (1.0 / grid.n))
     anchor = t_anchor * rho
     for beta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
         trial = (1 - beta) * start + beta * anchor

@@ -2,14 +2,18 @@
 
 For lam below the critical value the problem det(u_jk) = (1 - lam*u)^n f^n
 has a unique nonpositive solution u_lam whose sup-norm grows without bound
-as lam approaches the ground eigenvalue from below.  `continuation` walks a
-monotone lam schedule with warm starts (a scaled copy of the previous branch
-solution is an exact subsolution for the next lam, provided the step times
-the sup-norm stays below 1), detects blow-up of the sup-norm, extrapolates
-the near-linear decay of 1/sup_norm to its root, and returns the normalized
-last branch solution as the eigenfunction.  `solve_branch` exposes a single
-branch point; called cold at a lam where no multiple of the defining
-function rho is a subsolution it ramps lam internally from 0.
+as lam approaches the ground eigenvalue from below, like 1/(lambda_1 - lam).
+`continuation` walks a monotone lam schedule, detects blow-up of the
+sup-norm, extrapolates the near-linear decay of 1/sup_norm to its root, and
+returns the normalized last branch solution as the eigenfunction.  Each
+point is solved from a pole-scaled secant predictor of the last two points:
+the shape u/sup_norm extrapolated linearly, its amplitude from the same
+straight line in 1/sup_norm.  A scaled copy of the previous solution, an
+exact subsolution for the next lam provided the step times the sup-norm
+stays below 1, is the start of the first step and the counted fallback when
+the predictor is unusable.  `solve_branch` exposes a single branch point;
+called cold at a lam where no multiple of the defining function rho is a
+subsolution it ramps lam internally from 0.
 
 The normalized field v = u/s at the last branch point satisfies the
 perturbed equation det(v) = (1/s - lam*v)^n f^n, so the reported residual
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -71,13 +75,19 @@ _STEP_FAILURES = (
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged point (lam, u_lam) of the solution branch."""
+    """One converged point (lam, u_lam) of the solution branch.
+
+    predictor_fallback: the secant predictor was unusable (nonpositive
+    predicted 1/sup_norm, or its solve failed) and the point was solved from
+    the scaled subsolution instead.
+    """
 
     lam: float
     sup_norm: float
     u: Optional[ScalarField]
     report: SolveReport
     outer_steps: int = 1
+    predictor_fallback: bool = False
 
     def __post_init__(self):
         if self.lam < 0 or self.sup_norm < 0:
@@ -97,7 +107,8 @@ class EigenResult:
     below the last branch lam; either way lambda1 is that lam).
     rejected_steps holds (exception class name, count) pairs, sorted by
     name, of the continuation steps that failed and were retried with half
-    the step.
+    the step.  predictor_fallbacks counts the branch points solved from the
+    scaled subsolution because their secant predictor was unusable.
     """
 
     lambda1: float
@@ -110,6 +121,7 @@ class EigenResult:
     fit_residual: float = 0.0
     flags: tuple = ()
     rejected_steps: tuple = ()
+    predictor_fallbacks: int = 0
 
     def __post_init__(self):
         if self.method not in (CONTINUATION, INVERSE_POWER):
@@ -158,11 +170,12 @@ def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
 def _converge_at(lam, rhs, u_start, tol):
     """Converge the branch problem at one value of lam; package a BranchPoint.
 
-    The warm start is a nodewise subsolution, which places Newton's method
-    inside its basin: the semilinear equation is linear in the unknown for
-    one complex variable and quasimonotone with a log-concave operator
-    otherwise, so damped Newton converges superlinearly where the monotone
-    sweep would need O(1/gap) passes near the blow-up.
+    A nodewise subsolution start places Newton's method inside its basin:
+    the semilinear equation is linear in the unknown for one complex
+    variable and quasimonotone with a log-concave operator otherwise, so
+    damped Newton converges superlinearly where the monotone sweep would
+    need O(1/gap) passes near the blow-up.  A predicted start is closer but
+    carries no such guarantee; _branch_step falls back when it fails.
     """
     u, report = solve_nonlinear(rhs, u_start, tol)
     return BranchPoint(
@@ -174,10 +187,34 @@ def _converge_at(lam, rhs, u_start, tol):
     )
 
 
-def _branch_step(lam_new, f, tol, prev):
-    """Advance the branch from `prev` using the scaled warm start.
+def _secant_start(lam_new, prev, before):
+    """Interior values of the pole-scaled secant predictor at lam_new from
+    the branch points `before` and `prev`, or None when the straight line in
+    1/sup_norm reaches its root by lam_new.
 
-    For d = lam_new - prev.lam with d * sup_norm < 1, the scaling
+    With r = (lam_new - prev.lam) / (prev.lam - before.lam), the shape
+    v = u/sup_norm is extrapolated linearly, v_prev + r (v_prev - v_before),
+    and scaled by the amplitude on the line through the two points'
+    1/sup_norm, the blow-up model _extrapolate fits; the result is clamped
+    to <= 0.
+    """
+    r = (lam_new - prev.lam) / (prev.lam - before.lam)
+    inv = 1.0 / prev.sup_norm + r * (1.0 / prev.sup_norm - 1.0 / before.sup_norm)
+    if inv <= 0.0:
+        return None
+    v_prev = prev.u.interior / prev.sup_norm
+    v_before = before.u.interior / before.sup_norm
+    return np.minimum((v_prev + r * (v_prev - v_before)) / inv, 0.0)
+
+
+def _branch_step(lam_new, f, tol, prev, before=None):
+    """Advance the branch from `prev` (and `before`, the point preceding it).
+
+    With `before`, the solve starts from the secant predictor
+    (_secant_start).  The scaled subsolution C * u_prev is the start of a
+    step without `before` and the fallback, marked on the point as
+    predictor_fallback, when the predictor is None or its solve raises one
+    of _STEP_FAILURES.  For d = lam_new - prev.lam with d * sup_norm < 1,
     C = 1/(1 - d * sup_norm) makes C * u_prev a subsolution at lam_new
     nodewise; a (1 + 100 tol) inflation absorbs the inner-solver slack in
     det(u_prev).
@@ -191,22 +228,32 @@ def _branch_step(lam_new, f, tol, prev):
             f"warm-start step {d:.3e} times sup-norm {prev.sup_norm:.3e} "
             "reaches the subsolution-scaling pole"
         )
-    C = (1.0 + 100.0 * tol) / (1.0 - shrink)
-    u_start = ScalarField.from_interior(prev.u.grid, C * prev.u.interior)
     rhs = RhsSpec.branch(prev.u.grid, lam_new, f)
-    return _converge_at(lam_new, rhs, u_start, tol)
+    if before is not None:
+        predicted = _secant_start(lam_new, prev, before)
+        if predicted is not None:
+            try:
+                return _converge_at(lam_new, rhs, predicted, tol)
+            except _STEP_FAILURES:
+                pass
+    C = (1.0 + 100.0 * tol) / (1.0 - shrink)
+    point = _converge_at(lam_new, rhs, C * prev.u.interior, tol)
+    return point if before is None else replace(point, predictor_fallback=True)
 
 
 def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
                  max_ramp=200, sup_norm_cap=1e4):
     """Solve det(u_jk) = (1 - lam*u)^n f^n with zero boundary values.
 
-    With `start` (a BranchPoint at a smaller lam) a single warm-started step
-    is taken.  Cold, a multiple of the defining function rho
-    (quadratic_subsolution) is used when one dominates; otherwise lam is
-    ramped from 0 with warm starts.  A ramp whose sup-norm
-    passes sup_norm_cap, or whose steps shrink to nothing, signals that lam
-    sits at or beyond the branch's critical value: BranchInfeasible.
+    With `start` (a BranchPoint at a smaller lam) a single step is taken
+    from the scaled subsolution of `start`.  Cold, a multiple of the defining
+    function rho (quadratic_subsolution) is used when one dominates;
+    otherwise lam is ramped from 0, each ramp step passing its previous
+    point to _branch_step, which starts from the secant predictor (the
+    scaled subsolution on the first step and as the fallback).  A ramp
+    whose sup-norm passes sup_norm_cap, or whose steps shrink to nothing,
+    signals that lam sits at or beyond the branch's critical value:
+    BranchInfeasible.
     """
     if lam < 0:
         raise ValueError("branch parameter must be nonnegative")
@@ -221,7 +268,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
         if lam == 0.0:
             raise
 
-    current = solve_branch(0.0, f, grid, tol)
+    before, current = None, solve_branch(0.0, f, grid, tol)
     for _ in range(max_ramp):
         if current.lam >= lam:
             return current
@@ -236,7 +283,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
                 f"ramp stalled at lam={current.lam:.6g} approaching the "
                 "critical value"
             )
-        current = _branch_step(current.lam + d, f, tol, current)
+        before, current = current, _branch_step(current.lam + d, f, tol, current, before)
     raise BranchInfeasible(
         f"ramp did not reach lam={lam:.6g} in {max_ramp} steps"
     )
@@ -277,6 +324,10 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     the sup-norm passes the blow-up threshold, and estimates lambda1 as the
     root of a linear fit to 1/sup_norm over the trailing branch points.  The
     eigenfunction is the last branch solution normalized to unit sup-norm.
+    Each point after the first step is solved from the secant predictor of
+    the last two points; the scaled subsolution of the last point starts the
+    first step and replaces an unusable predictor, each such fallback counted
+    in EigenResult.predictor_fallbacks.
 
     Raises ScheduleExhausted — carrying the best certified lower bound —
     when no blow-up occurs before the lam cap, the step size collapses, or
@@ -319,7 +370,8 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
                 lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
             )
         try:
-            point = _branch_step(prev.lam + d, f, tol, prev)
+            point = _branch_step(prev.lam + d, f, tol, prev,
+                                 branch[-2] if len(branch) > 1 else None)
         except _STEP_FAILURES as exc:
             rejected[type(exc).__name__] += 1
             step = d / 2.0
@@ -368,6 +420,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         fit_residual=fit_residual,
         flags=flags,
         rejected_steps=tuple(sorted(rejected.items())),
+        predictor_fallbacks=sum(p.predictor_fallback for p in branch),
     )
 
 

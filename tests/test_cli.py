@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
 
 from cmaeig.cli import (
@@ -303,10 +304,13 @@ def test_eigen_summary_counts_factorizations(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
 def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
-    """The summary sums the branch's line-search backtracks and mu shrinks;
-    a continuation also lists its rejected steps by exception class."""
+    """The summary sums the branch's line-search backtracks (one forced by a
+    long first Newton step) and mu shrinks; a continuation also lists its
+    rejected steps by exception class and counts its predictor fallbacks."""
     real = eigenpath._branch_step
     calls = []
+    newton_step = dirichlet._newton_step
+    steps = []
 
     def fails_once(*args):
         calls.append(1)
@@ -314,20 +318,32 @@ def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
             raise NewtonStalled("probe")
         return real(*args)
 
+    def long_first_step(grid, J, F):
+        # five times too long: the line search halves it at least twice
+        delta, iterations, factored = newton_step(grid, J, F)
+        steps.append(1)
+        return (5.0 if len(steps) == 1 else 1.0) * delta, iterations, factored
+
     monkeypatch.setattr(eigenpath, "_branch_step", fails_once)
+    monkeypatch.setattr(dirichlet, "_newton_step", long_first_step)
     config = build_config({"command": command, "n": "2", "h": "0.25",
                            "emit": "summary", "out": str(tmp_path / "out")})
     code, record = run(config)
     text = (tmp_path / "out" / "summary.txt").read_text()
     assert code == 0
-    for name in ("backtracks", "mu_shrinks"):
+    names = ("backtracks", "mu_shrinks")
+    if command == "eigen-continuation":
+        names += ("predictor_fallbacks",)
+    for name in names:
         count = record.diagnostics[name]
         assert isinstance(count, int) and f"\n{name}={count}\n" in text
     assert record.diagnostics["backtracks"] > 0
     if command == "eigen-continuation":
         assert "\nrejected_steps=NewtonStalled:1\n" in text
+        assert record.diagnostics["predictor_fallbacks"] == 0
     else:
         assert "rejected_steps" not in record.diagnostics and calls == []
+        assert "predictor_fallbacks" not in record.diagnostics
 
 
 def test_solve_run_emits_recoverable_field(tmp_path):

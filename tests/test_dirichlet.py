@@ -26,7 +26,9 @@ from cmaeig.errors import (
     NotConverged,
     PreconditionViolated,
 )
-from cmaeig.domain import Ball, Constant, CustomRho, Ellipsoid, GaussianBump, build_grid
+from cmaeig.domain import (
+    Ball, Constant, CustomRho, Ellipsoid, GaussianBump, build_grid, density_vector,
+)
 from cmaeig.eigenpath import continuation, verify_eigenpair
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 from cmaeig.variational import inverse_power
@@ -690,6 +692,34 @@ def test_quadratic_subsolution_on_custom_disc_matches_ball():
         amplitudes.append(quadratic_subsolution(g, RhsSpec.branch(g, 0.5))[1])
     assert amplitudes[0] == pytest.approx(2.0, abs=1e-9)
     assert amplitudes[1] == pytest.approx(amplitudes[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("which,hessians,amplitude", [
+    ("ball4", 2, 1.0000000000000069), ("ellipsoid_bump", 7, 1.393034883624431)])
+def test_cold_frozen_solve_certifies_without_a_second_hessian(which, hessians, amplitude,
+                                                              monkeypatch):
+    """quadratic_subsolution certifies t rho against t^n det(rho) from the
+    anchor's Hessian, taking none of t rho, and returns exactly t rho with
+    the pinned amplitude; the count is a cold n = 2 solve_frozen's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # h = 0.25 is crude on the ellipsoid
+        grid = build_grid(Ball(2) if which == "ball4" else Ellipsoid((1.0, 0.7)), 0.25)
+    density = (Constant(1.0) if which == "ball4" else
+               GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5))
+    fn = density_vector(density, grid, power=2)
+    u, t = quadratic_subsolution(grid, RhsSpec.frozen(grid, fn))
+    assert t == amplitude
+    assert np.array_equal(u.interior, t * grid.rho_interior)
+    calls = []
+    real = dirichlet.complex_hessian
+
+    def counted(field):
+        calls.append(1)
+        return real(field)
+
+    monkeypatch.setattr(dirichlet, "complex_hessian", counted)
+    _, report = solve_frozen(fn, grid)
+    assert report.converged and len(calls) == hessians
 
 
 @pytest.fixture(scope="module")

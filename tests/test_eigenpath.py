@@ -7,7 +7,7 @@ import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
 
 from cmaeig.dirichlet import SolveReport
-from cmaeig.domain import Ball, Constant, build_grid, density_vector
+from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, density_vector
 from cmaeig.eigenpath import (
     CONTINUATION,
     INVERSE_POWER,
@@ -16,6 +16,7 @@ from cmaeig.eigenpath import (
     SchedulePolicy,
     _eigen_residual,
     _extrapolate,
+    _secant_start,
     continuation,
     lower_bound,
     solve_branch,
@@ -176,8 +177,7 @@ def test_continuation_n1_factors_once(monkeypatch):
 
 def test_continuation_n2_reuses_newton_lu(monkeypatch):
     """An n = 2 continuation factors fewer Jacobians than it takes Newton
-    steps, and its per-point Newton counts and lambda_1 are those of the
-    one-direct-solve-per-step code."""
+    steps; its per-point Newton counts and lambda_1 are pinned."""
     calls = []
     real = dirichlet.splu
 
@@ -188,11 +188,73 @@ def test_continuation_n2_reuses_newton_lu(monkeypatch):
     monkeypatch.setattr(dirichlet, "splu", counted)
     result = continuation(grid=build_grid(Ball(2, 1.0), 0.25), tol=1e-8)
     iterations = [p.report.iterations for p in result.branch]
-    # recorded with one spsolve per Newton step
-    assert iterations == [0, 4, 4, 5, 6] + [5] * 10
-    assert result.lambda1 == pytest.approx(1.6613293062431576, abs=1e-12)
+    # recorded with the secant predictor (discrete eigenvalue 1.661450533119653)
+    assert iterations == [0, 4] + [3] * 13
+    assert result.lambda1 == pytest.approx(1.6613320300312644, abs=1e-12)
     assert len(calls) == sum(p.report.factorizations for p in result.branch)
     assert 0 < len(calls) < sum(iterations)
+
+
+# lam points of the ellipsoid-bump continuation recorded from the scaled
+# subsolution start (68 Newton steps, 10 backtracks)
+ELLIPSOID_BUMP_LAMS = [
+    0.0, 0.25416628446524636, 0.5083325689304927, 0.7624988533957391,
+    1.016336829120457, 1.1920239470596456, 1.3155518250714222,
+    1.4033149713947448, 1.4661010938179713, 1.5112275260329928,
+    1.543763773152797, 1.5672733777482946, 1.5842862592248772,
+    1.5966107837451253,
+]
+
+
+def test_continuation_ellipsoid_bump_predictor_saves_newton_steps():
+    """On a non-radial n = 2 problem the secant predictor keeps the lam
+    schedule and lambda_1 of the scaled-subsolution start while taking
+    fewer Newton steps and no line-search backtrack."""
+    with pytest.warns(UserWarning, match="quarter"):
+        grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+    bump = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+    result = continuation(f=bump, grid=grid, tol=1e-8)
+    assert sum(p.report.iterations for p in result.branch) <= 50
+    assert sum(p.report.backtracks for p in result.branch) == 0
+    assert result.predictor_fallbacks == 0
+    assert [p.lam for p in result.branch] == pytest.approx(ELLIPSOID_BUMP_LAMS, abs=1e-12)
+    assert result.lambda1 == pytest.approx(1.628983703584143, abs=1e-12)
+
+
+def test_unusable_predictor_falls_back_and_is_counted(disc32, monkeypatch):
+    """A predicted start outside the solver's cone (here a positive field)
+    fails its solve; every point after the first step is then solved from
+    the scaled subsolution, marked and counted, with the same lambda_1."""
+    plain = continuation(grid=disc32, tol=1e-8)
+    monkeypatch.setattr(eigenpath, "_secant_start",
+                        lambda lam_new, prev, before: np.abs(prev.u.interior))
+    result = continuation(grid=disc32, tol=1e-8)
+    assert plain.predictor_fallbacks == 0
+    assert [p.predictor_fallback for p in result.branch] == [False, False] + [True] * (
+        len(result.branch) - 2)
+    assert result.predictor_fallbacks == len(result.branch) - 2 > 0
+    assert all(p.report.converged for p in result.branch)
+    assert result.lambda1 == pytest.approx(plain.lambda1, abs=1e-12)
+
+
+def pole_shaped_point(lam, shape, pole=2.0):
+    """Branch point u = shape / (pole - lam): fixed shape, 1/sup linear in lam."""
+    grid = shape.grid
+    u = ScalarField.from_interior(grid, shape.interior / (pole - lam))
+    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, sup_norm=0.0,
+                         grad_sup=0.0, laplacian_sup=0.0, converged=True)
+    return BranchPoint(lam=lam, sup_norm=u.sup_norm(), u=u, report=report)
+
+
+def test_secant_start_is_exact_on_a_pole_shaped_branch(disc32):
+    shape = ScalarField.from_interior(disc32, np.sum(disc32.interior_coords ** 2, axis=1) - 1.0)
+    before, prev = pole_shaped_point(1.0, shape), pole_shaped_point(1.5, shape)
+    predicted = _secant_start(1.8, prev, before)
+    exact = pole_shaped_point(1.8, shape).u.interior
+    assert np.max(np.abs(predicted - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # the line in 1/sup_norm reaches zero at the pole: no prediction there
+    assert _secant_start(2.0, prev, before) is None
+    assert _secant_start(2.5, prev, before) is None
 
 
 def test_continuation_counts_rejected_steps_by_class(disc32, monkeypatch):
