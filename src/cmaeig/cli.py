@@ -47,7 +47,7 @@ from .domain import (
     density_vector,
 )
 from .eigenpath import BranchPoint, SchedulePolicy, continuation
-from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse
+from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse, ZeroMass
 from .radial import radial_lambda1, shoot
 from .serialize import (
     atomic_write_text,
@@ -57,7 +57,7 @@ from .serialize import (
     spec_to_dict,
     write_field,
 )
-from .variational import energy, inverse_power, mass, rayleigh
+from .variational import functionals, inverse_power
 from .verify import run_suite
 
 __all__ = [
@@ -452,8 +452,7 @@ def config_hash(config):
 
 
 def _single_point_branch(u, report):
-    return [BranchPoint(lam=0.0, sup_norm=u.sup_norm(), u=u, report=report,
-                        outer_steps=max(report.iterations, 1))]
+    return [BranchPoint(lam=0.0, sup_norm=u.sup_norm(), u=u, report=report)]
 
 
 def _result_flags(result):
@@ -465,9 +464,11 @@ def _result_flags(result):
 
 
 def _newton_counters(result):
-    """Line-search backtracks and eigenvalue-floor shrinks, summed over the
-    branch's solves."""
+    """GMRES iterations, Jacobian factorizations, line-search backtracks and
+    eigenvalue-floor shrinks, summed over the branch's solves."""
     return {
+        "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
+        "factorizations": sum(p.report.factorizations for p in result.branch),
         "backtracks": sum(p.report.backtracks for p in result.branch),
         "mu_shrinks": sum(p.report.mu_shrinks for p in result.branch),
     }
@@ -507,8 +508,6 @@ def _run_continuation(config):
         "diagnostics": {
             "method": result.method,
             "branch_points": len(result.branch),
-            "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
-            "factorizations": sum(p.report.factorizations for p in result.branch),
             **_newton_counters(result),
             # failed steps by exception class, "NewtonStalled:2,NotConverged:1"
             "rejected_steps": ",".join(f"{name}:{count}"
@@ -536,8 +535,6 @@ def _run_inverse_power(config):
         "diagnostics": {
             "method": result.method,
             "iterations": len(result.branch) - 1,
-            "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
-            "factorizations": sum(p.report.factorizations for p in result.branch),
             **_newton_counters(result),
             "flags": _result_flags(result),
             "rayleigh_value": result.rayleigh_value,
@@ -574,14 +571,17 @@ def _run_rayleigh(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
     u0, report = solve_frozen(fn, grid, config.tol)
+    values = functionals(u0, fn, grid)
+    if values.rayleigh is None:
+        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
     return {
         "lambda1": None,
         "residuals": {"residual": report.final_residual},
         "diagnostics": {
-            "energy": energy(u0, grid),
-            "mass": mass(u0, fn, grid),
-            "rayleigh": rayleigh(u0, fn, grid),
-            "rayleigh_root": rayleigh(u0, fn, grid) ** (1.0 / grid.n),
+            "energy": values.energy,
+            "mass": values.mass,
+            "rayleigh": values.rayleigh,
+            "rayleigh_root": values.rayleigh ** (1.0 / grid.n),
             "eigenvalue_lower_bound": 1.0 / u0.sup_norm(),
         },
         "field": u0,

@@ -713,26 +713,24 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
     if require_subsolution and not check_subsolution(u_lower, rhs, grid, tol=max(tol, 1e-10)):
         raise PreconditionViolated("starting field is not a subsolution at this tolerance")
     inner_tol = tol / 10.0
-    ui = u_lower.interior
     history = []
-    warm = u_lower
+    u = u_lower
     for _ in range(max_outer):
-        u_next, rep = solve_frozen(rhs.psi(np.minimum(ui, 0.0)), grid, inner_tol, initial=warm)
+        u_next, rep = apply_T(u, rhs, grid, inner_tol, initial=u)
         if report_sink is not None:
             report_sink.append(rep)
-        vi = u_next.interior
-        drop = float(np.min(vi - ui))
+        step = u_next.interior - u.interior
+        drop = float(np.min(step))
         if drop < -10.0 * tol:
             raise MonotonicityViolated(
                 f"iterate decreased by {-drop:.3e} > 10*tol at some node"
             )
-        history.append(float(np.max(vi - ui)))
-        ui = vi
-        warm = u_next
-        hess = complex_hessian(u_next)
-        res = float(np.max(np.abs(hess.det() - rhs.psi(np.minimum(ui, 0.0)))))
+        history.append(float(np.max(step)))
+        u = u_next
+        hess = complex_hessian(u)
+        res = float(np.max(np.abs(hess.det() - rhs.psi(np.minimum(u.interior, 0.0)))))
         if res <= tol:
-            return u_next, history
+            return u, history
     raise NotConverged(
         f"outer iteration reached {max_outer} steps; last increment {history[-1]:.3e}"
     )

@@ -3,17 +3,18 @@
 For lam below the critical value the problem det(u_jk) = (1 - lam*u)^n f^n
 has a unique nonpositive solution u_lam whose sup-norm grows without bound
 as lam approaches the ground eigenvalue from below, like 1/(lambda_1 - lam).
-`continuation` walks a monotone lam schedule, detects blow-up of the
-sup-norm, extrapolates the near-linear decay of 1/sup_norm to its root, and
-returns the normalized last branch solution as the eigenfunction.  Each
-point is solved from a pole-scaled secant predictor of the last two points:
-the shape u/sup_norm extrapolated linearly, its amplitude from the same
-straight line in 1/sup_norm.  A scaled copy of the previous solution, an
-exact subsolution for the next lam provided the step times the sup-norm
-stays below 1, is the start of the first step and the counted fallback when
-the predictor is unusable.  `solve_branch` exposes a single branch point;
-called cold at a lam where no multiple of the defining function rho is a
-subsolution it ramps lam internally from 0.
+One step-controlled walk (_walk) climbs the branch from its lam = 0 point
+(_origin, the solution of det(u_jk) = f^n).  `continuation` walks until the
+sup-norm blows up, extrapolates the near-linear decay of 1/sup_norm to its
+root, and returns the normalized last branch solution as the eigenfunction.
+Each point is solved from a pole-scaled secant predictor of the last two
+points: the shape u/sup_norm extrapolated linearly, its amplitude from the
+same straight line in 1/sup_norm.  A scaled copy of the previous solution,
+an exact subsolution for the next lam provided the step times the sup-norm
+stays below 1, starts the first step and is the counted fallback when the
+predictor is unusable.  `solve_branch` returns one branch point; cold, where
+no multiple of the defining function rho is a subsolution, it takes the
+same walk, stopped at lam.
 
 The normalized field v = u/s at the last branch point satisfies the
 perturbed equation det(v) = (1/s - lam*v)^n f^n, so the reported residual
@@ -72,6 +73,14 @@ _STEP_FAILURES = (
     PreconditionViolated,
 )
 
+# Branch walk: first step and lam cap in units of the lower bound 1/sup|u_0|;
+# step * sup_norm <= _KAPPA keeps the scaled warm start a subsolution;
+# lambda_1 is the root of the line fitted to the last _FIT_POINTS points.
+_INITIAL_STEP_FACTOR = 0.25
+_LAMBDA_CAP_FACTOR = 10.0
+_KAPPA = 0.5
+_FIT_POINTS = 4
+
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -86,7 +95,6 @@ class BranchPoint:
     sup_norm: float
     u: Optional[ScalarField]
     report: SolveReport
-    outer_steps: int = 1
     predictor_fallback: bool = False
 
     def __post_init__(self):
@@ -130,27 +138,28 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class SchedulePolicy:
-    """Adaptive-continuation knobs.
+    """Where a branch walk stops.
 
     blowup_threshold: sup-norm at which the branch is declared blown up.
-    lambda_cap_factor: schedule aborts past this multiple of the lower bound.
-    kappa: cap on step * sup_norm keeping the scaled warm start a subsolution.
-    fit_points: trailing branch points entering the 1/sup_norm linear fit.
-    initial_step: first lam step (default: quarter of the lower bound).
+    max_points: budget of branch points, the lam = 0 point included.
     """
 
     blowup_threshold: float = 50.0
-    lambda_cap_factor: float = 10.0
-    kappa: float = 0.5
-    fit_points: int = 4
-    initial_step: Optional[float] = None
     max_points: int = 200
 
     def __post_init__(self):
-        if self.blowup_threshold <= 0 or self.kappa <= 0 or self.kappa >= 1:
-            raise ValueError("blowup_threshold > 0 and 0 < kappa < 1 required")
-        if self.fit_points < 2:
-            raise ValueError("need at least two points to extrapolate")
+        if self.blowup_threshold <= 0:
+            raise ValueError("blowup_threshold > 0 required")
+
+
+def _origin(f, grid, tol):
+    """The lam = 0 point of the branch: u0 solving det(u_jk) = f^n with zero
+    boundary values."""
+    u0, report = solve_frozen(density_vector(f, grid, power=grid.n), grid, tol)
+    s0 = u0.sup_norm()
+    if s0 <= 0.0:
+        raise BranchInfeasible("zero-density problem has no negative solution")
+    return BranchPoint(lam=0.0, sup_norm=s0, u=u0, report=report)
 
 
 def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
@@ -160,11 +169,7 @@ def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
     every branch solution below it, so the branch cannot blow up before
     1/sup|u0|.
     """
-    u0, _ = solve_frozen(density_vector(f, grid, power=grid.n), grid, tol)
-    s = u0.sup_norm()
-    if s <= 0.0:
-        raise BranchInfeasible("zero-density problem has no negative solution")
-    return 1.0 / s
+    return 1.0 / _origin(f, grid, tol).sup_norm
 
 
 def _converge_at(lam, rhs, u_start, tol):
@@ -178,13 +183,7 @@ def _converge_at(lam, rhs, u_start, tol):
     carries no such guarantee; _branch_step falls back when it fails.
     """
     u, report = solve_nonlinear(rhs, u_start, tol)
-    return BranchPoint(
-        lam=lam,
-        sup_norm=u.sup_norm(),
-        u=u,
-        report=report,
-        outer_steps=max(report.iterations, 1),
-    )
+    return BranchPoint(lam=lam, sup_norm=u.sup_norm(), u=u, report=report)
 
 
 def _secant_start(lam_new, prev, before):
@@ -241,17 +240,88 @@ def _branch_step(lam_new, f, tol, prev, before=None):
     return point if before is None else replace(point, predictor_fallback=True)
 
 
-def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
-                 max_ramp=200, sup_norm_cap=1e4):
+def _walk(f, grid, tol, policy, lam_stop=np.inf):
+    """Walk the branch up from _origin; returns (branch, rejected), the
+    failed steps counted by exception class.
+
+    A failed solve, or one needing more than twice the median Newton count,
+    halves the step; three easy solves in a row double it.  Every step is
+    capped by _KAPPA/sup_norm and by lam_stop, and the step to lam_stop lands
+    on it exactly.  The walk ends once the sup-norm passes
+    policy.blowup_threshold or lam reaches lam_stop.  It raises
+    ScheduleExhausted, carrying the best certified lower bound, when the
+    lam = 0 sup-norm is already past the threshold, or the lam cap, the
+    point budget or the step size runs out.
+    """
+    branch = [_origin(f, grid, tol)]
+    lb = 1.0 / branch[0].sup_norm
+    if branch[0].sup_norm > policy.blowup_threshold:
+        raise ScheduleExhausted(
+            f"sup-norm at lam=0 ({branch[0].sup_norm:.3g}) already exceeds the "
+            "blow-up threshold; raise blowup_threshold to resolve the branch",
+            lambda_lower_bound=lb,
+        )
+
+    lam_cap = _LAMBDA_CAP_FACTOR * lb
+    step = _INITIAL_STEP_FACTOR * lb
+    newton_counts = []
+    easy_streak = 0
+    rejected = Counter()
+
+    while branch[-1].sup_norm <= policy.blowup_threshold and branch[-1].lam < lam_stop:
+        prev = branch[-1]
+        if prev.lam >= lam_cap or len(branch) >= policy.max_points:
+            raise ScheduleExhausted(
+                f"no blow-up before lam cap {lam_cap:.6g} "
+                f"({len(branch)} branch points, sup-norm {prev.sup_norm:.3g})",
+                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
+            )
+        d = min(step, _KAPPA / prev.sup_norm, lam_cap - prev.lam, lam_stop - prev.lam)
+        if d <= 1e-12 * max(lam_cap, 1.0):
+            raise ScheduleExhausted(
+                f"step size collapsed at lam={prev.lam:.6g}",
+                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
+            )
+        lam_new = lam_stop if d == lam_stop - prev.lam else prev.lam + d
+        try:
+            point = _branch_step(lam_new, f, tol, prev,
+                                 branch[-2] if len(branch) > 1 else None)
+        except _STEP_FAILURES as exc:
+            rejected[type(exc).__name__] += 1
+            step = d / 2.0
+            easy_streak = 0
+            if step <= 1e-12 * max(lam_cap, 1.0):
+                raise ScheduleExhausted(
+                    f"branch solves keep failing near lam={prev.lam:.6g}",
+                    lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
+                )
+            continue
+        branch.append(point)
+        newton = max(point.report.iterations, 1)
+        newton_counts.append(newton)
+        median = statistics.median(newton_counts)
+        if newton > 2 * median:
+            step = max(d / 2.0, 1e-12)
+            easy_streak = 0
+        elif newton <= median:
+            easy_streak += 1
+            if easy_streak >= 3:
+                step *= 2.0
+                easy_streak = 0
+        else:
+            easy_streak = 0
+    return branch, rejected
+
+
+def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm_cap=1e4):
     """Solve det(u_jk) = (1 - lam*u)^n f^n with zero boundary values.
 
     With `start` (a BranchPoint at a smaller lam) a single step is taken
-    from the scaled subsolution of `start`.  Cold, a multiple of the defining
-    function rho (quadratic_subsolution) is used when one dominates;
-    otherwise lam is ramped from 0, each ramp step passing its previous
-    point to _branch_step, which starts from the secant predictor (the
-    scaled subsolution on the first step and as the fallback).  A ramp
-    whose sup-norm passes sup_norm_cap, or whose steps shrink to nothing,
+    from the scaled subsolution of `start`.  Cold, lam = 0 is _origin; a
+    multiple of the defining function rho (quadratic_subsolution) is used
+    when one dominates; otherwise the branch is walked from 0 with the
+    continuation's step control (_walk), stopped at lam.  A walk whose
+    sup-norm passes sup_norm_cap before lam, or that exhausts its schedule,
     signals that lam sits at or beyond the branch's critical value:
     BranchInfeasible.
     """
@@ -259,34 +329,27 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None,
         raise ValueError("branch parameter must be nonnegative")
     if start is not None:
         return _branch_step(lam, f, tol, start)
+    if lam == 0.0:
+        return _origin(f, grid, tol)
 
     rhs = RhsSpec.branch(grid, lam, f)
     try:
         u_sub, _ = quadratic_subsolution(grid, rhs)
         return _converge_at(lam, rhs, u_sub, tol)
     except BranchInfeasible:
-        if lam == 0.0:
-            raise
+        pass
 
-    before, current = None, solve_branch(0.0, f, grid, tol)
-    for _ in range(max_ramp):
-        if current.lam >= lam:
-            return current
-        if current.sup_norm > sup_norm_cap:
-            raise BranchInfeasible(
-                f"branch sup-norm {current.sup_norm:.3e} exceeds the cap "
-                f"before lam={lam:.6g}: at or beyond the critical value"
-            )
-        d = min(lam - current.lam, 0.5 / current.sup_norm)
-        if d <= 1e-9 * max(lam, 1.0):
-            raise BranchInfeasible(
-                f"ramp stalled at lam={current.lam:.6g} approaching the "
-                "critical value"
-            )
-        before, current = current, _branch_step(current.lam + d, f, tol, current, before)
-    raise BranchInfeasible(
-        f"ramp did not reach lam={lam:.6g} in {max_ramp} steps"
-    )
+    try:
+        branch, _ = _walk(f, grid, tol, SchedulePolicy(blowup_threshold=sup_norm_cap), lam)
+    except ScheduleExhausted as exc:
+        raise BranchInfeasible(
+            f"branch walk stopped before lam={lam:.6g}: {exc}") from exc
+    if branch[-1].lam < lam:
+        raise BranchInfeasible(
+            f"branch sup-norm {branch[-1].sup_norm:.3e} exceeds the cap "
+            f"before lam={lam:.6g}: at or beyond the critical value"
+        )
+    return branch[-1]
 
 
 def _extrapolate(branch, fit_points):
@@ -317,87 +380,19 @@ def _eigen_residual(v, lam, fn, grid):
 def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     """Ground eigenpair by branch continuation with blow-up extrapolation.
 
-    Walks lam upward with adaptive steps (halved when a solve needs more
-    than twice the median outer iterations or fails, each failure counted
-    by exception class in EigenResult.rejected_steps, doubled after three
-    consecutive easy solves, always capped by kappa/sup_norm), stops once
-    the sup-norm passes the blow-up threshold, and estimates lambda1 as the
-    root of a linear fit to 1/sup_norm over the trailing branch points.  The
-    eigenfunction is the last branch solution normalized to unit sup-norm.
-    Each point after the first step is solved from the secant predictor of
-    the last two points; the scaled subsolution of the last point starts the
-    first step and replaces an unusable predictor, each such fallback counted
-    in EigenResult.predictor_fallbacks.
-
-    Raises ScheduleExhausted — carrying the best certified lower bound —
-    when no blow-up occurs before the lam cap, the step size collapses, or
-    the point budget runs out.
+    Walks lam upward from 0 (_walk) until the sup-norm passes the blow-up
+    threshold, and estimates lambda1 as the root of a linear fit to
+    1/sup_norm over the trailing branch points.  The eigenfunction is the
+    last branch solution normalized to unit sup-norm.  Failed steps are
+    counted by exception class in EigenResult.rejected_steps, points whose
+    secant predictor was replaced by the scaled subsolution in
+    EigenResult.predictor_fallbacks.  Raises ScheduleExhausted as _walk does.
     """
-    policy = schedule_policy or SchedulePolicy()
+    branch, rejected = _walk(f, grid, tol, schedule_policy or SchedulePolicy())
     n = grid.n
     fn = density_vector(f, grid, power=n)
-    u0, report0 = solve_frozen(fn, grid, tol)
-    s0 = u0.sup_norm()
-    if s0 <= 0.0:
-        raise BranchInfeasible("zero-density problem has no negative solution")
-    lb = 1.0 / s0
-    branch = [BranchPoint(lam=0.0, sup_norm=s0, u=u0, report=report0)]
-    if s0 > policy.blowup_threshold:
-        raise ScheduleExhausted(
-            f"sup-norm at lam=0 ({s0:.3g}) already exceeds the blow-up "
-            "threshold; raise blowup_threshold to resolve the branch",
-            lambda_lower_bound=lb,
-        )
-
-    lam_cap = policy.lambda_cap_factor * lb
-    step = policy.initial_step if policy.initial_step is not None else 0.25 * lb
-    outer_counts = []
-    easy_streak = 0
-    rejected = Counter()
-
-    while branch[-1].sup_norm <= policy.blowup_threshold:
-        prev = branch[-1]
-        if prev.lam >= lam_cap or len(branch) >= policy.max_points:
-            raise ScheduleExhausted(
-                f"no blow-up before lam cap {lam_cap:.6g} "
-                f"({len(branch)} branch points, sup-norm {prev.sup_norm:.3g})",
-                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
-            )
-        d = min(step, policy.kappa / prev.sup_norm, lam_cap - prev.lam)
-        if d <= 1e-12 * max(lam_cap, 1.0):
-            raise ScheduleExhausted(
-                f"step size collapsed at lam={prev.lam:.6g}",
-                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
-            )
-        try:
-            point = _branch_step(prev.lam + d, f, tol, prev,
-                                 branch[-2] if len(branch) > 1 else None)
-        except _STEP_FAILURES as exc:
-            rejected[type(exc).__name__] += 1
-            step = d / 2.0
-            easy_streak = 0
-            if step <= 1e-12 * max(lam_cap, 1.0):
-                raise ScheduleExhausted(
-                    f"branch solves keep failing near lam={prev.lam:.6g}",
-                    lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
-                )
-            continue
-        branch.append(point)
-        outer_counts.append(point.outer_steps)
-        median = statistics.median(outer_counts)
-        if point.outer_steps > 2 * median:
-            step = max(d / 2.0, 1e-12)
-            easy_streak = 0
-        elif point.outer_steps <= median:
-            easy_streak += 1
-            if easy_streak >= 3:
-                step *= 2.0
-                easy_streak = 0
-        else:
-            easy_streak = 0
-
     last = branch[-1]
-    lam1, fit_residual, flags = _extrapolate(branch, policy.fit_points)
+    lam1, fit_residual, flags = _extrapolate(branch, _FIT_POINTS)
     s = last.sup_norm
     v = ScalarField.from_interior(grid, last.u.interior / s)
     residual = _eigen_residual(v, lam1, fn, grid)

@@ -108,6 +108,31 @@ def test_branch_infeasible_past_critical_value(disc32):
         solve_branch(2.0, grid=disc32, tol=1e-8, sup_norm_cap=50.0)
 
 
+def test_cold_branch_walks_a_prefix_of_the_continuation_schedule(disc32, monkeypatch):
+    """Past the subsolution threshold a cold solve_branch takes the
+    continuation's own steps and lands on the requested lam exactly."""
+    real = eigenpath._branch_step
+    visited = []
+
+    def spy(lam_new, *args):
+        visited.append(lam_new)
+        return real(lam_new, *args)
+
+    monkeypatch.setattr(eigenpath, "_branch_step", spy)
+    schedule = [p.lam for p in continuation(grid=disc32, tol=1e-8).branch[1:]]
+    visited.clear()
+    bp = solve_branch(1.3, grid=disc32, tol=1e-8)
+    assert bp.lam == 1.3
+    assert visited[-1] == 1.3
+    assert visited[:-1] == schedule[:len(visited) - 1]
+    assert schedule[len(visited) - 2] < 1.3 < schedule[len(visited) - 1]
+
+
+def test_branch_at_zero_is_the_lower_bound_origin(disc32):
+    assert 1.0 / solve_branch(0.0, grid=disc32, tol=1e-8).sup_norm == lower_bound(
+        grid=disc32, tol=1e-8)
+
+
 def test_branch_scaling_pole_guard(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(BranchInfeasible, match="pole"):
@@ -315,10 +340,10 @@ def test_continuation_scales_with_density(disc32):
     assert abs(res.lambda1 - target) / target < 2e-2
 
 
-def test_continuation_lambda_cap_exhaustion(disc32):
-    policy = SchedulePolicy(lambda_cap_factor=1.2)
+def test_continuation_lambda_cap_exhaustion(disc32, monkeypatch):
+    monkeypatch.setattr(eigenpath, "_LAMBDA_CAP_FACTOR", 1.2)
     with pytest.raises(ScheduleExhausted) as exc:
-        continuation(grid=disc32, tol=1e-8, schedule_policy=policy)
+        continuation(grid=disc32, tol=1e-8)
     lb = exc.value.lambda_lower_bound
     assert 1.0 <= lb <= 1.2 * 1.0 * (1 + 1e-6)
     assert lb <= LAMBDA1_UNIT_DISC
@@ -332,7 +357,7 @@ def test_continuation_threshold_below_start_exhausts(disc32):
 
 
 def test_continuation_point_budget_exhaustion(disc32):
-    policy = SchedulePolicy(max_points=3, initial_step=1e-3)
+    policy = SchedulePolicy(max_points=3)
     with pytest.raises(ScheduleExhausted):
         continuation(grid=disc32, tol=1e-8, schedule_policy=policy)
 
@@ -342,13 +367,7 @@ def test_continuation_point_budget_exhaustion(disc32):
 
 def test_schedule_policy_validation():
     with pytest.raises(ValueError):
-        SchedulePolicy(kappa=0.0)
-    with pytest.raises(ValueError):
-        SchedulePolicy(kappa=1.0)
-    with pytest.raises(ValueError):
         SchedulePolicy(blowup_threshold=0.0)
-    with pytest.raises(ValueError):
-        SchedulePolicy(fit_points=1)
 
 
 def test_branch_point_validation(disc_result):

@@ -107,6 +107,17 @@ def test_newton_linear_solves_go_through_one_step():
     }
 
 
+def test_eigenpath_walks_the_branch_in_one_place():
+    """In eigenpath.py every stepped branch point comes from _walk, apart
+    from solve_branch's single warm-started step, and the lam = 0 solve is
+    made only by _origin."""
+    assert callers_of(SRC / "eigenpath.py", ("_branch_step", "solve_frozen")) == {
+        "_branch_step": ["_walk", "solve_branch"],
+        "solve_frozen": ["_origin"],
+    }
+    assert len(calls_of(SRC / "eigenpath.py", ("_branch_step",))) == 2
+
+
 def test_detector_sees_callers(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import scipy.sparse.linalg as sla\n"
