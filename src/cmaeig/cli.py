@@ -455,22 +455,21 @@ def _single_point_branch(u, report):
     return [BranchPoint(lam=0.0, sup_norm=u.sup_norm(), u=u, report=report)]
 
 
-def _result_flags(result):
-    """Sorted union of the EigenResult's flags and its branch points'
+def _result_flags(branch, flags=()):
+    """Sorted union of a route's own flags and its branch points'
     SolveReport flags, comma-separated (empty when nothing substituted a
     default)."""
-    flags = set(result.flags).union(*(p.report.flags for p in result.branch))
-    return ",".join(sorted(flags))
+    return ",".join(sorted(set(flags).union(*(p.report.flags for p in branch))))
 
 
-def _newton_counters(result):
+def _newton_counters(branch):
     """GMRES iterations, Jacobian factorizations, line-search backtracks and
     eigenvalue-floor shrinks, summed over the branch's solves."""
     return {
-        "krylov_iterations": sum(p.report.krylov_iterations for p in result.branch),
-        "factorizations": sum(p.report.factorizations for p in result.branch),
-        "backtracks": sum(p.report.backtracks for p in result.branch),
-        "mu_shrinks": sum(p.report.mu_shrinks for p in result.branch),
+        "krylov_iterations": sum(p.report.krylov_iterations for p in branch),
+        "factorizations": sum(p.report.factorizations for p in branch),
+        "backtracks": sum(p.report.backtracks for p in branch),
+        "mu_shrinks": sum(p.report.mu_shrinks for p in branch),
     }
 
 
@@ -478,6 +477,7 @@ def _run_solve(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
     u, report = solve_frozen(fn, grid, config.tol)
+    branch = _single_point_branch(u, report)
     return {
         "lambda1": None,
         "residuals": {"residual": report.final_residual},
@@ -486,9 +486,11 @@ def _run_solve(config):
             "sup_norm": u.sup_norm(),
             "psh_margin": report.psh_margin,
             "eigenvalue_lower_bound": 1.0 / u.sup_norm(),
+            **_newton_counters(branch),
+            "flags": _result_flags(branch),
         },
         "field": u,
-        "branch": _single_point_branch(u, report),
+        "branch": branch,
     }
 
 
@@ -508,13 +510,13 @@ def _run_continuation(config):
         "diagnostics": {
             "method": result.method,
             "branch_points": len(result.branch),
-            **_newton_counters(result),
+            **_newton_counters(result.branch),
             # failed steps by exception class, "NewtonStalled:2,NotConverged:1"
             "rejected_steps": ",".join(f"{name}:{count}"
                                        for name, count in result.rejected_steps),
             # points solved from the scaled subsolution in place of the predictor
             "predictor_fallbacks": result.predictor_fallbacks,
-            "flags": _result_flags(result),
+            "flags": _result_flags(result.branch, result.flags),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,
@@ -535,8 +537,8 @@ def _run_inverse_power(config):
         "diagnostics": {
             "method": result.method,
             "iterations": len(result.branch) - 1,
-            **_newton_counters(result),
-            "flags": _result_flags(result),
+            **_newton_counters(result.branch),
+            "flags": _result_flags(result.branch, result.flags),
             "rayleigh_value": result.rayleigh_value,
         },
         "field": result.eigenfunction,
@@ -574,6 +576,7 @@ def _run_rayleigh(config):
     values = functionals(u0, fn, grid)
     if values.rayleigh is None:
         raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
+    branch = _single_point_branch(u0, report)
     return {
         "lambda1": None,
         "residuals": {"residual": report.final_residual},
@@ -583,9 +586,11 @@ def _run_rayleigh(config):
             "rayleigh": values.rayleigh,
             "rayleigh_root": values.rayleigh ** (1.0 / grid.n),
             "eigenvalue_lower_bound": 1.0 / u0.sup_norm(),
+            **_newton_counters(branch),
+            "flags": _result_flags(branch),
         },
         "field": u0,
-        "branch": _single_point_branch(u0, report),
+        "branch": branch,
     }
 
 

@@ -7,11 +7,11 @@ Layering:
   F(u) = log det(M(u) + mu I) - log(psi + mu^n) with a vanishing eigenvalue
   floor mu and a plurisubharmonicity safeguard.  Each equation supplies its
   residual and Jacobian; every step of both goes through one linear solve
-  (_newton_step): one short right-preconditioned GMRES cycle on the grid's
-  cached preconditioner, the LU of the last Jacobian factored on the grid
-  (seeded at n = 1 with the quarter-Laplacian LU), refreshed (the current
-  Jacobian factored anew) only when that cycle misses the tolerance, and
-  NotConverged when a cycle on the fresh LU misses too.
+  (_newton_step): one short right-preconditioned GMRES cycle (_krylov) on
+  the grid's cached preconditioner, the LU of the last Jacobian factored on
+  the grid (seeded at n = 1 with the quarter-Laplacian LU), refreshed (the
+  current Jacobian factored anew) only when that cycle misses the tolerance,
+  and NotConverged when a cycle on the fresh LU misses too.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
   for n >= 2 solve_nonlinear.
@@ -26,7 +26,7 @@ Layering:
 The module builds its subsolutions and starts from multiples of the grid's
 defining function rho (_anchor), which vanishes at the boundary crossings
 and is strictly PSH.  The module is the package's linear-solver seam: splu
-and gmres are called here and nowhere else.
+is called here and nowhere else, and _krylov is the package's only GMRES.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 # Not called: spsolve stays bound here because the benchmark's span table
 # (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
 from scipy.sparse.linalg import spsolve  # noqa: F401
@@ -352,16 +352,18 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
 # along the unit-disc branch at most 1.2e-11, 4.3e-11 and 1.9e-10 at
 # h = 1/64, 1/128, 1/256 (a direct solve: up to 2.3e-10 at 1/256), so 1e-10
 # is out of reach at 1/256; 1e-9 changes a branch point's Newton count there.
-# Each GMRES run is one cycle of _KRYLOV_RESTART iterations.  A Newton step
-# runs one on the grid's cached preconditioner and, when that misses, factors
-# the current Jacobian and runs one more on that LU (one iteration).  At
-# n >= 2, on the ellipsoid-n2-bump problem (a frozen solve, a continuation
-# and an inverse power, each on a fresh grid), cycles of 6/10/20/30
-# iterations gave 44/25/10/7 factorizations and 1.58/1.49/1.53/1.77 s, the
-# same Newton counts.  At n = 1 the quarter-Laplacian LU needs at most 8
-# iterations per step along the unit-disc branch at h = 1/128; from a
-# perturbed start on discs of h = 1/32 and 1/64 it needs 10 near blow-up
-# (lam = 1.40, 1.44) and 9 on the steep H = exp(20 t): 10 is the edge there.
+# Each GMRES run is one cycle of at most _KRYLOV_RESTART iterations, each
+# iteration one preconditioner solve and one Jacobian matvec; no solve
+# follows the cycle.  A Newton step runs one cycle on the grid's cached
+# preconditioner and, when that misses, factors the current Jacobian and runs
+# one more on that LU (one iteration).  At n >= 2, on the ellipsoid-n2-bump
+# problem (a frozen solve, a continuation and an inverse power, each on a
+# fresh grid), cycles of 6/10/20/30 iterations gave 44/25/10/7
+# factorizations and 1.58/1.49/1.53/1.77 s, the same Newton counts.  At
+# n = 1 the quarter-Laplacian LU needs at most 8 iterations per step along
+# the unit-disc branch at h = 1/128; from a perturbed start on discs of
+# h = 1/32 and 1/64 it needs 10 near blow-up (lam = 1.40, 1.44) and 9 on the
+# steep H = exp(20 t): 10 is the edge there.
 _KRYLOV_RTOL = 5e-10
 _KRYLOV_RESTART = 10
 
@@ -374,30 +376,68 @@ def _factor(A):
 
 
 def _krylov(J, b, precondition):
-    """One cycle of right-preconditioned GMRES on J delta = b: GMRES minimizes
-    the true residual of delta = precondition(y), the quantity its stopping
-    test measures.  Returns (delta, iterations, converged)."""
-    iterations = 0
+    """One cycle of right-preconditioned GMRES on J delta = b from delta = 0,
+    at most _KRYLOV_RESTART iterations; returns (delta, iterations,
+    converged).
 
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    y, info = gmres(LinearOperator(J.shape, matvec=lambda v: J @ precondition(v), dtype=float),
-                    b, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART,
-                    maxiter=1, callback=count, callback_type="pr_norm")
-    return precondition(y), iterations, info == 0
+    Iteration k applies the preconditioner once, z_k = precondition(v_k),
+    and the Jacobian once, J z_k, which modified Gram-Schmidt orthogonalizes
+    against v_0..v_k; Givens rotations keep the Hessenberg least-squares
+    residual, and the cycle stops once it is <= _KRYLOV_RTOL ||b|| or the
+    basis breaks down.  The z_k are kept, as in flexible GMRES (Saad, SIAM J.
+    Sci. Comput. 14, 1993), so delta = sum y_k z_k costs no further
+    preconditioner solve, and `converged` is the true residual
+    ||b - J delta|| <= _KRYLOV_RTOL ||b||, one matvec.  The iterates are
+    those of scipy's gmres on the operator J precondition, to rounding."""
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b), 0, True
+    m = _KRYLOV_RESTART
+    V = np.empty((m + 1, b.size))
+    Z = np.empty((m, b.size))
+    H = np.zeros((m + 1, m))
+    rotations = np.zeros((m, 2))
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[0] = b * (1.0 / beta)
+    for k in range(m):
+        Z[k] = precondition(V[k])
+        w = J @ Z[k]
+        before = np.linalg.norm(w)
+        for i in range(k + 1):
+            H[i, k] = V[i] @ w
+            w -= H[i, k] * V[i]
+        H[k + 1, k] = np.linalg.norm(w)
+        breakdown = H[k + 1, k] <= np.finfo(float).eps * before
+        if breakdown:
+            H[k + 1, k] = 0.0
+        else:
+            V[k + 1] = w * (1.0 / H[k + 1, k])
+        for i, (c, s) in enumerate(rotations[:k]):
+            H[i:i + 2, k] = c * H[i, k] + s * H[i + 1, k], c * H[i + 1, k] - s * H[i, k]
+        r = np.hypot(H[k, k], H[k + 1, k])
+        c, s = rotations[k] = H[k, k] / r, H[k + 1, k] / r
+        H[k, k], H[k + 1, k] = r, 0.0
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        if abs(g[k + 1]) <= _KRYLOV_RTOL * beta or breakdown:
+            break
+    iterations = k + 1
+    y = np.linalg.solve(H[:iterations, :iterations], g[:iterations])
+    delta = y @ Z[:iterations]
+    converged = np.linalg.norm(b - J @ delta) <= _KRYLOV_RTOL * beta
+    return delta, iterations, bool(converged)
 
 
 def _newton_step(grid, J, F):
     """Solve J delta = -F for one Newton step; returns (delta, Krylov
     iterations, factorizations).
 
-    One GMRES cycle runs on the grid's cached preconditioner
+    One GMRES cycle (_krylov) runs on the grid's cached preconditioner
     grid._cache["newton_lu"], the LU of the last Jacobian factored on the
-    grid (left by any earlier step, solve or branch point).  When there is
-    none or the cycle misses _KRYLOV_RTOL, J is factored, its LU cached, and
-    one more cycle runs on it; NotConverged is raised if that misses too."""
+    grid (left by any earlier step, solve or branch point): one LU solve per
+    iteration, none after the cycle.  When there is none or the cycle misses
+    _KRYLOV_RTOL, J is factored, its LU cached, and one more cycle runs on
+    it; NotConverged is raised if that misses too."""
     lu = grid._cache.get("newton_lu")
     stale = 0
     if lu is not None:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import cmaeig.cli as cli
 import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
 
@@ -370,6 +371,38 @@ def test_rayleigh_run_reports_quotient(tmp_path):
     d = record.diagnostics
     assert d["rayleigh"] == pytest.approx(d["energy"] / d["mass"])
     assert d["rayleigh"] >= d["eigenvalue_lower_bound"]
+
+
+@pytest.mark.parametrize("command", ["solve", "rayleigh"])
+def test_frozen_summary_reports_newton_counters_and_flags(tmp_path, monkeypatch, command):
+    """solve and rayleigh report their frozen solve's Newton counters and its
+    SolveReport flags, so that a substituted start is not silent."""
+    def run_summary(name):
+        config = build_config({"command": command, "n": "2", "h": "0.25",
+                               "density.center": "0.3, 0, 0, 0", "density.amplitude": "1",
+                               "density.width": "0.5", "emit": "summary",
+                               "out": str(tmp_path / name)})
+        code, record = run(config)
+        assert code == 0
+        return record.diagnostics, (tmp_path / name / "summary.txt").read_text()
+
+    diagnostics, text = run_summary("clean")
+    assert diagnostics["flags"] == "" and "\nflags=\n" in text
+    assert diagnostics["krylov_iterations"] > 0 and diagnostics["factorizations"] > 0
+    for name in ("krylov_iterations", "factorizations", "backtracks", "mu_shrinks"):
+        assert f"\n{name}={diagnostics[name]}\n" in text
+
+    real = cli.solve_frozen
+
+    def flagged(*args, **kwargs):
+        u, report = real(*args, **kwargs)
+        report.flags += ("feasible_start_anchor",)
+        return u, report
+
+    monkeypatch.setattr(cli, "solve_frozen", flagged)
+    diagnostics, text = run_summary("flagged")
+    assert diagnostics["flags"] == "feasible_start_anchor"
+    assert "\nflags=feasible_start_anchor\n" in text
 
 
 def test_emit_controls_artifacts(tmp_path):

@@ -33,7 +33,7 @@ from cmaeig.eigenpath import continuation, verify_eigenpair
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 from cmaeig.variational import inverse_power
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
 from oracles import (
     LAMBDA1_UNIT_DISC,
@@ -186,16 +186,16 @@ def test_n1_solve_counts_krylov_iterations(disc_grid_32):
     assert frozen.krylov_iterations == 0
 
 
-def test_failed_krylov_step_raises_without_direct_fallback(disc_grid_32, monkeypatch):
-    def no_convergence(A, b, **kwargs):
-        for _ in range(3):
-            kwargs["callback"](1.0)
-        return np.zeros_like(b), 3
+def no_convergence(J, b, precondition):
+    """A GMRES cycle that misses after 3 iterations without moving."""
+    return np.zeros_like(b), 3, False
 
+
+def test_failed_krylov_step_raises_without_direct_fallback(disc_grid_32, monkeypatch):
     def direct(*args, **kwargs):
         raise AssertionError("direct solve ran")
 
-    monkeypatch.setattr(dirichlet, "gmres", no_convergence)
+    monkeypatch.setattr(dirichlet, "_krylov", no_convergence)
     monkeypatch.setattr(dirichlet, "spsolve", direct)
     rhs = RhsSpec.branch(disc_grid_32, 0.5)
     with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
@@ -319,19 +319,89 @@ def test_n2_failed_refresh_raises_after_one_factorization(ball4_grid, monkeypatc
     """When GMRES misses on the fresh LU too, the log-det step raises
     NotConverged after one factorization instead of returning the LU's
     solve unchecked."""
-    def no_convergence(A, b, **kwargs):
-        for _ in range(3):
-            kwargs["callback"](1.0)
-        return np.zeros_like(b), 3
-
     monkeypatch.delitem(ball4_grid._cache, "newton_lu", raising=False)
     calls = counting_splu(monkeypatch)
-    monkeypatch.setattr(dirichlet, "gmres", no_convergence)
+    monkeypatch.setattr(dirichlet, "_krylov", no_convergence)
     rhs = RhsSpec.branch(ball4_grid, 0.5)
     u0, _ = quadratic_subsolution(ball4_grid, rhs)
     with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
         solve_nonlinear(rhs, u0)
     assert calls == ["MMD_AT_PLUS_A"]
+
+
+# ---------------------------------------------------------------------------
+# The GMRES cycle
+# ---------------------------------------------------------------------------
+
+
+def scipy_cycle(J, b, precondition):
+    """The reference: one cycle of scipy's gmres on the operator J M^-1 from
+    0, mapped back by one more preconditioner solve."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, info = gmres(LinearOperator(J.shape, matvec=lambda v: J @ precondition(v), dtype=float),
+                    b, rtol=dirichlet._KRYLOV_RTOL, atol=0.0, restart=dirichlet._KRYLOV_RESTART,
+                    maxiter=1, callback=count, callback_type="pr_norm")
+    return precondition(y), iterations, info == 0
+
+
+def krylov_system(case, disc_grid, ellipsoid_bump):
+    """(J, b, precondition) of three Newton linear systems: the n = 1 disc
+    branch Jacobian near blow-up on the quarter-Laplacian LU, an ellipsoid
+    log-det Jacobian at lam = 0.5 on the LU of the lam = 0.3 one, and the
+    n = 1 Jacobian with no preconditioner at all."""
+    if case == "ellipsoid_stale_lu":
+        grid, density = ellipsoid_bump
+        old_form, old_u, old_state = logdet_problem(grid, density, 0.3, 0.0)
+        stale = dirichlet._factor(old_form.jacobian(old_u, old_state))
+        form, u, state = logdet_problem(grid, density, 0.5, 0.02)
+        return form.jacobian(u, state), -state.F, stale.solve
+    g = disc_grid
+    u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
+    form = _semilinear_form(g, RhsSpec.branch(g, 1.40))
+    state = form.evaluate(u)
+    J = form.jacobian(u, state)
+    if case == "identity":
+        return J, -state.F, np.copy
+    return J, -state.F, dirichlet._cached_laplacian_lu(g).solve
+
+
+@pytest.mark.parametrize("case", ["disc_laplacian_lu", "ellipsoid_stale_lu", "identity"])
+def test_krylov_cycle_matches_scipy_gmres(case, disc_grid, ellipsoid_bump):
+    """The in-package cycle takes scipy's right-preconditioned iterates: the
+    same iteration count and verdict and the same delta to rounding, with
+    one preconditioner solve per iteration and none after the cycle."""
+    J, b, precondition = krylov_system(case, disc_grid, ellipsoid_bump)
+    solves = 0
+
+    def counted(v):
+        nonlocal solves
+        solves += 1
+        return precondition(v)
+
+    delta, iterations, converged = dirichlet._krylov(J, b, counted)
+    reference, ref_iterations, ref_converged = scipy_cycle(J, b, precondition)
+    assert (iterations, converged) == (ref_iterations, ref_converged)
+    assert converged == (case != "identity")
+    assert solves == iterations
+    assert np.linalg.norm(delta - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_krylov_zero_rhs_and_exact_preconditioner(disc_grid_32):
+    """b = 0 is solved by delta = 0 in no iterations; J = I with the exact
+    preconditioner is solved in one."""
+    size = disc_grid_32.num_interior
+    identity = sparse.identity(size, format="csr")
+    delta, iterations, converged = dirichlet._krylov(identity, np.zeros(size), np.copy)
+    assert (iterations, converged) == (0, True) and not delta.any()
+    b = np.random.default_rng(0).normal(size=size)
+    delta, iterations, converged = dirichlet._krylov(identity, b, np.copy)
+    assert (iterations, converged) == (1, True)
+    assert np.linalg.norm(delta - b) <= 1e-14 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])

@@ -1,8 +1,9 @@
 """Modules of the package use each other only through public names, the
-sparse linear solvers are called from one module, dirichlet.py, and there
-through one Newton step, dense Hermitian eigenvalues and inverses are
-computed in one module, hessian.py, one module, domain.py, binds the name
-brentq, and every module-level import is used."""
+sparse LU is called from one module, dirichlet.py, whose own GMRES cycle
+serves its one Newton step, no scipy Krylov solver is called at all, dense
+Hermitian eigenvalues and inverses are computed in one module, hessian.py,
+one module, domain.py, binds the name brentq, and every module-level import
+is used."""
 
 import ast
 import pathlib
@@ -24,7 +25,10 @@ def private_imports(path):
     return found
 
 
-LINEAR_SOLVERS = ("spsolve", "splu", "gmres")
+# scipy.sparse.linalg's direct solvers and its Krylov solvers; the package runs
+# its own GMRES cycle, so no module may call any of the latter
+LINEAR_SOLVERS = ("spsolve", "splu", "gmres", "lgmres", "gcrotmk", "bicg", "bicgstab",
+                  "cg", "cgs", "minres", "qmr", "tfqmr")
 
 
 def called_name(call):
@@ -82,9 +86,9 @@ def test_linear_solvers_are_called_only_in_dirichlet():
     calls = {p.name: [name for _, name in linear_solver_calls(p)]
              for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found and name != "dirichlet.py"} == {}
-    # one factorization (the quarter-Laplacian and Newton-Jacobian LUs), one Krylov
-    # solve (the Newton steps of both forms), no direct solve
-    assert sorted(calls["dirichlet.py"]) == ["gmres", "splu"]
+    # one factorization (the quarter-Laplacian and Newton-Jacobian LUs), no
+    # Krylov solver (the Newton steps run the package's _krylov), no direct solve
+    assert calls["dirichlet.py"] == ["splu"]
 
 
 def test_detector_sees_linear_solver_calls(tmp_path):
@@ -96,11 +100,10 @@ def test_detector_sees_linear_solver_calls(tmp_path):
 
 
 def test_newton_linear_solves_go_through_one_step():
-    """In dirichlet.py GMRES runs only in _krylov, _krylov only in the Newton
-    step, and LUs are factored only by the Newton step's refresh and for the
+    """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
+    and LUs are factored only by the Newton step's refresh and for the
     cached quarter Laplacian (the n = 1 direct frozen solve)."""
-    assert callers_of(SRC / "dirichlet.py", ("gmres", "_krylov", "_factor", "splu")) == {
-        "gmres": ["_krylov"],
+    assert callers_of(SRC / "dirichlet.py", ("_krylov", "_factor", "splu")) == {
         "_krylov": ["_newton_step"],
         "_factor": ["_cached_laplacian_lu", "_newton_step"],
         "splu": ["_factor"],

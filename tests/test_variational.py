@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmaeig.dirichlet import solve_frozen
-from cmaeig.domain import Ball, GaussianBump, build_grid, eval_density
+from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, eval_density
 from cmaeig.eigenpath import INVERSE_POWER, verify_eigenpair
 from cmaeig.errors import (
     DegenerateIterate,
@@ -29,6 +29,7 @@ from cmaeig.variational import (
     sobolev_constant,
 )
 
+from discrete_oracles import bordered_newton, n1_discrete_eigenvalue
 from oracles import (
     DISC_ENERGY_QUAD,
     DISC_MASS_QUAD,
@@ -39,6 +40,9 @@ from oracles import (
 
 BALL4_ENERGY_QUAD = 4.0 * math.pi ** 2 / 9.0
 BALL4_MASS_QUAD = 2.0 * math.pi ** 2 / 15.0
+# Exact discrete eigenvalue of the unit 4-ball at h = 0.25 (bordered Newton;
+# inverse power at tol 1e-11 agrees to 2e-14)
+BALL4_DISCRETE_LAMBDA1 = 1.661450533119653
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +308,33 @@ def test_inverse_power_degenerate_start(disc32):
 def test_inverse_power_iteration_budget(disc32):
     with pytest.raises(NotConverged):
         inverse_power(grid=disc32, tol=1e-12, max_iters=2)
+
+
+# ------------------------------------------- against the exact discrete eigenvalue
+
+
+def test_n1_inverse_power_matches_discrete_eigenvalue(disc_grid):
+    """At n = 1 the scheme is a linear generalized eigenproblem; inverse
+    power at tol 1e-8 lands on its eigenvalue, for constant f and a bump."""
+    for density in (Constant(1.0), GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)):
+        res = inverse_power(density, disc_grid, 1e-8)
+        assert abs(res.lambda1 - n1_discrete_eigenvalue(disc_grid, density)) <= 1e-9
+
+
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_inverse_power_matches_bordered_newton_oracle(which, ball4):
+    """At n = 2 one bordered Newton step polishes inverse power's eigenpair
+    to the exact discrete eigenvalue, which inverse power at tol 1e-8 is
+    within 1e-9 of: on the unit 4-ball and on the ellipsoid-n2-bump problem."""
+    if which == "ball4":
+        grid, density = ball4, Constant(1.0)
+    else:
+        with pytest.warns(UserWarning, match="quarter"):
+            grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+        density = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+    res = inverse_power(density, grid, 1e-8)
+    lam, before, after = bordered_newton(grid, density, res.lambda1, res.eigenfunction.interior)
+    assert after <= 1e-12 < before
+    assert abs(res.lambda1 - lam) <= 1e-9
+    if which == "ball4":
+        assert lam == pytest.approx(BALL4_DISCRETE_LAMBDA1, abs=2e-14)
