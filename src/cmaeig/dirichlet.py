@@ -10,8 +10,11 @@ Layering:
   (_newton_step): one short right-preconditioned GMRES cycle (_krylov) on
   the grid's cached preconditioner, the LU of the last Jacobian factored on
   the grid (seeded at n = 1 with the quarter-Laplacian LU), refreshed (the
-  current Jacobian factored anew) only when that cycle misses the tolerance,
-  and NotConverged when a cycle on the fresh LU misses too.
+  current Jacobian factored anew) only when that cycle misses the step's
+  target, and NotConverged when a cycle on the fresh LU misses too.  The
+  target is a fixed 5e-10 at n = 1 and, at n >= 2, a forcing term that
+  follows the Newton residual (inexact Newton), so most log-det steps run
+  on a stale LU.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
   for n >= 2 solve_nonlinear.
@@ -347,25 +350,51 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
 # ---------------------------------------------------------------------------
 
 
-# GMRES stops on the true residual ||J delta + F|| <= _KRYLOV_RTOL ||F||.
-# The residual a step can reach is set by rounding and grows like h^-2:
+# GMRES stops on the true residual ||J delta + F|| <= rtol ||F||, with rtol
+# the step's forcing term at n >= 2 (below) and _KRYLOV_RTOL at n = 1.  The
+# residual an n = 1 step can reach is set by rounding and grows like h^-2:
 # along the unit-disc branch at most 1.2e-11, 4.3e-11 and 1.9e-10 at
 # h = 1/64, 1/128, 1/256 (a direct solve: up to 2.3e-10 at 1/256), so 1e-10
 # is out of reach at 1/256; 1e-9 changes a branch point's Newton count there.
 # Each GMRES run is one cycle of at most _KRYLOV_RESTART iterations, each
 # iteration one preconditioner solve and one Jacobian matvec; no solve
 # follows the cycle.  A Newton step runs one cycle on the grid's cached
-# preconditioner and, when that misses, factors the current Jacobian and runs
-# one more on that LU (one iteration).  At n >= 2, on the ellipsoid-n2-bump
-# problem (a frozen solve, a continuation and an inverse power, each on a
-# fresh grid), cycles of 6/10/20/30 iterations gave 44/25/10/7
-# factorizations and 1.58/1.49/1.53/1.77 s, the same Newton counts.  At
-# n = 1 the quarter-Laplacian LU needs at most 8 iterations per step along
-# the unit-disc branch at h = 1/128; from a perturbed start on discs of
-# h = 1/32 and 1/64 it needs 10 near blow-up (lam = 1.40, 1.44) and 9 on the
-# steep H = exp(20 t): 10 is the edge there.
+# preconditioner and, when that misses rtol, factors the current Jacobian
+# and runs one more on that LU.  At n >= 2, on the ellipsoid-n2-bump problem
+# (h = 0.25, fresh grids, one BLAS thread), cycles of 6/10/20 iterations
+# under forcing gave a continuation 9/5/3 LUs, 53/55/60 Newton steps and
+# 0.245/0.246/0.227 s, and an inverse power 5/4/2 LUs, 56/56/66 steps and
+# 0.230/0.235/0.29 s (medians of 12 interleaved runs; the 6/10 times are
+# within noise): no length wins both routes.  At n = 1 the quarter-Laplacian
+# LU needs at most 8 iterations per step along the unit-disc branch at
+# h = 1/128; from a perturbed start on discs of h = 1/32 and 1/64 it needs
+# 10 near blow-up (lam = 1.40, 1.44) and 9 on the steep H = exp(20 t): 10 is
+# the edge there.
 _KRYLOV_RTOL = 5e-10
 _KRYLOV_RESTART = 10
+
+# Forcing terms of the n >= 2 log-det steps (Eisenstat & Walker, SIAM J. Sci.
+# Comput. 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004): the first
+# step's target is _FORCING_MAX, step k's is EW choice 2,
+# _FORCING_GAMMA (||F_k|| / ||F_k-1||)^_FORCING_ALPHA, raised to the floor
+# 0.1 tol / (max(psi + mu^n) ||F_k||) (det - psi ~ (psi + mu^n) F, so a
+# smaller linear residual cannot lower the det residual further below tol)
+# and to _KRYLOV_RTOL, and capped at _FORCING_MAX.  EW's safeguard, raising
+# eta_k to gamma eta_k-1^alpha when that exceeds 0.1, never acts under this
+# cap (it would need eta_k-1 > 0.33) and is left out.  Measured against a
+# fixed 5e-10 (tol 1e-8, h = 0.25, one BLAS thread): ellipsoid-n2-bump
+# continuation 48 -> 55 Newton steps, 373 -> 296 GMRES iterations, 12 -> 5
+# LUs; inverse power 47 -> 56, 343 -> 229, 9 -> 4; frozen solve 5 -> 5,
+# 37 -> 16, 3 -> 1; benchmark continuation_s 0.225 -> 0.174, inverse_power_s
+# 0.226 -> 0.167, dirichlet_s 0.054 -> 0.036 (medians of 10 alternating
+# pairs); lambda_1 moved by <= 6e-14.  The 4-ball at h = 0.2 factors 9 -> 4 (continuation)
+# and 7 -> 3 (inverse power) LUs.  The n = 1 semilinear form keeps the fixed
+# target: it is linear in u along the branch, one exact step per point, and
+# forcing took the disc continuation at h = 1/128 from 13 to 25 Newton steps
+# and from 79 to 100 GMRES iterations.
+_FORCING_GAMMA = 0.9
+_FORCING_ALPHA = 2.0
+_FORCING_MAX = 1e-2
 
 
 def _factor(A):
@@ -375,7 +404,7 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _krylov(J, b, precondition):
+def _krylov(J, b, precondition, rtol):
     """One cycle of right-preconditioned GMRES on J delta = b from delta = 0,
     at most _KRYLOV_RESTART iterations; returns (delta, iterations,
     converged).
@@ -383,12 +412,12 @@ def _krylov(J, b, precondition):
     Iteration k applies the preconditioner once, z_k = precondition(v_k),
     and the Jacobian once, J z_k, which modified Gram-Schmidt orthogonalizes
     against v_0..v_k; Givens rotations keep the Hessenberg least-squares
-    residual, and the cycle stops once it is <= _KRYLOV_RTOL ||b|| or the
-    basis breaks down.  The z_k are kept, as in flexible GMRES (Saad, SIAM J.
+    residual, and the cycle stops once it is <= rtol ||b|| or the basis
+    breaks down.  The z_k are kept, as in flexible GMRES (Saad, SIAM J.
     Sci. Comput. 14, 1993), so delta = sum y_k z_k costs no further
     preconditioner solve, and `converged` is the true residual
-    ||b - J delta|| <= _KRYLOV_RTOL ||b||, one matvec.  The iterates are
-    those of scipy's gmres on the operator J precondition, to rounding."""
+    ||b - J delta|| <= rtol ||b||, one matvec.  The iterates are those of
+    scipy's gmres on the operator J precondition, to rounding."""
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return np.zeros_like(b), 0, True
@@ -419,38 +448,38 @@ def _krylov(J, b, precondition):
         c, s = rotations[k] = H[k, k] / r, H[k + 1, k] / r
         H[k, k], H[k + 1, k] = r, 0.0
         g[k], g[k + 1] = c * g[k], -s * g[k]
-        if abs(g[k + 1]) <= _KRYLOV_RTOL * beta or breakdown:
+        if abs(g[k + 1]) <= rtol * beta or breakdown:
             break
     iterations = k + 1
     y = np.linalg.solve(H[:iterations, :iterations], g[:iterations])
     delta = y @ Z[:iterations]
-    converged = np.linalg.norm(b - J @ delta) <= _KRYLOV_RTOL * beta
+    converged = np.linalg.norm(b - J @ delta) <= rtol * beta
     return delta, iterations, bool(converged)
 
 
-def _newton_step(grid, J, F):
-    """Solve J delta = -F for one Newton step; returns (delta, Krylov
-    iterations, factorizations).
+def _newton_step(grid, J, F, rtol):
+    """Solve J delta = -F to the relative residual rtol for one Newton step;
+    returns (delta, Krylov iterations, factorizations).
 
     One GMRES cycle (_krylov) runs on the grid's cached preconditioner
     grid._cache["newton_lu"], the LU of the last Jacobian factored on the
     grid (left by any earlier step, solve or branch point): one LU solve per
     iteration, none after the cycle.  When there is none or the cycle misses
-    _KRYLOV_RTOL, J is factored, its LU cached, and one more cycle runs on
-    it; NotConverged is raised if that misses too."""
+    rtol, J is factored, its LU cached, and one more cycle runs on it;
+    NotConverged, naming rtol, is raised if that misses too."""
     lu = grid._cache.get("newton_lu")
     stale = 0
     if lu is not None:
-        delta, stale, converged = _krylov(J, -F, lu.solve)
+        delta, stale, converged = _krylov(J, -F, lu.solve, rtol)
         if converged:
             return delta, stale, 0
     lu = grid._cache["newton_lu"] = _factor(J)
-    delta, iterations, converged = _krylov(J, -F, lu.solve)
+    delta, iterations, converged = _krylov(J, -F, lu.solve, rtol)
     if not converged:
         reached = np.linalg.norm(J @ delta + F) / np.linalg.norm(F)
         raise NotConverged(
             f"GMRES reached relative residual {reached:.3e} (target "
-            f"{_KRYLOV_RTOL:g}) after {iterations} iterations on a fresh LU"
+            f"{rtol:.3e}) after {iterations} iterations on a fresh LU"
         )
     return delta, stale + iterations, 1
 
@@ -473,7 +502,11 @@ class _NewtonForm(NamedTuple):
     admissible(u, state) tests the start and every line-search trial, which
     must also lower max|F|; restart(u, state, fnorm, it) may return a fresh
     state in place of a step (the log-det form's mu shrink, counted as
-    SolveReport.mu_shrinks).
+    SolveReport.mu_shrinks); forcing(state) returns the relative GMRES
+    residual the step from `state` is solved to (the log-det form's forcing
+    term), _KRYLOV_RTOL when absent; factorizations counts the LUs factored
+    in building the form (the n = 1 quarter-Laplacian seed), which the
+    report's count starts from.
     """
 
     evaluate: object
@@ -481,6 +514,8 @@ class _NewtonForm(NamedTuple):
     admissible: object
     max_iter: int
     restart: object = None
+    forcing: object = None
+    factorizations: int = 0
 
 
 # Step halvings a line search tries before NewtonStalled.
@@ -495,7 +530,8 @@ def _damped_newton(grid, ui, tol, form, state=None):
     state = form.evaluate(ui) if state is None else state
     if not form.admissible(ui, state):
         raise PreconditionViolated("initial guess is not in the solver's cone")
-    krylov = factorizations = backtracks = restarts = 0
+    krylov = backtracks = restarts = 0
+    factorizations = form.factorizations
     for it in range(1, form.max_iter + 1):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
@@ -509,7 +545,8 @@ def _damped_newton(grid, ui, tol, form, state=None):
             state = fresh
             restarts += 1
             continue
-        delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state), state.F)
+        rtol = form.forcing(state) if form.forcing else _KRYLOV_RTOL
+        delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state), state.F, rtol)
         krylov += iterations
         factorizations += factored
         s = 1.0
@@ -543,13 +580,17 @@ def _logdet_form(grid, rhs, tol):
 
     The Jacobian is trace_operator at W = (M + mu I)^-1 (HermitianField.inverse)
     with the diagonal shift -psi_t / (psi + mu^n): one matvec on the grid's
-    cached assembly plan.  A grid's first Newton step factors its Jacobian;
-    later steps reuse the grid's last Jacobian LU as their GMRES
-    preconditioner until a cycle misses (_newton_step)."""
+    cached assembly plan.  Each step is solved only to its forcing term
+    (_FORCING_*): the cap 1e-2 on the first step, then Eisenstat-Walker
+    choice 2 on the residual ratio, floored where a more accurate step
+    cannot lower the det residual.  A grid's first Newton step factors its
+    Jacobian; later steps reuse the grid's last Jacobian LU as their GMRES
+    preconditioner until a cycle misses its target (_newton_step)."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
     shrinks = 0
     last_error = np.inf
+    last_fnorm = None
 
     def evaluate(ui, hess=None):
         hess = _hermitian_from_interior(grid, ui) if hess is None else hess
@@ -582,7 +623,16 @@ def _logdet_form(grid, rhs, tol):
         last_error = state.error
         return None
 
-    return _NewtonForm(evaluate, jacobian, admissible, 80, restart)
+    def forcing(state):
+        nonlocal last_fnorm
+        fnorm = float(np.linalg.norm(state.F))
+        eta = (_FORCING_MAX if last_fnorm is None
+               else _FORCING_GAMMA * (fnorm / last_fnorm) ** _FORCING_ALPHA)
+        last_fnorm = fnorm
+        floor = 0.1 * tol / ((float(np.max(state.psi)) + mu ** n) * fnorm)
+        return min(_FORCING_MAX, max(eta, floor, _KRYLOV_RTOL))
+
+    return _NewtonForm(evaluate, jacobian, admissible, 80, restart, forcing)
 
 
 def _semilinear_form(grid, rhs):
@@ -591,10 +641,12 @@ def _semilinear_form(grid, rhs):
     psi_t > -lambda_1.  Trials must stay <= 0.
 
     A grid without a Newton preconditioner gets the cached quarter-Laplacian
-    LU as one, so the branch steps (_newton_step) factor nothing."""
+    LU as one, so the branch steps (_newton_step) factor nothing; the form
+    counts that LU when it had to be factored."""
     quarter_laplacian = hessian_operators(grid)[0][0]
+    seeded = 0
     if "newton_lu" not in grid._cache:
-        grid._cache["newton_lu"] = _cached_laplacian_lu(grid)
+        grid._cache["newton_lu"], seeded = _cached_laplacian_lu(grid)
 
     def evaluate(ui):
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -607,7 +659,7 @@ def _semilinear_form(grid, rhs):
     def admissible(ui, state):
         return np.max(ui) <= _T_POSITIVE_SLACK
 
-    return _NewtonForm(evaluate, jacobian, admissible, 60)
+    return _NewtonForm(evaluate, jacobian, admissible, 60, factorizations=seeded)
 
 
 def solve_nonlinear(rhs, start, tol=1e-8):
@@ -636,10 +688,12 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 
 def _cached_laplacian_lu(grid):
-    """LU of the n = 1 quarter Laplacian (1/4) L, factored once per grid."""
-    if "lap_lu" not in grid._cache:
-        grid._cache["lap_lu"] = _factor(hessian_operators(grid)[0][0])
-    return grid._cache["lap_lu"]
+    """(LU of the n = 1 quarter Laplacian (1/4) L, factored once per grid;
+    1 if this call factored it, else 0)."""
+    if "lap_lu" in grid._cache:
+        return grid._cache["lap_lu"], 0
+    lu = grid._cache["lap_lu"] = _factor(hessian_operators(grid)[0][0])
+    return lu, 1
 
 
 def solve_frozen(h, grid=None, tol=1e-8, initial=None):
@@ -653,9 +707,10 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
     rhs = RhsSpec.frozen(grid, h)
     if grid.n == 1:
         h_int = rhs.frozen_values
-        ui = np.minimum(_cached_laplacian_lu(grid).solve(h_int), 0.0)
+        lu, factored = _cached_laplacian_lu(grid)
+        ui = np.minimum(lu.solve(h_int), 0.0)
         hess = _hermitian_from_interior(grid, ui)
-        report = _make_report(grid, ui, hess, h_int, 1, True)
+        report = _make_report(grid, ui, hess, h_int, 1, True, factorizations=factored)
         if report.final_residual > tol:
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)

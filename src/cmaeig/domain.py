@@ -3,8 +3,9 @@
 A bounded strongly pseudoconvex domain Omega in C^n is represented by a
 defining function rho (rho < 0 inside, 0 on the boundary).  A grid couples a
 uniform lattice of spacing h to the domain: nodes are classified Interior
-(rho < 0), Boundary (non-interior but face-adjacent to an interior node) or
-Exterior, and every interior node stores, along each axis and direction, the
+(rho below a band of rounding width under 0, see build_grid), Boundary
+(non-interior but face-adjacent to an interior node) or Exterior, and every
+interior node stores, along each axis and direction, the
 fractional distance theta in (0, 1] to the zero set of rho whenever the
 neighbouring lattice node is not interior.  Those fractions feed the one-sided
 (Shortley-Weller style) second differences used near the curved boundary.
@@ -37,6 +38,14 @@ EXTERIOR, BOUNDARY, INTERIOR = 0, 1, 2
 # coefficients scale like 1/theta and would otherwise overflow when a node
 # sits within rounding distance of the zero set.
 _THETA_FLOOR = 1e-9
+
+# Width of the boundary band relative to max |rho| over the lattice: a node is
+# interior only if rho < -_RHO_BAND * max |rho|.  Lattice nodes on the zero
+# set evaluate rho to a few ulps of that scale, of either sign (on the unit
+# 4-ball at h = 0.1, 198 such nodes gave rho in (-1e-12, 0) and crossing
+# fractions clamped to _THETA_FLOOR), while every other node of the grids
+# measured has |rho| >= 1.8e-4 (unit disc, h = 1/128).
+_RHO_BAND = 1e-12
 
 # Halvings of the crossing bracket [0, 1].  60 leave it 2^-60 ~ 8.7e-19 wide:
 # adjacent floats for every fraction >= 1/256, and far below the clamp
@@ -268,12 +277,13 @@ class GridDomain:
     quarter-Laplacian LU.  It also holds the grid's latest Newton
     preconditioner "newton_lu": the LU of the last Newton Jacobian factored
     on the grid or, on an n = 1 grid where none has been, the
-    quarter-Laplacian LU.  Every Newton step reuses it until GMRES misses its
-    tolerance.  Which LU that is depends on the solves run before, and it
-    moves each step only within the Krylov tolerance (relative residual
-    5e-10), not its Newton count.  Sharing a grid across threads is safe for
-    reads; concurrent Newton solves may replace each other's preconditioner,
-    which costs factorizations, not accuracy.
+    quarter-Laplacian LU.  Every Newton step reuses it until GMRES misses the
+    step's target.  Which LU that is depends on the solves run before, and
+    it moves each step only within that target: a relative residual of
+    5e-10 at n = 1, which leaves the Newton count alone, and the forcing term
+    at n >= 2, which can change it.  Sharing a grid across threads
+    is safe for reads; concurrent Newton solves may replace each other's
+    preconditioner, which costs factorizations, not accuracy.
     """
 
     spec: DomainSpec
@@ -287,6 +297,7 @@ class GridDomain:
     interior_pos: np.ndarray  # full lattice -> position in interior_flat, or -1
     interior_coords: np.ndarray  # (N, 2n)
     rho_interior: np.ndarray  # (N,)
+    rho_band: float  # interior nodes have rho < -rho_band (build_grid)
     nbr_ipos: np.ndarray  # (N, 2n, 2) interior position of the +/- axis neighbour or -1
     theta_axis: np.ndarray  # (N, 2n, 2) crossing fraction, 1.0 when regular
     cell_volume: np.ndarray  # (N,)
@@ -328,10 +339,11 @@ def _crossing_fractions(spec, starts, directions, h):
     start + (theta*h)*direction; theta is the bracket's lower end, the last
     fraction where rho <= 0, so it is below 1 whenever rho > 0 at the far end.
     theta = 1 wherever rho at the far end is <= 0: that neighbour was
-    classified non-interior (rho >= 0 from its lattice coordinates) yet
-    start + h*direction gives rho <= 0, so it lies on the zero set to rounding
-    and 1 is the exact answer, not a fallback.  This happens on real grids,
-    e.g. on 1 988 of the 20 224 cut edges of Ball(2) at h = 0.2.
+    classified non-interior (rho >= -grid.rho_band from its lattice
+    coordinates) yet start + h*direction gives rho <= 0, so it lies on the
+    zero set to rounding and 1 is the exact answer, not a fallback.  This
+    happens on real grids, e.g. on 1 988 of the 20 224 cut edges of Ball(2)
+    at h = 0.2.
     """
     m = starts.shape[0]
 
@@ -378,7 +390,13 @@ def build_grid(spec, h):
     """Discretize the domain with uniform spacing h.
 
     The lattice is anchored at the bounding-box center and padded by two cells
-    per side so that every stencil has lattice neighbours.  Emits a warning
+    per side so that every stencil has lattice neighbours.  A node is interior
+    when rho < -rho_band, with the boundary band rho_band = 1e-12 * max |rho|
+    over the lattice (_RHO_BAND): a node on the zero set, where rounding
+    gives rho of either sign, is a boundary node, so no crossing fraction is
+    clamped at such a node and rho stays strictly PSH at every interior one.
+    The band scales with rho, so multiplying rho by a constant or scaling
+    domain and h together keeps the node set.  Emits a warning
     when h exceeds a quarter of the domain's smallest extent (coarse but still
     buildable); raises EmptyInterior / ResolutionTooCoarse when the interior is
     empty or disconnected.
@@ -405,9 +423,10 @@ def build_grid(spec, h):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     rho_all = eval_rho(spec, pts)
-    interior_mask = (rho_all < 0).reshape(shape)
+    rho_band = _RHO_BAND * float(np.max(np.abs(rho_all)))
+    interior_mask = (rho_all < -rho_band).reshape(shape)
     if not interior_mask.any():
-        raise EmptyInterior("no lattice node with rho < 0 at this spacing")
+        raise EmptyInterior("no lattice node with rho below the boundary band at this spacing")
 
     structure = ndimage.generate_binary_structure(d, 1)
     _, ncomp = ndimage.label(interior_mask, structure=structure)
@@ -466,6 +485,7 @@ def build_grid(spec, h):
         interior_pos=interior_pos,
         interior_coords=coords,
         rho_interior=rho_int,
+        rho_band=rho_band,
         nbr_ipos=nbr_ipos,
         theta_axis=theta,
         cell_volume=cell_volume,

@@ -158,8 +158,9 @@ def _rho_sign_consistency(fx, rng):
     rows = []
     for label, grid in (("disc h=1/16", fx.disc16), ("ball n=2 h=0.25", fx.ball4),
                         ("ellipsoid h=0.25", fx.ellipse)):
-        worst = float(np.max(eval_rho(grid.spec, grid.interior_coords)))
-        rows.append((label, -worst, worst < 0.0))
+        # every interior node lies below the boundary band
+        margin = -float(np.max(eval_rho(grid.spec, grid.interior_coords))) - grid.rho_band
+        rows.append((label, margin, margin > 0.0))
     return rows
 
 

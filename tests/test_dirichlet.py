@@ -150,7 +150,7 @@ def test_krylov_step_matches_direct_solve(case, disc_grid):
     form = _semilinear_form(g, rhs)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(g, J, state.F)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL)
     reference = spsolve(J.tocsc(), -state.F)
     assert 0 < iterations <= dirichlet._KRYLOV_RESTART and factored == 0
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
@@ -169,7 +169,7 @@ def test_n1_useless_preconditioner_is_refreshed(disc_grid_32, monkeypatch):
     u = 0.3 * (r2_of(g) - 1.0)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(g, J, state.F)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL)
     reference = spsolve(J.tocsc(), -state.F)
     assert calls == ["MMD_AT_PLUS_A"] and factored == 1
     assert iterations == dirichlet._KRYLOV_RESTART + 1
@@ -186,7 +186,25 @@ def test_n1_solve_counts_krylov_iterations(disc_grid_32):
     assert frozen.krylov_iterations == 0
 
 
-def no_convergence(J, b, precondition):
+def test_n1_reports_count_the_laplacian_lu(monkeypatch):
+    """The solve that factors a grid's quarter-Laplacian LU counts it, both
+    the direct frozen solve and a Newton solve seeding its preconditioner;
+    a later solve on the same grid reuses it and counts nothing."""
+    calls = counting_splu(monkeypatch)
+    for solve in ("frozen", "nonlinear"):
+        g = build_grid(Ball(n=1), 1 / 16)
+        calls.clear()
+        if solve == "frozen":
+            _, first = solve_frozen(np.ones(g.num_interior), g)
+        else:
+            _, first = solve_nonlinear(RhsSpec.branch(g, 0.5), np.zeros(g.num_interior))
+        assert calls == ["MMD_AT_PLUS_A"] and first.factorizations == 1
+        _, again = solve_frozen(np.full(g.num_interior, 2.0), g)
+        _, branch = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
+        assert len(calls) == 1 and again.factorizations == branch.factorizations == 0
+
+
+def no_convergence(J, b, precondition, rtol):
     """A GMRES cycle that misses after 3 iterations without moving."""
     return np.zeros_like(b), 3, False
 
@@ -282,7 +300,8 @@ def test_stale_lu_step_matches_direct_solve(which, ball4_grid, ellipsoid_bump, m
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F,
+                                                         dirichlet._KRYLOV_RTOL)
     reference = spsolve(J, -state.F)
     assert calls == [] and factored == 0
     assert grid._cache["newton_lu"] is stale
@@ -303,14 +322,16 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    delta, iterations, factored = dirichlet._newton_step(grid, J, state.F,
+                                                         dirichlet._KRYLOV_RTOL)
     reference = spsolve(J, -state.F)
     assert calls == ["MMD_AT_PLUS_A"] and factored == 1
     # the missed cycle, then one iteration on the fresh LU
     assert iterations == dirichlet._KRYLOV_RESTART + 1
     assert grid._cache["newton_lu"] is not useless
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
-    again, iterations, factored = dirichlet._newton_step(grid, J, state.F)
+    again, iterations, factored = dirichlet._newton_step(grid, J, state.F,
+                                                         dirichlet._KRYLOV_RTOL)
     assert len(calls) == 1 and factored == 0 and iterations <= 2
     assert np.linalg.norm(again - reference) <= 1e-9 * np.linalg.norm(reference)
 
@@ -329,12 +350,46 @@ def test_n2_failed_refresh_raises_after_one_factorization(ball4_grid, monkeypatc
     assert calls == ["MMD_AT_PLUS_A"]
 
 
+def test_logdet_forcing_terms(ellipsoid_bump):
+    """The GMRES target of each log-det Newton step on the ellipsoid-bump
+    branch problem at lam = 0.5: the cap on the first step, Eisenstat-Walker
+    choice 2 (0.9 times the squared residual ratio) after it, always within
+    [_KRYLOV_RTOL, _FORCING_MAX], and on the last step lifted to the floor
+    0.1 tol / (max(psi + mu^n) ||F||), below which a smaller linear residual
+    cannot lower the det residual under tol."""
+    grid, density = ellipsoid_bump
+    tol, mu = 1e-8, 1e-11  # mu: the form's eigenvalue floor at this tol
+    rhs = RhsSpec.branch(grid, 0.5, density)
+    u0, _ = quadratic_subsolution(grid, rhs)
+    form = _logdet_form(grid, rhs, tol)
+    steps = []
+
+    def recording(state):
+        eta = form.forcing(state)
+        steps.append((eta, np.linalg.norm(state.F), np.max(state.psi) + mu ** grid.n))
+        return eta
+
+    _, report = dirichlet._damped_newton(grid, u0.interior, tol, form._replace(forcing=recording))
+    assert report.converged and report.final_residual <= tol
+    assert len(steps) == report.iterations > 2
+    etas = [eta for eta, _, _ in steps]
+    assert all(dirichlet._KRYLOV_RTOL <= eta <= dirichlet._FORCING_MAX for eta in etas)
+    assert etas[0] == dirichlet._FORCING_MAX
+    for (eta, fnorm, scale), (_, before, _) in zip(steps[1:], steps):
+        choice2 = 0.9 * (fnorm / before) ** 2
+        floor = 0.1 * tol / (scale * fnorm)
+        assert eta == pytest.approx(min(dirichlet._FORCING_MAX, max(choice2, floor)), rel=1e-12)
+    eta, fnorm, scale = steps[-1]
+    assert eta == pytest.approx(0.1 * tol / (scale * fnorm), rel=1e-12)
+    assert eta > 0.9 * (fnorm / steps[-2][1]) ** 2
+
+
 # ---------------------------------------------------------------------------
 # The GMRES cycle
 # ---------------------------------------------------------------------------
 
 
-def scipy_cycle(J, b, precondition):
+def scipy_cycle(J, b, precondition, rtol):
     """The reference: one cycle of scipy's gmres on the operator J M^-1 from
     0, mapped back by one more preconditioner solve."""
     iterations = 0
@@ -344,7 +399,7 @@ def scipy_cycle(J, b, precondition):
         iterations += 1
 
     y, info = gmres(LinearOperator(J.shape, matvec=lambda v: J @ precondition(v), dtype=float),
-                    b, rtol=dirichlet._KRYLOV_RTOL, atol=0.0, restart=dirichlet._KRYLOV_RESTART,
+                    b, rtol=rtol, atol=0.0, restart=dirichlet._KRYLOV_RESTART,
                     maxiter=1, callback=count, callback_type="pr_norm")
     return precondition(y), iterations, info == 0
 
@@ -367,14 +422,20 @@ def krylov_system(case, disc_grid, ellipsoid_bump):
     J = form.jacobian(u, state)
     if case == "identity":
         return J, -state.F, np.copy
-    return J, -state.F, dirichlet._cached_laplacian_lu(g).solve
+    return J, -state.F, dirichlet._cached_laplacian_lu(g)[0].solve
 
 
-@pytest.mark.parametrize("case", ["disc_laplacian_lu", "ellipsoid_stale_lu", "identity"])
-def test_krylov_cycle_matches_scipy_gmres(case, disc_grid, ellipsoid_bump):
+@pytest.mark.parametrize("case, rtol", [
+    pytest.param("disc_laplacian_lu", dirichlet._KRYLOV_RTOL, id="disc_laplacian_lu"),
+    pytest.param("ellipsoid_stale_lu", dirichlet._KRYLOV_RTOL, id="ellipsoid_stale_lu"),
+    pytest.param("identity", dirichlet._KRYLOV_RTOL, id="identity"),
+    pytest.param("ellipsoid_stale_lu", dirichlet._FORCING_MAX, id="ellipsoid_stale_lu_loose"),
+])
+def test_krylov_cycle_matches_scipy_gmres(case, rtol, disc_grid, ellipsoid_bump):
     """The in-package cycle takes scipy's right-preconditioned iterates: the
     same iteration count and verdict and the same delta to rounding, with
-    one preconditioner solve per iteration and none after the cycle."""
+    one preconditioner solve per iteration and none after the cycle; also at
+    the loosest forcing target of a log-det step."""
     J, b, precondition = krylov_system(case, disc_grid, ellipsoid_bump)
     solves = 0
 
@@ -383,8 +444,8 @@ def test_krylov_cycle_matches_scipy_gmres(case, disc_grid, ellipsoid_bump):
         solves += 1
         return precondition(v)
 
-    delta, iterations, converged = dirichlet._krylov(J, b, counted)
-    reference, ref_iterations, ref_converged = scipy_cycle(J, b, precondition)
+    delta, iterations, converged = dirichlet._krylov(J, b, counted, rtol)
+    reference, ref_iterations, ref_converged = scipy_cycle(J, b, precondition, rtol)
     assert (iterations, converged) == (ref_iterations, ref_converged)
     assert converged == (case != "identity")
     assert solves == iterations
@@ -396,10 +457,10 @@ def test_krylov_zero_rhs_and_exact_preconditioner(disc_grid_32):
     preconditioner is solved in one."""
     size = disc_grid_32.num_interior
     identity = sparse.identity(size, format="csr")
-    delta, iterations, converged = dirichlet._krylov(identity, np.zeros(size), np.copy)
+    delta, iterations, converged = dirichlet._krylov(identity, np.zeros(size), np.copy, 1e-10)
     assert (iterations, converged) == (0, True) and not delta.any()
     b = np.random.default_rng(0).normal(size=size)
-    delta, iterations, converged = dirichlet._krylov(identity, b, np.copy)
+    delta, iterations, converged = dirichlet._krylov(identity, b, np.copy, 1e-10)
     assert (iterations, converged) == (1, True)
     assert np.linalg.norm(delta - b) <= 1e-14 * np.linalg.norm(b)
 
@@ -466,8 +527,8 @@ def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch)
     steps = []
     newton_step = dirichlet._newton_step
 
-    def long_first_step(grid, J, F):
-        delta, iterations, factored = newton_step(grid, J, F)
+    def long_first_step(grid, J, F, rtol):
+        delta, iterations, factored = newton_step(grid, J, F, rtol)
         steps.append(len(steps))
         return (5.0 if len(steps) == 1 else 1.0) * delta, iterations, factored
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import cmaeig.dirichlet
 import cmaeig.domain
 from cmaeig.domain import (
     _cell_volumes,
@@ -23,6 +24,7 @@ from cmaeig.domain import (
     eval_rho,
 )
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
+from cmaeig.hessian import ScalarField, complex_hessian
 
 from oracles import BALL4_VOLUME, DISC_AREA
 
@@ -219,6 +221,55 @@ def test_density_validation():
     assert (vals >= 2.0).all()
 
 
+# ---------------------------------------------------------------------------
+# The boundary band
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def on_sphere_grids():
+    """Unit balls whose lattice has nodes on the sphere up to rounding: with
+    rho < 0 as the interior test these had 198 (4-ball, h = 0.1), 169
+    (4-ball, h = 1/12) and 4 (disc, h = 0.1) interior nodes within 1e-12 of
+    the zero set, each with a crossing fraction clamped to _THETA_FLOOR."""
+    return {(n, h): build_grid(Ball(n), h) for n, h in ((2, 0.1), (2, 1 / 12), (1, 0.1))}
+
+
+@pytest.mark.parametrize("key", [(2, 0.1), (2, 1 / 12), (1, 0.1)])
+def test_no_interior_node_in_the_boundary_band(key, on_sphere_grids):
+    g = on_sphere_grids[key]
+    rho = eval_rho(g.spec, g.node_coords(np.arange(np.prod(g.shape))))
+    assert g.rho_band == cmaeig.domain._RHO_BAND * np.max(np.abs(rho))
+    interior = g.classification == 2
+    on_sphere = np.abs(rho) <= g.rho_band
+    assert on_sphere.any() and not (interior & on_sphere).any()
+    assert np.array_equal(interior, rho < -g.rho_band)
+    assert g.theta_axis.min() > cmaeig.domain._THETA_FLOOR
+
+
+def test_defining_function_is_strictly_psh_at_every_interior_node(on_sphere_grids):
+    """rho = |z|^2 - 1 has the identity as its complex Hessian, and so has
+    its discrete one once no interior node sits on the sphere: the anchor
+    of every cold n >= 2 start is accepted at h = 0.1 (it raised
+    PreconditionViolated there, eigenvalue -13 at an on-sphere node), and
+    the cold frozen solve of det = 1, whose solution is rho, converges.
+    The strictly PSH (|z|^2 - 1) + (|z|^6 - 1) / 2, whose Hessian is at
+    least the identity, keeps a smallest eigenvalue >= 1 - h^2 (it was -30
+    to -40 at the on-sphere nodes)."""
+    for key in ((2, 0.1), (2, 1 / 12)):
+        g = on_sphere_grids[key]
+        r2 = np.sum(g.interior_coords ** 2, axis=1)
+        sextic = ScalarField.from_interior(g, (r2 - 1.0) + 0.5 * (r2 ** 3 - 1.0))
+        assert np.min(complex_hessian(sextic).min_eigenvalue()) >= 1.0 - g.h ** 2
+    g = on_sphere_grids[(2, 0.1)]
+    rho, det = cmaeig.dirichlet._anchor(g)
+    hess = complex_hessian(ScalarField.from_interior(g, rho))
+    assert np.min(hess.min_eigenvalue()) >= 1.0 - 1e-9
+    assert np.min(det) >= 1.0 - 1e-9
+    u, report = cmaeig.dirichlet.solve_frozen(np.ones(g.num_interior), g)
+    assert report.converged and np.max(np.abs(u.interior - rho)) <= 1e-9
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     radius=st.floats(0.3, 2.0),
@@ -228,10 +279,11 @@ def test_density_validation():
 def test_grid_invariants_random_discs(radius, cx, cy):
     spec = Ball(n=1, radius=radius, center=(cx, cy))
     g = build_grid(spec, radius / 6)
-    assert (g.rho_interior < 0).all()
+    # interior: rho below the boundary band; boundary: rho at or above it
+    assert (g.rho_interior < -g.rho_band).all()
     assert (g.theta_axis > 0).all() and (g.theta_axis <= 1.0).all()
     rho_b = eval_rho(spec, g.node_coords(g.boundary_flat))
-    assert (rho_b >= 0).all()
+    assert (rho_b >= -g.rho_band).all()
     assert (g.cell_volume >= 0).all()
     assert (g.cell_volume <= (2.5 * g.h) ** 2).all()  # slivers only inflate a cell mildly
 

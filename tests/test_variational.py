@@ -293,10 +293,11 @@ def test_inverse_power_four_ball(ball4):
 
 
 def test_inverse_power_four_ball_pinned_iterations(ball4):
-    # recorded before the Newton loops and Hessian stencils were merged
+    # recorded with forcing terms on the log-det Newton steps
     res = inverse_power(grid=ball4, tol=1e-8)
-    assert [p.report.iterations for p in res.branch] == [0, 7, 5, 3, 3, 2, 2, 2, 2] + [1] * 7
-    assert res.lambda1 == pytest.approx(1.661450533101816, abs=1e-12)
+    assert [p.report.iterations for p in res.branch] == [0, 7, 5, 3, 3, 3, 3] + [2] * 8 + [1]
+    assert sum(p.report.factorizations for p in res.branch) == 2
+    assert res.lambda1 == pytest.approx(1.661450533101653, abs=1e-12)
 
 
 def test_inverse_power_degenerate_start(disc32):
