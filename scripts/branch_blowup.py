@@ -5,7 +5,9 @@ Walks the family det(u_jk) = (1 - lam*u)^n lam from 0 upward on a ball,
 printing sup|u_lam|, its reciprocal and the solve's cost (Newton steps,
 GMRES iterations, Jacobian factorizations, line-search backtracks; points
 whose secant predictor fell back to the scaled subsolution are marked) at
-every accepted branch point.  The reciprocal decays linearly in lam near the
+every accepted branch point.  At n = 1 the gmres column counts the vectors
+each point added to the grid's shared shifted basis, one LU solve each, so
+it sums to the branch's LU solves after the lam = 0 one.  The reciprocal decays linearly in lam near the
 critical value; the final rows show the linear-fit root (the eigenvalue
 estimate) next to the shooting value.  Optionally dumps the branch history
 as CSV.

@@ -14,7 +14,12 @@ Layering:
   target, and NotConverged when a cycle on the fresh LU misses too.  The
   target is a fixed 5e-10 at n = 1 and, at n >= 2, a forcing term that
   follows the Newton residual (inexact Newton), so most log-det steps run
-  on a stale LU.
+  on a stale LU.  The exception is the n = 1 branch family
+  (L/4 + lam diag f) u = f (RhsSpec.branch): its points share one Krylov
+  space once right-preconditioned by L/4, so each point's Newton step comes
+  from one Arnoldi basis per grid and density (_ShiftedBasis), grown one
+  quarter-Laplacian LU solve at a time; a whole disc continuation builds
+  about ten vectors where a GMRES cycle per point made about eighty solves.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve with the cached
   LU of the one-sided-difference quarter Laplacian ((1/4) Delta u = psi);
   for n >= 2 solve_nonlinear.
@@ -99,7 +104,10 @@ class RhsSpec:
 
     kinds: "frozen" (psi = h(z)), "separable" (psi = f^n(z) g(t), with the
     derivative dg = g') and "general" (psi = H(z, t)^n from a closure).
-    `shift` carries the eps^n regularization additively.
+    `shift` carries the eps^n regularization additively.  branch_family
+    marks the branch constructor's psi = (1 - lambda0 t)^n weight; unshifted
+    at n = 1, its Newton steps come from the grid's shared shifted basis
+    (_ShiftedBasis).
     """
 
     grid: object
@@ -112,6 +120,7 @@ class RhsSpec:
     dg: object | None = None  # g'(t), vectorized
     H: object | None = None  # H(points, t), vectorized over nodes
     shift: float = 0.0
+    branch_family: bool = False
 
     # -- constructors --------------------------------------------------
 
@@ -135,7 +144,8 @@ class RhsSpec:
         fn = density_vector(density, grid, power=n)
         spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (1.0 - lam * t) ** n,
-                   dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1))
+                   dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1),
+                   branch_family=True)
         spec._spot_check()
         return spec
 
@@ -391,7 +401,8 @@ _KRYLOV_RESTART = 10
 # and 7 -> 3 (inverse power) LUs.  The n = 1 semilinear form keeps the fixed
 # target: it is linear in u along the branch, one exact step per point, and
 # forcing took the disc continuation at h = 1/128 from 13 to 25 Newton steps
-# and from 79 to 100 GMRES iterations.
+# and from 79 to 100 GMRES iterations (measured before that branch moved to
+# the shared basis, _ShiftedBasis).
 _FORCING_GAMMA = 0.9
 _FORCING_ALPHA = 2.0
 _FORCING_MAX = 1e-2
@@ -484,6 +495,97 @@ def _newton_step(grid, J, F, rtol):
     return delta, stale + iterations, 1
 
 
+# Arnoldi vectors a grid's shared n = 1 branch basis (_ShiftedBasis) may hold;
+# a branch point it cannot solve within them falls through to _newton_step
+# and is flagged "shifted_basis_cap".  A whole unit-disc continuation
+# (tol 1e-8) needs 9 vectors with f = 1 and 11 with the unit Gaussian bump of
+# width 0.5 at (0.3, 0), at each of h = 1/32, 1/64, 1/128 and 1/256; bumps of
+# width 0.2 / 0.1 / 0.5 and amplitude 5 / 20 / -0.9 at (0.5, 0) need
+# 11 / 11 / 12 at h = 1/64, and f = 1 at tol 1e-10 needs 10.  The cap is twice
+# the largest; each vector (with its preconditioned image) holds 16 bytes per
+# node, 0.8 MB at h = 1/128.
+_SHIFTED_BASIS_CAP = 24
+
+
+class _ShiftedBasis:
+    """Arnoldi basis of diag(f) (L/4)^-1 started at f: one Krylov space for
+    every n = 1 branch point (L/4 + lam diag f) u = f on a grid.
+
+    Right-preconditioned by L/4 the points are the shifted systems
+    (I + lam diag(f) (L/4)^-1) x = f, u = (L/4)^-1 x, which share one Krylov
+    space (shifted GMRES; Frommer & Glassner, SIAM J. Sci. Comput. 19,
+    1998).  V holds the orthonormal vectors, Z their preconditioned images
+    (L/4)^-1 V and `columns` the Hessenberg matrix Hbar, so that
+    diag(f) Z_m = V_m+1 Hbar.  Each vector costs one solve with the
+    quarter-Laplacian LU and is orthogonalized by modified Gram-Schmidt as
+    in _krylov; the basis grows on demand and is kept in grid._cache."""
+
+    def __init__(self, lu, f):
+        self.lu, self.f = lu, f
+        self.beta = float(np.linalg.norm(f))
+        self.V, self.Z, self.columns = [f * (1.0 / self.beta)], [], []
+
+    def grow(self):
+        """Add one vector; False, adding none, once the space is invariant."""
+        k = len(self.Z)
+        if k == len(self.V):
+            return False
+        z = self.lu.solve(self.V[k])
+        w = self.f * z
+        before = np.linalg.norm(w)
+        column = np.empty(k + 2)
+        for i, v in enumerate(self.V):
+            column[i] = v @ w
+            w -= column[i] * v
+        column[k + 1] = np.linalg.norm(w)
+        if column[k + 1] <= np.finfo(float).eps * before:
+            column[k + 1] = 0.0
+        else:
+            self.V.append(w * (1.0 / column[k + 1]))
+        self.Z.append(z)
+        self.columns.append(column)
+        return True
+
+    def solve(self, lam):
+        """(u, ||f - (L/4 + lam diag f) u||) over the current basis: u = Z y
+        with y the least-squares solution of (I + lam Hbar) y = beta e_1,
+        (m + 1) x m, whose residual is the system's."""
+        m = len(self.Z)
+        A = np.zeros((m + 1, m))
+        for k, column in enumerate(self.columns):
+            A[:k + 2, k] = lam * column
+        A[np.arange(m), np.arange(m)] += 1.0
+        b = np.zeros(m + 1)
+        b[0] = self.beta
+        y = np.linalg.lstsq(A, b, rcond=None)[0]
+        u = np.zeros_like(self.f)
+        for yk, zk in zip(y, self.Z):
+            u += yk * zk
+        return u, float(np.linalg.norm(b - A @ y))
+
+
+def _branch_solve(grid, rhs, tol):
+    """Solve the n = 1 branch point (L/4 + lam diag f) u = f of `rhs` to a
+    residual <= 0.1 tol from the grid's shared basis, rebuilt when f differs
+    and grown as needed; returns (u, vectors added, factorizations), u None
+    once the basis reaches _SHIFTED_BASIS_CAP or an invariant space first."""
+    f = rhs.weight
+    basis = grid._cache.get("shifted_basis")
+    factored = 0
+    if basis is None or not np.array_equal(basis.f, f):
+        lu, factored = _cached_laplacian_lu(grid)
+        basis = grid._cache["shifted_basis"] = _ShiftedBasis(lu, f)
+    added = 0
+    while True:
+        if basis.Z:
+            u, residual = basis.solve(rhs.lambda0)
+            if residual <= 0.1 * tol:
+                return u, added, factored
+        if len(basis.Z) >= _SHIFTED_BASIS_CAP or not basis.grow():
+            return None, added, factored
+        added += 1
+
+
 class _NewtonState(NamedTuple):
     """A Newton form evaluated at u (hess, eig: log-det form only)."""
 
@@ -504,9 +606,12 @@ class _NewtonForm(NamedTuple):
     state in place of a step (the log-det form's mu shrink, counted as
     SolveReport.mu_shrinks); forcing(state) returns the relative GMRES
     residual the step from `state` is solved to (the log-det form's forcing
-    term), _KRYLOV_RTOL when absent; factorizations counts the LUs factored
-    in building the form (the n = 1 quarter-Laplacian seed), which the
-    report's count starts from.
+    term), _KRYLOV_RTOL when absent; step(u, state, tol), when present,
+    takes the step in place of _newton_step and returns what it does,
+    (delta, Krylov iterations, factorizations) (the n = 1 branch form's
+    shared-basis step); factorizations counts the LUs factored in building
+    the form (the n = 1 quarter-Laplacian seed), which the report's count
+    starts from; flags collects the report flags the hooks raise.
     """
 
     evaluate: object
@@ -515,7 +620,9 @@ class _NewtonForm(NamedTuple):
     max_iter: int
     restart: object = None
     forcing: object = None
+    step: object = None
     factorizations: int = 0
+    flags: object = ()
 
 
 # Step halvings a line search tries before NewtonStalled.
@@ -536,7 +643,7 @@ def _damped_newton(grid, ui, tol, form, state=None):
         if state.error <= tol:
             hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
             return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
-                                    krylov_iterations=krylov,
+                                    flags=form.flags, krylov_iterations=krylov,
                                     factorizations=factorizations,
                                     backtracks=backtracks, mu_shrinks=restarts)
         fnorm = float(np.max(np.abs(state.F)))
@@ -545,8 +652,12 @@ def _damped_newton(grid, ui, tol, form, state=None):
             state = fresh
             restarts += 1
             continue
-        rtol = form.forcing(state) if form.forcing else _KRYLOV_RTOL
-        delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state), state.F, rtol)
+        if form.step:
+            delta, iterations, factored = form.step(ui, state, tol)
+        else:
+            rtol = form.forcing(state) if form.forcing else _KRYLOV_RTOL
+            delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state),
+                                                       state.F, rtol)
         krylov += iterations
         factorizations += factored
         s = 1.0
@@ -576,7 +687,9 @@ def _logdet_form(grid, rhs, tol):
     (default_psh_tol), since mu <= 1e-8 < 10 h^2 on every grid with
     h > 3.2e-5, so no separate floor test is made.  When Newton stalls on F
     while the true residual does not fall, the eigenvalue floor mu shrinks
-    a hundredfold (at most three times) and the iteration restarts.
+    a hundredfold (at most three times) and the iteration restarts.  F counts
+    as stalled once max|F| (max(psi) + mu^n) <= 1e-2 tol, since
+    det - psi ~ (psi + mu^n) F, or when the true residual stops falling.
 
     The Jacobian is trace_operator at W = (M + mu I)^-1 (HermitianField.inverse)
     with the diagonal shift -psi_t / (psi + mu^n): one matvec on the grid's
@@ -612,7 +725,7 @@ def _logdet_form(grid, rhs, tol):
 
     def restart(ui, state, fnorm, it):
         nonlocal mu, shrinks, last_error
-        stalled = fnorm <= tol * 1e-2 or (
+        stalled = fnorm * (float(np.max(state.psi)) + mu ** n) <= tol * 1e-2 or (
             it > 3 and state.error > 0.95 * last_error and fnorm < tol
         )
         if stalled and shrinks < 3:
@@ -641,12 +754,21 @@ def _semilinear_form(grid, rhs):
     psi_t > -lambda_1.  Trials must stay <= 0.
 
     A grid without a Newton preconditioner gets the cached quarter-Laplacian
-    LU as one, so the branch steps (_newton_step) factor nothing; the form
-    counts that LU when it had to be factored."""
+    LU as one, so the steps (_newton_step) factor nothing; the form counts
+    that LU when it had to be factored.  On the branch family
+    psi = f (1 - lam t) (RhsSpec.branch, unshifted) the Newton step from any
+    u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
+    form's first step is delta = u* - u with u* from the grid's shared
+    shifted basis (_branch_solve), one LU solve per new basis vector, each
+    counted as a Krylov iteration; a basis at _SHIFTED_BASIS_CAP, and any
+    later step of the solve, runs _newton_step instead, the former flagged
+    "shifted_basis_cap"."""
     quarter_laplacian = hessian_operators(grid)[0][0]
     seeded = 0
     if "newton_lu" not in grid._cache:
         grid._cache["newton_lu"], seeded = _cached_laplacian_lu(grid)
+    flags = []
+    first = True
 
     def evaluate(ui):
         psi = rhs.psi(np.minimum(ui, 0.0))
@@ -659,7 +781,22 @@ def _semilinear_form(grid, rhs):
     def admissible(ui, state):
         return np.max(ui) <= _T_POSITIVE_SLACK
 
-    return _NewtonForm(evaluate, jacobian, admissible, 60, factorizations=seeded)
+    def step(ui, state, tol):
+        nonlocal first
+        vectors = factored = 0
+        if first:
+            first = False
+            u, vectors, factored = _branch_solve(grid, rhs, tol)
+            if u is not None:
+                return u - ui, vectors, factored
+            flags.append("shifted_basis_cap")
+        delta, iterations, refreshed = _newton_step(grid, jacobian(ui, state), state.F,
+                                                    _KRYLOV_RTOL)
+        return delta, vectors + iterations, factored + refreshed
+
+    served = rhs.branch_family and rhs.shift == 0.0
+    return _NewtonForm(evaluate, jacobian, admissible, 60, step=step if served else None,
+                       factorizations=seeded, flags=flags)
 
 
 def solve_nonlinear(rhs, start, tol=1e-8):

@@ -241,6 +241,31 @@ def test_eigen_summary_counts_krylov_iterations(tmp_path, command):
     assert f"\nkrylov_iterations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def test_n1_continuation_krylov_iterations_count_the_shared_basis(tmp_path, monkeypatch):
+    """Every vector of an n = 1 grid's shared shifted basis is one LU solve
+    and one Krylov iteration, so the summary's count is the basis size; the
+    branch CSV stays free of timings."""
+    bases = []
+
+    class Recorded(dirichlet._ShiftedBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bases.append(self)
+
+    monkeypatch.setattr(dirichlet, "_ShiftedBasis", Recorded)
+    config = build_config({"command": "eigen-continuation", "n": "1", "h": "0.0625",
+                           "emit": "summary,csv", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    assert code == 0 and len(bases) == 1
+    count = record.diagnostics["krylov_iterations"]
+    assert count == len(bases[0].Z) > 0
+    assert f"\nkrylov_iterations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
+    headers = {p.name: p.read_text().splitlines()[0]
+               for p in (tmp_path / "out").glob("*.csv")}
+    assert headers["branch.csv"] == "lambda,sup_norm,iterations,residual"
+    assert not any("time" in h or "_s," in h + "," for h in headers.values())
+
+
 @pytest.mark.parametrize("command,module,solver", [
     ("eigen-continuation", "cmaeig.eigenpath", "solve_nonlinear"),
     ("eigen-inverse-power", "cmaeig.variational", "solve_frozen"),

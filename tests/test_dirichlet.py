@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,14 +211,96 @@ def no_convergence(J, b, precondition, rtol):
 
 
 def test_failed_krylov_step_raises_without_direct_fallback(disc_grid_32, monkeypatch):
+    """The branch right-hand side at lam = 0.5 written as a general H, which
+    the shared shifted basis does not serve: its Newton step is GMRES."""
     def direct(*args, **kwargs):
         raise AssertionError("direct solve ran")
 
     monkeypatch.setattr(dirichlet, "_krylov", no_convergence)
     monkeypatch.setattr(dirichlet, "spsolve", direct)
-    rhs = RhsSpec.branch(disc_grid_32, 0.5)
+    rhs = RhsSpec.general(disc_grid_32, lambda pts, t: 1.0 - 0.5 * t, nonincreasing=True)
     with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
         solve_nonlinear(rhs, np.zeros(disc_grid_32.num_interior))
+
+
+# ---------------------------------------------------------------------------
+# The n = 1 branch family's shared shifted basis
+# ---------------------------------------------------------------------------
+
+DISC_BUMP = GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)
+
+
+@pytest.mark.parametrize("density", [Constant(1.0), DISC_BUMP], ids=["constant", "bump"])
+def test_shifted_basis_branch_matches_gmres_path(density):
+    """Every point of the h = 1/64 disc branch, each solved in one Newton
+    step from the shared shifted basis, matches the GMRES step's solution of
+    the same right-hand side unmarked (branch_family off) from the previous
+    point to 1e-9 sup|u|; both reach max|F| <= tol."""
+    g = build_grid(Ball(n=1), 1 / 64)
+    tol = 1e-8
+    result = continuation(f=density, grid=g, tol=tol)
+    for prev, point in zip(result.branch, result.branch[1:]):
+        rhs = RhsSpec.branch(g, point.lam, density)
+        u, report = solve_nonlinear(replace(rhs, branch_family=False), prev.u, tol)
+        assert point.report.iterations == 1 and point.report.flags == ()
+        assert report.converged and report.krylov_iterations > 0
+        for v in (point.u, u):
+            assert _semilinear_form(g, rhs).evaluate(v.interior).error <= tol
+        assert np.max(np.abs(point.u.interior - u.interior)) <= 1e-9 * point.sup_norm
+
+
+def test_shifted_basis_is_rebuilt_for_a_new_density():
+    """A second density on the same grid builds its own basis: 9 vectors
+    carry the constant-f branch, 11 the bump's, and each lambda_1 is the one
+    recorded with a GMRES cycle per point."""
+    g = build_grid(Ball(n=1), 1 / 64)
+    constant = continuation(grid=g, tol=1e-8)
+    assert len(g._cache["shifted_basis"].Z) == 9
+    bump = continuation(f=DISC_BUMP, grid=g, tol=1e-8)
+    basis = g._cache["shifted_basis"]
+    assert len(basis.Z) == 11
+    assert np.array_equal(basis.f, density_vector(DISC_BUMP, g, power=1))
+    assert sum(p.report.krylov_iterations for p in bump.branch) == 11
+    assert constant.lambda1 == pytest.approx(1.445519333203084, abs=1e-12)
+    assert bump.lambda1 == pytest.approx(0.9941548141819682, abs=1e-12)
+
+
+def test_shifted_basis_serves_only_unshifted_branch_specs():
+    g = build_grid(Ball(n=1), 1 / 16)
+    for rhs in (RhsSpec.branch(g, 1.0).shifted(0.1),
+                RhsSpec.general(g, lambda pts, t: 1.0 - t, nonincreasing=True)):
+        _, report = solve_nonlinear(rhs, np.zeros(g.num_interior))
+        assert report.converged and "shifted_basis" not in g._cache
+    _, report = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
+    assert report.converged and report.krylov_iterations == len(g._cache["shifted_basis"].Z)
+
+
+def test_shifted_basis_step_is_polished_by_gmres_below_its_floor():
+    """At tol = 1e-10 the basis answer of the last disc branch points (h =
+    1/64) misses max|F| <= tol by rounding; the solve's second step runs a
+    GMRES cycle, unflagged; the walk keeps its 13 points and lambda_1 is
+    the one recorded with a GMRES cycle per point."""
+    g = build_grid(Ball(n=1), 1 / 64)
+    result = continuation(grid=g, tol=1e-10)
+    iterations = [p.report.iterations for p in result.branch[1:]]
+    assert set(iterations) == {1, 2} and len(result.branch) == 13
+    assert all(p.report.converged and p.report.flags == () for p in result.branch)
+    assert result.lambda1 == pytest.approx(1.4455193332030818, abs=1e-12)
+
+
+def test_capped_shifted_basis_falls_through_to_newton_step(monkeypatch):
+    """A basis held to 2 vectors cannot reach 0.1 tol at lam = 1: the step
+    runs a GMRES cycle instead, converges and flags the cap."""
+    monkeypatch.setattr(dirichlet, "_SHIFTED_BASIS_CAP", 2)
+    g = build_grid(Ball(n=1), 1 / 32)
+    rhs = RhsSpec.branch(g, 1.0)
+    u, report = solve_nonlinear(rhs, np.zeros(g.num_interior))
+    assert report.converged and report.flags == ("shifted_basis_cap",)
+    assert report.iterations == 1
+    assert len(g._cache["shifted_basis"].Z) == 2 < report.krylov_iterations
+    J = _semilinear_form(g, rhs).jacobian(u.interior, None)
+    reference = spsolve(J.tocsc(), np.ones(g.num_interior))
+    assert np.max(np.abs(u.interior - reference)) <= 1e-9 * np.max(np.abs(reference))
 
 
 def test_logdet_start_hessian_is_not_recomputed(ball4_grid, monkeypatch):

@@ -181,10 +181,23 @@ def test_continuation_disc_pinned_branch(disc_result):
     assert disc_result.lambda1 == pytest.approx(1.4455193332030762, abs=1e-12)
 
 
+class CountedLU:
+    """An LU whose solves are counted in a shared list."""
+
+    def __init__(self, lu, solves):
+        self.lu, self.solves = lu, solves
+
+    def solve(self, b):
+        self.solves.append(1)
+        return self.lu.solve(b)
+
+
 def test_continuation_n1_factors_once(monkeypatch):
-    """An n = 1 continuation factors the grid's Laplacian once and runs every
-    Newton step by Krylov iterations on that factorization."""
-    calls = []
+    """An n = 1 continuation factors the grid's Laplacian once and solves
+    with it at most 12 times in all (about 80 with a GMRES cycle per point):
+    the lam = 0 solve, then one solve per vector of the shared shifted basis,
+    each counted as a Krylov iteration of the point that added it."""
+    calls, solves = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -192,11 +205,13 @@ def test_continuation_n1_factors_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("splu", "spsolve"):
-        monkeypatch.setattr(dirichlet, name, counted(name, getattr(dirichlet, name)))
+    monkeypatch.setattr(dirichlet, "spsolve", counted("spsolve", dirichlet.spsolve))
+    real = counted("splu", dirichlet.splu)
+    monkeypatch.setattr(dirichlet, "splu", lambda *a, **k: CountedLU(real(*a, **k), solves))
     result = continuation(grid=build_grid(Ball(1, 1.0), 1.0 / 64), tol=1e-8)
     assert calls == ["splu"]
-    assert all(p.report.krylov_iterations > 0 for p in result.branch[1:])
+    assert len(solves) <= 12
+    assert sum(p.report.krylov_iterations for p in result.branch) == len(solves) - 1
     assert result.branch[0].report.krylov_iterations == 0  # the frozen lam = 0 solve
 
 
@@ -213,9 +228,11 @@ def test_continuation_n2_reuses_newton_lu(monkeypatch):
     monkeypatch.setattr(dirichlet, "splu", counted)
     result = continuation(grid=build_grid(Ball(2, 1.0), 0.25), tol=1e-8)
     iterations = [p.report.iterations for p in result.branch]
-    # recorded with the secant predictor and forcing terms (discrete
-    # eigenvalue 1.661450533119653); each 7 is 4 steps and 3 mu shrinks
-    assert iterations == [0, 4, 3, 3, 3, 4, 4, 4, 4, 7, 7, 3, 3, 3, 3]
+    # recorded with the secant predictor, forcing terms and the mu-shrink
+    # stall test scaled by max(psi + mu^n) (discrete eigenvalue
+    # 1.661450533119653); no point shrinks mu
+    assert iterations == [0, 4, 3, 3, 3, 4, 4, 4, 4, 4, 4, 3, 3, 3, 3]
+    assert sum(p.report.mu_shrinks for p in result.branch) == 0
     assert result.lambda1 == pytest.approx(1.6613320300311811, abs=1e-12)
     assert len(calls) == sum(p.report.factorizations for p in result.branch) == 4
 
@@ -248,7 +265,7 @@ def test_continuation_ellipsoid_bump_predictor_saves_newton_steps(ellipsoid_bump
                                                                    monkeypatch):
     """On a non-radial n = 2 problem the secant predictor keeps the lam
     schedule and lambda_1 of the scaled-subsolution start while taking
-    fewer Newton steps (55 against 74 when recorded) and no line-search
+    fewer Newton steps (52 against 71 when recorded) and no line-search
     backtrack.  Each point is solved to a det residual of tol = 1e-8, not
     to rounding, so the two starts' schedules differ by about 1e-11."""
     result = ellipsoid_bump_result
@@ -267,11 +284,14 @@ def test_continuation_ellipsoid_bump_predictor_saves_newton_steps(ellipsoid_bump
 
 def test_continuation_ellipsoid_bump_work_counts(ellipsoid_bump_result):
     """Forcing terms let most log-det steps run on a stale Jacobian LU: the
-    ellipsoid-bump continuation factors 5 Jacobians in 296 GMRES iterations
-    (12 and 373 with every step solved to 5e-10)."""
+    ellipsoid-bump continuation factors 5 Jacobians in 295 GMRES iterations
+    (12 and 373 with every step solved to 5e-10) and 52 Newton steps,
+    shrinking mu nowhere."""
     branch = ellipsoid_bump_result.branch
     assert sum(p.report.factorizations for p in branch) == 5
-    assert sum(p.report.krylov_iterations for p in branch) == 296
+    assert sum(p.report.krylov_iterations for p in branch) == 295
+    assert sum(p.report.iterations for p in branch) == 52
+    assert sum(p.report.mu_shrinks for p in branch) == 0
 
 
 def test_unusable_predictor_falls_back_and_is_counted(disc32, monkeypatch):
