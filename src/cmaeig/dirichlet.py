@@ -70,11 +70,6 @@ from .hessian import (
 
 log = logging.getLogger(__name__)
 
-# Discrete analogue of a "strict" subsolution margin when psi degenerates on
-# {u = 0}: proportional to the truncation-error scale.
-def strict_margin(grid):
-    return 100.0 * grid.h ** 2
-
 
 def default_eps_schedule(start=1e-1, stop=1e-3, ratio=0.5):
     out = []
@@ -137,30 +132,27 @@ class RhsSpec:
 
     @classmethod
     def branch(cls, grid, lam, density=Constant(1.0)):
-        """psi = (1 - lam t)^n f^n: the solution-branch right-hand side."""
-        if lam < 0:
-            raise ValueError("branch parameter must be nonnegative")
+        """psi = (1 - lam t)^n f^n: the solution-branch right-hand side, >= 0
+        and nonincreasing in t <= 0 for any finite lam >= 0 and f > 0."""
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
         fn = density_vector(density, grid, power=n)
-        spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
+        return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (1.0 - lam * t) ** n,
                    dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1),
                    branch_family=True)
-        spec._spot_check()
-        return spec
 
     @classmethod
     def eigen(cls, grid, lam, density=Constant(1.0)):
         """psi = (-lam t)^n f^n: degenerate at t = 0 (eigenvalue form)."""
-        if lam < 0:
-            raise ValueError("eigenvalue parameter must be nonnegative")
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"eigenvalue parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
         fn = density_vector(density, grid, power=n)
-        spec = cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
+        return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (-lam * t) ** n,
                    dg=lambda t: -n * lam * (-lam * t) ** (n - 1))
-        spec._spot_check()
-        return spec
 
     @classmethod
     def general(cls, grid, H, lambda0=None, nonincreasing=False):
@@ -226,45 +218,28 @@ class RhsSpec:
 
 @dataclass
 class SolveReport:
-    iterations: int
-    final_residual: float
-    psh_margin: float
-    sup_norm: float
-    grad_sup: float
-    laplacian_sup: float
-    converged: bool
-    flags: tuple = ()
+    """One Dirichlet solve's outcome (_make_report); each field's comment
+    names its readers.  The counters are summed in the CLI summaries."""
+
+    iterations: int  # Newton steps: eigenpath._walk's step control, branch.csv
+    final_residual: float  # max|det - psi|: branch.csv, CLI summaries, verify
+    psh_margin: float  # smallest complex-Hessian eigenvalue: `solve` summary
+    converged: bool  # the solve met tol: the benchmark's Dirichlet check
+    flags: tuple = ()  # defaults put in for failed computations: CLI `flags`
     krylov_iterations: int = 0  # GMRES iterations over the Newton steps
     factorizations: int = 0  # Jacobians factored by preconditioner refreshes
     backtracks: int = 0  # line-search trials rejected (step halvings)
     mu_shrinks: int = 0  # n >= 2 eigenvalue-floor shrinks (Newton restarts)
 
 
-def _grad_sup(grid, ui):
-    """Largest one-sided difference quotient (diagnostic only)."""
-    worst = 0.0
-    d = 2 * grid.n
-    for a in range(d):
-        for s in (0, 1):
-            pos = grid.nbr_ipos[:, a, s]
-            theta = grid.theta_axis[:, a, s]
-            nbr_vals = np.where(pos >= 0, ui[np.maximum(pos, 0)], 0.0)
-            quot = np.abs(nbr_vals - ui) / (theta * grid.h)
-            worst = max(worst, float(np.max(quot)))
-    return worst
-
-
-def _make_report(grid, ui, hess, psi_vals, iterations, converged, flags=(),
+def _make_report(state, iterations, converged, flags=(),
                  krylov_iterations=0, factorizations=0, backtracks=0, mu_shrinks=0):
-    det = hess.det()
-    res = float(np.max(np.abs(det - psi_vals)))
+    """The SolveReport of a solve ending at the _NewtonState `state`, read
+    from its residual and Hessian eigenvalues: no Hessian is evaluated."""
     return SolveReport(
         iterations=iterations,
-        final_residual=res,
-        psh_margin=float(np.min(hess.min_eigenvalue())),
-        sup_norm=float(np.max(np.abs(ui))),
-        grad_sup=_grad_sup(grid, ui),
-        laplacian_sup=float(np.max(np.abs(4.0 * np.sum(hess.diag, axis=1)))),
+        final_residual=state.error,
+        psh_margin=float(np.min(state.eig[:, 0])),
         converged=converged,
         flags=tuple(flags),
         krylov_iterations=krylov_iterations,
@@ -415,13 +390,31 @@ def _factor(A):
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def _arnoldi_step(basis, w):
+    """Orthogonalize w against the orthonormal vectors `basis` by modified
+    Gram-Schmidt, in place; returns (column, following).  column holds the
+    projections and then the norm h of what remains, the new Hessenberg
+    column; following is the remainder over h, the next basis vector, or
+    None on breakdown (h <= eps times w's norm before), where h is set to 0."""
+    before = np.linalg.norm(w)
+    column = np.empty(len(basis) + 1)
+    for i, v in enumerate(basis):
+        column[i] = v @ w
+        w -= column[i] * v
+    column[-1] = np.linalg.norm(w)
+    if column[-1] <= np.finfo(float).eps * before:
+        column[-1] = 0.0
+        return column, None
+    return column, w * (1.0 / column[-1])
+
+
 def _krylov(J, b, precondition, rtol):
     """One cycle of right-preconditioned GMRES on J delta = b from delta = 0,
     at most _KRYLOV_RESTART iterations; returns (delta, iterations,
     converged).
 
     Iteration k applies the preconditioner once, z_k = precondition(v_k),
-    and the Jacobian once, J z_k, which modified Gram-Schmidt orthogonalizes
+    and the Jacobian once, J z_k, which _arnoldi_step orthogonalizes
     against v_0..v_k; Givens rotations keep the Hessenberg least-squares
     residual, and the cycle stops once it is <= rtol ||b|| or the basis
     breaks down.  The z_k are kept, as in flexible GMRES (Saad, SIAM J.
@@ -442,24 +435,16 @@ def _krylov(J, b, precondition, rtol):
     V[0] = b * (1.0 / beta)
     for k in range(m):
         Z[k] = precondition(V[k])
-        w = J @ Z[k]
-        before = np.linalg.norm(w)
-        for i in range(k + 1):
-            H[i, k] = V[i] @ w
-            w -= H[i, k] * V[i]
-        H[k + 1, k] = np.linalg.norm(w)
-        breakdown = H[k + 1, k] <= np.finfo(float).eps * before
-        if breakdown:
-            H[k + 1, k] = 0.0
-        else:
-            V[k + 1] = w * (1.0 / H[k + 1, k])
+        H[:k + 2, k], following = _arnoldi_step(V[:k + 1], J @ Z[k])
+        if following is not None:
+            V[k + 1] = following
         for i, (c, s) in enumerate(rotations[:k]):
             H[i:i + 2, k] = c * H[i, k] + s * H[i + 1, k], c * H[i + 1, k] - s * H[i, k]
         r = np.hypot(H[k, k], H[k + 1, k])
         c, s = rotations[k] = H[k, k] / r, H[k + 1, k] / r
         H[k, k], H[k + 1, k] = r, 0.0
         g[k], g[k + 1] = c * g[k], -s * g[k]
-        if abs(g[k + 1]) <= rtol * beta or breakdown:
+        if abs(g[k + 1]) <= rtol * beta or following is None:
             break
     iterations = k + 1
     y = np.linalg.solve(H[:iterations, :iterations], g[:iterations])
@@ -517,8 +502,8 @@ class _ShiftedBasis:
     1998).  V holds the orthonormal vectors, Z their preconditioned images
     (L/4)^-1 V and `columns` the Hessenberg matrix Hbar, so that
     diag(f) Z_m = V_m+1 Hbar.  Each vector costs one solve with the
-    quarter-Laplacian LU and is orthogonalized by modified Gram-Schmidt as
-    in _krylov; the basis grows on demand and is kept in grid._cache."""
+    quarter-Laplacian LU and is orthogonalized by _arnoldi_step, as in
+    _krylov; the basis grows on demand and is kept in grid._cache."""
 
     def __init__(self, lu, f):
         self.lu, self.f = lu, f
@@ -531,17 +516,9 @@ class _ShiftedBasis:
         if k == len(self.V):
             return False
         z = self.lu.solve(self.V[k])
-        w = self.f * z
-        before = np.linalg.norm(w)
-        column = np.empty(k + 2)
-        for i, v in enumerate(self.V):
-            column[i] = v @ w
-            w -= column[i] * v
-        column[k + 1] = np.linalg.norm(w)
-        if column[k + 1] <= np.finfo(float).eps * before:
-            column[k + 1] = 0.0
-        else:
-            self.V.append(w * (1.0 / column[k + 1]))
+        column, following = _arnoldi_step(self.V, self.f * z)
+        if following is not None:
+            self.V.append(following)
         self.Z.append(z)
         self.columns.append(column)
         return True
@@ -587,13 +564,16 @@ def _branch_solve(grid, rhs, tol):
 
 
 class _NewtonState(NamedTuple):
-    """A Newton form evaluated at u (hess, eig: log-det form only)."""
+    """A Newton form evaluated at u; a solve's SolveReport is built from its
+    last one (_make_report)."""
 
     F: np.ndarray  # residual
-    error: float  # stops the iteration once <= tol
+    error: float  # max|det(u_jk) - psi|; stops the iteration once <= tol
     psi: np.ndarray
-    hess: HermitianField | None = None
-    eig: np.ndarray | None = None  # hess.eigenvalues()
+    # (N, n) ascending complex-Hessian eigenvalues: hess.eigenvalues() at
+    # n >= 2, and at n = 1 the 1 x 1 Hessian (L/4) u as a column
+    eig: np.ndarray
+    hess: HermitianField | None = None  # log-det form only
 
 
 class _NewtonForm(NamedTuple):
@@ -641,8 +621,7 @@ def _damped_newton(grid, ui, tol, form, state=None):
     factorizations = form.factorizations
     for it in range(1, form.max_iter + 1):
         if state.error <= tol:
-            hess = state.hess if state.hess is not None else _hermitian_from_interior(grid, ui)
-            return ui, _make_report(grid, ui, hess, state.psi, it - 1, True,
+            return ui, _make_report(state, it - 1, True,
                                     flags=form.flags, krylov_iterations=krylov,
                                     factorizations=factorizations,
                                     backtracks=backtracks, mu_shrinks=restarts)
@@ -712,7 +691,7 @@ def _logdet_form(grid, rhs, tol):
         with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
             F = np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n)
         error = float(np.max(np.abs(hess.det() - psi)))
-        return _NewtonState(F, error, psi, hess, eig)
+        return _NewtonState(F, error, psi, eig, hess)
 
     def jacobian(ui, state):
         shift = None
@@ -748,6 +727,14 @@ def _logdet_form(grid, rhs, tol):
     return _NewtonForm(evaluate, jacobian, admissible, 80, restart, forcing)
 
 
+def _semilinear_state(quarter_laplacian, ui, psi):
+    """The n = 1 _NewtonState at u: F = (1/4) L u - psi, with (1/4) L u, the
+    complex Hessian at n = 1, kept as its eigenvalue."""
+    hessian = quarter_laplacian @ ui
+    F = hessian - psi
+    return _NewtonState(F, float(np.max(np.abs(F))), psi, hessian[:, None])
+
+
 def _semilinear_form(grid, rhs):
     """n = 1: F(u) = (1/4) Delta u - psi(., u), stopping on max|F|; the
     linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
@@ -771,9 +758,7 @@ def _semilinear_form(grid, rhs):
     first = True
 
     def evaluate(ui):
-        psi = rhs.psi(np.minimum(ui, 0.0))
-        F = quarter_laplacian @ ui - psi
-        return _NewtonState(F, float(np.max(np.abs(F))), psi)
+        return _semilinear_state(quarter_laplacian, ui, rhs.psi(np.minimum(ui, 0.0)))
 
     def jacobian(ui, state):
         return quarter_laplacian - sparse.diags(rhs.psi_t(np.minimum(ui, 0.0)))
@@ -846,8 +831,8 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
         h_int = rhs.frozen_values
         lu, factored = _cached_laplacian_lu(grid)
         ui = np.minimum(lu.solve(h_int), 0.0)
-        hess = _hermitian_from_interior(grid, ui)
-        report = _make_report(grid, ui, hess, h_int, 1, True, factorizations=factored)
+        state = _semilinear_state(hessian_operators(grid)[0][0], ui, h_int)
+        report = _make_report(state, 1, True, factorizations=factored)
         if report.final_residual > tol:
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)
@@ -899,7 +884,6 @@ def apply_T(v, rhs, grid=None, tol=1e-8, initial=None):
 
 def check_subsolution(u_lower, rhs, grid=None, tol=1e-8, strict_margin=0.0):
     """det(u) >= psi(., u) + margin - tol nodewise, u PSH within tol, u <= 0."""
-    grid = u_lower.grid if grid is None else grid
     ui = u_lower.interior
     if np.max(ui) > tol:
         return False
@@ -913,7 +897,6 @@ def check_subsolution(u_lower, rhs, grid=None, tol=1e-8, strict_margin=0.0):
 
 def check_supersolution(u_upper, rhs, grid=None, tol=1e-8):
     """det(u) <= psi(., u) + tol nodewise (mirror of check_subsolution)."""
-    grid = u_upper.grid if grid is None else grid
     ui = u_upper.interior
     if np.max(ui) > tol:
         return False
@@ -930,12 +913,13 @@ def check_supersolution(u_upper, rhs, grid=None, tol=1e-8):
 
 
 def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
-                       require_subsolution=True, report_sink=None):
+                       require_subsolution=True, iterate_sink=None):
     """Iterate u_{j+1} = T(u_j) from a subsolution; for psi nonincreasing in u
     the iterates increase to the unique fixed point.
 
     Returns (u, history) where history[j] = max nodewise increment of step j.
-    report_sink, if given, collects the per-step SolveReports.
+    iterate_sink, if given, collects the iterates u_1, u_2, ... (ScalarFields);
+    the verify row diagnostic-boundedness measures their derivatives.
     """
     grid = u_lower.grid if grid is None else grid
     if rhs.monotonicity != NONINCREASING:
@@ -948,9 +932,9 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
     history = []
     u = u_lower
     for _ in range(max_outer):
-        u_next, rep = apply_T(u, rhs, grid, inner_tol, initial=u)
-        if report_sink is not None:
-            report_sink.append(rep)
+        u_next, _ = apply_T(u, rhs, grid, inner_tol, initial=u)
+        if iterate_sink is not None:
+            iterate_sink.append(u_next)
         step = u_next.interior - u.interior
         drop = float(np.min(step))
         if drop < -10.0 * tol:

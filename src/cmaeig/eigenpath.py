@@ -148,8 +148,8 @@ class SchedulePolicy:
     max_points: int = 200
 
     def __post_init__(self):
-        if self.blowup_threshold <= 0:
-            raise ValueError("blowup_threshold > 0 required")
+        if not 0.0 < self.blowup_threshold < np.inf:
+            raise ValueError(f"blowup_threshold must be finite and > 0: {self.blowup_threshold!r}")
 
 
 def _origin(f, grid, tol):
@@ -325,8 +325,8 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm
     signals that lam sits at or beyond the branch's critical value:
     BranchInfeasible.
     """
-    if lam < 0:
-        raise ValueError("branch parameter must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
     if start is not None:
         return _branch_step(lam, f, tol, start)
     if lam == 0.0:

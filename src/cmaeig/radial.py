@@ -79,11 +79,6 @@ class RadialProfile:
         """Profile as rows (t, phi(t), phi'(t))."""
         return np.column_stack([self.t, self.phi, self.dphi])
 
-    @property
-    def shoot_residual(self):
-        """|phi(R^2)|, the miss distance of the boundary condition."""
-        return abs(float(self.phi[-1]))
-
 
 def shoot(n, R, lam, step=None, record=True):
     """Integrate the radial ODE from the series start to t = R^2.

@@ -187,7 +187,8 @@ def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200, w0=None):
     eta = rayleigh(w, gv, grid, check=False) ** (1.0 / n)
     branch = [
         BranchPoint(lam=eta, sup_norm=1.0, u=w,
-                    report=SolveReport(0, 0.0, 0.0, 1.0, 0.0, 0.0, True))
+                    report=SolveReport(iterations=0, final_residual=0.0, psh_margin=0.0,
+                                       converged=True))
     ]
 
     for _ in range(max_iters):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import cmaeig.dirichlet as dirichlet
+import cmaeig.hessian as hessian
 from cmaeig.dirichlet import (
     RhsSpec,
     _logdet_form,
@@ -33,6 +35,7 @@ from cmaeig.domain import (
 from cmaeig.eigenpath import continuation, verify_eigenpair
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 from cmaeig.variational import inverse_power
+from cmaeig.verify import _grad_sup
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
@@ -68,7 +71,7 @@ def test_frozen_constant_one_gives_defining_function(disc_grid_32, ball4_grid):
 
 def test_frozen_zero_gives_zero(disc_grid_32):
     u, rep = solve_frozen(np.zeros(disc_grid_32.num_interior), disc_grid_32, 1e-12)
-    assert rep.sup_norm == 0.0
+    assert u.sup_norm() == 0.0
 
 
 def test_frozen_quartic_disc(disc_grid_32):
@@ -77,6 +80,70 @@ def test_frozen_quartic_disc(disc_grid_32):
     exact = r2_of(g) ** 2 - 1.0
     assert np.max(np.abs(u.interior - exact)) <= 2.0 * g.h ** 2
     assert rep.converged
+
+
+# ---------------------------------------------------------------------------
+# Reports read from the converged Newton state
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route,most", [(continuation, 3), (inverse_power, 24)],
+                         ids=["continuation", "inverse_power"])
+def test_reports_evaluate_no_complex_hessian(route, most, monkeypatch):
+    """Every SolveReport is read from its solve's last Newton state, so a
+    fresh unit-disc route at h = 1/64 evaluates only the Hessians its own
+    residuals and functionals need: at most 3 in a continuation and 24 in an
+    inverse power (16 and 36 when each report evaluated one more).  The
+    count wraps complex_hessian in every cmaeig module that binds it."""
+    real = hessian.complex_hessian
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return real(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cmaeig" and getattr(module, "complex_hessian", None) is real:
+            monkeypatch.setattr(module, "complex_hessian", counted)
+    route(grid=build_grid(Ball(1), 1 / 64))
+    assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("case", ["n1-branch", "n1-frozen", "ellipsoid-n2-bump-frozen"])
+def test_report_matches_the_hessian_of_the_returned_iterate(case, monkeypatch):
+    """final_residual is max|det(complex_hessian(u)) - psi| and psh_margin its
+    smallest eigenvalue, bit for bit, at the iterate Newton stopped at, before
+    the clamp to u <= 0 (the n = 1 frozen solve reports on its clamped
+    solution)."""
+    if case.startswith("ellipsoid"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # h = 0.25 is crude on the ellipsoid
+            grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+        bump = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+        rhs = RhsSpec.frozen(grid, density_vector(bump, grid, power=2))
+    else:
+        grid = build_grid(Ball(1), 1 / 64)
+        rhs = (RhsSpec.branch(grid, 1.0) if case == "n1-branch"
+               else RhsSpec.frozen(grid, np.ones(grid.num_interior)))
+    iterates = []
+    real = dirichlet._damped_newton
+
+    def recording(*args):
+        ui, report = real(*args)
+        iterates.append(ui.copy())
+        return ui, report
+
+    monkeypatch.setattr(dirichlet, "_damped_newton", recording)
+    if rhs.kind == "frozen":
+        u, report = solve_frozen(rhs.frozen_values, grid)
+    else:
+        u, report = solve_nonlinear(rhs, np.zeros(grid.num_interior))
+    assert report.converged and len(iterates) == (0 if case == "n1-frozen" else 1)
+    ui = iterates[-1] if iterates else u.interior
+    hess = complex_hessian(ScalarField.from_interior(grid, ui))
+    psi = rhs.psi(np.minimum(ui, 0.0))
+    assert report.final_residual == float(np.max(np.abs(hess.det() - psi)))
+    assert report.psh_margin == float(np.min(hess.min_eigenvalue()))
 
 
 def test_frozen_rejects_negative_rhs(disc_grid_32):
@@ -693,6 +760,22 @@ def test_separable_psi_t_is_exact(kind, disc_grid_32, ball4_grid):
         assert np.allclose(fd[inner], rhs.psi_t(t)[inner], rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("kind", ["branch", "eigen"])
+def test_separable_specs_validate_lam_exactly(kind, disc_grid_32, monkeypatch):
+    """A finite lam >= 0 is the whole check: NaN, inf and negative lam are
+    refused, and a valid spec is built without evaluating psi."""
+    make = getattr(RhsSpec, kind)
+    for lam in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make(disc_grid_32, lam)
+
+    def unexpected(self, t):
+        raise AssertionError("psi evaluated while building the spec")
+
+    monkeypatch.setattr(RhsSpec, "psi", unexpected)
+    assert make(disc_grid_32, 0.8).lambda0 == 0.8
+
+
 def test_rhs_monotonicity_spot_check(disc_grid_32):
     with pytest.raises(ValueError, match="nonincreasing"):
         RhsSpec.general(
@@ -719,8 +802,8 @@ def test_monotone_branch_half(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.5)
     lower = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
-    reports = []
-    u, history = monotone_iteration(lower, rhs, tol=1e-8, report_sink=reports)
+    iterates = []
+    u, history = monotone_iteration(lower, rhs, tol=1e-8, iterate_sink=iterates)
     assert min(history) >= -10 * 1e-8
     res = np.max(np.abs(ma_det(u).interior - rhs.psi(u.interior)))
     assert res <= 1e-8
@@ -732,10 +815,11 @@ def test_monotone_branch_half(disc_grid_32):
     assert np.max(np.abs(u.interior - exact)) <= 5.0 * g.h ** 2
     assert abs(np.max(-u.interior) - branch_sup_norm_disc(0.5)) <= 5.0 * g.h ** 2
     # diagnostic regression: gradient/Laplacian stay bounded along the run
-    if len(reports) > 5:
-        ref = reports[4]
-        assert reports[-1].grad_sup <= 2.0 * ref.grad_sup
-        assert reports[-1].laplacian_sup <= 2.0 * ref.laplacian_sup
+    assert iterates[-1] is u and len(iterates) == len(history)
+    if len(iterates) > 5:
+        ref, last = iterates[4], iterates[-1]
+        assert _grad_sup(g, last.interior) <= 2.0 * _grad_sup(g, ref.interior)
+        assert np.max(np.abs(ma_det(last).values)) <= 2.0 * np.max(np.abs(ma_det(ref).values))
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.9])

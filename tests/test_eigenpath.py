@@ -97,6 +97,13 @@ def test_branch_rejects_negative_lam(disc32):
         solve_branch(-0.5, grid=disc32)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_branch_rejects_non_finite_lam(disc32, lam):
+    """NaN once returned the lam = 0 point as if it had solved lam."""
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_branch(lam, grid=disc32)
+
+
 def test_branch_warm_start_must_move_forward(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(ValueError, match="increase"):
@@ -314,8 +321,7 @@ def pole_shaped_point(lam, shape, pole=2.0):
     """Branch point u = shape / (pole - lam): fixed shape, 1/sup linear in lam."""
     grid = shape.grid
     u = ScalarField.from_interior(grid, shape.interior / (pole - lam))
-    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, sup_norm=0.0,
-                         grad_sup=0.0, laplacian_sup=0.0, converged=True)
+    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, converged=True)
     return BranchPoint(lam=lam, sup_norm=u.sup_norm(), u=u, report=report)
 
 
@@ -418,6 +424,13 @@ def test_schedule_policy_validation():
         SchedulePolicy(blowup_threshold=0.0)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_schedule_policy_rejects_non_finite_threshold(threshold):
+    """A NaN threshold once reached continuation and failed there in lstsq."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SchedulePolicy(blowup_threshold=threshold)
+
+
 def test_branch_point_validation(disc_result):
     point = disc_result.branch[1]
     with pytest.raises(ValueError):
@@ -440,8 +453,7 @@ def test_eigen_result_rejects_unknown_method(disc_result):
 
 
 def synthetic_branch(lams, sups):
-    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, sup_norm=0.0,
-                         grad_sup=0.0, laplacian_sup=0.0, converged=True)
+    report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, converged=True)
     return [BranchPoint(lam=lam, sup_norm=sup, u=None, report=report)
             for lam, sup in zip(lams, sups)]
 

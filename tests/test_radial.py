@@ -85,7 +85,7 @@ def test_rhs_vanishing_gradient():
 def test_shoot_hits_boundary_at_disc_eigenvalue():
     terminal, profile = shoot(1, 1.0, LAMBDA1_UNIT_DISC)
     assert abs(terminal) <= 1e-6
-    assert profile.shoot_residual == abs(terminal)
+    assert abs(profile.phi[-1]) == abs(terminal)
 
 
 def test_shoot_profile_matches_bessel_mode_pointwise():
@@ -243,7 +243,7 @@ def test_profile_invariants():
     assert profile.t[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(profile.phi) > 0)
     assert np.all(profile.dphi > 0)
-    assert profile.shoot_residual <= 1e-7
+    assert abs(profile.phi[-1]) <= 1e-7
     assert profile.samples.shape == (profile.t.size, 3)
 
 
