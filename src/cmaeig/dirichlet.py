@@ -131,13 +131,18 @@ class RhsSpec:
                    frozen_values=np.maximum(vals, 0.0))
 
     @classmethod
-    def branch(cls, grid, lam, density=Constant(1.0)):
+    def branch(cls, grid, lam, density=Constant(1.0), *, weight=None):
         """psi = (1 - lam t)^n f^n: the solution-branch right-hand side, >= 0
-        and nonincreasing in t <= 0 for any finite lam >= 0 and f > 0."""
+        and nonincreasing in t <= 0 for any finite lam >= 0 and f > 0.
+
+        weight, when given, is f^n at the interior nodes as
+        density_vector(density, grid, power=n) returns it, evaluated and
+        validated once by a caller that builds many branch points (a
+        continuation walk); density is then not read."""
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
-        fn = density_vector(density, grid, power=n)
+        fn = density_vector(density, grid, power=n) if weight is None else weight
         return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
                    weight=fn, g=lambda t: (1.0 - lam * t) ** n,
                    dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1),
@@ -383,11 +388,53 @@ _FORCING_ALPHA = 2.0
 _FORCING_MAX = 1e-2
 
 
+# SuperLU's blocking (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
+# Anal. Appl. 20, 1999): elimination-tree subtrees of at most _LU_RELAX
+# columns are merged into relaxed supernodes, and _LU_PANEL_SIZE columns are
+# updated together as one panel.  SuperLU's defaults are 10 and 20.  Sweep of
+# relax / panel_size with MMD_AT_PLUS_A (one BLAS thread, ms, medians of 3-9
+# interleaved repeats; the fill L.nnz + U.nnz of 4 / 4 equals the defaults'
+# in every row; the Jacobians are the lam = 0.5 branch problem's at its
+# quadratic subsolution):
+#
+#   matrix                         rows     default       4 / 4     1 / 1
+#                                        factor/solve factor/solve factor
+#   disc quarter L, h = 1/64     12 849   77 / 2.26    38 / 1.69     35
+#   disc quarter L, h = 1/128    51 429  338 / 9.25   257 / 8.87    205
+#   disc quarter L, h = 1/256   205 857 2661 / 47.4  1884 / 43.4      -
+#   ellipsoid-n2-bump Jacobian      625  6.6 / 0.145  6.4 / 0.142   6.2
+#   4-ball Jacobian, h = 0.25     1 257   59 / 0.86    45 / 0.71     31
+#   4-ball Jacobian, h = 0.2      2 873  233 / 3.11   192 / 1.84    247
+#
+# Panels of 1 or 2 win in 2-D but lose at the 4-ball's h = 0.2, relaxing 8 or
+# 10 columns is slower everywhere, and with relax 4 panels of 8 lose up to
+# 13 % and of 20 up to 32 % to panels of 4 on the disc; 4 / 4 beats the
+# defaults on every family above, so the n = 1 Laplacian and the n >= 2
+# Jacobians share it.  On every LU that the two
+# routes factor on the 4-ball (h = 0.25, 0.2) and ellipsoid-n2-bump, the
+# row and column permutations are the defaults', the fill is within 0.02 %
+# and the solves agree to 5e-15.  The exceptions to the speed-up are the
+# Jacobians near blow-up that partial pivoting takes off the diagonal
+# (fill 2.5-3.0 M against 1.4 M at h = 0.2): on the two worst 4 / 4 was
+# 6-35 % slower than the defaults over three sweeps, and the 4-ball routes
+# at h = 0.2 come out even.
+_LU_RELAX = 4
+_LU_PANEL_SIZE = 4
+
+
 def _factor(A):
-    """Sparse LU with minimum degree ordering on A^T + A: less fill than
-    the default COLAMD (about half on the Laplacian; on an ellipsoid-n2-bump
-    log-det Jacobian 91k against 138k nonzeros, 6.7 against 8.7 ms)."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    """Sparse LU of A: the package's one factorization, for the n = 1
+    quarter Laplacian (_cached_laplacian_lu) and the Newton Jacobians
+    (_newton_step).
+
+    The columns are ordered by minimum degree on A^T + A, with less fill
+    than the default COLAMD (about half on the Laplacian; on an
+    ellipsoid-n2-bump log-det Jacobian 91k against 138k nonzeros, 6.7
+    against 8.7 ms).  _LU_RELAX and _LU_PANEL_SIZE set SuperLU's blocking
+    only: the permutations and fill of its defaults and, to rounding, the
+    same solves, in about 70 % of the time on the disc's Laplacian."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE)
 
 
 def _arnoldi_step(basis, w):

@@ -247,14 +247,17 @@ def eval_density(d, points):
 
 
 def density_vector(d, grid, power=1):
-    """Density (optionally f**power) at interior nodes; validates positivity on
-    the interior and boundary layer (the discrete closure of the domain)."""
+    """Density (optionally f**power) at interior nodes; validates that it is
+    finite and positive on the interior and boundary layer (the discrete
+    closure of the domain), naming the first node where it is not."""
     closure = np.concatenate([grid.interior_flat, grid.boundary_flat])
     vals = eval_density(d, grid.node_coords(closure))
-    if np.min(vals) <= 0:
-        worst = closure[int(np.argmin(vals))]
+    bad = ~(np.isfinite(vals) & (vals > 0))
+    if np.any(bad):
+        worst = int(np.argmax(bad))
         raise NonPositiveDensity(
-            f"density is {np.min(vals):.3e} <= 0 at node {grid.unravel(worst)}"
+            f"density is {vals[worst]:.3e}, not finite and > 0, at node "
+            f"{grid.unravel(closure[worst])}"
         )
     inner = eval_density(d, grid.interior_coords)
     return inner if power == 1 else inner ** power

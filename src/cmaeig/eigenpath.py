@@ -152,10 +152,10 @@ class SchedulePolicy:
             raise ValueError(f"blowup_threshold must be finite and > 0: {self.blowup_threshold!r}")
 
 
-def _origin(f, grid, tol):
+def _origin(fn, grid, tol):
     """The lam = 0 point of the branch: u0 solving det(u_jk) = f^n with zero
-    boundary values."""
-    u0, report = solve_frozen(density_vector(f, grid, power=grid.n), grid, tol)
+    boundary values, fn = f^n at the interior nodes (density_vector)."""
+    u0, report = solve_frozen(fn, grid, tol)
     s0 = u0.sup_norm()
     if s0 <= 0.0:
         raise BranchInfeasible("zero-density problem has no negative solution")
@@ -169,7 +169,7 @@ def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
     every branch solution below it, so the branch cannot blow up before
     1/sup|u0|.
     """
-    return 1.0 / _origin(f, grid, tol).sup_norm
+    return 1.0 / _origin(density_vector(f, grid, power=grid.n), grid, tol).sup_norm
 
 
 def _converge_at(lam, rhs, u_start, tol):
@@ -206,8 +206,9 @@ def _secant_start(lam_new, prev, before):
     return np.minimum((v_prev + r * (v_prev - v_before)) / inv, 0.0)
 
 
-def _branch_step(lam_new, f, tol, prev, before=None):
-    """Advance the branch from `prev` (and `before`, the point preceding it).
+def _branch_step(lam_new, fn, tol, prev, before=None):
+    """Advance the branch from `prev` (and `before`, the point preceding it);
+    fn is f^n at the interior nodes, evaluated once by the caller.
 
     With `before`, the solve starts from the secant predictor
     (_secant_start).  The scaled subsolution C * u_prev is the start of a
@@ -227,7 +228,7 @@ def _branch_step(lam_new, f, tol, prev, before=None):
             f"warm-start step {d:.3e} times sup-norm {prev.sup_norm:.3e} "
             "reaches the subsolution-scaling pole"
         )
-    rhs = RhsSpec.branch(prev.u.grid, lam_new, f)
+    rhs = RhsSpec.branch(prev.u.grid, lam_new, weight=fn)
     if before is not None:
         predicted = _secant_start(lam_new, prev, before)
         if predicted is not None:
@@ -240,9 +241,10 @@ def _branch_step(lam_new, f, tol, prev, before=None):
     return point if before is None else replace(point, predictor_fallback=True)
 
 
-def _walk(f, grid, tol, policy, lam_stop=np.inf):
+def _walk(fn, grid, tol, policy, lam_stop=np.inf):
     """Walk the branch up from _origin; returns (branch, rejected), the
-    failed steps counted by exception class.
+    failed steps counted by exception class.  fn is f^n at the interior
+    nodes (density_vector), which every branch point of the walk shares.
 
     A failed solve, or one needing more than twice the median Newton count,
     halves the step; three easy solves in a row double it.  Every step is
@@ -253,7 +255,7 @@ def _walk(f, grid, tol, policy, lam_stop=np.inf):
     lam = 0 sup-norm is already past the threshold, or the lam cap, the
     point budget or the step size runs out.
     """
-    branch = [_origin(f, grid, tol)]
+    branch = [_origin(fn, grid, tol)]
     lb = 1.0 / branch[0].sup_norm
     if branch[0].sup_norm > policy.blowup_threshold:
         raise ScheduleExhausted(
@@ -284,7 +286,7 @@ def _walk(f, grid, tol, policy, lam_stop=np.inf):
             )
         lam_new = lam_stop if d == lam_stop - prev.lam else prev.lam + d
         try:
-            point = _branch_step(lam_new, f, tol, prev,
+            point = _branch_step(lam_new, fn, tol, prev,
                                  branch[-2] if len(branch) > 1 else None)
         except _STEP_FAILURES as exc:
             rejected[type(exc).__name__] += 1
@@ -328,11 +330,13 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
     if start is not None:
-        return _branch_step(lam, f, tol, start)
+        return _branch_step(lam, density_vector(f, start.u.grid, power=start.u.grid.n),
+                            tol, start)
+    fn = density_vector(f, grid, power=grid.n)
     if lam == 0.0:
-        return _origin(f, grid, tol)
+        return _origin(fn, grid, tol)
 
-    rhs = RhsSpec.branch(grid, lam, f)
+    rhs = RhsSpec.branch(grid, lam, weight=fn)
     try:
         u_sub, _ = quadratic_subsolution(grid, rhs)
         return _converge_at(lam, rhs, u_sub, tol)
@@ -340,7 +344,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm
         pass
 
     try:
-        branch, _ = _walk(f, grid, tol, SchedulePolicy(blowup_threshold=sup_norm_cap), lam)
+        branch, _ = _walk(fn, grid, tol, SchedulePolicy(blowup_threshold=sup_norm_cap), lam)
     except ScheduleExhausted as exc:
         raise BranchInfeasible(
             f"branch walk stopped before lam={lam:.6g}: {exc}") from exc
@@ -388,9 +392,9 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     secant predictor was replaced by the scaled subsolution in
     EigenResult.predictor_fallbacks.  Raises ScheduleExhausted as _walk does.
     """
-    branch, rejected = _walk(f, grid, tol, schedule_policy or SchedulePolicy())
     n = grid.n
     fn = density_vector(f, grid, power=n)
+    branch, rejected = _walk(fn, grid, tol, schedule_policy or SchedulePolicy())
     last = branch[-1]
     lam1, fit_residual, flags = _extrapolate(branch, _FIT_POINTS)
     s = last.sup_norm

@@ -22,7 +22,7 @@ class ResolutionTooCoarse(CmaError):
 
 
 class NonPositiveDensity(CmaError):
-    """A density evaluated to <= 0 at some grid node."""
+    """A density evaluated to <= 0, or to NaN or infinity, at some grid node."""
 
 
 # --- hessian / matrix algebra ---------------------------------------------

@@ -37,7 +37,7 @@ from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 from cmaeig.variational import inverse_power
 from cmaeig.verify import _grad_sup
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 
 from oracles import (
     LAMBDA1_UNIT_DISC,
@@ -239,7 +239,7 @@ def test_n1_useless_preconditioner_is_refreshed(disc_grid_32, monkeypatch):
     J = form.jacobian(u, state)
     delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL)
     reference = spsolve(J.tocsc(), -state.F)
-    assert calls == ["MMD_AT_PLUS_A"] and factored == 1
+    assert calls == [FACTOR_SETTINGS] and factored == 1
     assert iterations == dirichlet._KRYLOV_RESTART + 1
     assert g._cache["newton_lu"] is not useless
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
@@ -266,7 +266,7 @@ def test_n1_reports_count_the_laplacian_lu(monkeypatch):
             _, first = solve_frozen(np.ones(g.num_interior), g)
         else:
             _, first = solve_nonlinear(RhsSpec.branch(g, 0.5), np.zeros(g.num_interior))
-        assert calls == ["MMD_AT_PLUS_A"] and first.factorizations == 1
+        assert calls == [FACTOR_SETTINGS] and first.factorizations == 1
         _, again = solve_frozen(np.full(g.num_interior, 2.0), g)
         _, branch = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
         assert len(calls) == 1 and again.factorizations == branch.factorizations == 0
@@ -422,16 +422,44 @@ def logdet_problem(grid, density, lam, wobble, seed=0):
     return form, u, form.evaluate(u)
 
 
+# The keywords every splu call of _factor passes, whichever caller reaches it.
+FACTOR_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A", "relax": dirichlet._LU_RELAX,
+                   "panel_size": dirichlet._LU_PANEL_SIZE}
+
+
 def counting_splu(monkeypatch):
+    """Record the keywords of every splu call, one dict per factorization."""
     calls = []
     real = dirichlet.splu
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dirichlet, "splu", counted)
     return calls
+
+
+@pytest.mark.parametrize("which", ["disc_laplacian", "ellipsoid_jacobian"])
+def test_factor_settings_change_blocking_only(which, disc_grid, ellipsoid_bump):
+    """_factor's relax / panel_size change SuperLU's blocking only: on the
+    h = 1/64 disc's quarter Laplacian and an ellipsoid-n2-bump log-det
+    Jacobian its LU has the permutations and fill of splu with SuperLU's
+    default settings, and its solves agree with that LU to 1e-12 relative."""
+    if which == "disc_laplacian":
+        A = hessian.hessian_operators(disc_grid)[0][0]
+    else:
+        form, u, state = logdet_problem(*ellipsoid_bump, 0.5, 0.02)
+        A = form.jacobian(u, state)
+    lu = dirichlet._factor(A)
+    default = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+    assert np.array_equal(lu.perm_c, default.perm_c)
+    assert np.array_equal(lu.perm_r, default.perm_r)
+    for seed in range(3):
+        b = np.random.default_rng(seed).normal(size=A.shape[0])
+        reference = default.solve(b)
+        assert np.linalg.norm(lu.solve(b) - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def problem_grid(which, ball4_grid, ellipsoid_bump):
@@ -475,7 +503,7 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     delta, iterations, factored = dirichlet._newton_step(grid, J, state.F,
                                                          dirichlet._KRYLOV_RTOL)
     reference = spsolve(J, -state.F)
-    assert calls == ["MMD_AT_PLUS_A"] and factored == 1
+    assert calls == [FACTOR_SETTINGS] and factored == 1
     # the missed cycle, then one iteration on the fresh LU
     assert iterations == dirichlet._KRYLOV_RESTART + 1
     assert grid._cache["newton_lu"] is not useless
@@ -497,7 +525,7 @@ def test_n2_failed_refresh_raises_after_one_factorization(ball4_grid, monkeypatc
     u0, _ = quadratic_subsolution(ball4_grid, rhs)
     with pytest.raises(NotConverged, match=r"relative residual 1\.000e\+00 .* after 3 iterations"):
         solve_nonlinear(rhs, u0)
-    assert calls == ["MMD_AT_PLUS_A"]
+    assert calls == [FACTOR_SETTINGS]
 
 
 def test_logdet_forcing_terms(ellipsoid_bump):

@@ -221,6 +221,19 @@ def test_density_validation():
     assert (vals >= 2.0).all()
 
 
+@pytest.mark.parametrize("bump", [
+    GaussianBump(center=(float("nan"), 0.0), amplitude=1.0, width=0.5),
+    GaussianBump(center=(0.0, 0.0), amplitude=float("nan"), width=0.5),
+    GaussianBump(center=(0.0, 0.0), amplitude=float("inf"), width=0.5),
+], ids=["nan-center", "nan-amplitude", "inf-amplitude"])
+def test_density_vector_rejects_non_finite_values(bump):
+    """A density that is NaN or infinite at a node is refused like one that
+    is <= 0 there, rather than returned as an all-NaN or all-inf f."""
+    g = build_grid(Ball(n=1), 1 / 8)
+    with pytest.raises(NonPositiveDensity, match="at node"):
+        density_vector(bump, g)
+
+
 # ---------------------------------------------------------------------------
 # The boundary band
 # ---------------------------------------------------------------------------

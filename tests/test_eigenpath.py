@@ -135,6 +135,36 @@ def test_cold_branch_walks_a_prefix_of_the_continuation_schedule(disc32, monkeyp
     assert schedule[len(visited) - 2] < 1.3 < schedule[len(visited) - 1]
 
 
+@pytest.mark.parametrize("route", ["continuation", "cold solve_branch"])
+def test_branch_walk_evaluates_the_density_once(route, disc32, monkeypatch):
+    """A continuation, and a cold solve_branch past the subsolution
+    threshold, evaluate f^n once and hand it to every branch point: one
+    density_vector call in all, however many points the walk takes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return density_vector(*args, **kwargs)
+
+    monkeypatch.setattr(eigenpath, "density_vector", counted)
+    monkeypatch.setattr(dirichlet, "density_vector", counted)
+    bump = GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)
+    if route == "continuation":
+        points = len(continuation(bump, grid=disc32, tol=1e-8).branch)
+    else:
+        steps = []
+        real = eigenpath._branch_step
+
+        def spy(*args):
+            steps.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(eigenpath, "_branch_step", spy)
+        solve_branch(0.9, bump, grid=disc32, tol=1e-8)
+        points = len(steps)
+    assert points > 3 and len(calls) == 1
+
+
 def test_branch_at_zero_is_the_lower_bound_origin(disc32):
     assert 1.0 / solve_branch(0.0, grid=disc32, tol=1e-8).sup_norm == lower_bound(
         grid=disc32, tol=1e-8)
