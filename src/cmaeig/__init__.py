@@ -15,13 +15,11 @@ from .dirichlet import (
     SolveReport,
     apply_T,
     check_subsolution,
-    check_supersolution,
     monotone_iteration,
     quadratic_subsolution,
     solve_frozen,
     solve_nonlinear,
     solve_quasimonotone,
-    solve_regularized,
 )
 from .domain import (
     Ball,
@@ -32,7 +30,6 @@ from .domain import (
     Ellipsoid,
     GaussianBump,
     GridDomain,
-    PolynomialDensity,
     build_grid,
     density_vector,
     eval_density,
@@ -93,7 +90,6 @@ from .verify import (
     InvariantRow,
     VerifyReport,
     available_invariants,
-    rayleigh_trials,
     run_suite,
 )
 
@@ -101,7 +97,7 @@ __all__ = [
     "errors",
     # domain
     "Ball", "Ellipsoid", "CustomRho", "DomainSpec",
-    "Constant", "PolynomialDensity", "GaussianBump", "DensitySpec",
+    "Constant", "GaussianBump", "DensitySpec",
     "GridDomain", "build_grid", "eval_rho", "eval_density", "density_vector",
     # fields and Hessians
     "ScalarField", "HermitianField", "DualMatrixSet", "complex_hessian",
@@ -109,8 +105,8 @@ __all__ = [
     "random_psh_field",
     # Dirichlet solvers
     "RhsSpec", "SolveReport", "solve_frozen", "solve_nonlinear", "apply_T",
-    "quadratic_subsolution", "check_subsolution", "check_supersolution",
-    "monotone_iteration", "solve_regularized", "solve_quasimonotone",
+    "quadratic_subsolution", "check_subsolution", "monotone_iteration",
+    "solve_quasimonotone",
     # eigenvalue routes
     "BranchPoint", "EigenResult", "SchedulePolicy", "EigenVerification",
     "lower_bound", "solve_branch", "continuation", "verify_eigenpair",
@@ -125,6 +121,5 @@ __all__ = [
     "read_field", "field_to_csv", "branch_to_csv", "profile_to_csv",
     # verification and CLI
     "InvariantRow", "VerifyReport", "available_invariants", "run_suite",
-    "rayleigh_trials", "RunConfig", "SummaryRecord", "parse_config", "run",
-    "main",
+    "RunConfig", "SummaryRecord", "parse_config", "run", "main",
 ]

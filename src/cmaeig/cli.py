@@ -41,6 +41,8 @@ from .domain import (
     Ball,
     Constant,
     CustomRho,
+    DensitySpec,
+    DomainSpec,
     Ellipsoid,
     GaussianBump,
     build_grid,
@@ -96,8 +98,8 @@ class RunConfig:
     """Validated run description; construct via build_config/parse_config."""
 
     command: str
-    domain: object
-    density: object
+    domain: DomainSpec
+    density: DensitySpec
     n: int
     h: Optional[float] = None
     tol: float = 1e-8

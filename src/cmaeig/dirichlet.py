@@ -26,8 +26,6 @@ Layering:
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
-* solve_regularized -- runs the outer iteration for psi + eps^n over a
-  decreasing eps schedule with warm starts (psi degenerate at u = 0).
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
 
@@ -40,7 +38,7 @@ is called here and nowhere else, and _krylov is the package's only GMRES.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,15 +69,6 @@ from .hessian import (
 log = logging.getLogger(__name__)
 
 
-def default_eps_schedule(start=1e-1, stop=1e-3, ratio=0.5):
-    out = []
-    e = start
-    while e >= stop * (1 - 1e-12):
-        out.append(e)
-        e *= ratio
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Right-hand sides
 # ---------------------------------------------------------------------------
@@ -99,10 +88,9 @@ class RhsSpec:
 
     kinds: "frozen" (psi = h(z)), "separable" (psi = f^n(z) g(t), with the
     derivative dg = g') and "general" (psi = H(z, t)^n from a closure).
-    `shift` carries the eps^n regularization additively.  branch_family
-    marks the branch constructor's psi = (1 - lambda0 t)^n weight; unshifted
-    at n = 1, its Newton steps come from the grid's shared shifted basis
-    (_ShiftedBasis).
+    branch_family marks the branch constructor's psi = (1 - lambda0 t)^n
+    weight; at n = 1 its Newton steps come from the grid's shared shifted
+    basis (_ShiftedBasis).
     """
 
     grid: object
@@ -114,15 +102,24 @@ class RhsSpec:
     g: object | None = None  # scalar factor g(t), vectorized
     dg: object | None = None  # g'(t), vectorized
     H: object | None = None  # H(points, t), vectorized over nodes
-    shift: float = 0.0
     branch_family: bool = False
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def frozen(cls, grid, values):
+        """psi = h(z) from h at the interior nodes, which must be finite and
+        >= 0 (to rounding); PreconditionViolated names the first node where
+        h is not finite."""
         vals = values.interior if isinstance(values, ScalarField) else np.asarray(values, float)
         vals = np.broadcast_to(vals, (grid.num_interior,)).astype(float)
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            worst = int(np.argmin(finite))
+            raise PreconditionViolated(
+                f"frozen right-hand side is {vals[worst]:.3e}, not finite, at node "
+                f"{grid.interior_point(worst)}"
+            )
         if np.min(vals) < -1e-12:
             raise PreconditionViolated(
                 f"frozen right-hand side must be >= 0 (min {np.min(vals):.3e})"
@@ -179,12 +176,10 @@ class RhsSpec:
     def psi(self, t):
         t = self._clamp(t)
         if self.kind == "frozen":
-            base = self.frozen_values.copy()
-        elif self.kind == "separable":
-            base = self.weight * self.g(t)
-        else:
-            base = self.H(self.grid.interior_coords, t) ** self.grid.n
-        return base + self.shift
+            return self.frozen_values.copy()
+        if self.kind == "separable":
+            return self.weight * self.g(t)
+        return self.H(self.grid.interior_coords, t) ** self.grid.n
 
     def psi_t(self, t):
         """d psi / dt: 0 for frozen, f^n g'(t) for separable, by central
@@ -198,9 +193,6 @@ class RhsSpec:
         hi = self.psi(np.minimum(t + _PSI_T_DELTA, 0.0))
         width = np.minimum(t + _PSI_T_DELTA, 0.0) - (t - _PSI_T_DELTA)
         return (hi - lo) / width
-
-    def shifted(self, eps):
-        return replace(self, shift=self.shift + eps ** self.grid.n)
 
     def _spot_check(self):
         """Validate psi >= 0 and (when declared) monotonicity on a (z, t) sample."""
@@ -282,12 +274,12 @@ def _anchor(grid):
 _AMPLITUDE_ITERATIONS = 80
 
 
-def quadratic_subsolution(grid, rhs, extra=0.0):
-    """Scaled defining function t*rho with det >= psi(., t*rho) + extra
-    nodewise; returns (field, t).
+def quadratic_subsolution(grid, rhs):
+    """Scaled defining function t*rho with det >= psi(., t*rho) nodewise;
+    returns (field, t).
 
     Since det(t rho) >= t^n min det(rho), the amplitude is a fixed point of
-    t -> ((max psi(., t rho) + extra) / min det(rho))^(1/n), found by
+    t -> (max psi(., t rho) / min det(rho))^(1/n), found by
     iterating from below with a geometric-tail extrapolation (exact in one
     cycle when the map is affine in t, as for the continuation family).
     Right-hand sides growing superlinearly past the domain's threshold make
@@ -300,7 +292,7 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
     det_rho = float(np.min(det_rho_nodes))
 
     def amp(s):
-        return ((float(np.max(rhs.psi(s * rho))) + max(extra, 0.0)) / det_rho) ** (1.0 / n)
+        return (float(np.max(rhs.psi(s * rho))) / det_rho) ** (1.0 / n)
 
     t = max(amp(0.0), 1e-12)
     for _ in range(_AMPLITUDE_ITERATIONS):
@@ -329,7 +321,7 @@ def quadratic_subsolution(grid, rhs, extra=0.0):
     # t^n min det(rho), so it holds at every node up to rounding; verify,
     # and bump if a node disagrees.
     for _ in range(4):
-        if np.all(t ** n * det_rho_nodes >= rhs.psi(t * rho) + extra - 1e-12):
+        if np.all(t ** n * det_rho_nodes >= rhs.psi(t * rho) - 1e-12):
             return ScalarField.from_interior(grid, t * rho), t
         t *= 1.5
     raise BranchInfeasible("could not certify the quadratic subsolution")
@@ -790,7 +782,7 @@ def _semilinear_form(grid, rhs):
     A grid without a Newton preconditioner gets the cached quarter-Laplacian
     LU as one, so the steps (_newton_step) factor nothing; the form counts
     that LU when it had to be factored.  On the branch family
-    psi = f (1 - lam t) (RhsSpec.branch, unshifted) the Newton step from any
+    psi = f (1 - lam t) (RhsSpec.branch) the Newton step from any
     u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
     form's first step is delta = u* - u with u* from the grid's shared
     shifted basis (_branch_solve), one LU solve per new basis vector, each
@@ -826,8 +818,8 @@ def _semilinear_form(grid, rhs):
                                                     _KRYLOV_RTOL)
         return delta, vectors + iterations, factored + refreshed
 
-    served = rhs.branch_family and rhs.shift == 0.0
-    return _NewtonForm(evaluate, jacobian, admissible, 60, step=step if served else None,
+    return _NewtonForm(evaluate, jacobian, admissible, 60,
+                       step=step if rhs.branch_family else None,
                        factorizations=seeded, flags=flags)
 
 
@@ -929,29 +921,15 @@ def apply_T(v, rhs, grid=None, tol=1e-8, initial=None):
 # ---------------------------------------------------------------------------
 
 
-def check_subsolution(u_lower, rhs, grid=None, tol=1e-8, strict_margin=0.0):
-    """det(u) >= psi(., u) + margin - tol nodewise, u PSH within tol, u <= 0."""
+def check_subsolution(u_lower, rhs, tol=1e-8):
+    """det(u) >= psi(., u) - tol nodewise, u PSH within tol, u <= 0."""
     ui = u_lower.interior
     if np.max(ui) > tol:
         return False
     hess = complex_hessian(u_lower)
     if np.min(hess.min_eigenvalue()) < -tol:
         return False
-    det = hess.det()
-    need = rhs.psi(np.minimum(ui, 0.0)) + strict_margin
-    return bool(np.all(det >= need - tol))
-
-
-def check_supersolution(u_upper, rhs, grid=None, tol=1e-8):
-    """det(u) <= psi(., u) + tol nodewise (mirror of check_subsolution)."""
-    ui = u_upper.interior
-    if np.max(ui) > tol:
-        return False
-    hess = complex_hessian(u_upper)
-    if np.min(hess.min_eigenvalue()) < -tol:
-        return False
-    det = hess.det()
-    return bool(np.all(det <= rhs.psi(np.minimum(ui, 0.0)) + tol))
+    return bool(np.all(hess.det() >= rhs.psi(np.minimum(ui, 0.0)) - tol))
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +951,7 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
         raise PreconditionViolated(
             "monotone iteration requires a right-hand side nonincreasing in u"
         )
-    if require_subsolution and not check_subsolution(u_lower, rhs, grid, tol=max(tol, 1e-10)):
+    if require_subsolution and not check_subsolution(u_lower, rhs, tol=max(tol, 1e-10)):
         raise PreconditionViolated("starting field is not a subsolution at this tolerance")
     inner_tol = tol / 10.0
     history = []
@@ -997,40 +975,6 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
     raise NotConverged(
         f"outer iteration reached {max_outer} steps; last increment {history[-1]:.3e}"
     )
-
-
-def solve_regularized(rhs, eps_schedule=None, grid=None, tol=1e-8, max_outer=2000):
-    """Solve det = psi(., u) + eps^n along a decreasing eps schedule.
-
-    Warm-starts each stage with the previous solution (a valid subsolution,
-    since lowering eps lowers the right-hand side).  Returns (u, diffs) with
-    diffs the successive sup-norm gaps between stages.
-    """
-    grid = rhs.grid if grid is None else grid
-    if rhs.monotonicity != NONINCREASING:
-        raise PreconditionViolated("regularization requires psi nonincreasing in u")
-    schedule = list(default_eps_schedule() if eps_schedule is None else eps_schedule)
-    if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if schedule[-1] < 1e-4:
-        raise ValueError("eps schedule must stay >= 1e-4")
-    u_lower, _ = quadratic_subsolution(grid, rhs, extra=schedule[0] ** grid.n)
-    u = None
-    diffs = []
-    nondegenerate = rhs.kind == "frozen" and float(np.min(rhs.psi(np.zeros(grid.num_interior)))) > 0
-    for i, eps in enumerate(schedule):
-        stage = rhs.shifted(eps)
-        start = u_lower if u is None else u
-        u_new, _ = monotone_iteration(start, stage, grid, tol, max_outer,
-                                      require_subsolution=(u is None))
-        if u is not None:
-            diffs.append(float(np.max(np.abs(u_new.interior - u.interior))))
-        u = u_new
-        if nondegenerate:
-            break  # psi stays positive at u = 0: regularization is unnecessary
-        if diffs and diffs[-1] <= max(tol, 1e-3 * eps):
-            break  # further regularization cannot move the solution
-    return u, diffs
 
 
 # ---------------------------------------------------------------------------

@@ -198,20 +198,6 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class PolynomialDensity:
-    """Polynomial in the real coordinates; strict positivity checked on grids."""
-
-    coeffs: Mapping[tuple[int, ...], float]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            {tuple(int(e) for e in k): float(v) for k, v in dict(self.coeffs).items()},
-        )
-
-
-@dataclass(frozen=True)
 class GaussianBump:
     """f(x) = 1 + amplitude * exp(-|x - center|^2 / width^2)."""
 
@@ -227,7 +213,7 @@ class GaussianBump:
             raise ValueError("amplitude must exceed -1 to keep f positive")
 
 
-DensitySpec = Constant | PolynomialDensity | GaussianBump
+DensitySpec = Constant | GaussianBump
 
 
 def eval_density(d, points):
@@ -238,11 +224,9 @@ def eval_density(d, points):
         pts = pts[None, :]
     if isinstance(d, Constant):
         vals = np.full(pts.shape[0], d.value)
-    elif isinstance(d, GaussianBump):
+    else:
         c = np.asarray(d.center)
         vals = 1.0 + d.amplitude * np.exp(-np.sum((pts - c) ** 2, axis=1) / d.width ** 2)
-    else:
-        vals = _eval_polynomial(d.coeffs, pts)
     return vals[0] if single else vals
 
 
@@ -259,7 +243,7 @@ def density_vector(d, grid, power=1):
             f"density is {vals[worst]:.3e}, not finite and > 0, at node "
             f"{grid.unravel(closure[worst])}"
         )
-    inner = eval_density(d, grid.interior_coords)
+    inner = vals[:grid.num_interior]
     return inner if power == 1 else inner ** power
 
 

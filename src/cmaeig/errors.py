@@ -33,7 +33,7 @@ class NotPositiveSemiDefinite(CmaError):
 
 
 class PreconditionViolated(CmaError):
-    """A comparison-principle precondition failed; message names the worst node."""
+    """An input violates a precondition of the routine it was passed to."""
 
 
 class NotPSH(CmaError):

@@ -159,12 +159,12 @@ def shoot(n, R, lam, step=None, record=True):
     return phi, profile
 
 
-def radial_lambda1(n, R, tol=1e-8, hi_factor=20.0):
+def radial_lambda1(n, R, tol=1e-8):
     """Ground eigenvalue of the ball B(0, R) in C^n by shooting + Brent.
 
     The terminal value phi(R^2) is negative for lam below the eigenvalue and
     climbs through zero at it; a gradient collapse during integration counts
-    as an overshoot.  The bracket starts as [R^-2, hi_factor * R^-2]; if its
+    as an overshoot.  The bracket starts as [R^-2, 20 R^-2]; if its
     upper end still undershoots it is doubled up to three times before
     BracketFailed.  While the upper end is a collapse (terminal value inf)
     the bracket is bisected; once it is a finite overshoot, Brent's method
@@ -194,7 +194,7 @@ def radial_lambda1(n, R, tol=1e-8, hi_factor=20.0):
         return samples[lam]
 
     lo = scale
-    hi = hi_factor * scale
+    hi = 20.0 * scale
     if terminal(lo) >= 0.0:
         raise BracketFailed(
             f"terminal value at the lower bracket end {lo:.6g} does not "

@@ -52,7 +52,6 @@ __all__ = [
     "InvariantRow",
     "VerifyReport",
     "available_invariants",
-    "rayleigh_trials",
     "run_suite",
 ]
 
@@ -551,24 +550,3 @@ def run_suite(seed=42, tol=1e-8, only: Optional[str] = None):
                                      margin=float(margin), passed=bool(passed)))
     rows.sort(key=lambda r: (r.invariant, r.fixture))
     return VerifyReport(rows=tuple(rows))
-
-
-def rayleigh_trials(seed=42, grid=None, count=100, lambda1=None):
-    """Randomized Rayleigh-bound trial rows: (index, energy, mass, rayleigh, ok).
-
-    ok means the quotient sits above (1 - 5%) * lambda1^n; lambda1 defaults to
-    the continuation estimate on the supplied grid.
-    """
-    if grid is None:
-        grid = build_grid(Ball(1, 1.0), 1.0 / 16)
-    if lambda1 is None:
-        lambda1 = continuation(grid=grid, tol=1e-8).lambda1
-    floor = 0.95 * lambda1 ** grid.n
-    rng = _rng(seed, "rayleigh-trials")
-    rows = []
-    for k in range(count):
-        phi = random_psh_field(grid, rng)
-        e, m = energy(phi), mass(phi)
-        q = e / m
-        rows.append((k, e, m, q, q >= floor))
-    return rows

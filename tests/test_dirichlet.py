@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -13,14 +14,11 @@ from cmaeig.dirichlet import (
     _semilinear_form,
     apply_T,
     check_subsolution,
-    check_supersolution,
-    default_eps_schedule,
     monotone_iteration,
     quadratic_subsolution,
     solve_frozen,
     solve_nonlinear,
     solve_quasimonotone,
-    solve_regularized,
 )
 from cmaeig.errors import (
     BranchInfeasible,
@@ -149,6 +147,19 @@ def test_report_matches_the_hessian_of_the_returned_iterate(case, monkeypatch):
 def test_frozen_rejects_negative_rhs(disc_grid_32):
     with pytest.raises(PreconditionViolated):
         solve_frozen(-np.ones(disc_grid_32.num_interior), disc_grid_32, 1e-8)
+
+
+@pytest.mark.parametrize("n, h", [(1, 1 / 8), (2, 0.25)], ids=["disc", "ball4"])
+def test_frozen_rejects_non_finite_rhs(n, h):
+    """A NaN or infinite h is refused at the first node where it occurs,
+    rather than solved into an all-NaN field reported as converged (n = 1)
+    or misreported as an unsettled subsolution amplitude (n = 2)."""
+    g = build_grid(Ball(n=n), h)
+    values = np.ones(g.num_interior)
+    values[3], values[7] = np.nan, np.inf
+    node = re.escape(f"is nan, not finite, at node {g.interior_point(3)}")
+    with pytest.raises(PreconditionViolated, match=node):
+        solve_frozen(values, g)
 
 
 def test_frozen_report_invariant(disc_grid_32):
@@ -334,10 +345,9 @@ def test_shifted_basis_is_rebuilt_for_a_new_density():
 
 def test_shifted_basis_serves_only_unshifted_branch_specs():
     g = build_grid(Ball(n=1), 1 / 16)
-    for rhs in (RhsSpec.branch(g, 1.0).shifted(0.1),
-                RhsSpec.general(g, lambda pts, t: 1.0 - t, nonincreasing=True)):
-        _, report = solve_nonlinear(rhs, np.zeros(g.num_interior))
-        assert report.converged and "shifted_basis" not in g._cache
+    rhs = RhsSpec.general(g, lambda pts, t: 1.0 - t, nonincreasing=True)
+    _, report = solve_nonlinear(rhs, np.zeros(g.num_interior))
+    assert report.converged and "shifted_basis" not in g._cache
     _, report = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
     assert report.converged and report.krylov_iterations == len(g._cache["shifted_basis"].Z)
 
@@ -883,47 +893,7 @@ def test_monotone_not_converged(disc_grid_32):
 
 
 # ---------------------------------------------------------------------------
-# solve_regularized
-# ---------------------------------------------------------------------------
-
-
-def test_regularized_zero_rhs_closed_form(disc_grid_32):
-    g = disc_grid_32
-    rhs = RhsSpec.frozen(g, np.zeros(g.num_interior))
-    u, diffs = solve_regularized(rhs, [0.1, 0.05], g, tol=1e-10)
-    assert np.max(np.abs(u.interior - 0.05 * (r2_of(g) - 1.0))) < 1e-12
-    assert diffs == pytest.approx([0.05], abs=1e-10)  # linear in eps
-
-
-def test_regularized_eigen_small_lambda_vanishes(disc_grid_32):
-    g = disc_grid_32
-    u, diffs = solve_regularized(RhsSpec.eigen(g, 0.3), None, g, tol=1e-9)
-    assert np.max(np.abs(u.interior)) < 0.01
-    assert all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
-
-
-def test_regularized_frozen_positive_short_circuits(disc_grid_32):
-    g = disc_grid_32
-    rhs = RhsSpec.frozen(g, np.ones(g.num_interior))
-    u, diffs = solve_regularized(rhs, None, g, tol=1e-9)
-    assert diffs == []  # one stage: regularization unnecessary
-    base, _ = solve_frozen(np.ones(g.num_interior), g, 1e-9)
-    assert np.max(np.abs(u.interior - base.interior)) <= 0.2  # O(first eps)
-
-
-def test_regularized_schedule_validation(disc_grid_32):
-    g = disc_grid_32
-    rhs = RhsSpec.eigen(g, 0.3)
-    with pytest.raises(ValueError):
-        solve_regularized(rhs, [0.1, 0.2], g)
-    with pytest.raises(ValueError):
-        solve_regularized(rhs, [0.1, 1e-5], g)
-    assert default_eps_schedule()[0] == 0.1
-    assert default_eps_schedule()[-1] >= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# sub/supersolution checks
+# subsolution checks
 # ---------------------------------------------------------------------------
 
 
@@ -935,24 +905,6 @@ def test_subsolution_examples(disc_grid_32):
     assert not check_subsolution(ScalarField.zeros(g), rhs, tol=1e-9)
     assert check_subsolution(rho_field(g), RhsSpec.frozen(g, np.ones(g.num_interior)),
                              tol=1e-9)
-
-
-def test_strict_subsolution_margin(disc_grid_32):
-    g = disc_grid_32
-    rhs = RhsSpec.eigen(g, 0.5)
-    two_rho = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
-    # det = 4, psi(2 rho) <= (0.5 * 2)^1 = 1, so a margin of 1 still passes
-    assert check_subsolution(two_rho, rhs, tol=1e-9, strict_margin=1.0)
-    assert not check_subsolution(two_rho, rhs, tol=1e-9, strict_margin=5.0)
-
-
-def test_supersolution_examples(disc_grid_32):
-    g = disc_grid_32
-    rhs = RhsSpec.branch(g, 0.5)
-    assert check_supersolution(ScalarField.zeros(g), RhsSpec.eigen(g, 1.0), tol=1e-12)
-    assert check_supersolution(rho_field(g), rhs, tol=1e-9)
-    two_rho = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
-    assert not check_supersolution(two_rho, rhs, tol=1e-9)
 
 
 def test_quadratic_subsolution_certificate(disc_grid_32):

@@ -16,7 +16,6 @@ from cmaeig.domain import (
     CustomRho,
     Ellipsoid,
     GaussianBump,
-    PolynomialDensity,
     build_grid,
     density_vector,
     direction_thetas,
@@ -213,12 +212,6 @@ def test_density_validation():
         Constant(0.0)
     with pytest.raises(ValueError):
         GaussianBump(center=(0.0, 0.0), amplitude=-1.0, width=1.0)
-    g = coarse_disc()
-    with pytest.raises(NonPositiveDensity):
-        density_vector(PolynomialDensity(coeffs={(1, 0): 1.0}), g)
-    vals = density_vector(PolynomialDensity(coeffs={(0, 0): 2.0, (2, 0): 1.0}), g)
-    assert vals.shape == (g.num_interior,)
-    assert (vals >= 2.0).all()
 
 
 @pytest.mark.parametrize("bump", [
@@ -232,6 +225,24 @@ def test_density_vector_rejects_non_finite_values(bump):
     g = build_grid(Ball(n=1), 1 / 8)
     with pytest.raises(NonPositiveDensity, match="at node"):
         density_vector(bump, g)
+
+
+def test_density_vector_evaluates_the_density_once(monkeypatch):
+    """density_vector reads f at the interior nodes from its one evaluation
+    over the closure, bit-equal to evaluating f at interior_coords."""
+    g = build_grid(Ball(n=1), 1 / 16)
+    bump = GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)
+    direct = eval_density(bump, g.interior_coords)
+    calls = []
+
+    def counted(d, points):
+        calls.append(len(points))
+        return eval_density(d, points)
+
+    monkeypatch.setattr(cmaeig.domain, "eval_density", counted)
+    assert np.array_equal(density_vector(bump, g), direct)
+    assert np.array_equal(density_vector(bump, g, power=2), direct ** 2)
+    assert calls == [g.num_interior + g.boundary_flat.size] * 2
 
 
 # ---------------------------------------------------------------------------

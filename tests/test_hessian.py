@@ -6,13 +6,12 @@ from scipy import sparse
 
 import cmaeig.hessian as hessian
 from cmaeig.domain import Ball, Ellipsoid, build_grid
-from cmaeig.errors import NotPositiveSemiDefinite, NotPSH, PreconditionViolated
+from cmaeig.errors import NotPositiveSemiDefinite, NotPSH
 from cmaeig.hessian import (
     DualMatrixSet,
     HermitianField,
     _centered_difference_matrix,
     ScalarField,
-    check_comparison,
     complex_hessian,
     gaveau_value,
     hessian_operators,
@@ -186,10 +185,6 @@ def test_messages_print_node_coordinates_as_plain_floats(disc_grid_32):
     bump = ScalarField.from_interior(g, vals)
     with pytest.raises(NotPSH, match=r"at node \(0\.0, 0\.0\)$"):
         require_psh(bump, name="bump")
-    u = ScalarField.from_interior(g, g.rho_interior)
-    v_small = ScalarField.from_interior(g, 0.5 * g.rho_interior)
-    with pytest.raises(PreconditionViolated, match=r"at node \(-?[\d.]+, -?[\d.]+\)$"):
-        check_comparison(u, v_small, 1e-8)
 
 
 def test_gaveau_identity_and_closed_form_minimizer():
@@ -227,42 +222,6 @@ def test_gaveau_upper_bound_random_psd(seed):
     root = float(np.prod(np.linalg.eigvalsh(M))) ** (1.0 / n)
     assert val >= root - 1e-10
     assert val <= root + 1e-10  # analytic minimizer was added: equality
-
-
-def test_check_comparison_trivials(disc_grid_32):
-    g = disc_grid_32
-    u = ScalarField.from_interior(g, g.rho_interior)
-    v = ScalarField.from_interior(g, 2.0 * g.rho_interior)
-    assert check_comparison(u, v, 1e-8)
-    assert check_comparison(u, u, 1e-12)
-
-
-def test_check_comparison_preconditions(disc_grid_32):
-    g = disc_grid_32
-    u = ScalarField.from_interior(g, g.rho_interior)
-    bowl = ScalarField.sample(g, lambda p: -abs2(p, 0))
-    with pytest.raises(PreconditionViolated, match="not PSH"):
-        check_comparison(bowl, u, 1e-8)
-    v_small = ScalarField.from_interior(g, 0.5 * g.rho_interior)
-    with pytest.raises(PreconditionViolated, match="ma_det"):
-        check_comparison(u, v_small, 1e-8)
-    shifted = ScalarField.sample(g, lambda p: abs2(p, 0) - 1.0 + 0.5)
-    base = ScalarField.sample(g, lambda p: abs2(p, 0) - 1.0)
-    with pytest.raises(PreconditionViolated, match="boundary"):
-        check_comparison(base, shifted, 1e-8)
-
-
-def test_randomized_comparison_pairs(disc_grid_32):
-    g = disc_grid_32
-    failures = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        u = random_psh_field(g, rng)
-        bump = float(rng.uniform(0.2, 1.5))
-        v = ScalarField.from_interior(g, u.interior + bump * g.rho_interior)
-        if not check_comparison(u, v, 1e-9):
-            failures += 1
-    assert failures == 0
 
 
 def test_random_psh_fields_are_psh_at_zero_tol(disc_grid_32):

@@ -2,13 +2,16 @@
 sparse LU is called from one module, dirichlet.py, whose own GMRES cycle
 serves its one Newton step, no scipy Krylov solver is called at all, dense
 Hermitian eigenvalues and inverses are computed in one module, hessian.py,
-one module, domain.py, binds the name brentq, and every module-level import
-is used."""
+one module, domain.py, binds the name brentq, every module-level import
+is used, and every exported name is reached from outside the tests."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cmaeig"
+import cmaeig
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "cmaeig"
 
 
 def private_imports(path):
@@ -274,3 +277,56 @@ def test_detector_sees_unused_and_local_imports(tmp_path):
     assert unused_imports(probe) == [(2, "os"), (4, "scipy"), (5, "tau"), (9, "json")]
     assert [(line, name) for line, name, local in import_sites(probe) if local] == [
         (13, "rayleigh"), (16, "re")]
+
+
+def referenced_names(path):
+    """Names the module reads as a Name, an Attribute or an import alias (the
+    last component of a dotted one), leaving out assignment targets and what
+    a module-level function or class reads of its own name."""
+    found = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+        found.discard(owner)
+    return found
+
+
+# Exported names that only the tests reach, each kept for its own reason.
+TEST_ONLY_EXPORTS = {
+    "solve_quasimonotone": "the existence theorem for degenerate equations; c11 checks it",
+    "check_sobolev": "the variational section's Sobolev-Poincare inequality; c09 checks it",
+    "check_blocki": "the variational section's Blocki pairing bound; c09 checks it",
+    "frozen_radial_constant": "the stored shooting constant the oracle fixtures read",
+    "ma_det": "the complex Monge-Ampere operator itself",
+    "write_grid": "the grid artifact format, read back by read_field",
+}
+
+
+def test_exported_names_are_reached_outside_tests():
+    """Every name in cmaeig.__all__ is read by another package module, a
+    script or the benchmark; __init__.py's imports and __all__ strings do
+    not count."""
+    users = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+             + sorted((REPO / "scripts").glob("*.py"))
+             + sorted((REPO / "perfbench").glob("*.py")))
+    reached = set().union(*(referenced_names(p) for p in users))
+    unreached = sorted(set(cmaeig.__all__) - reached)
+    assert unreached == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_detector_sees_referenced_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.sparse.linalg\nfrom .radial import shoot as fire\n"
+                     "__all__ = ['unread']\nAlias = int | float\n"
+                     "def walk(k):\n    return walk(k - 1) + fire(k)\n"
+                     "class Spec:\n    def make(self):\n        return Spec()\n"
+                     "x = cmaeig.run(fire)\n")
+    assert referenced_names(probe) == {"linalg", "shoot", "int", "float", "k", "fire",
+                                       "cmaeig", "run"}

@@ -1,14 +1,11 @@
 """Tests for the named invariant suite."""
 
-import numpy as np
 import pytest
 
-from cmaeig.domain import Ball, build_grid
 from cmaeig.verify import (
     InvariantRow,
     VerifyReport,
     available_invariants,
-    rayleigh_trials,
     run_suite,
 )
 
@@ -98,19 +95,3 @@ def test_report_ok_reflects_row_status():
     bad = InvariantRow("a", "f", -1.0, False)
     assert VerifyReport(rows=(good,)).ok
     assert not VerifyReport(rows=(good, bad)).ok
-
-
-def test_rayleigh_trials_rows_are_well_formed():
-    grid = build_grid(Ball(1, 1.0), 1.0 / 16)
-    rows = rayleigh_trials(seed=42, grid=grid, count=10, lambda1=1.4458)
-    assert [k for k, *_ in rows] == list(range(10))
-    for _, e, m, q, ok in rows:
-        assert e > 0 and m > 0
-        assert q == pytest.approx(e / m)
-        assert ok
-
-
-def test_rayleigh_trials_floor_is_enforced():
-    grid = build_grid(Ball(1, 1.0), 1.0 / 16)
-    rows = rayleigh_trials(seed=42, grid=grid, count=5, lambda1=100.0)
-    assert all(not ok for *_, ok in rows)
