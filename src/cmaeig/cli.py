@@ -575,7 +575,7 @@ def _run_rayleigh(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
     u0, report = solve_frozen(fn, grid, config.tol)
-    values = functionals(u0, fn, grid)
+    values = functionals(u0, fn)
     if values.rayleigh is None:
         raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
     branch = _single_point_branch(u0, report)

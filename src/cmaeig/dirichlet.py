@@ -907,13 +907,12 @@ def _feasible_start(grid, rhs, start):
     return anchor, None, ("feasible_start_anchor",)
 
 
-def apply_T(v, rhs, grid=None, tol=1e-8, initial=None):
-    """T(v) = solve_frozen(psi(., v)): one outer step of the fixed-point map."""
-    grid = v.grid if grid is None else grid
+def apply_T(v, rhs, *, tol=1e-8, initial=None):
+    """T(v) = solve_frozen(psi(., v)) on v's grid: one fixed-point step."""
     vi = v.interior
     if np.max(vi) > _T_POSITIVE_SLACK:
         raise PreconditionViolated("apply_T requires v <= 0")
-    return solve_frozen(rhs.psi(np.minimum(vi, 0.0)), grid, tol, initial=initial)
+    return solve_frozen(rhs.psi(np.minimum(vi, 0.0)), v.grid, tol, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -937,27 +936,30 @@ def check_subsolution(u_lower, rhs, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
-                       require_subsolution=True, iterate_sink=None):
-    """Iterate u_{j+1} = T(u_j) from a subsolution; for psi nonincreasing in u
-    the iterates increase to the unique fixed point.
+# Outer steps of monotone_iteration before NotConverged.
+_MAX_OUTER = 2000
+
+
+def monotone_iteration(u_lower, rhs, *, tol=1e-8, iterate_sink=None):
+    """Iterate u_{j+1} = T(u_j) from a subsolution (check_subsolution, else
+    PreconditionViolated); for psi nonincreasing in u the iterates increase
+    to the unique fixed point, NotConverged if not within _MAX_OUTER steps.
 
     Returns (u, history) where history[j] = max nodewise increment of step j.
     iterate_sink, if given, collects the iterates u_1, u_2, ... (ScalarFields);
     the verify row diagnostic-boundedness measures their derivatives.
     """
-    grid = u_lower.grid if grid is None else grid
     if rhs.monotonicity != NONINCREASING:
         raise PreconditionViolated(
             "monotone iteration requires a right-hand side nonincreasing in u"
         )
-    if require_subsolution and not check_subsolution(u_lower, rhs, tol=max(tol, 1e-10)):
+    if not check_subsolution(u_lower, rhs, tol=max(tol, 1e-10)):
         raise PreconditionViolated("starting field is not a subsolution at this tolerance")
     inner_tol = tol / 10.0
     history = []
     u = u_lower
-    for _ in range(max_outer):
-        u_next, _ = apply_T(u, rhs, grid, inner_tol, initial=u)
+    for _ in range(_MAX_OUTER):
+        u_next, _ = apply_T(u, rhs, tol=inner_tol, initial=u)
         if iterate_sink is not None:
             iterate_sink.append(u_next)
         step = u_next.interior - u.interior
@@ -973,7 +975,7 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
         if res <= tol:
             return u, history
     raise NotConverged(
-        f"outer iteration reached {max_outer} steps; last increment {history[-1]:.3e}"
+        f"outer iteration reached {_MAX_OUTER} steps; last increment {history[-1]:.3e}"
     )
 
 
@@ -982,7 +984,7 @@ def monotone_iteration(u_lower, rhs, grid=None, tol=1e-8, max_outer=2000,
 # ---------------------------------------------------------------------------
 
 
-def solve_quasimonotone(rhs, lambda1_estimate, grid=None, tol=1e-8):
+def solve_quasimonotone(rhs, lambda1_estimate, *, tol=1e-8):
     """Solve det = H^n(., u) for dH/dt >= -lambda_0 with lambda_0 < lambda_1.
 
     Re-solves from three initializations (certified subsolution, the solution
@@ -990,7 +992,7 @@ def solve_quasimonotone(rhs, lambda1_estimate, grid=None, tol=1e-8):
     sup-distance >= 10 tol flags potential non-uniqueness in the report rather
     than raising.
     """
-    grid = rhs.grid if grid is None else grid
+    grid = rhs.grid
     lam0 = rhs.lambda0 if rhs.lambda0 is not None else 0.0
     if rhs.monotonicity == QUASI and lam0 >= lambda1_estimate:
         raise EigenvalueBoundViolated(

@@ -12,9 +12,9 @@ points: the shape u/sup_norm extrapolated linearly, its amplitude from the
 same straight line in 1/sup_norm.  A scaled copy of the previous solution,
 an exact subsolution for the next lam provided the step times the sup-norm
 stays below 1, starts the first step and is the counted fallback when the
-predictor is unusable.  `solve_branch` returns one branch point; cold, where
-no multiple of the defining function rho is a subsolution, it takes the
-same walk, stopped at lam.
+predictor is unusable.  `solve_branch` returns one branch point; where no
+multiple of the defining function rho is a subsolution, it takes the same
+walk, stopped at lam.
 
 The normalized field v = u/s at the last branch point satisfies the
 perturbed equation det(v) = (1/s - lam*v)^n f^n, so the reported residual
@@ -75,11 +75,13 @@ _STEP_FAILURES = (
 
 # Branch walk: first step and lam cap in units of the lower bound 1/sup|u_0|;
 # step * sup_norm <= _KAPPA keeps the scaled warm start a subsolution;
-# lambda_1 is the root of the line fitted to the last _FIT_POINTS points.
+# lambda_1 is the root of the line fitted to the last _FIT_POINTS points;
+# solve_branch's walk puts lam past the critical value at sup-norm _SUP_NORM_CAP.
 _INITIAL_STEP_FACTOR = 0.25
 _LAMBDA_CAP_FACTOR = 10.0
 _KAPPA = 0.5
 _FIT_POINTS = 4
+_SUP_NORM_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class SchedulePolicy:
     """Where a branch walk stops.
 
     blowup_threshold: sup-norm at which the branch is declared blown up.
-    max_points: budget of branch points, the lam = 0 point included.
+    max_points: budget of branch points (an integer >= 1), lam = 0 included.
     """
 
     blowup_threshold: float = 50.0
@@ -150,6 +152,8 @@ class SchedulePolicy:
     def __post_init__(self):
         if not 0.0 < self.blowup_threshold < np.inf:
             raise ValueError(f"blowup_threshold must be finite and > 0: {self.blowup_threshold!r}")
+        if not isinstance(self.max_points, (int, np.integer)) or self.max_points < 1:
+            raise ValueError(f"max_points must be an integer >= 1: {self.max_points!r}")
 
 
 def _origin(fn, grid, tol):
@@ -253,7 +257,7 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
     policy.blowup_threshold or lam reaches lam_stop.  It raises
     ScheduleExhausted, carrying the best certified lower bound, when the
     lam = 0 sup-norm is already past the threshold, or the lam cap, the
-    point budget or the step size runs out.
+    point budget or the step size runs out; the message names which.
     """
     branch = [_origin(fn, grid, tol)]
     lb = 1.0 / branch[0].sup_norm
@@ -272,18 +276,20 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
 
     while branch[-1].sup_norm <= policy.blowup_threshold and branch[-1].lam < lam_stop:
         prev = branch[-1]
-        if prev.lam >= lam_cap or len(branch) >= policy.max_points:
+        bound = prev.lam if prev.lam > 0 else lb
+        if prev.lam >= lam_cap:
             raise ScheduleExhausted(
                 f"no blow-up before lam cap {lam_cap:.6g} "
                 f"({len(branch)} branch points, sup-norm {prev.sup_norm:.3g})",
-                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
+                lambda_lower_bound=bound,
             )
+        if len(branch) >= policy.max_points:
+            raise ScheduleExhausted(f"no blow-up within max_points={policy.max_points} branch "
+                                    f"points (sup-norm {prev.sup_norm:.3g})", lambda_lower_bound=bound)
         d = min(step, _KAPPA / prev.sup_norm, lam_cap - prev.lam, lam_stop - prev.lam)
         if d <= 1e-12 * max(lam_cap, 1.0):
-            raise ScheduleExhausted(
-                f"step size collapsed at lam={prev.lam:.6g}",
-                lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
-            )
+            raise ScheduleExhausted(f"step size collapsed at lam={prev.lam:.6g}",
+                                    lambda_lower_bound=bound)
         lam_new = lam_stop if d == lam_stop - prev.lam else prev.lam + d
         try:
             point = _branch_step(lam_new, fn, tol, prev,
@@ -295,7 +301,7 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
             if step <= 1e-12 * max(lam_cap, 1.0):
                 raise ScheduleExhausted(
                     f"branch solves keep failing near lam={prev.lam:.6g}",
-                    lambda_lower_bound=prev.lam if prev.lam > 0 else lb,
+                    lambda_lower_bound=bound,
                 )
             continue
         branch.append(point)
@@ -315,23 +321,18 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
     return branch, rejected
 
 
-def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm_cap=1e4):
+def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8):
     """Solve det(u_jk) = (1 - lam*u)^n f^n with zero boundary values.
 
-    With `start` (a BranchPoint at a smaller lam) a single step is taken
-    from the scaled subsolution of `start`.  Cold, lam = 0 is _origin; a
-    multiple of the defining function rho (quadratic_subsolution) is used
-    when one dominates; otherwise the branch is walked from 0 with the
-    continuation's step control (_walk), stopped at lam.  A walk whose
-    sup-norm passes sup_norm_cap before lam, or that exhausts its schedule,
-    signals that lam sits at or beyond the branch's critical value:
-    BranchInfeasible.
+    lam = 0 is _origin; a multiple of the defining function rho
+    (quadratic_subsolution) is used when one dominates; otherwise the branch
+    is walked from 0 with the continuation's step control (_walk), stopped
+    at lam.  A walk whose sup-norm passes _SUP_NORM_CAP before lam, or that
+    exhausts its schedule, signals that lam sits at or beyond the branch's
+    critical value: BranchInfeasible.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
-    if start is not None:
-        return _branch_step(lam, density_vector(f, start.u.grid, power=start.u.grid.n),
-                            tol, start)
     fn = density_vector(f, grid, power=grid.n)
     if lam == 0.0:
         return _origin(fn, grid, tol)
@@ -344,7 +345,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8, start=None, sup_norm
         pass
 
     try:
-        branch, _ = _walk(fn, grid, tol, SchedulePolicy(blowup_threshold=sup_norm_cap), lam)
+        branch, _ = _walk(fn, grid, tol, SchedulePolicy(blowup_threshold=_SUP_NORM_CAP), lam)
     except ScheduleExhausted as exc:
         raise BranchInfeasible(
             f"branch walk stopped before lam={lam:.6g}: {exc}") from exc
@@ -415,7 +416,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         method=CONTINUATION,
         residual=residual,
         residual_tol=residual_tol,
-        rayleigh_value=rayleigh(v, fn, grid),
+        rayleigh_value=rayleigh(v, fn),
         fit_residual=fit_residual,
         flags=flags,
         rejected_steps=tuple(sorted(rejected.items())),
@@ -440,19 +441,19 @@ class EigenVerification:
         raise KeyError(name)
 
 
-def verify_eigenpair(result, f=Constant(1.0), grid=None, tol=None):
+def verify_eigenpair(result, f=Constant(1.0), grid=None):
     """Recompute the invariants an eigenpair claims; never raises.
 
     Checks the unit sup-norm normalization, nonpositivity, zero boundary
     trace, the PSH margin, the eigen-equation residual against the declared
-    tolerance, negativity at the innermost node, and degree-n homogeneity of
-    the residual functional under u -> theta*u.
+    tolerance result.residual_tol, negativity at the innermost node, and
+    degree-n homogeneity of the residual functional under u -> theta*u.
     """
     v = result.eigenfunction
     grid = v.grid if grid is None else grid
     n = grid.n
     fn = density_vector(f, grid, power=n)
-    tol = result.residual_tol if tol is None else tol
+    tol = result.residual_tol
     rows = []
 
     sup = v.sup_norm()

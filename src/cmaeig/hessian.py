@@ -398,10 +398,9 @@ class PshReport:
     coords: tuple  # plain floats
 
 
-def is_psh(u, tol=None):
-    """Whether the smallest Hessian eigenvalue is >= -tol everywhere."""
-    if tol is None:
-        tol = default_psh_tol(u.grid)
+def is_psh(u):
+    """(ok, PshReport): ok when the smallest Hessian eigenvalue is >= -default_psh_tol."""
+    tol = default_psh_tol(u.grid)
     lam = complex_hessian(u).min_eigenvalue()
     worst = int(np.argmin(lam))
     flat = int(u.grid.interior_flat[worst])
@@ -414,9 +413,9 @@ def is_psh(u, tol=None):
     return report.ok, report
 
 
-def require_psh(u, tol=None, name="field"):
-    """Raise NotPSH unless u is PSH within tol; returns the PshReport."""
-    ok, report = is_psh(u, tol)
+def require_psh(u, name="field"):
+    """Raise NotPSH unless is_psh(u); returns the PshReport."""
+    ok, report = is_psh(u)
     if not ok:
         raise NotPSH(
             f"{name} is not PSH: smallest Hessian eigenvalue "
@@ -425,7 +424,11 @@ def require_psh(u, tol=None, name="field"):
     return report
 
 
-def gaveau_value(M, duals, tol=1e-10):
+# Most negative eigenvalue gaveau_value accepts as positive semidefinite.
+_GAVEAU_PSD_TOL = 1e-10
+
+
+def gaveau_value(M, duals):
     """min over the dual set of (1/n) tr(a M); >= det(M)^{1/n} for PSD M.
 
     The analytic minimizer det(M)^{1/n} M^{-1} is appended automatically when
@@ -434,9 +437,9 @@ def gaveau_value(M, duals, tol=1e-10):
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    if w[0] < -tol:
+    if w[0] < -_GAVEAU_PSD_TOL:
         raise NotPositiveSemiDefinite(
-            f"matrix has eigenvalue {w[0]:.3e} < -{tol:.1e}"
+            f"matrix has eigenvalue {w[0]:.3e} < -{_GAVEAU_PSD_TOL:.1e}"
         )
     candidates = list(duals.matrices)
     scale = max(1.0, float(w[-1]))

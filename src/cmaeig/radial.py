@@ -80,10 +80,10 @@ class RadialProfile:
         return np.column_stack([self.t, self.phi, self.dphi])
 
 
-def shoot(n, R, lam, step=None, record=True):
+def shoot(n, R, lam, *, record=True):
     """Integrate the radial ODE from the series start to t = R^2.
 
-    Classical RK4 with a fixed step (default 1e-4 * R^2); the start point
+    Classical RK4 with the fixed step 1e-4 * R^2; the start point
     delta = 1e-6 * R^2 is filled from the two-term series
     phi = -1 + lam*t + c2*t^2/2 with c2 = -n*lam^2/(n+1).  Keeping both delta
     and the step proportional to R^2 makes the discrete trajectory exactly
@@ -99,8 +99,7 @@ def shoot(n, R, lam, step=None, record=True):
     if lam <= 0.0:
         raise ValueError("eigenvalue parameter must be positive")
     T = R * R
-    if step is None:
-        step = 1e-4 * T
+    step = 1e-4 * T
     delta = 1e-6 * T
     c2 = -n * lam * lam / (n + 1)
     t = delta

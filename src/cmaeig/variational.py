@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dirichlet import SolveReport, solve_frozen
+from .dirichlet import solve_frozen
 from .domain import density_vector
 from .errors import (
     DegenerateIterate,
@@ -80,27 +80,27 @@ def _density_values(g, grid):
     return density_vector(g, grid, power=grid.n)
 
 
-def _check_trial(phi, grid, name):
+def _check_trial(phi, name):
     if float(np.max(phi.interior, initial=0.0)) > 1e-12:
         raise PreconditionViolated(f"{name} must be <= 0")
     require_psh(phi, name=name)
 
 
-def energy(phi, grid=None, check=True):
+def energy(phi, *, check=True):
     """E(phi) = 1/(n+1) * integral of (-phi) against its determinant mass."""
-    grid = phi.grid if grid is None else grid
+    grid = phi.grid
     if check:
-        _check_trial(phi, grid, "energy argument")
+        _check_trial(phi, "energy argument")
     det = complex_hessian(phi).det()
     total = float(np.sum(-phi.interior * det * grid.cell_volume))
     return max(total * omega_weight(grid.n) / (grid.n + 1), 0.0)
 
 
-def mass(phi, g=None, grid=None, check=True):
+def mass(phi, g=None, *, check=True):
     """I_g(phi) = 1/(n+1) * integral of (-phi)^(n+1) against g."""
-    grid = phi.grid if grid is None else grid
+    grid = phi.grid
     if check:
-        _check_trial(phi, grid, "mass argument")
+        _check_trial(phi, "mass argument")
     n = grid.n
     gv = _density_values(g, grid)
     mphi = np.maximum(-phi.interior, 0.0)
@@ -108,20 +108,18 @@ def mass(phi, g=None, grid=None, check=True):
     return total * omega_weight(n) / (n + 1)
 
 
-def rayleigh(phi, g=None, grid=None, check=True):
+def rayleigh(phi, g=None, *, check=True):
     """Rayleigh quotient energy/mass, an upper bound for lambda1^n."""
-    grid = phi.grid if grid is None else grid
-    denominator = mass(phi, g, grid, check=check)
+    denominator = mass(phi, g, check=check)
     if denominator <= 0.0:
         raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
-    return energy(phi, grid, check=False) / denominator
+    return energy(phi, check=False) / denominator
 
 
-def functionals(phi, g=None, grid=None):
+def functionals(phi, g=None):
     """Energy, mass, and (when defined) Rayleigh quotient in one record."""
-    grid = phi.grid if grid is None else grid
-    e = energy(phi, grid)
-    m = mass(phi, g, grid, check=False)
+    e = energy(phi)
+    m = mass(phi, g, check=False)
     return FunctionalValue(energy=e, mass=m, rayleigh=(e / m if m > 0.0 else None))
 
 
@@ -133,27 +131,26 @@ def sobolev_constant(g=None, grid=None, tol=1e-8):
     return (n + 1) * math.factorial(n + 1) * phi0.sup_norm() ** n
 
 
-def check_sobolev(phi, g=None, A=None, grid=None, tol=1e-9):
+def check_sobolev(phi, g=None, A=None, *, tol=1e-9):
     """Nonlinear Sobolev-Poincare inequality: (n+1)*mass <= A*energy + tol.
 
     With A = (n+1) (n+1)! sup|phi0|^n (computed from g when not supplied)
     this is the inequality bounding the (n+1)-th moment of (-phi) against
     the energy; it must hold for every nonpositive PSH trial field.
     """
-    grid = phi.grid if grid is None else grid
     if A is None:
-        A = sobolev_constant(g, grid)
-    n = grid.n
-    return (n + 1) * mass(phi, g, grid) <= A * energy(phi, grid, check=False) + tol
+        A = sobolev_constant(g, phi.grid)
+    n = phi.grid.n
+    return (n + 1) * mass(phi, g) <= A * energy(phi, check=False) + tol
 
 
-def check_blocki(u, v, grid=None, tol=1e-9):
+def check_blocki(u, v, *, tol=1e-9):
     """Pairing bound: integral of (-u)^(n+1) against det(v) is controlled by
     (n+1)! sup|v|^n times the energy integral of u."""
-    grid = u.grid if grid is None else grid
+    grid = u.grid
     n = grid.n
-    _check_trial(u, grid, "first field")
-    _check_trial(v, grid, "second field")
+    _check_trial(u, "first field")
+    _check_trial(v, "second field")
     w = omega_weight(n)
     mu = np.maximum(-u.interior, 0.0)
     lhs = float(np.sum(mu ** (n + 1) * complex_hessian(v).det() * grid.cell_volume)) * w
@@ -164,42 +161,38 @@ def check_blocki(u, v, grid=None, tol=1e-9):
     return lhs <= rhs + tol
 
 
-def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200, w0=None):
+def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200):
     """Ground eigenpair by inverse-power iteration on the frozen solver.
 
-    Starting from w0 (default: the solution of det = g, normalized), repeat
+    Starting from w0, the solution of det = g, normalized, repeat
 
         eta = rayleigh(w)^(1/n);  w <- solve_frozen(eta^n (-w)^n g) / sup;
 
     until the Rayleigh value, the field, and the eigen-equation residual all
     settle within tol.  Each iterate is recorded as a BranchPoint whose lam
-    is the current eta.  Raises DegenerateIterate when an iterate's mass
+    is the current eta and whose report is its frozen solve's, the first
+    point's that of w0.  Raises DegenerateIterate when an iterate's mass
     collapses and NotConverged past max_iters.
     """
     n = grid.n
     gv = _density_values(g, grid)
-    if w0 is None:
-        w0, _ = solve_frozen(gv, grid, tol)
-    _check_trial(w0, grid, "inverse-power start")
-    if mass(w0, gv, grid, check=False) < 1e-12:
+    w0, report = solve_frozen(gv, grid, tol)
+    _check_trial(w0, "inverse-power start")
+    if mass(w0, gv, check=False) < 1e-12:
         raise DegenerateIterate("starting field has vanishing mass")
     w = ScalarField.from_interior(grid, w0.interior / w0.sup_norm())
-    eta = rayleigh(w, gv, grid, check=False) ** (1.0 / n)
-    branch = [
-        BranchPoint(lam=eta, sup_norm=1.0, u=w,
-                    report=SolveReport(iterations=0, final_residual=0.0, psh_margin=0.0,
-                                       converged=True))
-    ]
+    eta = rayleigh(w, gv, check=False) ** (1.0 / n)
+    branch = [BranchPoint(lam=eta, sup_norm=1.0, u=w, report=report)]
 
     for _ in range(max_iters):
         rhs = eta ** n * np.maximum(-w.interior, 0.0) ** n * gv
         w_raw, report = solve_frozen(rhs, grid, tol / 10.0, initial=w)
-        if mass(w_raw, gv, grid, check=False) < 1e-12:
+        if mass(w_raw, gv, check=False) < 1e-12:
             raise DegenerateIterate(
                 f"iterate mass collapsed below 1e-12 at eta={eta:.6g}"
             )
         w_next = ScalarField.from_interior(grid, w_raw.interior / w_raw.sup_norm())
-        eta_next = rayleigh(w_next, gv, grid, check=False) ** (1.0 / n)
+        eta_next = rayleigh(w_next, gv, check=False) ** (1.0 / n)
         field_change = float(np.max(np.abs(w_next.interior - w.interior)))
         det = complex_hessian(w_next).det()
         residual = float(np.max(np.abs(

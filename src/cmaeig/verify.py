@@ -138,7 +138,7 @@ class _Fixtures:
             rhs = RhsSpec.branch(grid, 0.8)
             start, _ = quadratic_subsolution(grid, rhs)
             iterates = []
-            u, history = monotone_iteration(start, rhs, grid, tol=self.tol,
+            u, history = monotone_iteration(start, rhs, tol=self.tol,
                                             iterate_sink=iterates)
             return grid, rhs, start, u, history, iterates
 

@@ -236,7 +236,7 @@ def test_c08_monotone_iteration_structure(grids):
         sub, _ = quadratic_subsolution(grid, rhs)
         # require_subsolution re-checks the start; nodewise decreases beyond
         # 10*tol inside the loop raise MonotonicityViolated
-        u, history = monotone_iteration(sub, rhs, grid, tol=tol)
+        u, history = monotone_iteration(sub, rhs, tol=tol)
         assert len(history) >= 1
         assert np.all(u.interior >= sub.interior - 10 * tol)
         assert np.all(u.interior <= 10 * tol)
@@ -251,10 +251,10 @@ def test_c09_inequality_suites_have_zero_failures(grids, disc_trials,
                          (grids(2, 1.0, 0.25), ball4_trials)):
         fields = trials[:50]
         A = sobolev_constant(grid=grid)
-        sobolev = [check_sobolev(phi, A=A, grid=grid) for phi in fields]
+        sobolev = [check_sobolev(phi, A=A) for phi in fields]
         assert all(sobolev), f"sobolev failures: {sobolev.count(False)}"
         partners = rng.permutation(len(fields))
-        blocki = [check_blocki(fields[i], fields[int(j)], grid)
+        blocki = [check_blocki(fields[i], fields[int(j)])
                   for i, j in enumerate(partners)]
         assert all(blocki), f"blocki failures: {blocki.count(False)}"
 
@@ -285,7 +285,7 @@ def test_c11_quasimonotone_uniqueness_and_guard(grids, eigen):
     lam1 = eigen("cont", n=1, R=1.0, h=1 / 32).lambda1
     rhs = RhsSpec.general(grid, lambda pts, t: 1.0 + 0.5 * np.sin(t),
                           lambda0=0.5)
-    u, report = solve_quasimonotone(rhs, lam1, grid, tol=1e-9)
+    u, report = solve_quasimonotone(rhs, lam1, tol=1e-9)
     assert report.converged
     assert "initializations_disagree" not in report.flags
     assert u.sup_norm() > 0
@@ -293,7 +293,7 @@ def test_c11_quasimonotone_uniqueness_and_guard(grids, eigen):
     steep = RhsSpec.general(grid, lambda pts, t: 1.0 + 0.5 * np.sin(t),
                             lambda0=2.0)
     with pytest.raises(EigenvalueBoundViolated):
-        solve_quasimonotone(steep, lam1, grid, tol=1e-9)
+        solve_quasimonotone(steep, lam1, tol=1e-9)
 
 
 def test_c12_two_complex_dimensions_cross_validate(eigen):

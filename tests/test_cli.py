@@ -328,6 +328,25 @@ def test_eigen_summary_counts_factorizations(tmp_path, command):
     assert f"\nfactorizations={count}\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def test_inverse_power_summary_counts_the_start_lu(tmp_path, monkeypatch):
+    """eigen-inverse-power's factorizations count every splu call, the start
+    solve's included: on the h = 1/32 disc the one quarter-Laplacian LU."""
+    real = dirichlet.splu
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "splu", counted)
+    config = build_config({"command": "eigen-inverse-power", "n": "1", "h": "0.03125",
+                           "emit": "summary", "out": str(tmp_path / "out")})
+    code, record = run(config)
+    assert code == 0 and len(calls) == 1
+    assert record.diagnostics["factorizations"] == 1
+    assert "\nfactorizations=1\n" in (tmp_path / "out" / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("command", ["eigen-continuation", "eigen-inverse-power"])
 def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
     """The summary sums the branch's line-search backtracks (one forced by a

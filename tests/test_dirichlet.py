@@ -876,20 +876,26 @@ def test_monotone_requires_nonincreasing(disc_grid_32):
         monotone_iteration(rho_field(g), rhs, tol=1e-8)
 
 
-def test_monotone_detects_decreasing_iterates(disc_grid_32):
+def test_monotone_detects_decreasing_iterates(disc_grid_32, monkeypatch):
+    """A start above the solution, let past the subsolution check, makes the
+    first iterate decrease."""
     g = disc_grid_32
     rhs = RhsSpec.frozen(g, np.ones(g.num_interior))
     above = ScalarField.from_interior(g, 0.5 * (r2_of(g) - 1.0))
+    with pytest.raises(PreconditionViolated, match="not a subsolution"):
+        monotone_iteration(above, rhs, tol=1e-10)
+    monkeypatch.setattr(dirichlet, "check_subsolution", lambda *args, **kwargs: True)
     with pytest.raises(MonotonicityViolated):
-        monotone_iteration(above, rhs, tol=1e-10, require_subsolution=False)
+        monotone_iteration(above, rhs, tol=1e-10)
 
 
-def test_monotone_not_converged(disc_grid_32):
+def test_monotone_not_converged(disc_grid_32, monkeypatch):
+    monkeypatch.setattr(dirichlet, "_MAX_OUTER", 2)
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.5)
     lower = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
-    with pytest.raises(NotConverged):
-        monotone_iteration(lower, rhs, tol=1e-10, max_outer=2)
+    with pytest.raises(NotConverged, match="reached 2 steps"):
+        monotone_iteration(lower, rhs, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1054,7 @@ def test_non_psh_rho_is_refused_at_its_node():
 def test_quasimonotone_constant_reduces_to_frozen(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.general(g, lambda pts, t: np.ones(len(t)), lambda0=0.0)
-    u, rep = solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, g, tol=1e-9)
+    u, rep = solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, tol=1e-9)
     assert np.max(np.abs(u.interior - (r2_of(g) - 1.0))) < 1e-9
     assert rep.flags == ()
 
@@ -1056,7 +1062,7 @@ def test_quasimonotone_constant_reduces_to_frozen(disc_grid_32):
 def test_quasimonotone_sine_multistart_agrees(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.general(g, lambda pts, t: 1.0 + 0.5 * np.sin(t), lambda0=0.5)
-    u, rep = solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, g, tol=1e-9)
+    u, rep = solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, tol=1e-9)
     assert "initializations_disagree" not in rep.flags
     assert rep.final_residual <= 1e-9
     assert np.max(u.values) <= 0.0
@@ -1066,12 +1072,12 @@ def test_quasimonotone_bound_guard(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.general(g, lambda pts, t: 1.0 + 0.5 * np.sin(t), lambda0=2.0)
     with pytest.raises(EigenvalueBoundViolated):
-        solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, g, tol=1e-8)
+        solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, tol=1e-8)
 
 
 def test_quasimonotone_n2(ball4_grid):
     g = ball4_grid
     rhs = RhsSpec.general(g, lambda pts, t: 1.0 + 0.3 * np.sin(t), lambda0=0.3)
-    u, rep = solve_quasimonotone(rhs, 1.0, g, tol=1e-6)
+    u, rep = solve_quasimonotone(rhs, 1.0, tol=1e-6)
     assert rep.final_residual <= 1e-6
     assert "initializations_disagree" not in rep.flags

@@ -85,9 +85,14 @@ def test_branch_sup_norm_grows_with_lam(disc32):
     assert all(b > a for a, b in zip(sups, sups[1:]))
 
 
+def ones(grid):
+    return density_vector(Constant(1.0), grid, power=grid.n)
+
+
 def test_branch_warm_start_single_step(disc32):
+    """One walk step from a branch point, started from its scaled subsolution."""
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
-    bp = solve_branch(1.05, grid=disc32, tol=1e-8, start=prev)
+    bp = eigenpath._branch_step(1.05, ones(disc32), 1e-8, prev)
     assert bp.lam == pytest.approx(1.05)
     assert bp.sup_norm == pytest.approx(branch_sup_norm_disc(1.05), rel=1e-2)
 
@@ -107,12 +112,13 @@ def test_branch_rejects_non_finite_lam(disc32, lam):
 def test_branch_warm_start_must_move_forward(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(ValueError, match="increase"):
-        solve_branch(0.9, grid=disc32, start=prev)
+        eigenpath._branch_step(0.9, ones(disc32), 1e-8, prev)
 
 
-def test_branch_infeasible_past_critical_value(disc32):
+def test_branch_infeasible_past_critical_value(disc32, monkeypatch):
+    monkeypatch.setattr(eigenpath, "_SUP_NORM_CAP", 50.0)
     with pytest.raises(BranchInfeasible):
-        solve_branch(2.0, grid=disc32, tol=1e-8, sup_norm_cap=50.0)
+        solve_branch(2.0, grid=disc32, tol=1e-8)
 
 
 def test_cold_branch_walks_a_prefix_of_the_continuation_schedule(disc32, monkeypatch):
@@ -173,7 +179,7 @@ def test_branch_at_zero_is_the_lower_bound_origin(disc32):
 def test_branch_scaling_pole_guard(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(BranchInfeasible, match="pole"):
-        solve_branch(prev.lam + 2.0 / prev.sup_norm, grid=disc32, start=prev)
+        eigenpath._branch_step(prev.lam + 2.0 / prev.sup_norm, ones(disc32), 1e-8, prev)
 
 
 # ---------------------------------------------------------------- lower_bound
@@ -441,9 +447,11 @@ def test_continuation_threshold_below_start_exhausts(disc32):
 
 
 def test_continuation_point_budget_exhaustion(disc32):
+    """The budget's ScheduleExhausted names max_points, not the lam cap."""
     policy = SchedulePolicy(max_points=3)
-    with pytest.raises(ScheduleExhausted):
+    with pytest.raises(ScheduleExhausted, match="within max_points=3 branch points") as exc:
         continuation(grid=disc32, tol=1e-8, schedule_policy=policy)
+    assert "lam cap" not in str(exc.value)
 
 
 # ------------------------------------------------------------------ dataclass
@@ -459,6 +467,14 @@ def test_schedule_policy_rejects_non_finite_threshold(threshold):
     """A NaN threshold once reached continuation and failed there in lstsq."""
     with pytest.raises(ValueError, match="finite and > 0"):
         SchedulePolicy(blowup_threshold=threshold)
+
+
+@pytest.mark.parametrize("max_points", [float("nan"), 0, 2.5])
+def test_schedule_policy_rejects_bad_point_budget(max_points):
+    """A NaN budget once switched the budget off: the h = 1/16 disc walked
+    13 points."""
+    with pytest.raises(ValueError, match="integer >= 1"):
+        SchedulePolicy(max_points=max_points)
 
 
 def test_branch_point_validation(disc_result):

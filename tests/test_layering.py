@@ -3,9 +3,11 @@ sparse LU is called from one module, dirichlet.py, whose own GMRES cycle
 serves its one Newton step, no scipy Krylov solver is called at all, dense
 Hermitian eigenvalues and inverses are computed in one module, hessian.py,
 one module, domain.py, binds the name brentq, every module-level import
-is used, and every exported name is reached from outside the tests."""
+is used, and every exported name, and every defaulted parameter of an
+exported function, is reached from outside the tests."""
 
 import ast
+import inspect
 import pathlib
 
 import cmaeig
@@ -114,14 +116,13 @@ def test_newton_linear_solves_go_through_one_step():
 
 
 def test_eigenpath_walks_the_branch_in_one_place():
-    """In eigenpath.py every stepped branch point comes from _walk, apart
-    from solve_branch's single warm-started step, and the lam = 0 solve is
-    made only by _origin."""
+    """In eigenpath.py every stepped branch point comes from _walk, and the
+    lam = 0 solve is made only by _origin."""
     assert callers_of(SRC / "eigenpath.py", ("_branch_step", "solve_frozen")) == {
-        "_branch_step": ["_walk", "solve_branch"],
+        "_branch_step": ["_walk"],
         "solve_frozen": ["_origin"],
     }
-    assert len(calls_of(SRC / "eigenpath.py", ("_branch_step",))) == 2
+    assert len(calls_of(SRC / "eigenpath.py", ("_branch_step",))) == 1
 
 
 def test_detector_sees_callers(tmp_path):
@@ -309,14 +310,17 @@ TEST_ONLY_EXPORTS = {
 }
 
 
+# Package modules other than __init__.py, scripts and the benchmark.
+USERS = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+         + sorted((REPO / "scripts").glob("*.py"))
+         + sorted((REPO / "perfbench").glob("*.py")))
+
+
 def test_exported_names_are_reached_outside_tests():
     """Every name in cmaeig.__all__ is read by another package module, a
     script or the benchmark; __init__.py's imports and __all__ strings do
     not count."""
-    users = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-             + sorted((REPO / "scripts").glob("*.py"))
-             + sorted((REPO / "perfbench").glob("*.py")))
-    reached = set().union(*(referenced_names(p) for p in users))
+    reached = set().union(*(referenced_names(p) for p in USERS))
     unreached = sorted(set(cmaeig.__all__) - reached)
     assert unreached == sorted(TEST_ONLY_EXPORTS)
 
@@ -330,3 +334,81 @@ def test_detector_sees_referenced_names(tmp_path):
                      "x = cmaeig.run(fire)\n")
     assert referenced_names(probe) == {"linalg", "shoot", "int", "float", "k", "fire",
                                        "cmaeig", "run"}
+
+
+def set_parameters(path, functions):
+    """{(function, parameter)} for the parameters of `functions` (name ->
+    function) that a call in the module sets: by keyword, positionally at
+    its index or later, or through *args (every positional parameter) or
+    **kwargs (every parameter).  A call is matched by the called name, bare
+    or as an attribute, read through the module's `import ... as` aliases."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname}
+    found = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = aliases.get(called_name(call), called_name(call))
+        if name not in functions:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        keywords = {k.arg for k in call.keywords}
+        for i, param in enumerate(inspect.signature(functions[name]).parameters.values()):
+            positional = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+            if (positional and (starred or i < len(call.args))
+                    or param.name in keywords or None in keywords):
+                found.add((name, param.name))
+    return found
+
+
+# Defaulted parameters of exported functions that no caller outside the
+# tests sets, each kept for its own reason.
+TEST_SET_PARAMETERS = {
+    ("lower_bound", "f"): "the density of the paper's problem; callers solve f = 1",
+    ("solve_branch", "f"): "the density of the paper's problem; callers solve f = 1",
+    ("solve_quasimonotone", "tol"): "c11's existence theorem (an exported name kept for it)",
+    ("check_sobolev", "g"): "c09's Sobolev-Poincare inequality with a density",
+    ("check_sobolev", "A"): "c09 reuses one Sobolev constant over many fields",
+    ("check_sobolev", "tol"): "c09's Sobolev-Poincare inequality slack",
+    ("check_blocki", "tol"): "c09's Blocki pairing bound slack",
+    ("sobolev_constant", "tol"): "c09's Sobolev constant; check_sobolev solves at its default",
+    ("frozen_radial_constant", "R"): "the stored constants' radius; the oracle fixtures read R = 1",
+    ("main", "argv"): "the console entry point reads sys.argv; tests pass their own",
+}
+
+
+def test_exported_parameters_are_set_outside_tests():
+    """Every parameter with a default, of every function in cmaeig.__all__,
+    is set by some call in another package module, a script or the
+    benchmark, or is on TEST_SET_PARAMETERS."""
+    functions = {name: getattr(cmaeig, name) for name in cmaeig.__all__
+                 if inspect.isfunction(getattr(cmaeig, name))}
+    defaulted = {(name, param.name) for name, fn in functions.items()
+                 for param in inspect.signature(fn).parameters.values()
+                 if param.default is not param.empty}
+    found = set().union(*(set_parameters(p, functions) for p in USERS))
+    assert sorted(defaulted - found) == sorted(TEST_SET_PARAMETERS)
+
+
+def test_detector_sees_set_parameters(tmp_path):
+    def solve(rhs, grid=None, tol=1e-8, *, initial=None):
+        pass
+
+    def shoot(n, R=1.0, step=None, record=True):
+        pass
+
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .radial import shoot as fire\n"
+                     "u = solve(rhs, g)\nv = cmaeig.solve(rhs, initial=w)\n"
+                     "fire(1, *rest)\nother(1, 2, 3, tol=0)\n"
+                     "def f(**kwargs):\n    return solve(rhs, **kwargs)\n")
+    found = set_parameters(probe, {"solve": solve, "shoot": shoot})
+    assert found == {("solve", "rhs"), ("solve", "grid"), ("solve", "tol"),
+                     ("solve", "initial"), ("shoot", "n"), ("shoot", "R"),
+                     ("shoot", "step"), ("shoot", "record")}
+    probe.write_text("solve(rhs, g)\nshoot(1, 2.0, record=False)\n")
+    assert set_parameters(probe, {"solve": solve, "shoot": shoot}) == {
+        ("solve", "rhs"), ("solve", "grid"), ("shoot", "n"), ("shoot", "R"),
+        ("shoot", "record")}
