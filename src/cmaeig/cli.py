@@ -124,6 +124,8 @@ class RunConfig:
             raise ConfigError(f"max_iters: must be >= 1; got {self.max_iters!r}")
         if self.n < 1:
             raise ConfigError(f"n: must be >= 1; got {self.n!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0; got {self.seed!r}")
         bad = set(self.emit) - set(EMIT_TARGETS)
         if bad or not self.emit:
             raise ConfigError(

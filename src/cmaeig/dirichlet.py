@@ -259,7 +259,7 @@ def _anchor(grid):
     strictly PSH: PreconditionViolated names the node where its discrete
     Hessian has an eigenvalue <= 0."""
     rho = grid.rho_interior
-    hess = complex_hessian(ScalarField.from_interior(grid, rho))
+    hess = complex_hessian(ScalarField(grid, rho))
     lam = hess.min_eigenvalue()
     worst = int(np.argmin(lam))
     if lam[worst] <= 0:
@@ -322,7 +322,7 @@ def quadratic_subsolution(grid, rhs):
     # and bump if a node disagrees.
     for _ in range(4):
         if np.all(t ** n * det_rho_nodes >= rhs.psi(t * rho) - 1e-12):
-            return ScalarField.from_interior(grid, t * rho), t
+            return ScalarField(grid, t * rho), t
         t *= 1.5
     raise BranchInfeasible("could not certify the quadratic subsolution")
 
@@ -694,10 +694,6 @@ def _damped_newton(grid, ui, tol, form, state=None):
     raise NotConverged(f"Newton did not reach tol={tol} in {form.max_iter} iterations")
 
 
-def _hermitian_from_interior(grid, ui):
-    return complex_hessian(ScalarField.from_interior(grid, ui))
-
-
 def _logdet_form(grid, rhs, tol):
     """n >= 2: F(u) = log det(M(u) + mu I) - log(psi + mu^n), stopping on the
     true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
@@ -724,7 +720,7 @@ def _logdet_form(grid, rhs, tol):
     last_fnorm = None
 
     def evaluate(ui, hess=None):
-        hess = _hermitian_from_interior(grid, ui) if hess is None else hess
+        hess = complex_hessian(ScalarField(grid, ui)) if hess is None else hess
         eig = hess.eigenvalues()
         psi = rhs.psi(np.minimum(ui, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
@@ -840,7 +836,7 @@ def solve_nonlinear(rhs, start, tol=1e-8):
         state = None if hess is None else form.evaluate(ui, hess)
     ui, report = _damped_newton(grid, ui, tol, form, state)
     report.flags += flags
-    return ScalarField.from_interior(grid, np.minimum(ui, 0.0)), report
+    return ScalarField(grid, np.minimum(ui, 0.0)), report
 
 
 # ---------------------------------------------------------------------------
@@ -857,14 +853,13 @@ def _cached_laplacian_lu(grid):
     return lu, 1
 
 
-def solve_frozen(h, grid=None, tol=1e-8, initial=None):
+def solve_frozen(h, grid, tol=1e-8, initial=None):
     """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
 
     n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 is
     solve_nonlinear from `initial` or, without one, from the scaled defining
     function of quadratic_subsolution.
     """
-    grid = h.grid if grid is None else grid
     rhs = RhsSpec.frozen(grid, h)
     if grid.n == 1:
         h_int = rhs.frozen_values
@@ -876,7 +871,7 @@ def solve_frozen(h, grid=None, tol=1e-8, initial=None):
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)
             report.converged = report.final_residual <= 10 * tol
-        return ScalarField.from_interior(grid, ui), report
+        return ScalarField(grid, ui), report
     if initial is None:
         initial, _ = quadratic_subsolution(grid, rhs)
     return solve_nonlinear(rhs, initial, tol)
@@ -891,7 +886,7 @@ def _feasible_start(grid, rhs, start):
     value: the anchor is then returned with no Hessian and the flag
     "feasible_start_anchor"."""
     mu = 1e-10
-    hess = _hermitian_from_interior(grid, start)
+    hess = complex_hessian(ScalarField(grid, start))
     if np.min(hess.min_eigenvalue()) + mu > 0:
         return start, hess, ()
     rho, det_rho = _anchor(grid)
@@ -900,7 +895,7 @@ def _feasible_start(grid, rhs, start):
     anchor = t_anchor * rho
     for beta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
         trial = (1 - beta) * start + beta * anchor
-        hess = _hermitian_from_interior(grid, trial)
+        hess = complex_hessian(ScalarField(grid, trial))
         if np.min(hess.min_eigenvalue()) + mu > 0:
             return trial, hess, ()
     log.warning("no blend of the start is inside the cone; starting from the anchor")
@@ -1037,4 +1032,4 @@ def solve_quasimonotone(rhs, lambda1_estimate, *, tol=1e-8):
             tol,
         )
         report.flags = report.flags + ("initializations_disagree",)
-    return ScalarField.from_interior(grid, solutions[0][1]), report
+    return ScalarField(grid, solutions[0][1]), report

@@ -72,8 +72,8 @@ class Ball:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("complex dimension must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         c = self.center if self.center else (0.0,) * (2 * self.n)
         if len(c) != 2 * self.n:
             raise ValueError("center must have 2n real coordinates")
@@ -90,8 +90,8 @@ class Ellipsoid:
         object.__setattr__(self, "axes", tuple(float(a) for a in self.axes))
         if len(self.axes) < 1:
             raise ValueError("need at least one semi-axis")
-        if any(not a > 0 for a in self.axes):
-            raise ValueError("all semi-axes must be positive")
+        if any(not 0 < a < np.inf for a in self.axes):
+            raise ValueError("all semi-axes must be positive and finite")
 
     @property
     def n(self):

@@ -1,28 +1,22 @@
 """Discrete complex Hessians and pointwise Monge-Ampere quantities.
 
-The complex Hessian u_{jk} = d^2u / dz_j dz_k-bar is built from real second
-differences through
+Every field vanishes on the boundary of the domain, so a ScalarField holds
+only its values at the interior nodes.  The complex Hessian
+u_{jk} = d^2u / dz_j dz_k-bar is built from real second differences through
 
     u_{jk} = 1/4 [ (u_{x_j x_k} + u_{y_j y_k}) + i (u_{x_j y_k} - u_{y_j x_k}) ],
 
 with every second derivative realized as a three-point difference along a
 lattice direction: pure derivatives along the axes, mixed derivatives through
 the diagonal identity u_ab = 1/4 (D^2_{a+b} - D^2_{a-b}), where D^2_v is the
-second difference along the direction e_a +- e_b.  All of these are exact on
-quadratics.
+second difference along the direction e_a +- e_b.  Each D^2_v is
+second_difference_matrix (interior -> interior): one-sided Shortley-Weller
+differences place the value 0 at the exact crossing of {rho = 0} (fractions
+from the grid), so the stencils are exact on quadratics vanishing there.
 
-The combination is written once (_hessian_terms) over a "second difference
-along v" primitive, of which ScalarField.zero_boundary selects one:
-
-* zero_boundary=True  -- second_difference_matrix (interior -> interior):
-  one-sided Shortley-Weller differences place the value 0 at the exact
-  crossing of {rho = 0} (fractions from the grid).
-* zero_boundary=False -- _centered_difference_matrix (full lattice ->
-  interior): plain centered differences of a sampled ambient function.
-
-hessian_operators caches it as sparse operators per stencil kind (at n = 1
-the quarter Laplacian); complex_hessian applies them.  trace_operator fills
-the log-det Jacobian from the grid's cached assembly plan (_trace_plan, built
+hessian_operators caches the combination as sparse operators (at n = 1 the
+quarter Laplacian); complex_hessian applies them.  trace_operator fills the
+log-det Jacobian from the grid's cached assembly plan (_trace_plan, built
 once from those operators) with one sparse matvec, and every eigenvalue,
 det, trace and inverse is HermitianField's.
 """
@@ -48,46 +42,23 @@ def default_psh_tol(grid):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real-valued lattice function; values are stored on the full lattice in
-    C-order, with Boundary/Exterior nodes holding the Dirichlet value."""
+    """Real-valued lattice function with zero boundary values, held as a
+    read-only copy of its values at the interior nodes (grid order)."""
 
     grid: GridDomain
-    values: np.ndarray
-    zero_boundary: bool = True
+    interior: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (int(np.prod(self.grid.shape)),):
-            raise ValueError("values must cover the full lattice (flat, C-order)")
-        if self.zero_boundary:
-            nz = self.values[self.grid.classification != 2]
-            if nz.size and np.any(nz != 0.0):
-                raise ValueError("zero-boundary fields must vanish off the interior")
-
-    @classmethod
-    def from_interior(cls, grid, interior_values):
-        vals = np.zeros(int(np.prod(grid.shape)))
-        vals[grid.interior_flat] = interior_values
-        return cls(grid, vals, zero_boundary=True)
-
-    @classmethod
-    def sample(cls, grid, fn):
-        """Sample an ambient function on every lattice node (plain differencing)."""
-        pts = grid.node_coords(np.arange(int(np.prod(grid.shape))))
-        return cls(grid, np.asarray(fn(pts), dtype=float), zero_boundary=False)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls.from_interior(grid, np.zeros(grid.num_interior))
-
-    @property
-    def interior(self):
-        return self.values[self.grid.interior_flat]
+        vals = np.array(self.interior, dtype=float)
+        if vals.shape != (self.grid.num_interior,):
+            raise ValueError("a field holds one value per interior node")
+        vals.flags.writeable = False
+        object.__setattr__(self, "interior", vals)
 
     def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.interior)))
 
 
 @dataclass
@@ -249,19 +220,6 @@ def second_difference_matrix(grid, v):
     return mat
 
 
-def _centered_difference_matrix(grid, v):
-    """f -> D^2_v f on sampled fields (full lattice -> interior), plain centered."""
-    key = ("centered", tuple(v))
-    if key not in grid._cache:
-        i, dv = grid.interior_flat, grid.offset(v)
-        rows = np.repeat(np.arange(i.size), 3)
-        cols = np.stack([i - dv, i, i + dv], axis=1).ravel()
-        data = np.tile([1.0, -2.0, 1.0], i.size) / grid.h ** 2
-        shape = (i.size, int(np.prod(grid.shape)))
-        grid._cache[key] = sparse.csr_matrix((data, (rows, cols)), shape=shape)
-    return grid._cache[key]
-
-
 def _axis_vec(d, a, b=None, sign=1):
     v = [0] * d
     v[a] = 1
@@ -271,7 +229,7 @@ def _axis_vec(d, a, b=None, sign=1):
 
 
 def laplacian_matrix(grid):
-    """Sum of the axis second-difference operators (zero-boundary mode)."""
+    """Sum of the axis second-difference operators."""
     key = ("laplacian",)
     if key not in grid._cache:
         d = 2 * grid.n
@@ -287,38 +245,31 @@ def laplacian_matrix(grid):
 # ---------------------------------------------------------------------------
 
 
-def _hessian_terms(n, D):
-    """The complex Hessian as sparse operators, from the second-difference
-    operators D(v) along lattice vectors v.
-
-    Returns (diag, mixed): diag[j] maps a field to u_jj and mixed[m] is the
-    pair (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
-    """
-    d = 2 * n
-
-    def second(a, b):  # u_{ab} for a != b, through the diagonal identity
-        return 0.25 * (D(_axis_vec(d, a, b, +1)) - D(_axis_vec(d, a, b, -1)))
-
-    diag = [0.25 * (D(_axis_vec(d, 2 * j)) + D(_axis_vec(d, 2 * j + 1))) for j in range(n)]
-    mixed = [
-        (
-            0.25 * (second(2 * j, 2 * k) + second(2 * j + 1, 2 * k + 1)),
-            0.25 * (second(2 * j, 2 * k + 1) - second(2 * j + 1, 2 * k)),
-        )
-        for j, k in HermitianField.pairs(n)
-    ]
-    return diag, mixed
-
-
-def hessian_operators(grid, zero_boundary=True):
-    """Cached sparse operators of the complex Hessian, as (diag, mixed) of
-    _hessian_terms, for zero-boundary fields or (zero_boundary=False) sampled
-    ones.  For n = 1 the single zero-boundary diagonal operator is the
-    quarter Laplacian, a quarter of laplacian_matrix(grid)."""
-    key = ("hessian_ops", zero_boundary)
+def hessian_operators(grid):
+    """Cached sparse operators of the complex Hessian: (diag, mixed), where
+    diag[j] maps a field's interior values to u_jj and mixed[m] is the pair
+    (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
+    For n = 1 the single diagonal operator is the quarter Laplacian, a
+    quarter of laplacian_matrix(grid)."""
+    key = ("hessian_ops",)
     if key not in grid._cache:
-        stencil = second_difference_matrix if zero_boundary else _centered_difference_matrix
-        grid._cache[key] = _hessian_terms(grid.n, lambda v: stencil(grid, v))
+        n, d = grid.n, 2 * grid.n
+
+        def D(*axes):
+            return second_difference_matrix(grid, _axis_vec(d, *axes))
+
+        def second(a, b):  # u_{ab} for a != b, through the diagonal identity
+            return 0.25 * (D(a, b, +1) - D(a, b, -1))
+
+        diag = [0.25 * (D(2 * j) + D(2 * j + 1)) for j in range(n)]
+        mixed = [
+            (
+                0.25 * (second(2 * j, 2 * k) + second(2 * j + 1, 2 * k + 1)),
+                0.25 * (second(2 * j, 2 * k + 1) - second(2 * j + 1, 2 * k)),
+            )
+            for j, k in HermitianField.pairs(n)
+        ]
+        grid._cache[key] = (diag, mixed)
     return grid._cache[key]
 
 
@@ -377,17 +328,16 @@ def trace_operator(grid, W, shift=None):
 
 
 def complex_hessian(u):
-    """The complex Hessian of u by the cached operators of its stencil kind."""
-    grid = u.grid
-    vals = u.values[grid.interior_flat] if u.zero_boundary else u.values
-    diag, mixed = hessian_operators(grid, u.zero_boundary)
+    """The complex Hessian of u by the grid's cached operators."""
+    vals = u.interior
+    diag, mixed = hessian_operators(u.grid)
     tri = np.array([re @ vals + 1j * (im @ vals) for re, im in mixed])
-    return HermitianField(grid, np.array([op @ vals for op in diag]).T, tri.T)
+    return HermitianField(u.grid, np.array([op @ vals for op in diag]).T, tri.T)
 
 
 def ma_det(u):
     """Pointwise determinant of the complex Hessian (1/4 Laplacian when n=1)."""
-    return ScalarField.from_interior(u.grid, complex_hessian(u).det())
+    return ScalarField(u.grid, complex_hessian(u).det())
 
 
 @dataclass
@@ -480,4 +430,4 @@ def random_psh_field(grid, rng):
         shift = np.max(q[layer] - base[layer]) if layer.size else np.max(q)
         q -= shift + 1e-3
         fields.append(q)
-    return ScalarField.from_interior(grid, np.max(np.stack(fields), axis=0))
+    return ScalarField(grid, np.max(np.stack(fields), axis=0))

@@ -14,15 +14,18 @@ Binary layout (version 1, every number little-endian):
     num_interior     uint64
     classification   int8[node_count]
     offsets          float64[num_interior * 2n * 2]   boundary-crossing fractions
-    kind 1 payload   uint8 zero_boundary flag, float64[node_count] values
+    kind 1 payload   uint8 boundary flag (always 1: zero boundary values),
+                     float64[node_count] values, 0 off the interior
     kind 2 payload   float64[num_interior * n] diagonal,
                      float64[2 * num_interior * n(n-1)/2] upper triangle (re, im)
 
 The loader rebuilds the grid from the embedded spec and requires the stored
 classification and offsets to match the rebuilt ones exactly, so a file that
 deserializes is also a cross-platform determinism witness.  Values round-trip
-bit-exactly (raw IEEE doubles).  CSV emitters quote nothing and print floats
-with 17 significant digits, enough to reproduce every double exactly.
+bit-exactly (raw IEEE doubles).  A scalar field is read back only if its flag
+is 1 and it vanishes off the interior, and no file is read back with bytes
+after its payload.  CSV emitters quote nothing and print floats with 17
+significant digits, enough to reproduce every double exactly.
 
 All writers are atomic: bytes go to a temporary file in the target directory
 which is then os.replace'd over the final name, so a killed process never
@@ -38,7 +41,7 @@ import tempfile
 
 import numpy as np
 
-from .domain import Ball, CustomRho, Ellipsoid, build_grid
+from .domain import INTERIOR, Ball, CustomRho, Ellipsoid, build_grid
 from .errors import SerializationError
 from .hessian import HermitianField, ScalarField
 
@@ -162,9 +165,12 @@ def write_grid(grid, path):
 def write_field(obj, path):
     """Serialize a ScalarField or HermitianField with its grid header."""
     if isinstance(obj, ScalarField):
-        parts = _grid_bytes(obj.grid, _KIND_SCALAR)
-        parts.append(struct.pack("<B", 1 if obj.zero_boundary else 0))
-        parts.append(np.asarray(obj.values, dtype="<f8").tobytes())
+        grid = obj.grid
+        values = np.zeros(int(np.prod(grid.shape)), dtype="<f8")
+        values[grid.interior_flat] = obj.interior
+        parts = _grid_bytes(grid, _KIND_SCALAR)
+        parts.append(struct.pack("<B", 1))
+        parts.append(values.tobytes())
     elif isinstance(obj, HermitianField):
         parts = _grid_bytes(obj.grid, _KIND_HERMITIAN)
         parts.append(np.asarray(obj.diag, dtype="<f8").tobytes())
@@ -249,16 +255,24 @@ def read_field(path, grid=None):
         )
 
     if kind == _KIND_GRID:
-        return grid
-    if kind == _KIND_SCALAR:
-        (zb,) = cur.unpack("<B", "boundary flag")
+        out = grid
+    elif kind == _KIND_SCALAR:
+        (flag,) = cur.unpack("<B", "boundary flag")
+        if flag != 1:
+            raise SerializationError(f"boundary flag {flag}, expected 1 (zero boundary)")
         values = cur.array("<f8", node_count, "values")
-        return ScalarField(grid, values, zero_boundary=bool(zb))
-    tri_count = n * (n - 1) // 2
-    diag = cur.array("<f8", num_interior * n, "diagonal")
-    tri = cur.array("<f8", 2 * num_interior * tri_count, "triangle").view("<c16")
-    return HermitianField(grid, diag.reshape(num_interior, n),
-                          tri.reshape(num_interior, tri_count))
+        if np.any(values[grid.classification != INTERIOR] != 0.0):
+            raise SerializationError("scalar field is nonzero off the interior")
+        out = ScalarField(grid, values[grid.interior_flat])
+    else:
+        tri_count = n * (n - 1) // 2
+        diag = cur.array("<f8", num_interior * n, "diagonal")
+        tri = cur.array("<f8", 2 * num_interior * tri_count, "triangle").view("<c16")
+        out = HermitianField(grid, diag.reshape(num_interior, n),
+                             tri.reshape(num_interior, tri_count))
+    if cur.pos != len(cur.data):
+        raise SerializationError(f"{len(cur.data) - cur.pos} trailing bytes after the payload")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200):
     _check_trial(w0, "inverse-power start")
     if mass(w0, gv, check=False) < 1e-12:
         raise DegenerateIterate("starting field has vanishing mass")
-    w = ScalarField.from_interior(grid, w0.interior / w0.sup_norm())
+    w = ScalarField(grid, w0.interior / w0.sup_norm())
     eta = rayleigh(w, gv, check=False) ** (1.0 / n)
     branch = [BranchPoint(lam=eta, sup_norm=1.0, u=w, report=report)]
 
@@ -191,7 +191,7 @@ def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200):
             raise DegenerateIterate(
                 f"iterate mass collapsed below 1e-12 at eta={eta:.6g}"
             )
-        w_next = ScalarField.from_interior(grid, w_raw.interior / w_raw.sup_norm())
+        w_next = ScalarField(grid, w_raw.interior / w_raw.sup_norm())
         eta_next = rayleigh(w_next, gv, check=False) ** (1.0 / n)
         field_change = float(np.max(np.abs(w_next.interior - w.interior)))
         det = complex_hessian(w_next).det()

@@ -28,6 +28,7 @@ from .dirichlet import (
 from .domain import (
     Ball,
     Constant,
+    CustomRho,
     Ellipsoid,
     GaussianBump,
     build_grid,
@@ -130,7 +131,7 @@ class _Fixtures:
 
     def quad(self, grid):
         r2 = np.sum(grid.interior_coords ** 2, axis=1)
-        return ScalarField.from_interior(grid, r2 - 1.0)
+        return ScalarField(grid, r2 - 1.0)
 
     def monotone_run(self):
         def build():
@@ -188,24 +189,25 @@ def _cell_volume_partition(fx, rng):
 
 
 def _hermitian_quadratic_exactness(fx, rng):
-    grid = fx.ball4
+    # rho is a Hermitian quadratic plus a pluriharmonic one, minus 1: the
+    # field rho vanishes at every crossing, so the one-sided rows are exact too
     b11, b22 = 2.0, 1.5
     re12, im12 = 0.3, 0.1
-
-    def u(pts):
-        x1, y1, x2, y2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-        herm = b11 * (x1 ** 2 + y1 ** 2) + b22 * (x2 ** 2 + y2 ** 2)
-        herm += 2.0 * (re12 * (x1 * x2 + y1 * y2) - im12 * (y1 * x2 - x1 * y2))
-        pluri = 0.7 * (x1 ** 2 - y1 ** 2) + 0.4 * (x1 * x2 - y1 * y2)
-        return herm + pluri
-
-    hess = complex_hessian(ScalarField.sample(grid, u))
+    coeffs = {  # exponents of (x1, y1, x2, y2)
+        (2, 0, 0, 0): b11 + 0.7, (0, 2, 0, 0): b11 - 0.7,  # + 0.7 (x1^2 - y1^2)
+        (0, 0, 2, 0): b22, (0, 0, 0, 2): b22,
+        (1, 0, 1, 0): 2.0 * re12 + 0.4, (0, 1, 0, 1): 2.0 * re12 - 0.4,  # + 0.4 Re(z1 z2)
+        (1, 0, 0, 1): 2.0 * im12, (0, 1, 1, 0): -2.0 * im12,
+        (0, 0, 0, 0): -1.0,
+    }
+    grid = build_grid(CustomRho(2, coeffs, (0.0,) * 4, ((-1.2, 1.2),) * 4), 0.25)
+    hess = complex_hessian(ScalarField(grid, grid.rho_interior))
     err = max(
         float(np.max(np.abs(hess.diag[:, 0] - b11))),
         float(np.max(np.abs(hess.diag[:, 1] - b22))),
         float(np.max(np.abs(hess.tri[:, 0] - (re12 + 1j * im12)))),
     )
-    return [("ball n=2 h=0.25", 1e-10 - err, err <= 1e-10)]
+    return [("quadric n=2 h=0.25", 1e-10 - err, err <= 1e-10)]
 
 
 def _laplacian_reduction_n1(fx, rng):
@@ -380,7 +382,7 @@ def _residual_scale_invariance(fx, rng):
     scale = 1.0 + float(np.max(np.abs(base)))
     err = 0.0
     for theta in (0.5, 2.0):
-        scaled = ScalarField.from_interior(grid, theta * v.interior)
+        scaled = ScalarField(grid, theta * v.interior)
         det = complex_hessian(scaled).det()
         err = max(err, float(np.max(np.abs(det - theta ** grid.n * base))) / scale)
     return [("disc h=1/32", 1e-10 - err, err <= 1e-10)]
@@ -399,7 +401,7 @@ def _functional_homogeneity(fx, rng):
     e0, m0 = energy(phi), mass(phi)
     err = 0.0
     for theta in (0.5, 1.0, 2.0, 10.0):
-        scaled = ScalarField.from_interior(grid, theta * phi.interior)
+        scaled = ScalarField(grid, theta * phi.interior)
         p = grid.n + 1
         err = max(err,
                   abs(energy(scaled) - theta ** p * e0) / (theta ** p * e0),
@@ -416,7 +418,8 @@ def _dirichlet_quotient_sanity(fx, rng):
     grid = fx.disc16
 
     def grad_quad(v):
-        vals = v.values.reshape(grid.shape)
+        vals = np.zeros(grid.shape)
+        vals.flat[grid.interior_flat] = v.interior
         total = 0.0
         for ax in range(vals.ndim):
             d = np.diff(vals, axis=ax) / grid.h

@@ -77,7 +77,7 @@ def _frozen_trial(grid, rng):
     positive density (certified PSH with zero boundary by construction)."""
     dens = rng.uniform(0.2, 2.0, size=grid.num_interior)
     u, _ = solve_frozen(dens, grid, 1e-8)
-    return ScalarField.from_interior(grid, u.interior * rng.uniform(0.5, 2.0))
+    return ScalarField(grid, u.interior * rng.uniform(0.5, 2.0))
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ def test_c04_rayleigh_quotient_infimum(eigen, grids, disc_trials, ball4_trials):
 
     grid = grids(1, 1.0, 1 / 16)
     r2 = np.sum(grid.interior_coords ** 2, axis=1)
-    spot = rayleigh(ScalarField.from_interior(grid, r2 - 1.0))
+    spot = rayleigh(ScalarField(grid, r2 - 1.0))
     assert abs(spot - 1.5) / 1.5 <= 0.02
     assert spot >= LAMBDA1_UNIT_DISC
 

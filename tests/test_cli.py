@@ -506,6 +506,22 @@ def test_unbuildable_grid_is_a_config_error(tmp_path):
         run(config)
 
 
+def test_negative_seed_is_a_config_error(capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        build_config({"command": "verify", "seed": "-1"})
+    assert main(["--command", "verify", "--seed", "-1"]) == 2
+    assert "config error: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["R=inf", "domain.axes=1, inf"])
+def test_infinite_radius_or_axis_is_a_domain_error(line, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"command=solve\nh=0.25\n{line}\n")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: domain:") and "finite" in err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--command", "radial", "--n", "1",
                  "--out", str(tmp_path / "a")]) == 0

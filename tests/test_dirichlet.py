@@ -51,7 +51,7 @@ def r2_of(grid):
 
 
 def rho_field(grid):
-    return ScalarField.from_interior(grid, r2_of(grid) - 1.0)
+    return ScalarField(grid, r2_of(grid) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_frozen_constant_one_gives_defining_function(disc_grid_32, ball4_grid):
         u, rep = solve_frozen(np.ones(g.num_interior), g, 1e-9)
         assert rep.converged and rep.final_residual <= 1e-9
         assert np.max(np.abs(u.interior - (r2_of(g) - 1.0))) < tol
-        assert np.max(u.values) <= 0.0
+        assert np.max(u.interior) <= 0.0
 
 
 def test_frozen_zero_gives_zero(disc_grid_32):
@@ -138,7 +138,7 @@ def test_report_matches_the_hessian_of_the_returned_iterate(case, monkeypatch):
         u, report = solve_nonlinear(rhs, np.zeros(grid.num_interior))
     assert report.converged and len(iterates) == (0 if case == "n1-frozen" else 1)
     ui = iterates[-1] if iterates else u.interior
-    hess = complex_hessian(ScalarField.from_interior(grid, ui))
+    hess = complex_hessian(ScalarField(grid, ui))
     psi = rhs.psi(np.minimum(ui, 0.0))
     assert report.final_residual == float(np.max(np.abs(hess.det() - psi)))
     assert report.psh_margin == float(np.min(hess.min_eigenvalue()))
@@ -738,7 +738,7 @@ def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch)
 def test_apply_T_at_zero_matches_defining_function(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.7)
-    u, rep = apply_T(ScalarField.zeros(g), rhs, tol=1e-10)
+    u, rep = apply_T(ScalarField(g, np.zeros(g.num_interior)), rhs, tol=1e-10)
     assert np.max(np.abs(u.interior - (r2_of(g) - 1.0))) < 1e-11
     assert rep.converged
 
@@ -760,13 +760,13 @@ def test_apply_T_poisson_oracle(disc_grid_32):
     r = np.sqrt(r2_of(g))
     exact = np.array([poisson_quartic_disc(ri) for ri in r])
     assert np.max(np.abs(u.interior - exact)) <= 2.0 * g.h ** 2
-    t0, _ = apply_T(ScalarField.zeros(g), rhs, tol=1e-10)
+    t0, _ = apply_T(ScalarField(g, np.zeros(g.num_interior)), rhs, tol=1e-10)
     assert np.all(u.interior <= t0.interior + 1e-10)
 
 
 def test_apply_T_rejects_positive_v(disc_grid_32):
     g = disc_grid_32
-    v = ScalarField.from_interior(g, np.full(g.num_interior, 0.5))
+    v = ScalarField(g, np.full(g.num_interior, 0.5))
     with pytest.raises(PreconditionViolated):
         apply_T(v, RhsSpec.branch(g, 0.5), tol=1e-8)
 
@@ -839,7 +839,7 @@ def test_monotone_branch_half(disc_grid_32):
     # start from C (|z|^2 - 1) with C = (1 - 0.5 ||T(0)||)^{-1} = 2
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.5)
-    lower = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
+    lower = ScalarField(g, 2.0 * (r2_of(g) - 1.0))
     iterates = []
     u, history = monotone_iteration(lower, rhs, tol=1e-8, iterate_sink=iterates)
     assert min(history) >= -10 * 1e-8
@@ -847,7 +847,7 @@ def test_monotone_branch_half(disc_grid_32):
     assert res <= 1e-8
     # iterates increase from the subsolution and stay <= 0
     assert np.all(u.interior >= lower.interior - 1e-7)
-    assert np.max(u.values) <= 0.0
+    assert np.max(u.interior) <= 0.0
     r = np.sqrt(r2_of(g))
     exact = np.array([branch_solution_disc(0.5, ri) for ri in r])
     assert np.max(np.abs(u.interior - exact)) <= 5.0 * g.h ** 2
@@ -857,14 +857,14 @@ def test_monotone_branch_half(disc_grid_32):
     if len(iterates) > 5:
         ref, last = iterates[4], iterates[-1]
         assert _grad_sup(g, last.interior) <= 2.0 * _grad_sup(g, ref.interior)
-        assert np.max(np.abs(ma_det(last).values)) <= 2.0 * np.max(np.abs(ma_det(ref).values))
+        assert np.max(np.abs(ma_det(last).interior)) <= 2.0 * np.max(np.abs(ma_det(ref).interior))
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.9])
 def test_monotone_eigen_below_lambda1_returns_zero(disc_grid_32, lam):
     g = disc_grid_32
     rhs = RhsSpec.eigen(g, lam)
-    lower = ScalarField.from_interior(g, 0.05 * (r2_of(g) - 1.0))
+    lower = ScalarField(g, 0.05 * (r2_of(g) - 1.0))
     u, _ = monotone_iteration(lower, rhs, tol=1e-8)
     assert np.max(np.abs(u.interior)) <= 1e-6
 
@@ -881,7 +881,7 @@ def test_monotone_detects_decreasing_iterates(disc_grid_32, monkeypatch):
     first iterate decrease."""
     g = disc_grid_32
     rhs = RhsSpec.frozen(g, np.ones(g.num_interior))
-    above = ScalarField.from_interior(g, 0.5 * (r2_of(g) - 1.0))
+    above = ScalarField(g, 0.5 * (r2_of(g) - 1.0))
     with pytest.raises(PreconditionViolated, match="not a subsolution"):
         monotone_iteration(above, rhs, tol=1e-10)
     monkeypatch.setattr(dirichlet, "check_subsolution", lambda *args, **kwargs: True)
@@ -893,7 +893,7 @@ def test_monotone_not_converged(disc_grid_32, monkeypatch):
     monkeypatch.setattr(dirichlet, "_MAX_OUTER", 2)
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.5)
-    lower = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
+    lower = ScalarField(g, 2.0 * (r2_of(g) - 1.0))
     with pytest.raises(NotConverged, match="reached 2 steps"):
         monotone_iteration(lower, rhs, tol=1e-10)
 
@@ -906,9 +906,9 @@ def test_monotone_not_converged(disc_grid_32, monkeypatch):
 def test_subsolution_examples(disc_grid_32):
     g = disc_grid_32
     rhs = RhsSpec.branch(g, 0.5)
-    two_rho = ScalarField.from_interior(g, 2.0 * (r2_of(g) - 1.0))
+    two_rho = ScalarField(g, 2.0 * (r2_of(g) - 1.0))
     assert check_subsolution(two_rho, rhs, tol=1e-9)
-    assert not check_subsolution(ScalarField.zeros(g), rhs, tol=1e-9)
+    assert not check_subsolution(ScalarField(g, np.zeros(g.num_interior)), rhs, tol=1e-9)
     assert check_subsolution(rho_field(g), RhsSpec.frozen(g, np.ones(g.num_interior)),
                              tol=1e-9)
 
@@ -1020,7 +1020,7 @@ def ball4_both_spellings():
 
 def test_custom_ball4_solves_like_ball(ball4_both_spellings):
     (u_ball, cont_ball, ip_ball), (u_custom, cont_custom, ip_custom) = ball4_both_spellings
-    assert np.max(np.abs(u_custom.values - u_ball.values)) <= 1e-12
+    assert np.max(np.abs(u_custom.interior - u_ball.interior)) <= 1e-12
     assert cont_custom.lambda1 == pytest.approx(cont_ball.lambda1, abs=1e-12)
     assert ip_custom.lambda1 == pytest.approx(ip_ball.lambda1, abs=1e-12)
     assert cont_ball.lambda1 == pytest.approx(1.66133, abs=1e-5)
@@ -1065,7 +1065,7 @@ def test_quasimonotone_sine_multistart_agrees(disc_grid_32):
     u, rep = solve_quasimonotone(rhs, LAMBDA1_UNIT_DISC, tol=1e-9)
     assert "initializations_disagree" not in rep.flags
     assert rep.final_residual <= 1e-9
-    assert np.max(u.values) <= 0.0
+    assert np.max(u.interior) <= 0.0
 
 
 def test_quasimonotone_bound_guard(disc_grid_32):

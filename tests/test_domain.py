@@ -158,6 +158,16 @@ def test_custom_rho_polynomial_matches_ball():
     assert np.allclose(gc.cell_volume, gb.cell_volume, rtol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: Ball(n=1, radius=x),
+    lambda x: Ellipsoid((1.0, x)),
+])
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_radius_and_axes_must_be_positive_and_finite(make, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(bad)
+
+
 def test_custom_rho_validation():
     with pytest.raises(ValueError, match="seed"):
         CustomRho(n=1, coeffs={(0, 0): 1.0}, seed_point=(0.0, 0.0), box=((-1, 1), (-1, 1)))
@@ -283,11 +293,11 @@ def test_defining_function_is_strictly_psh_at_every_interior_node(on_sphere_grid
     for key in ((2, 0.1), (2, 1 / 12)):
         g = on_sphere_grids[key]
         r2 = np.sum(g.interior_coords ** 2, axis=1)
-        sextic = ScalarField.from_interior(g, (r2 - 1.0) + 0.5 * (r2 ** 3 - 1.0))
+        sextic = ScalarField(g, (r2 - 1.0) + 0.5 * (r2 ** 3 - 1.0))
         assert np.min(complex_hessian(sextic).min_eigenvalue()) >= 1.0 - g.h ** 2
     g = on_sphere_grids[(2, 0.1)]
     rho, det = cmaeig.dirichlet._anchor(g)
-    hess = complex_hessian(ScalarField.from_interior(g, rho))
+    hess = complex_hessian(ScalarField(g, rho))
     assert np.min(hess.min_eigenvalue()) >= 1.0 - 1e-9
     assert np.min(det) >= 1.0 - 1e-9
     u, report = cmaeig.dirichlet.solve_frozen(np.ones(g.num_interior), g)

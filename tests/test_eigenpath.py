@@ -356,13 +356,13 @@ def test_unusable_predictor_falls_back_and_is_counted(disc32, monkeypatch):
 def pole_shaped_point(lam, shape, pole=2.0):
     """Branch point u = shape / (pole - lam): fixed shape, 1/sup linear in lam."""
     grid = shape.grid
-    u = ScalarField.from_interior(grid, shape.interior / (pole - lam))
+    u = ScalarField(grid, shape.interior / (pole - lam))
     report = SolveReport(iterations=1, final_residual=0.0, psh_margin=0.0, converged=True)
     return BranchPoint(lam=lam, sup_norm=u.sup_norm(), u=u, report=report)
 
 
 def test_secant_start_is_exact_on_a_pole_shaped_branch(disc32):
-    shape = ScalarField.from_interior(disc32, np.sum(disc32.interior_coords ** 2, axis=1) - 1.0)
+    shape = ScalarField(disc32, np.sum(disc32.interior_coords ** 2, axis=1) - 1.0)
     before, prev = pole_shaped_point(1.0, shape), pole_shaped_point(1.5, shape)
     predicted = _secant_start(1.8, prev, before)
     exact = pole_shaped_point(1.8, shape).u.interior
@@ -412,7 +412,7 @@ def test_continuation_rayleigh_consistency(disc_result):
 def test_continuation_verifies(disc_result, disc64):
     ver = verify_eigenpair(disc_result, grid=disc64)
     assert ver.ok, [row for row in ver.rows if not row[3]]
-    assert len(ver.rows) == 8
+    assert len(ver.rows) == 7
 
 
 def test_continuation_scales_with_radius():
@@ -538,7 +538,7 @@ def test_extrapolation_root_below_branch_is_flagged():
 
 def sampled_bessel_result(grid):
     mode = np.array([disc_eigenmode(x) for x in radii(grid)])
-    v = ScalarField.from_interior(grid, mode / np.max(np.abs(mode)))
+    v = ScalarField(grid, mode / np.max(np.abs(mode)))
     fn = density_vector(Constant(1.0), grid, power=grid.n)
     resid = _eigen_residual(v, LAMBDA1_UNIT_DISC, fn, grid)
     return EigenResult(
@@ -570,7 +570,7 @@ def test_verify_row_lookup(disc64):
 
 def test_verify_flags_broken_normalization(disc64):
     good = sampled_bessel_result(disc64)
-    bad_field = ScalarField.from_interior(disc64, 0.5 * good.eigenfunction.interior)
+    bad_field = ScalarField(disc64, 0.5 * good.eigenfunction.interior)
     fn = density_vector(Constant(1.0), disc64, power=1)
     resid = _eigen_residual(bad_field, LAMBDA1_UNIT_DISC, fn, disc64)
     bad = EigenResult(

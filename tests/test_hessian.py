@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import cmaeig.hessian as hessian
-from cmaeig.domain import Ball, Ellipsoid, build_grid
+from cmaeig.domain import Ball, CustomRho, Ellipsoid, build_grid
 from cmaeig.errors import NotPositiveSemiDefinite, NotPSH
 from cmaeig.hessian import (
     DualMatrixSet,
     HermitianField,
-    _centered_difference_matrix,
     ScalarField,
     complex_hessian,
     gaveau_value,
@@ -35,46 +34,74 @@ def abs2(p, j):
     return p[:, 2 * j] ** 2 + p[:, 2 * j + 1] ** 2
 
 
+def deep_nodes(g):
+    """Interior positions whose every stencil neighbour (along the axes and
+    the diagonals e_a +- e_b) is interior: there every Shortley-Weller row is
+    the centered three-point row, so the Hessian of a function sampled at the
+    interior nodes is the Hessian of the function itself."""
+    d = 2 * g.n
+    dirs = [hessian._axis_vec(d, a) for a in range(d)]
+    dirs += [hessian._axis_vec(d, a, b, s) for a in range(d) for b in range(a + 1, d)
+             for s in (1, -1)]
+    deep = np.ones(g.num_interior, dtype=bool)
+    for v in dirs:
+        for sign in (1, -1):
+            deep &= g.interior_pos[g.interior_flat + sign * g.offset(v)] >= 0
+    assert deep.sum() > 0
+    return deep
+
+
+def sampled(g, fn):
+    """The zero-boundary field of fn's values at the interior nodes."""
+    return ScalarField(g, fn(g.interior_coords))
+
+
 def test_sampled_zsq_gives_identity(disc_grid_32, wide_ball4):
     for g in (disc_grid_32, wide_ball4):
-        u = ScalarField.sample(g, lambda p: sum(abs2(p, j) for j in range(g.n)))
-        H = complex_hessian(u)
-        assert np.max(np.abs(H.diag - 1.0)) == 0.0
-        assert H.tri.size == 0 or np.max(np.abs(H.tri)) == 0.0
+        deep = deep_nodes(g)
+        H = complex_hessian(sampled(g, lambda p: sum(abs2(p, j) for j in range(g.n))))
+        assert np.max(np.abs(H.diag[deep] - 1.0)) == 0.0
+        assert H.tri.size == 0 or np.max(np.abs(H.tri[deep])) == 0.0
 
 
 def test_zero_boundary_defining_function_gives_identity(disc_grid_32, ball4_grid):
     # rho vanishes at the curved crossings, so the one-sided rows are exact too
     for g in (disc_grid_32, ball4_grid):
-        H = complex_hessian(ScalarField.from_interior(g, g.rho_interior))
+        H = complex_hessian(ScalarField(g, g.rho_interior))
         assert np.max(np.abs(H.diag - 1.0)) < 1e-11
         assert H.tri.size == 0 or np.max(np.abs(H.tri)) < 1e-11
 
 
 def test_pluriharmonic_has_zero_hessian(disc_grid_32):
-    u = ScalarField.sample(disc_grid_32, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
+    u = sampled(disc_grid_32, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
     H = complex_hessian(u)
-    assert np.max(np.abs(H.diag)) == 0.0
+    assert np.max(np.abs(H.diag[deep_nodes(disc_grid_32)])) == 0.0
 
 
 def test_product_quartic_matches_symbolic_matrix(wide_ball4):
     g = wide_ball4
-    u = ScalarField.sample(g, lambda p: abs2(p, 0) * abs2(p, 1))
+    deep = deep_nodes(g)
+    u = sampled(g, lambda p: abs2(p, 0) * abs2(p, 1))
     H = complex_hessian(u)
     c = g.interior_coords
     z1 = c[:, 0] + 1j * c[:, 1]
     z2 = c[:, 2] + 1j * c[:, 3]
     # d^2/dz_j dz_k-bar of |z1 z2|^2 is [[|z2|^2, z2 conj(z1)], [..., |z1|^2]]
-    assert np.max(np.abs(H.diag[:, 0] - np.abs(z2) ** 2)) < 1e-9
-    assert np.max(np.abs(H.diag[:, 1] - np.abs(z1) ** 2)) < 1e-9
-    assert np.max(np.abs(H.tri[:, 0] - np.conj(z1) * z2)) < 1e-9
-    at = int(np.argmin(np.sum((c - np.array([1.0, 0, 1.0, 0])) ** 2, axis=1)))
+    assert np.max(np.abs(H.diag[deep, 0] - np.abs(z2[deep]) ** 2)) < 1e-9
+    assert np.max(np.abs(H.diag[deep, 1] - np.abs(z1[deep]) ** 2)) < 1e-9
+    assert np.max(np.abs(H.tri[deep, 0] - np.conj(z1[deep]) * z2[deep])) < 1e-9
+    # the deep node farthest out along z1 = z2 real, where the matrix is
+    # singular but not zero
+    at = int(np.argmin(np.where(deep, np.sum((c - np.array([1.0, 0, 1.0, 0])) ** 2, axis=1),
+                                np.inf)))
+    assert np.abs(z1[at] * z2[at]) > 0.5
     assert H.det()[at] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_random_hermitian_quadratic_is_exact(wide_ball4):
     rng = np.random.default_rng(7)
     g = wide_ball4
+    deep = deep_nodes(g)
     for _ in range(5):
         b11, b22 = rng.uniform(0.2, 2.0, 2)
         b12 = rng.normal() + 1j * rng.normal()
@@ -87,24 +114,25 @@ def test_random_hermitian_quadratic_is_exact(wide_ball4):
             herm += 2 * (b12 * z1 * np.conj(z2)).real
             return herm + (a1 * z1 * z2).real + 0.3 * p[:, 0]
 
-        H = complex_hessian(ScalarField.sample(g, u_fn))
-        assert np.max(np.abs(H.diag[:, 0] - b11)) < 1e-10
-        assert np.max(np.abs(H.diag[:, 1] - b22)) < 1e-10
-        assert np.max(np.abs(H.tri[:, 0] - b12)) < 1e-10
+        H = complex_hessian(sampled(g, u_fn))
+        assert np.max(np.abs(H.diag[deep, 0] - b11)) < 1e-10
+        assert np.max(np.abs(H.diag[deep, 1] - b22)) < 1e-10
+        assert np.max(np.abs(H.tri[deep, 0] - b12)) < 1e-10
 
 
 def test_ma_det_constants(disc_grid_32, ball4_grid):
-    u = ScalarField.sample(disc_grid_32, lambda p: abs2(p, 0))
-    assert np.max(np.abs(ma_det(u).interior - 1.0)) == 0.0
-    uab = ScalarField.sample(ball4_grid, lambda p: 2.0 * abs2(p, 0) + 3.0 * abs2(p, 1))
-    assert np.max(np.abs(ma_det(uab).interior - 6.0)) < 1e-12
+    u = sampled(disc_grid_32, lambda p: abs2(p, 0))
+    assert np.max(np.abs(ma_det(u).interior[deep_nodes(disc_grid_32)] - 1.0)) == 0.0
+    uab = sampled(ball4_grid, lambda p: 2.0 * abs2(p, 0) + 3.0 * abs2(p, 1))
+    assert np.max(np.abs(ma_det(uab).interior[deep_nodes(ball4_grid)] - 6.0)) < 1e-12
 
 
 def test_ma_det_quartic(disc_grid_32):
     g = disc_grid_32
-    u = ScalarField.sample(g, lambda p: abs2(p, 0) ** 2)
-    r2 = abs2(g.interior_coords[None].reshape(-1, 2), 0)
-    err = np.max(np.abs(ma_det(u).interior - 4.0 * r2))
+    deep = deep_nodes(g)
+    u = sampled(g, lambda p: abs2(p, 0) ** 2)
+    r2 = abs2(g.interior_coords, 0)
+    err = np.max(np.abs(ma_det(u).interior[deep] - 4.0 * r2[deep]))
     assert err <= 2.0 * g.h ** 2
 
 
@@ -112,7 +140,7 @@ def test_n1_det_is_quarter_laplacian(disc_grid_32):
     g = disc_grid_32
     rng = np.random.default_rng(3)
     ui = rng.normal(size=g.num_interior)
-    u = ScalarField.from_interior(g, ui)
+    u = ScalarField(g, ui)
     sx = second_difference_matrix(g, (1, 0))
     sy = second_difference_matrix(g, (0, 1))
     assert np.array_equal(ma_det(u).interior, 0.25 * (laplacian_matrix(g) @ ui))
@@ -125,17 +153,13 @@ def per_direction_hessian(u):
     u_yjyk) + i (u_xjyk - u_yjxk)] with u_ab = 1/4 (D2_(a+b) - D2_(a-b))."""
     g = u.grid
     d = 2 * g.n
-    if u.zero_boundary:
-        vals, stencil = u.interior, second_difference_matrix
-    else:
-        vals, stencil = u.values, _centered_difference_matrix
 
     def D(a, b=None, sign=1):
         v = [0] * d
         v[a] = 1
         if b is not None:
             v[b] = sign
-        return stencil(g, tuple(v)) @ vals
+        return second_difference_matrix(g, tuple(v)) @ u.interior
 
     def mixed(a, b):
         return 0.25 * (D(a, b, +1) - D(a, b, -1))
@@ -149,13 +173,10 @@ def per_direction_hessian(u):
 
 def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid, wide_ball4):
     """complex_hessian (the cached summed operators) against the
-    per-direction reference, on zero-boundary fields (Shortley-Weller rows)
-    and on a sampled one (centered rows)."""
+    per-direction reference, on random fields."""
     rng = np.random.default_rng(4)
-    fields = [ScalarField.from_interior(g, rng.normal(size=g.num_interior))
-              for g in (disc_grid_32, ball4_grid)]
-    size = int(np.prod(wide_ball4.shape))
-    fields.append(ScalarField(wide_ball4, rng.normal(size=size), zero_boundary=False))
+    fields = [ScalarField(g, rng.normal(size=g.num_interior))
+              for g in (disc_grid_32, ball4_grid, wide_ball4)]
     for u in fields:
         H = complex_hessian(u)
         diag, tri = per_direction_hessian(u)
@@ -168,12 +189,29 @@ def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid, w
 
 def test_is_psh_trivials(disc_grid_32):
     g = disc_grid_32
-    ok, rep = is_psh(ScalarField.from_interior(g, g.rho_interior))
+    ok, rep = is_psh(ScalarField(g, g.rho_interior))
     assert ok and rep.min_eigenvalue >= 0.0
-    ok, rep = is_psh(ScalarField.sample(g, lambda p: -abs2(p, 0)))
+    ok, rep = is_psh(ScalarField(g, -g.rho_interior))
     assert not ok and rep.min_eigenvalue == pytest.approx(-1.0)
-    ok, _ = is_psh(ScalarField.sample(g, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2))
-    assert ok
+    # rho = |z|^2 + 1/2 (x^2 - y^2) - 1: the pluriharmonic part leaves rho's
+    # Hessian at the identity
+    ellipse = build_grid(CustomRho(1, {(2, 0): 1.5, (0, 2): 0.5, (0, 0): -1.0}, (0.0, 0.0),
+                                   ((-1.0, 1.0), (-1.5, 1.5))), 1.0 / 32)
+    ok, rep = is_psh(ScalarField(ellipse, ellipse.rho_interior))
+    assert ok and rep.min_eigenvalue == pytest.approx(1.0)
+
+
+def test_field_interior_is_a_read_only_copy(disc_grid_32):
+    g = disc_grid_32
+    source = g.rho_interior.copy()
+    u = ScalarField(g, source)
+    source[:] = 1.0
+    assert np.array_equal(u.interior, g.rho_interior)
+    assert not u.interior.flags.writeable
+    with pytest.raises(ValueError):
+        u.interior[0] = 1.0
+    with pytest.raises(ValueError, match="interior node"):
+        ScalarField(g, np.zeros(g.num_interior + 1))
 
 
 def test_messages_print_node_coordinates_as_plain_floats(disc_grid_32):
@@ -182,7 +220,7 @@ def test_messages_print_node_coordinates_as_plain_floats(disc_grid_32):
     g = disc_grid_32
     vals = g.rho_interior.copy()
     vals[g.min_rho_position()] += 1.0
-    bump = ScalarField.from_interior(g, vals)
+    bump = ScalarField(g, vals)
     with pytest.raises(NotPSH, match=r"at node \(0\.0, 0\.0\)$"):
         require_psh(bump, name="bump")
 
@@ -260,9 +298,7 @@ def test_dual_set_invariants():
 
 
 def test_hermitian_storage_is_structural(ball4_grid):
-    H = complex_hessian(
-        ScalarField.from_interior(ball4_grid, ball4_grid.rho_interior)
-    )
+    H = complex_hessian(ScalarField(ball4_grid, ball4_grid.rho_interior))
     M = H.matrices()
     assert np.max(np.abs(M - np.conj(np.transpose(M, (0, 2, 1))))) == 0.0
 
@@ -320,7 +356,7 @@ def test_trace_operator_matches_weighted_operator_sum(which, shifted, assembly_g
     assert J.format == "csc" and J.shape == reference.shape
     assert abs(J - reference).max() <= 1e-15 * abs(reference).max()
     u = rng.normal(size=grid.num_interior)
-    M = complex_hessian(ScalarField.from_interior(grid, u)).matrices()
+    M = complex_hessian(ScalarField(grid, u)).matrices()
     action = np.einsum("ijk,ikj->i", W.matrices(), M).real
     if shifted:
         action += shift * u

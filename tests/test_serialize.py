@@ -66,22 +66,45 @@ def test_scalar_field_round_trip(tmp_path, disc):
     write_field(u, path)
     back = read_field(path)
     assert isinstance(back, ScalarField)
-    assert back.zero_boundary == u.zero_boundary
-    assert np.array_equal(back.values, u.values)  # bit-exact
+    assert np.array_equal(back.interior, u.interior)  # bit-exact
 
 
-def test_sampled_field_round_trip(tmp_path, disc):
-    v = ScalarField.sample(disc, lambda pts: np.sum(pts ** 2, axis=1))
-    path = tmp_path / "sampled.bin"
-    write_field(v, path)
-    back = read_field(path)
-    assert back.zero_boundary is False
-    assert np.array_equal(back.values, v.values)
+def scalar_payload(disc, tmp_path):
+    """(bytes of a written scalar field, offset of its boundary-flag byte)."""
+    path = tmp_path / "field.bin"
+    write_field(ScalarField(disc, -0.5 * np.ones(disc.num_interior)), path)
+    data = path.read_bytes()
+    return data, len(data) - 8 * int(np.prod(disc.shape)) - 1
+
+
+def test_read_rejects_nonzero_value_off_the_interior(tmp_path, disc):
+    data, flag = scalar_payload(disc, tmp_path)
+    off = int(np.flatnonzero(disc.classification != 2)[0])
+    start = flag + 1 + 8 * off
+    bad = data[:start] + np.float64(0.25).tobytes() + data[start + 8:]
+    (tmp_path / "bad.bin").write_bytes(bad)
+    with pytest.raises(SerializationError, match="off the interior"):
+        read_field(tmp_path / "bad.bin")
+
+
+def test_read_rejects_boundary_flag_other_than_one(tmp_path, disc):
+    data, flag = scalar_payload(disc, tmp_path)
+    for byte in (0, 7):
+        (tmp_path / "bad.bin").write_bytes(data[:flag] + bytes([byte]) + data[flag + 1:])
+        with pytest.raises(SerializationError, match="boundary flag"):
+            read_field(tmp_path / "bad.bin")
+
+
+def test_read_rejects_trailing_bytes(tmp_path, disc):
+    data, _ = scalar_payload(disc, tmp_path)
+    (tmp_path / "long.bin").write_bytes(data + b"\x00")
+    with pytest.raises(SerializationError, match="trailing"):
+        read_field(tmp_path / "long.bin")
 
 
 def test_hermitian_field_round_trip(tmp_path, ball4):
     r2 = np.sum(ball4.interior_coords ** 2, axis=1)
-    u = ScalarField.from_interior(ball4, r2 - 1.0)
+    u = ScalarField(ball4, r2 - 1.0)
     hess = complex_hessian(u)
     path = tmp_path / "hess.bin"
     write_field(hess, path)
@@ -104,7 +127,7 @@ def test_grid_round_trip(tmp_path, disc):
 
 
 def test_read_validates_against_supplied_grid(tmp_path, disc):
-    u = ScalarField.from_interior(disc, np.zeros(disc.num_interior))
+    u = ScalarField(disc, np.zeros(disc.num_interior))
     path = tmp_path / "field.bin"
     write_field(u, path)
     other = build_grid(Ball(1, 1.0), 1.0 / 8)
@@ -120,7 +143,7 @@ def test_read_rejects_bad_magic(tmp_path):
 
 
 def test_read_rejects_truncation(tmp_path, disc):
-    u = ScalarField.from_interior(disc, np.ones(disc.num_interior) * -0.5)
+    u = ScalarField(disc, np.ones(disc.num_interior) * -0.5)
     path = tmp_path / "field.bin"
     write_field(u, path)
     data = path.read_bytes()
