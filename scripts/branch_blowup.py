@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Watch the solution branch blow up and the eigenvalue emerge.
 
-Walks the family det(u_jk) = (1 - lam*u)^n lam from 0 upward on a ball,
+Walks the family det(u_jk) = (1 - lam*u)^n f^n from 0 upward on a ball,
 printing sup|u_lam|, its reciprocal and the solve's cost (Newton steps,
 GMRES iterations, Jacobian factorizations, line-search backtracks; points
 whose secant predictor fell back to the scaled subsolution are marked) at

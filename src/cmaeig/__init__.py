@@ -38,12 +38,10 @@ from .domain import (
 from .eigenpath import (
     BranchPoint,
     EigenResult,
-    EigenVerification,
     SchedulePolicy,
     continuation,
     lower_bound,
     solve_branch,
-    verify_eigenpair,
 )
 from .hessian import (
     DualMatrixSet,
@@ -76,21 +74,19 @@ from .serialize import (
 )
 from .variational import (
     FunctionalValue,
-    check_blocki,
-    check_sobolev,
     energy,
     functionals,
     inverse_power,
     mass,
     omega_weight,
     rayleigh,
-    sobolev_constant,
 )
 from .verify import (
     InvariantRow,
     VerifyReport,
     available_invariants,
     run_suite,
+    verify_eigenpair,
 )
 
 __all__ = [
@@ -108,11 +104,10 @@ __all__ = [
     "quadratic_subsolution", "check_subsolution", "monotone_iteration",
     "solve_quasimonotone",
     # eigenvalue routes
-    "BranchPoint", "EigenResult", "SchedulePolicy", "EigenVerification",
-    "lower_bound", "solve_branch", "continuation", "verify_eigenpair",
+    "BranchPoint", "EigenResult", "SchedulePolicy",
+    "lower_bound", "solve_branch", "continuation",
     "FunctionalValue", "energy", "mass", "rayleigh", "functionals",
-    "omega_weight", "sobolev_constant", "check_sobolev", "check_blocki",
-    "inverse_power",
+    "omega_weight", "inverse_power",
     # radial oracle
     "RadialProfile", "shoot", "radial_lambda1", "radial_profile",
     "frozen_radial_constant",
@@ -121,5 +116,6 @@ __all__ = [
     "read_field", "field_to_csv", "branch_to_csv", "profile_to_csv",
     # verification and CLI
     "InvariantRow", "VerifyReport", "available_invariants", "run_suite",
+    "verify_eigenpair",
     "RunConfig", "SummaryRecord", "parse_config", "run", "main",
 ]

@@ -77,6 +77,8 @@ class Ball:
         c = self.center if self.center else (0.0,) * (2 * self.n)
         if len(c) != 2 * self.n:
             raise ValueError("center must have 2n real coordinates")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center coordinates must be finite")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
 
 
@@ -128,6 +130,8 @@ class CustomRho:
             if sum(expo) > 4:
                 raise ValueError("defining polynomials are restricted to degree <= 4")
             cleaned[expo] = float(c)
+            if not np.isfinite(cleaned[expo]):
+                raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "seed_point", tuple(float(v) for v in self.seed_point))
         if len(self.seed_point) != d:
@@ -135,6 +139,8 @@ class CustomRho:
         box = tuple((float(a), float(b)) for a, b in self.box)
         if len(box) != d or any(b <= a for a, b in box):
             raise ValueError("bounding box must give a nonempty (lo, hi) per axis")
+        if not np.all(np.isfinite(box)):
+            raise ValueError("bounding box bounds must be finite")
         object.__setattr__(self, "box", box)
         if not eval_rho(self, np.asarray(self.seed_point)) < 0:
             raise ValueError("rho must be negative at the declared seed point")
@@ -193,8 +199,8 @@ class Constant:
     value: float = 1.0
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("constant density must be positive")
+        if not 0 < self.value < np.inf:
+            raise ValueError("constant density must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -207,10 +213,12 @@ class GaussianBump:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-        if self.amplitude <= -1.0:
-            raise ValueError("amplitude must exceed -1 to keep f positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center coordinates must be finite")
+        if not 0 < self.width < np.inf:
+            raise ValueError("width must be positive and finite")
+        if not -1.0 < self.amplitude < np.inf:
+            raise ValueError("amplitude must be finite and exceed -1 to keep f positive")
 
 
 DensitySpec = Constant | GaussianBump
@@ -226,6 +234,9 @@ def eval_density(d, points):
         vals = np.full(pts.shape[0], d.value)
     else:
         c = np.asarray(d.center)
+        if c.shape != pts.shape[1:]:
+            raise ValueError(f"bump center must have 2n = {pts.shape[1]} real "
+                             f"coordinates, got {c.size}")
         vals = 1.0 + d.amplitude * np.exp(-np.sum((pts - c) ** 2, axis=1) / d.width ** 2)
     return vals[0] if single else vals
 

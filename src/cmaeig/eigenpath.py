@@ -47,19 +47,18 @@ from .errors import (
     PreconditionViolated,
     ScheduleExhausted,
 )
-from .hessian import ScalarField, complex_hessian, default_psh_tol, is_psh
+from .hessian import ScalarField, complex_hessian
 
 __all__ = [
     "CONTINUATION",
     "INVERSE_POWER",
     "BranchPoint",
     "EigenResult",
-    "EigenVerification",
     "SchedulePolicy",
     "continuation",
     "lower_bound",
+    "eigen_residual",
     "solve_branch",
-    "verify_eigenpair",
 ]
 
 CONTINUATION = "Continuation"
@@ -377,9 +376,11 @@ def _extrapolate(branch, fit_points):
     return float(root), fit_residual, ()
 
 
-def _eigen_residual(v, lam, fn, grid):
-    det = complex_hessian(v).det()
-    return float(np.max(np.abs(det - (lam * np.maximum(-v.interior, 0.0)) ** grid.n * fn)))
+def eigen_residual(v, lam, fn, det):
+    """Sup-norm of det - (lam * max(-v, 0))^n fn, the residual of v in the
+    eigen-equation at lam; fn is f^n at the interior nodes and det is
+    complex_hessian(v).det(), which callers that also need it compute once."""
+    return float(np.max(np.abs(det - (lam * np.maximum(-v.interior, 0.0)) ** v.grid.n * fn)))
 
 
 def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
@@ -400,7 +401,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     lam1, fit_residual, flags = _extrapolate(branch, _FIT_POINTS)
     s = last.sup_norm
     v = ScalarField(grid, last.u.interior / s)
-    residual = _eigen_residual(v, lam1, fn, grid)
+    residual = eigen_residual(v, lam1, fn, complex_hessian(v).det())
     # det(v) = (1/s - last.lam * v)^n f^n up to tol/s^n: bound the distance
     # of that perturbed right-hand side from the eigen one at lam1.
     mv = np.maximum(-v.interior, 0.0)
@@ -422,67 +423,3 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         rejected_steps=tuple(sorted(rejected.items())),
         predictor_fallbacks=sum(p.predictor_fallback for p in branch),
     )
-
-
-@dataclass(frozen=True)
-class EigenVerification:
-    """Report-only recheck of an EigenResult: rows (name, value, bound, ok)."""
-
-    rows: tuple
-
-    @property
-    def ok(self):
-        return all(row[3] for row in self.rows)
-
-    def __getitem__(self, name):
-        for row in self.rows:
-            if row[0] == name:
-                return row
-        raise KeyError(name)
-
-
-def verify_eigenpair(result, f=Constant(1.0), grid=None):
-    """Recompute the invariants an eigenpair claims; never raises.
-
-    Checks the unit sup-norm normalization, nonpositivity, the PSH margin,
-    the eigen-equation residual against the declared tolerance
-    result.residual_tol, negativity at the innermost node, and degree-n
-    homogeneity of the residual functional under u -> theta*u.
-    """
-    v = result.eigenfunction
-    grid = v.grid if grid is None else grid
-    n = grid.n
-    fn = density_vector(f, grid, power=n)
-    tol = result.residual_tol
-    rows = []
-
-    sup = v.sup_norm()
-    rows.append(("normalization", sup, 1e-9, abs(sup - 1.0) <= 1e-9))
-    vmax = float(np.max(v.interior)) if v.interior.size else 0.0
-    rows.append(("nonpositive", vmax, 1e-15, vmax <= 1e-15))
-
-    psh_ok, psh = is_psh(v)
-    margin = default_psh_tol(grid)
-    rows.append(("psh_margin", psh.min_eigenvalue, margin, psh_ok))
-
-    residual = _eigen_residual(v, result.lambda1, fn, grid)
-    rows.append(("residual", residual, tol, residual <= tol))
-    drift = abs(residual - result.residual)
-    rows.append(("residual_matches_stored", drift, 1e-12, drift <= 1e-12))
-
-    inner = v.interior[grid.min_rho_position()]
-    rows.append(("negative_at_center", float(inner), 0.0, inner < 0.0))
-
-    base_det = complex_hessian(v).det()
-    hom_ok = True
-    hom_err = 0.0
-    for theta in (0.5, 2.0):
-        scaled = ScalarField(grid, theta * v.interior)
-        err = float(np.max(np.abs(complex_hessian(scaled).det() - theta ** n * base_det)))
-        hom_err = max(hom_err, err)
-        hom_ok &= err <= 1e-10 * theta ** n * (1.0 + float(np.max(np.abs(base_det))))
-        r_scaled = _eigen_residual(scaled, result.lambda1, fn, grid)
-        hom_ok &= abs(r_scaled - theta ** n * residual) <= 0.1 * theta ** n * max(residual, 1e-15)
-    rows.append(("residual_scale_invariance", hom_err, 0.1, bool(hom_ok)))
-
-    return EigenVerification(rows=tuple(rows))

@@ -344,7 +344,6 @@ def ma_det(u):
 class PshReport:
     ok: bool
     min_eigenvalue: float
-    node_flat: int
     coords: tuple  # plain floats
 
 
@@ -353,11 +352,9 @@ def is_psh(u):
     tol = default_psh_tol(u.grid)
     lam = complex_hessian(u).min_eigenvalue()
     worst = int(np.argmin(lam))
-    flat = int(u.grid.interior_flat[worst])
     report = PshReport(
         ok=bool(lam[worst] >= -tol),
         min_eigenvalue=float(lam[worst]),
-        node_flat=flat,
         coords=u.grid.interior_point(worst),
     )
     return report.ok, report

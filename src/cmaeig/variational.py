@@ -37,15 +37,13 @@ from .hessian import ScalarField, complex_hessian, require_psh
 
 __all__ = [
     "FunctionalValue",
-    "check_blocki",
-    "check_sobolev",
+    "check_trial",
     "energy",
     "functionals",
     "inverse_power",
     "mass",
     "omega_weight",
     "rayleigh",
-    "sobolev_constant",
 ]
 
 
@@ -80,7 +78,8 @@ def _density_values(g, grid):
     return density_vector(g, grid, power=grid.n)
 
 
-def _check_trial(phi, name):
+def check_trial(phi, name):
+    """Raise PreconditionViolated unless phi <= 0, NotPSH unless it is PSH."""
     if float(np.max(phi.interior, initial=0.0)) > 1e-12:
         raise PreconditionViolated(f"{name} must be <= 0")
     require_psh(phi, name=name)
@@ -90,7 +89,7 @@ def energy(phi, *, check=True):
     """E(phi) = 1/(n+1) * integral of (-phi) against its determinant mass."""
     grid = phi.grid
     if check:
-        _check_trial(phi, "energy argument")
+        check_trial(phi, "energy argument")
     det = complex_hessian(phi).det()
     total = float(np.sum(-phi.interior * det * grid.cell_volume))
     return max(total * omega_weight(grid.n) / (grid.n + 1), 0.0)
@@ -100,7 +99,7 @@ def mass(phi, g=None, *, check=True):
     """I_g(phi) = 1/(n+1) * integral of (-phi)^(n+1) against g."""
     grid = phi.grid
     if check:
-        _check_trial(phi, "mass argument")
+        check_trial(phi, "mass argument")
     n = grid.n
     gv = _density_values(g, grid)
     mphi = np.maximum(-phi.interior, 0.0)
@@ -123,44 +122,6 @@ def functionals(phi, g=None):
     return FunctionalValue(energy=e, mass=m, rayleigh=(e / m if m > 0.0 else None))
 
 
-def sobolev_constant(g=None, grid=None, tol=1e-8):
-    """A = (n+1) (n+1)! * sup|phi0|^n with phi0 solving det = g."""
-    gv = _density_values(g, grid)
-    phi0, _ = solve_frozen(gv, grid, tol)
-    n = grid.n
-    return (n + 1) * math.factorial(n + 1) * phi0.sup_norm() ** n
-
-
-def check_sobolev(phi, g=None, A=None, *, tol=1e-9):
-    """Nonlinear Sobolev-Poincare inequality: (n+1)*mass <= A*energy + tol.
-
-    With A = (n+1) (n+1)! sup|phi0|^n (computed from g when not supplied)
-    this is the inequality bounding the (n+1)-th moment of (-phi) against
-    the energy; it must hold for every nonpositive PSH trial field.
-    """
-    if A is None:
-        A = sobolev_constant(g, phi.grid)
-    n = phi.grid.n
-    return (n + 1) * mass(phi, g) <= A * energy(phi, check=False) + tol
-
-
-def check_blocki(u, v, *, tol=1e-9):
-    """Pairing bound: integral of (-u)^(n+1) against det(v) is controlled by
-    (n+1)! sup|v|^n times the energy integral of u."""
-    grid = u.grid
-    n = grid.n
-    _check_trial(u, "first field")
-    _check_trial(v, "second field")
-    w = omega_weight(n)
-    mu = np.maximum(-u.interior, 0.0)
-    lhs = float(np.sum(mu ** (n + 1) * complex_hessian(v).det() * grid.cell_volume)) * w
-    det_u = complex_hessian(u).det()
-    rhs = math.factorial(n + 1) * v.sup_norm() ** n * float(
-        np.sum(mu * det_u * grid.cell_volume)
-    ) * w
-    return lhs <= rhs + tol
-
-
 def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200):
     """Ground eigenpair by inverse-power iteration on the frozen solver.
 
@@ -177,7 +138,7 @@ def inverse_power(g=None, grid=None, tol=1e-8, max_iters=200):
     n = grid.n
     gv = _density_values(g, grid)
     w0, report = solve_frozen(gv, grid, tol)
-    _check_trial(w0, "inverse-power start")
+    check_trial(w0, "inverse-power start")
     if mass(w0, gv, check=False) < 1e-12:
         raise DegenerateIterate("starting field has vanishing mass")
     w = ScalarField(grid, w0.interior / w0.sup_norm())

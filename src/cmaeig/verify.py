@@ -1,12 +1,16 @@
-"""Named invariant suite: every structural claim the library makes, rechecked.
+"""Every structural claim the library makes, rechecked in one module.
 
 `run_suite` evaluates each registered invariant on small shipped fixtures and
 returns a deterministic table of (invariant, fixture, margin, passed) rows,
-sorted by name.  Margins are oriented so that `margin >= 0` iff the row
-passes; randomized rows derive their generator from (seed, invariant name),
-so the draw for one invariant never depends on which others ran.  All
-randomized rows check universally quantified claims, so the pass set is
-seed-independent even though the sampled fields are not.
+sorted by name.  `verify_eigenpair` rechecks the claims of one eigenpair and
+reports them in the same rows, and the suite's eigenpair entry carries its
+rows for both routes.  `check_sobolev` and `check_blocki` return the margins
+of the Sobolev-Poincare and Blocki inequalities for given fields.  Margins
+are oriented so that `margin >= 0` iff the row passes; randomized rows
+derive their generator from (seed, invariant name), so the draw for one
+invariant never depends on which others ran.  All randomized rows check
+universally quantified claims, so the pass set is seed-independent even
+though the sampled fields are not.
 """
 
 from __future__ import annotations
@@ -35,25 +39,30 @@ from .domain import (
     density_vector,
     eval_rho,
 )
-from .eigenpath import continuation, lower_bound, solve_branch
+from .eigenpath import continuation, eigen_residual, lower_bound, solve_branch
 from .errors import VanishingGradient
 from .hessian import (
     DualMatrixSet,
     ScalarField,
     complex_hessian,
+    default_psh_tol,
     gaveau_value,
     laplacian_matrix,
     random_psh_field,
 )
 from .radial import radial_lambda1, radial_profile, shoot
 from .serialize import branch_to_csv, field_to_csv, read_field, write_field
-from .variational import energy, inverse_power, mass, rayleigh
+from .variational import check_trial, energy, inverse_power, mass, omega_weight, rayleigh
 
 __all__ = [
     "InvariantRow",
     "VerifyReport",
     "available_invariants",
+    "check_blocki",
+    "check_sobolev",
     "run_suite",
+    "sobolev_constant",
+    "verify_eigenpair",
 ]
 
 
@@ -80,11 +89,105 @@ class VerifyReport:
         return hits
 
     def table(self):
-        lines = [f"{'invariant':38} {'fixture':26} {'margin':>13} result"]
+        width = max([26] + [len(r.fixture) for r in self.rows])
+        lines = [f"{'invariant':38} {'fixture':{width}} {'margin':>13} result"]
         for r in self.rows:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{r.invariant:38} {r.fixture:26} {r.margin:>13.4e} {status}")
+            lines.append(f"{r.invariant:38} {r.fixture:{width}} {r.margin:>13.4e} {status}")
         return "\n".join(lines) + "\n"
+
+
+def verify_eigenpair(result, f=Constant(1.0), grid=None):
+    """Recheck the claims an eigenpair makes; a failed check is a failing
+    row, never an exception.
+
+    Returns a VerifyReport with one row per check, fixture result.method:
+    unit sup-norm within 1e-9 ("normalization"); nonpositivity, and
+    negativity at the innermost node, each beyond the 1e-15 rounding slack
+    ("nonpositive", "negative_at_center"); the PSH margin against
+    default_psh_tol ("psh_margin"); the eigen-equation residual against
+    result.residual_tol ("residual") and against result.residual within
+    1e-12 ("residual_matches_stored"); and, under u -> theta*u for theta =
+    1/2 and 2, the degree-n homogeneity of the determinant to 1e-10 and of
+    the residual to 10 % ("residual_scale_invariance", the worst of the
+    four relative tests).  It evaluates three complex Hessians: v's and its
+    two multiples'.
+    """
+    v = result.eigenfunction
+    grid = v.grid if grid is None else grid
+    n = grid.n
+    fn = density_vector(f, grid, power=n)
+    hess = complex_hessian(v)
+    det = hess.det()
+    residual = eigen_residual(v, result.lambda1, fn, det)
+
+    scale = 1.0 + float(np.max(np.abs(det)))
+    homogeneity = []
+    for theta in (0.5, 2.0):
+        t = theta ** n
+        scaled = ScalarField(grid, theta * v.interior)
+        det_scaled = complex_hessian(scaled).det()
+        det_rel = float(np.max(np.abs(det_scaled - t * det))) / (t * scale)
+        r_scaled = eigen_residual(scaled, result.lambda1, fn, det_scaled)
+        res_rel = abs(r_scaled - t * residual) / (t * max(residual, 1e-15))
+        homogeneity += [1e-10 - det_rel, 0.1 - res_rel]
+
+    margins = {
+        "normalization": 1e-9 - abs(v.sup_norm() - 1.0),
+        "nonpositive": 1e-15 - float(np.max(v.interior)),
+        "psh_margin": float(np.min(hess.min_eigenvalue())) + default_psh_tol(grid),
+        "residual": result.residual_tol - residual,
+        "residual_matches_stored": 1e-12 - abs(residual - result.residual),
+        "negative_at_center": -float(v.interior[grid.min_rho_position()]) - 1e-15,
+        # np.min, unlike min, propagates NaN, so a NaN test fails the row
+        "residual_scale_invariance": float(np.min(homogeneity)),
+    }
+    return VerifyReport(rows=tuple(
+        InvariantRow(name, result.method, float(m), bool(m >= 0.0))
+        for name, m in margins.items()))
+
+
+_INEQUALITY_SLACK = 1e-9  # rounding allowance of both inequality margins
+
+
+def sobolev_constant(grid, tol=1e-8):
+    """A = (n+1) (n+1)! * sup|phi0|^n with phi0 solving det = 1."""
+    phi0, _ = solve_frozen(density_vector(Constant(1.0), grid, power=grid.n), grid, tol)
+    n = grid.n
+    return (n + 1) * math.factorial(n + 1) * phi0.sup_norm() ** n
+
+
+def check_sobolev(phi, A=None):
+    """Margin A * energy + slack - (n+1) * mass of the nonlinear
+    Sobolev-Poincare inequality for the unit density, >= 0 iff it holds.
+
+    With A = (n+1) (n+1)! sup|phi0|^n (sobolev_constant, computed from the
+    grid when not supplied) the inequality bounds the (n+1)-th moment of
+    (-phi) by the energy; it must hold for every nonpositive PSH trial field.
+    """
+    if A is None:
+        A = sobolev_constant(phi.grid)
+    n = phi.grid.n
+    return A * energy(phi, check=False) + _INEQUALITY_SLACK - (n + 1) * mass(phi)
+
+
+def check_blocki(u, v):
+    """Margin rhs + slack - lhs of Blocki's pairing bound, >= 0 iff it
+    holds: the integral lhs of (-u)^(n+1) against det(v) is at most rhs,
+    (n+1)! sup|v|^n times the energy integral of u.  Raises unless u and v
+    are nonpositive and PSH."""
+    grid = u.grid
+    n = grid.n
+    check_trial(u, "first field")
+    check_trial(v, "second field")
+    w = omega_weight(n)
+    mu = np.maximum(-u.interior, 0.0)
+    lhs = float(np.sum(mu ** (n + 1) * complex_hessian(v).det() * grid.cell_volume)) * w
+    det_u = complex_hessian(u).det()
+    rhs = math.factorial(n + 1) * v.sup_norm() ** n * float(
+        np.sum(mu * det_u * grid.cell_volume)
+    ) * w
+    return rhs + _INEQUALITY_SLACK - lhs
 
 
 def _rng(seed, name):
@@ -359,15 +462,10 @@ def _bound_chain(fx, rng):
     return [("disc h=1/32", margin, margin >= 0.0)]
 
 
-def _eigenfunction_normalization(fx, rng):
-    rows = []
-    for label, result in (("continuation", fx.cont), ("inverse power", fx.invpow)):
-        v = result.eigenfunction
-        grid = v.grid
-        margin = min(1e-9 - abs(v.sup_norm() - 1.0),
-                     -float(v.interior[grid.min_rho_position()]))
-        rows.append((f"disc h=1/32, {label}", margin, margin > 0.0))
-    return rows
+def _eigenpair_verification(fx, rng):
+    return [(f"disc h=1/32, {row.fixture}: {row.invariant}", row.margin, row.passed)
+            for result in (fx.cont, fx.invpow)
+            for row in verify_eigenpair(result).rows]
 
 
 def _method_agreement(fx, rng):
@@ -375,24 +473,25 @@ def _method_agreement(fx, rng):
     return [("disc h=1/32", 0.03 - rel, rel <= 0.03)]
 
 
-def _residual_scale_invariance(fx, rng):
-    v = fx.cont.eigenfunction
-    grid = v.grid
-    base = complex_hessian(v).det()
-    scale = 1.0 + float(np.max(np.abs(base)))
-    err = 0.0
-    for theta in (0.5, 2.0):
-        scaled = ScalarField(grid, theta * v.interior)
-        det = complex_hessian(scaled).det()
-        err = max(err, float(np.max(np.abs(det - theta ** grid.n * base))) / scale)
-    return [("disc h=1/32", 1e-10 - err, err <= 1e-10)]
-
-
 def _rayleigh_lower_bound(fx, rng):
     grid = fx.disc16
     floor = 0.95 * fx.cont.lambda1 ** grid.n
     worst = min(rayleigh(random_psh_field(grid, rng)) for _ in range(100))
     return [("disc h=1/16, 100 draws", worst - floor, worst >= floor)]
+
+
+def _sobolev_inequality(fx, rng):
+    grid = fx.disc16
+    A = sobolev_constant(grid, tol=fx.tol)
+    worst = min(check_sobolev(random_psh_field(grid, rng), A=A) for _ in range(20))
+    return [("disc h=1/16, 20 draws", worst, worst >= 0.0)]
+
+
+def _blocki_inequality(fx, rng):
+    grid = fx.disc16
+    worst = min(check_blocki(random_psh_field(grid, rng), random_psh_field(grid, rng))
+                for _ in range(20))
+    return [("disc h=1/16, 20 pairs", worst, worst >= 0.0)]
 
 
 def _functional_homogeneity(fx, rng):
@@ -407,11 +506,6 @@ def _functional_homogeneity(fx, rng):
                   abs(energy(scaled) - theta ** p * e0) / (theta ** p * e0),
                   abs(mass(scaled) - theta ** p * m0) / (theta ** p * m0))
     return [("disc h=1/16", 1e-12 - err, err <= 1e-12)]
-
-
-def _inverse_power_fixed_point(fx, rng):
-    res = fx.invpow
-    return [("disc h=1/32", fx.tol - res.residual, res.residual <= fx.tol)]
 
 
 def _dirichlet_quotient_sanity(fx, rng):
@@ -499,6 +593,7 @@ def _csv_determinism(fx, rng):
 
 
 _REGISTRY = {
+    "blocki-inequality": _blocki_inequality,
     "branch-monotonicity": _branch_monotonicity,
     "bound-chain": _bound_chain,
     "cell-volume-partition": _cell_volume_partition,
@@ -507,7 +602,7 @@ _REGISTRY = {
     "determinant-loewner-monotonicity": _determinant_loewner_monotonicity,
     "diagnostic-boundedness": _diagnostic_boundedness,
     "dirichlet-quotient-sanity": _dirichlet_quotient_sanity,
-    "eigenfunction-normalization": _eigenfunction_normalization,
+    "eigenpair-verification": _eigenpair_verification,
     "frozen-fixed-point-residual": _frozen_fixed_point_residual,
     "functional-homogeneity": _functional_homogeneity,
     "gaveau-analytic-minimizer": _gaveau_analytic_minimizer,
@@ -515,7 +610,6 @@ _REGISTRY = {
     "grid-refinement-monotonicity": _grid_refinement_monotonicity,
     "hermitian-quadratic-exactness": _hermitian_quadratic_exactness,
     "hermitian-serialization-bitexact": _hermitian_serialization_bitexact,
-    "inverse-power-fixed-point": _inverse_power_fixed_point,
     "laplacian-reduction-n1": _laplacian_reduction_n1,
     "method-agreement": _method_agreement,
     "monotone-ordering": _monotone_ordering,
@@ -525,8 +619,8 @@ _REGISTRY = {
     "radial-scaling-law": _radial_scaling_law,
     "radial-terminal-monotonicity": _radial_terminal_monotonicity,
     "rayleigh-lower-bound": _rayleigh_lower_bound,
-    "residual-scale-invariance": _residual_scale_invariance,
     "rho-sign-consistency": _rho_sign_consistency,
+    "sobolev-inequality": _sobolev_inequality,
 }
 
 

@@ -522,6 +522,18 @@ def test_infinite_radius_or_axis_is_a_domain_error(line, tmp_path, capsys):
     assert err.startswith("config error: domain:") and "finite" in err
 
 
+@pytest.mark.parametrize("lines, section", [
+    ("domain.center = inf, 0", "domain"),
+    ("density.center = 0, 0\ndensity.amplitude = inf\ndensity.width = 0.5", "density"),
+])
+def test_non_finite_center_or_amplitude_is_a_spec_error(lines, section, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"command=solve\nh=0.25\n{lines}\n")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}:") and "finite" in err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--command", "radial", "--n", "1",
                  "--out", str(tmp_path / "a")]) == 0

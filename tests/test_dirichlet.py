@@ -30,10 +30,10 @@ from cmaeig.errors import (
 from cmaeig.domain import (
     Ball, Constant, CustomRho, Ellipsoid, GaussianBump, build_grid, density_vector,
 )
-from cmaeig.eigenpath import continuation, verify_eigenpair
+from cmaeig.eigenpath import continuation
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
 from cmaeig.variational import inverse_power
-from cmaeig.verify import _grad_sup
+from cmaeig.verify import _grad_sup, verify_eigenpair
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,17 +225,60 @@ def test_density_validation():
         GaussianBump(center=(0.0, 0.0), amplitude=-1.0, width=1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ball(n=1, center=(np.inf, 0.0)),
+    lambda: Ball(n=1, center=(0.0, np.nan)),
+    lambda: Constant(np.inf),
+    lambda: Constant(np.nan),
+    lambda: GaussianBump(center=(np.inf, 0.0), amplitude=1.0, width=0.5),
+    lambda: GaussianBump(center=(0.0, np.nan), amplitude=1.0, width=0.5),
+    lambda: GaussianBump(center=(0.0, 0.0), amplitude=np.inf, width=0.5),
+    lambda: GaussianBump(center=(0.0, 0.0), amplitude=np.nan, width=0.5),
+    lambda: GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=np.inf),
+    lambda: GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=np.nan),
+    lambda: CustomRho(n=1, coeffs={(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+                      seed_point=(0.0, 0.0), box=((-np.inf, 1.1), (-1.1, 1.1))),
+    lambda: CustomRho(n=1, coeffs={(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0},
+                      seed_point=(0.0, 0.0), box=((-1.1, 1.1), (-1.1, np.nan))),
+    lambda: CustomRho(n=1, coeffs={(2, 0): np.inf, (0, 2): 1.0, (0, 0): -1.0},
+                      seed_point=(0.0, 0.0), box=((-1.1, 1.1), (-1.1, 1.1))),
+], ids=["ball-inf-center", "ball-nan-center", "constant-inf", "constant-nan",
+        "bump-inf-center", "bump-nan-center", "bump-inf-amplitude",
+        "bump-nan-amplitude", "bump-inf-width", "bump-nan-width",
+        "custom-inf-box", "custom-nan-box", "custom-inf-coefficient"])
+def test_specs_reject_non_finite_fields(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("center", [(0.3,), (0.3, 0.0, 0.0)])
+def test_bump_center_length_must_match_the_grid(center):
+    """A centre of the wrong length is refused, not broadcast over the 2n
+    coordinates."""
+    g = build_grid(Ball(n=1), 1 / 8)
+    bump = GaussianBump(center=center, amplitude=1.0, width=0.5)
+    with pytest.raises(ValueError, match="2n = 2 real coordinates, got"):
+        density_vector(bump, g)
+    with pytest.raises(ValueError, match="2n = 2 real coordinates"):
+        eval_density(bump, np.zeros(2))
+
+
 @pytest.mark.parametrize("bump", [
-    GaussianBump(center=(float("nan"), 0.0), amplitude=1.0, width=0.5),
-    GaussianBump(center=(0.0, 0.0), amplitude=float("nan"), width=0.5),
-    GaussianBump(center=(0.0, 0.0), amplitude=float("inf"), width=0.5),
-], ids=["nan-center", "nan-amplitude", "inf-amplitude"])
+    SimpleNamespace(center=(float("nan"), 0.0), amplitude=1.0, width=0.5),
+    SimpleNamespace(center=(0.0, 0.0), amplitude=float("nan"), width=0.5),
+    SimpleNamespace(center=(0.0, 0.0), amplitude=float("inf"), width=0.5),
+    GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=1e-200),
+], ids=["nan-center", "nan-amplitude", "inf-amplitude", "underflowing-width"])
 def test_density_vector_rejects_non_finite_values(bump):
     """A density that is NaN or infinite at a node is refused like one that
-    is <= 0 there, rather than returned as an all-NaN or all-inf f."""
+    is <= 0 there, rather than returned as an all-NaN or all-inf f.
+    GaussianBump refuses these fields itself, so bump-shaped specs that skip
+    its checks stand in for them here; a valid bump whose width squared
+    underflows is NaN at its centre node and is refused the same way."""
     g = build_grid(Ball(n=1), 1 / 8)
-    with pytest.raises(NonPositiveDensity, match="at node"):
-        density_vector(bump, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonPositiveDensity, match="at node"):
+            density_vector(bump, g)
 
 
 def test_density_vector_evaluates_the_density_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
+import cmaeig.verify as verify
 
 from cmaeig.dirichlet import SolveReport
 from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, density_vector
@@ -14,16 +15,16 @@ from cmaeig.eigenpath import (
     BranchPoint,
     EigenResult,
     SchedulePolicy,
-    _eigen_residual,
     _extrapolate,
     _secant_start,
     continuation,
+    eigen_residual,
     lower_bound,
     solve_branch,
-    verify_eigenpair,
 )
 from cmaeig.errors import BranchInfeasible, NewtonStalled, NotConverged, ScheduleExhausted
-from cmaeig.hessian import ScalarField
+from cmaeig.hessian import ScalarField, complex_hessian
+from cmaeig.verify import InvariantRow, verify_eigenpair
 
 from oracles import (
     LAMBDA1_UNIT_DISC,
@@ -410,8 +411,8 @@ def test_continuation_rayleigh_consistency(disc_result):
 
 
 def test_continuation_verifies(disc_result, disc64):
-    ver = verify_eigenpair(disc_result, grid=disc64)
-    assert ver.ok, [row for row in ver.rows if not row[3]]
+    ver = checked(verify_eigenpair(disc_result, grid=disc64))
+    assert ver.ok, [row for row in ver.rows if not row.passed]
     assert len(ver.rows) == 7
 
 
@@ -536,11 +537,19 @@ def test_extrapolation_root_below_branch_is_flagged():
 # ----------------------------------------------------------- verify_eigenpair
 
 
+def checked(ver):
+    """ver, once every row is an InvariantRow whose margin is >= 0 iff it
+    passed."""
+    for row in ver.rows:
+        assert isinstance(row, InvariantRow) and row.passed == (row.margin >= 0.0), row
+    return ver
+
+
 def sampled_bessel_result(grid):
     mode = np.array([disc_eigenmode(x) for x in radii(grid)])
     v = ScalarField(grid, mode / np.max(np.abs(mode)))
     fn = density_vector(Constant(1.0), grid, power=grid.n)
-    resid = _eigen_residual(v, LAMBDA1_UNIT_DISC, fn, grid)
+    resid = eigen_residual(v, LAMBDA1_UNIT_DISC, fn, complex_hessian(v).det())
     return EigenResult(
         lambda1=LAMBDA1_UNIT_DISC,
         eigenfunction=v,
@@ -556,14 +565,29 @@ def test_verify_accepts_sampled_bessel_pair(disc64):
     result = sampled_bessel_result(disc64)
     # Sampling the continuum mode on the grid leaves an O(h^2)-scale residual.
     assert result.residual < 2e-2
-    ver = verify_eigenpair(result, grid=disc64)
-    assert ver.ok, [row for row in ver.rows if not row[3]]
+    ver = checked(verify_eigenpair(result, grid=disc64))
+    assert ver.ok, [row for row in ver.rows if not row.passed]
+
+
+def test_verify_evaluates_three_complex_hessians(disc64, monkeypatch):
+    """v's Hessian serves the PSH, residual and homogeneity rows; each
+    multiple theta*v's serves both of its homogeneity tests."""
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return complex_hessian(u)
+
+    monkeypatch.setattr(verify, "complex_hessian", counted)
+    assert checked(verify_eigenpair(sampled_bessel_result(disc64), grid=disc64)).ok
+    assert len(calls) == 3
 
 
 def test_verify_row_lookup(disc64):
-    ver = verify_eigenpair(sampled_bessel_result(disc64), grid=disc64)
-    name, value, bound, ok = ver["normalization"]
-    assert name == "normalization" and ok
+    ver = checked(verify_eigenpair(sampled_bessel_result(disc64), grid=disc64))
+    [row] = ver["normalization"]
+    assert row.invariant == "normalization" and row.passed
+    assert row.fixture == INVERSE_POWER
     with pytest.raises(KeyError):
         ver["no_such_row"]
 
@@ -572,7 +596,8 @@ def test_verify_flags_broken_normalization(disc64):
     good = sampled_bessel_result(disc64)
     bad_field = ScalarField(disc64, 0.5 * good.eigenfunction.interior)
     fn = density_vector(Constant(1.0), disc64, power=1)
-    resid = _eigen_residual(bad_field, LAMBDA1_UNIT_DISC, fn, disc64)
+    resid = eigen_residual(bad_field, LAMBDA1_UNIT_DISC, fn,
+                           complex_hessian(bad_field).det())
     bad = EigenResult(
         lambda1=LAMBDA1_UNIT_DISC,
         eigenfunction=bad_field,
@@ -582,15 +607,16 @@ def test_verify_flags_broken_normalization(disc64):
         residual_tol=good.residual_tol,
         rayleigh_value=LAMBDA1_UNIT_DISC,
     )
-    ver = verify_eigenpair(bad, grid=disc64)
+    ver = checked(verify_eigenpair(bad, grid=disc64))
     assert not ver.ok
-    assert not ver["normalization"][3]
+    assert not ver["normalization"][0].passed
 
 
 def test_verify_flags_wrong_eigenvalue(disc64):
     good = sampled_bessel_result(disc64)
     fn = density_vector(Constant(1.0), disc64, power=1)
-    resid = _eigen_residual(good.eigenfunction, 2.5, fn, disc64)
+    resid = eigen_residual(good.eigenfunction, 2.5, fn,
+                           complex_hessian(good.eigenfunction).det())
     bad = EigenResult(
         lambda1=2.5,
         eigenfunction=good.eigenfunction,
@@ -600,9 +626,26 @@ def test_verify_flags_wrong_eigenvalue(disc64):
         residual_tol=good.residual_tol,
         rayleigh_value=2.5,
     )
-    ver = verify_eigenpair(bad, grid=disc64)
+    ver = checked(verify_eigenpair(bad, grid=disc64))
     assert not ver.ok
-    assert not ver["residual"][3]
+    assert not ver["residual"][0].passed
+
+
+def test_verify_fails_every_residual_row_of_a_nan_eigenvalue(disc64):
+    good = sampled_bessel_result(disc64)
+    bad = EigenResult(
+        lambda1=float("nan"),
+        eigenfunction=good.eigenfunction,
+        branch=(),
+        method=INVERSE_POWER,
+        residual=good.residual,
+        residual_tol=good.residual_tol,
+        rayleigh_value=good.rayleigh_value,
+    )
+    ver = checked(verify_eigenpair(bad, grid=disc64))
+    for name in ("residual", "residual_matches_stored", "residual_scale_invariance"):
+        assert not ver[name][0].passed, name
+    assert ver["normalization"][0].passed and ver["psh_margin"][0].passed
 
 
 def test_verify_flags_stale_residual(disc64):
@@ -616,5 +659,5 @@ def test_verify_flags_stale_residual(disc64):
         residual_tol=good.residual_tol + 0.2,
         rayleigh_value=good.rayleigh_value,
     )
-    ver = verify_eigenpair(stale, grid=disc64)
-    assert not ver["residual_matches_stored"][3]
+    ver = checked(verify_eigenpair(stale, grid=disc64))
+    assert not ver["residual_matches_stored"][0].passed

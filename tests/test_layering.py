@@ -302,8 +302,6 @@ def referenced_names(path):
 # Exported names that only the tests reach, each kept for its own reason.
 TEST_ONLY_EXPORTS = {
     "solve_quasimonotone": "the existence theorem for degenerate equations; c11 checks it",
-    "check_sobolev": "the variational section's Sobolev-Poincare inequality; c09 checks it",
-    "check_blocki": "the variational section's Blocki pairing bound; c09 checks it",
     "frozen_radial_constant": "the stored shooting constant the oracle fixtures read",
     "ma_det": "the complex Monge-Ampere operator itself",
     "write_grid": "the grid artifact format, read back by read_field",
@@ -369,11 +367,6 @@ TEST_SET_PARAMETERS = {
     ("lower_bound", "f"): "the density of the paper's problem; callers solve f = 1",
     ("solve_branch", "f"): "the density of the paper's problem; callers solve f = 1",
     ("solve_quasimonotone", "tol"): "c11's existence theorem (an exported name kept for it)",
-    ("check_sobolev", "g"): "c09's Sobolev-Poincare inequality with a density",
-    ("check_sobolev", "A"): "c09 reuses one Sobolev constant over many fields",
-    ("check_sobolev", "tol"): "c09's Sobolev-Poincare inequality slack",
-    ("check_blocki", "tol"): "c09's Blocki pairing bound slack",
-    ("sobolev_constant", "tol"): "c09's Sobolev constant; check_sobolev solves at its default",
     ("frozen_radial_constant", "R"): "the stored constants' radius; the oracle fixtures read R = 1",
     ("main", "argv"): "the console entry point reads sys.argv; tests pass their own",
 }

@@ -2,11 +2,15 @@
 
 import pytest
 
+from cmaeig.domain import Ball, GaussianBump, build_grid
+from cmaeig.eigenpath import continuation
+from cmaeig.variational import inverse_power
 from cmaeig.verify import (
     InvariantRow,
     VerifyReport,
     available_invariants,
     run_suite,
+    verify_eigenpair,
 )
 
 
@@ -95,3 +99,18 @@ def test_report_ok_reflects_row_status():
     bad = InvariantRow("a", "f", -1.0, False)
     assert VerifyReport(rows=(good,)).ok
     assert not VerifyReport(rows=(good, bad)).ok
+
+
+@pytest.mark.parametrize("route", [continuation, inverse_power])
+def test_verify_eigenpair_takes_density_and_grid_positionally(route):
+    """The call the benchmark makes: verify_eigenpair(result, density, grid),
+    for both routes, with a non-constant density."""
+    grid = build_grid(Ball(1, 1.0), 1.0 / 16)
+    density = GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)
+    result = route(density, grid, 1e-8)
+    report = verify_eigenpair(result, density, grid)
+    assert report.ok, [r for r in report.rows if not r.passed]
+    assert len(report.rows) == 7
+    for row in report.rows:
+        assert row.fixture == result.method
+        assert row.passed == (row.margin >= 0.0), row
