@@ -73,9 +73,7 @@ from .serialize import (
     write_grid,
 )
 from .variational import (
-    FunctionalValue,
     energy,
-    functionals,
     inverse_power,
     mass,
     omega_weight,
@@ -106,8 +104,7 @@ __all__ = [
     # eigenvalue routes
     "BranchPoint", "EigenResult", "SchedulePolicy",
     "lower_bound", "solve_branch", "continuation",
-    "FunctionalValue", "energy", "mass", "rayleigh", "functionals",
-    "omega_weight", "inverse_power",
+    "energy", "mass", "rayleigh", "omega_weight", "inverse_power",
     # radial oracle
     "RadialProfile", "shoot", "radial_lambda1", "radial_profile",
     "frozen_radial_constant",

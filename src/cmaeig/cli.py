@@ -50,7 +50,7 @@ from .domain import (
 )
 from .eigenpath import BranchPoint, SchedulePolicy, continuation
 from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse, ZeroMass
-from .radial import radial_lambda1, shoot
+from .radial import radial_profile
 from .serialize import (
     atomic_write_text,
     branch_to_csv,
@@ -59,7 +59,7 @@ from .serialize import (
     spec_to_dict,
     write_field,
 )
-from .variational import functionals, inverse_power
+from .variational import energy, inverse_power, mass
 from .verify import run_suite
 
 __all__ = [
@@ -100,7 +100,6 @@ class RunConfig:
     command: str
     domain: DomainSpec
     density: DensitySpec
-    n: int
     h: Optional[float] = None
     tol: float = 1e-8
     max_iters: Optional[int] = None
@@ -122,8 +121,6 @@ class RunConfig:
             raise ConfigError(f"h: required for command {self.command!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters: must be >= 1; got {self.max_iters!r}")
-        if self.n < 1:
-            raise ConfigError(f"n: must be >= 1; got {self.n!r}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0; got {self.seed!r}")
         bad = set(self.emit) - set(EMIT_TARGETS)
@@ -134,6 +131,11 @@ class RunConfig:
             )
         if self.filter is not None and self.command != "verify":
             raise ConfigError("filter: only meaningful for the verify command")
+
+    @property
+    def n(self):
+        """Complex dimension, the domain's."""
+        return self.domain.n
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,6 @@ def build_config(pairs):
         command=pairs["command"],
         domain=domain,
         density=density,
-        n=n,
         h=_as_float(pairs, "h") if "h" in pairs else None,
         tol=_as_float(pairs, "tol") if "tol" in pairs else 1e-8,
         max_iters=_as_int(pairs, "max_iters") if "max_iters" in pairs else None,
@@ -531,7 +532,7 @@ def _run_continuation(config):
 def _run_inverse_power(config):
     grid = build_grid(config.domain, config.h)
     kwargs = {} if config.max_iters is None else {"max_iters": config.max_iters}
-    result = inverse_power(g=config.density, grid=grid, tol=config.tol, **kwargs)
+    result = inverse_power(f=config.density, grid=grid, tol=config.tol, **kwargs)
     return {
         "lambda1": result.lambda1,
         "residuals": {
@@ -558,15 +559,15 @@ def _run_radial(config):
             "density.kind: the radial command supports only the constant density"
         )
     spec = config.domain
-    lam = radial_lambda1(spec.n, spec.radius, config.tol)
-    _, profile = shoot(spec.n, spec.radius, lam)
+    profile = radial_profile(spec.n, spec.radius, config.tol)
+    # constant density c rescales the eigenvalue by 1/c (same profile)
+    lam = profile.lam / config.density.value
     return {
-        # constant density c rescales the eigenvalue by 1/c (same profile)
-        "lambda1": lam / config.density.value,
+        "lambda1": lam,
         "residuals": {"terminal_value": abs(profile.phi[-1])},
         "diagnostics": {
             "radius": spec.radius,
-            "lambda1_radius_sq": (lam / config.density.value) * spec.radius ** 2,
+            "lambda1_radius_sq": lam * spec.radius ** 2,
             "samples": len(profile.t),
         },
         "profile": profile,
@@ -577,18 +578,19 @@ def _run_rayleigh(config):
     grid = build_grid(config.domain, config.h)
     fn = density_vector(config.density, grid, power=grid.n)
     u0, report = solve_frozen(fn, grid, config.tol)
-    values = functionals(u0, fn)
-    if values.rayleigh is None:
+    e, m = energy(u0), mass(u0, fn, check=False)
+    if m <= 0.0:
         raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
+    quotient = e / m
     branch = _single_point_branch(u0, report)
     return {
         "lambda1": None,
         "residuals": {"residual": report.final_residual},
         "diagnostics": {
-            "energy": values.energy,
-            "mass": values.mass,
-            "rayleigh": values.rayleigh,
-            "rayleigh_root": values.rayleigh ** (1.0 / grid.n),
+            "energy": e,
+            "mass": m,
+            "rayleigh": quotient,
+            "rayleigh_root": quotient ** (1.0 / grid.n),
             "eigenvalue_lower_bound": 1.0 / u0.sup_norm(),
             **_newton_counters(branch),
             "flags": _result_flags(branch),

@@ -48,7 +48,6 @@ from scipy.sparse.linalg import splu
 # (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .domain import Constant, density_vector
 from .errors import (
     BranchInfeasible,
     EigenvalueBoundViolated,
@@ -128,32 +127,32 @@ class RhsSpec:
                    frozen_values=np.maximum(vals, 0.0))
 
     @classmethod
-    def branch(cls, grid, lam, density=Constant(1.0), *, weight=None):
+    def branch(cls, grid, lam, fn=None):
         """psi = (1 - lam t)^n f^n: the solution-branch right-hand side, >= 0
         and nonincreasing in t <= 0 for any finite lam >= 0 and f > 0.
 
-        weight, when given, is f^n at the interior nodes as
-        density_vector(density, grid, power=n) returns it, evaluated and
-        validated once by a caller that builds many branch points (a
-        continuation walk); density is then not read."""
+        fn is f^n at the interior nodes as density_vector(f, grid, power=n)
+        returns it, evaluated and validated once by the caller; None means
+        f = 1."""
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
-        fn = density_vector(density, grid, power=n) if weight is None else weight
         return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=fn, g=lambda t: (1.0 - lam * t) ** n,
+                   weight=np.ones(grid.num_interior) if fn is None else fn,
+                   g=lambda t: (1.0 - lam * t) ** n,
                    dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1),
                    branch_family=True)
 
     @classmethod
-    def eigen(cls, grid, lam, density=Constant(1.0)):
-        """psi = (-lam t)^n f^n: degenerate at t = 0 (eigenvalue form)."""
+    def eigen(cls, grid, lam, fn=None):
+        """psi = (-lam t)^n f^n: degenerate at t = 0 (eigenvalue form); fn as
+        for branch."""
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"eigenvalue parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
-        fn = density_vector(density, grid, power=n)
         return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=fn, g=lambda t: (-lam * t) ** n,
+                   weight=np.ones(grid.num_interior) if fn is None else fn,
+                   g=lambda t: (-lam * t) ** n,
                    dg=lambda t: -n * lam * (-lam * t) ** (n - 1))
 
     @classmethod

@@ -217,6 +217,8 @@ class GaussianBump:
             raise ValueError("center coordinates must be finite")
         if not 0 < self.width < np.inf:
             raise ValueError("width must be positive and finite")
+        if self.width ** 2 == 0.0:
+            raise ValueError(f"width {self.width!r} underflows to 0 when squared")
         if not -1.0 < self.amplitude < np.inf:
             raise ValueError("amplitude must be finite and exceed -1 to keep f positive")
 
@@ -241,21 +243,34 @@ def eval_density(d, points):
     return vals[0] if single else vals
 
 
-def density_vector(d, grid, power=1):
-    """Density (optionally f**power) at interior nodes; validates that it is
-    finite and positive on the interior and boundary layer (the discrete
-    closure of the domain), naming the first node where it is not."""
-    closure = np.concatenate([grid.interior_flat, grid.boundary_flat])
-    vals = eval_density(d, grid.node_coords(closure))
+def _require_positive(vals, flat, grid, name):
+    """Raise NonPositiveDensity naming the first node of flat (lattice
+    indices, one per value) where vals is not finite and > 0."""
     bad = ~(np.isfinite(vals) & (vals > 0))
     if np.any(bad):
         worst = int(np.argmax(bad))
         raise NonPositiveDensity(
-            f"density is {vals[worst]:.3e}, not finite and > 0, at node "
-            f"{grid.unravel(closure[worst])}"
+            f"{name} is {vals[worst]:.3e}, not finite and > 0, at node "
+            f"{grid.unravel(flat[worst])}"
         )
+
+
+def density_vector(d, grid, power=1):
+    """Density (optionally f**power) at interior nodes; validates that f is
+    finite and positive on the interior and boundary layer (the discrete
+    closure of the domain), and f**power at the interior nodes, where the
+    power can underflow to 0 or overflow to inf, naming the first node
+    where a value is not."""
+    closure = np.concatenate([grid.interior_flat, grid.boundary_flat])
+    vals = eval_density(d, grid.node_coords(closure))
+    _require_positive(vals, closure, grid, "density")
     inner = vals[:grid.num_interior]
-    return inner if power == 1 else inner ** power
+    if power == 1:
+        return inner
+    with np.errstate(over="ignore"):
+        inner = inner ** power
+    _require_positive(inner, grid.interior_flat, grid, f"density^{power}")
+    return inner
 
 
 # ---------------------------------------------------------------------------

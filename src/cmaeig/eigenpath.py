@@ -231,7 +231,7 @@ def _branch_step(lam_new, fn, tol, prev, before=None):
             f"warm-start step {d:.3e} times sup-norm {prev.sup_norm:.3e} "
             "reaches the subsolution-scaling pole"
         )
-    rhs = RhsSpec.branch(prev.u.grid, lam_new, weight=fn)
+    rhs = RhsSpec.branch(prev.u.grid, lam_new, fn)
     if before is not None:
         predicted = _secant_start(lam_new, prev, before)
         if predicted is not None:
@@ -336,7 +336,7 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8):
     if lam == 0.0:
         return _origin(fn, grid, tol)
 
-    rhs = RhsSpec.branch(grid, lam, weight=fn)
+    rhs = RhsSpec.branch(grid, lam, fn)
     try:
         u_sub, _ = quadratic_subsolution(grid, rhs)
         return _converge_at(lam, rhs, u_sub, tol)

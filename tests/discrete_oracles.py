@@ -41,9 +41,10 @@ def bordered_newton(grid, density, lam, u):
     node.  dF/dlam = -n psi / (lam (psi + mu^n))."""
     n = grid.n
     mu = _FORM_TOL * 1e-3
+    fn = density_vector(density, grid, power=n)
 
     def form(lam):
-        return _logdet_form(grid, RhsSpec.eigen(grid, lam, density), _FORM_TOL)
+        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL)
 
     evaluate, jacobian, *_ = form(lam)
     state = evaluate(u)

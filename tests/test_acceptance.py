@@ -18,7 +18,7 @@ from cmaeig.dirichlet import (
     solve_frozen,
     solve_quasimonotone,
 )
-from cmaeig.domain import Ball, Constant, GaussianBump, build_grid
+from cmaeig.domain import Ball, Constant, GaussianBump, build_grid, density_vector
 from cmaeig.eigenpath import continuation, lower_bound
 from cmaeig.errors import EigenvalueBoundViolated
 from cmaeig.hessian import DualMatrixSet, ScalarField, gaveau_value, random_psh_field
@@ -61,7 +61,7 @@ def eigen(grids):
             if method == "cont":
                 cache[key] = continuation(f=f, grid=grid, tol=1e-8)
             else:
-                cache[key] = inverse_power(g=f, grid=grid, tol=1e-8)
+                cache[key] = inverse_power(f=f, grid=grid, tol=1e-8)
         return cache[key]
 
     return get
@@ -225,7 +225,7 @@ def test_c08_monotone_iteration_structure(grids):
     assert len(MONOTONE_FIXTURES) == 10
     for h, lam, f in MONOTONE_FIXTURES:
         grid = grids(1, 1.0, h)
-        rhs = RhsSpec.branch(grid, lam, density=f)
+        rhs = RhsSpec.branch(grid, lam, density_vector(f, grid, power=grid.n))
         # zero is a supersolution: det(0) = 0 <= psi(., 0) nodewise
         assert np.all(rhs.psi(np.zeros(grid.num_interior)) >= 0.0)
         sub, _ = quadratic_subsolution(grid, rhs)

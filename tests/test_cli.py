@@ -534,6 +534,18 @@ def test_non_finite_center_or_amplitude_is_a_spec_error(lines, section, tmp_path
     assert err.startswith(f"config error: {section}:") and "finite" in err
 
 
+def test_underflowing_bump_width_is_a_spec_error(tmp_path, capsys):
+    """A width whose square underflows is refused when the config is read
+    (exit 2), not by the solver as a NaN density (exit 1)."""
+    path = tmp_path / "run.cfg"
+    path.write_text("command=solve\nh=0.25\ndensity.center = 0, 0\n"
+                    "density.amplitude = 1\ndensity.width = 1e-200\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: density:") and "underflows" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--command", "radial", "--n", "1",
                  "--out", str(tmp_path / "a")]) == 0
@@ -595,4 +607,15 @@ def test_summary_record_text_layout():
 def test_run_config_direct_construction_is_validated():
     with pytest.raises(ConfigError, match="emit"):
         RunConfig(command="radial", domain=Ball(1), density=Constant(),
-                  n=1, emit=frozenset({"png"}))
+                  emit=frozenset({"png"}))
+
+
+def test_run_config_takes_n_from_the_domain():
+    """n is the domain's complex dimension, not a field that can disagree
+    with it, and the config hashes as when parsed with that n."""
+    config = RunConfig(command="solve", domain=Ball(2), density=Constant(), h=0.25)
+    assert config.n == 2
+    assert config_hash(config) == config_hash(
+        build_config({"command": "solve", "n": "2", "h": "0.25"}))
+    with pytest.raises(TypeError, match="'n'"):
+        RunConfig(command="solve", domain=Ball(2), density=Constant(), n=1, h=0.25)

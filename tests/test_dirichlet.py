@@ -193,7 +193,7 @@ def test_logdet_jacobian_matches_central_difference(which, ball4_grid):
         with pytest.warns(UserWarning, match="quarter"):
             grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
         density = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
-    rhs = RhsSpec.branch(grid, 0.5, density)
+    rhs = RhsSpec.branch(grid, 0.5, density_vector(density, grid, power=grid.n))
     rng = np.random.default_rng(0)
     u0, _ = quadratic_subsolution(grid, rhs)
     u = u0.interior * (1.0 + 0.01 * rng.uniform(size=grid.num_interior))
@@ -318,7 +318,7 @@ def test_shifted_basis_branch_matches_gmres_path(density):
     tol = 1e-8
     result = continuation(f=density, grid=g, tol=tol)
     for prev, point in zip(result.branch, result.branch[1:]):
-        rhs = RhsSpec.branch(g, point.lam, density)
+        rhs = RhsSpec.branch(g, point.lam, density_vector(density, g, power=g.n))
         u, report = solve_nonlinear(replace(rhs, branch_family=False), prev.u, tol)
         assert point.report.iterations == 1 and point.report.flags == ()
         assert report.converged and report.krylov_iterations > 0
@@ -424,7 +424,7 @@ def ellipsoid_bump():
 def logdet_problem(grid, density, lam, wobble, seed=0):
     """(form, u, state) of the branch problem at lam from its quadratic
     subsolution, scaled nodewise by 1 + wobble * uniform noise."""
-    rhs = RhsSpec.branch(grid, lam, density)
+    rhs = RhsSpec.branch(grid, lam, density_vector(density, grid, power=grid.n))
     u0, _ = quadratic_subsolution(grid, rhs)
     noise = np.random.default_rng(seed).uniform(size=grid.num_interior)
     u = u0.interior * (1.0 + wobble * noise)
@@ -547,7 +547,7 @@ def test_logdet_forcing_terms(ellipsoid_bump):
     cannot lower the det residual under tol."""
     grid, density = ellipsoid_bump
     tol, mu = 1e-8, 1e-11  # mu: the form's eigenvalue floor at this tol
-    rhs = RhsSpec.branch(grid, 0.5, density)
+    rhs = RhsSpec.branch(grid, 0.5, density_vector(density, grid, power=grid.n))
     u0, _ = quadratic_subsolution(grid, rhs)
     form = _logdet_form(grid, rhs, tol)
     steps = []
@@ -685,7 +685,7 @@ def test_logdet_jacobian_taylor_remainder_is_second_order(kind, ellipsoid_bump):
     halving of eps, and central differences of F match J d.  "frozen" freezes
     psi at the solution (a Jacobian with no psi_t shift)."""
     grid, density = ellipsoid_bump
-    rhs = RhsSpec.branch(grid, 0.5, density)
+    rhs = RhsSpec.branch(grid, 0.5, density_vector(density, grid, power=grid.n))
     u0, _ = quadratic_subsolution(grid, rhs)
     u = solve_nonlinear(rhs, u0, 1e-8)[0].interior
     if kind == "frozen":
@@ -961,7 +961,8 @@ def test_quadratic_subsolution_on_every_domain_kind(spec, h):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # h = 0.25 is a coarse 4-ball grid
         g = build_grid(spec, h)
-    rhs = RhsSpec.branch(g, 0.1, GaussianBump((0.1,) + (0.0,) * (2 * g.n - 1), 1.0, 0.5))
+    bump = GaussianBump((0.1,) + (0.0,) * (2 * g.n - 1), 1.0, 0.5)
+    rhs = RhsSpec.branch(g, 0.1, density_vector(bump, g, power=g.n))
     u, t = quadratic_subsolution(g, rhs)
     assert t > 0 and np.max(u.interior) <= 0.0
     assert np.all(complex_hessian(u).det() >= rhs.psi(u.interior) - 1e-12)

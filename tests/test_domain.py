@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -267,18 +268,36 @@ def test_bump_center_length_must_match_the_grid(center):
     SimpleNamespace(center=(float("nan"), 0.0), amplitude=1.0, width=0.5),
     SimpleNamespace(center=(0.0, 0.0), amplitude=float("nan"), width=0.5),
     SimpleNamespace(center=(0.0, 0.0), amplitude=float("inf"), width=0.5),
-    GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=1e-200),
+    SimpleNamespace(center=(0.0, 0.0), amplitude=1.0, width=1e-200),
 ], ids=["nan-center", "nan-amplitude", "inf-amplitude", "underflowing-width"])
 def test_density_vector_rejects_non_finite_values(bump):
     """A density that is NaN or infinite at a node is refused like one that
     is <= 0 there, rather than returned as an all-NaN or all-inf f.
     GaussianBump refuses these fields itself, so bump-shaped specs that skip
-    its checks stand in for them here; a valid bump whose width squared
-    underflows is NaN at its centre node and is refused the same way."""
+    its checks stand in for them here; a width whose square underflows is
+    0/0 = NaN at the centre node and is refused the same way."""
     g = build_grid(Ball(n=1), 1 / 8)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NonPositiveDensity, match="at node"):
             density_vector(bump, g)
+
+
+def test_bump_width_whose_square_underflows_is_refused():
+    with pytest.raises(ValueError, match="underflows to 0 when squared"):
+        GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=1e-200)
+    assert GaussianBump(center=(0.0, 0.0), amplitude=1.0, width=1e-150).width == 1e-150
+
+
+@pytest.mark.parametrize("value, shown", [(1e-200, "0.000e+00"), (1e200, "inf")])
+def test_density_vector_validates_the_power(value, shown):
+    """f = 1e-200 and f = 1e200 are finite and positive, but their squares
+    underflow to 0 and overflow to inf: density_vector refuses f^2, naming
+    the value and a node, and still returns f itself at power 1."""
+    g = build_grid(Ball(n=2), 0.25)
+    message = rf"density\^2 is {re.escape(shown)}, .* at node \("
+    with pytest.raises(NonPositiveDensity, match=message):
+        density_vector(Constant(value), g, power=2)
+    assert np.array_equal(density_vector(Constant(value), g), np.full(g.num_interior, value))
 
 
 def test_density_vector_evaluates_the_density_once(monkeypatch):

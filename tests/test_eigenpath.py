@@ -22,7 +22,13 @@ from cmaeig.eigenpath import (
     lower_bound,
     solve_branch,
 )
-from cmaeig.errors import BranchInfeasible, NewtonStalled, NotConverged, ScheduleExhausted
+from cmaeig.errors import (
+    BranchInfeasible,
+    NewtonStalled,
+    NonPositiveDensity,
+    NotConverged,
+    ScheduleExhausted,
+)
 from cmaeig.hessian import ScalarField, complex_hessian
 from cmaeig.verify import InvariantRow, verify_eigenpair
 
@@ -154,7 +160,6 @@ def test_branch_walk_evaluates_the_density_once(route, disc32, monkeypatch):
         return density_vector(*args, **kwargs)
 
     monkeypatch.setattr(eigenpath, "density_vector", counted)
-    monkeypatch.setattr(dirichlet, "density_vector", counted)
     bump = GaussianBump(center=(0.3, 0.0), amplitude=1.0, width=0.5)
     if route == "continuation":
         points = len(continuation(bump, grid=disc32, tol=1e-8).branch)
@@ -170,6 +175,18 @@ def test_branch_walk_evaluates_the_density_once(route, disc32, monkeypatch):
         solve_branch(0.9, bump, grid=disc32, tol=1e-8)
         points = len(steps)
     assert points > 3 and len(calls) == 1
+
+
+def test_continuation_refuses_an_underflowing_density_before_walking(monkeypatch):
+    """f = 1e-200 is positive but f^2 underflows to 0 at n = 2: continuation
+    stops at density_vector with NonPositiveDensity instead of walking the
+    branch of a zero right-hand side to its lam cap (ScheduleExhausted)."""
+    def unreachable(*args):
+        raise AssertionError("the branch walk started")
+
+    monkeypatch.setattr(eigenpath, "_walk", unreachable)
+    with pytest.raises(NonPositiveDensity, match=r"density\^2 is 0\.000e\+00"):
+        continuation(Constant(1e-200), build_grid(Ball(2), 0.25))
 
 
 def test_branch_at_zero_is_the_lower_bound_origin(disc32):

@@ -202,6 +202,15 @@ def test_only_domain_binds_brentq():
     assert [name for _, name in calls_of(SRC / "radial.py", ("brentq",))] == ["brentq"]
 
 
+def test_solver_layers_take_f_n_not_a_density_spec():
+    """The routes and checks evaluate a density spec once (density_vector);
+    the Dirichlet and Hessian layers below them see only the f^n vector, so
+    they bind neither density_vector nor a density spec class."""
+    density_names = {"density_vector", "eval_density", "Constant", "GaussianBump", "DensitySpec"}
+    assert {p: sorted(module_bindings(SRC / p) & density_names)
+            for p in ("dirichlet.py", "hessian.py")} == {"dirichlet.py": [], "hessian.py": []}
+
+
 def test_detector_sees_module_bindings(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import scipy.optimize\nfrom scipy import optimize as opt\n"

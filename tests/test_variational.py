@@ -1,5 +1,6 @@
 """Energy/mass functionals, inequality checks, and the inverse-power route."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import cmaeig.dirichlet as dirichlet
 import cmaeig.variational as variational
 from cmaeig.dirichlet import solve_frozen
 from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, eval_density
-from cmaeig.eigenpath import INVERSE_POWER
+from cmaeig.eigenpath import INVERSE_POWER, continuation
 from cmaeig.errors import (
     DegenerateIterate,
     NotConverged,
@@ -19,9 +20,7 @@ from cmaeig.errors import (
 )
 from cmaeig.hessian import ScalarField, random_psh_field
 from cmaeig.variational import (
-    FunctionalValue,
     energy,
-    functionals,
     inverse_power,
     mass,
     omega_weight,
@@ -74,10 +73,6 @@ def test_disc_quadratic_spot_values(disc32):
     assert energy(phi) == pytest.approx(DISC_ENERGY_QUAD, rel=5e-3)
     assert mass(phi) == pytest.approx(DISC_MASS_QUAD, rel=5e-3)
     assert rayleigh(phi) == pytest.approx(DISC_RAYLEIGH_QUAD, rel=5e-3)
-    rec = functionals(phi)
-    assert rec.energy == pytest.approx(energy(phi))
-    assert rec.mass == pytest.approx(mass(phi))
-    assert rec.rayleigh == pytest.approx(rec.energy / rec.mass)
 
 
 def test_four_ball_quadratic_spot_values(ball4):
@@ -103,7 +98,6 @@ def test_zero_field_functionals(disc32):
     zero = ScalarField(disc32, np.zeros(disc32.num_interior))
     assert energy(zero) == 0.0
     assert mass(zero) == 0.0
-    assert functionals(zero).rayleigh is None
     with pytest.raises(ZeroMass):
         rayleigh(zero)
 
@@ -132,13 +126,24 @@ def test_mass_accepts_density_array(disc32):
         mass(phi, np.ones(3))
 
 
-def test_functional_value_invariants():
-    with pytest.raises(ValueError):
-        FunctionalValue(energy=-1.0, mass=1.0, rayleigh=-1.0)
-    with pytest.raises(ValueError):
-        FunctionalValue(energy=1.0, mass=1.0, rayleigh=None)
-    with pytest.raises(ValueError):
-        FunctionalValue(energy=1.0, mass=0.0, rayleigh=2.0)
+@pytest.mark.parametrize("functional", [mass, rayleigh])
+@pytest.mark.parametrize("fn", [Constant(1.0), np.ones(3)], ids=["spec", "short-array"])
+def test_functionals_take_only_the_fn_vector(disc32, functional, fn):
+    """mass and rayleigh take f^n at the interior nodes; a density spec or an
+    array of the wrong length is refused, not evaluated or broadcast."""
+    with pytest.raises(ValueError, match="per interior node"):
+        functional(quad_field(disc32), fn)
+
+
+def test_routes_share_their_leading_parameters():
+    """continuation and inverse_power both open with (f, grid, tol), with
+    the same defaults."""
+    def leading(fn):
+        params = list(inspect.signature(fn).parameters.values())[:3]
+        return [(p.name, p.default) for p in params]
+
+    assert leading(continuation) == leading(inverse_power)
+    assert [name for name, _ in leading(inverse_power)] == ["f", "grid", "tol"]
 
 
 def test_energy_is_dirichlet_energy_for_one_variable(disc32):
