@@ -3,9 +3,11 @@ operator on strongly pseudoconvex domains, by finite differences.
 
 Layering: domain (defining functions, grids) -> hessian (fields, discrete
 complex Hessians, duals) -> dirichlet (frozen / monotone / quasi-monotone
-solvers) -> eigenpath + variational (the two independent eigenvalue routes)
--> radial (shooting oracle) -> serialize / verify / cli (artifacts, the
-invariant suite, and the command-line front end).
+solvers) -> variational (the eigenpair layer: functionals, eigen-residual,
+result types, and the inverse-power route) -> eigenpath (the continuation
+route) -> radial (shooting oracle) -> serialize / verify / cli (artifacts,
+the invariant suite, and the command-line front end).  Modules import each
+other at the top only, and the import graph has no cycle.
 """
 
 from . import errors
@@ -35,14 +37,7 @@ from .domain import (
     eval_density,
     eval_rho,
 )
-from .eigenpath import (
-    BranchPoint,
-    EigenResult,
-    SchedulePolicy,
-    continuation,
-    lower_bound,
-    solve_branch,
-)
+from .eigenpath import SchedulePolicy, continuation, lower_bound, solve_branch
 from .hessian import (
     DualMatrixSet,
     HermitianField,
@@ -73,6 +68,8 @@ from .serialize import (
     write_grid,
 )
 from .variational import (
+    BranchPoint,
+    EigenResult,
     energy,
     inverse_power,
     mass,

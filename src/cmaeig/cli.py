@@ -48,7 +48,7 @@ from .domain import (
     build_grid,
     density_vector,
 )
-from .eigenpath import BranchPoint, SchedulePolicy, continuation
+from .eigenpath import SchedulePolicy, continuation
 from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse, ZeroMass
 from .radial import radial_profile
 from .serialize import (
@@ -59,7 +59,7 @@ from .serialize import (
     spec_to_dict,
     write_field,
 )
-from .variational import energy, inverse_power, mass
+from .variational import BranchPoint, energy, inverse_power, mass
 from .verify import run_suite
 
 __all__ = [

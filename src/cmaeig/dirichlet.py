@@ -48,6 +48,7 @@ from scipy.sparse.linalg import splu
 # (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
+from .domain import density_weight
 from .errors import (
     BranchInfeasible,
     EigenvalueBoundViolated,
@@ -133,12 +134,13 @@ class RhsSpec:
 
         fn is f^n at the interior nodes as density_vector(f, grid, power=n)
         returns it, evaluated and validated once by the caller; None means
-        f = 1."""
+        f = 1, and anything but an array with one value per interior node
+        is a ValueError (density_weight)."""
         if not 0.0 <= lam < np.inf:
             raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
         return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=np.ones(grid.num_interior) if fn is None else fn,
+                   weight=density_weight(grid, fn),
                    g=lambda t: (1.0 - lam * t) ** n,
                    dg=lambda t: -n * lam * (1.0 - lam * t) ** (n - 1),
                    branch_family=True)
@@ -151,7 +153,7 @@ class RhsSpec:
             raise ValueError(f"eigenvalue parameter must be finite and nonnegative: {lam!r}")
         n = grid.n
         return cls(grid, "separable", monotonicity=NONINCREASING, lambda0=lam,
-                   weight=np.ones(grid.num_interior) if fn is None else fn,
+                   weight=density_weight(grid, fn),
                    g=lambda t: (-lam * t) ** n,
                    dg=lambda t: -n * lam * (-lam * t) ** (n - 1))
 
@@ -818,13 +820,22 @@ def _semilinear_form(grid, rhs):
                        factorizations=seeded, flags=flags)
 
 
+def _require_tol(tol):
+    """ValueError naming tol unless it is finite and > 0 (a NaN tol would
+    pass every convergence test)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0: {tol!r}")
+
+
 def solve_nonlinear(rhs, start, tol=1e-8):
     """Solve det(u_jk) = psi(., u) with zero boundary values by damped Newton
     from `start` (a ScalarField or interior values); returns (u, report).
 
     n = 1 solves the semilinear equation (1/4) Delta u = psi(., u); n >= 2
     first blends the start into the log-det form's cone (_feasible_start).
+    tol must be finite and > 0.
     """
+    _require_tol(tol)
     grid = rhs.grid
     ui = start.interior if isinstance(start, ScalarField) else np.asarray(start, float)
     if grid.n == 1:
@@ -857,8 +868,9 @@ def solve_frozen(h, grid, tol=1e-8, initial=None):
 
     n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 is
     solve_nonlinear from `initial` or, without one, from the scaled defining
-    function of quadratic_subsolution.
+    function of quadratic_subsolution.  tol must be finite and > 0.
     """
+    _require_tol(tol)
     rhs = RhsSpec.frozen(grid, h)
     if grid.n == 1:
         h_int = rhs.frozen_values

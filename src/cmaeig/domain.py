@@ -273,6 +273,17 @@ def density_vector(d, grid, power=1):
     return inner
 
 
+def density_weight(grid, fn):
+    """fn, f^n at the interior nodes as density_vector returns it, or ones
+    for None (f = 1); ValueError for anything but an array with one value
+    per interior node, such as a density spec."""
+    if fn is None:
+        return np.ones(grid.num_interior)
+    if not (isinstance(fn, np.ndarray) and fn.shape == (grid.num_interior,)):
+        raise ValueError("fn must be an array of f^n with one value per interior node")
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # Grid
 # ---------------------------------------------------------------------------

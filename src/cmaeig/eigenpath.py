@@ -19,7 +19,9 @@ walk, stopped at lam.
 The normalized field v = u/s at the last branch point satisfies the
 perturbed equation det(v) = (1/s - lam*v)^n f^n, so the reported residual
 against the true eigen-equation carries an O(1/s) bias; `EigenResult`
-records the matching tolerance rather than hiding it.
+records the matching tolerance rather than hiding it.  `BranchPoint`,
+`EigenResult` and v's determinant, residual and Rayleigh value come from
+variational, the eigenpair layer below both routes.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .dirichlet import (
     RhsSpec,
-    SolveReport,
     quadratic_subsolution,
     solve_frozen,
     solve_nonlinear,
@@ -47,22 +47,12 @@ from .errors import (
     PreconditionViolated,
     ScheduleExhausted,
 )
-from .hessian import ScalarField, complex_hessian
+from .hessian import ScalarField
+from .variational import (
+    CONTINUATION, BranchPoint, EigenResult, check_trial, det_and_rayleigh, eigen_residual,
+)
 
-__all__ = [
-    "CONTINUATION",
-    "INVERSE_POWER",
-    "BranchPoint",
-    "EigenResult",
-    "SchedulePolicy",
-    "continuation",
-    "lower_bound",
-    "eigen_residual",
-    "solve_branch",
-]
-
-CONTINUATION = "Continuation"
-INVERSE_POWER = "InversePower"
+__all__ = ["SchedulePolicy", "continuation", "lower_bound", "solve_branch"]
 
 _STEP_FAILURES = (
     BranchInfeasible,
@@ -81,60 +71,6 @@ _LAMBDA_CAP_FACTOR = 10.0
 _KAPPA = 0.5
 _FIT_POINTS = 4
 _SUP_NORM_CAP = 1e4
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    """One converged point (lam, u_lam) of the solution branch.
-
-    predictor_fallback: the secant predictor was unusable (nonpositive
-    predicted 1/sup_norm, or its solve failed) and the point was solved from
-    the scaled subsolution instead.
-    """
-
-    lam: float
-    sup_norm: float
-    u: Optional[ScalarField]
-    report: SolveReport
-    predictor_fallback: bool = False
-
-    def __post_init__(self):
-        if self.lam < 0 or self.sup_norm < 0:
-            raise ValueError("branch point requires lam >= 0 and sup_norm >= 0")
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenpair estimate with its branch history and residual contract.
-
-    residual is the sup-norm of ma_det(u1) - (lambda1 * (-u1))^n * f^n;
-    residual_tol is the bound it was accepted against (solver tolerance plus,
-    for continuation, the finite-branch bias).  rayleigh_value estimates
-    lambda1**n.  flags names every default the route substituted for a
-    failed computation ("extrapolation_slope_nonnegative": the 1/sup_norm
-    fit did not decrease, or "extrapolation_root_below_branch": its root lay
-    below the last branch lam; either way lambda1 is that lam).
-    rejected_steps holds (exception class name, count) pairs, sorted by
-    name, of the continuation steps that failed and were retried with half
-    the step.  predictor_fallbacks counts the branch points solved from the
-    scaled subsolution because their secant predictor was unusable.
-    """
-
-    lambda1: float
-    eigenfunction: ScalarField
-    branch: tuple
-    method: str
-    residual: float
-    residual_tol: float
-    rayleigh_value: float
-    fit_residual: float = 0.0
-    flags: tuple = ()
-    rejected_steps: tuple = ()
-    predictor_fallbacks: int = 0
-
-    def __post_init__(self):
-        if self.method not in (CONTINUATION, INVERSE_POWER):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -376,13 +312,6 @@ def _extrapolate(branch, fit_points):
     return float(root), fit_residual, ()
 
 
-def eigen_residual(v, lam, fn, det):
-    """Sup-norm of det - (lam * max(-v, 0))^n fn, the residual of v in the
-    eigen-equation at lam; fn is f^n at the interior nodes and det is
-    complex_hessian(v).det(), which callers that also need it compute once."""
-    return float(np.max(np.abs(det - (lam * np.maximum(-v.interior, 0.0)) ** v.grid.n * fn)))
-
-
 def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     """Ground eigenpair by branch continuation with blow-up extrapolation.
 
@@ -401,15 +330,14 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
     lam1, fit_residual, flags = _extrapolate(branch, _FIT_POINTS)
     s = last.sup_norm
     v = ScalarField(grid, last.u.interior / s)
-    residual = eigen_residual(v, lam1, fn, complex_hessian(v).det())
+    check_trial(v, "continuation eigenfunction")
+    det, quotient = det_and_rayleigh(v, fn)
+    residual = eigen_residual(v, lam1, fn, det)
     # det(v) = (1/s - last.lam * v)^n f^n up to tol/s^n: bound the distance
     # of that perturbed right-hand side from the eigen one at lam1.
     mv = np.maximum(-v.interior, 0.0)
     bias = np.max(np.abs((1.0 / s + last.lam * mv) ** n - (lam1 * mv) ** n) * fn)
     residual_tol = 1.05 * (tol + float(bias)) + 1e-12
-
-    from .variational import rayleigh
-
     return EigenResult(
         lambda1=lam1,
         eigenfunction=v,
@@ -417,7 +345,7 @@ def continuation(f=Constant(1.0), grid=None, tol=1e-8, schedule_policy=None):
         method=CONTINUATION,
         residual=residual,
         residual_tol=residual_tol,
-        rayleigh_value=rayleigh(v, fn),
+        rayleigh_value=quotient,
         fit_residual=fit_residual,
         flags=flags,
         rejected_steps=tuple(sorted(rejected.items())),

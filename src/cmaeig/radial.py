@@ -178,8 +178,8 @@ def radial_lambda1(n, R, tol=1e-8):
         raise ValueError("complex dimension must be >= 1")
     if R <= 0.0:
         raise ValueError("ball radius must be positive")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0: {tol!r}")
     scale = 1.0 / (R * R)
     samples = {}
 

@@ -1,4 +1,5 @@
-"""Energy and mass functionals, Rayleigh quotient, and inverse-power route.
+"""The eigenpair layer below both routes: functionals, Rayleigh quotient,
+eigen-residual, result types, and the inverse-power route.
 
 All integrals use the node-centered quadrature with clipped boundary cell
 volumes and carry the volume-form weight 2^n n! so that determinant mass and
@@ -11,41 +12,92 @@ For a nonpositive PSH field phi with zero boundary trace,
     mass(phi, fn) = 1/(n+1) * sum (-phi)^(n+1) * fn * 2^n n! * vol,
 
 with fn = f^n at the interior nodes, and rayleigh = energy/mass estimates
-lambda1^n from above; `inverse_power` drives a trial field down the Rayleigh
-quotient by repeatedly solving the frozen problem det(w_next) =
-eta^n (-w)^n f^n and renormalizing, yielding a second,
-continuation-independent route to the ground eigenpair.
-
-Like `continuation`, `inverse_power` takes the density spec f and evaluates
-fn = density_vector(f, grid, power=n) once; `mass` and `rayleigh` take that
-fn vector (None meaning f = 1).
+lambda1^n from above.  Both routes finish an `EigenResult` with
+`det_and_rayleigh` (one complex Hessian for the determinant and the
+quotient) and `eigen_residual`.  `inverse_power` drives a trial field down
+the Rayleigh quotient by repeatedly solving the frozen problem det(w_next)
+= eta^n (-w)^n f^n and renormalizing.  Like `continuation` (eigenpath,
+which builds on this module) it evaluates fn = density_vector(f, grid,
+power=n) once; `mass` and `rayleigh` take that fn vector (None: f = 1).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import solve_frozen
-from .domain import Constant, density_vector
+from .dirichlet import SolveReport, solve_frozen
+from .domain import Constant, density_vector, density_weight
 from .errors import (
     DegenerateIterate,
     NotConverged,
     PreconditionViolated,
     ZeroMass,
 )
-from .eigenpath import INVERSE_POWER, BranchPoint, EigenResult
 from .hessian import ScalarField, complex_hessian, require_psh
 
-__all__ = [
-    "check_trial",
-    "energy",
-    "inverse_power",
-    "mass",
-    "omega_weight",
-    "rayleigh",
-]
+__all__ = ["CONTINUATION", "INVERSE_POWER", "BranchPoint", "EigenResult", "check_trial",
+           "det_and_rayleigh", "eigen_residual", "energy", "inverse_power", "mass",
+           "omega_weight", "rayleigh"]
+
+CONTINUATION = "Continuation"
+INVERSE_POWER = "InversePower"
+
+
+@dataclass(frozen=True)
+class BranchPoint:
+    """One converged point (lam, u_lam) of the solution branch.
+
+    predictor_fallback: the secant predictor was unusable (nonpositive
+    predicted 1/sup_norm, or its solve failed) and the point was solved from
+    the scaled subsolution instead.
+    """
+
+    lam: float
+    sup_norm: float
+    u: ScalarField | None
+    report: SolveReport
+    predictor_fallback: bool = False
+
+    def __post_init__(self):
+        if self.lam < 0 or self.sup_norm < 0:
+            raise ValueError("branch point requires lam >= 0 and sup_norm >= 0")
+
+
+@dataclass(frozen=True)
+class EigenResult:
+    """Eigenpair estimate with its branch history and residual contract.
+
+    residual is the sup-norm of ma_det(u1) - (lambda1 * (-u1))^n * f^n;
+    residual_tol is the bound it was accepted against (solver tolerance plus,
+    for continuation, the finite-branch bias).  rayleigh_value estimates
+    lambda1**n.  flags names every default the route substituted for a
+    failed computation ("extrapolation_slope_nonnegative": the 1/sup_norm
+    fit did not decrease, or "extrapolation_root_below_branch": its root lay
+    below the last branch lam; either way lambda1 is that lam).
+    rejected_steps holds (exception class name, count) pairs, sorted by
+    name, of the continuation steps that failed and were retried with half
+    the step.  predictor_fallbacks counts the branch points solved from the
+    scaled subsolution because their secant predictor was unusable.
+    """
+
+    lambda1: float
+    eigenfunction: ScalarField
+    branch: tuple
+    method: str
+    residual: float
+    residual_tol: float
+    rayleigh_value: float
+    fit_residual: float = 0.0
+    flags: tuple = ()
+    rejected_steps: tuple = ()
+    predictor_fallbacks: int = 0
+
+    def __post_init__(self):
+        if self.method not in (CONTINUATION, INVERSE_POWER):
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 def omega_weight(n):
@@ -60,14 +112,18 @@ def check_trial(phi, name):
     require_psh(phi, name=name)
 
 
+def _energy(phi, det):
+    """E(phi) from det, the determinant of phi's complex Hessian."""
+    n = phi.grid.n
+    total = float(np.sum(-phi.interior * det * phi.grid.cell_volume))
+    return max(total * omega_weight(n) / (n + 1), 0.0)
+
+
 def energy(phi, *, check=True):
     """E(phi) = 1/(n+1) * integral of (-phi) against its determinant mass."""
-    grid = phi.grid
     if check:
         check_trial(phi, "energy argument")
-    det = complex_hessian(phi).det()
-    total = float(np.sum(-phi.interior * det * grid.cell_volume))
-    return max(total * omega_weight(grid.n) / (grid.n + 1), 0.0)
+    return _energy(phi, complex_hessian(phi).det())
 
 
 def mass(phi, fn=None, *, check=True):
@@ -77,22 +133,35 @@ def mass(phi, fn=None, *, check=True):
     if check:
         check_trial(phi, "mass argument")
     n = grid.n
-    if fn is None:
-        fn = np.ones(grid.num_interior)
-    elif not (isinstance(fn, np.ndarray) and fn.shape == (grid.num_interior,)):
-        raise ValueError("fn must be an array of f^n with one value per interior node")
+    fn = density_weight(grid, fn)
     mphi = np.maximum(-phi.interior, 0.0)
     total = float(np.sum(mphi ** (n + 1) * fn * grid.cell_volume))
     return total * omega_weight(n) / (n + 1)
 
 
+def det_and_rayleigh(phi, fn=None):
+    """(det, quotient): the determinant of phi's complex Hessian at the
+    interior nodes and the Rayleigh quotient energy/mass, from one Hessian
+    evaluation and with no trial check; fn as for mass."""
+    denominator = mass(phi, fn, check=False)
+    if denominator <= 0.0:
+        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
+    det = complex_hessian(phi).det()
+    return det, _energy(phi, det) / denominator
+
+
 def rayleigh(phi, fn=None, *, check=True):
     """Rayleigh quotient energy/mass, an upper bound for lambda1^n; fn as for
     mass."""
-    denominator = mass(phi, fn, check=check)
-    if denominator <= 0.0:
-        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
-    return energy(phi, check=False) / denominator
+    if check:
+        check_trial(phi, "rayleigh argument")
+    return det_and_rayleigh(phi, fn)[1]
+
+
+def eigen_residual(v, lam, fn, det):
+    """Sup-norm of det - (lam * max(-v, 0))^n fn, the residual of v in the
+    eigen-equation at lam, from fn = f^n and det = complex_hessian(v).det()."""
+    return float(np.max(np.abs(det - (lam * np.maximum(-v.interior, 0.0)) ** v.grid.n * fn)))
 
 
 def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
@@ -103,12 +172,16 @@ def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
 
         eta = rayleigh(w, fn)^(1/n);  w <- solve_frozen(eta^n (-w)^n fn) / sup;
 
-    until the Rayleigh value, the field, and the eigen-equation residual all
-    settle within tol.  Each iterate is recorded as a BranchPoint whose lam
-    is the current eta and whose report is its frozen solve's, the first
-    point's that of w0.  Raises DegenerateIterate when an iterate's mass
-    collapses and NotConverged past max_iters.
+    until the Rayleigh value, the field, and the eigen-equation residual
+    (eigen_residual) all settle within tol; one complex Hessian per iterate
+    (det_and_rayleigh) gives both its eta and its residual.  Each iterate is
+    recorded as a BranchPoint whose lam is the current eta and whose report
+    is its frozen solve's, the first point's that of w0.
+    max_iters must be an integer >= 1.  Raises DegenerateIterate when an
+    iterate's mass collapses and NotConverged past max_iters.
     """
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1: {max_iters!r}")
     n = grid.n
     fn = density_vector(f, grid, power=n)
     w0, report = solve_frozen(fn, grid, tol)
@@ -127,12 +200,10 @@ def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
                 f"iterate mass collapsed below 1e-12 at eta={eta:.6g}"
             )
         w_next = ScalarField(grid, w_raw.interior / w_raw.sup_norm())
-        eta_next = rayleigh(w_next, fn, check=False) ** (1.0 / n)
+        det, quotient = det_and_rayleigh(w_next, fn)
+        eta_next = quotient ** (1.0 / n)
         field_change = float(np.max(np.abs(w_next.interior - w.interior)))
-        det = complex_hessian(w_next).det()
-        residual = float(np.max(np.abs(
-            det - eta_next ** n * np.maximum(-w_next.interior, 0.0) ** n * fn
-        )))
+        residual = eigen_residual(w_next, eta_next, fn, det)
         branch.append(BranchPoint(lam=eta_next, sup_norm=1.0, u=w_next,
                                   report=report))
         converged = (

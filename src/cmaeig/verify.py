@@ -39,7 +39,7 @@ from .domain import (
     density_vector,
     eval_rho,
 )
-from .eigenpath import continuation, eigen_residual, lower_bound, solve_branch
+from .eigenpath import continuation, lower_bound, solve_branch
 from .errors import VanishingGradient
 from .hessian import (
     DualMatrixSet,
@@ -52,7 +52,9 @@ from .hessian import (
 )
 from .radial import radial_lambda1, radial_profile, shoot
 from .serialize import branch_to_csv, field_to_csv, read_field, write_field
-from .variational import check_trial, energy, inverse_power, mass, omega_weight, rayleigh
+from .variational import (
+    check_trial, eigen_residual, energy, inverse_power, mass, omega_weight, rayleigh,
+)
 
 __all__ = [
     "InvariantRow",

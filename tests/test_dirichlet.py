@@ -67,6 +67,34 @@ def test_frozen_constant_one_gives_defining_function(disc_grid_32, ball4_grid):
         assert np.max(u.interior) <= 0.0
 
 
+BAD_TOLS = [np.nan, 0.0, -1.0, np.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "zero", "negative", "inf"])
+def test_solve_frozen_refuses_bad_tol(tol, disc_grid_32):
+    """A NaN tol would pass every convergence test: it, and any tol that is
+    not finite and > 0, is refused up front, by name."""
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_frozen(np.ones(disc_grid_32.num_interior), disc_grid_32, tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["nan", "zero", "negative", "inf"])
+def test_solve_nonlinear_refuses_bad_tol(tol, disc_grid_32):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_nonlinear(RhsSpec.branch(disc_grid_32, 0.5),
+                        np.zeros(disc_grid_32.num_interior), tol)
+
+
+@pytest.mark.parametrize("make", [RhsSpec.branch, RhsSpec.eigen], ids=["branch", "eigen"])
+@pytest.mark.parametrize("fn", [Constant(1.0), np.ones(3)], ids=["spec", "short-array"])
+def test_rhs_spec_takes_only_the_fn_vector(make, fn):
+    """The branch and eigen right-hand sides take f^n at the interior nodes;
+    a density spec or an array of the wrong length is refused when the spec
+    is built, not inside the first solve."""
+    with pytest.raises(ValueError, match="per interior node"):
+        make(build_grid(Ball(1), 0.125), 0.5, fn)
+
+
 def test_frozen_zero_gives_zero(disc_grid_32):
     u, rep = solve_frozen(np.zeros(disc_grid_32.num_interior), disc_grid_32, 1e-12)
     assert u.sup_norm() == 0.0
@@ -85,14 +113,26 @@ def test_frozen_quartic_disc(disc_grid_32):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("route,most", [(continuation, 3), (inverse_power, 24)],
-                         ids=["continuation", "inverse_power"])
-def test_reports_evaluate_no_complex_hessian(route, most, monkeypatch):
-    """Every SolveReport is read from its solve's last Newton state, so a
-    fresh unit-disc route at h = 1/64 evaluates only the Hessians its own
-    residuals and functionals need: at most 3 in a continuation and 24 in an
-    inverse power (16 and 36 when each report evaluated one more).  The
-    count wraps complex_hessian in every cmaeig module that binds it."""
+@pytest.mark.parametrize("route,problem,most", [
+    (continuation, "disc", 2), (inverse_power, "disc", 13),
+    (inverse_power, "ellipsoid-n2-bump", 119)],
+    ids=["continuation", "inverse_power", "inverse_power-ellipsoid-n2-bump"])
+def test_reports_evaluate_no_complex_hessian(route, problem, most, monkeypatch):
+    """Every SolveReport is read from its solve's last Newton state, and each
+    eigenfunction estimate's complex Hessian is evaluated once for both its
+    determinant and its Rayleigh quotient, so a fresh unit-disc route at
+    h = 1/64 evaluates at most 2 Hessians in a continuation (the PSH check
+    of the eigenfunction, and its determinant) and 13 in an inverse power
+    (2 + one per iteration), 3 and 24 when the residual and the quotient
+    each evaluated their own; an inverse power on the ellipsoid-n2-bump
+    problem evaluates at most 119 (143).  The count wraps complex_hessian
+    in every cmaeig module that binds it."""
+    if problem == "disc":
+        f, grid = Constant(1.0), build_grid(Ball(1), 1 / 64)
+    else:
+        with pytest.warns(UserWarning, match="quarter"):
+            grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+        f = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
     real = hessian.complex_hessian
     calls = []
 
@@ -103,7 +143,7 @@ def test_reports_evaluate_no_complex_hessian(route, most, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cmaeig" and getattr(module, "complex_hessian", None) is real:
             monkeypatch.setattr(module, "complex_hessian", counted)
-    route(grid=build_grid(Ball(1), 1 / 64))
+    route(f, grid)
     assert 0 < len(calls) <= most
 
 

@@ -10,15 +10,10 @@ import cmaeig.verify as verify
 from cmaeig.dirichlet import SolveReport
 from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, density_vector
 from cmaeig.eigenpath import (
-    CONTINUATION,
-    INVERSE_POWER,
-    BranchPoint,
-    EigenResult,
     SchedulePolicy,
     _extrapolate,
     _secant_start,
     continuation,
-    eigen_residual,
     lower_bound,
     solve_branch,
 )
@@ -30,6 +25,13 @@ from cmaeig.errors import (
     ScheduleExhausted,
 )
 from cmaeig.hessian import ScalarField, complex_hessian
+from cmaeig.variational import (
+    CONTINUATION,
+    INVERSE_POWER,
+    BranchPoint,
+    EigenResult,
+    eigen_residual,
+)
 from cmaeig.verify import InvariantRow, verify_eigenpair
 
 from oracles import (

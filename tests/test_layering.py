@@ -1,4 +1,5 @@
-"""Modules of the package use each other only through public names, the
+"""Modules of the package use each other only through public names,
+imported at the top and along an acyclic import graph, the
 sparse LU is called from one module, dirichlet.py, whose own GMRES cycle
 serves its one Newton step, no scipy Krylov solver is called at all, dense
 Hermitian eigenvalues and inverses are computed in one module, hessian.py,
@@ -266,12 +267,79 @@ def test_module_imports_are_used():
     assert unused == ["dirichlet.py:spsolve", "domain.py:brentq"]
 
 
-def test_only_local_import_breaks_the_eigenpath_cycle():
-    """Modules import at the top; the one function-local import, eigenpath's
-    rayleigh, breaks the eigenpath <-> variational import cycle."""
-    local = [(p.name, name) for p in sorted(SRC.glob("*.py"))
-             for _, name, is_local in import_sites(p) if is_local]
-    assert local == [("eigenpath.py", "rayleigh")]
+def test_modules_import_at_the_top():
+    """No module imports inside a function or class body, so every module's
+    dependencies are read from its top."""
+    local = [(p.name, line, name) for p in sorted(SRC.glob("*.py"))
+             for line, name, is_local in import_sites(p) if is_local]
+    assert local == []
+
+
+def package_imports(path, modules):
+    """Names of the package modules in `modules` that the module imports,
+    at any depth (a function-local import counts); importing a name from the
+    package itself counts as importing __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 1:
+                base = f"cmaeig.{base}".rstrip(".")
+            targets = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for parts in (t.split(".") for t in targets):
+            if parts[0] == "cmaeig":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
+    return found
+
+
+def import_graph(directory):
+    """{module: the package modules it imports} over the .py files in directory."""
+    paths = sorted(directory.glob("*.py"))
+    modules = {p.stem for p in paths}
+    return {p.stem: package_imports(p, modules) for p in paths}
+
+
+def modules_on_cycles(graph):
+    """Sorted modules from which some chain of imports leads back to themselves."""
+    def reached(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            module = todo.pop()
+            if module not in seen:
+                seen.add(module)
+                todo.extend(graph[module])
+        return seen
+
+    return sorted(m for m in graph if m in reached(m))
+
+
+def test_module_import_graph_is_acyclic():
+    """The package's modules form layers: no chain of imports, local ones
+    included, leads from a module back to itself.  variational (the eigenpair
+    layer) sits below eigenpath (continuation), which builds on it."""
+    graph = import_graph(SRC)
+    assert "variational" in graph["eigenpath"] and "eigenpath" not in graph["variational"]
+    assert modules_on_cycles(graph) == []
+
+
+def test_detector_sees_import_cycles(tmp_path):
+    (tmp_path / "__init__.py").write_text("from . import errors\nfrom .a import run\n")
+    (tmp_path / "errors.py").write_text("import numpy\n")
+    (tmp_path / "a.py").write_text("import cmaeig.b\nfrom .errors import E\n")
+    (tmp_path / "b.py").write_text("def f():\n    from cmaeig.a import run\n    return run\n")
+    (tmp_path / "c.py").write_text("from .a import run\nfrom cmaeig import Ball\n")
+    graph = import_graph(tmp_path)
+    assert graph == {"__init__": {"errors", "a"}, "errors": set(), "a": {"b", "errors"},
+                     "b": {"a"}, "c": {"a", "__init__"}}
+    assert modules_on_cycles(graph) == ["a", "b"]
+    (tmp_path / "b.py").write_text("import numpy\n")
+    assert modules_on_cycles(import_graph(tmp_path)) == []
+    (tmp_path / "errors.py").write_text("from . import c\n")
+    assert modules_on_cycles(import_graph(tmp_path)) == ["__init__", "a", "c", "errors"]
 
 
 def test_detector_sees_unused_and_local_imports(tmp_path):

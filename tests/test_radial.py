@@ -162,6 +162,16 @@ def test_shoot_is_bit_identical_to_reference_loop(n, R):
     assert collapses == (0 if n == 2 else 5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_radial_lambda1_refuses_bad_tol(tol):
+    """An infinite tol would return the bracket's lower end and a NaN one
+    reach Brent's method: every tol that is not finite and > 0 is refused
+    before the first shoot, by name."""
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        radial_lambda1(2, 1.0, tol=tol)
+
+
 def test_shoot_rejects_bad_parameters():
     with pytest.raises(ValueError):
         shoot(0, 1.0, 1.0)

@@ -10,7 +10,7 @@ import cmaeig.dirichlet as dirichlet
 import cmaeig.variational as variational
 from cmaeig.dirichlet import solve_frozen
 from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, eval_density
-from cmaeig.eigenpath import INVERSE_POWER, continuation
+from cmaeig.eigenpath import continuation
 from cmaeig.errors import (
     DegenerateIterate,
     NotConverged,
@@ -20,6 +20,7 @@ from cmaeig.errors import (
 )
 from cmaeig.hessian import ScalarField, random_psh_field
 from cmaeig.variational import (
+    INVERSE_POWER,
     energy,
     inverse_power,
     mass,
@@ -333,6 +334,37 @@ def test_inverse_power_degenerate_start(disc32, monkeypatch):
 def test_inverse_power_iteration_budget(disc32):
     with pytest.raises(NotConverged):
         inverse_power(grid=disc32, tol=1e-12, max_iters=2)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, None])
+def test_inverse_power_refuses_bad_max_iters(disc32, max_iters):
+    """max_iters is an integer >= 1, as SchedulePolicy.max_points is."""
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+        inverse_power(grid=disc32, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("route", [inverse_power, continuation])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_routes_refuse_bad_tol_at_their_first_solve(disc32, route, tol):
+    """A bad tol fails the routes' first frozen solve by name, not after a
+    full iteration budget or a string of rejected branch steps."""
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        route(grid=disc32, tol=tol)
+
+
+@pytest.mark.parametrize("h,iterations", [(0.25, 33), (0.5, 47)])
+def test_tight_inverse_power_on_ellipsoid_bump(h, iterations):
+    """inverse_power at tol 1e-11, the discrete reference of the
+    ellipsoid-n2-bump benchmark at its h = 0.25 and on its h = 0.5 warm-up
+    grid, converges in a pinned number of iterations and agrees with the
+    tol-1e-8 eigenvalue within 1e-9."""
+    f = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+    with pytest.warns(UserWarning, match="quarter"):
+        grids = [build_grid(Ellipsoid((1.0, 0.7)), h) for _ in range(2)]
+    tight = inverse_power(f, grids[0], 1e-11)
+    assert len(tight.branch) - 1 == iterations
+    assert tight.residual <= 1e-11
+    assert abs(tight.lambda1 - inverse_power(f, grids[1], 1e-8).lambda1) <= 1e-9
 
 
 # ------------------------------------------- against the exact discrete eigenvalue
