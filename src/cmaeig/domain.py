@@ -297,17 +297,23 @@ class GridDomain:
     The private _cache memoizes derived stencil operators, the complex-Hessian
     operators that complex_hessian applies, the assembly plan through which
     trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
-    the map from per-node weights to its values), and the n = 1
-    quarter-Laplacian LU.  It also holds the grid's latest Newton
+    the map from per-node weights to its values), and, on an n = 1 grid, its
+    lattice symmetries (lattice_symmetries) and its quarter-Laplacian solver
+    (dirichlet._cached_laplacian_lu), both built on first use.  The solver
+    keeps one LU per stabilizer it has met: that of the quarter Laplacian
+    restricted to the symmetry orbits of a right-hand side b, under the kept
+    maps s with b[s] == b exactly, or of the full matrix when only the
+    identity fixes b.  It also holds the grid's latest Newton
     preconditioner "newton_lu": the LU of the last Newton Jacobian factored
     on the grid or, on an n = 1 grid where none has been, the
-    quarter-Laplacian LU.  Every Newton step reuses it until GMRES misses the
-    step's target.  Which LU that is depends on the solves run before, and
-    it moves each step only within that target: a relative residual of
-    5e-10 at n = 1, which leaves the Newton count alone, and the forcing term
-    at n >= 2, which can change it.  Sharing a grid across threads
-    is safe for reads; concurrent Newton solves may replace each other's
-    preconditioner, which costs factorizations, not accuracy.
+    quarter-Laplacian solver.  Every Newton step reuses it until GMRES
+    misses the step's target.  Which LU that is depends on the solves run
+    before, and it moves each step only within that target: a relative
+    residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
+    forcing term at n >= 2, which can change it.  Sharing a grid across
+    threads is safe for reads; concurrent Newton solves may replace each
+    other's preconditioner, and concurrent n = 1 solves may factor the same
+    orbit LU twice, which costs factorizations, not accuracy.
     """
 
     spec: DomainSpec
@@ -404,6 +410,52 @@ def direction_thetas(grid, v):
     )
     grid._cache[key] = theta
     return theta
+
+
+def lattice_symmetries(grid):
+    """(k, N) permutations of interior positions, one row per lattice
+    symmetry of an n = 1 grid, the identity first: row s maps node i to node
+    s[i], so interior values v are invariant under it when v[s] == v.  Built
+    on the first call and cached in grid._cache; build_grid builds none.
+
+    build_grid anchors the lattice at the box centre with an odd shape, so
+    the candidates are the 8 signed permutations of the two centred lattice
+    axes.  A candidate is kept only if it maps the interior node set onto
+    itself and theta_axis onto itself exactly (np.array_equal, no
+    tolerance).  The quarter Laplacian is built from those fractions and h
+    alone, so it then commutes with every kept map bit for bit.  At a
+    dyadic h every crossing fraction maps exactly onto its image and the
+    disc keeps all 8 (h = 1/64, 1/128); at h = 0.1 rounding leaves the
+    identity and the x <-> y swap, which maps lattice coordinates onto
+    each other exactly."""
+    if grid.n != 1:
+        raise ValueError(f"lattice symmetries are built for n = 1 grids only, not n = {grid.n}")
+    key = ("symmetries",)
+    if key in grid._cache:
+        return grid._cache[key]
+    pos = grid.interior_pos.reshape(grid.shape)
+    nodes = np.unravel_index(grid.interior_flat, grid.shape)
+    # a map of the interior node set onto itself maps the nodes with a cut
+    # axis edge onto each other; every other fraction is 1
+    cut = np.flatnonzero(np.any(grid.nbr_ipos < 0, axis=(1, 2)))
+    kept = []
+    for axes in ((0, 1), (1, 0)):
+        if axes == (1, 0) and grid.shape[0] != grid.shape[1]:
+            continue  # swapping the axes needs a square lattice
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            # node c maps to the node whose centred axis b is
+            # signs[b] * c[axes[b]]; its + side along b is c's - side along
+            # axes[b] where signs[b] is negative
+            flipped = np.flip(pos, [b for b, s in enumerate(signs) if s < 0])
+            perm = (flipped if axes == (0, 1) else flipped.T)[nodes]
+            if np.any(perm < 0):
+                continue
+            sides = np.array([(0, 1) if s > 0 else (1, 0) for s in signs])
+            expected = grid.theta_axis[cut[:, None, None], np.array(axes)[:, None], sides]
+            if np.array_equal(grid.theta_axis[perm[cut]], expected):
+                kept.append(perm)
+    grid._cache[key] = np.stack(kept)
+    return grid._cache[key]
 
 
 def _lattice_strides(shape):

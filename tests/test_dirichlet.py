@@ -29,6 +29,7 @@ from cmaeig.errors import (
 )
 from cmaeig.domain import (
     Ball, Constant, CustomRho, Ellipsoid, GaussianBump, build_grid, density_vector,
+    lattice_symmetries,
 )
 from cmaeig.eigenpath import continuation
 from cmaeig.hessian import ScalarField, complex_hessian, ma_det
@@ -321,6 +322,89 @@ def test_n1_reports_count_the_laplacian_lu(monkeypatch):
         _, again = solve_frozen(np.full(g.num_interior, 2.0), g)
         _, branch = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
         assert len(calls) == 1 and again.factorizations == branch.factorizations == 0
+
+
+# ---------------------------------------------------------------------------
+# The n = 1 quarter-Laplacian solve on the symmetry orbits of its right-hand side
+# ---------------------------------------------------------------------------
+
+
+def test_orbit_solve_matches_the_full_lu():
+    """With f = 1 on the h = 1/64 disc all 8 lattice symmetries fix the
+    right-hand side: one LU on the orbits, under an eighth of the rows plus
+    the fixed nodes, gives an exactly invariant solution within 1e-12
+    (relative) of the full LU's."""
+    g = build_grid(Ball(n=1), 1 / 64)
+    b = np.ones(g.num_interior)
+    solver = dirichlet._cached_laplacian_lu(g)
+    x = solver.solve(b)
+    full = dirichlet._factor(hessian.hessian_operators(g)[0][0]).solve(b)
+    assert np.max(np.abs(x - full)) <= 1e-12 * np.max(np.abs(full))
+    assert all(np.array_equal(x[s], x) for s in lattice_symmetries(g))
+    ((stabilizer, (lu, representatives, _)),) = solver.factors.items()
+    assert stabilizer == tuple(range(8)) and solver.factorizations == 1
+    assert lu.shape == (representatives.size,) * 2 and representatives.size < g.num_interior / 7
+
+
+def test_orbit_solve_follows_the_stabilizer_of_the_right_hand_side():
+    """A random right-hand side, which only the identity fixes, gets the full
+    LU's answer bit for bit; the (0.3, 0) bump is fixed by the identity and
+    y -> -y, so it gets an LU of its own on the orbits of that pair; each
+    LU is factored once."""
+    g = build_grid(Ball(n=1), 1 / 64)
+    full = dirichlet._factor(hessian.hessian_operators(g)[0][0])
+    solver = dirichlet._cached_laplacian_lu(g)
+    b = np.random.default_rng(3).uniform(0.5, 1.5, g.num_interior)
+    assert np.array_equal(solver.solve(b), full.solve(b))
+    bump = density_vector(DISC_BUMP, g)
+    x = solver.solve(bump)
+    reference = full.solve(bump)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert [len(stabilizer) for stabilizer in solver.factors] == [1, 2]
+    reflected = lattice_symmetries(g)[list(solver.factors)[1][1]]
+    assert np.array_equal(g.interior_coords[reflected],
+                          g.interior_coords * np.array([1.0, -1.0]))
+    solver.solve(2.0 * bump)
+    solver.solve(b + 1.0)
+    assert solver.factorizations == 2
+
+
+def test_reports_count_every_laplacian_lu_factored():
+    """A frozen solve counts the LU its right-hand side needed, on orbits or
+    full, when it had to be factored, and nothing when an earlier solve
+    with the same stabilizer factored it."""
+    g = build_grid(Ball(n=1), 1 / 32)
+    b = np.random.default_rng(4).uniform(0.5, 1.5, g.num_interior)
+    counts = [solve_frozen(rhs, g)[1].factorizations
+              for rhs in (np.ones(g.num_interior), np.full(g.num_interior, 2.0), b, 2.0 * b)]
+    assert counts == [1, 0, 1, 0]
+
+
+def test_disc_n1_stages_each_factor_one_lu():
+    """On the unit disc at h = 1/128 (the disc-n1 benchmark problem, seed 0)
+    the Dirichlet solve, continuation and inverse power, each on a fresh
+    grid, factor one LU each: the quarter Laplacian on the orbits of f = 1."""
+    def fresh():
+        return build_grid(Ball(n=1), 1 / 128)
+
+    g = fresh()
+    assert solve_frozen(np.ones(g.num_interior), g)[1].factorizations == 1
+    for route in (continuation, inverse_power):
+        g = fresh()
+        result = route(grid=g, tol=1e-8)
+        assert sum(p.report.factorizations for p in result.branch) == 1
+        assert [len(k) for k in dirichlet._cached_laplacian_lu(g).factors] == [8]
+
+
+def test_n2_solves_build_no_symmetry():
+    """build_grid builds no lattice symmetry, and no n = 2 solve does: they
+    never use the quarter-Laplacian solver."""
+    g = build_grid(Ball(n=2), 0.25)
+    assert ("symmetries",) not in g._cache
+    solve_frozen(np.ones(g.num_interior), g)
+    continuation(grid=g, tol=1e-8)
+    inverse_power(grid=g, tol=1e-8)
+    assert ("symmetries",) not in g._cache and "lap_lu" not in g._cache
 
 
 def no_convergence(J, b, precondition, rtol):
@@ -650,7 +734,7 @@ def krylov_system(case, disc_grid, ellipsoid_bump):
     J = form.jacobian(u, state)
     if case == "identity":
         return J, -state.F, np.copy
-    return J, -state.F, dirichlet._cached_laplacian_lu(g)[0].solve
+    return J, -state.F, dirichlet._cached_laplacian_lu(g).solve
 
 
 @pytest.mark.parametrize("case, rtol", [

@@ -23,9 +23,10 @@ from cmaeig.domain import (
     direction_thetas,
     eval_density,
     eval_rho,
+    lattice_symmetries,
 )
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
-from cmaeig.hessian import ScalarField, complex_hessian
+from cmaeig.hessian import ScalarField, complex_hessian, hessian_operators
 
 from oracles import BALL4_VOLUME, DISC_AREA
 
@@ -481,3 +482,48 @@ def test_boundary_slivers_match_owner_loop(spec, h):
         expect[owners] += vol / owners.size
     assert np.count_nonzero(bvols) > 0
     assert np.array_equal(g.cell_volume, expect)
+
+
+# ---------------------------------------------------------------------------
+# Lattice symmetries
+# ---------------------------------------------------------------------------
+
+# rho = x^2 + 1.3 y^2 + 0.2 x y + 0.1 x - 1: no signed axis permutation but
+# the identity leaves it unchanged
+SKEWED_DISC = CustomRho(1, {(2, 0): 1.0, (0, 2): 1.3, (1, 1): 0.2, (1, 0): 0.1, (0, 0): -1.0},
+                        (0.0, 0.0), ((-1.5, 1.5), (-1.5, 1.5)))
+
+
+@pytest.mark.parametrize("spec, h, kept", [
+    (Ball(n=1), 1 / 64, 8),
+    (Ball(n=1, radius=0.93), 1 / 128, 8),
+    (Ball(n=1), 0.1, 2),
+    (SKEWED_DISC, 1 / 64, 1),
+], ids=["disc-1/64", "shrunk-disc-1/128", "disc-0.1", "custom-rho"])
+def test_kept_lattice_symmetries_commute_with_the_quarter_laplacian(spec, h, kept):
+    """A dyadic h keeps all 8 signed axis permutations of the disc, h = 0.1
+    only the identity and the x <-> y swap, and a CustomRho without symmetry
+    the identity alone.  Each kept map permutes the interior positions, the
+    identity first, and commutes with the quarter Laplacian exactly."""
+    g = build_grid(spec, h)
+    maps = lattice_symmetries(g)
+    A = hessian_operators(g)[0][0]
+    assert maps.shape == (kept, g.num_interior)
+    assert np.array_equal(maps[0], np.arange(g.num_interior))
+    for s in maps:
+        assert np.array_equal(np.sort(s), np.arange(g.num_interior))
+        assert abs(A[s][:, s] - A).max() == 0.0
+    if kept == 2:
+        swapped = g.interior_coords[:, ::-1]
+        assert np.array_equal(g.interior_coords[maps[1]], swapped)
+
+
+def test_lattice_symmetries_are_built_on_first_use_only(ball4_grid):
+    """build_grid builds no symmetry; the first call caches it on the grid
+    and later calls return that array.  n >= 2 grids have none yet."""
+    g = build_grid(Ball(n=1), 1 / 32)
+    assert ("symmetries",) not in g._cache
+    maps = lattice_symmetries(g)
+    assert g._cache[("symmetries",)] is maps and lattice_symmetries(g) is maps
+    with pytest.raises(ValueError, match="n = 1 grids only"):
+        lattice_symmetries(ball4_grid)

@@ -107,11 +107,11 @@ def test_detector_sees_linear_solver_calls(tmp_path):
 
 def test_newton_linear_solves_go_through_one_step():
     """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
-    and LUs are factored only by the Newton step's refresh and for the
-    cached quarter Laplacian (the n = 1 direct frozen solve)."""
+    and LUs are factored only by the Newton step's refresh and by the
+    cached quarter-Laplacian solver, one LU per stabilizer (_OrbitLU)."""
     assert callers_of(SRC / "dirichlet.py", ("_krylov", "_factor", "splu")) == {
         "_krylov": ["_newton_step"],
-        "_factor": ["_cached_laplacian_lu", "_newton_step"],
+        "_factor": ["_newton_step", "_orbit_factor"],
         "splu": ["_factor"],
     }
 
