@@ -9,17 +9,20 @@ Layering:
   residual and Jacobian; every step of both goes through one linear solve
   (_newton_step): one short right-preconditioned GMRES cycle (_krylov) on
   the grid's cached preconditioner, the LU of the last Jacobian factored on
-  the grid (seeded at n = 1 with the quarter-Laplacian LU), refreshed (the
-  current Jacobian factored anew) only when that cycle misses the step's
-  target, and NotConverged when a cycle on the fresh LU misses too.  The
-  target is a fixed 5e-10 at n = 1 and, at n >= 2, a forcing term that
-  follows the Newton residual (inexact Newton), so most log-det steps run
-  on a stale LU.  The exception is the n = 1 branch family
-  (L/4 + lam diag f) u = f (RhsSpec.branch): its points share one Krylov
-  space once right-preconditioned by L/4, so each point's Newton step comes
-  from one Arnoldi basis per grid and density (_ShiftedBasis), grown one
+  the grid (a grid's first step factors its own), refreshed (the current
+  Jacobian factored anew) only when that cycle misses the step's target,
+  and NotConverged when a cycle on the fresh LU misses too.  The target is
+  a fixed 5e-10 at n = 1 and, at n >= 2, a forcing term that follows the
+  Newton residual (inexact Newton), so most log-det steps run on a stale
+  LU.  The exception is the n = 1 branch family (L/4 + lam diag f) u = f
+  (RhsSpec.branch): its points share one Krylov space once
+  right-preconditioned by L/4, so each point's Newton step comes from one
+  Arnoldi basis per grid and density (_branch_solve), grown one
   quarter-Laplacian LU solve at a time; a whole disc continuation builds
   about ten vectors where a GMRES cycle per point made about eighty solves.
+  Both Krylov solves run on one engine (_Arnoldi): flexible Arnoldi with
+  one Givens least squares, at shift (0, 1) for the GMRES cycle and at
+  (1, lam) for a branch point.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve of the
   one-sided-difference quarter Laplacian ((1/4) Delta u = psi) with the
   grid's cached solver (_OrbitLU), which solves on the symmetry orbits of
@@ -41,7 +44,8 @@ Layering:
 The module builds its subsolutions and starts from multiples of the grid's
 defining function rho (_anchor), which vanishes at the boundary crossings
 and is strictly PSH.  The module is the package's linear-solver seam: splu
-is called here and nowhere else, and _krylov is the package's only GMRES.
+is called here and nowhere else, and _Arnoldi is the package's only Krylov
+solver.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class RhsSpec:
     derivative dg = g') and "general" (psi = H(z, t)^n from a closure).
     branch_family marks the branch constructor's psi = (1 - lambda0 t)^n
     weight; at n = 1 its Newton steps come from the grid's shared shifted
-    basis (_ShiftedBasis).
+    basis (_branch_solve).
     """
 
     grid: object
@@ -384,7 +388,7 @@ _KRYLOV_RESTART = 10
 # target: it is linear in u along the branch, one exact step per point, and
 # forcing took the disc continuation at h = 1/128 from 13 to 25 Newton steps
 # and from 79 to 100 GMRES iterations (measured before that branch moved to
-# the shared basis, _ShiftedBasis).
+# the shared basis, _branch_solve).
 _FORCING_GAMMA = 0.9
 _FORCING_ALPHA = 2.0
 _FORCING_MAX = 1e-2
@@ -439,22 +443,86 @@ def _factor(A):
                 relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE)
 
 
-def _arnoldi_step(basis, w):
-    """Orthogonalize w against the orthonormal vectors `basis` by modified
-    Gram-Schmidt, in place; returns (column, following).  column holds the
-    projections and then the norm h of what remains, the new Hessenberg
-    column; following is the remainder over h, the next basis vector, or
-    None on breakdown (h <= eps times w's norm before), where h is set to 0."""
-    before = np.linalg.norm(w)
-    column = np.empty(len(basis) + 1)
-    for i, v in enumerate(basis):
-        column[i] = v @ w
-        w -= column[i] * v
-    column[-1] = np.linalg.norm(w)
-    if column[-1] <= np.finfo(float).eps * before:
-        column[-1] = 0.0
-        return column, None
-    return column, w * (1.0 / column[-1])
+class _Arnoldi:
+    """The package's one Krylov engine: a flexible Arnoldi basis started at
+    b, with the Givens least squares of its shifted systems.
+
+    Step k applies the preconditioner once, z_k = precondition(v_k), and the
+    operator once, apply(z_k), which modified Gram-Schmidt orthogonalizes
+    against v_0..v_k.  V holds the orthonormal vectors, Z their
+    preconditioned images and `columns` the Hessenberg matrix Hbar, so that
+    apply(Z_m) = V_m+1 Hbar; keeping Z makes x = Z y cost no further
+    preconditioner solve (flexible GMRES; Saad, SIAM J. Sci. Comput. 14,
+    1993).  At shift (sigma, tau), x = Z y with y minimizing
+    ||beta e_1 - (sigma Ibar + tau Hbar) y|| solves (sigma M + tau A) x = b
+    with that least-squares residual, where A is `apply` and M the matrix
+    `precondition` inverts: (0, 1) is GMRES on A (_krylov), for which M may
+    change between steps, and (1, lam) with a fixed M is shifted GMRES
+    (Frommer & Glassner, SIAM J. Sci. Comput. 19, 1998), which serves every
+    lam from one basis (_branch_solve).  The Givens rotations are kept while
+    the shift stays and redone over `columns` when it changes."""
+
+    def __init__(self, b, precondition, apply):
+        self.b, self.precondition, self.apply = b, precondition, apply
+        self.beta = float(np.linalg.norm(b))
+        self.V, self.Z, self.columns = [b * (1.0 / self.beta)], [], []
+        self._shift = None
+
+    def _grow(self):
+        """Add one vector and its Hessenberg column.  On breakdown (the
+        remainder's norm <= eps times the norm of apply(z_k)) the column's
+        last entry is 0 and no vector follows: the space is invariant."""
+        k = len(self.Z)
+        z = self.precondition(self.V[k])
+        w = self.apply(z)
+        before = np.linalg.norm(w)
+        column = np.empty(k + 2)
+        for i, v in enumerate(self.V):
+            column[i] = v @ w
+            w -= column[i] * v
+        column[-1] = np.linalg.norm(w)
+        if column[-1] <= np.finfo(float).eps * before:
+            column[-1] = 0.0
+        else:
+            self.V.append(w * (1.0 / column[-1]))
+        self.Z.append(z)
+        self.columns.append(column)
+
+    def _rotate(self, k):
+        """Bring column k of sigma Ibar + tau Hbar to upper triangular form
+        by the rotations of columns 0..k-1 and one new rotation, applied to
+        the right-hand side too."""
+        sigma, tau = self._shift
+        h = tau * self.columns[k]
+        h[k] += sigma
+        for i, (c, s) in enumerate(self._rotations):
+            h[i:i + 2] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = np.hypot(h[k], h[k + 1])
+        c, s = h[k] / r, h[k + 1] / r
+        self._rotations.append((c, s))
+        h[k] = r
+        self._triangle.append(h[:k + 1])
+        self._g.append(-s * self._g[k])
+        self._g[k] *= c
+
+    def solve_to(self, shift, target, cap):
+        """(x, residual) at shift (sigma, tau), growing the basis until the
+        least-squares residual is <= target, the basis holds cap vectors or
+        its space is invariant."""
+        if shift != self._shift:
+            self._shift, self._rotations, self._triangle, self._g = shift, [], [], [self.beta]
+            for k in range(len(self.Z)):
+                self._rotate(k)
+        while len(self.Z) < cap and len(self.V) > len(self.Z) and (
+                not self.Z or abs(self._g[-1]) > target):
+            self._grow()
+            self._rotate(len(self.Z) - 1)
+        m = len(self.Z)
+        R = np.zeros((m, m))
+        for k, column in enumerate(self._triangle):
+            R[:k + 1, k] = column
+        y = np.linalg.solve(R, self._g[:m])
+        return y @ np.array(self.Z), float(abs(self._g[-1]))
 
 
 def _krylov(J, b, precondition, rtol):
@@ -462,44 +530,19 @@ def _krylov(J, b, precondition, rtol):
     at most _KRYLOV_RESTART iterations; returns (delta, iterations,
     converged).
 
-    Iteration k applies the preconditioner once, z_k = precondition(v_k),
-    and the Jacobian once, J z_k, which _arnoldi_step orthogonalizes
-    against v_0..v_k; Givens rotations keep the Hessenberg least-squares
-    residual, and the cycle stops once it is <= rtol ||b|| or the basis
-    breaks down.  The z_k are kept, as in flexible GMRES (Saad, SIAM J.
-    Sci. Comput. 14, 1993), so delta = sum y_k z_k costs no further
-    preconditioner solve, and `converged` is the true residual
-    ||b - J delta|| <= rtol ||b||, one matvec.  The iterates are those of
-    scipy's gmres on the operator J precondition, to rounding."""
+    The cycle is the Krylov engine (_Arnoldi) at shift (0, 1): iteration k
+    costs one preconditioner solve and one Jacobian matvec, and the cycle
+    stops once the least-squares residual is <= rtol ||b|| or the basis
+    breaks down.  `converged` is the true residual ||b - J delta|| <=
+    rtol ||b||, one matvec.  The iterates are those of scipy's gmres on the
+    operator J precondition, to rounding."""
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return np.zeros_like(b), 0, True
-    m = _KRYLOV_RESTART
-    V = np.empty((m + 1, b.size))
-    Z = np.empty((m, b.size))
-    H = np.zeros((m + 1, m))
-    rotations = np.zeros((m, 2))
-    g = np.zeros(m + 1)
-    g[0] = beta
-    V[0] = b * (1.0 / beta)
-    for k in range(m):
-        Z[k] = precondition(V[k])
-        H[:k + 2, k], following = _arnoldi_step(V[:k + 1], J @ Z[k])
-        if following is not None:
-            V[k + 1] = following
-        for i, (c, s) in enumerate(rotations[:k]):
-            H[i:i + 2, k] = c * H[i, k] + s * H[i + 1, k], c * H[i + 1, k] - s * H[i, k]
-        r = np.hypot(H[k, k], H[k + 1, k])
-        c, s = rotations[k] = H[k, k] / r, H[k + 1, k] / r
-        H[k, k], H[k + 1, k] = r, 0.0
-        g[k], g[k + 1] = c * g[k], -s * g[k]
-        if abs(g[k + 1]) <= rtol * beta or following is None:
-            break
-    iterations = k + 1
-    y = np.linalg.solve(H[:iterations, :iterations], g[:iterations])
-    delta = y @ Z[:iterations]
+    engine = _Arnoldi(b, precondition, lambda z: J @ z)
+    delta, _ = engine.solve_to((0.0, 1.0), rtol * beta, _KRYLOV_RESTART)
     converged = np.linalg.norm(b - J @ delta) <= rtol * beta
-    return delta, iterations, bool(converged)
+    return delta, len(engine.Z), bool(converged)
 
 
 def _newton_step(grid, J, F, rtol):
@@ -508,7 +551,7 @@ def _newton_step(grid, J, F, rtol):
 
     One GMRES cycle (_krylov) runs on the grid's cached preconditioner
     grid._cache["newton_lu"], the LU of the last Jacobian factored on the
-    grid (left by any earlier step, solve or branch point): one LU solve per
+    grid (left by any earlier step or solve): one LU solve per
     iteration, none after the cycle.  When there is none or the cycle misses
     rtol, J is factored, its LU cached, and one more cycle runs on it;
     NotConverged, naming rtol, is raised if that misses too."""
@@ -529,7 +572,7 @@ def _newton_step(grid, J, F, rtol):
     return delta, stale + iterations, 1
 
 
-# Arnoldi vectors a grid's shared n = 1 branch basis (_ShiftedBasis) may hold;
+# Arnoldi vectors a grid's shared n = 1 branch basis (_branch_solve) may hold;
 # a branch point it cannot solve within them falls through to _newton_step
 # and is flagged "shifted_basis_cap".  A whole unit-disc continuation
 # (tol 1e-8) needs 9 vectors with f = 1 and 11 with the unit Gaussian bump of
@@ -541,73 +584,25 @@ def _newton_step(grid, J, F, rtol):
 _SHIFTED_BASIS_CAP = 24
 
 
-class _ShiftedBasis:
-    """Arnoldi basis of diag(f) (L/4)^-1 started at f: one Krylov space for
-    every n = 1 branch point (L/4 + lam diag f) u = f on a grid.
-
-    Right-preconditioned by L/4 the points are the shifted systems
-    (I + lam diag(f) (L/4)^-1) x = f, u = (L/4)^-1 x, which share one Krylov
-    space (shifted GMRES; Frommer & Glassner, SIAM J. Sci. Comput. 19,
-    1998).  V holds the orthonormal vectors, Z their preconditioned images
-    (L/4)^-1 V and `columns` the Hessenberg matrix Hbar, so that
-    diag(f) Z_m = V_m+1 Hbar.  Each vector costs one solve with the
-    quarter-Laplacian LU and is orthogonalized by _arnoldi_step, as in
-    _krylov; the basis grows on demand and is kept in grid._cache."""
-
-    def __init__(self, lu, f):
-        self.lu, self.f = lu, f
-        self.beta = float(np.linalg.norm(f))
-        self.V, self.Z, self.columns = [f * (1.0 / self.beta)], [], []
-
-    def grow(self):
-        """Add one vector; False, adding none, once the space is invariant."""
-        k = len(self.Z)
-        if k == len(self.V):
-            return False
-        z = self.lu.solve(self.V[k])
-        column, following = _arnoldi_step(self.V, self.f * z)
-        if following is not None:
-            self.V.append(following)
-        self.Z.append(z)
-        self.columns.append(column)
-        return True
-
-    def solve(self, lam):
-        """(u, ||f - (L/4 + lam diag f) u||) over the current basis: u = Z y
-        with y the least-squares solution of (I + lam Hbar) y = beta e_1,
-        (m + 1) x m, whose residual is the system's."""
-        m = len(self.Z)
-        A = np.zeros((m + 1, m))
-        for k, column in enumerate(self.columns):
-            A[:k + 2, k] = lam * column
-        A[np.arange(m), np.arange(m)] += 1.0
-        b = np.zeros(m + 1)
-        b[0] = self.beta
-        y = np.linalg.lstsq(A, b, rcond=None)[0]
-        u = np.zeros_like(self.f)
-        for yk, zk in zip(y, self.Z):
-            u += yk * zk
-        return u, float(np.linalg.norm(b - A @ y))
-
-
 def _branch_solve(grid, rhs, tol):
     """Solve the n = 1 branch point (L/4 + lam diag f) u = f of `rhs` to a
-    residual <= 0.1 tol from the grid's shared basis, rebuilt when f differs
-    and grown as needed; returns (u, vectors added), u None once the basis
-    reaches _SHIFTED_BASIS_CAP or an invariant space first."""
+    residual <= 0.1 tol; returns (u, vectors added), u None once the basis
+    reaches _SHIFTED_BASIS_CAP or an invariant space first.
+
+    Right-preconditioned by L/4 the points are the shifted systems
+    (I + lam diag(f) (L/4)^-1) x = f, u = (L/4)^-1 x, so they share one
+    Krylov space: the grid keeps one engine (_Arnoldi) of diag f started at
+    f and preconditioned by the quarter-Laplacian solver, rebuilt when f
+    differs, and solves each point at shift (1, lam), one LU solve per
+    vector added."""
     f = rhs.weight
     basis = grid._cache.get("shifted_basis")
-    if basis is None or not np.array_equal(basis.f, f):
-        basis = grid._cache["shifted_basis"] = _ShiftedBasis(_cached_laplacian_lu(grid), f)
-    added = 0
-    while True:
-        if basis.Z:
-            u, residual = basis.solve(rhs.lambda0)
-            if residual <= 0.1 * tol:
-                return u, added
-        if len(basis.Z) >= _SHIFTED_BASIS_CAP or not basis.grow():
-            return None, added
-        added += 1
+    if basis is None or not np.array_equal(basis.b, f):
+        basis = grid._cache["shifted_basis"] = _Arnoldi(
+            f, _cached_laplacian_lu(grid).solve, lambda z: f * z)
+    held = len(basis.Z)
+    u, residual = basis.solve_to((1.0, rhs.lambda0), 0.1 * tol, _SHIFTED_BASIS_CAP)
+    return (u if residual <= 0.1 * tol else None), len(basis.Z) - held
 
 
 class _NewtonState(NamedTuple):
@@ -636,8 +631,8 @@ class _NewtonForm(NamedTuple):
     term), _KRYLOV_RTOL when absent; step(u, state, tol), when present,
     takes the step in place of _newton_step and returns what it does,
     (delta, Krylov iterations, factorizations) (the n = 1 form's step,
-    which counts the quarter-Laplacian LUs its solves factor and, on the
-    branch family, starts from the shared basis); flags collects the report
+    which on the branch family starts from the shared basis and counts the
+    quarter-Laplacian LUs its solves factor); flags collects the report
     flags the hooks raise.
     """
 
@@ -781,19 +776,17 @@ def _semilinear_form(grid, rhs):
     linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
     psi_t > -lambda_1.  Trials must stay <= 0.
 
-    A grid without a Newton preconditioner gets the cached quarter-Laplacian
-    solver (_cached_laplacian_lu) as one, and each step counts the LUs that
-    its solves with that solver factor.  On the branch family
+    Each step is _newton_step, under the same preconditioner rule as at
+    n >= 2: a grid's first step factors its Jacobian.  On the branch family
     psi = f (1 - lam t) (RhsSpec.branch) the Newton step from any
     u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
     form's first step is delta = u* - u with u* from the grid's shared
-    shifted basis (_branch_solve), one LU solve per new basis vector, each
-    counted as a Krylov iteration; a basis at _SHIFTED_BASIS_CAP, and any
-    later step of the solve, runs _newton_step instead, the former flagged
+    shifted basis (_branch_solve), one quarter-Laplacian LU solve per new
+    basis vector, each counted as a Krylov iteration, and the LUs those
+    solves factor counted too; a basis at _SHIFTED_BASIS_CAP, and any later
+    step of the solve, runs _newton_step instead, the former flagged
     "shifted_basis_cap"."""
     quarter_laplacian = hessian_operators(grid)[0][0]
-    laplacian_lu = _cached_laplacian_lu(grid)
-    grid._cache.setdefault("newton_lu", laplacian_lu)
     flags = []
     first = rhs.branch_family
 
@@ -808,17 +801,19 @@ def _semilinear_form(grid, rhs):
 
     def step(ui, state, tol):
         nonlocal first
-        before = laplacian_lu.factorizations
-        vectors = 0
+        vectors = factored = 0
         if first:
             first = False
+            laplacian_lu = _cached_laplacian_lu(grid)
+            before = laplacian_lu.factorizations
             u, vectors = _branch_solve(grid, rhs, tol)
+            factored = laplacian_lu.factorizations - before
             if u is not None:
-                return u - ui, vectors, laplacian_lu.factorizations - before
+                return u - ui, vectors, factored
             flags.append("shifted_basis_cap")
         delta, iterations, refreshed = _newton_step(grid, jacobian(ui, state), state.F,
                                                     _KRYLOV_RTOL)
-        return delta, vectors + iterations, refreshed + laplacian_lu.factorizations - before
+        return delta, vectors + iterations, refreshed + factored
 
     return _NewtonForm(evaluate, jacobian, admissible, 60, step=step, flags=flags)
 

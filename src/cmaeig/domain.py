@@ -305,9 +305,8 @@ class GridDomain:
     maps s with b[s] == b exactly, or of the full matrix when only the
     identity fixes b.  It also holds the grid's latest Newton
     preconditioner "newton_lu": the LU of the last Newton Jacobian factored
-    on the grid or, on an n = 1 grid where none has been, the
-    quarter-Laplacian solver.  Every Newton step reuses it until GMRES
-    misses the step's target.  Which LU that is depends on the solves run
+    on the grid, at every n by the grid's first Newton step.  Every Newton
+    step reuses it until GMRES misses the step's target.  Which LU that is depends on the solves run
     before, and it moves each step only within that target: a relative
     residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
     forcing term at n >= 2, which can change it.  Sharing a grid across

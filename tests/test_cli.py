@@ -247,12 +247,12 @@ def test_n1_continuation_krylov_iterations_count_the_shared_basis(tmp_path, monk
     branch CSV stays free of timings."""
     bases = []
 
-    class Recorded(dirichlet._ShiftedBasis):
+    class Recorded(dirichlet._Arnoldi):
         def __init__(self, *args):
             super().__init__(*args)
             bases.append(self)
 
-    monkeypatch.setattr(dirichlet, "_ShiftedBasis", Recorded)
+    monkeypatch.setattr(dirichlet, "_Arnoldi", Recorded)
     config = build_config({"command": "eigen-continuation", "n": "1", "h": "0.0625",
                            "emit": "summary,csv", "out": str(tmp_path / "out")})
     code, record = run(config)

@@ -260,11 +260,13 @@ def steep_rhs(grid):
 
 
 @pytest.mark.parametrize("case", ["branch_1.40", "branch_1.44", "steep"])
-def test_krylov_step_matches_direct_solve(case, disc_grid):
-    """The n = 1 GMRES step against spsolve on the same Jacobian, on branch
-    problems near blow-up (lambda_1 = 1.44552 on this grid) and on a steep
-    increasing right-hand side."""
+def test_krylov_step_matches_direct_solve(case, disc_grid, monkeypatch):
+    """The n = 1 GMRES step on the quarter-Laplacian preconditioner against
+    spsolve on the same Jacobian, on branch problems near blow-up
+    (lambda_1 = 1.44552 on this grid) and on a steep increasing right-hand
+    side."""
     g = disc_grid
+    monkeypatch.setitem(g._cache, "newton_lu", dirichlet._cached_laplacian_lu(g))
     rhs = steep_rhs(g) if case == "steep" else RhsSpec.branch(g, float(case[7:]))
     u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
     form = _semilinear_form(g, rhs)
@@ -308,8 +310,9 @@ def test_n1_solve_counts_krylov_iterations(disc_grid_32):
 
 def test_n1_reports_count_the_laplacian_lu(monkeypatch):
     """The solve that factors a grid's quarter-Laplacian LU counts it, both
-    the direct frozen solve and a Newton solve seeding its preconditioner;
-    a later solve on the same grid reuses it and counts nothing."""
+    the direct frozen solve and a branch Newton solve, whose shared basis
+    solves with it; a later solve on the same grid reuses it and counts
+    nothing."""
     calls = counting_splu(monkeypatch)
     for solve in ("frozen", "nonlinear"):
         g = build_grid(Ball(n=1), 1 / 16)
@@ -322,6 +325,19 @@ def test_n1_reports_count_the_laplacian_lu(monkeypatch):
         _, again = solve_frozen(np.full(g.num_interior, 2.0), g)
         _, branch = solve_nonlinear(RhsSpec.branch(g, 1.0), np.zeros(g.num_interior))
         assert len(calls) == 1 and again.factorizations == branch.factorizations == 0
+
+
+def test_n1_newton_factors_its_own_jacobian(monkeypatch):
+    """An n = 1 Newton solve off the branch family follows the n >= 2
+    preconditioner rule: its first step factors the Jacobian, whose LU
+    serves the later steps, so the steep right-hand side from u = 0 on the
+    h = 1/64 disc factors one LU in 6 Newton steps and 50 GMRES iterations."""
+    calls = counting_splu(monkeypatch)
+    g = build_grid(Ball(n=1), 1 / 64)
+    _, report = solve_nonlinear(steep_rhs(g), np.zeros(g.num_interior))
+    assert calls == [FACTOR_SETTINGS] and report.factorizations == 1
+    assert (report.iterations, report.krylov_iterations) == (6, 50)
+    assert report.converged and report.final_residual <= 1.5e-13
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +477,7 @@ def test_shifted_basis_is_rebuilt_for_a_new_density():
     bump = continuation(f=DISC_BUMP, grid=g, tol=1e-8)
     basis = g._cache["shifted_basis"]
     assert len(basis.Z) == 11
-    assert np.array_equal(basis.f, density_vector(DISC_BUMP, g, power=1))
+    assert np.array_equal(basis.b, density_vector(DISC_BUMP, g, power=1))
     assert sum(p.report.krylov_iterations for p in bump.branch) == 11
     assert constant.lambda1 == pytest.approx(1.445519333203084, abs=1e-12)
     assert bump.lambda1 == pytest.approx(0.9941548141819682, abs=1e-12)
@@ -477,7 +493,7 @@ def test_shifted_basis_serves_only_unshifted_branch_specs():
 
 
 def test_shifted_basis_step_is_polished_by_gmres_below_its_floor():
-    """At tol = 1e-10 the basis answer of the last disc branch points (h =
+    """At tol = 1e-10 the basis answer of the last disc branch point (h =
     1/64) misses max|F| <= tol by rounding; the solve's second step runs a
     GMRES cycle, unflagged; the walk keeps its 13 points and lambda_1 is
     the one recorded with a GMRES cycle per point."""
@@ -775,6 +791,33 @@ def test_krylov_zero_rhs_and_exact_preconditioner(disc_grid_32):
     delta, iterations, converged = dirichlet._krylov(identity, b, np.copy, 1e-10)
     assert (iterations, converged) == (1, True)
     assert np.linalg.norm(delta - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_shifted_engine_matches_direct_solves(disc_grid_32):
+    """One engine of diag f preconditioned by the quarter-Laplacian solver
+    serves the branch systems (L/4 + lam diag f) u = f at lam = 0, 0.5 and
+    1.4 in turn, each within 1e-10 (relative) of spsolve's u."""
+    g = disc_grid_32
+    f = density_vector(GaussianBump(center=(0.3, 0.0), amplitude=-0.5, width=0.5), g, power=1)
+    engine = dirichlet._Arnoldi(f, dirichlet._cached_laplacian_lu(g).solve, lambda z: f * z)
+    quarter_laplacian = hessian.hessian_operators(g)[0][0]
+    for lam in (0.0, 0.5, 1.4):
+        u, residual = engine.solve_to((1.0, lam), 1e-13 * np.linalg.norm(f), 60)
+        reference = spsolve((quarter_laplacian + lam * sparse.diags(f)).tocsc(), f)
+        assert residual <= 1e-13 * np.linalg.norm(f)
+        assert np.linalg.norm(u - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_engine_breakdown_holds_one_vector(disc_grid_32):
+    """With J = I and the exact preconditioner the first Arnoldi step breaks
+    down: the engine holds one vector, and both the GMRES shift (0, 1) and a
+    branch shift (1, lam) are solved from it with least-squares residual 0."""
+    b = np.random.default_rng(0).normal(size=disc_grid_32.num_interior)
+    engine = dirichlet._Arnoldi(b, np.copy, np.copy)
+    for (sigma, tau) in ((0.0, 1.0), (1.0, 0.5)):
+        x, residual = engine.solve_to((sigma, tau), 0.0, dirichlet._KRYLOV_RESTART)
+        assert len(engine.Z) == len(engine.V) == 1 and residual == 0.0
+        assert np.linalg.norm(x - b / (sigma + tau)) <= 1e-14 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])

@@ -108,12 +108,18 @@ def test_detector_sees_linear_solver_calls(tmp_path):
 def test_newton_linear_solves_go_through_one_step():
     """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
     and LUs are factored only by the Newton step's refresh and by the
-    cached quarter-Laplacian solver, one LU per stabilizer (_OrbitLU)."""
-    assert callers_of(SRC / "dirichlet.py", ("_krylov", "_factor", "splu")) == {
+    cached quarter-Laplacian solver, one LU per stabilizer (_OrbitLU).  One
+    Krylov engine (_Arnoldi) serves the GMRES cycle and the n = 1 branch
+    basis, with one Givens least squares and no lstsq."""
+    path = SRC / "dirichlet.py"
+    assert callers_of(path, ("_krylov", "_factor", "splu", "_Arnoldi", "hypot")) == {
         "_krylov": ["_newton_step"],
         "_factor": ["_newton_step", "_orbit_factor"],
         "splu": ["_factor"],
+        "_Arnoldi": ["_branch_solve", "_krylov"],
+        "hypot": ["_rotate"],
     }
+    assert calls_of(path, ("lstsq",)) == []
 
 
 def test_eigenpath_walks_the_branch_in_one_place():
