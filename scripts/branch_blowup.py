@@ -53,7 +53,7 @@ def main():
 
     print(f"\nextrapolated eigenvalue : {result.lambda1:.8f} "
           f"(fit residual {result.fit_residual:.2e})")
-    oracle = radial_lambda1(args.n, args.radius, tol=1e-10)
+    oracle = radial_lambda1(args.n, args.radius)
     print(f"shooting oracle         : {oracle:.8f} "
           f"(relative gap {abs(result.lambda1 - oracle) / oracle:.2e})")
 

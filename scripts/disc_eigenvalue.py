@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--out", help="optional CSV output path")
     args = ap.parse_args()
 
-    exact = radial_lambda1(1, 1.0, tol=1e-10)
+    exact = radial_lambda1(1, 1.0)
     print(f"shooting oracle: lambda1 = {exact:.10f}\n")
     header = f"{'h':>10} {'continuation':>14} {'err':>10} {'inverse-power':>14} {'err':>10}"
     print(header)

@@ -16,12 +16,6 @@ from cmaeig.radial import radial_lambda1, shoot
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="root-finding tolerance passed to radial_lambda1",
-    )
-    ap.add_argument(
         "--out",
         default="src/cmaeig/_data/radial_constants.txt",
         help="fixture path relative to the repository root",
@@ -30,11 +24,11 @@ def main():
 
     lines = [
         "# Shooting eigenvalues of the unit ball, frozen as regression",
-        f"# constants (root-finding tolerance {args.tol:g}, RK4 step 1e-4).",
+        "# constants (RK4 step 1e-4).",
         "# columns: n  R  lambda1",
     ]
     for n in (1, 2, 3):
-        value = radial_lambda1(n, 1.0, tol=args.tol)
+        value = radial_lambda1(n, 1.0)
         residual = abs(shoot(n, 1.0, value, record=False)[0])
         print(f"n={n} R=1: lambda1={value!r} shoot residual={residual:.3e}")
         lines.append(f"{n} 1.0 {value:.12f}")

@@ -7,7 +7,8 @@ solve                 det(u_jk) = f^n with zero boundary values (the lam=0
 eigen-continuation    ground eigenpair by branch continuation.
 eigen-inverse-power   ground eigenpair by variational inverse-power iteration.
 radial                shooting eigenvalue of a ball; the ODE profile plays the
-                      role of the branch history.
+                      role of the branch history.  Reads no tol: the zero
+                      of the RK4 profile is found to rounding.
 rayleigh              energy / mass / Rayleigh quotient of the deterministic
                       trial field u0 solving det = f^n (the field behind the
                       certified eigenvalue lower bound 1/sup|u0|).
@@ -559,7 +560,7 @@ def _run_radial(config):
             "density.kind: the radial command supports only the constant density"
         )
     spec = config.domain
-    profile = radial_profile(spec.n, spec.radius, config.tol)
+    profile = radial_profile(spec.n, spec.radius)
     # constant density c rescales the eigenvalue by 1/c (same profile)
     lam = profile.lam / config.density.value
     return {

@@ -93,7 +93,7 @@ class VanishingGradient(CmaError):
 
 
 class BracketFailed(CmaError):
-    """Bisection bracket for the radial eigenvalue could not be established."""
+    """The radial profile has no zero below the search cap on lambda * R^2."""
 
 
 # --- serialization ----------------------------------------------------------

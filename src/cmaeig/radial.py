@@ -11,14 +11,15 @@ the normalization phi(0) = -1:
 
 The origin is a regular singular point; a two-term series start removes the
 0/0.  `shoot` integrates the ODE with classical fixed-step RK4 and reports
-the terminal value phi(R^2), which increases through zero as lam crosses the
-ground eigenvalue; `radial_lambda1` brackets that crossing and finds it with
-Brent's method (Brent, Algorithms for Minimization without Derivatives,
-1973).  A gradient collapse (phi' -> 0) before the boundary means the
-profile has passed its first hump, which only happens when lam is too high,
-so VanishingGradient is classified as an overshoot; the bracket is bisected
-until its upper end is a finite overshoot, since Brent's interpolation needs
-finite values.
+the terminal value phi(R^2).
+
+The substitution s = lam * t removes lam from the ODE: phi(t) = psi(lam * t),
+where psi solves the same problem with lam = 1 and psi(0) = -1.  Hence
+lam_1(R) = s_0 / R^2 with s_0 the first zero of psi, and `radial_lambda1`
+integrates psi once, with `shoot`'s RK4 step and a fixed step length in s,
+up to the step that crosses zero, then finds the zero inside that step.  A gradient collapse
+(psi' -> 0) before the zero means the profile tops out below zero, and is
+reported as VanishingGradient.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import optimize
 
 from .errors import BracketFailed, VanishingGradient
 
@@ -42,6 +42,18 @@ __all__ = [
 ]
 
 GRADIENT_FLOOR = 1e-14
+# psi's RK4 step and series start in s = lam * t; shoot uses the same
+# fractions of R^2 in t.
+PSI_STEP = 1e-4
+PSI_START = 1e-6
+# No zero of psi below s = 160 raises BracketFailed (the widest bracket,
+# [1, 160] * R^-2, of the former bracket-and-Brent search).
+PSI_ZERO_CAP = 160.0
+# Newton inside the crossing step stops once its update is below
+# _NEWTON_XTOL * s (a few ulps of s_0); from the chord's zero it takes two
+# trials for n = 1 to 6.
+_NEWTON_XTOL = 4.0 * 2.0 ** -52
+_NEWTON_MAX = 8
 
 
 def _collapse(dphi, t):
@@ -61,6 +73,50 @@ def radial_rhs(n, lam, t, phi, dphi):
     if t <= 0.0:
         return -n * lam * lam * (-phi) / (n + 1)
     return (lam ** n * (-phi) ** n / dphi ** (n - 1) - dphi) / t
+
+
+def _rk4_step(n, lam_n, t, phi, dphi, h):
+    """One classical RK4 step of length h from (t, phi, dphi), t > 0.
+
+    radial_rhs is inlined term for term (the same floating-point operations
+    in the same order), with lam_n = lam^n; raises VanishingGradient when the
+    gradient of any stage falls to GRADIENT_FLOOR.  Returns (phi, dphi) at
+    t + h.
+    """
+    if dphi <= GRADIENT_FLOOR:
+        raise _collapse(dphi, t)
+    half = 0.5 * h
+    k1p = dphi
+    k1d = (lam_n * (-phi) ** n / dphi ** (n - 1) - dphi) / t
+    t_mid = t + half
+    k2p = dphi + half * k1d
+    if k2p <= GRADIENT_FLOOR:
+        raise _collapse(k2p, t_mid)
+    k2d = (lam_n * (-(phi + half * k1p)) ** n / k2p ** (n - 1) - k2p) / t_mid
+    k3p = dphi + half * k2d
+    if k3p <= GRADIENT_FLOOR:
+        raise _collapse(k3p, t_mid)
+    k3d = (lam_n * (-(phi + half * k2p)) ** n / k3p ** (n - 1) - k3p) / t_mid
+    k4p = dphi + h * k3d
+    if k4p <= GRADIENT_FLOOR:
+        raise _collapse(k4p, t + h)
+    k4d = (lam_n * (-(phi + h * k3p)) ** n / k4p ** (n - 1) - k4p) / (t + h)
+    return (phi + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0,
+            dphi + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0)
+
+
+def _series_start(n, lam, delta):
+    """(phi, dphi) at t = delta from phi = -1 + lam*t + c2*t^2/2,
+    c2 = -n*lam^2/(n+1)."""
+    c2 = -n * lam * lam / (n + 1)
+    return -1.0 + lam * delta + 0.5 * c2 * delta * delta, lam + c2 * delta
+
+
+def _check_ball(n, R):
+    if n < 1:
+        raise ValueError("complex dimension must be >= 1")
+    if R <= 0.0:
+        raise ValueError("ball radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,19 +148,14 @@ def shoot(n, R, lam, *, record=True):
     Returns (terminal value phi(R^2), RadialProfile).  With record=False the
     profile arrays are left empty except for the endpoint.
     """
-    if n < 1:
-        raise ValueError("complex dimension must be >= 1")
-    if R <= 0.0:
-        raise ValueError("ball radius must be positive")
+    _check_ball(n, R)
     if lam <= 0.0:
         raise ValueError("eigenvalue parameter must be positive")
     T = R * R
-    step = 1e-4 * T
-    delta = 1e-6 * T
-    c2 = -n * lam * lam / (n + 1)
+    step = PSI_STEP * T
+    delta = PSI_START * T
     t = delta
-    phi = -1.0 + lam * delta + 0.5 * c2 * delta * delta
-    dphi = lam + c2 * delta
+    phi, dphi = _series_start(n, lam, delta)
     m = max(1, math.ceil((T - delta) / step))
     h = (T - delta) / m
 
@@ -115,31 +166,9 @@ def shoot(n, R, lam, *, record=True):
         ts[0], ps[0], ds[0] = 0.0, -1.0, lam
         ts[1], ps[1], ds[1] = t, phi, dphi
 
-    # RK4 with radial_rhs inlined term for term (the same floating-point
-    # operations in the same order, so the trajectory is bit-identical); t > 0
-    # at every stage, so its t = 0 limit is never needed here.
     lam_n = lam ** n
-    half = 0.5 * h
     for i in range(m):
-        if dphi <= GRADIENT_FLOOR:
-            raise _collapse(dphi, t)
-        k1p = dphi
-        k1d = (lam_n * (-phi) ** n / dphi ** (n - 1) - dphi) / t
-        t_mid = t + half
-        k2p = dphi + half * k1d
-        if k2p <= GRADIENT_FLOOR:
-            raise _collapse(k2p, t_mid)
-        k2d = (lam_n * (-(phi + half * k1p)) ** n / k2p ** (n - 1) - k2p) / t_mid
-        k3p = dphi + half * k2d
-        if k3p <= GRADIENT_FLOOR:
-            raise _collapse(k3p, t_mid)
-        k3d = (lam_n * (-(phi + half * k2p)) ** n / k3p ** (n - 1) - k3p) / t_mid
-        k4p = dphi + h * k3d
-        if k4p <= GRADIENT_FLOOR:
-            raise _collapse(k4p, t + h)
-        k4d = (lam_n * (-(phi + h * k3p)) ** n / k4p ** (n - 1) - k4p) / (t + h)
-        phi += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        dphi += h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+        phi, dphi = _rk4_step(n, lam_n, t, phi, dphi, h)
         t = delta + (i + 1) * h
         if record:
             ts[i + 2], ps[i + 2], ds[i + 2] = t, phi, dphi
@@ -158,85 +187,52 @@ def shoot(n, R, lam, *, record=True):
     return phi, profile
 
 
-def radial_lambda1(n, R, tol=1e-8):
-    """Ground eigenvalue of the ball B(0, R) in C^n by shooting + Brent.
+def radial_lambda1(n, R):
+    """Ground eigenvalue of the ball B(0, R) in C^n: s_0 / R^2, where s_0 is
+    the first zero of the lam = 1 profile psi (the module docstring derives
+    phi(t) = psi(lam * t)).
 
-    The terminal value phi(R^2) is negative for lam below the eigenvalue and
-    climbs through zero at it; a gradient collapse during integration counts
-    as an overshoot.  The bracket starts as [R^-2, 20 R^-2]; if its
-    upper end still undershoots it is doubled up to three times before
-    BracketFailed.  While the upper end is a collapse (terminal value inf)
-    the bracket is bisected; once it is a finite overshoot, Brent's method
-    finishes with xtol = tol * R^-2 / 4, so the result lies within
-    tol * R^-2 of the sign change (if the bracket narrows to tol * R^-2
-    while its upper end is still a collapse, its midpoint is returned).
-    Terminal values are memoized by lam, so Brent's re-evaluation of the
-    bracket ends costs no shoot, and all of them are audited for
-    monotonicity in lam, which is what makes the bracket logic sound.
+    psi is integrated once by RK4 with the fixed step PSI_STEP from the
+    series start PSI_START until a step ends at psi >= 0.  The zero inside
+    that step is found by Newton's method on the partial-step length
+    tau in (0, PSI_STEP]: each trial is one RK4 step of length tau from the
+    step's start, and its own psi' serves as the derivative.  psi is concave
+    where it crosses zero (psi'' = -psi'/s there), so the iterates, started
+    from the chord's zero, stay inside the step.
+
+    Raises VanishingGradient if psi' collapses before the zero and
+    BracketFailed if psi has no zero below s = PSI_ZERO_CAP.  Returns a
+    built-in float.
     """
-    if n < 1:
-        raise ValueError("complex dimension must be >= 1")
-    if R <= 0.0:
-        raise ValueError("ball radius must be positive")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0: {tol!r}")
-    scale = 1.0 / (R * R)
-    samples = {}
-
-    def terminal(lam):
-        # memoized: brentq evaluates both bracket ends again
-        if lam not in samples:
-            try:
-                samples[lam], _ = shoot(n, R, lam, record=False)
-            except VanishingGradient:
-                samples[lam] = math.inf
-        return samples[lam]
-
-    lo = scale
-    hi = 20.0 * scale
-    if terminal(lo) >= 0.0:
-        raise BracketFailed(
-            f"terminal value at the lower bracket end {lo:.6g} does not "
-            "undershoot"
-        )
-    s_hi = terminal(hi)
-    widenings = 0
-    while s_hi <= 0.0 and widenings < 3:
-        hi *= 2.0
-        widenings += 1
-        s_hi = terminal(hi)
-    if s_hi <= 0.0:
-        raise BracketFailed(
-            f"terminal value does not change sign on [{lo:.6g}, {hi:.6g}]"
-        )
-
-    # Bisect while the upper end is a gradient collapse, then let Brent
-    # finish on the finite sign change.
-    while math.isinf(s_hi) and hi - lo > tol * scale:
-        mid = 0.5 * (lo + hi)
-        s_mid = terminal(mid)
-        if s_mid >= 0.0:
-            hi, s_hi = mid, s_mid
-        else:
-            lo = mid
-    if math.isinf(s_hi):
-        lam = 0.5 * (lo + hi)
-    else:
-        lam = optimize.brentq(terminal, lo, hi, xtol=0.25 * tol * scale)
-
-    values = [value for _, value in sorted(samples.items())]
-    for a, b in zip(values, values[1:]):
-        if b < a - 1e-10 * (1.0 + abs(a)):
+    _check_ball(n, R)
+    s = PSI_START
+    psi, dpsi = _series_start(n, 1.0, s)
+    k = 0
+    while True:
+        if s >= PSI_ZERO_CAP:
             raise BracketFailed(
-                "terminal value is not monotone in lambda across the "
-                "root-finding samples"
+                f"radial profile has no zero below s = lambda * R^2 = {PSI_ZERO_CAP:g}"
             )
-    return lam
+        end, dend = _rk4_step(n, 1.0, s, psi, dpsi, PSI_STEP)
+        if end >= 0.0:
+            break
+        k += 1
+        s = PSI_START + k * PSI_STEP
+        psi, dpsi = end, dend
+
+    tau = PSI_STEP * psi / (psi - end)
+    for _ in range(_NEWTON_MAX):
+        value, slope = _rk4_step(n, 1.0, s, psi, dpsi, tau)
+        delta = value / slope
+        tau -= delta
+        if abs(delta) <= _NEWTON_XTOL * s:
+            break
+    return float((s + tau) / (R * R))
 
 
-def radial_profile(n, R, tol=1e-8):
-    """Eigenpair profile: shoot once more at the root-found eigenvalue."""
-    lam = radial_lambda1(n, R, tol)
+def radial_profile(n, R):
+    """Eigenpair profile: shoot once more at the eigenvalue radial_lambda1."""
+    lam = radial_lambda1(n, R)
     _, profile = shoot(n, R, lam)
     return profile
 

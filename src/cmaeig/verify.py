@@ -251,7 +251,7 @@ class _Fixtures:
         return self._get("monotone", build)
 
     def radial(self, n, R):
-        return self._get(("radial", n, R), lambda: radial_lambda1(n, R, tol=1e-8))
+        return self._get(("radial", n, R), lambda: radial_lambda1(n, R))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +541,7 @@ def _radial_lower_bound(fx, rng):
 
 
 def _radial_scaling_law(fx, rng):
-    bound = 10.0 * 1e-8  # 10x the root-finding tolerance used by fx.radial
+    bound = 1e-15  # lam * R^2 is s_0 for every R; rounding of s_0 / R^2 only
     rows = []
     for n in (1, 2):
         base = fx.radial(n, 1.0)
@@ -571,7 +571,7 @@ def _radial_terminal_monotonicity(fx, rng):
 def _radial_profile_convexity(fx, rng):
     rows = []
     for n in (1, 2, 3):
-        prof = radial_profile(n, 1.0, tol=1e-8)
+        prof = radial_profile(n, 1.0)
         margin = float(np.min(prof.dphi))
         rows.append((f"ball n={n}", margin, margin > 0.0))
     return rows

@@ -100,7 +100,7 @@ def test_c01_ball_eigenvalue_lower_bound_is_exact(eigen):
     t0 = time.perf_counter()
     for n in (1, 2):
         for R in (0.5, 1.0, 2.0):
-            lam = radial_lambda1(n, R, tol=1e-8)
+            lam = radial_lambda1(n, R)
             assert lam * R * R >= 1.0, f"radial n={n} R={R}: {lam * R * R}"
     for R in (0.5, 1.0, 2.0):
         lam = eigen("cont", n=1, R=R, h=R / 32).lambda1
@@ -116,7 +116,7 @@ def test_c02_unit_disc_eigenvalue_matches_bessel_oracle(eigen):
     invp = eigen("ip", h=1 / 64).lambda1
     assert abs(cont - LAMBDA1_UNIT_DISC) / LAMBDA1_UNIT_DISC <= 0.02
     assert abs(invp - LAMBDA1_UNIT_DISC) / LAMBDA1_UNIT_DISC <= 0.02
-    assert abs(radial_lambda1(1, 1.0, tol=1e-8) - LAMBDA1_UNIT_DISC) <= 1e-5
+    assert abs(radial_lambda1(1, 1.0) - LAMBDA1_UNIT_DISC) <= 1e-5
     assert time.perf_counter() - t0 < 300.0
 
 
@@ -189,7 +189,7 @@ def test_c05_certified_lower_bound_sits_below_eigenvalue(eigen, grids):
 def test_c06_eigenvalue_scaling_law(eigen):
     """lambda1(B(0,R)) * R^2 is R-independent: within 2% across the shooting
     route and 5% across grid continuation for R in {0.5, 1, 2}."""
-    radial = [radial_lambda1(1, R, tol=1e-8) * R * R for R in (0.5, 1.0, 2.0)]
+    radial = [radial_lambda1(1, R) * R * R for R in (0.5, 1.0, 2.0)]
     assert max(radial) / min(radial) - 1.0 <= 0.02
     grid_prod = [eigen("cont", n=1, R=R, h=R / 32).lambda1 * R * R
                  for R in (0.5, 1.0, 2.0)]

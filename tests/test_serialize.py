@@ -181,7 +181,7 @@ def test_branch_csv_layout(tmp_path, disc):
 
 
 def test_profile_csv_round_trip(tmp_path):
-    prof = radial_profile(1, 1.0, tol=1e-6)
+    prof = radial_profile(1, 1.0)
     path = tmp_path / "profile.csv"
     profile_to_csv(prof, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
