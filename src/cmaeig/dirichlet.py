@@ -34,7 +34,9 @@ Layering:
   per orbit (6 538 of 51 429 rows for f = 1 on the disc at h = 1/128).
   Exact equality holds at dyadic h; elsewhere rounding in the crossing
   fractions leaves fewer maps, and a right-hand side no map fixes is
-  solved with the full LU.  For n >= 2 solve_nonlinear.
+  solved with the full LU.  For n >= 2 solve_nonlinear, which solves on
+  the orbits of the maps that fix its right-hand side's data the same way
+  (_logdet_form, _newton_step).
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
@@ -427,20 +429,98 @@ _FORCING_MAX = 1e-2
 _LU_RELAX = 4
 _LU_PANEL_SIZE = 4
 
+# Threshold pivoting (SuperLU's diag_pivot_thresh, with SymmetricMode): a
+# diagonal entry stays the pivot while it is at least this fraction of the
+# largest entry in its column.  With partial pivoting (1.0, SuperLU's
+# default) 3 of the 7 LUs that the 4-ball routes factor at h = 0.2, near
+# blow-up, took 386-692 off-diagonal pivots, 2.26-3.00 M nonzeros against
+# 1.42 M and 270-460 ms against 116-128 ms; at 0.1 they take none.  The
+# late orbit LUs of ellipsoid-n2-bump take 0-7 such pivots against 8-61,
+# and 9.2-9.3 k nonzeros against up to 10.3 k; the disc-n1 orbit LU keeps
+# its 193 332 nonzeros and takes 6.4 against 7.0 ms.  Per-point Newton,
+# GMRES and LU counts stayed the same on the routes of both benchmark
+# workloads and of the 4-ball at h = 0.25 and 0.2, lambda_1 moved by
+# <= 5e-15, and relative solve residuals stay <= 3e-15.
+_LU_PIVOT_THRESHOLD = 0.1
+
 
 def _factor(A):
     """Sparse LU of A: the package's one factorization, for the n = 1
-    quarter Laplacian on symmetry orbits (_OrbitLU) and the Newton Jacobians
-    (_newton_step).
+    quarter Laplacian (_OrbitLU) and the Newton Jacobians (_newton_step),
+    in full or on symmetry orbits (_orbit_factor).
 
     The columns are ordered by minimum degree on A^T + A, with less fill
     than the default COLAMD (about half on the Laplacian; on an
     ellipsoid-n2-bump log-det Jacobian 91k against 138k nonzeros, 6.7
     against 8.7 ms).  _LU_RELAX and _LU_PANEL_SIZE set SuperLU's blocking
     only: the permutations and fill of its defaults and, to rounding, the
-    same solves, in about 70 % of the time on the disc's Laplacian."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE)
+    same solves, in about 70 % of the time on the disc's Laplacian.  Its
+    pivots stay on the diagonal while they are at least
+    _LU_PIVOT_THRESHOLD of their column's largest entry."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_LU_PIVOT_THRESHOLD,
+                options={"SymmetricMode": True}, relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE)
+
+
+def _stabilizer(maps, b):
+    """Indices of the lattice symmetries among `maps` (lattice_symmetries)
+    that fix b exactly, b[s] == b, the identity's 0 first."""
+    return (0,) + tuple(k for k in range(1, len(maps)) if np.array_equal(b[maps[k]], b))
+
+
+class _Orbits:
+    """The orbits of the interior nodes under a group of lattice symmetries,
+    given as rows of lattice_symmetries (Bossavit, Comput. Methods Appl.
+    Mech. Engrg. 56, 1986; Allgower, Boehmer, Georg & Miranda, SIAM J.
+    Numer. Anal. 29, 1992).
+
+    Each orbit is labelled by its smallest position, its representative;
+    orbit[i] is node i's column.  P (N x m) copies each orbit's value to its
+    nodes and R picks the representatives, so for a matrix A that commutes
+    with the group, A P y = P (R A P) y (reduce)."""
+
+    def __init__(self, maps):
+        self.representatives, self.orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
+        self.sizes = np.bincount(self.orbit, minlength=self.representatives.size)
+
+    def reduce(self, A):
+        """R A P, the m x m matrix of A on the invariant vectors."""
+        N, m = self.orbit.size, self.representatives.size
+        P = sparse.csr_matrix((np.ones(N), (np.arange(N), self.orbit)), shape=(N, m))
+        return A.tocsr()[self.representatives] @ P
+
+    def average(self, b):
+        """(P^T P)^-1 P^T b: each orbit's mean of b."""
+        return np.bincount(self.orbit, b, self.sizes.size) / self.sizes
+
+    def project(self, b):
+        """P (P^T P)^-1 P^T b, the orthogonal projection of b onto the
+        invariant vectors: each node takes its orbit's mean, so the result
+        is invariant exactly."""
+        return self.average(b)[self.orbit]
+
+    def fixes(self, b):
+        """Whether every node of b equals its orbit's representative."""
+        return np.array_equal(b[self.representatives][self.orbit], b)
+
+
+class _ReducedLU(NamedTuple):
+    """A solver of A x = b on the invariant vectors of `orbits` from lu, the
+    LU of R A P (m x m): x = P (R A P)^-1 (orbit means of b), exactly
+    invariant.  For an invariant b and an A that commutes with the group
+    this is A's solution; otherwise it is the solution's projection, to
+    rounding, and serves as a preconditioner."""
+
+    lu: object
+    orbits: _Orbits
+
+    def solve(self, b):
+        return self.lu.solve(self.orbits.average(b))[self.orbits.orbit]
+
+
+def _orbit_factor(A, orbits=None):
+    """The LU of A (_factor), or with orbits (_Orbits) that of R A P as a
+    solver on their invariant vectors (_ReducedLU)."""
+    return _factor(A) if orbits is None else _ReducedLU(_factor(orbits.reduce(A)), orbits)
 
 
 class _Arnoldi:
@@ -522,7 +602,10 @@ class _Arnoldi:
         for k, column in enumerate(self._triangle):
             R[:k + 1, k] = column
         y = np.linalg.solve(R, self._g[:m])
-        return y @ np.array(self.Z), float(abs(self._g[-1]))
+        x = y[0] * self.Z[0]
+        for coefficient, z in zip(y[1:], self.Z[1:]):
+            x += coefficient * z
+        return x, float(abs(self._g[-1]))
 
 
 def _krylov(J, b, precondition, rtol):
@@ -545,23 +628,29 @@ def _krylov(J, b, precondition, rtol):
     return delta, len(engine.Z), bool(converged)
 
 
-def _newton_step(grid, J, F, rtol):
+def _newton_step(grid, J, F, rtol, orbits=None):
     """Solve J delta = -F to the relative residual rtol for one Newton step;
     returns (delta, Krylov iterations, factorizations).
 
-    One GMRES cycle (_krylov) runs on the grid's cached preconditioner
+    One GMRES cycle (_krylov) on J runs on the grid's cached preconditioner
     grid._cache["newton_lu"], the LU of the last Jacobian factored on the
     grid (left by any earlier step or solve): one LU solve per
     iteration, none after the cycle.  When there is none or the cycle misses
     rtol, J is factored, its LU cached, and one more cycle runs on it;
-    NotConverged, naming rtol, is raised if that misses too."""
+    NotConverged, naming rtol, is raised if that misses too.
+
+    With `orbits` (_Orbits; the log-det form's on a grid with symmetry) the
+    LU is that of R J P (_ReducedLU), and a cached LU of other orbits counts
+    as none.  Each preconditioned vector is then invariant exactly, and so
+    is delta, their combination."""
     lu = grid._cache.get("newton_lu")
     stale = 0
-    if lu is not None:
+    if lu is not None and (orbits is None or (isinstance(lu, _ReducedLU)
+                                               and lu.orbits is orbits)):
         delta, stale, converged = _krylov(J, -F, lu.solve, rtol)
         if converged:
             return delta, stale, 0
-    lu = grid._cache["newton_lu"] = _factor(J)
+    lu = grid._cache["newton_lu"] = _orbit_factor(J, orbits)
     delta, iterations, converged = _krylov(J, -F, lu.solve, rtol)
     if not converged:
         reached = np.linalg.norm(J @ delta + F) / np.linalg.norm(F)
@@ -622,18 +711,19 @@ class _NewtonForm(NamedTuple):
     """One equation for _damped_newton.
 
     evaluate(u) -> _NewtonState; jacobian(u, state) -> sparse dF/du, whose
-    system J delta = -F each step solves by _newton_step;
-    admissible(u, state) tests the start and every line-search trial, which
-    must also lower max|F|; restart(u, state, fnorm, it) may return a fresh
-    state in place of a step (the log-det form's mu shrink, counted as
-    SolveReport.mu_shrinks); forcing(state) returns the relative GMRES
-    residual the step from `state` is solved to (the log-det form's forcing
-    term), _KRYLOV_RTOL when absent; step(u, state, tol), when present,
-    takes the step in place of _newton_step and returns what it does,
-    (delta, Krylov iterations, factorizations) (the n = 1 form's step,
+    system J delta = -F each step solves by _newton_step; admissible(u,
+    state) tests the start and every line-search trial, which must also
+    lower max|F| or meet the stop test; restart(u, state, fnorm, it) may
+    return a fresh state in place of a step (the log-det form's mu shrink,
+    counted as SolveReport.mu_shrinks); forcing(state) returns the relative
+    GMRES residual the step from `state` is solved to (the log-det form's
+    forcing term), _KRYLOV_RTOL when absent; step(u, state, tol), when
+    present, takes the step in place of _newton_step and returns what it
+    does, (delta, Krylov iterations, factorizations) (the n = 1 form's step,
     which on the branch family starts from the shared basis and counts the
     quarter-Laplacian LUs its solves factor); flags collects the report
-    flags the hooks raise.
+    flags the hooks raise; orbits (_Orbits), when present, are those every
+    iterate is invariant on, passed to _newton_step.
     """
 
     evaluate: object
@@ -644,6 +734,7 @@ class _NewtonForm(NamedTuple):
     forcing: object = None
     step: object = None
     flags: object = ()
+    orbits: object = None
 
 
 # Step halvings a line search tries before NewtonStalled.
@@ -676,14 +767,20 @@ def _damped_newton(grid, ui, tol, form, state=None):
         else:
             rtol = form.forcing(state) if form.forcing else _KRYLOV_RTOL
             delta, iterations, factored = _newton_step(grid, form.jacobian(ui, state),
-                                                       state.F, rtol)
+                                                       state.F, rtol, form.orbits)
         krylov += iterations
         factorizations += factored
+        # A trial that meets the stop test ends the solve even where max|F|
+        # sits at its rounding floor and does not fall: the tol-1e-11
+        # inverse power stalled so on ellipsoid-n2-bump seeds 13 and 66
+        # (full Newton) and 86 (on the orbits), whose step reached a det
+        # residual of 7e-15 against tol 1e-12 with max|F| 2.6e-13 > 2.2e-13.
         s = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = ui + s * delta
             t_state = form.evaluate(trial)
-            if form.admissible(trial, t_state) and np.max(np.abs(t_state.F)) < fnorm:
+            if form.admissible(trial, t_state) and (np.max(np.abs(t_state.F)) < fnorm
+                                                    or t_state.error <= tol):
                 ui, state = trial, t_state
                 break
             s *= 0.5
@@ -695,7 +792,7 @@ def _damped_newton(grid, ui, tol, form, state=None):
     raise NotConverged(f"Newton did not reach tol={tol} in {form.max_iter} iterations")
 
 
-def _logdet_form(grid, rhs, tol):
+def _logdet_form(grid, rhs, tol, orbits=None):
     """n >= 2: F(u) = log det(M(u) + mu I) - log(psi + mu^n), stopping on the
     true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
     definite.  That also keeps the Hessian above the PSH floor -10 h^2
@@ -713,7 +810,21 @@ def _logdet_form(grid, rhs, tol):
     choice 2 on the residual ratio, floored where a more accurate step
     cannot lower the det residual.  A grid's first Newton step factors its
     Jacobian; later steps reuse the grid's last Jacobian LU as their GMRES
-    preconditioner until a cycle misses its target (_newton_step)."""
+    preconditioner until a cycle misses its target (_newton_step).
+
+    With orbits (_Orbits of the lattice symmetries that fix the right-hand
+    side's data; solve_nonlinear passes them and symmetrizes the start), F
+    is replaced by its orbit average (_Orbits.project), which the step, the
+    line search's max|F|, the mu-shrink test and the forcing term all read,
+    and every step is solved on the orbits (_newton_step), so each iterate
+    is invariant exactly; the stop test stays the raw max|det - psi|.  F
+    itself is invariant only to rounding (the Hessian's entries sum the
+    same second differences in other orders on the images of a node), and
+    its part off the invariant vectors, 6e-14 on ellipsoid-n2-bump at its
+    eigenfunction, is out of reach of every invariant step: without the
+    projection the tol-1e-11 inverse power raised NotConverged on all 30
+    ellipsoid-n2-bump seeds tried, its GMRES cycle on a fresh LU stopping
+    at 3.5e-4 to 7.8e-4 against a 4.6e-5 target."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
     shrinks = 0
@@ -726,6 +837,8 @@ def _logdet_form(grid, rhs, tol):
         psi = rhs.psi(np.minimum(ui, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
             F = np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n)
+        if orbits is not None:
+            F = orbits.project(F)
         error = float(np.max(np.abs(hess.det() - psi)))
         return _NewtonState(F, error, psi, eig, hess)
 
@@ -760,7 +873,7 @@ def _logdet_form(grid, rhs, tol):
         floor = 0.1 * tol / ((float(np.max(state.psi)) + mu ** n) * fnorm)
         return min(_FORCING_MAX, max(eta, floor, _KRYLOV_RTOL))
 
-    return _NewtonForm(evaluate, jacobian, admissible, 80, restart, forcing)
+    return _NewtonForm(evaluate, jacobian, admissible, 80, restart, forcing, orbits=orbits)
 
 
 def _semilinear_state(quarter_laplacian, ui, psi):
@@ -825,6 +938,24 @@ def _require_tol(tol):
         raise ValueError(f"tol must be finite and > 0: {tol!r}")
 
 
+def _rhs_orbits(rhs):
+    """The _Orbits of the stabilizer of rhs's per-node data (f^n for a
+    separable right-hand side, the values for a frozen one) among the
+    grid's lattice symmetries, cached on the grid per stabilizer; None for a
+    general right-hand side or when only the identity fixes the data."""
+    data = rhs.weight if rhs.kind == "separable" else rhs.frozen_values
+    if data is None:
+        return None
+    maps = lattice_symmetries(rhs.grid)
+    stabilizer = _stabilizer(maps, data)
+    if len(stabilizer) == 1:
+        return None
+    key = ("orbits", stabilizer)
+    if key not in rhs.grid._cache:
+        rhs.grid._cache[key] = _Orbits(maps[list(stabilizer)])
+    return rhs.grid._cache[key]
+
+
 def solve_nonlinear(rhs, start, tol=1e-8):
     """Solve det(u_jk) = psi(., u) with zero boundary values by damped Newton
     from `start` (a ScalarField or interior values); returns (u, report).
@@ -840,7 +971,10 @@ def solve_nonlinear(rhs, start, tol=1e-8):
         form, state, flags = _semilinear_form(grid, rhs), None, ()
     else:
         ui, hess, flags = _feasible_start(grid, rhs, ui)
-        form = _logdet_form(grid, rhs, tol)
+        orbits = _rhs_orbits(rhs)
+        if orbits is not None and not orbits.fixes(ui):
+            ui, hess = orbits.project(ui), None
+        form = _logdet_form(grid, rhs, tol, orbits)
         state = None if hess is None else form.evaluate(ui, hess)
     ui, report = _damped_newton(grid, ui, tol, form, state)
     report.flags += flags
@@ -854,50 +988,30 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 class _OrbitLU:
     """Solves (1/4) L x = b for the n = 1 quarter Laplacian (1/4) L on the
-    symmetry orbits of b (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
-    1986; Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992).
+    symmetry orbits of b.
 
     Each solve finds the stabilizer of b, the grid's lattice symmetries s
-    (lattice_symmetries) with b[s] == b exactly, and takes the orbits of the
-    interior nodes under it: P (N x m) copies each orbit's value to its
-    nodes and R picks one representative node per orbit.  The quarter
+    (lattice_symmetries) with b[s] == b exactly (_stabilizer).  The quarter
     Laplacian commutes with every kept map exactly, so x is invariant and
-    x = P y with (R (1/4) L P) y = R b.  That m x m matrix is factored (_factor) on the
-    first solve with its stabilizer and kept; factorizations counts the LUs
-    factored.  With f = 1 the disc at h = 1/128 keeps 8 maps and its LU has
-    6 538 rows where (1/4) L has 51 429.  A right-hand side that only the
-    identity fixes is solved with the LU of (1/4) L itself, as without the
-    symmetries."""
+    comes from one LU of R (1/4) L P on the orbits of the stabilizer
+    (_ReducedLU).  That LU is factored (_factor) on the first solve with its
+    stabilizer and kept; factorizations counts the LUs factored.  With f = 1
+    the disc at h = 1/128 keeps 8 maps and its LU has 6 538 rows where
+    (1/4) L has 51 429.  A right-hand side that only the identity fixes is
+    solved with the LU of (1/4) L itself, as without the symmetries."""
 
     def __init__(self, quarter_laplacian, maps):
         self.quarter_laplacian, self.maps = quarter_laplacian, maps
-        self.factors = {}  # stabilizer (kept-map indices) -> (LU, representatives, orbit)
+        self.factors = {}  # stabilizer (kept-map indices) -> LU or _ReducedLU
         self.factorizations = 0
 
     def solve(self, b):
-        maps = self.maps
-        stabilizer = (0,) + tuple(k for k in range(1, len(maps))
-                                  if np.array_equal(b[maps[k]], b))
+        stabilizer = _stabilizer(self.maps, b)
         if stabilizer not in self.factors:
-            self.factors[stabilizer] = self._orbit_factor(maps[list(stabilizer)])
+            orbits = _Orbits(self.maps[list(stabilizer)]) if len(stabilizer) > 1 else None
+            self.factors[stabilizer] = _orbit_factor(self.quarter_laplacian, orbits)
             self.factorizations += 1
-        lu, representatives, orbit = self.factors[stabilizer]
-        if representatives is None:
-            return lu.solve(b)
-        return lu.solve(b[representatives])[orbit]
-
-    def _orbit_factor(self, maps):
-        """(LU of R (1/4) L P, representatives, orbit) for the group `maps`:
-        each node's orbit is labelled by its smallest position, the
-        representative; orbit[i] is node i's column.  (LU of (1/4) L, None,
-        None) for the identity alone."""
-        if len(maps) == 1:
-            return _factor(self.quarter_laplacian), None, None
-        representatives, orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
-        N = orbit.size
-        P = sparse.csr_matrix((np.ones(N), (np.arange(N), orbit)),
-                              shape=(N, representatives.size))
-        return _factor(self.quarter_laplacian[representatives] @ P), representatives, orbit
+        return self.factors[stabilizer].solve(b)
 
 
 def _cached_laplacian_lu(grid):

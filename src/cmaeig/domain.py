@@ -20,6 +20,8 @@ axis 2j+1 is Im z_j.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -297,17 +299,21 @@ class GridDomain:
     The private _cache memoizes derived stencil operators, the complex-Hessian
     operators that complex_hessian applies, the assembly plan through which
     trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
-    the map from per-node weights to its values), and, on an n = 1 grid, its
-    lattice symmetries (lattice_symmetries) and its quarter-Laplacian solver
-    (dirichlet._cached_laplacian_lu), both built on first use.  The solver
-    keeps one LU per stabilizer it has met: that of the quarter Laplacian
-    restricted to the symmetry orbits of a right-hand side b, under the kept
-    maps s with b[s] == b exactly, or of the full matrix when only the
-    identity fixes b.  It also holds the grid's latest Newton
-    preconditioner "newton_lu": the LU of the last Newton Jacobian factored
-    on the grid, at every n by the grid's first Newton step.  Every Newton
-    step reuses it until GMRES misses the step's target.  Which LU that is depends on the solves run
-    before, and it moves each step only within that target: a relative
+    the map from per-node weights to its values), its lattice symmetries
+    (lattice_symmetries), the orbits of each group of them that fixed an
+    n >= 2 solve's right-hand side (dirichlet._rhs_orbits), and on an n = 1
+    grid its quarter-Laplacian solver (dirichlet._cached_laplacian_lu), all
+    built on first use.  The solver keeps one LU per stabilizer it has met:
+    that of the quarter Laplacian restricted to the symmetry orbits of a
+    right-hand side b, under the kept maps s with b[s] == b exactly, or of
+    the full matrix when only the identity fixes b.  It also holds the
+    grid's latest Newton preconditioner "newton_lu": the LU of the last
+    Newton Jacobian factored on the grid, at every n by the grid's first
+    Newton step, and at n >= 2 that of R J P on the orbits of the solve's
+    right-hand side when maps other than the identity fix it.  Every Newton
+    step reuses it until GMRES misses the step's target, or at n >= 2 until
+    a solve on other orbits needs its own.  Which LU that is depends on the
+    solves run before, and it moves each step only within that target: a relative
     residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
     forcing term at n >= 2, which can change it.  Sharing a grid across
     threads is safe for reads; concurrent Newton solves may replace each
@@ -411,50 +417,122 @@ def direction_thetas(grid, v):
     return theta
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetry_candidates(n):
+    """The 2 * 4^n * n! signed permutations of the 2n centred lattice axes
+    that commute or anticommute with the complex structure, each as (axes,
+    signs, tau, sides): node c maps to the node whose centred axis b is
+    signs[b] * c[axes[b]], and direction q of _symmetry_directions(n) maps
+    to direction tau[q], reversed where sides[q] is (1, 0).
+
+    Plane j of the image is plane j' of the source, taken as (x, y) or, where
+    axes swaps them, as (y, x); the map is complex linear on that plane when
+    its signs agree and it does not swap, or they differ and it swaps, and
+    antilinear otherwise.  Every plane must agree, so conjugating z_1 alone
+    is no candidate.  Ordered by axes, then by the pattern of negative signs:
+    the identity first, and at n = 1 the 8 maps in the order of the
+    original n = 1 rule."""
+    directions = _symmetry_directions(n)
+    index = {v: q for q, v in enumerate(directions)}
+    out = []
+    for planes in itertools.permutations(range(n)):
+        for linear in (True, False):
+            per_plane = [(swap, (s, t)) for swap in (0, 1) for s in (1, -1) for t in (1, -1)
+                         if ((s == t) != bool(swap)) == linear]
+            for choice in itertools.product(per_plane, repeat=n):
+                axes = tuple(2 * p + (c ^ swap) for p, (swap, _) in zip(planes, choice)
+                             for c in (0, 1))
+                signs = tuple(s for _, pair in choice for s in pair)
+                tau, sides = [], []
+                for v in directions:
+                    w = tuple(signs[b] * v[axes[b]] for b in range(2 * n))
+                    flip = next(c for c in w if c) < 0
+                    tau.append(index[tuple(-c for c in w) if flip else w])
+                    sides.append((1, 0) if flip else (0, 1))
+                out.append((axes, signs, np.array(tau)[:, None], np.array(sides)))
+    out.sort(key=lambda c: (c[0], tuple(s < 0 for s in c[1])))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetry_directions(n):
+    """The lattice directions whose crossing fractions the complex Hessian
+    reads: the 2n axes, then e_a + s e_b for a < b in different complex
+    planes and s = +1, -1 (hessian.hessian_operators), first entry +1."""
+    d = 2 * n
+    axes = [tuple(int(a == b) for b in range(d)) for a in range(d)]
+    diagonals = [tuple(1 if c == a else s if c == b else 0 for c in range(d))
+                 for a in range(d) for b in range(a + 1, d) if a // 2 != b // 2
+                 for s in (1, -1)]
+    return tuple(axes + diagonals)
+
+
 def lattice_symmetries(grid):
     """(k, N) permutations of interior positions, one row per lattice
-    symmetry of an n = 1 grid, the identity first: row s maps node i to node
+    symmetry of the grid, the identity first: row s maps node i to node
     s[i], so interior values v are invariant under it when v[s] == v.  Built
     on the first call and cached in grid._cache; build_grid builds none.
 
     build_grid anchors the lattice at the box centre with an odd shape, so
-    the candidates are the 8 signed permutations of the two centred lattice
-    axes.  A candidate is kept only if it maps the interior node set onto
-    itself and theta_axis onto itself exactly (np.array_equal, no
-    tolerance).  The quarter Laplacian is built from those fractions and h
-    alone, so it then commutes with every kept map bit for bit.  At a
-    dyadic h every crossing fraction maps exactly onto its image and the
-    disc keeps all 8 (h = 1/64, 1/128); at h = 0.1 rounding leaves the
-    identity and the x <-> y swap, which maps lattice coordinates onto
-    each other exactly."""
-    if grid.n != 1:
-        raise ValueError(f"lattice symmetries are built for n = 1 grids only, not n = {grid.n}")
+    the candidates are the signed permutations of the 2n centred lattice
+    axes that commute or anticommute with the complex structure
+    (_symmetry_candidates): 8 at n = 1, 64 at n = 2.  A candidate is kept
+    only if it maps three things onto themselves exactly (np.array_equal,
+    no tolerance): the interior node set, theta_axis, and the crossing
+    fractions of every diagonal direction the complex Hessian reads
+    (direction_thetas, computed here if no stencil has yet).  The stencils
+    are built from those fractions and h alone, so each second difference
+    then commutes with every kept map bit for bit; at n = 1 so does the
+    quarter Laplacian.  At a dyadic h every crossing fraction maps exactly
+    onto its image: the disc keeps all 8 maps (h = 1/64, 1/128), the unit
+    4-ball and Ellipsoid((1, 1.5)) keep 16 of 64 at h = 0.25 (rounding in
+    rho's sum of squares loses the rest).  Elsewhere rounding leaves fewer:
+    the identity and the x <-> y swap on the disc at h = 0.1, the identity
+    alone on the 4-ball at h = 0.2."""
     key = ("symmetries",)
-    if key in grid._cache:
-        return grid._cache[key]
-    pos = grid.interior_pos.reshape(grid.shape)
-    nodes = np.unravel_index(grid.interior_flat, grid.shape)
-    # a map of the interior node set onto itself maps the nodes with a cut
-    # axis edge onto each other; every other fraction is 1
-    cut = np.flatnonzero(np.any(grid.nbr_ipos < 0, axis=(1, 2)))
-    kept = []
-    for axes in ((0, 1), (1, 0)):
-        if axes == (1, 0) and grid.shape[0] != grid.shape[1]:
-            continue  # swapping the axes needs a square lattice
-        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            # node c maps to the node whose centred axis b is
-            # signs[b] * c[axes[b]]; its + side along b is c's - side along
-            # axes[b] where signs[b] is negative
-            flipped = np.flip(pos, [b for b, s in enumerate(signs) if s < 0])
-            perm = (flipped if axes == (0, 1) else flipped.T)[nodes]
-            if np.any(perm < 0):
-                continue
-            sides = np.array([(0, 1) if s > 0 else (1, 0) for s in signs])
-            expected = grid.theta_axis[cut[:, None, None], np.array(axes)[:, None], sides]
-            if np.array_equal(grid.theta_axis[perm[cut]], expected):
-                kept.append(perm)
-    grid._cache[key] = np.stack(kept)
+    if key not in grid._cache:
+        grid._cache[key] = np.stack(_kept_symmetries(grid))
     return grid._cache[key]
+
+
+def _kept_symmetries(grid):
+    """The permutations of lattice_symmetries, as a list: the arrays this
+    search builds are freed before they are stacked."""
+    diagonals = [direction_thetas(grid, v)[:, None, :]
+                 for v in _symmetry_directions(grid.n)[2 * grid.n:]]
+    theta = grid.theta_axis
+    if diagonals:
+        theta = np.concatenate([theta, *diagonals], axis=1)
+    # a map of the interior node set onto itself that maps these rows'
+    # fractions onto their images maps the rows onto each other; every
+    # other fraction is 1
+    flat = theta.reshape(grid.num_interior, -1)
+    cut = flat[:, 0] != 1.0
+    for column in flat.T[1:]:  # a loop over columns beats np.any(axis=1) here
+        cut |= column != 1.0
+    rows = np.flatnonzero(cut)
+    pos = grid.interior_pos.reshape(grid.shape)
+    # each lattice index of the interior nodes, and its mirror image
+    nodes = np.unravel_index(grid.interior_flat, grid.shape)
+    mirrored = [k - 1 - index for k, index in zip(grid.shape, nodes)]
+    # most candidates that rounding rejects fail on a few rows: test a
+    # sample of them before building the whole permutation
+    sample = rows[::max(1, rows.size // 64)]
+
+    def image(axes, signs, at):
+        return pos[tuple((nodes if s > 0 else mirrored)[a][at] for a, s in zip(axes, signs))]
+
+    kept = []
+    for axes, signs, tau, sides in _symmetry_candidates(grid.n):
+        if any(grid.shape[b] != grid.shape[a] for b, a in enumerate(axes)):
+            continue
+        probe = image(axes, signs, sample)
+        if np.any(probe < 0) or not np.array_equal(theta[probe][:, tau, sides], theta[sample]):
+            continue
+        perm = image(axes, signs, slice(None))
+        if np.all(perm >= 0) and np.array_equal(theta[perm[rows]][:, tau, sides], theta[rows]):
+            kept.append(perm)
+    return kept
 
 
 def _lattice_strides(shape):

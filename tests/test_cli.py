@@ -363,9 +363,9 @@ def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
             raise NewtonStalled("probe")
         return real(*args)
 
-    def long_first_step(grid, J, F, rtol):
+    def long_first_step(grid, J, F, rtol, orbits=None):
         # five times too long: the line search halves it at least twice
-        delta, iterations, factored = newton_step(grid, J, F, rtol)
+        delta, iterations, factored = newton_step(grid, J, F, rtol, orbits)
         steps.append(1)
         return (5.0 if len(steps) == 1 else 1.0) * delta, iterations, factored
 

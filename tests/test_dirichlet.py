@@ -357,9 +357,11 @@ def test_orbit_solve_matches_the_full_lu():
     full = dirichlet._factor(hessian.hessian_operators(g)[0][0]).solve(b)
     assert np.max(np.abs(x - full)) <= 1e-12 * np.max(np.abs(full))
     assert all(np.array_equal(x[s], x) for s in lattice_symmetries(g))
-    ((stabilizer, (lu, representatives, _)),) = solver.factors.items()
+    ((stabilizer, reduced),) = solver.factors.items()
+    representatives = reduced.orbits.representatives
     assert stabilizer == tuple(range(8)) and solver.factorizations == 1
-    assert lu.shape == (representatives.size,) * 2 and representatives.size < g.num_interior / 7
+    assert reduced.lu.shape == (representatives.size,) * 2
+    assert representatives.size < g.num_interior / 7
 
 
 def test_orbit_solve_follows_the_stabilizer_of_the_right_hand_side():
@@ -412,15 +414,56 @@ def test_disc_n1_stages_each_factor_one_lu():
         assert [len(k) for k in dirichlet._cached_laplacian_lu(g).factors] == [8]
 
 
-def test_n2_solves_build_no_symmetry():
-    """build_grid builds no lattice symmetry, and no n = 2 solve does: they
-    never use the quarter-Laplacian solver."""
+def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
+    """build_grid builds no lattice symmetry; the first n = 2 solve builds
+    it and solves on the orbits of its right-hand side's stabilizer: with
+    f = 1 on the 4-ball at h = 0.25 all 16 kept maps, 109 orbits of 1 257
+    nodes, so the cached Newton LU has 109 rows.  Every branch point and
+    iterate the routes return is invariant exactly.  Right-hand-side data
+    that only the identity fixes get the full Jacobian's LU.  No n = 2
+    solve uses the quarter-Laplacian solver."""
     g = build_grid(Ball(n=2), 0.25)
     assert ("symmetries",) not in g._cache
-    solve_frozen(np.ones(g.num_interior), g)
-    continuation(grid=g, tol=1e-8)
-    inverse_power(grid=g, tol=1e-8)
-    assert ("symmetries",) not in g._cache and "lap_lu" not in g._cache
+    fields = [p.u for route in (continuation, inverse_power)
+              for p in route(grid=g, tol=1e-8).branch]
+    maps = lattice_symmetries(g)
+    reduced = g._cache["newton_lu"]
+    assert isinstance(reduced, dirichlet._ReducedLU) and len(maps) == 16
+    assert reduced.orbits is g._cache[("orbits", tuple(range(16)))]
+    assert reduced.lu.shape == (109, 109)
+    assert all(np.array_equal(v.interior[s], v.interior) for v in fields for s in maps)
+    b = np.random.default_rng(5).uniform(0.5, 1.5, g.num_interior)
+    _, report = solve_frozen(b, g)
+    assert report.factorizations == 1
+    assert not isinstance(g._cache["newton_lu"], dirichlet._ReducedLU)
+    assert "lap_lu" not in g._cache
+
+
+@pytest.mark.parametrize("route", [continuation, inverse_power])
+@pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
+def test_orbit_newton_matches_the_full_newton(which, route):
+    """A route on the orbits (16 maps on the 4-ball with f = 1, the 4 that
+    fix the ellipsoid-n2-bump density) against the same route on a grid
+    whose symmetries are cut to the identity, with the full Jacobian LU and
+    the unprojected residual: lambda_1 within 1e-12 and the same Newton,
+    GMRES and LU counts at every point."""
+    def fresh():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if which == "ball4":
+                return build_grid(Ball(n=2), 0.25), Constant(1.0)
+            return (build_grid(Ellipsoid((1.0, 0.7)), 0.25),
+                    GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5))
+
+    (g, f), (full, _) = fresh(), fresh()
+    full._cache[("symmetries",)] = np.arange(full.num_interior)[None]
+    results = [route(f, grid, 1e-8) for grid in (g, full)]
+    counts = [[(p.report.iterations, p.report.krylov_iterations, p.report.factorizations)
+               for p in result.branch] for result in results]
+    assert counts[0] == counts[1]
+    assert abs(results[0].lambda1 - results[1].lambda1) <= 1e-12
+    assert isinstance(g._cache["newton_lu"], dirichlet._ReducedLU)
+    assert not isinstance(full._cache["newton_lu"], dirichlet._ReducedLU)
 
 
 def no_convergence(J, b, precondition, rtol):
@@ -573,7 +616,9 @@ def logdet_problem(grid, density, lam, wobble, seed=0):
 
 
 # The keywords every splu call of _factor passes, whichever caller reaches it.
-FACTOR_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A", "relax": dirichlet._LU_RELAX,
+FACTOR_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A",
+                   "diag_pivot_thresh": dirichlet._LU_PIVOT_THRESHOLD,
+                   "options": {"SymmetricMode": True}, "relax": dirichlet._LU_RELAX,
                    "panel_size": dirichlet._LU_PANEL_SIZE}
 
 
@@ -595,14 +640,17 @@ def test_factor_settings_change_blocking_only(which, disc_grid, ellipsoid_bump):
     """_factor's relax / panel_size change SuperLU's blocking only: on the
     h = 1/64 disc's quarter Laplacian and an ellipsoid-n2-bump log-det
     Jacobian its LU has the permutations and fill of splu with SuperLU's
-    default settings, and its solves agree with that LU to 1e-12 relative."""
+    default blocking and the same pivoting, and its solves agree with that
+    LU to 1e-12 relative."""
     if which == "disc_laplacian":
         A = hessian.hessian_operators(disc_grid)[0][0]
     else:
         form, u, state = logdet_problem(*ellipsoid_bump, 0.5, 0.02)
         A = form.jacobian(u, state)
     lu = dirichlet._factor(A)
-    default = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    default = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=dirichlet._LU_PIVOT_THRESHOLD,
+                   options={"SymmetricMode": True})
     assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
     assert np.array_equal(lu.perm_c, default.perm_c)
     assert np.array_equal(lu.perm_r, default.perm_r)
@@ -895,6 +943,22 @@ def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch)
     _, report = dirichlet._damped_newton(g, np.zeros(g.num_interior), 1e-9, probe)
     assert report.converged and len(steps) >= 2
     assert report.backtracks == 2 and report.mu_shrinks == 1
+
+
+def test_line_search_accepts_a_trial_that_meets_the_stop_test():
+    """A Newton trial whose det residual meets tol ends the solve although
+    max|F|, at its rounding floor, does not fall: here F stays at 2e-13
+    while the exact step brings the residual from 1 to 0, so it is taken
+    with no halving."""
+    def evaluate(u):
+        return dirichlet._NewtonState(np.full(3, 2e-13), float(np.max(np.abs(u - 1.0))),
+                                      np.ones(3), np.ones((3, 1)))
+
+    form = dirichlet._NewtonForm(evaluate, None, lambda u, state: True, 5,
+                                 step=lambda u, state, tol: (1.0 - u, 0, 0))
+    u, report = dirichlet._damped_newton(None, np.zeros(3), 1e-12, form)
+    assert np.array_equal(u, np.ones(3))
+    assert report.converged and report.iterations == 1 and report.backtracks == 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from cmaeig.domain import (
     lattice_symmetries,
 )
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
-from cmaeig.hessian import ScalarField, complex_hessian, hessian_operators
+from cmaeig.hessian import ScalarField, complex_hessian, hessian_operators, trace_operator
 
 from oracles import BALL4_VOLUME, DISC_AREA
 
@@ -518,12 +518,80 @@ def test_kept_lattice_symmetries_commute_with_the_quarter_laplacian(spec, h, kep
         assert np.array_equal(g.interior_coords[maps[1]], swapped)
 
 
-def test_lattice_symmetries_are_built_on_first_use_only(ball4_grid):
-    """build_grid builds no symmetry; the first call caches it on the grid
-    and later calls return that array.  n >= 2 grids have none yet."""
-    g = build_grid(Ball(n=1), 1 / 32)
-    assert ("symmetries",) not in g._cache
+def test_lattice_symmetries_are_built_on_first_use_only():
+    """build_grid builds no symmetry, at n = 1 or 2; the first call caches
+    it on the grid and later calls return that array."""
+    for spec, h in ((Ball(n=1), 1 / 32), (Ball(n=2), 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = build_grid(spec, h)
+        assert ("symmetries",) not in g._cache
+        maps = lattice_symmetries(g)
+        assert g._cache[("symmetries",)] is maps and lattice_symmetries(g) is maps
+
+
+def conjugate_z1_alone(g):
+    """The permutation of interior positions that maps the lattice node of
+    centred index (x1, y1, x2, y2) to that of (x1, -y1, x2, y2)."""
+    idx = list(np.unravel_index(g.interior_flat, g.shape))
+    idx[1] = g.shape[1] - 1 - idx[1]
+    return g.interior_pos[np.ravel_multi_index(tuple(idx), g.shape)]
+
+
+def logdet_jacobian(g, u):
+    """The log-det Jacobian trace_operator((M(u) + mu I)^-1) at u, with the
+    norm ||J||_inf it is measured against."""
+    J = trace_operator(g, complex_hessian(ScalarField(g, u)).inverse(1e-11)).tocsr()
+    return J, abs(J).sum(axis=1).max()
+
+
+def commutator(J, s):
+    """||Q J Q^T - J||_inf for the permutation s."""
+    return abs(J[s][:, s] - J).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("spec, h, kept", [
+    (Ball(n=2), 0.25, 16),
+    (Ellipsoid((1.0, 1.5)), 0.25, 16),
+    (Ball(n=2), 0.2, 1),
+], ids=["ball4-0.25", "ellipsoid-1-1.5-0.25", "ball4-0.2"])
+def test_kept_n2_lattice_symmetries_commute_with_the_logdet_jacobian(spec, h, kept):
+    """Of the 64 signed axis permutations that commute or anticommute with
+    the complex structure, the unit 4-ball and Ellipsoid((1, 1.5)) keep 16
+    at the dyadic h = 0.25 and the 4-ball the identity alone at h = 0.2.
+    Each kept map permutes the interior positions, the identity first, and
+    commutes to 1e-12 of its norm with the log-det Jacobian at the nodewise
+    minimum of rho over the kept maps' images, a field they all fix
+    exactly.  Conjugating z1 alone is never kept."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_grid(spec, h)
     maps = lattice_symmetries(g)
-    assert g._cache[("symmetries",)] is maps and lattice_symmetries(g) is maps
-    with pytest.raises(ValueError, match="n = 1 grids only"):
-        lattice_symmetries(ball4_grid)
+    assert maps.shape == (kept, g.num_interior)
+    assert np.array_equal(maps[0], np.arange(g.num_interior))
+    J, scale = logdet_jacobian(g, np.min(g.rho_interior[maps], axis=0))
+    for s in maps:
+        assert np.array_equal(np.sort(s), np.arange(g.num_interior))
+        assert commutator(J, s) <= 1e-12 * scale
+    assert not any(np.array_equal(s, conjugate_z1_alone(g)) for s in maps)
+
+
+def test_conjugating_z1_alone_is_no_symmetry_of_the_operator(ball4_grid):
+    """On the 4-ball at h = 0.25 conjugating z1 alone maps the interior
+    nodes and the axis crossing fractions onto themselves exactly, and
+    fixes rho (1 + 0.1 (x1 x2 + y1^2 y2)) exactly, yet the log-det
+    Jacobian there moves under it by 0.7 % of its norm: the determinant
+    reads |u_{z1 zbar2}|, which it swaps for |u_{zbar1 zbar2}|.  That is
+    why the candidates commute or anticommute with the complex
+    structure."""
+    g = ball4_grid
+    c = conjugate_z1_alone(g)
+    assert np.all(c >= 0)
+    flipped = g.theta_axis[c].copy()
+    flipped[:, 1] = flipped[:, 1, ::-1]
+    assert np.array_equal(flipped, g.theta_axis)
+    x1, y1, x2, y2 = g.interior_coords.T
+    u = g.rho_interior * (1.0 + 0.1 * (x1 * x2 + y1 ** 2 * y2))
+    assert np.array_equal(u[c], u)
+    J, scale = logdet_jacobian(g, u)
+    assert commutator(J, c) > 1e-3 * scale

@@ -352,22 +352,36 @@ def test_routes_refuse_bad_tol_at_their_first_solve(disc32, route, tol):
         route(grid=disc32, tol=tol)
 
 
+# Benchmark seeds whose semi-axes shrink by under 1e-6: (axes, bump centre).
+# Without the orbit-projected residual their tol-1e-11 inverse power
+# stalled in the line search (NewtonStalled at iteration 2).
+SHRUNK_ELLIPSOID_BUMPS = {
+    "seed13": ((0.9999999424324718, 0.6999996235090056), (-0.3, 0.0, 0.0, 0.0)),
+    "seed66": ((0.699999747194322, 0.999999706749104), (0.0, 0.0, 0.3, 0.0)),
+}
+
+
 # the benchmark's seed 0 problem (symmetry 0) keeps the id of each grid alone
 @pytest.mark.parametrize("h,iterations,symmetry", [
     pytest.param(h, iterations, symmetry,
                  id=f"{h}-{iterations}" + (f"-{symmetry}" if symmetry else ""))
-    for h, iterations in [(0.25, 33), (0.5, 47)] for symmetry in range(8)])
+    for h, iterations in [(0.25, 33), (0.5, 47)]
+    for symmetry in [*range(8), *SHRUNK_ELLIPSOID_BUMPS]])
 def test_tight_inverse_power_on_ellipsoid_bump(h, iterations, symmetry):
     """inverse_power at tol 1e-11, the discrete reference of the
     ellipsoid-n2-bump benchmark at its h = 0.25 and on its h = 0.5 warm-up
     grid, converges in a pinned number of iterations and agrees with the
     tol-1e-8 eigenvalue within 1e-9, in each of the benchmark's eight
-    lattice symmetries of the problem: the long semi-axis on z1 or z2, the
-    bump 0.3 out along either real axis of that plane, either sign."""
-    long_axis, half_axis = divmod(symmetry, 4)
-    axes = (1.0, 0.7) if long_axis == 0 else (0.7, 1.0)
-    center = [0.0] * 4
-    center[2 * long_axis + half_axis // 2] = 0.3 if half_axis % 2 == 0 else -0.3
+    lattice symmetries of the problem (the long semi-axis on z1 or z2, the
+    bump 0.3 out along either real axis of that plane, either sign) and on
+    two of its seeds' shrunk semi-axes."""
+    if symmetry in SHRUNK_ELLIPSOID_BUMPS:
+        axes, center = SHRUNK_ELLIPSOID_BUMPS[symmetry]
+    else:
+        long_axis, half_axis = divmod(symmetry, 4)
+        axes = (1.0, 0.7) if long_axis == 0 else (0.7, 1.0)
+        center = [0.0] * 4
+        center[2 * long_axis + half_axis // 2] = 0.3 if half_axis % 2 == 0 else -0.3
     f = GaussianBump(center=tuple(center), amplitude=1.0, width=0.5)
     with pytest.warns(UserWarning, match="quarter"):
         grids = [build_grid(Ellipsoid(axes), h) for _ in range(2)]
@@ -375,6 +389,17 @@ def test_tight_inverse_power_on_ellipsoid_bump(h, iterations, symmetry):
     assert len(tight.branch) - 1 == iterations
     assert tight.residual <= 1e-11
     assert abs(tight.lambda1 - inverse_power(f, grids[1], 1e-8).lambda1) <= 1e-9
+
+
+def test_inverse_power_on_the_ball_at_h_0125():
+    """On the unit 4-ball at h = 0.125 (20 161 nodes; 1 391 orbits of its 16
+    lattice symmetries) inverse power at tol 1e-8 reaches the discrete
+    eigenvalue 1.6791865938411 within 1e-9, and its eigenpair passes
+    verify_eigenpair."""
+    grid = build_grid(Ball(2), 0.125)
+    result = inverse_power(Constant(1.0), grid, 1e-8)
+    assert abs(result.lambda1 - 1.6791865938411) <= 1e-9
+    assert verify_eigenpair(result, Constant(1.0), grid).ok
 
 
 # ------------------------------------------- against the exact discrete eigenvalue
