@@ -9,12 +9,12 @@ Layering:
   residual and Jacobian; every step of both goes through one linear solve
   (_newton_step): one short right-preconditioned GMRES cycle (_krylov) on
   the grid's cached preconditioner, the LU of the last Jacobian factored on
-  the grid (a grid's first step factors its own), refreshed (the current
-  Jacobian factored anew) only when that cycle misses the step's target,
-  and NotConverged when a cycle on the fresh LU misses too.  The target is
-  a fixed 5e-10 at n = 1 and, at n >= 2, a forcing term that follows the
-  Newton residual (inexact Newton), so most log-det steps run on a stale
-  LU.  The exception is the n = 1 branch family (L/4 + lam diag f) u = f
+  the grid on the solve's orbits (a grid's first step factors its own),
+  refreshed (the current Jacobian factored anew) only when that cycle
+  misses the step's target or the LU is on other orbits, and NotConverged
+  when a cycle on the fresh LU misses too.  The target is a fixed 5e-10 at
+  n = 1 and, at n >= 2, a forcing term that follows the Newton residual
+  (inexact Newton), so most log-det steps run on a stale LU.  The exception is the n = 1 branch family (L/4 + lam diag f) u = f
   (RhsSpec.branch): its points share one Krylov space once
   right-preconditioned by L/4, so each point's Newton step comes from one
   Arnoldi basis per grid and density (_branch_solve), grown one
@@ -25,23 +25,26 @@ Layering:
   (1, lam) for a branch point.
 * solve_frozen      -- psi fixed in u.  For n = 1 one solve of the
   one-sided-difference quarter Laplacian ((1/4) Delta u = psi) with the
-  grid's cached solver (_OrbitLU), which solves on the symmetry orbits of
-  the right-hand side: the grid's lattice symmetries (signed axis
-  permutations) that map the interior nodes and every crossing fraction
-  onto themselves exactly, with no tolerance, commute with the quarter
-  Laplacian bit for bit, so a right-hand side that such maps fix exactly
-  has a solution they fix, found from one LU per stabilizer on one node
-  per orbit (6 538 of 51 429 rows for f = 1 on the disc at h = 1/128).
-  Exact equality holds at dyadic h; elsewhere rounding in the crossing
-  fractions leaves fewer maps, and a right-hand side no map fixes is
-  solved with the full LU.  For n >= 2 solve_nonlinear, which solves on
-  the orbits of the maps that fix its right-hand side's data the same way
-  (_logdet_form, _newton_step).
+  grid's cached LU on the symmetry orbits of the right-hand side
+  (_laplacian_lu).  For n >= 2 solve_nonlinear.
 * apply_T           -- the inverse operator T(v) = solve_frozen(psi(., v)).
 * monotone_iteration-- outer fixed-point iteration u_{j+1} = T(u_j) from a
   subsolution, for psi nonincreasing in u; iterates increase to the solution.
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
+
+Every solve runs on the orbits of one group (_orbits): the grid's lattice
+symmetries (signed axis permutations) that map the interior nodes and every
+crossing fraction onto themselves exactly, with no tolerance, and fix the
+right-hand side's per-node data (f^n or the frozen values).  Each second
+difference, and so the quarter Laplacian, commutes with them bit for bit,
+so the solution is invariant too, and every LU is factored on one node per
+orbit (_ReducedLU; 6 538 of 51 429 rows for f = 1 on the disc at
+h = 1/128).  Exact equality holds at dyadic h; elsewhere rounding in the
+crossing fractions leaves fewer maps.  The trivial group, one node per
+orbit, serves data that only the identity fixes and solves with no data (a
+general psi, and the n = 1 semilinear Newton steps): its reduction is the
+matrix itself and its orbit average the vector itself.
 
 The module builds its subsolutions and starts from multiples of the grid's
 defining function rho (_anchor), which vanishes at the boundary crossings
@@ -446,8 +449,8 @@ _LU_PIVOT_THRESHOLD = 0.1
 
 def _factor(A):
     """Sparse LU of A: the package's one factorization, for the n = 1
-    quarter Laplacian (_OrbitLU) and the Newton Jacobians (_newton_step),
-    in full or on symmetry orbits (_orbit_factor).
+    quarter Laplacian (_laplacian_lu) and the Newton Jacobians
+    (_newton_step), on symmetry orbits (_orbit_factor).
 
     The columns are ordered by minimum degree on A^T + A, with less fill
     than the default COLAMD (about half on the Laplacian; on an
@@ -476,15 +479,20 @@ class _Orbits:
     Each orbit is labelled by its smallest position, its representative;
     orbit[i] is node i's column.  P (N x m) copies each orbit's value to its
     nodes and R picks the representatives, so for a matrix A that commutes
-    with the group, A P y = P (R A P) y (reduce)."""
+    with the group, A P y = P (R A P) y (reduce).  The trivial group has one
+    node per orbit: R = P = I."""
 
     def __init__(self, maps):
         self.representatives, self.orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
         self.sizes = np.bincount(self.orbit, minlength=self.representatives.size)
 
     def reduce(self, A):
-        """R A P, the m x m matrix of A on the invariant vectors."""
+        """R A P, the m x m matrix of A on the invariant vectors: A itself,
+        explicit zeros and all, when every orbit is one node (a product with
+        P would drop the zeros and change the LU's ordering and fill)."""
         N, m = self.orbit.size, self.representatives.size
+        if m == N:
+            return A
         P = sparse.csr_matrix((np.ones(N), (np.arange(N), self.orbit)), shape=(N, m))
         return A.tocsr()[self.representatives] @ P
 
@@ -517,10 +525,24 @@ class _ReducedLU(NamedTuple):
         return self.lu.solve(self.orbits.average(b))[self.orbits.orbit]
 
 
-def _orbit_factor(A, orbits=None):
-    """The LU of A (_factor), or with orbits (_Orbits) that of R A P as a
-    solver on their invariant vectors (_ReducedLU)."""
-    return _factor(A) if orbits is None else _ReducedLU(_factor(orbits.reduce(A)), orbits)
+def _orbit_factor(A, orbits):
+    """The LU of R A P (_factor) on `orbits` (_Orbits) as a solver on their
+    invariant vectors (_ReducedLU)."""
+    return _ReducedLU(_factor(orbits.reduce(A)), orbits)
+
+
+def _orbits(grid, data):
+    """The _Orbits a solve runs on: those of the stabilizer of its
+    right-hand side's per-node data among the grid's lattice symmetries
+    (_stabilizer), cached on the grid per stabilizer.  That is the trivial
+    group when only the identity fixes the data or there is none (data
+    None), which builds no lattice symmetry."""
+    maps = np.arange(grid.num_interior)[None] if data is None else lattice_symmetries(grid)
+    stabilizer = _stabilizer(maps, data)
+    key = ("orbits", stabilizer)
+    if key not in grid._cache:
+        grid._cache[key] = _Orbits(maps[list(stabilizer)])
+    return grid._cache[key]
 
 
 class _Arnoldi:
@@ -628,25 +650,22 @@ def _krylov(J, b, precondition, rtol):
     return delta, len(engine.Z), bool(converged)
 
 
-def _newton_step(grid, J, F, rtol, orbits=None):
-    """Solve J delta = -F to the relative residual rtol for one Newton step;
-    returns (delta, Krylov iterations, factorizations).
+def _newton_step(grid, J, F, rtol, orbits):
+    """Solve J delta = -F to the relative residual rtol for one Newton step
+    on `orbits` (_Orbits, the solve's); returns (delta, Krylov iterations,
+    factorizations).
 
     One GMRES cycle (_krylov) on J runs on the grid's cached preconditioner
-    grid._cache["newton_lu"], the LU of the last Jacobian factored on the
-    grid (left by any earlier step or solve): one LU solve per
-    iteration, none after the cycle.  When there is none or the cycle misses
-    rtol, J is factored, its LU cached, and one more cycle runs on it;
-    NotConverged, naming rtol, is raised if that misses too.
-
-    With `orbits` (_Orbits; the log-det form's on a grid with symmetry) the
-    LU is that of R J P (_ReducedLU), and a cached LU of other orbits counts
-    as none.  Each preconditioned vector is then invariant exactly, and so
-    is delta, their combination."""
+    grid._cache["newton_lu"], the LU of R J P for the last Jacobian factored
+    on the grid (_ReducedLU, left by any earlier step or solve): one LU
+    solve per iteration, none after the cycle.  When there is none, it is
+    on other orbits or the cycle misses rtol, R J P is factored, its LU
+    cached, and one more cycle runs on it; NotConverged, naming rtol, is
+    raised if that misses too.  Each preconditioned vector is invariant
+    exactly, and so is delta, their combination."""
     lu = grid._cache.get("newton_lu")
     stale = 0
-    if lu is not None and (orbits is None or (isinstance(lu, _ReducedLU)
-                                               and lu.orbits is orbits)):
+    if lu is not None and lu.orbits is orbits:
         delta, stale, converged = _krylov(J, -F, lu.solve, rtol)
         if converged:
             return delta, stale, 0
@@ -675,23 +694,26 @@ _SHIFTED_BASIS_CAP = 24
 
 def _branch_solve(grid, rhs, tol):
     """Solve the n = 1 branch point (L/4 + lam diag f) u = f of `rhs` to a
-    residual <= 0.1 tol; returns (u, vectors added), u None once the basis
-    reaches _SHIFTED_BASIS_CAP or an invariant space first.
+    residual <= 0.1 tol; returns (u, vectors added, LUs factored), u None
+    once the basis reaches _SHIFTED_BASIS_CAP or an invariant space first.
 
     Right-preconditioned by L/4 the points are the shifted systems
     (I + lam diag(f) (L/4)^-1) x = f, u = (L/4)^-1 x, so they share one
     Krylov space: the grid keeps one engine (_Arnoldi) of diag f started at
-    f and preconditioned by the quarter-Laplacian solver, rebuilt when f
-    differs, and solves each point at shift (1, lam), one LU solve per
-    vector added."""
+    f, rebuilt when f differs, and solves each point at shift (1, lam), one
+    LU solve per vector added.  Its preconditioner is the quarter-Laplacian
+    LU on the orbits of f (_laplacian_lu), looked up once per basis: every
+    vector is invariant under f's stabilizer, since diag f commutes with it
+    and each preconditioned vector is invariant exactly."""
     f = rhs.weight
     basis = grid._cache.get("shifted_basis")
+    factored = 0
     if basis is None or not np.array_equal(basis.b, f):
-        basis = grid._cache["shifted_basis"] = _Arnoldi(
-            f, _cached_laplacian_lu(grid).solve, lambda z: f * z)
+        lu, factored = _laplacian_lu(grid, _orbits(grid, f))
+        basis = grid._cache["shifted_basis"] = _Arnoldi(f, lu.solve, lambda z: f * z)
     held = len(basis.Z)
     u, residual = basis.solve_to((1.0, rhs.lambda0), 0.1 * tol, _SHIFTED_BASIS_CAP)
-    return (u if residual <= 0.1 * tol else None), len(basis.Z) - held
+    return (u if residual <= 0.1 * tol else None), len(basis.Z) - held, factored
 
 
 class _NewtonState(NamedTuple):
@@ -722,8 +744,8 @@ class _NewtonForm(NamedTuple):
     does, (delta, Krylov iterations, factorizations) (the n = 1 form's step,
     which on the branch family starts from the shared basis and counts the
     quarter-Laplacian LUs its solves factor); flags collects the report
-    flags the hooks raise; orbits (_Orbits), when present, are those every
-    iterate is invariant on, passed to _newton_step.
+    flags the hooks raise; orbits (_Orbits) are the solve's, on which
+    _newton_step solves each step when there is no step hook.
     """
 
     evaluate: object
@@ -792,7 +814,7 @@ def _damped_newton(grid, ui, tol, form, state=None):
     raise NotConverged(f"Newton did not reach tol={tol} in {form.max_iter} iterations")
 
 
-def _logdet_form(grid, rhs, tol, orbits=None):
+def _logdet_form(grid, rhs, tol, orbits):
     """n >= 2: F(u) = log det(M(u) + mu I) - log(psi + mu^n), stopping on the
     true residual max|det M(u) - psi|.  Trials must keep M + mu I positive
     definite.  That also keeps the Hessian above the PSH floor -10 h^2
@@ -812,19 +834,20 @@ def _logdet_form(grid, rhs, tol, orbits=None):
     Jacobian; later steps reuse the grid's last Jacobian LU as their GMRES
     preconditioner until a cycle misses its target (_newton_step).
 
-    With orbits (_Orbits of the lattice symmetries that fix the right-hand
-    side's data; solve_nonlinear passes them and symmetrizes the start), F
-    is replaced by its orbit average (_Orbits.project), which the step, the
-    line search's max|F|, the mu-shrink test and the forcing term all read,
-    and every step is solved on the orbits (_newton_step), so each iterate
-    is invariant exactly; the stop test stays the raw max|det - psi|.  F
-    itself is invariant only to rounding (the Hessian's entries sum the
-    same second differences in other orders on the images of a node), and
-    its part off the invariant vectors, 6e-14 on ellipsoid-n2-bump at its
-    eigenfunction, is out of reach of every invariant step: without the
-    projection the tol-1e-11 inverse power raised NotConverged on all 30
-    ellipsoid-n2-bump seeds tried, its GMRES cycle on a fresh LU stopping
-    at 3.5e-4 to 7.8e-4 against a 4.6e-5 target."""
+    On `orbits` (_Orbits; solve_nonlinear passes those of the right-hand
+    side's data, _orbits, and symmetrizes the start), F is replaced by its
+    orbit average (_Orbits.project), which the step, the line search's
+    max|F|, the mu-shrink test and the forcing term all read, and every step
+    is solved on the orbits (_newton_step), so each iterate is invariant
+    exactly; the stop test stays the raw max|det - psi|.  On the trivial
+    group the average is F itself.  F itself is invariant only to rounding
+    (the Hessian's entries sum the same second differences in other orders
+    on the images of a node), and its part off the invariant vectors, 6e-14
+    on ellipsoid-n2-bump at its eigenfunction, is out of reach of every
+    invariant step: without the projection the tol-1e-11 inverse power
+    raised NotConverged on all 30 ellipsoid-n2-bump seeds tried, its GMRES
+    cycle on a fresh LU stopping at 3.5e-4 to 7.8e-4 against a 4.6e-5
+    target."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
     shrinks = 0
@@ -836,9 +859,7 @@ def _logdet_form(grid, rhs, tol, orbits=None):
         eig = hess.eigenvalues()
         psi = rhs.psi(np.minimum(ui, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
-            F = np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n)
-        if orbits is not None:
-            F = orbits.project(F)
+            F = orbits.project(np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n))
         error = float(np.max(np.abs(hess.det() - psi)))
         return _NewtonState(F, error, psi, eig, hess)
 
@@ -889,10 +910,10 @@ def _semilinear_form(grid, rhs):
     linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
     psi_t > -lambda_1.  Trials must stay <= 0.
 
-    Each step is _newton_step, under the same preconditioner rule as at
-    n >= 2: a grid's first step factors its Jacobian.  On the branch family
-    psi = f (1 - lam t) (RhsSpec.branch) the Newton step from any
-    u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
+    Each step is _newton_step on the trivial group (_orbits), under the same
+    preconditioner rule as at n >= 2: a grid's first step factors its
+    Jacobian.  On the branch family psi = f (1 - lam t) (RhsSpec.branch)
+    the Newton step from any u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
     form's first step is delta = u* - u with u* from the grid's shared
     shifted basis (_branch_solve), one quarter-Laplacian LU solve per new
     basis vector, each counted as a Krylov iteration, and the LUs those
@@ -900,6 +921,7 @@ def _semilinear_form(grid, rhs):
     step of the solve, runs _newton_step instead, the former flagged
     "shifted_basis_cap"."""
     quarter_laplacian = hessian_operators(grid)[0][0]
+    orbits = _orbits(grid, None)
     flags = []
     first = rhs.branch_family
 
@@ -917,15 +939,12 @@ def _semilinear_form(grid, rhs):
         vectors = factored = 0
         if first:
             first = False
-            laplacian_lu = _cached_laplacian_lu(grid)
-            before = laplacian_lu.factorizations
-            u, vectors = _branch_solve(grid, rhs, tol)
-            factored = laplacian_lu.factorizations - before
+            u, vectors, factored = _branch_solve(grid, rhs, tol)
             if u is not None:
                 return u - ui, vectors, factored
             flags.append("shifted_basis_cap")
         delta, iterations, refreshed = _newton_step(grid, jacobian(ui, state), state.F,
-                                                    _KRYLOV_RTOL)
+                                                    _KRYLOV_RTOL, orbits)
         return delta, vectors + iterations, refreshed + factored
 
     return _NewtonForm(evaluate, jacobian, admissible, 60, step=step, flags=flags)
@@ -936,24 +955,6 @@ def _require_tol(tol):
     pass every convergence test)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0: {tol!r}")
-
-
-def _rhs_orbits(rhs):
-    """The _Orbits of the stabilizer of rhs's per-node data (f^n for a
-    separable right-hand side, the values for a frozen one) among the
-    grid's lattice symmetries, cached on the grid per stabilizer; None for a
-    general right-hand side or when only the identity fixes the data."""
-    data = rhs.weight if rhs.kind == "separable" else rhs.frozen_values
-    if data is None:
-        return None
-    maps = lattice_symmetries(rhs.grid)
-    stabilizer = _stabilizer(maps, data)
-    if len(stabilizer) == 1:
-        return None
-    key = ("orbits", stabilizer)
-    if key not in rhs.grid._cache:
-        rhs.grid._cache[key] = _Orbits(maps[list(stabilizer)])
-    return rhs.grid._cache[key]
 
 
 def solve_nonlinear(rhs, start, tol=1e-8):
@@ -971,8 +972,8 @@ def solve_nonlinear(rhs, start, tol=1e-8):
         form, state, flags = _semilinear_form(grid, rhs), None, ()
     else:
         ui, hess, flags = _feasible_start(grid, rhs, ui)
-        orbits = _rhs_orbits(rhs)
-        if orbits is not None and not orbits.fixes(ui):
+        orbits = _orbits(grid, rhs.weight if rhs.kind == "separable" else rhs.frozen_values)
+        if not orbits.fixes(ui):
             ui, hess = orbits.project(ui), None
         form = _logdet_form(grid, rhs, tol, orbits)
         state = None if hess is None else form.evaluate(ui, hess)
@@ -986,62 +987,39 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-class _OrbitLU:
-    """Solves (1/4) L x = b for the n = 1 quarter Laplacian (1/4) L on the
-    symmetry orbits of b.
-
-    Each solve finds the stabilizer of b, the grid's lattice symmetries s
-    (lattice_symmetries) with b[s] == b exactly (_stabilizer).  The quarter
-    Laplacian commutes with every kept map exactly, so x is invariant and
-    comes from one LU of R (1/4) L P on the orbits of the stabilizer
-    (_ReducedLU).  That LU is factored (_factor) on the first solve with its
-    stabilizer and kept; factorizations counts the LUs factored.  With f = 1
-    the disc at h = 1/128 keeps 8 maps and its LU has 6 538 rows where
-    (1/4) L has 51 429.  A right-hand side that only the identity fixes is
-    solved with the LU of (1/4) L itself, as without the symmetries."""
-
-    def __init__(self, quarter_laplacian, maps):
-        self.quarter_laplacian, self.maps = quarter_laplacian, maps
-        self.factors = {}  # stabilizer (kept-map indices) -> LU or _ReducedLU
-        self.factorizations = 0
-
-    def solve(self, b):
-        stabilizer = _stabilizer(self.maps, b)
-        if stabilizer not in self.factors:
-            orbits = _Orbits(self.maps[list(stabilizer)]) if len(stabilizer) > 1 else None
-            self.factors[stabilizer] = _orbit_factor(self.quarter_laplacian, orbits)
-            self.factorizations += 1
-        return self.factors[stabilizer].solve(b)
-
-
-def _cached_laplacian_lu(grid):
-    """The grid's n = 1 quarter-Laplacian solver (_OrbitLU), created once
-    per grid with its lattice symmetries; its LUs, one per stabilizer, are
-    factored by the first solves that need them.  It holds no reference to
-    the grid, whose cache holds it, so a dropped grid is freed at once and
-    not left to the cycle collector."""
-    if "lap_lu" not in grid._cache:
-        grid._cache["lap_lu"] = _OrbitLU(hessian_operators(grid)[0][0],
-                                         lattice_symmetries(grid))
-    return grid._cache["lap_lu"]
+def _laplacian_lu(grid, orbits):
+    """(the LU of the n = 1 quarter Laplacian (1/4) L on `orbits` as a
+    _ReducedLU, the LUs this call factored: 1 or 0), cached on the grid per
+    orbits and factored (_factor) on the first call for them.  (1/4) L
+    commutes with every kept map exactly, so for a right-hand side that the
+    orbits' group fixes it gives the invariant solution: with f = 1 the
+    disc at h = 1/128 keeps 8 maps and the LU has 6 538 rows where (1/4) L
+    has 51 429.  The cached LU holds no reference to the grid, whose cache
+    holds it, so a dropped grid is freed at once and not left to the cycle
+    collector."""
+    key = ("lap_lu", orbits)
+    if key in grid._cache:
+        return grid._cache[key], 0
+    grid._cache[key] = _orbit_factor(hessian_operators(grid)[0][0], orbits)
+    return grid._cache[key], 1
 
 
 def solve_frozen(h, grid, tol=1e-8, initial=None):
     """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
 
-    n = 1 is one solve with the cached quarter-Laplacian LU; n >= 2 is
-    solve_nonlinear from `initial` or, without one, from the scaled defining
-    function of quadratic_subsolution.  tol must be finite and > 0.
+    n = 1 is one solve with the cached quarter-Laplacian LU on the orbits of
+    h (_laplacian_lu); n >= 2 is solve_nonlinear from `initial` or, without
+    one, from the scaled defining function of quadratic_subsolution.  tol
+    must be finite and > 0.
     """
     _require_tol(tol)
     rhs = RhsSpec.frozen(grid, h)
     if grid.n == 1:
         h_int = rhs.frozen_values
-        lu = _cached_laplacian_lu(grid)
-        factored = lu.factorizations
+        lu, factored = _laplacian_lu(grid, _orbits(grid, h_int))
         ui = np.minimum(lu.solve(h_int), 0.0)
         state = _semilinear_state(hessian_operators(grid)[0][0], ui, h_int)
-        report = _make_report(state, 1, True, factorizations=lu.factorizations - factored)
+        report = _make_report(state, 1, True, factorizations=factored)
         if report.final_residual > tol:
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)

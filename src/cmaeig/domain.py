@@ -300,20 +300,18 @@ class GridDomain:
     operators that complex_hessian applies, the assembly plan through which
     trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
     the map from per-node weights to its values), its lattice symmetries
-    (lattice_symmetries), the orbits of each group of them that fixed an
-    n >= 2 solve's right-hand side (dirichlet._rhs_orbits), and on an n = 1
-    grid its quarter-Laplacian solver (dirichlet._cached_laplacian_lu), all
-    built on first use.  The solver keeps one LU per stabilizer it has met:
-    that of the quarter Laplacian restricted to the symmetry orbits of a
-    right-hand side b, under the kept maps s with b[s] == b exactly, or of
-    the full matrix when only the identity fixes b.  It also holds the
-    grid's latest Newton preconditioner "newton_lu": the LU of the last
-    Newton Jacobian factored on the grid, at every n by the grid's first
-    Newton step, and at n >= 2 that of R J P on the orbits of the solve's
-    right-hand side when maps other than the identity fix it.  Every Newton
-    step reuses it until GMRES misses the step's target, or at n >= 2 until
-    a solve on other orbits needs its own.  Which LU that is depends on the
-    solves run before, and it moves each step only within that target: a relative
+    (lattice_symmetries), the orbits of each group of them that fixed a
+    solve's right-hand side (dirichlet._orbits; the trivial group, one node
+    per orbit, for data that only the identity fixes and for solves with
+    none), and on an n = 1 grid the quarter Laplacian's LU on each such
+    orbits that a solve has met (dirichlet._laplacian_lu), all built on
+    first use.  It also holds the grid's latest Newton preconditioner
+    "newton_lu": the LU of R J P for the last Newton Jacobian J factored on
+    the grid (a grid's first Newton step always factors), on the orbits of
+    that solve: the trivial group at n = 1, where R J P is J.  Every Newton
+    step reuses it until GMRES misses the step's target or a solve on other
+    orbits needs its own.  Which LU that is depends on the solves run
+    before, and it moves each step only within that target: a relative
     residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
     forcing term at n >= 2, which can change it.  Sharing a grid across
     threads is safe for reads; concurrent Newton solves may replace each

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigs, spsolve
 
-from cmaeig.dirichlet import RhsSpec, _logdet_form
+from cmaeig.dirichlet import RhsSpec, _logdet_form, _orbits
 from cmaeig.domain import density_vector
 from cmaeig.hessian import laplacian_matrix
 
@@ -44,7 +44,7 @@ def bordered_newton(grid, density, lam, u):
     fn = density_vector(density, grid, power=n)
 
     def form(lam):
-        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL)
+        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL, _orbits(grid, None))
 
     evaluate, jacobian, *_ = form(lam)
     state = evaluate(u)

@@ -46,6 +46,20 @@ from oracles import (
 )
 
 
+def plain_logdet_form(grid, rhs, tol):
+    """The log-det Newton form on the trivial group: F unprojected and every
+    step on the Jacobian's own LU."""
+    return _logdet_form(grid, rhs, tol, dirichlet._orbits(grid, None))
+
+
+def laplacian_lu_stabilizers(grid):
+    """The stabilizers (kept-map indices) of the quarter-Laplacian LUs cached
+    on grid, in the order they were factored."""
+    keys = [key for key in grid._cache if isinstance(key, tuple)]
+    stabilizer = {id(grid._cache[key]): key[1] for key in keys if key[0] == "orbits"}
+    return [stabilizer[id(key[1])] for key in keys if key[0] == "lap_lu"]
+
+
 def r2_of(grid):
     c = grid.interior_coords
     return np.sum(c ** 2, axis=1)
@@ -238,7 +252,7 @@ def test_logdet_jacobian_matches_central_difference(which, ball4_grid):
     rng = np.random.default_rng(0)
     u0, _ = quadratic_subsolution(grid, rhs)
     u = u0.interior * (1.0 + 0.01 * rng.uniform(size=grid.num_interior))
-    evaluate, jacobian, admissible, *_ = _logdet_form(grid, rhs, 1e-8)
+    evaluate, jacobian, admissible, *_ = plain_logdet_form(grid, rhs, 1e-8)
     state = evaluate(u)
     assert admissible(u, state)
     d = rng.normal(size=grid.num_interior)
@@ -266,13 +280,16 @@ def test_krylov_step_matches_direct_solve(case, disc_grid, monkeypatch):
     (lambda_1 = 1.44552 on this grid) and on a steep increasing right-hand
     side."""
     g = disc_grid
-    monkeypatch.setitem(g._cache, "newton_lu", dirichlet._cached_laplacian_lu(g))
+    trivial = dirichlet._orbits(g, None)
+    monkeypatch.setitem(g._cache, "newton_lu",
+                        dirichlet._orbit_factor(hessian.hessian_operators(g)[0][0], trivial))
     rhs = steep_rhs(g) if case == "steep" else RhsSpec.branch(g, float(case[7:]))
     u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
     form = _semilinear_form(g, rhs)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL,
+                                                         trivial)
     reference = spsolve(J.tocsc(), -state.F)
     assert 0 < iterations <= dirichlet._KRYLOV_RESTART and factored == 0
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
@@ -284,14 +301,16 @@ def test_n1_useless_preconditioner_is_refreshed(disc_grid_32, monkeypatch):
     misses, so the step factors the Jacobian once, caches that LU in place of
     the seed and converges on it."""
     g = disc_grid_32
-    useless = dirichlet._factor(sparse.identity(g.num_interior))
+    trivial = dirichlet._orbits(g, None)
+    useless = dirichlet._orbit_factor(sparse.identity(g.num_interior), trivial)
     monkeypatch.setitem(g._cache, "newton_lu", useless)
     calls = counting_splu(monkeypatch)
     form = _semilinear_form(g, RhsSpec.branch(g, 1.0))
     u = 0.3 * (r2_of(g) - 1.0)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
-    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL)
+    delta, iterations, factored = dirichlet._newton_step(g, J, state.F, dirichlet._KRYLOV_RTOL,
+                                                         trivial)
     reference = spsolve(J.tocsc(), -state.F)
     assert calls == [FACTOR_SETTINGS] and factored == 1
     assert iterations == dirichlet._KRYLOV_RESTART + 1
@@ -345,6 +364,13 @@ def test_n1_newton_factors_its_own_jacobian(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def laplacian_solve(grid, b):
+    """(x, LUs factored) for (1/4) L x = b, as solve_frozen solves it: on the
+    orbits of b's stabilizer."""
+    lu, factored = dirichlet._laplacian_lu(grid, dirichlet._orbits(grid, b))
+    return lu.solve(b), factored
+
+
 def test_orbit_solve_matches_the_full_lu():
     """With f = 1 on the h = 1/64 disc all 8 lattice symmetries fix the
     right-hand side: one LU on the orbits, under an eighth of the rows plus
@@ -352,39 +378,37 @@ def test_orbit_solve_matches_the_full_lu():
     (relative) of the full LU's."""
     g = build_grid(Ball(n=1), 1 / 64)
     b = np.ones(g.num_interior)
-    solver = dirichlet._cached_laplacian_lu(g)
-    x = solver.solve(b)
+    x, factored = laplacian_solve(g, b)
     full = dirichlet._factor(hessian.hessian_operators(g)[0][0]).solve(b)
     assert np.max(np.abs(x - full)) <= 1e-12 * np.max(np.abs(full))
     assert all(np.array_equal(x[s], x) for s in lattice_symmetries(g))
-    ((stabilizer, reduced),) = solver.factors.items()
-    representatives = reduced.orbits.representatives
-    assert stabilizer == tuple(range(8)) and solver.factorizations == 1
-    assert reduced.lu.shape == (representatives.size,) * 2
+    assert laplacian_lu_stabilizers(g) == [tuple(range(8))] and factored == 1
+    orbits = g._cache[("orbits", tuple(range(8)))]
+    representatives = orbits.representatives
+    assert g._cache[("lap_lu", orbits)].lu.shape == (representatives.size,) * 2
     assert representatives.size < g.num_interior / 7
 
 
 def test_orbit_solve_follows_the_stabilizer_of_the_right_hand_side():
     """A random right-hand side, which only the identity fixes, gets the full
-    LU's answer bit for bit; the (0.3, 0) bump is fixed by the identity and
-    y -> -y, so it gets an LU of its own on the orbits of that pair; each
-    LU is factored once."""
+    LU's answer bit for bit, on the trivial group; the (0.3, 0) bump is
+    fixed by the identity and y -> -y, so it gets an LU of its own on the
+    orbits of that pair; each LU is factored once."""
     g = build_grid(Ball(n=1), 1 / 64)
     full = dirichlet._factor(hessian.hessian_operators(g)[0][0])
-    solver = dirichlet._cached_laplacian_lu(g)
     b = np.random.default_rng(3).uniform(0.5, 1.5, g.num_interior)
-    assert np.array_equal(solver.solve(b), full.solve(b))
+    assert np.array_equal(laplacian_solve(g, b)[0], full.solve(b))
     bump = density_vector(DISC_BUMP, g)
-    x = solver.solve(bump)
+    x, _ = laplacian_solve(g, bump)
     reference = full.solve(bump)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
-    assert [len(stabilizer) for stabilizer in solver.factors] == [1, 2]
-    reflected = lattice_symmetries(g)[list(solver.factors)[1][1]]
+    stabilizers = laplacian_lu_stabilizers(g)
+    assert [len(stabilizer) for stabilizer in stabilizers] == [1, 2]
+    reflected = lattice_symmetries(g)[stabilizers[1][1]]
     assert np.array_equal(g.interior_coords[reflected],
                           g.interior_coords * np.array([1.0, -1.0]))
-    solver.solve(2.0 * bump)
-    solver.solve(b + 1.0)
-    assert solver.factorizations == 2
+    assert laplacian_solve(g, 2.0 * bump)[1] == laplacian_solve(g, b + 1.0)[1] == 0
+    assert laplacian_lu_stabilizers(g) == stabilizers
 
 
 def test_reports_count_every_laplacian_lu_factored():
@@ -411,7 +435,7 @@ def test_disc_n1_stages_each_factor_one_lu():
         g = fresh()
         result = route(grid=g, tol=1e-8)
         assert sum(p.report.factorizations for p in result.branch) == 1
-        assert [len(k) for k in dirichlet._cached_laplacian_lu(g).factors] == [8]
+        assert laplacian_lu_stabilizers(g) == [tuple(range(8))]
 
 
 def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
@@ -420,23 +444,42 @@ def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
     f = 1 on the 4-ball at h = 0.25 all 16 kept maps, 109 orbits of 1 257
     nodes, so the cached Newton LU has 109 rows.  Every branch point and
     iterate the routes return is invariant exactly.  Right-hand-side data
-    that only the identity fixes get the full Jacobian's LU.  No n = 2
-    solve uses the quarter-Laplacian solver."""
+    that only the identity fixes get the trivial group, whose LU is the
+    Jacobian's own.  No n = 2 solve uses the quarter-Laplacian LU."""
     g = build_grid(Ball(n=2), 0.25)
     assert ("symmetries",) not in g._cache
     fields = [p.u for route in (continuation, inverse_power)
               for p in route(grid=g, tol=1e-8).branch]
     maps = lattice_symmetries(g)
     reduced = g._cache["newton_lu"]
-    assert isinstance(reduced, dirichlet._ReducedLU) and len(maps) == 16
+    assert len(maps) == 16
     assert reduced.orbits is g._cache[("orbits", tuple(range(16)))]
     assert reduced.lu.shape == (109, 109)
     assert all(np.array_equal(v.interior[s], v.interior) for v in fields for s in maps)
     b = np.random.default_rng(5).uniform(0.5, 1.5, g.num_interior)
     _, report = solve_frozen(b, g)
     assert report.factorizations == 1
-    assert not isinstance(g._cache["newton_lu"], dirichlet._ReducedLU)
-    assert "lap_lu" not in g._cache
+    trivial = g._cache["newton_lu"].orbits
+    assert trivial is g._cache[("orbits", (0,))]
+    assert g._cache["newton_lu"].lu.shape == (g.num_interior,) * 2
+    assert laplacian_lu_stabilizers(g) == []
+
+
+def test_frozen_solve_after_a_route_takes_the_fresh_grid_counts():
+    """A grid's cached Newton LU preconditions a later solve only on the same
+    orbits: on the 4-ball at h = 0.25, a random right-hand side, which only
+    the identity fixes, takes 5 Newton steps, 16 GMRES iterations and 1 LU
+    right after an inverse power, whose LU is on the orbits of 16 maps, as
+    on a fresh grid, and wastes no GMRES cycle on the other orbits' LU."""
+    def counts(report):
+        return report.iterations, report.krylov_iterations, report.factorizations
+
+    g = build_grid(Ball(n=2), 0.25)
+    b = np.random.default_rng(5).uniform(0.5, 1.5, g.num_interior)
+    inverse_power(grid=g, tol=1e-8)
+    _, after = solve_frozen(b, g)
+    _, fresh = solve_frozen(b, build_grid(Ball(n=2), 0.25))
+    assert counts(after) == counts(fresh) == (5, 16, 1)
 
 
 @pytest.mark.parametrize("route", [continuation, inverse_power])
@@ -444,9 +487,11 @@ def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
 def test_orbit_newton_matches_the_full_newton(which, route):
     """A route on the orbits (16 maps on the 4-ball with f = 1, the 4 that
     fix the ellipsoid-n2-bump density) against the same route on a grid
-    whose symmetries are cut to the identity, with the full Jacobian LU and
-    the unprojected residual: lambda_1 within 1e-12 and the same Newton,
-    GMRES and LU counts at every point."""
+    whose symmetries are cut to the identity, on the trivial group: the
+    full Jacobian LU and the unprojected residual.  lambda_1 within 1e-12
+    and the same Newton, GMRES and LU counts at every point.  The trivial
+    group's reduction is the Jacobian object itself, explicit zeros
+    included, so its LU has the Jacobian's own ordering and fill."""
     def fresh():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -462,8 +507,39 @@ def test_orbit_newton_matches_the_full_newton(which, route):
                for p in result.branch] for result in results]
     assert counts[0] == counts[1]
     assert abs(results[0].lambda1 - results[1].lambda1) <= 1e-12
-    assert isinstance(g._cache["newton_lu"], dirichlet._ReducedLU)
-    assert not isinstance(full._cache["newton_lu"], dirichlet._ReducedLU)
+    assert g._cache["newton_lu"].orbits.representatives.size < g.num_interior
+    trivial = full._cache["newton_lu"].orbits
+    assert trivial is full._cache[("orbits", (0,))]
+    rhs = RhsSpec.eigen(full, results[1].lambda1, density_vector(f, full, power=2))
+    form = _logdet_form(full, rhs, 1e-8, trivial)
+    u = results[1].branch[-1].u.interior
+    J = form.jacobian(u, form.evaluate(u))
+    assert np.count_nonzero(J.data) < J.nnz
+    assert trivial.reduce(J) is J
+
+
+# A C^2 domain whose lattice keeps only the identity at h = 0.25 (rho has a
+# cross term and linear terms, and no two axes alike), so its every solve runs
+# on the trivial group.
+SKEW_N2 = CustomRho(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.3, (0, 0, 2, 0): 1.1,
+                        (0, 0, 0, 2): 0.9, (1, 0, 1, 0): 0.1, (1, 0, 0, 0): 0.1,
+                        (0, 1, 0, 0): 0.07, (0, 0, 0, 0): -1.0},
+                    (0.0,) * 4, ((-1.6, 1.6),) * 4)
+
+
+def test_symmetry_free_continuation_is_pinned():
+    """Continuation on SKEW_N2 at h = 0.25, with only the identity kept."""
+    g = build_grid(SKEW_N2, 0.25)
+    result = continuation(grid=g, tol=1e-8)
+    assert len(lattice_symmetries(g)) == 1
+    assert result.lambda1 == pytest.approx(1.771495522763057, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=NotConverged,
+                   reason="ROADMAP item 8: the first frozen solve creeps at max|F| ~ 2.8 "
+                          "until Newton runs out of iterations; the cause is not found")
+def test_symmetry_free_inverse_power_converges():
+    inverse_power(grid=build_grid(SKEW_N2, 0.25), tol=1e-8)
 
 
 def no_convergence(J, b, precondition, rtol):
@@ -611,7 +687,7 @@ def logdet_problem(grid, density, lam, wobble, seed=0):
     u0, _ = quadratic_subsolution(grid, rhs)
     noise = np.random.default_rng(seed).uniform(size=grid.num_interior)
     u = u0.interior * (1.0 + wobble * noise)
-    form = _logdet_form(grid, rhs, 1e-8)
+    form = plain_logdet_form(grid, rhs, 1e-8)
     return form, u, form.evaluate(u)
 
 
@@ -671,13 +747,13 @@ def test_stale_lu_step_matches_direct_solve(which, ball4_grid, ellipsoid_bump, m
     and a perturbed field by GMRES alone, as accurately as spsolve."""
     grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
     old_form, old_u, old_state = logdet_problem(grid, density, 0.3, 0.0)
-    stale = dirichlet._factor(old_form.jacobian(old_u, old_state))
+    stale = dirichlet._orbit_factor(old_form.jacobian(old_u, old_state), old_form.orbits)
     monkeypatch.setitem(grid._cache, "newton_lu", stale)
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
     J = form.jacobian(u, state)
     delta, iterations, factored = dirichlet._newton_step(grid, J, state.F,
-                                                         dirichlet._KRYLOV_RTOL)
+                                                         dirichlet._KRYLOV_RTOL, form.orbits)
     reference = spsolve(J, -state.F)
     assert calls == [] and factored == 0
     assert grid._cache["newton_lu"] is stale
@@ -693,13 +769,13 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     solves with one more GMRES iteration on it; the next step needs no
     factorization."""
     grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
-    useless = dirichlet._factor(sparse.identity(grid.num_interior))
+    form, u, state = logdet_problem(grid, density, 0.5, 0.02)
+    useless = dirichlet._orbit_factor(sparse.identity(grid.num_interior), form.orbits)
     monkeypatch.setitem(grid._cache, "newton_lu", useless)
     calls = counting_splu(monkeypatch)
-    form, u, state = logdet_problem(grid, density, 0.5, 0.02)
     J = form.jacobian(u, state)
     delta, iterations, factored = dirichlet._newton_step(grid, J, state.F,
-                                                         dirichlet._KRYLOV_RTOL)
+                                                         dirichlet._KRYLOV_RTOL, form.orbits)
     reference = spsolve(J, -state.F)
     assert calls == [FACTOR_SETTINGS] and factored == 1
     # the missed cycle, then one iteration on the fresh LU
@@ -707,7 +783,7 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     assert grid._cache["newton_lu"] is not useless
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
     again, iterations, factored = dirichlet._newton_step(grid, J, state.F,
-                                                         dirichlet._KRYLOV_RTOL)
+                                                         dirichlet._KRYLOV_RTOL, form.orbits)
     assert len(calls) == 1 and factored == 0 and iterations <= 2
     assert np.linalg.norm(again - reference) <= 1e-9 * np.linalg.norm(reference)
 
@@ -737,7 +813,7 @@ def test_logdet_forcing_terms(ellipsoid_bump):
     tol, mu = 1e-8, 1e-11  # mu: the form's eigenvalue floor at this tol
     rhs = RhsSpec.branch(grid, 0.5, density_vector(density, grid, power=grid.n))
     u0, _ = quadratic_subsolution(grid, rhs)
-    form = _logdet_form(grid, rhs, tol)
+    form = plain_logdet_form(grid, rhs, tol)
     steps = []
 
     def recording(state):
@@ -798,7 +874,8 @@ def krylov_system(case, disc_grid, ellipsoid_bump):
     J = form.jacobian(u, state)
     if case == "identity":
         return J, -state.F, np.copy
-    return J, -state.F, dirichlet._cached_laplacian_lu(g).solve
+    trivial = dirichlet._orbits(g, None)
+    return J, -state.F, dirichlet._orbit_factor(hessian.hessian_operators(g)[0][0], trivial).solve
 
 
 @pytest.mark.parametrize("case, rtol", [
@@ -847,8 +924,9 @@ def test_shifted_engine_matches_direct_solves(disc_grid_32):
     1.4 in turn, each within 1e-10 (relative) of spsolve's u."""
     g = disc_grid_32
     f = density_vector(GaussianBump(center=(0.3, 0.0), amplitude=-0.5, width=0.5), g, power=1)
-    engine = dirichlet._Arnoldi(f, dirichlet._cached_laplacian_lu(g).solve, lambda z: f * z)
     quarter_laplacian = hessian.hessian_operators(g)[0][0]
+    lu = dirichlet._orbit_factor(quarter_laplacian, dirichlet._orbits(g, f))
+    engine = dirichlet._Arnoldi(f, lu.solve, lambda z: f * z)
     for lam in (0.0, 0.5, 1.4):
         u, residual = engine.solve_to((1.0, lam), 1e-13 * np.linalg.norm(f), 60)
         reference = spsolve((quarter_laplacian + lam * sparse.diags(f)).tocsc(), f)
@@ -905,7 +983,7 @@ def test_logdet_jacobian_taylor_remainder_is_second_order(kind, ellipsoid_bump):
     u = solve_nonlinear(rhs, u0, 1e-8)[0].interior
     if kind == "frozen":
         rhs = RhsSpec.frozen(grid, rhs.psi(u))
-    form = _logdet_form(grid, rhs, 1e-8)
+    form = plain_logdet_form(grid, rhs, 1e-8)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
     rng = np.random.default_rng(7)
@@ -930,8 +1008,8 @@ def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch)
     steps = []
     newton_step = dirichlet._newton_step
 
-    def long_first_step(grid, J, F, rtol):
-        delta, iterations, factored = newton_step(grid, J, F, rtol)
+    def long_first_step(grid, J, F, rtol, orbits):
+        delta, iterations, factored = newton_step(grid, J, F, rtol, orbits)
         steps.append(len(steps))
         return (5.0 if len(steps) == 1 else 1.0) * delta, iterations, factored
 

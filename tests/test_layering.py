@@ -107,21 +107,24 @@ def test_detector_sees_linear_solver_calls(tmp_path):
 
 def test_newton_linear_solves_go_through_one_step():
     """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
-    and LUs are factored, in full or on symmetry orbits (_orbit_factor),
-    only by the Newton step's refresh and by the cached quarter-Laplacian
-    solver's solve, one LU per stabilizer (_OrbitLU).  One Krylov engine
-    (_Arnoldi) serves the GMRES cycle and the n = 1 branch basis, with one
-    Givens least squares and no lstsq."""
+    and every LU is factored on symmetry orbits (_orbit_factor), only by the
+    Newton step's refresh and by the cached quarter-Laplacian getter
+    (_laplacian_lu).  A solve's orbits come from one lookup (_orbits), the
+    only caller of the stabilizer search, so no solve scans the maps per
+    vector.  One Krylov engine (_Arnoldi) serves the GMRES cycle and the
+    n = 1 branch basis, with one Givens least squares and no lstsq."""
     path = SRC / "dirichlet.py"
-    names = ("_krylov", "_orbit_factor", "_factor", "splu", "_Arnoldi", "hypot")
+    names = ("_krylov", "_orbit_factor", "_factor", "splu", "_stabilizer", "_Arnoldi", "hypot")
     assert callers_of(path, names) == {
         "_krylov": ["_newton_step"],
-        "_orbit_factor": ["_newton_step", "solve"],
+        "_orbit_factor": ["_laplacian_lu", "_newton_step"],
         "_factor": ["_orbit_factor"],
         "splu": ["_factor"],
+        "_stabilizer": ["_orbits"],
         "_Arnoldi": ["_branch_solve", "_krylov"],
         "hypot": ["_rotate"],
     }
+    assert len(calls_of(path, ("_stabilizer",))) == 1
     assert calls_of(path, ("lstsq",)) == []
 
 
