@@ -11,8 +11,8 @@ neighbouring lattice node is not interior.  Those fractions feed the one-sided
 (Shortley-Weller style) second differences used near the curved boundary.
 They come from one vectorized bisection on rho per batch of cut edges, the
 same for every kind of domain: build_grid makes one batch of all axis edges,
-and direction_thetas one per diagonal direction (both signs), on the first
-stencil that needs it.
+and direction_thetas one of every diagonal direction the complex Hessian
+reads (both signs), on the first stencil that needs one.
 
 Real coordinates are ordered (x_1, y_1, ..., x_n, y_n): axis 2j is Re z_j and
 axis 2j+1 is Im z_j.
@@ -296,8 +296,10 @@ class GridDomain:
     """Immutable discretization of a domain (see module docstring).
 
     classification, interior data and cell volumes are fixed at construction.
-    The private _cache memoizes derived stencil operators, the complex-Hessian
-    operators that complex_hessian applies, the assembly plan through which
+    The private _cache memoizes the diagonal crossing fractions, derived
+    stencil operators, the complex-Hessian operators that complex_hessian
+    applies, the latest Hessian complex_hessian evaluated with its field's
+    values (returned again for the same values), the assembly plan through which
     trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
     the map from per-node weights to its values), its lattice symmetries
     (lattice_symmetries), the orbits of each group of them that fixed a
@@ -315,8 +317,9 @@ class GridDomain:
     residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
     forcing term at n >= 2, which can change it.  Sharing a grid across
     threads is safe for reads; concurrent Newton solves may replace each
-    other's preconditioner, and concurrent n = 1 solves may factor the same
-    orbit LU twice, which costs factorizations, not accuracy.
+    other's preconditioner and latest Hessian, and concurrent n = 1 solves
+    may factor the same orbit LU twice, which costs factorizations and
+    evaluations, not accuracy.
     """
 
     spec: DomainSpec
@@ -342,7 +345,7 @@ class GridDomain:
 
     def offset(self, v):
         """Flat-index offset of the lattice vector v."""
-        return int(np.dot(v, _lattice_strides(self.shape)))
+        return sum(int(c) * s for c, s in zip(v, _lattice_strides(self.shape), strict=True))
 
     def node_coords(self, flat):
         idx = np.unravel_index(np.asarray(flat), self.shape)
@@ -394,7 +397,12 @@ def _crossing_fractions(spec, starts, directions, h):
 
 def direction_thetas(grid, v):
     """(N, 2) crossing fractions along +v and -v from every interior node, 1.0
-    where that lattice neighbour is interior; cached on the grid."""
+    where that lattice neighbour is interior; cached on the grid.
+
+    Axis fractions are build_grid's theta_axis.  The first miss computes v
+    and every Hessian diagonal not yet cached (_symmetry_directions(n)[2n:])
+    in one _crossing_fractions call, which treats each edge alone, so each
+    direction's fractions are those of a call of its own, bit for bit."""
     v = tuple(v)
     if sum(abs(c) for c in v) == 1:
         a = int(np.flatnonzero(v)[0])
@@ -402,17 +410,25 @@ def direction_thetas(grid, v):
     key = ("theta", v)
     if key in grid._cache:
         return grid._cache[key]
-    dv = grid.offset(v)
-    theta = np.ones((grid.num_interior, 2))
-    nbr = grid.interior_flat[:, None] + np.array([dv, -dv])
-    cut = np.argwhere(grid.interior_pos[nbr] < 0)  # rows (node, side)
-    signs = np.where(cut[:, 1] == 0, 1.0, -1.0)
-    directions = signs[:, None] * np.asarray(v, dtype=float)
-    theta[cut[:, 0], cut[:, 1]] = _crossing_fractions(
-        grid.spec, grid.interior_coords[cut[:, 0]], directions, grid.h
-    )
-    grid._cache[key] = theta
-    return theta
+    missing = [v] + [w for w in _symmetry_directions(grid.n)[2 * grid.n:]
+                     if w != v and ("theta", w) not in grid._cache]
+    cuts, starts, directions = [], [], []
+    for w in missing:
+        dw = grid.offset(w)
+        nbr = grid.interior_flat[:, None] + np.array([dw, -dw])
+        cut = np.argwhere(grid.interior_pos[nbr] < 0)  # rows (node, side)
+        signs = np.where(cut[:, 1] == 0, 1.0, -1.0)
+        cuts.append(cut)
+        starts.append(grid.interior_coords[cut[:, 0]])
+        directions.append(signs[:, None] * np.asarray(w, dtype=float))
+    fractions = _crossing_fractions(grid.spec, np.concatenate(starts),
+                                    np.concatenate(directions), grid.h)
+    ends = np.cumsum([cut.shape[0] for cut in cuts])
+    for w, cut, part in zip(missing, cuts, np.split(fractions, ends[:-1])):
+        theta = np.ones((grid.num_interior, 2))
+        theta[cut[:, 0], cut[:, 1]] = part
+        grid._cache[("theta", w)] = theta
+    return grid._cache[key]
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,6 +549,7 @@ def _kept_symmetries(grid):
     return kept
 
 
+@functools.lru_cache(maxsize=None)
 def _lattice_strides(shape):
     return tuple(int(np.prod(shape[a + 1 :], dtype=np.int64)) for a in range(len(shape)))
 
@@ -662,8 +679,10 @@ def _cell_volumes(spec, coords, h, d, assume_clipped=False):
         clipped = np.flatnonzero(np.max(corner_rho, axis=1) >= 0)
     if clipped.size:
         rng = np.random.default_rng(_MC_SEED)
-        samples = rng.uniform(-0.5, 0.5, size=(clipped.size, _MC_SAMPLES, d))
-        pts = coords[clipped][:, None, :] + h * samples
+        # the drawn buffer becomes the points, with no second array of them
+        pts = rng.uniform(-0.5, 0.5, size=(clipped.size, _MC_SAMPLES, d))
+        pts *= h
+        pts += coords[clipped][:, None, :]
         inside = eval_rho(spec, pts.reshape(-1, d)).reshape(clipped.size, _MC_SAMPLES) < 0
         vols[clipped] = full * inside.mean(axis=1)
     return vols

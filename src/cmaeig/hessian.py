@@ -9,16 +9,20 @@ u_{jk} = d^2u / dz_j dz_k-bar is built from real second differences through
 with every second derivative realized as a three-point difference along a
 lattice direction: pure derivatives along the axes, mixed derivatives through
 the diagonal identity u_ab = 1/4 (D^2_{a+b} - D^2_{a-b}), where D^2_v is the
-second difference along the direction e_a +- e_b.  Each D^2_v is
-second_difference_matrix (interior -> interior): one-sided Shortley-Weller
-differences place the value 0 at the exact crossing of {rho = 0} (fractions
-from the grid), so the stencils are exact on quadratics vanishing there.
+second difference along the direction e_a +- e_b.  Every D^2_v is a
+one-sided Shortley-Weller difference that places the value 0 at the exact
+crossing of {rho = 0} (fractions from the grid), so the stencils are exact
+on quadratics vanishing there; _stencil holds its coefficients, the one
+source of second_difference_matrix (interior -> interior), laplacian_matrix
+and the Hessian's operators.
 
-hessian_operators caches the combination as sparse operators (at n = 1 the
-quarter Laplacian); complex_hessian applies them.  trace_operator fills the
-log-det Jacobian from the grid's cached assembly plan (_trace_plan, built
-once from those operators) with one sparse matvec, and every eigenvalue,
-det, trace and inverse is HermitianField's.
+hessian_operators caches the combination (at n = 1 the quarter Laplacian)
+as one sparse operator per entry, each assembled straight into CSR from the
+coefficients of its directions; complex_hessian applies them and the grid
+keeps its latest result.  trace_operator fills the log-det Jacobian from
+the grid's cached assembly plan (_trace_plan, built once from those
+operators) with one sparse matvec, and every eigenvalue, det, trace and
+inverse is HermitianField's.
 """
 
 from __future__ import annotations
@@ -184,40 +188,52 @@ class DualMatrixSet:
 # ---------------------------------------------------------------------------
 
 
-def second_difference_matrix(grid, v):
-    """Sparse operator for u -> D^2_v u on zero-boundary fields (interior -> interior).
+def _stencil(grid, v):
+    """Shortley-Weller coefficients of D^2_v at every interior node, from the
+    crossing fractions and h alone: (centre, neighbours), where neighbours
+    lists (offset, column, coefficient) for the +v and -v neighbours, column
+    being the neighbour's interior position or -1.
 
     Rows approximate v^T (D^2 u) v; one-sided fractions place the value 0 at
     the curved boundary, keeping the stencil exact on quadratics vanishing
-    there.
-    """
-    key = ("sw", tuple(v))
-    if key in grid._cache:
-        return grid._cache[key]
+    there."""
     dv = grid.offset(v)
-    N = grid.num_interior
     theta = direction_thetas(grid, v)
     tp, tm = theta[:, 0], theta[:, 1]
-    pos_p = grid.interior_pos[grid.interior_flat + dv]
-    pos_m = grid.interior_pos[grid.interior_flat - dv]
     inv_h2 = 1.0 / grid.h ** 2
-    rows = [np.arange(N)]
-    cols = [np.arange(N)]
-    data = [-2.0 * inv_h2 / (tp * tm)]
-    keep_p = pos_p >= 0
-    rows.append(np.flatnonzero(keep_p))
-    cols.append(pos_p[keep_p])
-    data.append((2.0 * inv_h2 / (tp * (tp + tm)))[keep_p])
-    keep_m = pos_m >= 0
-    rows.append(np.flatnonzero(keep_m))
-    cols.append(pos_m[keep_m])
-    data.append((2.0 * inv_h2 / (tm * (tp + tm)))[keep_m])
-    mat = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
-    grid._cache[key] = mat
-    return mat
+    pos = grid.interior_pos
+    return -2.0 * inv_h2 / (tp * tm), [
+        (dv, pos[grid.interior_flat + dv], 2.0 * inv_h2 / (tp * (tp + tm))),
+        (-dv, pos[grid.interior_flat - dv], 2.0 * inv_h2 / (tm * (tp + tm))),
+    ]
+
+
+def _scaled(neighbours, factor):
+    return [(offset, column, factor * coef) for offset, column, coef in neighbours]
+
+
+def _assemble(grid, centre, neighbours):
+    """Canonical CSR operator (interior -> interior) with the centre
+    coefficient on the diagonal and each (offset, column, coefficient) of
+    neighbours, at distinct offsets, off it.  Interior positions follow the
+    lattice order, so sorting by offset sorts every row's columns.  Columns
+    -1 and exact zeros are left out, as scipy's sparse sums drop them."""
+    N = grid.num_interior
+    entries = sorted([(0, np.arange(N), centre), *neighbours], key=lambda e: e[0])
+    cols = np.stack([column for _, column, _ in entries], axis=1)
+    vals = np.stack([coef for _, _, coef in entries], axis=1)
+    keep = (cols >= 0) & (vals != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(N, N))
+
+
+def second_difference_matrix(grid, v):
+    """Sparse operator for u -> D^2_v u on zero-boundary fields (interior ->
+    interior), from _stencil's coefficients; cached on the grid."""
+    key = ("sw", tuple(v))
+    if key not in grid._cache:
+        grid._cache[key] = _assemble(grid, *_stencil(grid, v))
+    return grid._cache[key]
 
 
 def _axis_vec(d, a, b=None, sign=1):
@@ -229,14 +245,16 @@ def _axis_vec(d, a, b=None, sign=1):
 
 
 def laplacian_matrix(grid):
-    """Sum of the axis second-difference operators."""
+    """Sum of the axis second-difference operators, centres added in axis
+    order; cached on the grid."""
     key = ("laplacian",)
     if key not in grid._cache:
         d = 2 * grid.n
-        L = second_difference_matrix(grid, _axis_vec(d, 0))
+        centre, neighbours = _stencil(grid, _axis_vec(d, 0))
         for a in range(1, d):
-            L = L + second_difference_matrix(grid, _axis_vec(d, a))
-        grid._cache[key] = L.tocsr()
+            c, nb = _stencil(grid, _axis_vec(d, a))
+            centre, neighbours = centre + c, neighbours + nb
+        grid._cache[key] = _assemble(grid, centre, neighbours)
     return grid._cache[key]
 
 
@@ -250,22 +268,31 @@ def hessian_operators(grid):
     diag[j] maps a field's interior values to u_jj and mixed[m] is the pair
     (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
     For n = 1 the single diagonal operator is the quarter Laplacian, a
-    quarter of laplacian_matrix(grid)."""
+    quarter of laplacian_matrix(grid).
+
+    Each operator is assembled once from the _stencil coefficients, with the
+    values that sparse sums of second_difference_matrix give, bit for bit:
+    u_jj = 1/4 (D^2_xj + D^2_yj), u_ab = 1/4 (D^2_(a+b) - D^2_(a-b)) for
+    a != b, Re u_jk = 1/4 (u_xjxk + u_yjyk) and Im u_jk = 1/4 (u_xjyk -
+    u_yjxk)."""
     key = ("hessian_ops",)
     if key not in grid._cache:
         n, d = grid.n, 2 * grid.n
 
-        def D(*axes):
-            return second_difference_matrix(grid, _axis_vec(d, *axes))
+        def S(*axes):
+            return _stencil(grid, _axis_vec(d, *axes))
 
-        def second(a, b):  # u_{ab} for a != b, through the diagonal identity
-            return 0.25 * (D(a, b, +1) - D(a, b, -1))
+        def summed(p, q, sign):  # 1/4 (p + sign * q) of two (centre, neighbours)
+            return 0.25 * (p[0] + sign * q[0]), _scaled(p[1], 0.25) + _scaled(q[1], 0.25 * sign)
 
-        diag = [0.25 * (D(2 * j) + D(2 * j + 1)) for j in range(n)]
+        def second(a, b):  # u_ab for a != b, through the diagonal identity
+            return summed(S(a, b, +1), S(a, b, -1), -1.0)
+
+        diag = [_assemble(grid, *summed(S(2 * j), S(2 * j + 1), 1.0)) for j in range(n)]
         mixed = [
             (
-                0.25 * (second(2 * j, 2 * k) + second(2 * j + 1, 2 * k + 1)),
-                0.25 * (second(2 * j, 2 * k + 1) - second(2 * j + 1, 2 * k)),
+                _assemble(grid, *summed(second(2 * j, 2 * k), second(2 * j + 1, 2 * k + 1), 1.0)),
+                _assemble(grid, *summed(second(2 * j, 2 * k + 1), second(2 * j + 1, 2 * k), -1.0)),
             )
             for j, k in HermitianField.pairs(n)
         ]
@@ -328,11 +355,32 @@ def trace_operator(grid, W, shift=None):
 
 
 def complex_hessian(u):
-    """The complex Hessian of u by the grid's cached operators."""
+    """The complex Hessian of u by the grid's cached operators.
+
+    The grid keeps the latest Hessian it evaluated beside its field's
+    (read-only) values, and a call on a field with the same values, bit for
+    bit, returns it without evaluating again: an eigenfunction's PSH check
+    and its determinant share one, and so do an inverse-power iterate's
+    quotient and the start of the next frozen solve.  The kept arrays are
+    read-only and hold no reference to the grid."""
+    grid = u.grid
+    latest = grid._cache.get("latest_hessian")
+    if latest is None or not np.array_equal(latest[0].view(np.uint64),
+                                            u.interior.view(np.uint64)):
+        latest = _evaluate(u)
+        grid._cache["latest_hessian"] = latest
+    return HermitianField(grid, latest[1], latest[2])
+
+
+def _evaluate(u):
+    """(u.interior, diag, tri) of u's complex Hessian, diag and tri read-only."""
     vals = u.interior
-    diag, mixed = hessian_operators(u.grid)
-    tri = np.array([re @ vals + 1j * (im @ vals) for re, im in mixed])
-    return HermitianField(u.grid, np.array([op @ vals for op in diag]).T, tri.T)
+    diag_ops, mixed = hessian_operators(u.grid)
+    diag = np.array([op @ vals for op in diag_ops]).T
+    tri = np.array([re @ vals + 1j * (im @ vals) for re, im in mixed]).T
+    for values in (diag, tri):
+        values.flags.writeable = False
+    return vals, diag, tri
 
 
 def ma_det(u):

@@ -174,7 +174,8 @@ def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
 
     until the Rayleigh value, the field, and the eigen-equation residual
     (eigen_residual) all settle within tol; one complex Hessian per iterate
-    (det_and_rayleigh) gives both its eta and its residual.  Each iterate is
+    (det_and_rayleigh) gives its eta, its residual and, as the grid's
+    latest (complex_hessian), the next frozen solve's start.  Each iterate is
     recorded as a BranchPoint whose lam is the current eta and whose report
     is its frozen solve's, the first point's that of w0.
     max_iters must be an integer >= 1.  Raises DegenerateIterate when an

@@ -11,6 +11,11 @@ error).
   inside Newton's basin: from a cold start the undamped step leaves the cone
   of plurisubharmonic fields at once, so this polishes a result and is not a
   third route.
+
+It also holds the complex Hessian's operators composed by scipy's sparse
+arithmetic from second_difference_matrix, against which the directly
+assembled hessian_operators are checked bit for bit, and SKEW_N2, a C^2
+domain with no lattice symmetry.
 """
 
 import numpy as np
@@ -18,8 +23,17 @@ from scipy import sparse
 from scipy.sparse.linalg import eigs, spsolve
 
 from cmaeig.dirichlet import RhsSpec, _logdet_form, _orbits
-from cmaeig.domain import density_vector
-from cmaeig.hessian import laplacian_matrix
+from cmaeig.domain import CustomRho, density_vector
+from cmaeig.hessian import HermitianField, laplacian_matrix, second_difference_matrix
+
+# A C^2 domain whose lattice keeps only the identity at h = 0.25 (rho has a
+# cross term and linear terms, and no two axes alike), so its every solve runs
+# on the trivial group.
+SKEW_N2 = CustomRho(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.3, (0, 0, 2, 0): 1.1,
+                        (0, 0, 0, 2): 0.9, (1, 0, 1, 0): 0.1, (1, 0, 0, 0): 0.1,
+                        (0, 1, 0, 0): 0.07, (0, 0, 0, 0): -1.0},
+                    (0.0,) * 4, ((-1.6, 1.6),) * 4)
+
 
 # tol of the log-det form whose F and J_u the step uses: it sets the
 # eigenvalue floor mu = tol * 1e-3, which moves lambda by about mu relative
@@ -56,3 +70,36 @@ def bordered_newton(grid, density, lam, u):
     u, lam = u + step[:-1], lam + step[-1]
     after = form(lam).evaluate(u)
     return float(lam), float(np.max(np.abs(state.F))), float(np.max(np.abs(after.F)))
+
+
+def summed_hessian_operators(grid):
+    """(diag, mixed) as hessian_operators returns them, composed by sparse
+    sums and scalings of second_difference_matrix: u_jj = 1/4 (D2_xj +
+    D2_yj), u_ab = 1/4 (D2_(a+b) - D2_(a-b)) for a != b, Re u_jk = 1/4
+    (u_xjxk + u_yjyk) and Im u_jk = 1/4 (u_xjyk - u_yjxk)."""
+    d = 2 * grid.n
+
+    def D(a, b=None, sign=1):
+        v = [0] * d
+        v[a] = 1
+        if b is not None:
+            v[b] = sign
+        return second_difference_matrix(grid, tuple(v))
+
+    def second(a, b):
+        return 0.25 * (D(a, b, +1) - D(a, b, -1))
+
+    diag = [0.25 * (D(2 * j) + D(2 * j + 1)) for j in range(grid.n)]
+    mixed = [(0.25 * (second(2 * j, 2 * k) + second(2 * j + 1, 2 * k + 1)),
+              0.25 * (second(2 * j, 2 * k + 1) - second(2 * j + 1, 2 * k)))
+             for j, k in HermitianField.pairs(grid.n)]
+    return diag, mixed
+
+
+def summed_laplacian(grid):
+    """The axis second differences summed in axis order."""
+    d = 2 * grid.n
+    L = second_difference_matrix(grid, tuple(int(b == 0) for b in range(d)))
+    for a in range(1, d):
+        L = L + second_difference_matrix(grid, tuple(int(b == a) for b in range(d)))
+    return L

@@ -38,6 +38,7 @@ from cmaeig.verify import _grad_sup, verify_eigenpair
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, splu, spsolve
 
+from discrete_oracles import SKEW_N2
 from oracles import (
     LAMBDA1_UNIT_DISC,
     branch_solution_disc,
@@ -128,6 +129,16 @@ def test_frozen_quartic_disc(disc_grid_32):
 # ---------------------------------------------------------------------------
 
 
+def route_problem(problem):
+    """(f, fresh grid): the unit disc at h = 1/64 with f = 1, or the
+    ellipsoid-n2-bump problem."""
+    if problem == "disc":
+        return Constant(1.0), build_grid(Ball(1), 1 / 64)
+    with pytest.warns(UserWarning, match="quarter"):
+        grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
+    return GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5), grid
+
+
 @pytest.mark.parametrize("route,problem,most", [
     (continuation, "disc", 2), (inverse_power, "disc", 13),
     (inverse_power, "ellipsoid-n2-bump", 119)],
@@ -142,12 +153,7 @@ def test_reports_evaluate_no_complex_hessian(route, problem, most, monkeypatch):
     each evaluated their own; an inverse power on the ellipsoid-n2-bump
     problem evaluates at most 119 (143).  The count wraps complex_hessian
     in every cmaeig module that binds it."""
-    if problem == "disc":
-        f, grid = Constant(1.0), build_grid(Ball(1), 1 / 64)
-    else:
-        with pytest.warns(UserWarning, match="quarter"):
-            grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
-        f = GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5)
+    f, grid = route_problem(problem)
     real = hessian.complex_hessian
     calls = []
 
@@ -160,6 +166,29 @@ def test_reports_evaluate_no_complex_hessian(route, problem, most, monkeypatch):
             monkeypatch.setattr(module, "complex_hessian", counted)
     route(f, grid)
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("route,problem,evaluations", [
+    (continuation, "disc", 1), (inverse_power, "ellipsoid-n2-bump", 94)],
+    ids=["continuation", "inverse_power-ellipsoid-n2-bump"])
+def test_routes_evaluate_no_field_s_hessian_twice(route, problem, evaluations, monkeypatch):
+    """A call of complex_hessian on the values the grid evaluated last gets
+    that Hessian back, so no route evaluates the same values twice: a fresh
+    unit-disc continuation evaluates at most 1 Hessian, its eigenfunction's
+    PSH check and determinant sharing it, and an inverse power on the
+    ellipsoid-n2-bump problem at most 94, where 25 of 119 repeated the one
+    before (each iterate's quotient, then its next frozen solve's start)."""
+    f, grid = route_problem(problem)
+    real = hessian._evaluate
+    fields = []
+
+    def recorded(u):
+        fields.append(u.interior.tobytes())
+        return real(u)
+
+    monkeypatch.setattr(hessian, "_evaluate", recorded)
+    route(f, grid)
+    assert 0 < len(fields) == len(set(fields)) <= evaluations
 
 
 @pytest.mark.parametrize("case", ["n1-branch", "n1-frozen", "ellipsoid-n2-bump-frozen"])
@@ -516,15 +545,6 @@ def test_orbit_newton_matches_the_full_newton(which, route):
     J = form.jacobian(u, form.evaluate(u))
     assert np.count_nonzero(J.data) < J.nnz
     assert trivial.reduce(J) is J
-
-
-# A C^2 domain whose lattice keeps only the identity at h = 0.25 (rho has a
-# cross term and linear terms, and no two axes alike), so its every solve runs
-# on the trivial group.
-SKEW_N2 = CustomRho(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.3, (0, 0, 2, 0): 1.1,
-                        (0, 0, 0, 2): 0.9, (1, 0, 1, 0): 0.1, (1, 0, 0, 0): 0.1,
-                        (0, 1, 0, 0): 0.07, (0, 0, 0, 0): -1.0},
-                    (0.0,) * 4, ((-1.6, 1.6),) * 4)
 
 
 def test_symmetry_free_continuation_is_pinned():

@@ -13,6 +13,7 @@ import cmaeig.dirichlet
 import cmaeig.domain
 from cmaeig.domain import (
     _cell_volumes,
+    _symmetry_directions,
     Ball,
     Constant,
     CustomRho,
@@ -28,6 +29,7 @@ from cmaeig.domain import (
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
 from cmaeig.hessian import ScalarField, complex_hessian, hessian_operators, trace_operator
 
+from discrete_oracles import SKEW_N2
 from oracles import BALL4_VOLUME, DISC_AREA
 
 # Empirical partition constants |sum(cell_volume) - Vol| / (Vol * h) measured
@@ -436,6 +438,52 @@ def test_crossing_fractions_match_scalar_brentq(spec, h):
     got, ref = thetas_and_reference(build_grid(spec, h))
     assert got.size > 0
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def build_quietly(spec, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # h = 0.5 is crude on the 6-ball
+        return build_grid(spec, h)
+
+
+BATCH_GRIDS = [(Ball(n=2), 0.2), (Ellipsoid(axes=(1.0, 1.5)), 0.2), (SKEW_N2, 0.25),
+               (Ball(n=3), 0.5)]
+BATCH_IDS = ["ball4", "ellipsoid", "skew", "ball3"]
+
+
+@pytest.mark.parametrize("spec,h", BATCH_GRIDS, ids=BATCH_IDS)
+def test_batched_diagonal_fractions_equal_one_call_per_direction(spec, h):
+    """direction_thetas finds every Hessian diagonal's fractions in one
+    batch; each direction's equal, bit for bit, one _crossing_fractions call
+    on that direction's cut edges alone."""
+    g = build_quietly(spec, h)
+    for v in _symmetry_directions(g.n)[2 * g.n:]:
+        dv = g.offset(v)
+        cut = np.argwhere(g.interior_pos[g.interior_flat[:, None] + np.array([dv, -dv])] < 0)
+        directions = np.where(cut[:, 1] == 0, 1.0, -1.0)[:, None] * np.asarray(v, dtype=float)
+        reference = np.ones((g.num_interior, 2))
+        reference[cut[:, 0], cut[:, 1]] = cmaeig.domain._crossing_fractions(
+            g.spec, g.interior_coords[cut[:, 0]], directions, g.h)
+        assert np.array_equal(direction_thetas(g, v), reference)
+
+
+@pytest.mark.parametrize("spec,h", [(Ball(n=2), 0.25), (Ball(n=3), 0.5)], ids=["n2", "n3"])
+def test_first_hessian_makes_one_diagonal_bisection(spec, h, monkeypatch):
+    """A grid's first hessian_operators bisects every diagonal's cut edges in
+    one _crossing_fractions call (build_grid made the axis one), and the
+    symmetry search that reads every diagonal afterwards makes none."""
+    g = build_quietly(spec, h)
+    real = cmaeig.domain._crossing_fractions
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(cmaeig.domain, "_crossing_fractions", counted)
+    hessian_operators(g)
+    lattice_symmetries(g)
+    assert len(calls) == 1 and calls[0] > 0
 
 
 def test_theta_is_one_exactly_where_the_neighbour_is_on_the_zero_set():

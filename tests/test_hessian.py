@@ -23,6 +23,8 @@ from cmaeig.hessian import (
     trace_operator,
 )
 
+from discrete_oracles import SKEW_N2, summed_hessian_operators, summed_laplacian
+
 
 @pytest.fixture(scope="module")
 def wide_ball4():
@@ -187,6 +189,49 @@ def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid, w
     assert (quarter_laplacian != 0.25 * laplacian_matrix(disc_grid_32)).nnz == 0
 
 
+@pytest.mark.parametrize("which", ["disc", "ball4", "ellipsoid", "ball3", "skew"])
+def test_hessian_operators_equal_the_summed_stencils(which, assembly_grids):
+    """Each operator, assembled straight into CSR, has the indptr, indices
+    and data of the sparse sums of second_difference_matrix, and so has
+    laplacian_matrix of the axis sum (discrete_oracles)."""
+    grid = assembly_grids[which]
+    diag, mixed = hessian_operators(grid)
+    ref_diag, ref_mixed = summed_hessian_operators(grid)
+    pairs = [(laplacian_matrix(grid), summed_laplacian(grid)), *zip(diag, ref_diag),
+             *((op, ref) for pair, ref_pair in zip(mixed, ref_mixed)
+               for op, ref in zip(pair, ref_pair))]
+    assert len(pairs) == 1 + grid.n ** 2
+    for op, ref in pairs:
+        assert op.format == ref.format == "csr" and op.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, name), getattr(ref, name))
+
+
+def test_complex_hessian_is_evaluated_once_per_field(ball4_grid, monkeypatch):
+    """The grid keeps its latest Hessian: a field with the same values, bit
+    for bit, gets it back unevaluated and read-only; other values, -0.0 for
+    0.0 included, are evaluated."""
+    real = hessian._evaluate
+    evaluated = []
+
+    def counted(u):
+        evaluated.append(u)
+        return real(u)
+
+    monkeypatch.setattr(hessian, "_evaluate", counted)
+    values = np.random.default_rng(6).normal(size=ball4_grid.num_interior)
+    values[0] = 0.0
+    first = complex_hessian(ScalarField(ball4_grid, values))
+    again = complex_hessian(ScalarField(ball4_grid, values.copy()))
+    assert len(evaluated) == 1
+    assert np.array_equal(first.diag, again.diag) and np.array_equal(first.tri, again.tri)
+    assert not again.diag.flags.writeable and not again.tri.flags.writeable
+    values[0] = -0.0
+    complex_hessian(ScalarField(ball4_grid, values))
+    complex_hessian(ScalarField(ball4_grid, 2.0 * values))
+    assert len(evaluated) == 3
+
+
 def test_is_psh_trivials(disc_grid_32):
     g = disc_grid_32
     ok, rep = is_psh(ScalarField(g, g.rho_interior))
@@ -312,12 +357,13 @@ def test_hermitian_storage_is_structural(ball4_grid):
 def assembly_grids(disc_grid_32, ball4_grid):
     """One grid per dimension the assembly is checked on: the disc, the unit
     4-ball and the ellipsoid (1, 0.7) at h = 0.25, and the unit 6-ball at
-    h = 0.5."""
+    h = 0.5; and SKEW_N2 at h = 0.25, a grid with no lattice symmetry."""
     with pytest.warns(UserWarning, match="quarter"):
         ellipsoid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
     with pytest.warns(UserWarning, match="quarter"):
         ball3 = build_grid(Ball(n=3), 0.5)
-    return {"disc": disc_grid_32, "ball4": ball4_grid, "ellipsoid": ellipsoid, "ball3": ball3}
+    return {"disc": disc_grid_32, "ball4": ball4_grid, "ellipsoid": ellipsoid, "ball3": ball3,
+            "skew": build_grid(SKEW_N2, 0.25)}
 
 
 def random_hermitian_field(grid, rng):
