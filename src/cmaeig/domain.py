@@ -14,6 +14,18 @@ same for every kind of domain: build_grid makes one batch of all axis edges,
 and direction_thetas one of every diagonal direction the complex Hessian
 reads (both signs), on the first stencil that needs one.
 
+Every interior node also carries a cell weight, the volume of its cell
+[x - h/2, x + h/2]^{2n} inside the domain, read off the lattice's own rho
+values (_cell_volumes): rho at the node and its 2n axis neighbours give the
+central-difference gradient and the cell mean of rho (exact for quadratic
+rho), and the cell is cut by that plane with the cube-section vertex sum.
+Boundary nodes' slivers are handed to their interior face neighbours, so
+the weights sum to the domain's volume up to a relative error of 2.1e-7 on
+the unit disc at h = 1/128 and 1.9e-4 on the unit ball of C^2 at h = 0.125.
+The rule is deterministic and sees the gradient only through the sizes of
+its components, so every lattice symmetry of the grid maps the weights onto
+themselves up to rounding in rho.
+
 Real coordinates are ordered (x_1, y_1, ..., x_n, y_n): axis 2j is Re z_j and
 axis 2j+1 is Im z_j.
 """
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -54,8 +67,12 @@ _RHO_BAND = 1e-12
 # _THETA_FLOOR for smaller ones.
 _BISECTION_STEPS = 60
 
-_MC_SAMPLES = 256
-_MC_SEED = 0
+# A cut cell's plane drops gradient components below this share of the sum
+# of their magnitudes (the value at the cell's midpoint replaces theirs): the
+# vertex sum divides by the product of the components and would lose digits
+# to cancellation for tiny ones, while dropping components of relative size
+# up to t moves the cell's fraction by O(t).
+_PLANE_DROP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +584,9 @@ def build_grid(spec, h):
     domain and h together keeps the node set.  Emits a warning
     when h exceeds a quarter of the domain's smallest extent (coarse but still
     buildable); raises EmptyInterior / ResolutionTooCoarse when the interior is
-    empty or disconnected.
+    empty or disconnected, and ValueError when interior nodes lie within two
+    layers of the lattice edge (a CustomRho box that does not enclose the
+    domain).  Cell weights come from rho on the lattice (_cell_volumes).
     """
     h = float(h)
     if not h > 0:
@@ -595,6 +614,17 @@ def build_grid(spec, h):
     interior_mask = (rho_all < -rho_band).reshape(shape)
     if not interior_mask.any():
         raise EmptyInterior("no lattice node with rho below the boundary band at this spacing")
+    # Stencils and cell weights read the axis neighbours of interior and
+    # boundary nodes through flat offsets, which wrap at the lattice edge:
+    # keep two layers between the interior and the edge, as the padding does
+    # for a box that encloses the domain.
+    for a in range(d):
+        if np.take(interior_mask, [0, 1, -2, -1], axis=a).any():
+            raise ValueError(
+                f"the bounding box {tuple(tuple(float(v) for v in row) for row in box)} does "
+                f"not enclose the domain: interior nodes lie within two layers of the "
+                f"lattice edge along axis {a}"
+            )
 
     structure = ndimage.generate_binary_structure(d, 1)
     _, ncomp = ndimage.label(interior_mask, structure=structure)
@@ -627,14 +657,14 @@ def build_grid(spec, h):
     directions = np.eye(d)[a] * np.where(s == 0, 1.0, -1.0)[:, None]
     theta[i, a, s] = _crossing_fractions(spec, coords[i], directions, h)
 
-    cell_volume = _cell_volumes(spec, coords, h, d)
+    cell_volume = _cell_volumes(rho_all, interior_flat, strides, h)
     # Cells centered at boundary nodes still contain a sliver of the domain;
     # hand each sliver to the adjacent interior nodes so that the interior
-    # quadrature weights partition (an O(h^2) + Monte Carlo estimate of) the
-    # full volume.  np.add.at adds the shares in boundary-node order, so each
+    # quadrature weights partition (the plane-cut estimate of) the full
+    # volume.  np.add.at adds the shares in boundary-node order, so each
     # weight rounds exactly as in a loop over the boundary nodes.
     if boundary_flat.size:
-        bvols = _cell_volumes(spec, pts[boundary_flat], h, d, assume_clipped=True)
+        bvols = _cell_volumes(rho_all, boundary_flat, strides, h)
         owners = interior_pos[boundary_flat[:, None] + np.concatenate([strides, -strides])]
         valid = owners >= 0
         share = bvols / np.count_nonzero(valid, axis=1)
@@ -660,29 +690,71 @@ def build_grid(spec, h):
     )
 
 
-def _cell_volumes(spec, coords, h, d, assume_clipped=False):
-    """Quadrature weights: full cells h^d, boundary cells clipped by Monte Carlo."""
-    N = coords.shape[0]
-    full = h ** d
-    if assume_clipped:
-        vols = np.zeros(N)
-        clipped = np.arange(N)
-    else:
-        # A cell whose corners all lie strictly inside is taken as full.
-        corners = np.array(
-            np.meshgrid(*([[-0.5, 0.5]] * d), indexing="ij")
-        ).reshape(d, -1).T  # (2^d, d)
-        vols = np.full(N, full)
-        corner_rho = np.stack(
-            [eval_rho(spec, coords + h * c) for c in corners], axis=1
-        )
-        clipped = np.flatnonzero(np.max(corner_rho, axis=1) >= 0)
-    if clipped.size:
-        rng = np.random.default_rng(_MC_SEED)
-        # the drawn buffer becomes the points, with no second array of them
-        pts = rng.uniform(-0.5, 0.5, size=(clipped.size, _MC_SAMPLES, d))
-        pts *= h
-        pts += coords[clipped][:, None, :]
-        inside = eval_rho(spec, pts.reshape(-1, d)).reshape(clipped.size, _MC_SAMPLES) < 0
-        vols[clipped] = full * inside.mean(axis=1)
+def _cell_volumes(rho_all, flat, strides, h):
+    """Volume of the domain in the cell of side h centred at each lattice node
+    of flat, from rho_all, rho over the whole lattice (C-order flat).
+
+    rho at the node and at its axis neighbours (flat +/- strides) gives the
+    central-difference gradient g, h g_a = (rho_{+a} - rho_{-a}) / 2, and the
+    cell mean of rho, rho_c + sum_a (rho_{+a} + rho_{-a} - 2 rho_c) / 24,
+    which is exact for quadratic rho.  The weight is h^d times the share of
+    the cell where that mean plus h g . y is <= 0 (_plane_fraction): h^d when
+    the plane is <= 0 on the whole cell, 0 when it is >= 0 on it, and the
+    vertex sum only for the cells it cuts.  The tangent plane at the node
+    (rho_c in place of the mean) would leave out the cell mean of rho's
+    quadratic part, an O(h^2) bias in every cut cell: a total-volume error
+    of 1.0e-5 relative on the unit disc at h = 1/128, against 2.1e-7."""
+    rho = rho_all[flat]
+    curvature = np.zeros(flat.size)
+    spread = np.zeros(flat.size)  # becomes half of sum_a |h g_a|
+    for s in strides:
+        up, down = rho_all[flat + s], rho_all[flat - s]
+        curvature += (up + down) - 2.0 * rho
+        spread += np.abs(up - down)
+    mean = rho + curvature / 24.0
+    spread *= 0.25
+    full = h ** len(strides)
+    vols = np.where(mean + spread <= 0.0, full, 0.0)
+    cut = np.flatnonzero(np.abs(mean) < spread)
+    if cut.size:
+        at = flat[cut]
+        grad = np.stack([rho_all[at + s] - rho_all[at - s] for s in strides], axis=1)
+        vols[cut] = full * _plane_fraction(mean[cut], 0.5 * grad)
     return vols
+
+
+def _plane_fraction(mean, grad):
+    """Share of the cube [-1/2, 1/2]^d where mean + grad . y <= 0, one per row
+    of mean (m,) and grad (m, d).
+
+    With x = y + 1/2 and a = |grad| (flipping the axes where grad < 0) the
+    set is a . x <= b = sum(a) / 2 - mean on the unit cube, whose volume is
+    the cube-section vertex sum (Barrow & Smith, Amer. Math. Monthly 86,
+    1979) over the k components of a that are > 0:
+        sum_{v in {0,1}^k} (-1)^{|v|} max(b - a . v, 0)^k / (k! prod(a)).
+    Components below _PLANE_DROP * sum(a) are set to 0 first.  The sum runs
+    on the smaller side, b <= sum(a) / 2 (the larger is 1 minus it), and on
+    the kept components in descending order, so the result depends on grad
+    only through its multiset of |grad|: a signed permutation of the axes
+    leaves it unchanged bit for bit."""
+    a = np.abs(grad)
+    m, d = a.shape
+    a[a < _PLANE_DROP * np.sum(a, axis=1, keepdims=True)] = 0.0
+    a = -np.sort(-a, axis=1)
+    total = np.sum(a, axis=1)
+    b = 0.5 * total - mean
+    larger = b >= 0.5 * total
+    b = np.where(larger, total - b, b)
+    kept = np.count_nonzero(a, axis=1)
+    smaller = np.zeros(m)
+    for k in range(1, d + 1):
+        rows = np.flatnonzero((kept == k) & (b > 0.0))
+        if not rows.size:
+            continue
+        A = a[rows, :k]
+        vertices = np.array(list(itertools.product((0.0, 1.0), repeat=k)))  # (2^k, k)
+        signs = np.where(np.sum(vertices, axis=1) % 2 == 0, 1.0, -1.0)
+        reach = np.maximum(b[rows, None] - np.sum(A[:, None, :] * vertices, axis=2), 0.0)
+        smaller[rows] = (np.sum(reach ** k * signs, axis=1)
+                         / (math.factorial(k) * np.prod(A, axis=1)))
+    return np.clip(np.where(larger, 1.0 - smaller, smaller), 0.0, 1.0)
