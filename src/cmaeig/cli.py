@@ -50,7 +50,7 @@ from .domain import (
     density_vector,
 )
 from .eigenpath import SchedulePolicy, continuation
-from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse, ZeroMass
+from .errors import CmaError, ConfigError, EmptyInterior, ResolutionTooCoarse
 from .radial import radial_profile
 from .serialize import (
     atomic_write_text,
@@ -60,7 +60,7 @@ from .serialize import (
     spec_to_dict,
     write_field,
 )
-from .variational import BranchPoint, energy, inverse_power, mass
+from .variational import BranchPoint, energy, inverse_power, mass, rayleigh
 from .verify import run_suite
 
 __all__ = [
@@ -580,9 +580,7 @@ def _run_rayleigh(config):
     fn = density_vector(config.density, grid, power=grid.n)
     u0, report = solve_frozen(fn, grid, config.tol)
     e, m = energy(u0), mass(u0, fn, check=False)
-    if m <= 0.0:
-        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
-    quotient = e / m
+    quotient = rayleigh(u0, fn, check=False)
     branch = _single_point_branch(u0, report)
     return {
         "lambda1": None,

@@ -33,18 +33,27 @@ Layering:
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
 
-Every solve runs on the orbits of one group (_orbits): the grid's lattice
-symmetries (signed axis permutations) that map the interior nodes and every
-crossing fraction onto themselves exactly, with no tolerance, and fix the
-right-hand side's per-node data (f^n or the frozen values).  Each second
-difference, and so the quarter Laplacian, commutes with them bit for bit,
-so the solution is invariant too, and every LU is factored on one node per
-orbit (_ReducedLU; 6 538 of 51 429 rows for f = 1 on the disc at
-h = 1/128).  Exact equality holds at dyadic h; elsewhere rounding in the
-crossing fractions leaves fewer maps.  The trivial group, one node per
-orbit, serves data that only the identity fixes and solves with no data (a
-general psi, and the n = 1 semilinear Newton steps): its reduction is the
-matrix itself and its orbit average the vector itself.
+Every solve runs on the orbits of one group (symmetry_orbits): the grid's
+lattice symmetries (signed axis permutations) that map the interior nodes
+and every crossing fraction onto themselves exactly, with no tolerance, and
+fix the right-hand side's per-node data (f^n or the frozen values).  Each
+second difference, and so the quarter Laplacian and the complex Hessian,
+commutes with them bit for bit, so the solution is invariant too, and the
+solve holds one value per orbit (_Orbits), the value at the orbit's
+representative.  Its Hessians, residuals, Jacobians, LUs and Krylov
+vectors are the reduced ones: R D P for each Hessian operator
+(hessian_operators), R J P for the Jacobian (trace_operator), an LU on one
+row per orbit (_ReducedLU; 6 538 of 51 429 rows for f = 1 on the disc at
+h = 1/128) and inner products weighted by the orbit sizes.  A field on
+every interior node exists only where a public solve returns (expand).
+solve_frozen_orbits and solve_nonlinear_orbits take and return the orbit
+values, for the routes, which look up the orbits of f^n once; solve_frozen
+and solve_nonlinear look them up per call.  Exact equality holds at dyadic
+h; elsewhere rounding in the crossing fractions leaves fewer maps.  The
+trivial group, one node per orbit, serves data that only the identity
+fixes and solves with no data (a general psi): its reduction is the matrix
+itself and its orbit values the field itself, so its solves are the
+full-space ones bit for bit.
 
 The module builds its subsolutions and starts from multiples of the grid's
 defining function rho (_anchor), which vanishes at the boundary crossings
@@ -56,7 +65,7 @@ solver.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +88,7 @@ from .hessian import (
     HermitianField,
     ScalarField,
     complex_hessian,
+    hessian_at,
     hessian_operators,
     random_psh_field,
     trace_operator,
@@ -121,29 +131,34 @@ class RhsSpec:
     dg: object | None = None  # g'(t), vectorized
     H: object | None = None  # H(points, t), vectorized over nodes
     branch_family: bool = False
+    # interior positions that weight, frozen_values and psi refer to: an
+    # orbits' representatives (at), or None for every interior node
+    nodes: np.ndarray | None = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def frozen(cls, grid, values):
-        """psi = h(z) from h at the interior nodes, which must be finite and
-        >= 0 (to rounding); PreconditionViolated names the first node where
-        h is not finite."""
+    def frozen(cls, grid, values, nodes=None):
+        """psi = h(z) from h at the interior nodes, or at the interior
+        positions `nodes` (an orbits' representatives), which must be finite
+        and >= 0 (to rounding); PreconditionViolated names the first node
+        where h is not finite."""
         vals = values.interior if isinstance(values, ScalarField) else np.asarray(values, float)
-        vals = np.broadcast_to(vals, (grid.num_interior,)).astype(float)
+        positions = np.arange(grid.num_interior) if nodes is None else nodes
+        vals = np.broadcast_to(vals, positions.shape).astype(float)
         finite = np.isfinite(vals)
         if not np.all(finite):
             worst = int(np.argmin(finite))
             raise PreconditionViolated(
                 f"frozen right-hand side is {vals[worst]:.3e}, not finite, at node "
-                f"{grid.interior_point(worst)}"
+                f"{grid.interior_point(positions[worst])}"
             )
         if np.min(vals) < -1e-12:
             raise PreconditionViolated(
                 f"frozen right-hand side must be >= 0 (min {np.min(vals):.3e})"
             )
         return cls(grid, "frozen", monotonicity=NONINCREASING,
-                   frozen_values=np.maximum(vals, 0.0))
+                   frozen_values=np.maximum(vals, 0.0), nodes=nodes)
 
     @classmethod
     def branch(cls, grid, lam, fn=None):
@@ -182,10 +197,23 @@ class RhsSpec:
         spec._spot_check()
         return spec
 
+    def at(self, orbits):
+        """This right-hand side (given at every interior node) at one node
+        per orbit of `orbits` (_Orbits), their representatives: psi and
+        psi_t then take and return one value per orbit."""
+        reps = orbits.representatives
+        return replace(self, nodes=reps,
+                       weight=None if self.weight is None else self.weight[reps],
+                       frozen_values=(None if self.frozen_values is None
+                                      else self.frozen_values[reps]))
+
     # -- evaluation ----------------------------------------------------
 
+    def _size(self):
+        return self.grid.num_interior if self.nodes is None else self.nodes.size
+
     def _clamp(self, t):
-        t = np.broadcast_to(np.asarray(t, float), (self.grid.num_interior,))
+        t = np.broadcast_to(np.asarray(t, float), (self._size(),))
         if np.max(t) > _T_POSITIVE_SLACK:
             raise PreconditionViolated(
                 f"right-hand side evaluated at t = {np.max(t):.3e} > 0"
@@ -198,13 +226,14 @@ class RhsSpec:
             return self.frozen_values.copy()
         if self.kind == "separable":
             return self.weight * self.g(t)
-        return self.H(self.grid.interior_coords, t) ** self.grid.n
+        coords = self.grid.interior_coords
+        return self.H(coords if self.nodes is None else coords[self.nodes], t) ** self.grid.n
 
     def psi_t(self, t):
         """d psi / dt: 0 for frozen, f^n g'(t) for separable, by central
         differences of width _PSI_T_DELTA for general."""
         if self.kind == "frozen":
-            return np.zeros(self.grid.num_interior)
+            return np.zeros(self._size())
         t = self._clamp(t)
         if self.kind == "separable":
             return self.weight * self.dg(t)
@@ -270,21 +299,22 @@ def _make_report(state, iterations, converged, flags=(),
 # ---------------------------------------------------------------------------
 
 
-def _anchor(grid):
-    """(rho at the interior nodes, det of its discrete complex Hessian there).
+def _anchor(grid, orbits):
+    """(rho's orbit values on `orbits` (_Orbits.restrict), det of its
+    discrete complex Hessian at their representatives).
 
     rho vanishes at every crossing, so it is a zero-boundary field whose
     one-sided rows see no jump.  A strongly pseudoconvex domain's rho is
     strictly PSH: PreconditionViolated names the node where its discrete
     Hessian has an eigenvalue <= 0."""
-    rho = grid.rho_interior
-    hess = complex_hessian(ScalarField(grid, rho))
+    rho = orbits.restrict(grid.rho_interior)
+    hess = hessian_at(grid, rho, orbits)
     lam = hess.min_eigenvalue()
     worst = int(np.argmin(lam))
     if lam[worst] <= 0:
         raise PreconditionViolated(
-            f"defining function is not strictly PSH: smallest Hessian "
-            f"eigenvalue {lam[worst]:.3e} at node {grid.interior_point(worst)}"
+            f"defining function is not strictly PSH: smallest Hessian eigenvalue "
+            f"{lam[worst]:.3e} at node {grid.interior_point(orbits.representatives[worst])}"
         )
     return rho, hess.det()
 
@@ -306,8 +336,16 @@ def quadratic_subsolution(grid, rhs):
     raised.  The result is then certified nodewise against t^n det(rho),
     the det of t rho by linearity of the Hessian, with no second Hessian.
     """
+    trivial = symmetry_orbits(grid, None)
+    u, t = _quadratic_subsolution(grid, rhs.at(trivial), trivial)
+    return ScalarField(grid, u), t
+
+
+def _quadratic_subsolution(grid, rhs, orbits):
+    """quadratic_subsolution on the orbit values of `orbits`, with rhs at
+    them (RhsSpec.at): returns (t rho's orbit values, t)."""
     n = grid.n
-    rho, det_rho_nodes = _anchor(grid)
+    rho, det_rho_nodes = _anchor(grid, orbits)
     det_rho = float(np.min(det_rho_nodes))
 
     def amp(s):
@@ -341,7 +379,7 @@ def quadratic_subsolution(grid, rhs):
     # and bump if a node disagrees.
     for _ in range(4):
         if np.all(t ** n * det_rho_nodes >= rhs.psi(t * rho) - 1e-12):
-            return ScalarField(grid, t * rho), t
+            return t * rho, t
         t *= 1.5
     raise BranchInfeasible("could not certify the quadratic subsolution")
 
@@ -470,24 +508,43 @@ def _stabilizer(maps, b):
     return (0,) + tuple(k for k in range(1, len(maps)) if np.array_equal(b[maps[k]], b))
 
 
+def _norm(x, sizes):
+    """The 2-norm over the nodes of the invariant field with orbit values x
+    on orbits of `sizes` nodes (_Orbits.sizes): sqrt(sum sizes x^2)."""
+    return float(np.sqrt((sizes * x) @ x))
+
+
 class _Orbits:
     """The orbits of the interior nodes under a group of lattice symmetries,
-    given as rows of lattice_symmetries (Bossavit, Comput. Methods Appl.
-    Mech. Engrg. 56, 1986; Allgower, Boehmer, Georg & Miranda, SIAM J.
-    Numer. Anal. 29, 1992).
+    given as rows of lattice_symmetries, or the trivial group for maps None
+    (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986; Allgower,
+    Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992).
 
     Each orbit is labelled by its smallest position, its representative;
-    orbit[i] is node i's column.  P (N x m) copies each orbit's value to its
-    nodes and R picks the representatives, so for a matrix A that commutes
-    with the group, A P y = P (R A P) y (reduce).  The trivial group has one
-    node per orbit: R = P = I."""
+    orbit[i] is node i's orbit.  A solve on the orbits holds one value per
+    orbit, the invariant field's value at its representative.  P (N x m)
+    copies each orbit's value to its nodes (expand) and R picks the
+    representatives, so for a matrix A that commutes with the group,
+    A P y = P (R A P) y (reduce).  sizes counts each orbit's nodes and
+    volumes sums their cell volumes, so the sums and integrals of an
+    invariant field over the nodes are weighted sums of its orbit values.
+    The trivial group has one node per orbit: R = P = I, built without a
+    sort."""
 
-    def __init__(self, maps):
+    def __init__(self, grid, maps=None):
+        N = grid.num_interior
+        if maps is None:
+            self.representatives = self.orbit = np.arange(N)
+            self.sizes = np.ones(N, dtype=np.int64)
+            self.volumes = grid.cell_volume
+            return
         self.representatives, self.orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
-        self.sizes = np.bincount(self.orbit, minlength=self.representatives.size)
+        m = self.representatives.size
+        self.sizes = np.bincount(self.orbit, minlength=m)
+        self.volumes = np.bincount(self.orbit, grid.cell_volume, m)
 
     def reduce(self, A):
-        """R A P, the m x m matrix of A on the invariant vectors: A itself,
+        """R A P, the m x m matrix of A on the orbit values: A itself,
         explicit zeros and all, when every orbit is one node (a product with
         P would drop the zeros and change the LU's ordering and fill)."""
         N, m = self.orbit.size, self.representatives.size
@@ -496,53 +553,71 @@ class _Orbits:
         P = sparse.csr_matrix((np.ones(N), (np.arange(N), self.orbit)), shape=(N, m))
         return A.tocsr()[self.representatives] @ P
 
+    def expand(self, x):
+        """P x: the field on the interior nodes whose orbit values are x."""
+        return x[self.orbit]
+
     def average(self, b):
         """(P^T P)^-1 P^T b: each orbit's mean of b."""
         return np.bincount(self.orbit, b, self.sizes.size) / self.sizes
-
-    def project(self, b):
-        """P (P^T P)^-1 P^T b, the orthogonal projection of b onto the
-        invariant vectors: each node takes its orbit's mean, so the result
-        is invariant exactly."""
-        return self.average(b)[self.orbit]
 
     def fixes(self, b):
         """Whether every node of b equals its orbit's representative."""
         return np.array_equal(b[self.representatives][self.orbit], b)
 
+    def restrict(self, b):
+        """The orbit values of b (one value per interior node): its
+        representatives' values when the group fixes b, its orbit means
+        otherwise, the orbit values of b's orthogonal projection onto the
+        invariant fields."""
+        return b[self.representatives] if self.fixes(b) else self.average(b)
+
 
 class _ReducedLU(NamedTuple):
-    """A solver of A x = b on the invariant vectors of `orbits` from lu, the
-    LU of R A P (m x m): x = P (R A P)^-1 (orbit means of b), exactly
-    invariant.  For an invariant b and an A that commutes with the group
-    this is A's solution; otherwise it is the solution's projection, to
-    rounding, and serves as a preconditioner."""
+    """A solver on the orbit values of `orbits` from lu, the LU of R A P
+    (m x m): lu.solve(c) is the x with A P x = P c for an A that commutes
+    with the group, and serves as a preconditioner where R A P is only
+    near the system's matrix."""
 
     lu: object
     orbits: _Orbits
 
     def solve(self, b):
-        return self.lu.solve(self.orbits.average(b))[self.orbits.orbit]
+        return self.lu.solve(b)
 
 
 def _orbit_factor(A, orbits):
-    """The LU of R A P (_factor) on `orbits` (_Orbits) as a solver on their
-    invariant vectors (_ReducedLU)."""
-    return _ReducedLU(_factor(orbits.reduce(A)), orbits)
+    """The LU (_factor) of A, a matrix R A P on `orbits` (_Orbits), as a
+    solver on their orbit values (_ReducedLU)."""
+    return _ReducedLU(_factor(A), orbits)
 
 
-def _orbits(grid, data):
-    """The _Orbits a solve runs on: those of the stabilizer of its
-    right-hand side's per-node data among the grid's lattice symmetries
-    (_stabilizer), cached on the grid per stabilizer.  That is the trivial
-    group when only the identity fixes the data or there is none (data
-    None), which builds no lattice symmetry."""
-    maps = np.arange(grid.num_interior)[None] if data is None else lattice_symmetries(grid)
-    stabilizer = _stabilizer(maps, data)
+def _group(grid, stabilizer):
+    """The _Orbits of the lattice symmetries numbered `stabilizer`, cached on
+    the grid per stabilizer; the identity's (0,) is the trivial group, which
+    builds no lattice symmetry."""
     key = ("orbits", stabilizer)
     if key not in grid._cache:
-        grid._cache[key] = _Orbits(maps[list(stabilizer)])
+        grid._cache[key] = _Orbits(grid, None if stabilizer == (0,)
+                                   else lattice_symmetries(grid)[list(stabilizer)])
     return grid._cache[key]
+
+
+def symmetry_orbits(grid, data):
+    """The orbits (_Orbits) a solve with the per-node right-hand-side data
+    runs on: those of the stabilizer of the data among the grid's lattice
+    symmetries.  When the data is constant on every orbit of the whole
+    group, each map sends each orbit onto itself and so fixes the data:
+    the stabilizer is the whole group and no map is scanned.  Otherwise
+    _stabilizer scans them.  That is the trivial group when only the
+    identity fixes the data or there is none (data None)."""
+    stabilizer = (0,)
+    if data is not None:
+        maps = lattice_symmetries(grid)
+        stabilizer = tuple(range(len(maps)))
+        if not _group(grid, stabilizer).fixes(data):
+            stabilizer = _stabilizer(maps, data)
+    return _group(grid, stabilizer)
 
 
 class _Arnoldi:
@@ -562,12 +637,18 @@ class _Arnoldi:
     change between steps, and (1, lam) with a fixed M is shifted GMRES
     (Frommer & Glassner, SIAM J. Sci. Comput. 19, 1998), which serves every
     lam from one basis (_branch_solve).  The Givens rotations are kept while
-    the shift stays and redone over `columns` when it changes."""
+    the shift stays and redone over `columns` when it changes.
 
-    def __init__(self, b, precondition, apply):
-        self.b, self.precondition, self.apply = b, precondition, apply
-        self.beta = float(np.linalg.norm(b))
+    Vectors hold orbit values, and the inner product is the nodes' one,
+    sum sizes x y (_Orbits.sizes): on invariant fields it is the inner
+    product over every node, so the iterates are those of the full-space
+    engine, to rounding."""
+
+    def __init__(self, b, precondition, apply, sizes):
+        self.b, self.precondition, self.apply, self.sizes = b, precondition, apply, sizes
+        self.beta = _norm(b, sizes)
         self.V, self.Z, self.columns = [b * (1.0 / self.beta)], [], []
+        self._weighted = [sizes * self.V[0]]
         self._shift = None
 
     def _grow(self):
@@ -577,16 +658,17 @@ class _Arnoldi:
         k = len(self.Z)
         z = self.precondition(self.V[k])
         w = self.apply(z)
-        before = np.linalg.norm(w)
+        before = _norm(w, self.sizes)
         column = np.empty(k + 2)
-        for i, v in enumerate(self.V):
-            column[i] = v @ w
+        for i, (v, weighted) in enumerate(zip(self.V, self._weighted)):
+            column[i] = weighted @ w
             w -= column[i] * v
-        column[-1] = np.linalg.norm(w)
+        column[-1] = _norm(w, self.sizes)
         if column[-1] <= np.finfo(float).eps * before:
             column[-1] = 0.0
         else:
             self.V.append(w * (1.0 / column[-1]))
+            self._weighted.append(self.sizes * self.V[-1])
         self.Z.append(z)
         self.columns.append(column)
 
@@ -630,49 +712,50 @@ class _Arnoldi:
         return x, float(abs(self._g[-1]))
 
 
-def _krylov(J, b, precondition, rtol):
+def _krylov(J, b, precondition, rtol, sizes):
     """One cycle of right-preconditioned GMRES on J delta = b from delta = 0,
-    at most _KRYLOV_RESTART iterations; returns (delta, iterations,
-    converged).
+    at most _KRYLOV_RESTART iterations, on orbit values of orbits of `sizes`
+    nodes (_Orbits.sizes); returns (delta, iterations, converged).
 
     The cycle is the Krylov engine (_Arnoldi) at shift (0, 1): iteration k
     costs one preconditioner solve and one Jacobian matvec, and the cycle
     stops once the least-squares residual is <= rtol ||b|| or the basis
     breaks down.  `converged` is the true residual ||b - J delta|| <=
-    rtol ||b||, one matvec.  The iterates are those of scipy's gmres on the
-    operator J precondition, to rounding."""
-    beta = np.linalg.norm(b)
+    rtol ||b||, one matvec.  The norms are the nodes' (_norm), and on the
+    trivial group the iterates are those of scipy's gmres on the operator
+    J precondition, to rounding."""
+    beta = _norm(b, sizes)
     if beta == 0.0:
         return np.zeros_like(b), 0, True
-    engine = _Arnoldi(b, precondition, lambda z: J @ z)
+    engine = _Arnoldi(b, precondition, lambda z: J @ z, sizes)
     delta, _ = engine.solve_to((0.0, 1.0), rtol * beta, _KRYLOV_RESTART)
-    converged = np.linalg.norm(b - J @ delta) <= rtol * beta
+    converged = _norm(b - J @ delta, sizes) <= rtol * beta
     return delta, len(engine.Z), bool(converged)
 
 
 def _newton_step(grid, J, F, rtol, orbits):
     """Solve J delta = -F to the relative residual rtol for one Newton step
-    on `orbits` (_Orbits, the solve's); returns (delta, Krylov iterations,
+    on the orbit values of `orbits` (_Orbits, the solve's), J being the
+    Jacobian R J P on them; returns (delta, Krylov iterations,
     factorizations).
 
     One GMRES cycle (_krylov) on J runs on the grid's cached preconditioner
-    grid._cache["newton_lu"], the LU of R J P for the last Jacobian factored
-    on the grid (_ReducedLU, left by any earlier step or solve): one LU
-    solve per iteration, none after the cycle.  When there is none, it is
-    on other orbits or the cycle misses rtol, R J P is factored, its LU
-    cached, and one more cycle runs on it; NotConverged, naming rtol, is
-    raised if that misses too.  Each preconditioned vector is invariant
-    exactly, and so is delta, their combination."""
+    grid._cache["newton_lu"], the LU of the last Jacobian factored on the
+    grid (_ReducedLU, left by any earlier step or solve): one LU solve per
+    iteration, none after the cycle.  When there is none, it is on other
+    orbits or the cycle misses rtol, J is factored, its LU cached, and one
+    more cycle runs on it; NotConverged, naming rtol, is raised if that
+    misses too."""
     lu = grid._cache.get("newton_lu")
     stale = 0
     if lu is not None and lu.orbits is orbits:
-        delta, stale, converged = _krylov(J, -F, lu.solve, rtol)
+        delta, stale, converged = _krylov(J, -F, lu.solve, rtol, orbits.sizes)
         if converged:
             return delta, stale, 0
     lu = grid._cache["newton_lu"] = _orbit_factor(J, orbits)
-    delta, iterations, converged = _krylov(J, -F, lu.solve, rtol)
+    delta, iterations, converged = _krylov(J, -F, lu.solve, rtol, orbits.sizes)
     if not converged:
-        reached = np.linalg.norm(J @ delta + F) / np.linalg.norm(F)
+        reached = _norm(J @ delta + F, orbits.sizes) / _norm(F, orbits.sizes)
         raise NotConverged(
             f"GMRES reached relative residual {reached:.3e} (target "
             f"{rtol:.3e}) after {iterations} iterations on a fresh LU"
@@ -692,25 +775,27 @@ def _newton_step(grid, J, F, rtol, orbits):
 _SHIFTED_BASIS_CAP = 24
 
 
-def _branch_solve(grid, rhs, tol):
-    """Solve the n = 1 branch point (L/4 + lam diag f) u = f of `rhs` to a
-    residual <= 0.1 tol; returns (u, vectors added, LUs factored), u None
-    once the basis reaches _SHIFTED_BASIS_CAP or an invariant space first.
+def _branch_solve(grid, rhs, tol, orbits):
+    """Solve the n = 1 branch point (L/4 + lam diag f) u = f of `rhs` (at
+    `orbits`, the orbits of f) to a residual <= 0.1 tol on orbit values;
+    returns (u, vectors added, LUs factored), u None once the basis reaches
+    _SHIFTED_BASIS_CAP or an invariant space first.
 
     Right-preconditioned by L/4 the points are the shifted systems
     (I + lam diag(f) (L/4)^-1) x = f, u = (L/4)^-1 x, so they share one
     Krylov space: the grid keeps one engine (_Arnoldi) of diag f started at
-    f, rebuilt when f differs, and solves each point at shift (1, lam), one
-    LU solve per vector added.  Its preconditioner is the quarter-Laplacian
-    LU on the orbits of f (_laplacian_lu), looked up once per basis: every
-    vector is invariant under f's stabilizer, since diag f commutes with it
-    and each preconditioned vector is invariant exactly."""
+    f, rebuilt when f or the orbits differ, and solves each point at shift
+    (1, lam), one LU solve per vector added.  Its preconditioner is the
+    quarter-Laplacian LU on the orbits (_laplacian_lu), and every vector
+    holds one value per orbit: the fields are invariant under f's
+    stabilizer, which commutes with diag f and L/4."""
     f = rhs.weight
     basis = grid._cache.get("shifted_basis")
     factored = 0
-    if basis is None or not np.array_equal(basis.b, f):
-        lu, factored = _laplacian_lu(grid, _orbits(grid, f))
-        basis = grid._cache["shifted_basis"] = _Arnoldi(f, lu.solve, lambda z: f * z)
+    if basis is None or basis.sizes is not orbits.sizes or not np.array_equal(basis.b, f):
+        lu, factored = _laplacian_lu(grid, orbits)
+        basis = grid._cache["shifted_basis"] = _Arnoldi(f, lu.solve, lambda z: f * z,
+                                                        orbits.sizes)
     held = len(basis.Z)
     u, residual = basis.solve_to((1.0, rhs.lambda0), 0.1 * tol, _SHIFTED_BASIS_CAP)
     return (u if residual <= 0.1 * tol else None), len(basis.Z) - held, factored
@@ -720,10 +805,10 @@ class _NewtonState(NamedTuple):
     """A Newton form evaluated at u; a solve's SolveReport is built from its
     last one (_make_report)."""
 
-    F: np.ndarray  # residual
+    F: np.ndarray  # residual, one value per orbit as every array here
     error: float  # max|det(u_jk) - psi|; stops the iteration once <= tol
     psi: np.ndarray
-    # (N, n) ascending complex-Hessian eigenvalues: hess.eigenvalues() at
+    # (m, n) ascending complex-Hessian eigenvalues: hess.eigenvalues() at
     # n >= 2, and at n = 1 the 1 x 1 Hessian (L/4) u as a column
     eig: np.ndarray
     hess: HermitianField | None = None  # log-det form only
@@ -744,8 +829,9 @@ class _NewtonForm(NamedTuple):
     does, (delta, Krylov iterations, factorizations) (the n = 1 form's step,
     which on the branch family starts from the shared basis and counts the
     quarter-Laplacian LUs its solves factor); flags collects the report
-    flags the hooks raise; orbits (_Orbits) are the solve's, on which
-    _newton_step solves each step when there is no step hook.
+    flags the hooks raise; orbits (_Orbits) are the solve's, whose orbit
+    values u, F and every step hold, and on which _newton_step solves each
+    step when there is no step hook.
     """
 
     evaluate: object
@@ -764,7 +850,7 @@ _MAX_BACKTRACKS = 30
 
 
 def _damped_newton(grid, ui, tol, form, state=None):
-    """Damped Newton on a residual over interior values; returns (u, report).
+    """Damped Newton on a residual over orbit values; returns (u, report).
 
     `state`, if given, is form.evaluate(ui) computed by the caller.
     """
@@ -834,20 +920,20 @@ def _logdet_form(grid, rhs, tol, orbits):
     Jacobian; later steps reuse the grid's last Jacobian LU as their GMRES
     preconditioner until a cycle misses its target (_newton_step).
 
-    On `orbits` (_Orbits; solve_nonlinear passes those of the right-hand
-    side's data, _orbits, and symmetrizes the start), F is replaced by its
-    orbit average (_Orbits.project), which the step, the line search's
-    max|F|, the mu-shrink test and the forcing term all read, and every step
-    is solved on the orbits (_newton_step), so each iterate is invariant
-    exactly; the stop test stays the raw max|det - psi|.  On the trivial
-    group the average is F itself.  F itself is invariant only to rounding
-    (the Hessian's entries sum the same second differences in other orders
-    on the images of a node), and its part off the invariant vectors, 6e-14
-    on ellipsoid-n2-bump at its eigenfunction, is out of reach of every
-    invariant step: without the projection the tol-1e-11 inverse power
-    raised NotConverged on all 30 ellipsoid-n2-bump seeds tried, its GMRES
-    cycle on a fresh LU stopping at 3.5e-4 to 7.8e-4 against a 4.6e-5
-    target."""
+    u holds one value per orbit of `orbits` (_Orbits, the orbits of the
+    right-hand side's data, symmetry_orbits), and rhs is at them
+    (RhsSpec.at).  The Hessian is evaluated at the orbits' representatives
+    only, by the reduced operators R D P (hessian_at), and F, psi and the
+    stop test's max|det - psi| are read there: R F(P u) = 0 is a square
+    system in u, whose Jacobian R J P trace_operator assembles directly
+    from the reduced plan, and every step is solved on the orbit values
+    (_newton_step).  The forcing term's norm is the nodes' (_norm).  Taken
+    on every node, F is invariant only to rounding (the Hessian's entries
+    sum the same second differences in other orders on the images of a
+    node), and its part off the invariant fields, 6e-14 on
+    ellipsoid-n2-bump at its eigenfunction, is out of reach of every
+    invariant step; read at the representatives, F has no such part.  On
+    the trivial group all of this is the full-field solve."""
     n = grid.n
     mu = min(1e-8, tol * 1e-3)
     shrinks = 0
@@ -855,11 +941,11 @@ def _logdet_form(grid, rhs, tol, orbits):
     last_fnorm = None
 
     def evaluate(ui, hess=None):
-        hess = complex_hessian(ScalarField(grid, ui)) if hess is None else hess
+        hess = hessian_at(grid, ui, orbits) if hess is None else hess
         eig = hess.eigenvalues()
         psi = rhs.psi(np.minimum(ui, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):  # eig + mu <= 0: inadmissible
-            F = orbits.project(np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n))
+            F = np.sum(np.log(eig + mu), axis=1) - np.log(psi + mu ** n)
         error = float(np.max(np.abs(hess.det() - psi)))
         return _NewtonState(F, error, psi, eig, hess)
 
@@ -867,7 +953,7 @@ def _logdet_form(grid, rhs, tol, orbits):
         shift = None
         if rhs.kind != "frozen":
             shift = -rhs.psi_t(np.minimum(ui, 0.0)) / (state.psi + mu ** n)
-        return trace_operator(grid, state.hess.inverse(mu), shift)
+        return trace_operator(grid, state.hess.inverse(mu), shift, orbits)
 
     def admissible(ui, state):
         return np.min(state.eig[:, 0]) + mu > 0
@@ -887,7 +973,7 @@ def _logdet_form(grid, rhs, tol, orbits):
 
     def forcing(state):
         nonlocal last_fnorm
-        fnorm = float(np.linalg.norm(state.F))
+        fnorm = _norm(state.F, orbits.sizes)
         eta = (_FORCING_MAX if last_fnorm is None
                else _FORCING_GAMMA * (fnorm / last_fnorm) ** _FORCING_ALPHA)
         last_fnorm = fnorm
@@ -905,13 +991,15 @@ def _semilinear_state(quarter_laplacian, ui, psi):
     return _NewtonState(F, float(np.max(np.abs(F))), psi, hessian[:, None])
 
 
-def _semilinear_form(grid, rhs):
+def _semilinear_form(grid, rhs, orbits):
     """n = 1: F(u) = (1/4) Delta u - psi(., u), stopping on max|F|; the
     linearization J = (1/4) L - diag(psi_t) is nonsingular whenever
     psi_t > -lambda_1.  Trials must stay <= 0.
 
-    Each step is _newton_step on the trivial group (_orbits), under the same
-    preconditioner rule as at n >= 2: a grid's first step factors its
+    u holds one value per orbit of `orbits` (the solve's, symmetry_orbits),
+    rhs is at them (RhsSpec.at), and (1/4) L is their R (L/4) P
+    (hessian_operators).  Each step is _newton_step on the orbits, under the
+    same preconditioner rule as at n >= 2: a grid's first step factors its
     Jacobian.  On the branch family psi = f (1 - lam t) (RhsSpec.branch)
     the Newton step from any u <= 0 lands on the solution u* of (L/4 + lam diag f) u* = f, so the
     form's first step is delta = u* - u with u* from the grid's shared
@@ -920,8 +1008,7 @@ def _semilinear_form(grid, rhs):
     solves factor counted too; a basis at _SHIFTED_BASIS_CAP, and any later
     step of the solve, runs _newton_step instead, the former flagged
     "shifted_basis_cap"."""
-    quarter_laplacian = hessian_operators(grid)[0][0]
-    orbits = _orbits(grid, None)
+    quarter_laplacian = hessian_operators(grid, orbits)[0][0]
     flags = []
     first = rhs.branch_family
 
@@ -939,7 +1026,7 @@ def _semilinear_form(grid, rhs):
         vectors = factored = 0
         if first:
             first = False
-            u, vectors, factored = _branch_solve(grid, rhs, tol)
+            u, vectors, factored = _branch_solve(grid, rhs, tol, orbits)
             if u is not None:
                 return u - ui, vectors, factored
             flags.append("shifted_basis_cap")
@@ -947,7 +1034,8 @@ def _semilinear_form(grid, rhs):
                                                     _KRYLOV_RTOL, orbits)
         return delta, vectors + iterations, refreshed + factored
 
-    return _NewtonForm(evaluate, jacobian, admissible, 60, step=step, flags=flags)
+    return _NewtonForm(evaluate, jacobian, admissible, 60, step=step, flags=flags,
+                       orbits=orbits)
 
 
 def _require_tol(tol):
@@ -957,29 +1045,57 @@ def _require_tol(tol):
         raise ValueError(f"tol must be finite and > 0: {tol!r}")
 
 
+def _values(u):
+    """The interior values of a ScalarField, or interior values as floats."""
+    return u.interior if isinstance(u, ScalarField) else np.asarray(u, float)
+
+
+def _data(rhs):
+    """The per-node data whose stabilizer a solve of rhs runs on
+    (symmetry_orbits): f^n (separable), the frozen values, or None."""
+    return rhs.weight if rhs.kind == "separable" else rhs.frozen_values
+
+
 def solve_nonlinear(rhs, start, tol=1e-8):
     """Solve det(u_jk) = psi(., u) with zero boundary values by damped Newton
     from `start` (a ScalarField or interior values); returns (u, report).
+
+    The solve runs on the orbits of the right-hand side's data
+    (solve_nonlinear_orbits), from the start's orbit values
+    (_Orbits.restrict).  tol must be finite and > 0.
+    """
+    _require_tol(tol)
+    grid = rhs.grid
+    orbits = symmetry_orbits(grid, _data(rhs))
+    u, report = solve_nonlinear_orbits(rhs, orbits, orbits.restrict(_values(start)), tol)
+    return ScalarField(grid, orbits.expand(u)), report
+
+
+def solve_nonlinear_orbits(rhs, orbits, start, tol):
+    """solve_nonlinear on the orbit values of `orbits`, the orbits of rhs's
+    data (symmetry_orbits): start and the returned u <= 0 hold one value per
+    orbit; returns (u, report).
 
     n = 1 solves the semilinear equation (1/4) Delta u = psi(., u); n >= 2
     first blends the start into the log-det form's cone (_feasible_start).
     tol must be finite and > 0.
     """
     _require_tol(tol)
+    return _solve(rhs.at(orbits), orbits, start, tol)
+
+
+def _solve(rhs, orbits, ui, tol):
+    """solve_nonlinear_orbits with rhs at the orbits (RhsSpec.at)."""
     grid = rhs.grid
-    ui = start.interior if isinstance(start, ScalarField) else np.asarray(start, float)
     if grid.n == 1:
-        form, state, flags = _semilinear_form(grid, rhs), None, ()
+        form, state, flags = _semilinear_form(grid, rhs, orbits), None, ()
     else:
-        ui, hess, flags = _feasible_start(grid, rhs, ui)
-        orbits = _orbits(grid, rhs.weight if rhs.kind == "separable" else rhs.frozen_values)
-        if not orbits.fixes(ui):
-            ui, hess = orbits.project(ui), None
+        ui, hess, flags = _feasible_start(grid, rhs, orbits, ui)
         form = _logdet_form(grid, rhs, tol, orbits)
         state = None if hess is None else form.evaluate(ui, hess)
     ui, report = _damped_newton(grid, ui, tol, form, state)
     report.flags += flags
-    return ScalarField(grid, np.minimum(ui, 0.0)), report
+    return np.minimum(ui, 0.0), report
 
 
 # ---------------------------------------------------------------------------
@@ -988,67 +1104,85 @@ def solve_nonlinear(rhs, start, tol=1e-8):
 
 
 def _laplacian_lu(grid, orbits):
-    """(the LU of the n = 1 quarter Laplacian (1/4) L on `orbits` as a
-    _ReducedLU, the LUs this call factored: 1 or 0), cached on the grid per
-    orbits and factored (_factor) on the first call for them.  (1/4) L
-    commutes with every kept map exactly, so for a right-hand side that the
-    orbits' group fixes it gives the invariant solution: with f = 1 the
-    disc at h = 1/128 keeps 8 maps and the LU has 6 538 rows where (1/4) L
-    has 51 429.  The cached LU holds no reference to the grid, whose cache
-    holds it, so a dropped grid is freed at once and not left to the cycle
-    collector."""
+    """(the LU of the n = 1 quarter Laplacian's R (1/4) L P on `orbits`
+    (hessian_operators) as a _ReducedLU, the LUs this call factored: 1 or
+    0), cached on the grid per orbits and factored (_factor) on the first
+    call for them.  (1/4) L commutes with every kept map exactly, so for a
+    right-hand side that the orbits' group fixes it gives the invariant
+    solution: with f = 1 the disc at h = 1/128 keeps 8 maps and the LU has
+    6 538 rows where (1/4) L has 51 429.  The cached LU holds no reference
+    to the grid, whose cache holds it, so a dropped grid is freed at once
+    and not left to the cycle collector."""
     key = ("lap_lu", orbits)
     if key in grid._cache:
         return grid._cache[key], 0
-    grid._cache[key] = _orbit_factor(hessian_operators(grid)[0][0], orbits)
+    grid._cache[key] = _orbit_factor(hessian_operators(grid, orbits)[0][0], orbits)
     return grid._cache[key], 1
 
 
 def solve_frozen(h, grid, tol=1e-8, initial=None):
     """Solve det(u_jk) = h(z) with zero boundary values; returns (u, report).
 
-    n = 1 is one solve with the cached quarter-Laplacian LU on the orbits of
-    h (_laplacian_lu); n >= 2 is solve_nonlinear from `initial` or, without
-    one, from the scaled defining function of quadratic_subsolution.  tol
-    must be finite and > 0.
+    The solve runs on the orbits of h (solve_frozen_orbits), from the orbit
+    values of `initial` (_Orbits.restrict) when one is given.  tol must be
+    finite and > 0.
     """
     _require_tol(tol)
-    rhs = RhsSpec.frozen(grid, h)
+    h = RhsSpec.frozen(grid, h).frozen_values
+    orbits = symmetry_orbits(grid, h)
+    start = None if initial is None else orbits.restrict(_values(initial))
+    u, report = solve_frozen_orbits(h[orbits.representatives], grid, orbits, tol, start)
+    return ScalarField(grid, orbits.expand(u)), report
+
+
+def solve_frozen_orbits(h, grid, orbits, tol, initial=None):
+    """solve_frozen on the orbit values of `orbits`, whose group must fix
+    the right-hand side: h, `initial` and the returned u hold one value per
+    orbit; returns (u, report).
+
+    n = 1 is one solve with the cached quarter-Laplacian LU on the orbits
+    (_laplacian_lu); n >= 2 is solve_nonlinear_orbits from `initial` or,
+    without one, from the scaled defining function of
+    quadratic_subsolution.  tol must be finite and > 0.
+    """
+    _require_tol(tol)
+    rhs = RhsSpec.frozen(grid, h, nodes=orbits.representatives)
     if grid.n == 1:
-        h_int = rhs.frozen_values
-        lu, factored = _laplacian_lu(grid, _orbits(grid, h_int))
-        ui = np.minimum(lu.solve(h_int), 0.0)
-        state = _semilinear_state(hessian_operators(grid)[0][0], ui, h_int)
+        h = rhs.frozen_values
+        lu, factored = _laplacian_lu(grid, orbits)
+        ui = np.minimum(lu.solve(h), 0.0)
+        state = _semilinear_state(hessian_operators(grid, orbits)[0][0], ui, h)
         report = _make_report(state, 1, True, factorizations=factored)
         if report.final_residual > tol:
             # the direct solve is as good as the factorization permits
             report.flags = report.flags + ("linear_residual_above_tol",)
             report.converged = report.final_residual <= 10 * tol
-        return ScalarField(grid, ui), report
+        return ui, report
     if initial is None:
-        initial, _ = quadratic_subsolution(grid, rhs)
-    return solve_nonlinear(rhs, initial, tol)
+        initial, _ = _quadratic_subsolution(grid, rhs, orbits)
+    return _solve(rhs, orbits, initial, tol)
 
 
-def _feasible_start(grid, rhs, start):
-    """Blend a warm start toward a multiple of the strictly PSH defining
-    function rho until the Newton state is strictly inside the cone; returns
-    (u, complex Hessian of u, flags).  A start already inside costs one
-    Hessian; only a blend evaluates rho's (_anchor).  The anchor itself is
-    strictly inside, so every blend fails only for a start with a non-finite
-    value: the anchor is then returned with no Hessian and the flag
+def _feasible_start(grid, rhs, orbits, start):
+    """Blend a warm start (orbit values of `orbits`, rhs at them) toward a
+    multiple of the strictly PSH defining function rho until the Newton
+    state is strictly inside the cone; returns (u, complex Hessian of u at
+    the representatives, flags).  A start already inside costs one Hessian;
+    only a blend evaluates rho's (_anchor).  The anchor itself is strictly
+    inside, so every blend fails only for a start with a non-finite value:
+    the anchor is then returned with no Hessian and the flag
     "feasible_start_anchor"."""
     mu = 1e-10
-    hess = complex_hessian(ScalarField(grid, start))
+    hess = hessian_at(grid, start, orbits)
     if np.min(hess.min_eigenvalue()) + mu > 0:
         return start, hess, ()
-    rho, det_rho = _anchor(grid)
+    rho, det_rho = _anchor(grid, orbits)
     t_anchor = max(1.0, (float(np.max(rhs.psi(np.minimum(start, 0.0))))
                          / float(np.min(det_rho))) ** (1.0 / grid.n))
     anchor = t_anchor * rho
     for beta in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
         trial = (1 - beta) * start + beta * anchor
-        hess = complex_hessian(ScalarField(grid, trial))
+        hess = hessian_at(grid, trial, orbits)
         if np.min(hess.min_eigenvalue()) + mu > 0:
             return trial, hess, ()
     log.warning("no blend of the start is inside the cone; starting from the anchor")

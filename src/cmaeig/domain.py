@@ -315,20 +315,23 @@ class GridDomain:
     classification, interior data and cell volumes are fixed at construction.
     The private _cache memoizes the diagonal crossing fractions, derived
     stencil operators, the complex-Hessian operators that complex_hessian
-    applies, the latest Hessian complex_hessian evaluated with its field's
-    values (returned again for the same values), the assembly plan through which
-    trace_operator fills each n >= 2 Newton Jacobian (its CSC pattern and
-    the map from per-node weights to its values), its lattice symmetries
-    (lattice_symmetries), the orbits of each group of them that fixed a
-    solve's right-hand side (dirichlet._orbits; the trivial group, one node
-    per orbit, for data that only the identity fixes and for solves with
-    none), and on an n = 1 grid the quarter Laplacian's LU on each such
-    orbits that a solve has met (dirichlet._laplacian_lu), all built on
-    first use.  It also holds the grid's latest Newton preconditioner
-    "newton_lu": the LU of R J P for the last Newton Jacobian J factored on
-    the grid (a grid's first Newton step always factors), on the orbits of
-    that solve: the trivial group at n = 1, where R J P is J.  Every Newton
-    step reuses it until GMRES misses the step's target or a solve on other
+    applies, its lattice symmetries (lattice_symmetries), the orbits of
+    each group of them that fixed a solve's right-hand side
+    (dirichlet.symmetry_orbits; the trivial group, one node per orbit, for
+    data that only the identity fixes and for solves with none), for each
+    such orbits the reduced Hessian operators R D P (hessian_operators) and
+    the assembly plan through which trace_operator fills each n >= 2 Newton
+    Jacobian R J P on them (its CSC pattern and the map from per-node
+    weights to its values; also built for the full operators on request),
+    the latest Hessian hessian_at evaluated with its operators and values
+    (returned again for the same ones), and on an n = 1 grid the quarter
+    Laplacian's LU on each orbits that a solve has met
+    (dirichlet._laplacian_lu), all built on first use, and the n = 1 grid's
+    shared branch basis on the orbits of its density.  It also holds the
+    grid's latest Newton preconditioner "newton_lu": the LU of R J P for
+    the last Newton Jacobian J factored on the grid (a grid's first Newton
+    step always factors), on the orbits of that solve.  Every Newton step
+    reuses it until GMRES misses the step's target or a solve on other
     orbits needs its own.  Which LU that is depends on the solves run
     before, and it moves each step only within that target: a relative
     residual of 5e-10 at n = 1, which leaves the Newton count alone, and the

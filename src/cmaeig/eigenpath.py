@@ -35,8 +35,9 @@ import numpy as np
 from .dirichlet import (
     RhsSpec,
     quadratic_subsolution,
-    solve_frozen,
-    solve_nonlinear,
+    solve_frozen_orbits,
+    solve_nonlinear_orbits,
+    symmetry_orbits,
 )
 from .domain import Constant, density_vector
 from .errors import (
@@ -91,14 +92,21 @@ class SchedulePolicy:
             raise ValueError(f"max_points must be an integer >= 1: {self.max_points!r}")
 
 
-def _origin(fn, grid, tol):
+def _point(lam, u, report, grid, orbits):
+    """The BranchPoint of the solution with orbit values u on `orbits`."""
+    return BranchPoint(lam=lam, sup_norm=float(np.max(np.abs(u))),
+                       u=ScalarField(grid, orbits.expand(u)), report=report)
+
+
+def _origin(fn, grid, tol, orbits):
     """The lam = 0 point of the branch: u0 solving det(u_jk) = f^n with zero
-    boundary values, fn = f^n at the interior nodes (density_vector)."""
-    u0, report = solve_frozen(fn, grid, tol)
-    s0 = u0.sup_norm()
-    if s0 <= 0.0:
+    boundary values, fn = f^n at the interior nodes (density_vector), on the
+    orbits of fn (symmetry_orbits)."""
+    u0, report = solve_frozen_orbits(fn[orbits.representatives], grid, orbits, tol)
+    point = _point(0.0, u0, report, grid, orbits)
+    if point.sup_norm <= 0.0:
         raise BranchInfeasible("zero-density problem has no negative solution")
-    return BranchPoint(lam=0.0, sup_norm=s0, u=u0, report=report)
+    return point
 
 
 def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
@@ -108,11 +116,13 @@ def lower_bound(f=Constant(1.0), grid=None, tol=1e-8):
     every branch solution below it, so the branch cannot blow up before
     1/sup|u0|.
     """
-    return 1.0 / _origin(density_vector(f, grid, power=grid.n), grid, tol).sup_norm
+    fn = density_vector(f, grid, power=grid.n)
+    return 1.0 / _origin(fn, grid, tol, symmetry_orbits(grid, fn)).sup_norm
 
 
-def _converge_at(lam, rhs, u_start, tol):
-    """Converge the branch problem at one value of lam; package a BranchPoint.
+def _converge_at(lam, rhs, u_start, tol, orbits):
+    """Converge the branch problem at one value of lam from the orbit values
+    u_start on `orbits`, the orbits of f^n; package a BranchPoint.
 
     A nodewise subsolution start places Newton's method inside its basin:
     the semilinear equation is linear in the unknown for one complex
@@ -121,14 +131,14 @@ def _converge_at(lam, rhs, u_start, tol):
     need O(1/gap) passes near the blow-up.  A predicted start is closer but
     carries no such guarantee; _branch_step falls back when it fails.
     """
-    u, report = solve_nonlinear(rhs, u_start, tol)
-    return BranchPoint(lam=lam, sup_norm=u.sup_norm(), u=u, report=report)
+    u, report = solve_nonlinear_orbits(rhs, orbits, u_start, tol)
+    return _point(lam, u, report, rhs.grid, orbits)
 
 
-def _secant_start(lam_new, prev, before):
-    """Interior values of the pole-scaled secant predictor at lam_new from
-    the branch points `before` and `prev`, or None when the straight line in
-    1/sup_norm reaches its root by lam_new.
+def _secant_start(lam_new, prev, before, orbits):
+    """Orbit values on `orbits` of the pole-scaled secant predictor at
+    lam_new from the branch points `before` and `prev`, or None when the
+    straight line in 1/sup_norm reaches its root by lam_new.
 
     With r = (lam_new - prev.lam) / (prev.lam - before.lam), the shape
     v = u/sup_norm is extrapolated linearly, v_prev + r (v_prev - v_before),
@@ -140,14 +150,15 @@ def _secant_start(lam_new, prev, before):
     inv = 1.0 / prev.sup_norm + r * (1.0 / prev.sup_norm - 1.0 / before.sup_norm)
     if inv <= 0.0:
         return None
-    v_prev = prev.u.interior / prev.sup_norm
-    v_before = before.u.interior / before.sup_norm
+    v_prev = prev.u.interior[orbits.representatives] / prev.sup_norm
+    v_before = before.u.interior[orbits.representatives] / before.sup_norm
     return np.minimum((v_prev + r * (v_prev - v_before)) / inv, 0.0)
 
 
-def _branch_step(lam_new, fn, tol, prev, before=None):
-    """Advance the branch from `prev` (and `before`, the point preceding it);
-    fn is f^n at the interior nodes, evaluated once by the caller.
+def _branch_step(lam_new, fn, tol, orbits, prev, before=None):
+    """Advance the branch from `prev` (and `before`, the point preceding it)
+    on the orbits of fn (symmetry_orbits); fn is f^n at the interior nodes,
+    evaluated once by the caller.
 
     With `before`, the solve starts from the secant predictor
     (_secant_start).  The scaled subsolution C * u_prev is the start of a
@@ -169,14 +180,14 @@ def _branch_step(lam_new, fn, tol, prev, before=None):
         )
     rhs = RhsSpec.branch(prev.u.grid, lam_new, fn)
     if before is not None:
-        predicted = _secant_start(lam_new, prev, before)
+        predicted = _secant_start(lam_new, prev, before, orbits)
         if predicted is not None:
             try:
-                return _converge_at(lam_new, rhs, predicted, tol)
+                return _converge_at(lam_new, rhs, predicted, tol, orbits)
             except _STEP_FAILURES:
                 pass
     C = (1.0 + 100.0 * tol) / (1.0 - shrink)
-    point = _converge_at(lam_new, rhs, C * prev.u.interior, tol)
+    point = _converge_at(lam_new, rhs, C * prev.u.interior[orbits.representatives], tol, orbits)
     return point if before is None else replace(point, predictor_fallback=True)
 
 
@@ -184,6 +195,8 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
     """Walk the branch up from _origin; returns (branch, rejected), the
     failed steps counted by exception class.  fn is f^n at the interior
     nodes (density_vector), which every branch point of the walk shares.
+    Every solution is invariant under the stabilizer of fn, so its orbits
+    are looked up once (symmetry_orbits) and every solve runs on them.
 
     A failed solve, or one needing more than twice the median Newton count,
     halves the step; three easy solves in a row double it.  Every step is
@@ -194,7 +207,8 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
     lam = 0 sup-norm is already past the threshold, or the lam cap, the
     point budget or the step size runs out; the message names which.
     """
-    branch = [_origin(fn, grid, tol)]
+    orbits = symmetry_orbits(grid, fn)
+    branch = [_origin(fn, grid, tol, orbits)]
     lb = 1.0 / branch[0].sup_norm
     if branch[0].sup_norm > policy.blowup_threshold:
         raise ScheduleExhausted(
@@ -227,7 +241,7 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
                                     lambda_lower_bound=bound)
         lam_new = lam_stop if d == lam_stop - prev.lam else prev.lam + d
         try:
-            point = _branch_step(lam_new, fn, tol, prev,
+            point = _branch_step(lam_new, fn, tol, orbits, prev,
                                  branch[-2] if len(branch) > 1 else None)
         except _STEP_FAILURES as exc:
             rejected[type(exc).__name__] += 1
@@ -269,13 +283,14 @@ def solve_branch(lam, f=Constant(1.0), grid=None, tol=1e-8):
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"branch parameter must be finite and nonnegative: {lam!r}")
     fn = density_vector(f, grid, power=grid.n)
+    orbits = symmetry_orbits(grid, fn)
     if lam == 0.0:
-        return _origin(fn, grid, tol)
+        return _origin(fn, grid, tol, orbits)
 
     rhs = RhsSpec.branch(grid, lam, fn)
     try:
         u_sub, _ = quadratic_subsolution(grid, rhs)
-        return _converge_at(lam, rhs, u_sub, tol)
+        return _converge_at(lam, rhs, orbits.restrict(u_sub.interior), tol, orbits)
     except BranchInfeasible:
         pass
 

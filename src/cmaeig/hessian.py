@@ -18,11 +18,13 @@ and the Hessian's operators.
 
 hessian_operators caches the combination (at n = 1 the quarter Laplacian)
 as one sparse operator per entry, each assembled straight into CSR from the
-coefficients of its directions; complex_hessian applies them and the grid
-keeps its latest result.  trace_operator fills the log-det Jacobian from
-the grid's cached assembly plan (_trace_plan, built once from those
-operators) with one sparse matvec, and every eigenvalue, det, trace and
-inverse is HermitianField's.
+coefficients of its directions, and for a group of lattice symmetries their
+reductions R D P to one value per orbit; hessian_at applies either set
+(complex_hessian the grid's own) and the grid keeps its latest result.
+trace_operator fills the log-det Jacobian, or its reduction R J P, from the
+grid's cached assembly plan for those operators (_trace_plan) with one
+sparse matvec, and every eigenvalue, det, trace and inverse is
+HermitianField's.
 """
 
 from __future__ import annotations
@@ -67,19 +69,19 @@ class ScalarField:
 
 @dataclass
 class HermitianField:
-    """Per-interior-node Hermitian n x n matrix, stored as a real diagonal and
-    the strict upper triangle (pairs (j,k) with j < k in lexicographic order),
-    so no representable value can break M = M*."""
+    """Hermitian n x n matrix per node, at every interior node or at one node
+    per symmetry orbit (hessian_at), stored as a real diagonal and the strict
+    upper triangle (pairs (j,k) with j < k in lexicographic order), so no
+    representable value can break M = M*."""
 
     grid: GridDomain
-    diag: np.ndarray  # (N, n) real
-    tri: np.ndarray  # (N, n(n-1)/2) complex, entry m holds M_{j k}, j < k
+    diag: np.ndarray  # (nodes, n) real
+    tri: np.ndarray  # (nodes, n(n-1)/2) complex, entry m holds M_{j k}, j < k
 
     def __post_init__(self):
         n = self.grid.n
-        N = self.grid.num_interior
-        self.diag = np.asarray(self.diag, dtype=float).reshape(N, n)
-        self.tri = np.asarray(self.tri, dtype=complex).reshape(N, n * (n - 1) // 2)
+        self.diag = np.asarray(self.diag, dtype=float).reshape(-1, n)
+        self.tri = np.asarray(self.tri, dtype=complex).reshape(len(self.diag), n * (n - 1) // 2)
 
     @staticmethod
     def pairs(n):
@@ -87,8 +89,7 @@ class HermitianField:
 
     def matrices(self):
         n = self.grid.n
-        N = self.grid.num_interior
-        M = np.zeros((N, n, n), dtype=complex)
+        M = np.zeros((len(self.diag), n, n), dtype=complex)
         for j in range(n):
             M[:, j, j] = self.diag[:, j]
         for m, (j, k) in enumerate(self.pairs(n)):
@@ -105,7 +106,7 @@ class HermitianField:
         return np.linalg.det(self.matrices()).real
 
     def eigenvalues(self):
-        """(N, n) real eigenvalues in ascending order."""
+        """(nodes, n) real eigenvalues in ascending order."""
         n = self.grid.n
         if n == 1:
             return self.diag.copy()
@@ -263,18 +264,31 @@ def laplacian_matrix(grid):
 # ---------------------------------------------------------------------------
 
 
-def hessian_operators(grid):
+def hessian_operators(grid, orbits=None):
     """Cached sparse operators of the complex Hessian: (diag, mixed), where
     diag[j] maps a field's interior values to u_jj and mixed[m] is the pair
     (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
     For n = 1 the single diagonal operator is the quarter Laplacian, a
     quarter of laplacian_matrix(grid).
 
+    With `orbits` (dirichlet._Orbits of a group of lattice symmetries, with
+    which every operator commutes) each operator D becomes R D P
+    (orbits.reduce), mapping one value per orbit to the entry at each
+    orbit's representative; these are cached on the grid per orbits, and the
+    trivial group's are the grid's own operators.
+
     Each operator is assembled once from the _stencil coefficients, with the
     values that sparse sums of second_difference_matrix give, bit for bit:
     u_jj = 1/4 (D^2_xj + D^2_yj), u_ab = 1/4 (D^2_(a+b) - D^2_(a-b)) for
     a != b, Re u_jk = 1/4 (u_xjxk + u_yjyk) and Im u_jk = 1/4 (u_xjyk -
     u_yjxk)."""
+    if orbits is not None:
+        key = ("hessian_ops", orbits)
+        if key not in grid._cache:
+            diag, mixed = hessian_operators(grid)
+            grid._cache[key] = ([orbits.reduce(op) for op in diag],
+                                [(orbits.reduce(re), orbits.reduce(im)) for re, im in mixed])
+        return grid._cache[key]
     key = ("hessian_ops",)
     if key not in grid._cache:
         n, d = grid.n, 2 * grid.n
@@ -300,11 +314,11 @@ def hessian_operators(grid):
     return grid._cache[key]
 
 
-def _trace_plan(grid):
-    """trace_operator's assembly on a grid, cached and built from
-    hessian_operators(grid): (B, indices, indptr), where (indices, indptr) is
-    a CSC pattern and the values on it are B @ x, with x stacking the
-    per-node weights slot by slot: W_jj for each j, then 2 Re W_jk and
+def _trace_plan(grid, orbits=None):
+    """trace_operator's assembly on a grid, cached per orbits and built from
+    hessian_operators(grid, orbits): (B, indices, indptr), where (indices,
+    indptr) is a CSC pattern and the values on it are B @ x, with x stacking
+    the per-node weights slot by slot: W_jj for each j, then 2 Re W_jk and
     2 Im W_jk for each pair j < k, then the diagonal shift.
 
     The pattern is the union of the operators' patterns and the diagonal; it
@@ -312,10 +326,10 @@ def _trace_plan(grid):
     of B lists one pattern entry's operator values in slot order, so the
     matvec sums every entry in the order of the per-slot loop
     sum_s diag(x_s) @ op_s."""
-    key = ("trace_plan",)
+    key = ("trace_plan", orbits)
     if key not in grid._cache:
-        N = grid.num_interior
-        diag, mixed = hessian_operators(grid)
+        diag, mixed = hessian_operators(grid, orbits)
+        N = diag[0].shape[0]
         ops = [*diag, *(op for pair in mixed for op in pair), sparse.identity(N)]
         coo = [op.tocoo() for op in ops]
         rows = np.concatenate([c.row for c in coo]).astype(np.int64)
@@ -335,17 +349,19 @@ def _trace_plan(grid):
     return grid._cache[key]
 
 
-def trace_operator(grid, W, shift=None):
+def trace_operator(grid, W, shift=None, orbits=None):
     """CSC operator u -> Re tr(W M(u)) + shift * u for a HermitianField W
     and an optional per-node shift.
 
     At W = (M(u) + mu I)^-1 this is the Jacobian of sum log eig(M(u) + mu I).
     W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk) = 2 Re W_jk Re u_jk
     + 2 Im W_jk Im u_jk for Hermitian W and M, so the values are one matvec
-    of the grid's _trace_plan.
+    of the grid's _trace_plan.  With `orbits`, W and shift are given at the
+    orbits' representatives and the operator is R J P, the Jacobian on one
+    value per orbit, from the plan of their operators (hessian_operators).
     """
-    B, indices, indptr = _trace_plan(grid)
-    N = grid.num_interior
+    B, indices, indptr = _trace_plan(grid, orbits)
+    N = len(W.diag)
     x = np.empty((B.shape[1] // N, N))
     x[:grid.n] = W.diag.T
     x[grid.n:-1:2] = 2.0 * W.tri.real.T
@@ -355,27 +371,39 @@ def trace_operator(grid, W, shift=None):
 
 
 def complex_hessian(u):
-    """The complex Hessian of u by the grid's cached operators.
+    """The complex Hessian of u at every interior node (hessian_at)."""
+    return hessian_at(u.grid, u.interior)
 
-    The grid keeps the latest Hessian it evaluated beside its field's
-    (read-only) values, and a call on a field with the same values, bit for
-    bit, returns it without evaluating again: an eigenfunction's PSH check
-    and its determinant share one, and so do an inverse-power iterate's
-    quotient and the start of the next frozen solve.  The kept arrays are
-    read-only and hold no reference to the grid."""
-    grid = u.grid
+
+def hessian_at(grid, values, orbits=None):
+    """The complex Hessian of the field P values at the representatives of
+    `orbits` (dirichlet._Orbits; values holds one value per orbit), by
+    their operators (hessian_operators); without orbits, values are a
+    field's interior values and the Hessian is at every interior node.
+
+    The grid keeps the latest Hessian it evaluated beside its operators and
+    (read-only) values, and a call with the same operators and the same
+    values, bit for bit, returns it without evaluating again: an
+    eigenfunction's PSH check and its determinant share one, and so do an
+    inverse-power iterate's quotient and the start of the next frozen solve.
+    The kept arrays are read-only and hold no reference to the grid."""
+    ops = hessian_operators(grid, orbits)
     latest = grid._cache.get("latest_hessian")
-    if latest is None or not np.array_equal(latest[0].view(np.uint64),
-                                            u.interior.view(np.uint64)):
-        latest = _evaluate(u)
+    if latest is None or latest[0] is not ops or not np.array_equal(
+            latest[1].view(np.uint64), values.view(np.uint64)):
+        latest = (ops, *_evaluate(ops, values))
         grid._cache["latest_hessian"] = latest
-    return HermitianField(grid, latest[1], latest[2])
+    return HermitianField(grid, latest[2], latest[3])
 
 
-def _evaluate(u):
-    """(u.interior, diag, tri) of u's complex Hessian, diag and tri read-only."""
-    vals = u.interior
-    diag_ops, mixed = hessian_operators(u.grid)
+def _evaluate(ops, values):
+    """(values, diag, tri) of the complex Hessian that the operators `ops`
+    (hessian_operators) give from values, all three read-only."""
+    vals = values
+    if vals.flags.writeable:
+        vals = vals.copy()
+        vals.flags.writeable = False
+    diag_ops, mixed = ops
     diag = np.array([op @ vals for op in diag_ops]).T
     tri = np.array([re @ vals + 1j * (im @ vals) for re, im in mixed]).T
     for values in (diag, tri):
@@ -394,29 +422,38 @@ class PshReport:
     min_eigenvalue: float
     coords: tuple  # plain floats
 
+    def require(self, name="field"):
+        """This report; NotPSH naming `name` and the worst node unless ok."""
+        if not self.ok:
+            raise NotPSH(
+                f"{name} is not PSH: smallest Hessian eigenvalue "
+                f"{self.min_eigenvalue:.3e} at node {self.coords}"
+            )
+        return self
+
+
+def psh_report(grid, values, orbits=None):
+    """The PshReport of the field P values from its Hessian at the orbits'
+    representatives (hessian_at): ok when the smallest eigenvalue is
+    >= -default_psh_tol; its node is the worst representative."""
+    lam = hessian_at(grid, values, orbits).min_eigenvalue()
+    worst = int(np.argmin(lam))
+    return PshReport(
+        ok=bool(lam[worst] >= -default_psh_tol(grid)),
+        min_eigenvalue=float(lam[worst]),
+        coords=grid.interior_point(worst if orbits is None else orbits.representatives[worst]),
+    )
+
 
 def is_psh(u):
     """(ok, PshReport): ok when the smallest Hessian eigenvalue is >= -default_psh_tol."""
-    tol = default_psh_tol(u.grid)
-    lam = complex_hessian(u).min_eigenvalue()
-    worst = int(np.argmin(lam))
-    report = PshReport(
-        ok=bool(lam[worst] >= -tol),
-        min_eigenvalue=float(lam[worst]),
-        coords=u.grid.interior_point(worst),
-    )
+    report = psh_report(u.grid, u.interior)
     return report.ok, report
 
 
 def require_psh(u, name="field"):
     """Raise NotPSH unless is_psh(u); returns the PshReport."""
-    ok, report = is_psh(u)
-    if not ok:
-        raise NotPSH(
-            f"{name} is not PSH: smallest Hessian eigenvalue "
-            f"{report.min_eigenvalue:.3e} at node {report.coords}"
-        )
-    return report
+    return is_psh(u)[1].require(name)
 
 
 # Most negative eigenvalue gaveau_value accepts as positive semidefinite.

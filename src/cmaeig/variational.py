@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import SolveReport, solve_frozen
+from .dirichlet import SolveReport, solve_frozen_orbits, symmetry_orbits
 from .domain import Constant, density_vector, density_weight
 from .errors import (
     DegenerateIterate,
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     ZeroMass,
 )
-from .hessian import ScalarField, complex_hessian, require_psh
+from .hessian import ScalarField, complex_hessian, hessian_at, psh_report, require_psh
 
 __all__ = ["CONTINUATION", "INVERSE_POWER", "BranchPoint", "EigenResult", "check_trial",
            "det_and_rayleigh", "eigen_residual", "energy", "inverse_power", "mass",
@@ -112,18 +112,41 @@ def check_trial(phi, name):
     require_psh(phi, name=name)
 
 
-def _energy(phi, det):
-    """E(phi) from det, the determinant of phi's complex Hessian."""
-    n = phi.grid.n
-    total = float(np.sum(-phi.interior * det * phi.grid.cell_volume))
-    return max(total * omega_weight(n) / (n + 1), 0.0)
+def _integral(orbits, integrand, n):
+    """1/(n+1) 2^n n! times the sum of integrand * cell volume over the
+    interior nodes, from one value per orbit of `orbits` (dirichlet's
+    _Orbits, whose volumes sum each orbit's cell volumes): the one
+    quadrature of energy, mass and the routes' Rayleigh quotients.  On the
+    trivial group the volumes are the grid's own."""
+    return float(np.sum(integrand * orbits.volumes)) * omega_weight(n) / (n + 1)
+
+
+def _mass(orbits, x, fn, n):
+    """I(P x) from the orbit values x and fn = f^n at the representatives."""
+    return _integral(orbits, np.maximum(-x, 0.0) ** (n + 1) * fn, n)
+
+
+def _rayleigh(orbits, x, fn, det, n):
+    """The Rayleigh quotient E/I of P x from its orbit values, fn = f^n and
+    det, its complex Hessian's determinant, at the representatives."""
+    denominator = _mass(orbits, x, fn, n)
+    if denominator <= 0.0:
+        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
+    return max(_integral(orbits, -x * det, n), 0.0) / denominator
+
+
+def _eigen_residual(x, lam, fn, det, n):
+    """eigen_residual on values: max|det - (lam max(-x, 0))^n fn|."""
+    return float(np.max(np.abs(det - (lam * np.maximum(-x, 0.0)) ** n * fn)))
 
 
 def energy(phi, *, check=True):
     """E(phi) = 1/(n+1) * integral of (-phi) against its determinant mass."""
     if check:
         check_trial(phi, "energy argument")
-    return _energy(phi, complex_hessian(phi).det())
+    grid = phi.grid
+    det = complex_hessian(phi).det()
+    return max(_integral(symmetry_orbits(grid, None), -phi.interior * det, grid.n), 0.0)
 
 
 def mass(phi, fn=None, *, check=True):
@@ -132,22 +155,17 @@ def mass(phi, fn=None, *, check=True):
     grid = phi.grid
     if check:
         check_trial(phi, "mass argument")
-    n = grid.n
-    fn = density_weight(grid, fn)
-    mphi = np.maximum(-phi.interior, 0.0)
-    total = float(np.sum(mphi ** (n + 1) * fn * grid.cell_volume))
-    return total * omega_weight(n) / (n + 1)
+    return _mass(symmetry_orbits(grid, None), phi.interior, density_weight(grid, fn), grid.n)
 
 
 def det_and_rayleigh(phi, fn=None):
     """(det, quotient): the determinant of phi's complex Hessian at the
     interior nodes and the Rayleigh quotient energy/mass, from one Hessian
     evaluation and with no trial check; fn as for mass."""
-    denominator = mass(phi, fn, check=False)
-    if denominator <= 0.0:
-        raise ZeroMass("rayleigh quotient undefined for a zero-mass field")
+    grid = phi.grid
     det = complex_hessian(phi).det()
-    return det, _energy(phi, det) / denominator
+    return det, _rayleigh(symmetry_orbits(grid, None), phi.interior,
+                          density_weight(grid, fn), det, grid.n)
 
 
 def rayleigh(phi, fn=None, *, check=True):
@@ -161,7 +179,7 @@ def rayleigh(phi, fn=None, *, check=True):
 def eigen_residual(v, lam, fn, det):
     """Sup-norm of det - (lam * max(-v, 0))^n fn, the residual of v in the
     eigen-equation at lam, from fn = f^n and det = complex_hessian(v).det()."""
-    return float(np.max(np.abs(det - (lam * np.maximum(-v.interior, 0.0)) ** v.grid.n * fn)))
+    return _eigen_residual(v.interior, lam, fn, det, v.grid.n)
 
 
 def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
@@ -174,38 +192,55 @@ def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
 
     until the Rayleigh value, the field, and the eigen-equation residual
     (eigen_residual) all settle within tol; one complex Hessian per iterate
-    (det_and_rayleigh) gives its eta, its residual and, as the grid's
-    latest (complex_hessian), the next frozen solve's start.  Each iterate is
-    recorded as a BranchPoint whose lam is the current eta and whose report
-    is its frozen solve's, the first point's that of w0.
-    max_iters must be an integer >= 1.  Raises DegenerateIterate when an
-    iterate's mass collapses and NotConverged past max_iters.
+    gives its eta, its residual and, as the grid's latest (hessian_at), the
+    next frozen solve's start.  Every iterate is invariant under the
+    stabilizer of fn, so the orbits of fn are looked up once
+    (symmetry_orbits) and the iteration, its solves (solve_frozen_orbits)
+    and its functionals run on their orbit values, the integrals on the
+    orbits' summed cell volumes.  Once an iterate settles there, its
+    residual is taken again on every node, the one EigenResult stores, and
+    the iteration stops when that one is within tol too (it differs by
+    rounding).  Each iterate is recorded as a BranchPoint
+    whose lam is the current eta, whose u is the iterate on every interior
+    node and whose report is its frozen solve's, the first point's that of
+    w0.  max_iters must be an integer >= 1.  Raises DegenerateIterate when
+    an iterate's mass collapses and NotConverged past max_iters.
     """
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer >= 1: {max_iters!r}")
     n = grid.n
-    fn = density_vector(f, grid, power=n)
-    w0, report = solve_frozen(fn, grid, tol)
-    check_trial(w0, "inverse-power start")
-    if mass(w0, fn, check=False) < 1e-12:
+    fn_nodes = density_vector(f, grid, power=n)
+    orbits = symmetry_orbits(grid, fn_nodes)
+    fn = fn_nodes[orbits.representatives]
+
+    def field(x):
+        return ScalarField(grid, orbits.expand(x))
+
+    def quotient(x):  # (det, Rayleigh quotient) of the iterate P x
+        det = hessian_at(grid, x, orbits).det()
+        return det, _rayleigh(orbits, x, fn, det, n)
+
+    w0, report = solve_frozen_orbits(fn, grid, orbits, tol)
+    psh_report(grid, w0, orbits).require("inverse-power start")
+    if _mass(orbits, w0, fn, n) < 1e-12:
         raise DegenerateIterate("starting field has vanishing mass")
-    w = ScalarField(grid, w0.interior / w0.sup_norm())
-    eta = rayleigh(w, fn, check=False) ** (1.0 / n)
-    branch = [BranchPoint(lam=eta, sup_norm=1.0, u=w, report=report)]
+    w = w0 / float(np.max(np.abs(w0)))
+    eta = quotient(w)[1] ** (1.0 / n)
+    branch = [BranchPoint(lam=eta, sup_norm=1.0, u=field(w), report=report)]
 
     for _ in range(max_iters):
-        rhs = eta ** n * np.maximum(-w.interior, 0.0) ** n * fn
-        w_raw, report = solve_frozen(rhs, grid, tol / 10.0, initial=w)
-        if mass(w_raw, fn, check=False) < 1e-12:
+        rhs = eta ** n * np.maximum(-w, 0.0) ** n * fn
+        w_raw, report = solve_frozen_orbits(rhs, grid, orbits, tol / 10.0, initial=w)
+        if _mass(orbits, w_raw, fn, n) < 1e-12:
             raise DegenerateIterate(
                 f"iterate mass collapsed below 1e-12 at eta={eta:.6g}"
             )
-        w_next = ScalarField(grid, w_raw.interior / w_raw.sup_norm())
-        det, quotient = det_and_rayleigh(w_next, fn)
-        eta_next = quotient ** (1.0 / n)
-        field_change = float(np.max(np.abs(w_next.interior - w.interior)))
-        residual = eigen_residual(w_next, eta_next, fn, det)
-        branch.append(BranchPoint(lam=eta_next, sup_norm=1.0, u=w_next,
+        w_next = w_raw / float(np.max(np.abs(w_raw)))
+        det, value = quotient(w_next)
+        eta_next = value ** (1.0 / n)
+        field_change = float(np.max(np.abs(w_next - w)))
+        residual = _eigen_residual(w_next, eta_next, fn, det, n)
+        branch.append(BranchPoint(lam=eta_next, sup_norm=1.0, u=field(w_next),
                                   report=report))
         converged = (
             abs(eta_next - eta) <= tol
@@ -214,15 +249,20 @@ def inverse_power(f=Constant(1.0), grid=None, tol=1e-8, max_iters=200):
         )
         w, eta = w_next, eta_next
         if converged:
-            return EigenResult(
-                lambda1=eta,
-                eigenfunction=w,
-                branch=tuple(branch),
-                method=INVERSE_POWER,
-                residual=residual,
-                residual_tol=tol,
-                rayleigh_value=eta ** n,
-            )
+            # the stored residual is the eigenfunction's on every node, which
+            # differs from the one at the representatives by rounding
+            v = branch[-1].u
+            residual = eigen_residual(v, eta, fn_nodes, complex_hessian(v).det())
+            if residual <= tol:
+                return EigenResult(
+                    lambda1=eta,
+                    eigenfunction=v,
+                    branch=tuple(branch),
+                    method=INVERSE_POWER,
+                    residual=residual,
+                    residual_tol=tol,
+                    rayleigh_value=eta ** n,
+                )
     raise NotConverged(
         f"inverse-power iteration did not settle in {max_iters} steps "
         f"(eta={eta:.8g})"

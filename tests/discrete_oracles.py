@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigs, spsolve
 
-from cmaeig.dirichlet import RhsSpec, _logdet_form, _orbits
+from cmaeig.dirichlet import RhsSpec, _logdet_form, symmetry_orbits
 from cmaeig.domain import CustomRho, density_vector
 from cmaeig.hessian import HermitianField, laplacian_matrix, second_difference_matrix
 
@@ -58,7 +58,7 @@ def bordered_newton(grid, density, lam, u):
     fn = density_vector(density, grid, power=n)
 
     def form(lam):
-        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL, _orbits(grid, None))
+        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL, symmetry_orbits(grid, None))
 
     evaluate, jacobian, *_ = form(lam)
     state = evaluate(u)

@@ -382,7 +382,7 @@ def test_defining_function_is_strictly_psh_at_every_interior_node(on_sphere_grid
         sextic = ScalarField(g, (r2 - 1.0) + 0.5 * (r2 ** 3 - 1.0))
         assert np.min(complex_hessian(sextic).min_eigenvalue()) >= 1.0 - g.h ** 2
     g = on_sphere_grids[(2, 0.1)]
-    rho, det = cmaeig.dirichlet._anchor(g)
+    rho, det = cmaeig.dirichlet._anchor(g, cmaeig.dirichlet.symmetry_orbits(g, None))
     hess = complex_hessian(ScalarField(g, rho))
     assert np.min(hess.min_eigenvalue()) >= 1.0 - 1e-9
     assert np.min(det) >= 1.0 - 1e-9

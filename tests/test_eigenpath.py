@@ -7,7 +7,7 @@ import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
 import cmaeig.verify as verify
 
-from cmaeig.dirichlet import SolveReport
+from cmaeig.dirichlet import SolveReport, symmetry_orbits
 from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, density_vector
 from cmaeig.eigenpath import (
     SchedulePolicy,
@@ -98,10 +98,15 @@ def ones(grid):
     return density_vector(Constant(1.0), grid, power=grid.n)
 
 
+def orbits_of_ones(grid):
+    """The orbits every solve with f = 1 runs on."""
+    return symmetry_orbits(grid, ones(grid))
+
+
 def test_branch_warm_start_single_step(disc32):
     """One walk step from a branch point, started from its scaled subsolution."""
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
-    bp = eigenpath._branch_step(1.05, ones(disc32), 1e-8, prev)
+    bp = eigenpath._branch_step(1.05, ones(disc32), 1e-8, orbits_of_ones(disc32), prev)
     assert bp.lam == pytest.approx(1.05)
     assert bp.sup_norm == pytest.approx(branch_sup_norm_disc(1.05), rel=1e-2)
 
@@ -121,7 +126,7 @@ def test_branch_rejects_non_finite_lam(disc32, lam):
 def test_branch_warm_start_must_move_forward(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(ValueError, match="increase"):
-        eigenpath._branch_step(0.9, ones(disc32), 1e-8, prev)
+        eigenpath._branch_step(0.9, ones(disc32), 1e-8, orbits_of_ones(disc32), prev)
 
 
 def test_branch_infeasible_past_critical_value(disc32, monkeypatch):
@@ -199,7 +204,8 @@ def test_branch_at_zero_is_the_lower_bound_origin(disc32):
 def test_branch_scaling_pole_guard(disc32):
     prev = solve_branch(1.0, grid=disc32, tol=1e-8)
     with pytest.raises(BranchInfeasible, match="pole"):
-        eigenpath._branch_step(prev.lam + 2.0 / prev.sup_norm, ones(disc32), 1e-8, prev)
+        eigenpath._branch_step(prev.lam + 2.0 / prev.sup_norm, ones(disc32), 1e-8,
+                               orbits_of_ones(disc32), prev)
 
 
 # ---------------------------------------------------------------- lower_bound
@@ -332,7 +338,7 @@ def test_continuation_ellipsoid_bump_predictor_saves_newton_steps(ellipsoid_bump
     backtrack.  Each point is solved to a det residual of tol = 1e-8, not
     to rounding, so the two starts' schedules differ by about 1e-11."""
     result = ellipsoid_bump_result
-    monkeypatch.setattr(eigenpath, "_secant_start", lambda lam_new, prev, before: None)
+    monkeypatch.setattr(eigenpath, "_secant_start", lambda lam_new, prev, before, orbits: None)
     scaled = ellipsoid_bump_continuation()
     steps = sum(p.report.iterations for p in result.branch)
     assert steps < sum(p.report.iterations for p in scaled.branch)
@@ -363,7 +369,8 @@ def test_unusable_predictor_falls_back_and_is_counted(disc32, monkeypatch):
     the scaled subsolution, marked and counted, with the same lambda_1."""
     plain = continuation(grid=disc32, tol=1e-8)
     monkeypatch.setattr(eigenpath, "_secant_start",
-                        lambda lam_new, prev, before: np.abs(prev.u.interior))
+                        lambda lam_new, prev, before, orbits:
+                        np.abs(prev.u.interior[orbits.representatives]))
     result = continuation(grid=disc32, tol=1e-8)
     assert plain.predictor_fallbacks == 0
     assert [p.predictor_fallback for p in result.branch] == [False, False] + [True] * (
@@ -384,12 +391,13 @@ def pole_shaped_point(lam, shape, pole=2.0):
 def test_secant_start_is_exact_on_a_pole_shaped_branch(disc32):
     shape = ScalarField(disc32, np.sum(disc32.interior_coords ** 2, axis=1) - 1.0)
     before, prev = pole_shaped_point(1.0, shape), pole_shaped_point(1.5, shape)
-    predicted = _secant_start(1.8, prev, before)
+    trivial = symmetry_orbits(disc32, None)
+    predicted = _secant_start(1.8, prev, before, trivial)
     exact = pole_shaped_point(1.8, shape).u.interior
     assert np.max(np.abs(predicted - exact)) <= 1e-12 * np.max(np.abs(exact))
     # the line in 1/sup_norm reaches zero at the pole: no prediction there
-    assert _secant_start(2.0, prev, before) is None
-    assert _secant_start(2.5, prev, before) is None
+    assert _secant_start(2.0, prev, before, trivial) is None
+    assert _secant_start(2.5, prev, before, trivial) is None
 
 
 def test_continuation_counts_rejected_steps_by_class(disc32, monkeypatch):

@@ -109,9 +109,9 @@ def test_newton_linear_solves_go_through_one_step():
     """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
     and every LU is factored on symmetry orbits (_orbit_factor), only by the
     Newton step's refresh and by the cached quarter-Laplacian getter
-    (_laplacian_lu).  A solve's orbits come from one lookup (_orbits), the
-    only caller of the stabilizer search, so no solve scans the maps per
-    vector.  One Krylov engine (_Arnoldi) serves the GMRES cycle and the
+    (_laplacian_lu).  A solve's orbits come from one lookup
+    (symmetry_orbits), the only caller of the stabilizer search, so no
+    solve scans the maps per vector.  One Krylov engine (_Arnoldi) serves the GMRES cycle and the
     n = 1 branch basis, with one Givens least squares and no lstsq."""
     path = SRC / "dirichlet.py"
     names = ("_krylov", "_orbit_factor", "_factor", "splu", "_stabilizer", "_Arnoldi", "hypot")
@@ -120,7 +120,7 @@ def test_newton_linear_solves_go_through_one_step():
         "_orbit_factor": ["_laplacian_lu", "_newton_step"],
         "_factor": ["_orbit_factor"],
         "splu": ["_factor"],
-        "_stabilizer": ["_orbits"],
+        "_stabilizer": ["symmetry_orbits"],
         "_Arnoldi": ["_branch_solve", "_krylov"],
         "hypot": ["_rotate"],
     }
@@ -131,9 +131,9 @@ def test_newton_linear_solves_go_through_one_step():
 def test_eigenpath_walks_the_branch_in_one_place():
     """In eigenpath.py every stepped branch point comes from _walk, and the
     lam = 0 solve is made only by _origin."""
-    assert callers_of(SRC / "eigenpath.py", ("_branch_step", "solve_frozen")) == {
+    assert callers_of(SRC / "eigenpath.py", ("_branch_step", "solve_frozen_orbits")) == {
         "_branch_step": ["_walk"],
-        "solve_frozen": ["_origin"],
+        "solve_frozen_orbits": ["_origin"],
     }
     assert len(calls_of(SRC / "eigenpath.py", ("_branch_step",))) == 1
 
