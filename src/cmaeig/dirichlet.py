@@ -14,12 +14,13 @@ Layering:
   misses the step's target or the LU is on other orbits, and NotConverged
   when a cycle on the fresh LU misses too.  The target is a fixed 5e-10 at
   n = 1 and, at n >= 2, a forcing term that follows the Newton residual
-  (inexact Newton), so most log-det steps run on a stale LU.  The exception is the n = 1 branch family (L/4 + lam diag f) u = f
-  (RhsSpec.branch): its points share one Krylov space once
-  right-preconditioned by L/4, so each point's Newton step comes from one
-  Arnoldi basis per grid and density (_branch_solve), grown one
-  quarter-Laplacian LU solve at a time; a whole disc continuation builds
-  about ten vectors where a GMRES cycle per point made about eighty solves.
+  (inexact Newton), so most log-det steps run on a stale LU.  The exception
+  is the n = 1 branch family (L/4 + lam diag f) u = f (RhsSpec.branch): its
+  points share one Krylov space once right-preconditioned by L/4, so each
+  point's Newton step comes from one Arnoldi basis per grid and density
+  (_branch_solve), grown one quarter-Laplacian LU solve at a time; a whole
+  disc continuation builds about ten vectors where a GMRES cycle per point
+  made about eighty solves.
   Both Krylov solves run on one engine (_Arnoldi): flexible Arnoldi with
   one Givens least squares, at shift (0, 1) for the GMRES cycle and at
   (1, lam) for a branch point.
@@ -33,27 +34,22 @@ Layering:
 * solve_quasimonotone -- Newton for det = H^n(., u) with dH/dt >= -lambda_0 >
   -lambda_1, certified by restarting from three distinct initializations.
 
-Every solve runs on the orbits of one group (symmetry_orbits): the grid's
-lattice symmetries (signed axis permutations) that map the interior nodes
-and every crossing fraction onto themselves exactly, with no tolerance, and
-fix the right-hand side's per-node data (f^n or the frozen values).  Each
-second difference, and so the quarter Laplacian and the complex Hessian,
-commutes with them bit for bit, so the solution is invariant too, and the
-solve holds one value per orbit (_Orbits), the value at the orbit's
+Every solve runs on the orbits of one group (domain.symmetry_orbits): the
+grid's lattice symmetries that fix the right-hand side's per-node data (f^n
+or the frozen values), or the trivial group, one node per orbit, when only
+the identity fixes it or there is none (a general psi).  Each second
+difference, and so the quarter Laplacian and the complex Hessian, commutes
+with them bit for bit, so the solution is invariant too, and the solve
+holds one value per orbit (domain._Orbits), the value at the orbit's
 representative.  Its Hessians, residuals, Jacobians, LUs and Krylov
 vectors are the reduced ones: R D P for each Hessian operator
 (hessian_operators), R J P for the Jacobian (trace_operator), an LU on one
-row per orbit (_ReducedLU; 6 538 of 51 429 rows for f = 1 on the disc at
-h = 1/128) and inner products weighted by the orbit sizes.  A field on
-every interior node exists only where a public solve returns (expand).
+row per orbit (6 538 of 51 429 rows for f = 1 on the disc at h = 1/128)
+and inner products weighted by the orbit sizes.  A field on every interior
+node exists only where a public solve returns (expand).
 solve_frozen_orbits and solve_nonlinear_orbits take and return the orbit
 values, for the routes, which look up the orbits of f^n once; solve_frozen
-and solve_nonlinear look them up per call.  Exact equality holds at dyadic
-h; elsewhere rounding in the crossing fractions leaves fewer maps.  The
-trivial group, one node per orbit, serves data that only the identity
-fixes and solves with no data (a general psi): its reduction is the matrix
-itself and its orbit values the field itself, so its solves are the
-full-space ones bit for bit.
+and solve_nonlinear look them up per call.
 
 The module builds its subsolutions and starts from multiples of the grid's
 defining function rho (_anchor), which vanishes at the boundary crossings
@@ -75,7 +71,7 @@ from scipy.sparse.linalg import splu
 # (perfbench/spans.py) looks cmaeig.dirichlet.spsolve up by name.
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .domain import density_weight, lattice_symmetries
+from .domain import density_weight, symmetry_orbits
 from .errors import (
     BranchInfeasible,
     EigenvalueBoundViolated,
@@ -488,7 +484,7 @@ _LU_PIVOT_THRESHOLD = 0.1
 def _factor(A):
     """Sparse LU of A: the package's one factorization, for the n = 1
     quarter Laplacian (_laplacian_lu) and the Newton Jacobians
-    (_newton_step), on symmetry orbits (_orbit_factor).
+    (_newton_step), each a matrix R A P on symmetry orbits.
 
     The columns are ordered by minimum degree on A^T + A, with less fill
     than the default COLAMD (about half on the Laplacian; on an
@@ -502,122 +498,10 @@ def _factor(A):
                 options={"SymmetricMode": True}, relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE)
 
 
-def _stabilizer(maps, b):
-    """Indices of the lattice symmetries among `maps` (lattice_symmetries)
-    that fix b exactly, b[s] == b, the identity's 0 first."""
-    return (0,) + tuple(k for k in range(1, len(maps)) if np.array_equal(b[maps[k]], b))
-
-
 def _norm(x, sizes):
     """The 2-norm over the nodes of the invariant field with orbit values x
     on orbits of `sizes` nodes (_Orbits.sizes): sqrt(sum sizes x^2)."""
     return float(np.sqrt((sizes * x) @ x))
-
-
-class _Orbits:
-    """The orbits of the interior nodes under a group of lattice symmetries,
-    given as rows of lattice_symmetries, or the trivial group for maps None
-    (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986; Allgower,
-    Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992).
-
-    Each orbit is labelled by its smallest position, its representative;
-    orbit[i] is node i's orbit.  A solve on the orbits holds one value per
-    orbit, the invariant field's value at its representative.  P (N x m)
-    copies each orbit's value to its nodes (expand) and R picks the
-    representatives, so for a matrix A that commutes with the group,
-    A P y = P (R A P) y (reduce).  sizes counts each orbit's nodes and
-    volumes sums their cell volumes, so the sums and integrals of an
-    invariant field over the nodes are weighted sums of its orbit values.
-    The trivial group has one node per orbit: R = P = I, built without a
-    sort."""
-
-    def __init__(self, grid, maps=None):
-        N = grid.num_interior
-        if maps is None:
-            self.representatives = self.orbit = np.arange(N)
-            self.sizes = np.ones(N, dtype=np.int64)
-            self.volumes = grid.cell_volume
-            return
-        self.representatives, self.orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
-        m = self.representatives.size
-        self.sizes = np.bincount(self.orbit, minlength=m)
-        self.volumes = np.bincount(self.orbit, grid.cell_volume, m)
-
-    def reduce(self, A):
-        """R A P, the m x m matrix of A on the orbit values: A itself,
-        explicit zeros and all, when every orbit is one node (a product with
-        P would drop the zeros and change the LU's ordering and fill)."""
-        N, m = self.orbit.size, self.representatives.size
-        if m == N:
-            return A
-        P = sparse.csr_matrix((np.ones(N), (np.arange(N), self.orbit)), shape=(N, m))
-        return A.tocsr()[self.representatives] @ P
-
-    def expand(self, x):
-        """P x: the field on the interior nodes whose orbit values are x."""
-        return x[self.orbit]
-
-    def average(self, b):
-        """(P^T P)^-1 P^T b: each orbit's mean of b."""
-        return np.bincount(self.orbit, b, self.sizes.size) / self.sizes
-
-    def fixes(self, b):
-        """Whether every node of b equals its orbit's representative."""
-        return np.array_equal(b[self.representatives][self.orbit], b)
-
-    def restrict(self, b):
-        """The orbit values of b (one value per interior node): its
-        representatives' values when the group fixes b, its orbit means
-        otherwise, the orbit values of b's orthogonal projection onto the
-        invariant fields."""
-        return b[self.representatives] if self.fixes(b) else self.average(b)
-
-
-class _ReducedLU(NamedTuple):
-    """A solver on the orbit values of `orbits` from lu, the LU of R A P
-    (m x m): lu.solve(c) is the x with A P x = P c for an A that commutes
-    with the group, and serves as a preconditioner where R A P is only
-    near the system's matrix."""
-
-    lu: object
-    orbits: _Orbits
-
-    def solve(self, b):
-        return self.lu.solve(b)
-
-
-def _orbit_factor(A, orbits):
-    """The LU (_factor) of A, a matrix R A P on `orbits` (_Orbits), as a
-    solver on their orbit values (_ReducedLU)."""
-    return _ReducedLU(_factor(A), orbits)
-
-
-def _group(grid, stabilizer):
-    """The _Orbits of the lattice symmetries numbered `stabilizer`, cached on
-    the grid per stabilizer; the identity's (0,) is the trivial group, which
-    builds no lattice symmetry."""
-    key = ("orbits", stabilizer)
-    if key not in grid._cache:
-        grid._cache[key] = _Orbits(grid, None if stabilizer == (0,)
-                                   else lattice_symmetries(grid)[list(stabilizer)])
-    return grid._cache[key]
-
-
-def symmetry_orbits(grid, data):
-    """The orbits (_Orbits) a solve with the per-node right-hand-side data
-    runs on: those of the stabilizer of the data among the grid's lattice
-    symmetries.  When the data is constant on every orbit of the whole
-    group, each map sends each orbit onto itself and so fixes the data:
-    the stabilizer is the whole group and no map is scanned.  Otherwise
-    _stabilizer scans them.  That is the trivial group when only the
-    identity fixes the data or there is none (data None)."""
-    stabilizer = (0,)
-    if data is not None:
-        maps = lattice_symmetries(grid)
-        stabilizer = tuple(range(len(maps)))
-        if not _group(grid, stabilizer).fixes(data):
-            stabilizer = _stabilizer(maps, data)
-    return _group(grid, stabilizer)
 
 
 class _Arnoldi:
@@ -740,19 +624,20 @@ def _newton_step(grid, J, F, rtol, orbits):
     factorizations).
 
     One GMRES cycle (_krylov) on J runs on the grid's cached preconditioner
-    grid._cache["newton_lu"], the LU of the last Jacobian factored on the
-    grid (_ReducedLU, left by any earlier step or solve): one LU solve per
+    grid._cache["newton_lu"], (orbits, LU) of the last Jacobian factored
+    on the grid (left by any earlier step or solve): one LU solve per
     iteration, none after the cycle.  When there is none, it is on other
     orbits or the cycle misses rtol, J is factored, its LU cached, and one
     more cycle runs on it; NotConverged, naming rtol, is raised if that
     misses too."""
-    lu = grid._cache.get("newton_lu")
+    lu_orbits, lu = grid._cache.get("newton_lu", (None, None))
     stale = 0
-    if lu is not None and lu.orbits is orbits:
+    if lu_orbits is orbits:
         delta, stale, converged = _krylov(J, -F, lu.solve, rtol, orbits.sizes)
         if converged:
             return delta, stale, 0
-    lu = grid._cache["newton_lu"] = _orbit_factor(J, orbits)
+    lu = _factor(J)
+    grid._cache["newton_lu"] = (orbits, lu)
     delta, iterations, converged = _krylov(J, -F, lu.solve, rtol, orbits.sizes)
     if not converged:
         reached = _norm(J @ delta + F, orbits.sizes) / _norm(F, orbits.sizes)
@@ -1105,18 +990,18 @@ def _solve(rhs, orbits, ui, tol):
 
 def _laplacian_lu(grid, orbits):
     """(the LU of the n = 1 quarter Laplacian's R (1/4) L P on `orbits`
-    (hessian_operators) as a _ReducedLU, the LUs this call factored: 1 or
-    0), cached on the grid per orbits and factored (_factor) on the first
-    call for them.  (1/4) L commutes with every kept map exactly, so for a
-    right-hand side that the orbits' group fixes it gives the invariant
-    solution: with f = 1 the disc at h = 1/128 keeps 8 maps and the LU has
-    6 538 rows where (1/4) L has 51 429.  The cached LU holds no reference
-    to the grid, whose cache holds it, so a dropped grid is freed at once
-    and not left to the cycle collector."""
+    (hessian_operators), the LUs this call factored: 1 or 0), cached on
+    the grid per orbits and factored (_factor) on the first call for them.
+    (1/4) L commutes with every kept map exactly, so for a right-hand side
+    that the orbits' group fixes it gives the invariant solution: with
+    f = 1 the disc at h = 1/128 keeps 8 maps and the LU has 6 538 rows
+    where (1/4) L has 51 429.  The cached LU holds no reference to the
+    grid, whose cache holds it, so a dropped grid is freed at once and not
+    left to the cycle collector."""
     key = ("lap_lu", orbits)
     if key in grid._cache:
         return grid._cache[key], 0
-    grid._cache[key] = _orbit_factor(hessian_operators(grid, orbits)[0][0], orbits)
+    grid._cache[key] = _factor(hessian_operators(grid, orbits)[0][0])
     return grid._cache[key], 1
 
 

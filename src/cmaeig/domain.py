@@ -26,6 +26,12 @@ The rule is deterministic and sees the gradient only through the sizes of
 its components, so every lattice symmetry of the grid maps the weights onto
 themselves up to rounding in rho.
 
+lattice_symmetries finds the signed axis permutations that map the grid
+onto itself exactly, and symmetry_orbits the orbits (_Orbits) of the group
+of them that fixes a solve's data; every solve and Hessian runs on such
+orbits, and the trivial group, one node per orbit, stands for every
+interior node.
+
 Real coordinates are ordered (x_1, y_1, ..., x_n, y_n): axis 2j is Re z_j and
 axis 2j+1 is Im z_j.
 """
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 # Not called: perfbench/spans.py looks this binding up by name to time
 # crossing root-finds, and would fail without it.
 from scipy.optimize import brentq  # noqa: F401
@@ -314,28 +320,26 @@ class GridDomain:
 
     classification, interior data and cell volumes are fixed at construction.
     The private _cache memoizes the diagonal crossing fractions, derived
-    stencil operators, the complex-Hessian operators that complex_hessian
-    applies, its lattice symmetries (lattice_symmetries), the orbits of
-    each group of them that fixed a solve's right-hand side
-    (dirichlet.symmetry_orbits; the trivial group, one node per orbit, for
-    data that only the identity fixes and for solves with none), for each
-    such orbits the reduced Hessian operators R D P (hessian_operators) and
-    the assembly plan through which trace_operator fills each n >= 2 Newton
-    Jacobian R J P on them (its CSC pattern and the map from per-node
-    weights to its values; also built for the full operators on request),
-    the latest Hessian hessian_at evaluated with its operators and values
-    (returned again for the same ones), and on an n = 1 grid the quarter
-    Laplacian's LU on each orbits that a solve has met
-    (dirichlet._laplacian_lu), all built on first use, and the n = 1 grid's
-    shared branch basis on the orbits of its density.  It also holds the
-    grid's latest Newton preconditioner "newton_lu": the LU of R J P for
-    the last Newton Jacobian J factored on the grid (a grid's first Newton
-    step always factors), on the orbits of that solve.  Every Newton step
-    reuses it until GMRES misses the step's target or a solve on other
-    orbits needs its own.  Which LU that is depends on the solves run
-    before, and it moves each step only within that target: a relative
-    residual of 5e-10 at n = 1, which leaves the Newton count alone, and the
-    forcing term at n >= 2, which can change it.  Sharing a grid across
+    stencil operators, its lattice symmetries (lattice_symmetries), the
+    orbits of each group of them that fixed a solve's right-hand side
+    (symmetry_orbits; the trivial group, one node per orbit, for every
+    interior node), for each such orbits the Hessian operators R D P
+    (hessian_operators; the trivial group's are the full ones, assembled
+    once) and the assembly plan through which trace_operator fills each
+    n >= 2 Newton Jacobian R J P on them (its CSC pattern and the map from
+    per-node weights to its values), the latest Hessian hessian_at
+    evaluated with its operators and values (returned again for the same
+    ones), and on an n = 1 grid the quarter Laplacian's LU on each orbits
+    that a solve has met (dirichlet._laplacian_lu), all built on first use,
+    and the n = 1 grid's shared branch basis on the orbits of its density.
+    It also holds the grid's latest Newton preconditioner "newton_lu": the
+    orbits of that solve and the LU of R J P on them for the last Newton
+    Jacobian J factored on the grid (a grid's first Newton step always
+    factors).  Every Newton step reuses it until GMRES misses the step's
+    target or a solve on other orbits needs its own.  Which LU that is
+    depends on the solves run before, and it moves each step only within
+    that target: a relative residual of 5e-10 at n = 1, which leaves the
+    Newton count alone, and the forcing term at n >= 2, which can change it.  Sharing a grid across
     threads is safe for reads; concurrent Newton solves may replace each
     other's preconditioner and latest Hessian, and concurrent n = 1 solves
     may factor the same orbit LU twice, which costs factorizations and
@@ -567,6 +571,101 @@ def _kept_symmetries(grid):
         if np.all(perm >= 0) and np.array_equal(theta[perm[rows]][:, tau, sides], theta[rows]):
             kept.append(perm)
     return kept
+
+
+def _stabilizer(maps, b):
+    """Indices of the lattice symmetries among `maps` (lattice_symmetries)
+    that fix b exactly, b[s] == b, the identity's 0 first."""
+    return (0,) + tuple(k for k in range(1, len(maps)) if np.array_equal(b[maps[k]], b))
+
+
+class _Orbits:
+    """The orbits of the interior nodes under a group of lattice symmetries,
+    given as rows of lattice_symmetries, or the trivial group for maps None
+    (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986; Allgower,
+    Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992).
+
+    Each orbit is labelled by its smallest position, its representative;
+    orbit[i] is node i's orbit.  A solve on the orbits holds one value per
+    orbit, the invariant field's value at its representative.  P (N x m)
+    copies each orbit's value to its nodes (expand) and R picks the
+    representatives, so for a matrix A that commutes with the group,
+    A P y = P (R A P) y (reduce).  sizes counts each orbit's nodes and
+    volumes sums their cell volumes, so the sums and integrals of an
+    invariant field over the nodes are weighted sums of its orbit values.
+    The trivial group has one node per orbit: R = P = I, built without a
+    sort."""
+
+    def __init__(self, grid, maps):
+        N = grid.num_interior
+        if maps is None:
+            self.representatives = self.orbit = np.arange(N)
+            self.sizes = np.ones(N, dtype=np.int64)
+            self.volumes = grid.cell_volume
+            return
+        self.representatives, self.orbit = np.unique(np.min(maps, axis=0), return_inverse=True)
+        m = self.representatives.size
+        self.sizes = np.bincount(self.orbit, minlength=m)
+        self.volumes = np.bincount(self.orbit, grid.cell_volume, m)
+
+    def reduce(self, A):
+        """R A P, the m x m matrix of A on the orbit values: A itself,
+        explicit zeros and all, when every orbit is one node (a product with
+        P would drop the zeros and change the LU's ordering and fill)."""
+        N, m = self.orbit.size, self.representatives.size
+        if m == N:
+            return A
+        P = sparse.csr_matrix((np.ones(N), (np.arange(N), self.orbit)), shape=(N, m))
+        return A.tocsr()[self.representatives] @ P
+
+    def expand(self, x):
+        """P x: the field on the interior nodes whose orbit values are x."""
+        return x[self.orbit]
+
+    def average(self, b):
+        """(P^T P)^-1 P^T b: each orbit's mean of b."""
+        return np.bincount(self.orbit, b, self.sizes.size) / self.sizes
+
+    def fixes(self, b):
+        """Whether every node of b equals its orbit's representative."""
+        return np.array_equal(b[self.representatives][self.orbit], b)
+
+    def restrict(self, b):
+        """The orbit values of b (one value per interior node): its
+        representatives' values when the group fixes b, its orbit means
+        otherwise, the orbit values of b's orthogonal projection onto the
+        invariant fields."""
+        return b[self.representatives] if self.fixes(b) else self.average(b)
+
+
+def _group(grid, stabilizer):
+    """The _Orbits of the lattice symmetries numbered `stabilizer`, cached on
+    the grid per stabilizer; the identity's (0,) is the trivial group, which
+    builds no lattice symmetry."""
+    key = ("orbits", stabilizer)
+    if key not in grid._cache:
+        grid._cache[key] = _Orbits(grid, None if stabilizer == (0,)
+                                   else lattice_symmetries(grid)[list(stabilizer)])
+    return grid._cache[key]
+
+
+def symmetry_orbits(grid, data):
+    """The orbits (_Orbits) a solve with the per-node right-hand-side data
+    runs on: those of the stabilizer of the data among the grid's lattice
+    symmetries.  When the data is constant on every orbit of the whole
+    group, each map sends each orbit onto itself and so fixes the data:
+    the stabilizer is the whole group and no map is scanned.  Otherwise
+    _stabilizer scans them.  That is the trivial group when only the
+    identity fixes the data or there is none: symmetry_orbits(grid, None),
+    one node per orbit, stands for every interior node and builds no
+    lattice symmetry."""
+    stabilizer = (0,)
+    if data is not None:
+        maps = lattice_symmetries(grid)
+        stabilizer = tuple(range(len(maps)))
+        if not _group(grid, stabilizer).fixes(data):
+            stabilizer = _stabilizer(maps, data)
+    return _group(grid, stabilizer)
 
 
 @functools.lru_cache(maxsize=None)

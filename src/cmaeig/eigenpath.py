@@ -37,9 +37,8 @@ from .dirichlet import (
     quadratic_subsolution,
     solve_frozen_orbits,
     solve_nonlinear_orbits,
-    symmetry_orbits,
 )
-from .domain import Constant, density_vector
+from .domain import Constant, density_vector, symmetry_orbits
 from .errors import (
     BranchInfeasible,
     MonotonicityViolated,
@@ -233,8 +232,11 @@ def _walk(fn, grid, tol, policy, lam_stop=np.inf):
                 lambda_lower_bound=bound,
             )
         if len(branch) >= policy.max_points:
-            raise ScheduleExhausted(f"no blow-up within max_points={policy.max_points} branch "
-                                    f"points (sup-norm {prev.sup_norm:.3g})", lambda_lower_bound=bound)
+            raise ScheduleExhausted(
+                f"no blow-up within max_points={policy.max_points} branch "
+                f"points (sup-norm {prev.sup_norm:.3g})",
+                lambda_lower_bound=bound,
+            )
         d = min(step, _KAPPA / prev.sup_norm, lam_cap - prev.lam, lam_stop - prev.lam)
         if d <= 1e-12 * max(lam_cap, 1.0):
             raise ScheduleExhausted(f"step size collapsed at lam={prev.lam:.6g}",

@@ -16,12 +16,14 @@ on quadratics vanishing there; _stencil holds its coefficients, the one
 source of second_difference_matrix (interior -> interior), laplacian_matrix
 and the Hessian's operators.
 
-hessian_operators caches the combination (at n = 1 the quarter Laplacian)
-as one sparse operator per entry, each assembled straight into CSR from the
-coefficients of its directions, and for a group of lattice symmetries their
-reductions R D P to one value per orbit; hessian_at applies either set
-(complex_hessian the grid's own) and the grid keeps its latest result.
-trace_operator fills the log-det Jacobian, or its reduction R J P, from the
+Every operator acts on the orbits of a group of the grid's lattice
+symmetries (domain.symmetry_orbits), one value per orbit; the trivial group,
+one node per orbit, stands for every interior node.  hessian_operators
+assembles the combination (at n = 1 the quarter Laplacian) once per grid, as
+one sparse operator per entry straight into CSR from the coefficients of its
+directions, and caches each group's reductions R D P of it; hessian_at
+applies them (complex_hessian the trivial group's) and the grid keeps its
+latest result.  trace_operator fills the log-det Jacobian R J P from the
 grid's cached assembly plan for those operators (_trace_plan) with one
 sparse matvec, and every eigenvalue, det, trace and inverse is
 HermitianField's.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .domain import GridDomain, direction_thetas
+from .domain import GridDomain, direction_thetas, symmetry_orbits
 from .errors import NotPositiveSemiDefinite, NotPSH
 
 
@@ -264,57 +266,59 @@ def laplacian_matrix(grid):
 # ---------------------------------------------------------------------------
 
 
-def hessian_operators(grid, orbits=None):
-    """Cached sparse operators of the complex Hessian: (diag, mixed), where
-    diag[j] maps a field's interior values to u_jj and mixed[m] is the pair
+def hessian_operators(grid, orbits):
+    """Cached sparse operators of the complex Hessian on `orbits`
+    (domain.symmetry_orbits): (diag, mixed), where diag[j] maps the orbit
+    values to u_jj at each orbit's representative and mixed[m] is the pair
     (Re, Im) of u_jk for the m-th pair j < k of HermitianField.pairs(n).
-    For n = 1 the single diagonal operator is the quarter Laplacian, a
-    quarter of laplacian_matrix(grid).
+    For n = 1 the single diagonal operator is the quarter Laplacian.
 
-    With `orbits` (dirichlet._Orbits of a group of lattice symmetries, with
-    which every operator commutes) each operator D becomes R D P
-    (orbits.reduce), mapping one value per orbit to the entry at each
-    orbit's representative; these are cached on the grid per orbits, and the
-    trivial group's are the grid's own operators.
-
-    Each operator is assembled once from the _stencil coefficients, with the
-    values that sparse sums of second_difference_matrix give, bit for bit:
-    u_jj = 1/4 (D^2_xj + D^2_yj), u_ab = 1/4 (D^2_(a+b) - D^2_(a-b)) for
-    a != b, Re u_jk = 1/4 (u_xjxk + u_yjyk) and Im u_jk = 1/4 (u_xjyk -
-    u_yjxk)."""
-    if orbits is not None:
-        key = ("hessian_ops", orbits)
-        if key not in grid._cache:
-            diag, mixed = hessian_operators(grid)
+    The trivial group's are the operators on every interior node
+    (_assemble_hessian), built once per grid.  Every operator D commutes
+    with the group, and each other group's operators are their reductions
+    R D P (orbits.reduce), cached on the grid per orbits."""
+    key = ("hessian_ops", orbits)
+    if key not in grid._cache:
+        trivial = symmetry_orbits(grid, None)
+        if orbits is trivial:
+            grid._cache[key] = _assemble_hessian(grid)
+        else:
+            diag, mixed = hessian_operators(grid, trivial)
             grid._cache[key] = ([orbits.reduce(op) for op in diag],
                                 [(orbits.reduce(re), orbits.reduce(im)) for re, im in mixed])
-        return grid._cache[key]
-    key = ("hessian_ops",)
-    if key not in grid._cache:
-        n, d = grid.n, 2 * grid.n
-
-        def S(*axes):
-            return _stencil(grid, _axis_vec(d, *axes))
-
-        def summed(p, q, sign):  # 1/4 (p + sign * q) of two (centre, neighbours)
-            return 0.25 * (p[0] + sign * q[0]), _scaled(p[1], 0.25) + _scaled(q[1], 0.25 * sign)
-
-        def second(a, b):  # u_ab for a != b, through the diagonal identity
-            return summed(S(a, b, +1), S(a, b, -1), -1.0)
-
-        diag = [_assemble(grid, *summed(S(2 * j), S(2 * j + 1), 1.0)) for j in range(n)]
-        mixed = [
-            (
-                _assemble(grid, *summed(second(2 * j, 2 * k), second(2 * j + 1, 2 * k + 1), 1.0)),
-                _assemble(grid, *summed(second(2 * j, 2 * k + 1), second(2 * j + 1, 2 * k), -1.0)),
-            )
-            for j, k in HermitianField.pairs(n)
-        ]
-        grid._cache[key] = (diag, mixed)
     return grid._cache[key]
 
 
-def _trace_plan(grid, orbits=None):
+def _assemble_hessian(grid):
+    """hessian_operators on every interior node (at n = 1 a quarter of
+    laplacian_matrix(grid)), each assembled once from the _stencil
+    coefficients, with the values that sparse sums of
+    second_difference_matrix give, bit for bit: u_jj = 1/4 (D^2_xj +
+    D^2_yj), u_ab = 1/4 (D^2_(a+b) - D^2_(a-b)) for a != b, Re u_jk = 1/4
+    (u_xjxk + u_yjyk) and Im u_jk = 1/4 (u_xjyk - u_yjxk)."""
+    n, d = grid.n, 2 * grid.n
+
+    def S(*axes):
+        return _stencil(grid, _axis_vec(d, *axes))
+
+    def summed(p, q, sign):  # 1/4 (p + sign * q) of two (centre, neighbours)
+        return 0.25 * (p[0] + sign * q[0]), _scaled(p[1], 0.25) + _scaled(q[1], 0.25 * sign)
+
+    def second(a, b):  # u_ab for a != b, through the diagonal identity
+        return summed(S(a, b, +1), S(a, b, -1), -1.0)
+
+    diag = [_assemble(grid, *summed(S(2 * j), S(2 * j + 1), 1.0)) for j in range(n)]
+    mixed = [
+        (
+            _assemble(grid, *summed(second(2 * j, 2 * k), second(2 * j + 1, 2 * k + 1), 1.0)),
+            _assemble(grid, *summed(second(2 * j, 2 * k + 1), second(2 * j + 1, 2 * k), -1.0)),
+        )
+        for j, k in HermitianField.pairs(n)
+    ]
+    return diag, mixed
+
+
+def _trace_plan(grid, orbits):
     """trace_operator's assembly on a grid, cached per orbits and built from
     hessian_operators(grid, orbits): (B, indices, indptr), where (indices,
     indptr) is a CSC pattern and the values on it are B @ x, with x stacking
@@ -349,16 +353,15 @@ def _trace_plan(grid, orbits=None):
     return grid._cache[key]
 
 
-def trace_operator(grid, W, shift=None, orbits=None):
-    """CSC operator u -> Re tr(W M(u)) + shift * u for a HermitianField W
-    and an optional per-node shift.
+def trace_operator(grid, W, shift, orbits):
+    """CSC operator u -> Re tr(W M(u)) + shift * u on the orbit values of
+    `orbits`, for a HermitianField W and a per-node shift (or None) at the
+    orbits' representatives.
 
-    At W = (M(u) + mu I)^-1 this is the Jacobian of sum log eig(M(u) + mu I).
-    W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk) = 2 Re W_jk Re u_jk
-    + 2 Im W_jk Im u_jk for Hermitian W and M, so the values are one matvec
-    of the grid's _trace_plan.  With `orbits`, W and shift are given at the
-    orbits' representatives and the operator is R J P, the Jacobian on one
-    value per orbit, from the plan of their operators (hessian_operators).
+    At W = (M(u) + mu I)^-1 this is the Jacobian of sum log eig(M(u) + mu I),
+    R J P on one value per orbit.  W_kj u_jk + W_jk u_kj = 2 Re(W_kj u_jk)
+    = 2 Re W_jk Re u_jk + 2 Im W_jk Im u_jk for Hermitian W and M, so the
+    values are one matvec of the plan of the orbits' operators (_trace_plan).
     """
     B, indices, indptr = _trace_plan(grid, orbits)
     N = len(W.diag)
@@ -371,15 +374,15 @@ def trace_operator(grid, W, shift=None, orbits=None):
 
 
 def complex_hessian(u):
-    """The complex Hessian of u at every interior node (hessian_at)."""
-    return hessian_at(u.grid, u.interior)
+    """The complex Hessian of u at every interior node (hessian_at on the
+    trivial group)."""
+    return hessian_at(u.grid, u.interior, symmetry_orbits(u.grid, None))
 
 
-def hessian_at(grid, values, orbits=None):
+def hessian_at(grid, values, orbits):
     """The complex Hessian of the field P values at the representatives of
-    `orbits` (dirichlet._Orbits; values holds one value per orbit), by
-    their operators (hessian_operators); without orbits, values are a
-    field's interior values and the Hessian is at every interior node.
+    `orbits` (domain.symmetry_orbits; values holds one value per orbit), by
+    their operators (hessian_operators).
 
     The grid keeps the latest Hessian it evaluated beside its operators and
     (read-only) values, and a call with the same operators and the same
@@ -432,7 +435,7 @@ class PshReport:
         return self
 
 
-def psh_report(grid, values, orbits=None):
+def psh_report(grid, values, orbits):
     """The PshReport of the field P values from its Hessian at the orbits'
     representatives (hessian_at): ok when the smallest eigenvalue is
     >= -default_psh_tol; its node is the worst representative."""
@@ -441,13 +444,13 @@ def psh_report(grid, values, orbits=None):
     return PshReport(
         ok=bool(lam[worst] >= -default_psh_tol(grid)),
         min_eigenvalue=float(lam[worst]),
-        coords=grid.interior_point(worst if orbits is None else orbits.representatives[worst]),
+        coords=grid.interior_point(orbits.representatives[worst]),
     )
 
 
 def is_psh(u):
     """(ok, PshReport): ok when the smallest Hessian eigenvalue is >= -default_psh_tol."""
-    report = psh_report(u.grid, u.interior)
+    report = psh_report(u.grid, u.interior, symmetry_orbits(u.grid, None))
     return report.ok, report
 
 

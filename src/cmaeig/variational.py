@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import SolveReport, solve_frozen_orbits, symmetry_orbits
-from .domain import Constant, density_vector, density_weight
+from .dirichlet import SolveReport, solve_frozen_orbits
+from .domain import Constant, density_vector, density_weight, symmetry_orbits
 from .errors import (
     DegenerateIterate,
     NotConverged,

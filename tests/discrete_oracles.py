@@ -22,8 +22,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigs, spsolve
 
-from cmaeig.dirichlet import RhsSpec, _logdet_form, symmetry_orbits
-from cmaeig.domain import CustomRho, density_vector
+from cmaeig.dirichlet import RhsSpec, _logdet_form
+from cmaeig.domain import CustomRho, density_vector, symmetry_orbits
 from cmaeig.hessian import HermitianField, laplacian_matrix, second_difference_matrix
 
 # A C^2 domain whose lattice keeps only the identity at h = 0.25 (rho has a
@@ -58,7 +58,8 @@ def bordered_newton(grid, density, lam, u):
     fn = density_vector(density, grid, power=n)
 
     def form(lam):
-        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL, symmetry_orbits(grid, None))
+        return _logdet_form(grid, RhsSpec.eigen(grid, lam, fn), _FORM_TOL,
+                            symmetry_orbits(grid, None))
 
     evaluate, jacobian, *_ = form(lam)
     state = evaluate(u)

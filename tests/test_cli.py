@@ -365,7 +365,7 @@ def test_eigen_summary_reports_newton_counters(tmp_path, monkeypatch, command):
             raise NewtonStalled("probe")
         return real(*args)
 
-    def long_first_step(grid, J, F, rtol, orbits=None):
+    def long_first_step(grid, J, F, rtol, orbits):
         # five times too long: the line search halves it at least twice
         delta, iterations, factored = newton_step(grid, J, F, rtol, orbits)
         steps.append(1)

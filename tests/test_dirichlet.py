@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cmaeig.dirichlet as dirichlet
+import cmaeig.domain as domain
 import cmaeig.hessian as hessian
 from cmaeig.dirichlet import (
     RhsSpec,
@@ -50,7 +51,7 @@ from oracles import (
 def plain_logdet_form(grid, rhs, tol):
     """The log-det Newton form on the trivial group: F unprojected and every
     step on the Jacobian's own LU."""
-    return _logdet_form(grid, rhs, tol, dirichlet.symmetry_orbits(grid, None))
+    return _logdet_form(grid, rhs, tol, domain.symmetry_orbits(grid, None))
 
 
 def laplacian_lu_stabilizers(grid):
@@ -130,10 +131,13 @@ def test_frozen_quartic_disc(disc_grid_32):
 
 
 def route_problem(problem):
-    """(f, fresh grid): the unit disc at h = 1/64 with f = 1, or the
-    ellipsoid-n2-bump problem."""
+    """(f, fresh grid): the unit disc at h = 1/64 with f = 1, the unit disc
+    at h = 0.1 with the (0.3, 0) bump, which only the identity fixes there,
+    or the ellipsoid-n2-bump problem."""
     if problem == "disc":
         return Constant(1.0), build_grid(Ball(1), 1 / 64)
+    if problem == "disc-bump":
+        return DISC_BUMP, build_grid(Ball(1), 0.1)
     with pytest.warns(UserWarning, match="quarter"):
         grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
     return GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5), grid
@@ -171,8 +175,9 @@ def test_reports_evaluate_no_complex_hessian(route, problem, most, monkeypatch):
 
 
 @pytest.mark.parametrize("route,problem,evaluations", [
-    (continuation, "disc", 1), (inverse_power, "ellipsoid-n2-bump", 95)],
-    ids=["continuation", "inverse_power-ellipsoid-n2-bump"])
+    (continuation, "disc", 1), (inverse_power, "ellipsoid-n2-bump", 95),
+    (inverse_power, "disc-bump", 18)],
+    ids=["continuation", "inverse_power-ellipsoid-n2-bump", "inverse_power-trivial-group"])
 def test_routes_evaluate_no_field_s_hessian_twice(route, problem, evaluations, monkeypatch):
     """A call of complex_hessian on the values the grid evaluated last gets
     that Hessian back, so no route evaluates the same values twice: a fresh
@@ -181,7 +186,9 @@ def test_routes_evaluate_no_field_s_hessian_twice(route, problem, evaluations, m
     ellipsoid-n2-bump problem at most 95, where 25 of 120 repeated the one
     before (each iterate's quotient, then its next frozen solve's start);
     its last is the eigenfunction's on every node, for the stored
-    residual."""
+    residual.  On the trivial group (the h = 0.1 disc bump, 305 nodes) the
+    routes' operators are complex_hessian's own, so the eigenfunction's
+    last Hessian is not evaluated again for its residual: 18 in all."""
     f, grid = route_problem(problem)
     real = hessian._evaluate
     fields = []
@@ -225,8 +232,8 @@ def test_report_matches_the_hessian_of_the_returned_iterate(case, monkeypatch):
     else:
         u, report = solve_nonlinear(rhs, np.zeros(grid.num_interior))
     assert report.converged and len(iterates) == (0 if case == "n1-frozen" else 1)
-    orbits = dirichlet.symmetry_orbits(grid, rhs.weight if rhs.frozen_values is None
-                                       else rhs.frozen_values)
+    orbits = domain.symmetry_orbits(grid, rhs.weight if rhs.frozen_values is None
+                                    else rhs.frozen_values)
     ui = iterates[-1] if iterates else u.interior[orbits.representatives]
     hess = hessian.hessian_at(grid, ui, orbits)
     psi = rhs.at(orbits).psi(np.minimum(ui, 0.0))
@@ -315,9 +322,9 @@ def test_krylov_step_matches_direct_solve(case, disc_grid, monkeypatch):
     (lambda_1 = 1.44552 on this grid) and on a steep increasing right-hand
     side."""
     g = disc_grid
-    trivial = dirichlet.symmetry_orbits(g, None)
+    trivial = domain.symmetry_orbits(g, None)
     monkeypatch.setitem(g._cache, "newton_lu",
-                        dirichlet._orbit_factor(hessian.hessian_operators(g)[0][0], trivial))
+                        (trivial, dirichlet._factor(hessian.hessian_operators(g, trivial)[0][0])))
     rhs = steep_rhs(g) if case == "steep" else RhsSpec.branch(g, float(case[7:]))
     u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
     form = _semilinear_form(g, rhs, trivial)
@@ -336,8 +343,8 @@ def test_n1_useless_preconditioner_is_refreshed(disc_grid_32, monkeypatch):
     misses, so the step factors the Jacobian once, caches that LU in place of
     the seed and converges on it."""
     g = disc_grid_32
-    trivial = dirichlet.symmetry_orbits(g, None)
-    useless = dirichlet._orbit_factor(sparse.identity(g.num_interior), trivial)
+    trivial = domain.symmetry_orbits(g, None)
+    useless = (trivial, dirichlet._factor(sparse.identity(g.num_interior)))
     monkeypatch.setitem(g._cache, "newton_lu", useless)
     calls = counting_splu(monkeypatch)
     form = _semilinear_form(g, RhsSpec.branch(g, 1.0), trivial)
@@ -396,7 +403,7 @@ def test_n1_newton_factors_its_own_jacobian(monkeypatch):
     u, report = solve_nonlinear(rhs, np.zeros(g.num_interior))
     assert calls == [FACTOR_SETTINGS] and report.factorizations == 1
     assert (report.iterations, report.krylov_iterations) == (6, 50)
-    quarter_laplacian = hessian.hessian_operators(g)[0][0]
+    quarter_laplacian = hessian.hessian_operators(g, domain.symmetry_orbits(g, None))[0][0]
     rounding = np.finfo(float).eps * (np.max(abs(quarter_laplacian).sum(axis=1)) * u.sup_norm()
                                       + np.max(rhs.psi(u.interior)))
     assert report.converged and report.final_residual <= 0.1 * rounding
@@ -410,7 +417,7 @@ def test_n1_newton_factors_its_own_jacobian(monkeypatch):
 def laplacian_solve(grid, b):
     """(x, LUs factored) for (1/4) L x = b, as solve_frozen solves it: on the
     orbit values of b's stabilizer, x expanded to every node."""
-    orbits = dirichlet.symmetry_orbits(grid, b)
+    orbits = domain.symmetry_orbits(grid, b)
     lu, factored = dirichlet._laplacian_lu(grid, orbits)
     return orbits.expand(lu.solve(b[orbits.representatives])), factored
 
@@ -423,13 +430,14 @@ def test_orbit_solve_matches_the_full_lu():
     g = build_grid(Ball(n=1), 1 / 64)
     b = np.ones(g.num_interior)
     x, factored = laplacian_solve(g, b)
-    full = dirichlet._factor(hessian.hessian_operators(g)[0][0]).solve(b)
+    trivial = domain.symmetry_orbits(g, None)
+    full = dirichlet._factor(hessian.hessian_operators(g, trivial)[0][0]).solve(b)
     assert np.max(np.abs(x - full)) <= 1e-12 * np.max(np.abs(full))
     assert all(np.array_equal(x[s], x) for s in lattice_symmetries(g))
     assert laplacian_lu_stabilizers(g) == [tuple(range(8))] and factored == 1
     orbits = g._cache[("orbits", tuple(range(8)))]
     representatives = orbits.representatives
-    assert g._cache[("lap_lu", orbits)].lu.shape == (representatives.size,) * 2
+    assert g._cache[("lap_lu", orbits)].shape == (representatives.size,) * 2
     assert representatives.size < g.num_interior / 7
 
 
@@ -439,7 +447,7 @@ def test_orbit_solve_follows_the_stabilizer_of_the_right_hand_side():
     fixed by the identity and y -> -y, so it gets an LU of its own on the
     orbits of that pair; each LU is factored once."""
     g = build_grid(Ball(n=1), 1 / 64)
-    full = dirichlet._factor(hessian.hessian_operators(g)[0][0])
+    full = dirichlet._factor(hessian.hessian_operators(g, domain.symmetry_orbits(g, None))[0][0])
     b = np.random.default_rng(3).uniform(0.5, 1.5, g.num_interior)
     assert np.array_equal(laplacian_solve(g, b)[0], full.solve(b))
     bump = density_vector(DISC_BUMP, g)
@@ -484,14 +492,14 @@ def test_disc_n1_stages_each_factor_one_lu():
 
 def counting_stabilizer(monkeypatch):
     """The list that grows by one per _stabilizer scan."""
-    real = dirichlet._stabilizer
+    real = domain._stabilizer
     scans = []
 
     def counted(maps, b):
         scans.append(1)
         return real(maps, b)
 
-    monkeypatch.setattr(dirichlet, "_stabilizer", counted)
+    monkeypatch.setattr(domain, "_stabilizer", counted)
     return scans
 
 
@@ -520,9 +528,9 @@ def test_stabilizer_of_data_the_whole_group_fixes(ellipsoid_bump, monkeypatch):
              (grid, density_vector(bump, grid, power=2), 4, 1)]
     for g, data, kept, scanned in cases:
         maps = lattice_symmetries(g)
-        stabilizer = dirichlet._stabilizer(maps, data)
+        stabilizer = domain._stabilizer(maps, data)
         scans = counting_stabilizer(monkeypatch)
-        orbits = dirichlet.symmetry_orbits(g, data)
+        orbits = domain.symmetry_orbits(g, data)
         assert len(stabilizer) == kept and len(scans) == scanned
         assert orbits is g._cache[("orbits", stabilizer)]
         monkeypatch.undo()
@@ -533,13 +541,13 @@ def test_trivial_group_is_built_without_symmetries():
     symmetry and sorts nothing: every node is its own orbit, of size 1 and
     its own cell volume, and its reduction of a matrix is the matrix."""
     g = build_grid(Ball(n=1), 1 / 32)
-    trivial = dirichlet.symmetry_orbits(g, None)
+    trivial = domain.symmetry_orbits(g, None)
     assert ("symmetries",) not in g._cache
     N = g.num_interior
     assert np.array_equal(trivial.representatives, np.arange(N))
     assert np.array_equal(trivial.orbit, np.arange(N))
     assert np.array_equal(trivial.sizes, np.ones(N)) and trivial.volumes is g.cell_volume
-    quarter_laplacian = hessian.hessian_operators(g)[0][0]
+    quarter_laplacian = hessian.hessian_operators(g, trivial)[0][0]
     assert trivial.reduce(quarter_laplacian) is quarter_laplacian
 
 
@@ -550,7 +558,7 @@ def test_continuation_basis_holds_orbit_values():
     g = build_grid(Ball(n=1), 1 / 64)
     continuation(grid=g, tol=1e-8)
     basis = g._cache["shifted_basis"]
-    m = dirichlet.symmetry_orbits(g, np.ones(g.num_interior)).representatives.size
+    m = domain.symmetry_orbits(g, np.ones(g.num_interior)).representatives.size
     assert m == 1661 and len(basis.Z) == 9
     assert all(v.shape == (m,) for v in basis.V + basis.Z)
 
@@ -568,17 +576,17 @@ def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
     fields = [p.u for route in (continuation, inverse_power)
               for p in route(grid=g, tol=1e-8).branch]
     maps = lattice_symmetries(g)
-    reduced = g._cache["newton_lu"]
+    orbits, lu = g._cache["newton_lu"]
     assert len(maps) == 16
-    assert reduced.orbits is g._cache[("orbits", tuple(range(16)))]
-    assert reduced.lu.shape == (109, 109)
+    assert orbits is g._cache[("orbits", tuple(range(16)))]
+    assert lu.shape == (109, 109)
     assert all(np.array_equal(v.interior[s], v.interior) for v in fields for s in maps)
     b = np.random.default_rng(5).uniform(0.5, 1.5, g.num_interior)
     _, report = solve_frozen(b, g)
     assert report.factorizations == 1
-    trivial = g._cache["newton_lu"].orbits
+    trivial, lu = g._cache["newton_lu"]
     assert trivial is g._cache[("orbits", (0,))]
-    assert g._cache["newton_lu"].lu.shape == (g.num_interior,) * 2
+    assert lu.shape == (g.num_interior,) * 2
     assert laplacian_lu_stabilizers(g) == []
 
 
@@ -624,8 +632,8 @@ def test_orbit_newton_matches_the_full_newton(which, route):
                for p in result.branch] for result in results]
     assert counts[0] == counts[1]
     assert abs(results[0].lambda1 - results[1].lambda1) <= 1e-12
-    assert g._cache["newton_lu"].orbits.representatives.size < g.num_interior
-    trivial = full._cache["newton_lu"].orbits
+    assert g._cache["newton_lu"][0].representatives.size < g.num_interior
+    trivial = full._cache["newton_lu"][0]
     assert trivial is full._cache[("orbits", (0,))]
     rhs = RhsSpec.eigen(full, results[1].lambda1, density_vector(f, full, power=2))
     form = _logdet_form(full, rhs, 1e-8, trivial)
@@ -690,7 +698,7 @@ def test_shifted_basis_branch_matches_gmres_path(density):
         assert point.report.iterations == 1 and point.report.flags == ()
         assert report.converged and report.krylov_iterations > 0
         for v in (point.u, u):
-            assert _semilinear_form(g, rhs, dirichlet.symmetry_orbits(g, None)).evaluate(
+            assert _semilinear_form(g, rhs, domain.symmetry_orbits(g, None)).evaluate(
                 v.interior).error <= tol
         assert np.max(np.abs(point.u.interior - u.interior)) <= 1e-9 * point.sup_norm
 
@@ -706,7 +714,7 @@ def test_shifted_basis_is_rebuilt_for_a_new_density():
     basis = g._cache["shifted_basis"]
     assert len(basis.Z) == 11
     f = density_vector(DISC_BUMP, g, power=1)
-    assert np.array_equal(basis.b, f[dirichlet.symmetry_orbits(g, f).representatives])
+    assert np.array_equal(basis.b, f[domain.symmetry_orbits(g, f).representatives])
     assert sum(p.report.krylov_iterations for p in bump.branch) == 11
     assert constant.lambda1 == pytest.approx(1.445519333203084, abs=1e-12)
     assert bump.lambda1 == pytest.approx(0.9941548141819682, abs=1e-12)
@@ -744,7 +752,7 @@ def test_capped_shifted_basis_falls_through_to_newton_step(monkeypatch):
     assert report.converged and report.flags == ("shifted_basis_cap",)
     assert report.iterations == 1
     assert len(g._cache["shifted_basis"].Z) == 2 < report.krylov_iterations
-    J = _semilinear_form(g, rhs, dirichlet.symmetry_orbits(g, None)).jacobian(u.interior, None)
+    J = _semilinear_form(g, rhs, domain.symmetry_orbits(g, None)).jacobian(u.interior, None)
     reference = spsolve(J.tocsc(), np.ones(g.num_interior))
     assert np.max(np.abs(u.interior - reference)) <= 1e-9 * np.max(np.abs(reference))
 
@@ -753,7 +761,7 @@ def test_logdet_start_hessian_is_not_recomputed(ball4_grid, monkeypatch):
     """The feasible start's complex Hessian is the Newton loop's first."""
     fields = []
 
-    def recording(grid, values, orbits=None):
+    def recording(grid, values, orbits):
         fields.append(values.copy())
         return hessian.hessian_at(grid, values, orbits)
 
@@ -829,7 +837,7 @@ def test_factor_settings_change_blocking_only(which, disc_grid, ellipsoid_bump):
     default blocking and the same pivoting, and its solves agree with that
     LU to 1e-12 relative."""
     if which == "disc_laplacian":
-        A = hessian.hessian_operators(disc_grid)[0][0]
+        A = hessian.hessian_operators(disc_grid, domain.symmetry_orbits(disc_grid, None))[0][0]
     else:
         form, u, state = logdet_problem(*ellipsoid_bump, 0.5, 0.02)
         A = form.jacobian(u, state)
@@ -857,7 +865,7 @@ def test_stale_lu_step_matches_direct_solve(which, ball4_grid, ellipsoid_bump, m
     and a perturbed field by GMRES alone, as accurately as spsolve."""
     grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
     old_form, old_u, old_state = logdet_problem(grid, density, 0.3, 0.0)
-    stale = dirichlet._orbit_factor(old_form.jacobian(old_u, old_state), old_form.orbits)
+    stale = (old_form.orbits, dirichlet._factor(old_form.jacobian(old_u, old_state)))
     monkeypatch.setitem(grid._cache, "newton_lu", stale)
     calls = counting_splu(monkeypatch)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
@@ -880,7 +888,7 @@ def test_useless_preconditioner_is_refreshed_once(which, ball4_grid, ellipsoid_b
     factorization."""
     grid, density = problem_grid(which, ball4_grid, ellipsoid_bump)
     form, u, state = logdet_problem(grid, density, 0.5, 0.02)
-    useless = dirichlet._orbit_factor(sparse.identity(grid.num_interior), form.orbits)
+    useless = (form.orbits, dirichlet._factor(sparse.identity(grid.num_interior)))
     monkeypatch.setitem(grid._cache, "newton_lu", useless)
     calls = counting_splu(monkeypatch)
     J = form.jacobian(u, state)
@@ -979,13 +987,13 @@ def krylov_system(case, disc_grid, ellipsoid_bump):
         return form.jacobian(u, state), -state.F, stale.solve
     g = disc_grid
     u = 0.3 * (r2_of(g) - 1.0) * (1.0 + 0.1 * np.sin(3.0 * g.interior_coords[:, 0]))
-    trivial = dirichlet.symmetry_orbits(g, None)
+    trivial = domain.symmetry_orbits(g, None)
     form = _semilinear_form(g, RhsSpec.branch(g, 1.40), trivial)
     state = form.evaluate(u)
     J = form.jacobian(u, state)
     if case == "identity":
         return J, -state.F, np.copy
-    return J, -state.F, dirichlet._orbit_factor(hessian.hessian_operators(g)[0][0], trivial).solve
+    return J, -state.F, dirichlet._factor(hessian.hessian_operators(g, trivial)[0][0]).solve
 
 
 @pytest.mark.parametrize("case, rtol", [
@@ -1037,12 +1045,12 @@ def test_shifted_engine_matches_direct_solves(disc_grid_32):
     (relative) of spsolve's u on every node."""
     g = disc_grid_32
     f = density_vector(GaussianBump(center=(0.3, 0.0), amplitude=-0.5, width=0.5), g, power=1)
-    orbits = dirichlet.symmetry_orbits(g, f)
+    orbits = domain.symmetry_orbits(g, f)
     reduced = f[orbits.representatives]
     assert reduced.size < g.num_interior
     lu, _ = dirichlet._laplacian_lu(g, orbits)
     engine = dirichlet._Arnoldi(reduced, lu.solve, lambda z: reduced * z, orbits.sizes)
-    quarter_laplacian = hessian.hessian_operators(g)[0][0]
+    quarter_laplacian = hessian.hessian_operators(g, domain.symmetry_orbits(g, None))[0][0]
     for lam in (0.0, 0.5, 1.4):
         u, residual = engine.solve_to((1.0, lam), 1e-13 * np.linalg.norm(f), 60)
         reference = spsolve((quarter_laplacian + lam * sparse.diags(f)).tocsc(), f)
@@ -1121,7 +1129,7 @@ def test_newton_report_counts_backtracks_and_restarts(disc_grid_32, monkeypatch)
     are not halved, and a restart returned once counts as one mu shrink."""
     g = disc_grid_32
     form = _semilinear_form(g, RhsSpec.frozen(g, np.full(g.num_interior, 2.0)),
-                            dirichlet.symmetry_orbits(g, None))
+                            domain.symmetry_orbits(g, None))
     steps = []
     newton_step = dirichlet._newton_step
 

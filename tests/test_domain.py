@@ -26,6 +26,7 @@ from cmaeig.domain import (
     eval_density,
     eval_rho,
     lattice_symmetries,
+    symmetry_orbits,
 )
 from cmaeig.errors import EmptyInterior, NonPositiveDensity, ResolutionTooCoarse
 from cmaeig.hessian import ScalarField, complex_hessian, hessian_operators, trace_operator
@@ -382,7 +383,7 @@ def test_defining_function_is_strictly_psh_at_every_interior_node(on_sphere_grid
         sextic = ScalarField(g, (r2 - 1.0) + 0.5 * (r2 ** 3 - 1.0))
         assert np.min(complex_hessian(sextic).min_eigenvalue()) >= 1.0 - g.h ** 2
     g = on_sphere_grids[(2, 0.1)]
-    rho, det = cmaeig.dirichlet._anchor(g, cmaeig.dirichlet.symmetry_orbits(g, None))
+    rho, det = cmaeig.dirichlet._anchor(g, symmetry_orbits(g, None))
     hess = complex_hessian(ScalarField(g, rho))
     assert np.min(hess.min_eigenvalue()) >= 1.0 - 1e-9
     assert np.min(det) >= 1.0 - 1e-9
@@ -501,7 +502,7 @@ def test_first_hessian_makes_one_diagonal_bisection(spec, h, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cmaeig.domain, "_crossing_fractions", counted)
-    hessian_operators(g)
+    hessian_operators(g, symmetry_orbits(g, None))
     lattice_symmetries(g)
     assert len(calls) == 1 and calls[0] > 0
 
@@ -699,7 +700,7 @@ def test_kept_lattice_symmetries_commute_with_the_quarter_laplacian(spec, h, kep
     identity first, and commutes with the quarter Laplacian exactly."""
     g = build_grid(spec, h)
     maps = lattice_symmetries(g)
-    A = hessian_operators(g)[0][0]
+    A = hessian_operators(g, symmetry_orbits(g, None))[0][0]
     assert maps.shape == (kept, g.num_interior)
     assert np.array_equal(maps[0], np.arange(g.num_interior))
     for s in maps:
@@ -733,7 +734,8 @@ def conjugate_z1_alone(g):
 def logdet_jacobian(g, u):
     """The log-det Jacobian trace_operator((M(u) + mu I)^-1) at u, with the
     norm ||J||_inf it is measured against."""
-    J = trace_operator(g, complex_hessian(ScalarField(g, u)).inverse(1e-11)).tocsr()
+    W = complex_hessian(ScalarField(g, u)).inverse(1e-11)
+    J = trace_operator(g, W, None, symmetry_orbits(g, None)).tocsr()
     return J, abs(J).sum(axis=1).max()
 
 

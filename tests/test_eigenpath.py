@@ -7,8 +7,16 @@ import cmaeig.dirichlet as dirichlet
 import cmaeig.eigenpath as eigenpath
 import cmaeig.verify as verify
 
-from cmaeig.dirichlet import SolveReport, symmetry_orbits
-from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, density_vector
+from cmaeig.dirichlet import SolveReport
+from cmaeig.domain import (
+    Ball,
+    Constant,
+    Ellipsoid,
+    GaussianBump,
+    build_grid,
+    density_vector,
+    symmetry_orbits,
+)
 from cmaeig.eigenpath import (
     SchedulePolicy,
     _extrapolate,

@@ -5,8 +5,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import cmaeig.hessian as hessian
-from cmaeig.dirichlet import symmetry_orbits
-from cmaeig.domain import Ball, CustomRho, Ellipsoid, GaussianBump, build_grid, density_vector
+from cmaeig.domain import (
+    Ball,
+    CustomRho,
+    Ellipsoid,
+    GaussianBump,
+    build_grid,
+    density_vector,
+    symmetry_orbits,
+)
 from cmaeig.errors import NotPositiveSemiDefinite, NotPSH
 from cmaeig.hessian import (
     DualMatrixSet,
@@ -187,7 +194,7 @@ def test_hessian_operators_reproduce_complex_hessian(disc_grid_32, ball4_grid, w
         scale = np.max(np.abs(diag))
         assert np.max(np.abs(H.diag - diag)) <= 1e-13 * scale
         assert tri.size == 0 or np.max(np.abs(H.tri - tri)) <= 1e-13 * scale
-    (quarter_laplacian,), _ = hessian_operators(disc_grid_32)
+    (quarter_laplacian,), _ = hessian_operators(disc_grid_32, symmetry_orbits(disc_grid_32, None))
     assert (quarter_laplacian != 0.25 * laplacian_matrix(disc_grid_32)).nnz == 0
 
 
@@ -197,7 +204,7 @@ def test_hessian_operators_equal_the_summed_stencils(which, assembly_grids):
     and data of the sparse sums of second_difference_matrix, and so has
     laplacian_matrix of the axis sum (discrete_oracles)."""
     grid = assembly_grids[which]
-    diag, mixed = hessian_operators(grid)
+    diag, mixed = hessian_operators(grid, symmetry_orbits(grid, None))
     ref_diag, ref_mixed = summed_hessian_operators(grid)
     pairs = [(laplacian_matrix(grid), summed_laplacian(grid)), *zip(diag, ref_diag),
              *((op, ref) for pair, ref_pair in zip(mixed, ref_mixed)
@@ -265,7 +272,8 @@ def test_reduced_hessian_matches_the_full_hessian_at_the_representatives(which, 
     W = full.inverse()
     shift = rng.normal(size=grid.num_interior)[orbits.orbit]
     J = trace_operator(grid, HermitianField(grid, W.diag[reps], W.tri[reps]), shift[reps], orbits)
-    assert np.allclose(J.toarray(), orbits.reduce(trace_operator(grid, W, shift)).toarray(),
+    full_J = trace_operator(grid, W, shift, symmetry_orbits(grid, None))
+    assert np.allclose(J.toarray(), orbits.reduce(full_J).toarray(),
                        rtol=0.0, atol=1e-13 * abs(J).max())
 
 
@@ -415,7 +423,7 @@ def weighted_operator_sum(grid, W, shift):
     u_jj + sum_{j<k} diag(2 Re W_kj) Re u_jk - diag(2 Im W_kj) Im u_jk, plus
     diag(shift)."""
     M = W.matrices()
-    diag, mixed = hessian_operators(grid)
+    diag, mixed = hessian_operators(grid, symmetry_orbits(grid, None))
     J = sparse.diags(M[:, 0, 0].real) @ diag[0]
     for j in range(1, grid.n):
         J = J + sparse.diags(M[:, j, j].real) @ diag[j]
@@ -434,7 +442,7 @@ def test_trace_operator_matches_weighted_operator_sum(which, shifted, assembly_g
     rng = np.random.default_rng(11)
     W = random_hermitian_field(grid, rng)
     shift = rng.normal(size=grid.num_interior) if shifted else None
-    J = trace_operator(grid, W, shift)
+    J = trace_operator(grid, W, shift, symmetry_orbits(grid, None))
     reference = weighted_operator_sum(grid, W, shift)
     assert J.format == "csc" and J.shape == reference.shape
     assert abs(J - reference).max() <= 1e-15 * abs(reference).max()
@@ -466,7 +474,8 @@ def test_trace_operator_reuses_the_cached_plan(monkeypatch):
     """The assembly plan is built from the grid's cached Hessian operators,
     once: later Jacobians build no stencil, no plan and no sparse.diags."""
     grid = build_grid(Ball(n=2), 0.25)
-    hessian_operators(grid)
+    every_node = symmetry_orbits(grid, None)
+    hessian_operators(grid, every_node)
     stencils = []
 
     def counted(*args):
@@ -475,15 +484,15 @@ def test_trace_operator_reuses_the_cached_plan(monkeypatch):
 
     monkeypatch.setattr(hessian, "second_difference_matrix", counted)
     rng = np.random.default_rng(2)
-    first = trace_operator(grid, random_hermitian_field(grid, rng))
-    plan = grid._cache[("trace_plan", None)]
+    first = trace_operator(grid, random_hermitian_field(grid, rng), None, every_node)
+    plan = grid._cache[("trace_plan", every_node)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("sparse.diags called after the plan was built")
 
     monkeypatch.setattr(sparse, "diags", forbidden)
     W = random_hermitian_field(grid, rng)
-    second = trace_operator(grid, W, rng.normal(size=grid.num_interior))
-    assert stencils == [] and grid._cache[("trace_plan", None)] is plan
+    second = trace_operator(grid, W, rng.normal(size=grid.num_interior), every_node)
+    assert stencils == [] and grid._cache[("trace_plan", every_node)] is plan
     assert np.array_equal(first.indptr, second.indptr)
     assert np.array_equal(first.indices, second.indices)

@@ -3,13 +3,15 @@ imported at the top and along an acyclic import graph, the
 sparse LU is called from one module, dirichlet.py, whose own GMRES cycle
 serves its one Newton step, no scipy Krylov solver is called at all, dense
 Hermitian eigenvalues and inverses are computed in one module, hessian.py,
-one module, domain.py, binds the name brentq, every module-level import
+one module, domain.py, binds the name brentq and defines the symmetry
+orbits, which no module replaces by None, every module-level import
 is used, and every exported name, and every defaulted parameter of an
 exported function, is reached from outside the tests."""
 
 import ast
 import inspect
 import pathlib
+import re
 
 import cmaeig
 
@@ -107,25 +109,55 @@ def test_detector_sees_linear_solver_calls(tmp_path):
 
 def test_newton_linear_solves_go_through_one_step():
     """In dirichlet.py the GMRES cycle _krylov runs only in the Newton step,
-    and every LU is factored on symmetry orbits (_orbit_factor), only by the
-    Newton step's refresh and by the cached quarter-Laplacian getter
-    (_laplacian_lu).  A solve's orbits come from one lookup
-    (symmetry_orbits), the only caller of the stabilizer search, so no
-    solve scans the maps per vector.  One Krylov engine (_Arnoldi) serves the GMRES cycle and the
-    n = 1 branch basis, with one Givens least squares and no lstsq."""
+    and every LU is factored (_factor) only by the Newton step's refresh and
+    by the cached quarter-Laplacian getter (_laplacian_lu).  One Krylov
+    engine (_Arnoldi) serves the GMRES cycle and the n = 1 branch basis,
+    with one Givens least squares and no lstsq."""
     path = SRC / "dirichlet.py"
-    names = ("_krylov", "_orbit_factor", "_factor", "splu", "_stabilizer", "_Arnoldi", "hypot")
+    names = ("_krylov", "_factor", "splu", "_Arnoldi", "hypot")
     assert callers_of(path, names) == {
         "_krylov": ["_newton_step"],
-        "_orbit_factor": ["_laplacian_lu", "_newton_step"],
-        "_factor": ["_orbit_factor"],
+        "_factor": ["_laplacian_lu", "_newton_step"],
         "splu": ["_factor"],
-        "_stabilizer": ["symmetry_orbits"],
         "_Arnoldi": ["_branch_solve", "_krylov"],
         "hypot": ["_rotate"],
     }
-    assert len(calls_of(path, ("_stabilizer",))) == 1
     assert calls_of(path, ("lstsq",)) == []
+
+
+ORBIT_NAMES = ("_Orbits", "_group", "_stabilizer", "symmetry_orbits")
+
+
+def test_one_orbit_type_beside_the_lattice_symmetries():
+    """Every node is the trivial group's orbits, never a missing orbits
+    argument: no module spells orbits=None, orbits is None or orbits is not
+    None.  The orbit type and its lookup are defined once, in domain.py next
+    to lattice_symmetries, and a solve's orbits come from one lookup
+    (symmetry_orbits), the only caller of the stabilizer search, so no solve
+    scans the maps per vector."""
+    fork = re.compile(r"orbits\s*=\s*None|orbits is (not )?None")
+    assert [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1) if fork.search(line)] == []
+    defined = {p.name: sorted(defined_names(p) & set(ORBIT_NAMES))
+               for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in defined.items() if found} == {
+        "domain.py": sorted(ORBIT_NAMES)}
+    path = SRC / "domain.py"
+    assert callers_of(path, ("_stabilizer",)) == {"_stabilizer": ["symmetry_orbits"]}
+    assert len(calls_of(path, ("_stabilizer",))) == 1
+
+
+def defined_names(path):
+    """Names of the functions and classes defined at any depth of a module."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_detector_sees_orbit_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class _Orbits:\n    def reduce(self):\n        pass\n"
+                     "def f():\n    def symmetry_orbits(g, d):\n        pass\n")
+    assert defined_names(probe) & set(ORBIT_NAMES) == {"_Orbits", "symmetry_orbits"}
 
 
 def test_eigenpath_walks_the_branch_in_one_place():
