@@ -992,9 +992,9 @@ def _laplacian_lu(grid, orbits):
     """(the LU of the n = 1 quarter Laplacian's R (1/4) L P on `orbits`
     (hessian_operators), the LUs this call factored: 1 or 0), cached on
     the grid per orbits and factored (_factor) on the first call for them.
-    (1/4) L commutes with every kept map exactly, so for a right-hand side
-    that the orbits' group fixes it gives the invariant solution: with
-    f = 1 the disc at h = 1/128 keeps 8 maps and the LU has 6 538 rows
+    (1/4) L commutes with every lattice symmetry exactly, so for a
+    right-hand side that the orbits' group fixes it gives the invariant
+    solution: with f = 1 the disc at h = 1/128 has 8 maps and the LU has 6 538 rows
     where (1/4) L has 51 429.  The cached LU holds no reference to the
     grid, whose cache holds it, so a dropped grid is freed at once and not
     left to the cycle collector."""

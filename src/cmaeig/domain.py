@@ -24,13 +24,17 @@ the weights sum to the domain's volume up to a relative error of 2.1e-7 on
 the unit disc at h = 1/128 and 1.9e-4 on the unit ball of C^2 at h = 0.125.
 The rule is deterministic and sees the gradient only through the sizes of
 its components, so every lattice symmetry of the grid maps the weights onto
-themselves up to rounding in rho.
+themselves up to the rounding of their sums over the axes.
 
-lattice_symmetries finds the signed axis permutations that map the grid
-onto itself exactly, and symmetry_orbits the orbits (_Orbits) of the group
-of them that fixes a solve's data; every solve and Hessian runs on such
-orbits, and the trivial group, one node per orbit, stands for every
-interior node.
+The lattice is laid out symmetrically: node k, k = -K..K per axis, sits at
+centre + h k, and a Ball's or Ellipsoid's rho is summed plane by plane on
+the offsets h k (_rho_at_offsets).  So each symmetry of the domain among
+the signed axis permutations maps rho, the interior node set and every
+crossing fraction onto themselves bit for bit, at every h.
+lattice_symmetries returns that group as the spec declares it, and
+symmetry_orbits the orbits (_Orbits) of its subgroup that fixes a solve's
+data; every solve and Hessian runs on such orbits, and the trivial group,
+one node per orbit, stands for every interior node.
 
 Real coordinates are ordered (x_1, y_1, ..., x_n, y_n): axis 2j is Re z_j and
 axis 2j+1 is Im z_j.
@@ -174,32 +178,49 @@ class CustomRho:
 DomainSpec = Ball | Ellipsoid | CustomRho
 
 
-def _bounding_box(spec):
-    """(2n, 2) array of per-axis (lo, hi) enclosing the closure of the domain."""
+def _lattice_frame(spec):
+    """(centre, half): the point build_grid centres its lattice on, and the
+    (2n,) half-widths of a box about it enclosing the closure of the domain."""
     if isinstance(spec, Ball):
-        c = np.asarray(spec.center)
-        return np.stack([c - spec.radius, c + spec.radius], axis=1)
+        return np.asarray(spec.center), np.full(2 * spec.n, spec.radius)
     if isinstance(spec, Ellipsoid):
-        a = np.repeat(np.asarray(spec.axes), 2)
-        return np.stack([-a, a], axis=1)
-    return np.asarray(spec.box)
+        return np.zeros(2 * spec.n), np.repeat(np.asarray(spec.axes), 2)
+    box = np.asarray(spec.box)
+    return 0.5 * (box[:, 0] + box[:, 1]), 0.5 * (box[:, 1] - box[:, 0])
 
 
 def eval_rho(spec, points):
-    """Defining function at one point (shape (2n,)) or a batch (m, 2n)."""
+    """Defining function at one point (shape (2n,)) or a batch (m, 2n); a
+    Ball's or Ellipsoid's is _rho_at_offsets of the offsets from its centre."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    if isinstance(spec, Ball):
-        c = np.asarray(spec.center)
-        vals = np.sum((pts - c) ** 2, axis=1) - spec.radius ** 2
-    elif isinstance(spec, Ellipsoid):
-        w = np.repeat(1.0 / np.asarray(spec.axes) ** 2, 2)
-        vals = pts ** 2 @ w - 1.0
-    else:
+    if isinstance(spec, CustomRho):
         vals = _eval_polynomial(spec.coeffs, pts)
+    else:
+        vals = _rho_at_offsets(spec, pts - _lattice_frame(spec)[0])
     return vals[0] if single else vals
+
+
+def _rho_at_offsets(spec, y):
+    """rho at the lattice centre plus each row of y (m, 2n).  A Ball or
+    Ellipsoid sums each plane's x^2 + y^2, times its weight (1/a_j^2 for an
+    Ellipsoid), and adds the plane sums in ascending order (one addition at
+    n <= 2), so every map of lattice_symmetries leaves it unchanged bit for
+    bit.  A CustomRho's polynomial is evaluated at the centre plus y."""
+    if isinstance(spec, CustomRho):
+        return _eval_polynomial(spec.coeffs, _lattice_frame(spec)[0] + y)
+    sq = y * y  # plane by plane: ops on (m, n) column slices are several times slower
+    planes = [sq[:, 2 * j] + sq[:, 2 * j + 1] for j in range(spec.n)]
+    if isinstance(spec, Ellipsoid):
+        for p, a in zip(planes, spec.axes):
+            p *= 1.0 / (a * a)
+    if spec.n > 2:
+        planes = np.sort(planes, axis=0)
+    total = sum(planes[1:], planes[0])
+    total -= spec.radius ** 2 if isinstance(spec, Ball) else 1.0
+    return total
 
 
 def _eval_polynomial(coeffs, pts):
@@ -318,7 +339,10 @@ def density_weight(grid, fn):
 class GridDomain:
     """Immutable discretization of a domain (see module docstring).
 
-    classification, interior data and cell volumes are fixed at construction.
+    Node k of the lattice (2K + 1 nodes per axis, k counted from the centre
+    node) sits at centre + h k; lo, the corner node's coordinates, is kept
+    for serialize.  classification, interior data and cell volumes are
+    fixed at construction.
     The private _cache memoizes the diagonal crossing fractions, derived
     stencil operators, its lattice symmetries (lattice_symmetries), the
     orbits of each group of them that fixed a solve's right-hand side
@@ -371,9 +395,15 @@ class GridDomain:
         """Flat-index offset of the lattice vector v."""
         return sum(int(c) * s for c, s in zip(v, _lattice_strides(self.shape), strict=True))
 
-    def node_coords(self, flat):
+    def node_offsets(self, flat):
+        """h k for each node of flat, k its lattice index counted from the
+        centre node: its offset from the lattice centre, which a mirror
+        image negates exactly."""
         idx = np.unravel_index(np.asarray(flat), self.shape)
-        return self.lo + self.h * np.stack(idx, axis=-1).astype(float)
+        return np.stack([self.h * (i - k // 2) for i, k in zip(idx, self.shape)], axis=-1)
+
+    def node_coords(self, flat):
+        return _lattice_frame(self.spec)[0] + self.node_offsets(flat)
 
     def unravel(self, flat):
         return tuple(int(v) for v in np.unravel_index(int(flat), self.shape))
@@ -394,21 +424,22 @@ def _crossing_fractions(spec, starts, directions, h):
     """Fractions theta in (0, 1] with rho(start + theta*h*direction) = 0, one per
     row of starts (m, 2n) and directions (m, 2n), by one batched bisection.
 
-    Every start is interior (rho < 0).  All edges start on the bracket [0, 1]
-    and are halved together _BISECTION_STEPS times, with rho evaluated as
-    start + (theta*h)*direction; theta is the bracket's lower end, the last
-    fraction where rho <= 0, so it is below 1 whenever rho > 0 at the far end.
-    theta = 1 wherever rho at the far end is <= 0: that neighbour was
-    classified non-interior (rho >= -grid.rho_band from its lattice
-    coordinates) yet start + h*direction gives rho <= 0, so it lies on the
-    zero set to rounding and 1 is the exact answer, not a fallback.  This
-    happens on real grids, e.g. on 1 988 of the 20 224 cut edges of Ball(2)
-    at h = 0.2.
+    Every start is an interior node's offset from the lattice centre
+    (GridDomain.node_offsets).  All edges start on the bracket [0, 1] and
+    are halved together _BISECTION_STEPS times, with rho evaluated
+    (_rho_at_offsets) at start + (theta*h)*direction; theta is the bracket's
+    lower end, the last fraction where rho <= 0, so it is below 1 whenever
+    rho > 0 at the far end.  theta = 1 wherever rho at the far end is <= 0:
+    that neighbour was classified non-interior (rho >= -grid.rho_band from
+    its lattice coordinates) yet start + h*direction gives rho <= 0, so it
+    lies on the zero set to rounding and 1 is the exact answer, not a
+    fallback.  This happens on real grids, e.g. on 56 of the 20 224 cut
+    edges of Ball(2) at h = 0.2.
     """
     m = starts.shape[0]
 
     def positive(s):
-        return eval_rho(spec, starts + (s * h)[:, None] * directions) > 0.0
+        return _rho_at_offsets(spec, starts + (s * h)[:, None] * directions) > 0.0
 
     lo, hi = np.zeros(m), np.ones(m)
     for _ in range(_BISECTION_STEPS):
@@ -436,6 +467,7 @@ def direction_thetas(grid, v):
         return grid._cache[key]
     missing = [v] + [w for w in _symmetry_directions(grid.n)[2 * grid.n:]
                      if w != v and ("theta", w) not in grid._cache]
+    offsets = grid.node_offsets(grid.interior_flat)
     cuts, starts, directions = [], [], []
     for w in missing:
         dw = grid.offset(w)
@@ -443,7 +475,7 @@ def direction_thetas(grid, v):
         cut = np.argwhere(grid.interior_pos[nbr] < 0)  # rows (node, side)
         signs = np.where(cut[:, 1] == 0, 1.0, -1.0)
         cuts.append(cut)
-        starts.append(grid.interior_coords[cut[:, 0]])
+        starts.append(offsets[cut[:, 0]])
         directions.append(signs[:, None] * np.asarray(w, dtype=float))
     fractions = _crossing_fractions(grid.spec, np.concatenate(starts),
                                     np.concatenate(directions), grid.h)
@@ -459,9 +491,8 @@ def direction_thetas(grid, v):
 def _symmetry_candidates(n):
     """The 2 * 4^n * n! signed permutations of the 2n centred lattice axes
     that commute or anticommute with the complex structure, each as (axes,
-    signs, tau, sides): node c maps to the node whose centred axis b is
-    signs[b] * c[axes[b]], and direction q of _symmetry_directions(n) maps
-    to direction tau[q], reversed where sides[q] is (1, 0).
+    signs): node c maps to the node whose centred axis b is
+    signs[b] * c[axes[b]].
 
     Plane j of the image is plane j' of the source, taken as (x, y) or, where
     axes swaps them, as (y, x); the map is complex linear on that plane when
@@ -470,8 +501,6 @@ def _symmetry_candidates(n):
     is no candidate.  Ordered by axes, then by the pattern of negative signs:
     the identity first, and at n = 1 the 8 maps in the order of the
     original n = 1 rule."""
-    directions = _symmetry_directions(n)
-    index = {v: q for q, v in enumerate(directions)}
     out = []
     for planes in itertools.permutations(range(n)):
         for linear in (True, False):
@@ -480,14 +509,7 @@ def _symmetry_candidates(n):
             for choice in itertools.product(per_plane, repeat=n):
                 axes = tuple(2 * p + (c ^ swap) for p, (swap, _) in zip(planes, choice)
                              for c in (0, 1))
-                signs = tuple(s for _, pair in choice for s in pair)
-                tau, sides = [], []
-                for v in directions:
-                    w = tuple(signs[b] * v[axes[b]] for b in range(2 * n))
-                    flip = next(c for c in w if c) < 0
-                    tau.append(index[tuple(-c for c in w) if flip else w])
-                    sides.append((1, 0) if flip else (0, 1))
-                out.append((axes, signs, np.array(tau)[:, None], np.array(sides)))
+                out.append((axes, tuple(s for _, pair in choice for s in pair)))
     out.sort(key=lambda c: (c[0], tuple(s < 0 for s in c[1])))
     return tuple(out)
 
@@ -511,66 +533,43 @@ def lattice_symmetries(grid):
     s[i], so interior values v are invariant under it when v[s] == v.  Built
     on the first call and cached in grid._cache; build_grid builds none.
 
-    build_grid anchors the lattice at the box centre with an odd shape, so
-    the candidates are the signed permutations of the 2n centred lattice
-    axes that commute or anticommute with the complex structure
-    (_symmetry_candidates): 8 at n = 1, 64 at n = 2.  A candidate is kept
-    only if it maps three things onto themselves exactly (np.array_equal,
-    no tolerance): the interior node set, theta_axis, and the crossing
-    fractions of every diagonal direction the complex Hessian reads
-    (direction_thetas, computed here if no stencil has yet).  The stencils
-    are built from those fractions and h alone, so each second difference
-    then commutes with every kept map bit for bit; at n = 1 so does the
-    quarter Laplacian.  At a dyadic h every crossing fraction maps exactly
-    onto its image: the disc keeps all 8 maps (h = 1/64, 1/128), the unit
-    4-ball and Ellipsoid((1, 1.5)) keep 16 of 64 at h = 0.25 (rounding in
-    rho's sum of squares loses the rest).  Elsewhere rounding leaves fewer:
-    the identity and the x <-> y swap on the disc at h = 0.1, the identity
-    alone on the 4-ball at h = 0.2."""
+    The group is the spec's, declared, not searched for: every candidate of
+    _symmetry_candidates for a Ball (8 at n = 1, 64 at n = 2, 768 at n = 3),
+    those that move planes only between equal semi-axes for an Ellipsoid
+    (2 * 4^n for distinct axes), the identity for a CustomRho.  On the
+    symmetric lattice (_rho_at_offsets) each maps rho, the interior nodes
+    and every crossing fraction onto themselves exactly, at every h, so it
+    maps each second difference onto the one along the image direction bit
+    for bit.  Each permutation is built by index arithmetic; one that
+    leaves the interior node set raises RuntimeError."""
     key = ("symmetries",)
     if key not in grid._cache:
-        grid._cache[key] = np.stack(_kept_symmetries(grid))
+        pos = grid.interior_pos.reshape(grid.shape)
+        # each lattice index of the interior nodes, and its mirror image
+        nodes = np.unravel_index(grid.interior_flat, grid.shape)
+        mirrored = [k - 1 - index for k, index in zip(grid.shape, nodes)]
+        group = _declared_group(grid.spec)
+        maps = np.empty((len(group), grid.num_interior), dtype=np.int64)
+        for k, (axes, signs) in enumerate(group):
+            maps[k] = pos[tuple((nodes if s > 0 else mirrored)[a] for a, s in zip(axes, signs))]
+            if np.any(maps[k] < 0):
+                raise RuntimeError(f"the lattice symmetry {(axes, signs)} of {grid.spec} "
+                                   f"maps interior nodes off the interior at h = {grid.h}")
+        grid._cache[key] = maps
     return grid._cache[key]
 
 
-def _kept_symmetries(grid):
-    """The permutations of lattice_symmetries, as a list: the arrays this
-    search builds are freed before they are stacked."""
-    diagonals = [direction_thetas(grid, v)[:, None, :]
-                 for v in _symmetry_directions(grid.n)[2 * grid.n:]]
-    theta = grid.theta_axis
-    if diagonals:
-        theta = np.concatenate([theta, *diagonals], axis=1)
-    # a map of the interior node set onto itself that maps these rows'
-    # fractions onto their images maps the rows onto each other; every
-    # other fraction is 1
-    flat = theta.reshape(grid.num_interior, -1)
-    cut = flat[:, 0] != 1.0
-    for column in flat.T[1:]:  # a loop over columns beats np.any(axis=1) here
-        cut |= column != 1.0
-    rows = np.flatnonzero(cut)
-    pos = grid.interior_pos.reshape(grid.shape)
-    # each lattice index of the interior nodes, and its mirror image
-    nodes = np.unravel_index(grid.interior_flat, grid.shape)
-    mirrored = [k - 1 - index for k, index in zip(grid.shape, nodes)]
-    # most candidates that rounding rejects fail on a few rows: test a
-    # sample of them before building the whole permutation
-    sample = rows[::max(1, rows.size // 64)]
-
-    def image(axes, signs, at):
-        return pos[tuple((nodes if s > 0 else mirrored)[a][at] for a, s in zip(axes, signs))]
-
-    kept = []
-    for axes, signs, tau, sides in _symmetry_candidates(grid.n):
-        if any(grid.shape[b] != grid.shape[a] for b, a in enumerate(axes)):
-            continue
-        probe = image(axes, signs, sample)
-        if np.any(probe < 0) or not np.array_equal(theta[probe][:, tau, sides], theta[sample]):
-            continue
-        perm = image(axes, signs, slice(None))
-        if np.all(perm >= 0) and np.array_equal(theta[perm[rows]][:, tau, sides], theta[rows]):
-            kept.append(perm)
-    return kept
+def _declared_group(spec):
+    """The candidates (_symmetry_candidates) that map the domain onto
+    itself, as lattice_symmetries lists them."""
+    candidates = _symmetry_candidates(spec.n)
+    if isinstance(spec, Ball):
+        return candidates
+    if isinstance(spec, Ellipsoid):
+        a = spec.axes
+        return [(axes, signs) for axes, signs in candidates
+                if all(a[j] == a[axes[2 * j] // 2] for j in range(spec.n))]
+    return candidates[:1]
 
 
 def _stabilizer(maps, b):
@@ -676,8 +675,10 @@ def _lattice_strides(shape):
 def build_grid(spec, h):
     """Discretize the domain with uniform spacing h.
 
-    The lattice is anchored at the bounding-box center and padded by two cells
-    per side so that every stencil has lattice neighbours.  A node is interior
+    The lattice is centred on the domain (_lattice_frame), covers its box
+    and is padded by two cells per side so that every stencil has lattice
+    neighbours; rho is evaluated on the offsets from the centre
+    (_rho_at_offsets).  A node is interior
     when rho < -rho_band, with the boundary band rho_band = 1e-12 * max |rho|
     over the lattice (_RHO_BAND): a node on the zero set, where rounding
     gives rho of either sign, is a boundary node, so no crossing fraction is
@@ -693,25 +694,21 @@ def build_grid(spec, h):
     h = float(h)
     if not h > 0:
         raise ValueError("h must be positive")
-    box = _bounding_box(spec)
-    d = box.shape[0]
+    centre, half = _lattice_frame(spec)
+    d = half.size
     n = d // 2
-    half = 0.5 * (box[:, 1] - box[:, 0])
     if h > 0.25 * float(np.min(half)):
         warnings.warn(
             f"h={h} exceeds a quarter of the smallest domain half-extent; "
             "boundary resolution will be crude",
             stacklevel=2,
         )
-    center = 0.5 * (box[:, 0] + box[:, 1])
     K = np.ceil(half / h).astype(int) + 2
     shape = tuple(int(2 * k + 1) for k in K)
-    lo = center - K * h
 
-    axes = [lo[a] + h * np.arange(shape[a]) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    rho_all = eval_rho(spec, pts)
+    mesh = np.meshgrid(*[h * np.arange(-k, k + 1) for k in K], indexing="ij")
+    offsets = np.stack([m.ravel() for m in mesh], axis=1)
+    rho_all = _rho_at_offsets(spec, offsets)
     rho_band = _RHO_BAND * float(np.max(np.abs(rho_all)))
     interior_mask = (rho_all < -rho_band).reshape(shape)
     if not interior_mask.any():
@@ -722,8 +719,8 @@ def build_grid(spec, h):
     # for a box that encloses the domain.
     for a in range(d):
         if np.take(interior_mask, [0, 1, -2, -1], axis=a).any():
-            raise ValueError(
-                f"the bounding box {tuple(tuple(float(v) for v in row) for row in box)} does "
+            raise ValueError(  # only a CustomRho's declared box can miss the domain
+                f"the bounding box {spec.box} does "
                 f"not enclose the domain: interior nodes lie within two layers of the "
                 f"lattice edge along axis {a}"
             )
@@ -748,16 +745,16 @@ def build_grid(spec, h):
     interior_pos[interior_flat] = np.arange(N)
 
     strides = np.array(_lattice_strides(shape), dtype=np.int64)
-    coords = pts[interior_flat]
+    starts = offsets[interior_flat]
     rho_int = rho_all[interior_flat]
 
-    offsets = np.stack([strides, -strides], axis=1)  # (2n, 2): +/- each axis
-    nbr_ipos = interior_pos[interior_flat[:, None, None] + offsets]
+    steps = np.stack([strides, -strides], axis=1)  # (2n, 2): +/- each axis
+    nbr_ipos = interior_pos[interior_flat[:, None, None] + steps]
 
     theta = np.ones((N, d, 2))
     i, a, s = np.nonzero(nbr_ipos < 0)
     directions = np.eye(d)[a] * np.where(s == 0, 1.0, -1.0)[:, None]
-    theta[i, a, s] = _crossing_fractions(spec, coords[i], directions, h)
+    theta[i, a, s] = _crossing_fractions(spec, starts[i], directions, h)
 
     cell_volume = _cell_volumes(rho_all, interior_flat, strides, h)
     # Cells centered at boundary nodes still contain a sliver of the domain;
@@ -777,13 +774,13 @@ def build_grid(spec, h):
         spec=spec,
         n=n,
         h=h,
-        lo=lo,
+        lo=centre - K * h,
         shape=shape,
         classification=flat_class,
         interior_flat=interior_flat,
         boundary_flat=boundary_flat,
         interior_pos=interior_pos,
-        interior_coords=coords,
+        interior_coords=centre + starts,
         rho_interior=rho_int,
         rho_band=rho_band,
         nbr_ipos=nbr_ipos,

@@ -26,9 +26,9 @@ from cmaeig.dirichlet import RhsSpec, _logdet_form
 from cmaeig.domain import CustomRho, density_vector, symmetry_orbits
 from cmaeig.hessian import HermitianField, laplacian_matrix, second_difference_matrix
 
-# A C^2 domain whose lattice keeps only the identity at h = 0.25 (rho has a
-# cross term and linear terms, and no two axes alike), so its every solve runs
-# on the trivial group.
+# A C^2 domain without lattice symmetry (rho has a cross term and linear
+# terms, and no two axes alike); as a CustomRho it declares the identity
+# alone, so its every solve runs on the trivial group.
 SKEW_N2 = CustomRho(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.3, (0, 0, 2, 0): 1.1,
                         (0, 0, 0, 2): 0.9, (1, 0, 1, 0): 0.1, (1, 0, 0, 0): 0.1,
                         (0, 1, 0, 0): 0.07, (0, 0, 0, 0): -1.0},

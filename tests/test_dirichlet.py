@@ -132,12 +132,12 @@ def test_frozen_quartic_disc(disc_grid_32):
 
 def route_problem(problem):
     """(f, fresh grid): the unit disc at h = 1/64 with f = 1, the unit disc
-    at h = 0.1 with the (0.3, 0) bump, which only the identity fixes there,
-    or the ellipsoid-n2-bump problem."""
+    at h = 0.1 with a bump at (0.3, 0.2), off every mirror line, so that
+    only the identity fixes it, or the ellipsoid-n2-bump problem."""
     if problem == "disc":
         return Constant(1.0), build_grid(Ball(1), 1 / 64)
     if problem == "disc-bump":
-        return DISC_BUMP, build_grid(Ball(1), 0.1)
+        return GaussianBump(center=(0.3, 0.2), amplitude=1.0, width=0.5), build_grid(Ball(1), 0.1)
     with pytest.warns(UserWarning, match="quarter"):
         grid = build_grid(Ellipsoid((1.0, 0.7)), 0.25)
     return GaussianBump(center=(0.3, 0.0, 0.0, 0.0), amplitude=1.0, width=0.5), grid
@@ -176,7 +176,7 @@ def test_reports_evaluate_no_complex_hessian(route, problem, most, monkeypatch):
 
 @pytest.mark.parametrize("route,problem,evaluations", [
     (continuation, "disc", 1), (inverse_power, "ellipsoid-n2-bump", 95),
-    (inverse_power, "disc-bump", 18)],
+    (inverse_power, "disc-bump", 19)],
     ids=["continuation", "inverse_power-ellipsoid-n2-bump", "inverse_power-trivial-group"])
 def test_routes_evaluate_no_field_s_hessian_twice(route, problem, evaluations, monkeypatch):
     """A call of complex_hessian on the values the grid evaluated last gets
@@ -186,10 +186,14 @@ def test_routes_evaluate_no_field_s_hessian_twice(route, problem, evaluations, m
     ellipsoid-n2-bump problem at most 95, where 25 of 120 repeated the one
     before (each iterate's quotient, then its next frozen solve's start);
     its last is the eigenfunction's on every node, for the stored
-    residual.  On the trivial group (the h = 0.1 disc bump, 305 nodes) the
-    routes' operators are complex_hessian's own, so the eigenfunction's
-    last Hessian is not evaluated again for its residual: 18 in all."""
+    residual.  On the trivial group (the h = 0.1 disc with the (0.3, 0.2)
+    bump, 305 nodes) the routes' operators are complex_hessian's own, so the
+    eigenfunction's last Hessian is not evaluated again for its residual:
+    19 in all, one per iterate and the start's."""
     f, grid = route_problem(problem)
+    if problem == "disc-bump":
+        fn = density_vector(f, grid)
+        assert domain.symmetry_orbits(grid, fn) is domain.symmetry_orbits(grid, None)
     real = hessian._evaluate
     fields = []
 
@@ -517,15 +521,15 @@ def test_routes_look_up_their_orbits_once(route, monkeypatch):
 
 
 def test_stabilizer_of_data_the_whole_group_fixes(ellipsoid_bump, monkeypatch):
-    """symmetry_orbits takes every kept map, without a scan, for data that
-    is constant on each orbit of the whole group, and scans otherwise: the
-    orbits are those of the stabilizer _stabilizer finds, on the disc at
-    h = 1/64 with f = 1 (all 8 maps) and with the (0.3, 0) bump (2), and on
-    ellipsoid-n2-bump (4 of 16)."""
+    """symmetry_orbits takes every map of the group, without a scan, for
+    data that is constant on each orbit of the whole group, and scans
+    otherwise: the orbits are those of the stabilizer _stabilizer finds, on
+    the disc at h = 1/64 with f = 1 (all 8 maps) and with the (0.3, 0) bump
+    (2), and on ellipsoid-n2-bump (8 of 32)."""
     disc = build_grid(Ball(n=1), 1 / 64)
     grid, bump = ellipsoid_bump
     cases = [(disc, np.ones(disc.num_interior), 8, 0), (disc, density_vector(DISC_BUMP, disc), 2, 1),
-             (grid, density_vector(bump, grid, power=2), 4, 1)]
+             (grid, density_vector(bump, grid, power=2), 8, 1)]
     for g, data, kept, scanned in cases:
         maps = lattice_symmetries(g)
         stabilizer = domain._stabilizer(maps, data)
@@ -566,8 +570,8 @@ def test_continuation_basis_holds_orbit_values():
 def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
     """build_grid builds no lattice symmetry; the first n = 2 solve builds
     it and solves on the orbits of its right-hand side's stabilizer: with
-    f = 1 on the 4-ball at h = 0.25 all 16 kept maps, 109 orbits of 1 257
-    nodes, so the cached Newton LU has 109 rows.  Every branch point and
+    f = 1 on the 4-ball at h = 0.25 all 64 maps, 35 orbits of 1 257
+    nodes, so the cached Newton LU has 35 rows.  Every branch point and
     iterate the routes return is invariant exactly.  Right-hand-side data
     that only the identity fixes get the trivial group, whose LU is the
     Jacobian's own.  No n = 2 solve uses the quarter-Laplacian LU."""
@@ -577,9 +581,9 @@ def test_n2_solves_run_on_the_orbits_of_their_right_hand_side():
               for p in route(grid=g, tol=1e-8).branch]
     maps = lattice_symmetries(g)
     orbits, lu = g._cache["newton_lu"]
-    assert len(maps) == 16
-    assert orbits is g._cache[("orbits", tuple(range(16)))]
-    assert lu.shape == (109, 109)
+    assert len(maps) == 64
+    assert orbits is g._cache[("orbits", tuple(range(64)))]
+    assert lu.shape == (35, 35)
     assert all(np.array_equal(v.interior[s], v.interior) for v in fields for s in maps)
     b = np.random.default_rng(5).uniform(0.5, 1.5, g.num_interior)
     _, report = solve_frozen(b, g)
@@ -594,7 +598,7 @@ def test_frozen_solve_after_a_route_takes_the_fresh_grid_counts():
     """A grid's cached Newton LU preconditions a later solve only on the same
     orbits: on the 4-ball at h = 0.25, a random right-hand side, which only
     the identity fixes, takes 5 Newton steps, 16 GMRES iterations and 1 LU
-    right after an inverse power, whose LU is on the orbits of 16 maps, as
+    right after an inverse power, whose LU is on the orbits of 64 maps, as
     on a fresh grid, and wastes no GMRES cycle on the other orbits' LU."""
     def counts(report):
         return report.iterations, report.krylov_iterations, report.factorizations
@@ -610,7 +614,7 @@ def test_frozen_solve_after_a_route_takes_the_fresh_grid_counts():
 @pytest.mark.parametrize("route", [continuation, inverse_power])
 @pytest.mark.parametrize("which", ["ball4", "ellipsoid_bump"])
 def test_orbit_newton_matches_the_full_newton(which, route):
-    """A route on the orbits (16 maps on the 4-ball with f = 1, the 4 that
+    """A route on the orbits (64 maps on the 4-ball with f = 1, the 8 that
     fix the ellipsoid-n2-bump density) against the same route on a grid
     whose symmetries are cut to the identity, on the trivial group: the
     full Jacobian LU and the residual on every node.  lambda_1 within 1e-12
@@ -644,7 +648,8 @@ def test_orbit_newton_matches_the_full_newton(which, route):
 
 
 def test_symmetry_free_continuation_is_pinned():
-    """Continuation on SKEW_N2 at h = 0.25, with only the identity kept."""
+    """Continuation on SKEW_N2 at h = 0.25, a CustomRho, whose group is the
+    identity alone."""
     g = build_grid(SKEW_N2, 0.25)
     result = continuation(grid=g, tol=1e-8)
     assert len(lattice_symmetries(g)) == 1
@@ -1414,7 +1419,7 @@ def test_quadratic_subsolution_on_custom_disc_matches_ball():
 
 
 @pytest.mark.parametrize("which,hessians,amplitude", [
-    ("ball4", 2, 1.0000000000000069), ("ellipsoid_bump", 7, 1.393034883624431)])
+    ("ball4", 2, 1.0000000000000069), ("ellipsoid_bump", 7, 1.3930348836244337)])
 def test_cold_frozen_solve_certifies_without_a_second_hessian(which, hessians, amplitude,
                                                               monkeypatch):
     """quadratic_subsolution certifies t rho against t^n det(rho) from the

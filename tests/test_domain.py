@@ -13,7 +13,9 @@ import cmaeig.dirichlet
 import cmaeig.domain
 from cmaeig.domain import (
     _cell_volumes,
+    _declared_group,
     _plane_fraction,
+    _symmetry_candidates,
     _symmetry_directions,
     Ball,
     Constant,
@@ -484,15 +486,15 @@ def test_batched_diagonal_fractions_equal_one_call_per_direction(spec, h):
         directions = np.where(cut[:, 1] == 0, 1.0, -1.0)[:, None] * np.asarray(v, dtype=float)
         reference = np.ones((g.num_interior, 2))
         reference[cut[:, 0], cut[:, 1]] = cmaeig.domain._crossing_fractions(
-            g.spec, g.interior_coords[cut[:, 0]], directions, g.h)
+            g.spec, g.node_offsets(g.interior_flat[cut[:, 0]]), directions, g.h)
         assert np.array_equal(direction_thetas(g, v), reference)
 
 
 @pytest.mark.parametrize("spec,h", [(Ball(n=2), 0.25), (Ball(n=3), 0.5)], ids=["n2", "n3"])
 def test_first_hessian_makes_one_diagonal_bisection(spec, h, monkeypatch):
     """A grid's first hessian_operators bisects every diagonal's cut edges in
-    one _crossing_fractions call (build_grid made the axis one), and the
-    symmetry search that reads every diagonal afterwards makes none."""
+    one _crossing_fractions call (build_grid made the axis one), and
+    lattice_symmetries, which the spec declares, makes none."""
     g = build_quietly(spec, h)
     real = cmaeig.domain._crossing_fractions
     calls = []
@@ -509,11 +511,11 @@ def test_first_hessian_makes_one_diagonal_bisection(spec, h, monkeypatch):
 
 def test_theta_is_one_exactly_where_the_neighbour_is_on_the_zero_set():
     """On Ball(2), h = 0.2, rounding puts start + h*direction on {rho <= 0} for
-    1 988 of the 20 224 cut edges; those and only those get theta == 1, as
+    56 of the 20 224 cut edges; those and only those get theta == 1, as
     with the scalar reference."""
     got, ref = thetas_and_reference(build_grid(Ball(n=2), 0.2))
     assert got.size == 20224
-    assert np.count_nonzero(got == 1.0) == 1988
+    assert np.count_nonzero(got == 1.0) == 56
     assert np.array_equal(got == 1.0, ref == 1.0)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -667,8 +669,8 @@ def test_centre_cell_is_full(disc_grid):
     (Ball(n=2), 0.25), (Ellipsoid(axes=(1.0, 1.5)), 0.25),
 ], ids=["disc-1/128", "disc-0.1", "ellipsoid-0.7", "ball4", "ellipsoid-1.5"])
 def test_cell_weights_are_symmetric(spec, h):
-    """Every kept lattice symmetry maps the weights onto themselves to
-    rounding in the sums of rho values and sliver shares."""
+    """Every lattice symmetry maps the weights onto themselves to rounding
+    in the sums of rho values and sliver shares."""
     g = build_grid(spec, h)
     w = g.cell_volume
     maps = lattice_symmetries(g)
@@ -690,14 +692,14 @@ SKEWED_DISC = CustomRho(1, {(2, 0): 1.0, (0, 2): 1.3, (1, 1): 0.2, (1, 0): 0.1, 
 @pytest.mark.parametrize("spec, h, kept", [
     (Ball(n=1), 1 / 64, 8),
     (Ball(n=1, radius=0.93), 1 / 128, 8),
-    (Ball(n=1), 0.1, 2),
+    (Ball(n=1), 0.1, 8),
     (SKEWED_DISC, 1 / 64, 1),
 ], ids=["disc-1/64", "shrunk-disc-1/128", "disc-0.1", "custom-rho"])
 def test_kept_lattice_symmetries_commute_with_the_quarter_laplacian(spec, h, kept):
-    """A dyadic h keeps all 8 signed axis permutations of the disc, h = 0.1
-    only the identity and the x <-> y swap, and a CustomRho without symmetry
-    the identity alone.  Each kept map permutes the interior positions, the
-    identity first, and commutes with the quarter Laplacian exactly."""
+    """The disc has all 8 signed axis permutations at every h, dyadic or
+    not, and a CustomRho the identity alone.  Each map permutes the
+    interior positions, the identity first, and commutes with the quarter
+    Laplacian exactly."""
     g = build_grid(spec, h)
     maps = lattice_symmetries(g)
     A = hessian_operators(g, symmetry_orbits(g, None))[0][0]
@@ -706,9 +708,6 @@ def test_kept_lattice_symmetries_commute_with_the_quarter_laplacian(spec, h, kep
     for s in maps:
         assert np.array_equal(np.sort(s), np.arange(g.num_interior))
         assert abs(A[s][:, s] - A).max() == 0.0
-    if kept == 2:
-        swapped = g.interior_coords[:, ::-1]
-        assert np.array_equal(g.interior_coords[maps[1]], swapped)
 
 
 def test_lattice_symmetries_are_built_on_first_use_only():
@@ -721,6 +720,102 @@ def test_lattice_symmetries_are_built_on_first_use_only():
         assert ("symmetries",) not in g._cache
         maps = lattice_symmetries(g)
         assert g._cache[("symmetries",)] is maps and lattice_symmetries(g) is maps
+
+
+def searched_symmetries(g):
+    """The lattice symmetries of g found by search, the oracle of the
+    declared group: the candidates of _symmetry_candidates (identity first)
+    that map the interior node set onto itself and under which every full
+    hessian_operators matrix A goes, exactly, to plus or minus one of them,
+    A[s][:, s] == +-B.  So the complex Hessian of a field's image is a
+    unitary or antiunitary congruence of its Hessian, node by node; at n = 1
+    this is A[s][:, s] == A for the quarter Laplacian."""
+    diag, mixed = hessian_operators(g, symmetry_orbits(g, None))
+    ops = list(diag) + [A for pair in mixed for A in pair]
+
+    def key(A):
+        A = A.tocsr()
+        A.sort_indices()
+        return A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+    keys = {key(sign * A) for A in ops for sign in (1.0, -1.0)}
+    centre = np.array(g.shape)[:, None] // 2
+    nodes = np.stack(np.unravel_index(g.interior_flat, g.shape)) - centre
+    kept = []
+    for axes, signs in _symmetry_candidates(g.n):
+        if any(g.shape[b] != g.shape[a] for b, a in enumerate(axes)):
+            continue
+        image = centre + np.array(signs)[:, None] * nodes[list(axes)]
+        s = g.interior_pos[np.ravel_multi_index(tuple(image), g.shape)]
+        if np.all(s >= 0) and all(key(A[s][:, s]) in keys for A in ops):
+            kept.append(s)
+    return np.stack(kept)
+
+
+@pytest.mark.parametrize("spec, h, maps", [
+    (Ball(n=1), 1 / 64, 8),
+    (Ball(n=1), 0.1, 8),
+    (Ball(1, 1.5, (0.25, -0.5)), 1 / 16, 8),
+    (Ball(n=2), 0.25, 64),
+    (Ball(n=2), 0.2, 64),
+    (Ball(2, 1.0, (0.25, 0.0, -0.5, 0.0)), 0.25, 64),
+    (Ellipsoid((1.0, 1.5)), 0.25, 32),
+    (Ellipsoid((1.0, 1.0)), 0.25, 64),
+    (Ellipsoid((1.0, 0.95)), 0.25, 32),
+    (Ball(n=3), 0.5, 768),
+], ids=["disc-1/64", "disc-0.1", "shifted-disc", "ball4-0.25", "ball4-0.2", "shifted-ball4",
+        "ellipsoid-1-1.5", "ellipsoid-1-1", "ellipsoid-1-0.95", "ball6-0.5"])
+def test_declared_group_equals_the_searched_one(spec, h, maps):
+    """The group a Ball or Ellipsoid declares is the one the search finds,
+    map for map and in the same order, at dyadic and non-dyadic h and for
+    balls off the origin.  Ellipsoid((1, 0.95)) has the lattice shape of a
+    ball at h = 0.25, yet its plane swap is in neither group."""
+    g = build_quietly(spec, h)
+    declared = lattice_symmetries(g)
+    assert declared.shape == (maps, g.num_interior)
+    assert np.array_equal(declared, searched_symmetries(g))
+
+
+@pytest.mark.parametrize("spec, h", [
+    (SKEWED_DISC, 1 / 64), (UNIT_DISC_RHO, 1 / 16), (SKEW_N2, 0.25),
+], ids=["skewed-disc", "unit-disc", "skew-n2"])
+def test_custom_rho_declares_a_subgroup_of_the_searched_one(spec, h):
+    """A CustomRho declares the identity alone, a subgroup of whatever its
+    polynomial keeps (all 8 maps for the unit disc spelled as one)."""
+    g = build_grid(spec, h)
+    declared = lattice_symmetries(g)
+    searched = searched_symmetries(g)
+    assert np.array_equal(declared, np.arange(g.num_interior)[None])
+    assert np.array_equal(searched[0], declared[0])
+    assert len(searched) == (8 if spec is UNIT_DISC_RHO else 1)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.2, 1 / 3], ids=["0.1", "0.2", "1/3"])
+@pytest.mark.parametrize("spec", [
+    Ball(1, 1.5, (0.25, -0.5)), Ball(2, 1.0, (0.25, 0.0, -0.5, 0.0)), Ellipsoid((1.0, 1.5)),
+], ids=["shifted-disc", "shifted-ball4", "ellipsoid"])
+def test_lattice_is_exactly_symmetric(spec, h):
+    """At non-dyadic h, off the origin: node_coords gives the interior
+    coordinates bit for bit, every declared map sends each node's offset
+    from the centre to its signed, permuted image exactly, and fixes rho at
+    the interior nodes exactly."""
+    g = build_quietly(spec, h)
+    assert np.array_equal(g.node_coords(g.interior_flat), g.interior_coords)
+    offsets = g.node_offsets(g.interior_flat)
+    for (axes, signs), s in zip(_declared_group(spec), lattice_symmetries(g), strict=True):
+        assert np.array_equal(offsets[s], offsets[:, list(axes)] * np.array(signs))
+        assert np.array_equal(g.rho_interior[s], g.rho_interior)
+
+
+def test_a_map_off_the_interior_node_set_raises():
+    """lattice_symmetries builds each declared map by index arithmetic and
+    raises, instead of dropping the map, when one leaves the interior node
+    set: here a grid whose last interior node has been struck off."""
+    g = build_grid(Ball(n=1), 0.25)
+    g.interior_pos = g.interior_pos.copy()
+    g.interior_pos[g.interior_flat[-1]] = -1
+    with pytest.raises(RuntimeError, match="maps interior nodes off the interior"):
+        lattice_symmetries(g)
 
 
 def conjugate_z1_alone(g):
@@ -745,18 +840,18 @@ def commutator(J, s):
 
 
 @pytest.mark.parametrize("spec, h, kept", [
-    (Ball(n=2), 0.25, 16),
-    (Ellipsoid((1.0, 1.5)), 0.25, 16),
-    (Ball(n=2), 0.2, 1),
+    (Ball(n=2), 0.25, 64),
+    (Ellipsoid((1.0, 1.5)), 0.25, 32),
+    (Ball(n=2), 0.2, 64),
 ], ids=["ball4-0.25", "ellipsoid-1-1.5-0.25", "ball4-0.2"])
 def test_kept_n2_lattice_symmetries_commute_with_the_logdet_jacobian(spec, h, kept):
     """Of the 64 signed axis permutations that commute or anticommute with
-    the complex structure, the unit 4-ball and Ellipsoid((1, 1.5)) keep 16
-    at the dyadic h = 0.25 and the 4-ball the identity alone at h = 0.2.
-    Each kept map permutes the interior positions, the identity first, and
-    commutes to 1e-12 of its norm with the log-det Jacobian at the nodewise
-    minimum of rho over the kept maps' images, a field they all fix
-    exactly.  Conjugating z1 alone is never kept."""
+    the complex structure, the unit 4-ball has all 64 at h = 0.25 and at
+    the non-dyadic h = 0.2, and Ellipsoid((1, 1.5)) the 32 that keep each
+    plane in place.  Each map permutes the interior positions, the identity
+    first, and commutes to 1e-12 of its norm with the log-det Jacobian at
+    the nodewise minimum of rho over the maps' images, a field they all fix
+    exactly.  Conjugating z1 alone is never one of them."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = build_grid(spec, h)

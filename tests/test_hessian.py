@@ -246,8 +246,8 @@ def test_reduced_hessian_matches_the_full_hessian_at_the_representatives(which, 
     """The Hessian of orbit values by the reduced operators R D P
     (hessian_at with orbits) is the Hessian of the expanded field at the
     orbits' representatives: entries within 2e-15 and the determinant
-    within 1e-14 (relative) on the 4-ball at h = 0.25 (f = 1, 109 orbits)
-    and on ellipsoid-n2-bump (its bump's 183 orbits), for a PSH invariant
+    within 1e-14 (relative) on the 4-ball at h = 0.25 (f = 1, 35 orbits)
+    and on ellipsoid-n2-bump (its bump's 108 orbits), for a PSH invariant
     field near rho; the trace_operator Jacobian on the orbits is R J P."""
     if which == "ball4":
         grid, fn = ball4_grid, np.ones(ball4_grid.num_interior)
@@ -258,7 +258,7 @@ def test_reduced_hessian_matches_the_full_hessian_at_the_representatives(which, 
                                          width=0.5), grid, power=2)
     orbits = symmetry_orbits(grid, fn)
     reps = orbits.representatives
-    assert reps.size == (109 if which == "ball4" else 183)
+    assert reps.size == (35 if which == "ball4" else 108)
     rng = np.random.default_rng(7)
     x = orbits.restrict(grid.rho_interior) * (1.0 + 0.01 * rng.uniform(size=reps.size))
     full = complex_hessian(ScalarField(grid, orbits.expand(x)))

@@ -126,6 +126,20 @@ def test_grid_round_trip(tmp_path, disc):
     assert np.array_equal(back.theta_axis, disc.theta_axis)
 
 
+@pytest.mark.parametrize("spec", [Ball(1, 1.5, center=(0.25, -0.5)), Ellipsoid(axes=(1.0, 1.5))],
+                         ids=["shifted-disc", "ellipsoid"])
+def test_grid_round_trip_at_a_non_dyadic_h(tmp_path, spec):
+    """The origin written for a lattice centred off a dyadic point, at
+    h = 0.1, passes the reader's check against the rebuilt grid."""
+    grid = build_grid(spec, 0.1)
+    path = tmp_path / "grid.bin"
+    write_grid(grid, path)
+    back = read_field(path)
+    assert np.array_equal(back.lo, grid.lo)
+    assert np.array_equal(back.interior_coords, grid.interior_coords)
+    assert np.array_equal(back.theta_axis, grid.theta_axis)
+
+
 def test_read_validates_against_supplied_grid(tmp_path, disc):
     u = ScalarField(disc, np.zeros(disc.num_interior))
     path = tmp_path / "field.bin"

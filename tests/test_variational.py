@@ -9,7 +9,16 @@ import pytest
 import cmaeig.dirichlet as dirichlet
 import cmaeig.variational as variational
 from cmaeig.dirichlet import solve_frozen
-from cmaeig.domain import Ball, Constant, Ellipsoid, GaussianBump, build_grid, eval_density
+from cmaeig.domain import (
+    Ball,
+    Constant,
+    Ellipsoid,
+    GaussianBump,
+    build_grid,
+    eval_density,
+    lattice_symmetries,
+    symmetry_orbits,
+)
 from cmaeig.eigenpath import continuation
 from cmaeig.errors import (
     DegenerateIterate,
@@ -393,13 +402,40 @@ def test_tight_inverse_power_on_ellipsoid_bump(h, iterations, symmetry):
 
 
 def test_inverse_power_on_the_ball_at_h_0125():
-    """On the unit 4-ball at h = 0.125 (20 161 nodes; 1 391 orbits of its 16
+    """On the unit 4-ball at h = 0.125 (20 161 nodes; 381 orbits of its 64
     lattice symmetries) inverse power at tol 1e-8 reaches the discrete
     eigenvalue 1.6791865938411 within 1e-9, and its eigenpair passes
     verify_eigenpair."""
     grid = build_grid(Ball(2), 0.125)
     result = inverse_power(Constant(1.0), grid, 1e-8)
     assert abs(result.lambda1 - 1.6791865938411) <= 1e-9
+    assert verify_eigenpair(result, Constant(1.0), grid).ok
+
+
+@pytest.mark.parametrize("spec, lambda1", [
+    (Ball(2), 1.6691684104232365), (Ellipsoid((1.0, 1.5)), 1.1157492206333905),
+], ids=["ball4", "ellipsoid-1-1.5"])
+def test_inverse_power_at_a_non_dyadic_h_runs_on_the_whole_group(spec, lambda1):
+    """At h = 0.2 the 4-ball has all 64 lattice symmetries and
+    Ellipsoid((1, 1.5)) its 32, so inverse power solves on 70 and 280
+    orbits, and lands within 1e-12 of the lambda_1 of a solve on every node
+    (2 873 and 6 853 of them)."""
+    grid = build_grid(spec, 0.2)
+    result = inverse_power(Constant(1.0), grid, 1e-8)
+    assert abs(result.lambda1 - lambda1) <= 1e-12
+    assert symmetry_orbits(grid, np.ones(grid.num_interior)).representatives.size == (
+        70 if isinstance(spec, Ball) else 280)
+
+
+@pytest.mark.parametrize("route", [continuation, inverse_power])
+def test_routes_on_the_ball_in_c3_pass_verify(route):
+    """Both routes on the unit ball of C^3 at h = 0.5 (233 nodes, 6 orbits
+    of its 768 lattice symmetries) return an eigenpair that passes
+    verify_eigenpair."""
+    with pytest.warns(UserWarning, match="quarter"):
+        grid = build_grid(Ball(3), 0.5)
+    result = route(Constant(1.0), grid, 1e-8)
+    assert len(lattice_symmetries(grid)) == 768
     assert verify_eigenpair(result, Constant(1.0), grid).ok
 
 
